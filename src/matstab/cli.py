@@ -17,12 +17,13 @@ import json
 import os
 import sys
 import time
+from functools import cached_property
 
 import numpy as np
 
 from . import dstability as ds
-from . import lyapunov, polynomials, special_forms
-from .matrix_core import as_matrix, classify
+from . import lyapunov, matrix_core, polynomials, special_forms
+from .matrix_core import MINOR_ENUM_CAP, as_matrix
 from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       HalfPlaneRight, Hyperbolic, LMIRegion,
                       NegativeRealAxis, PositiveRealAxis, PunctureOrigin,
@@ -377,12 +378,56 @@ def _canonical_triple(request):
     return None
 
 
+class _SharedWork:
+    """Work that several checks of one request share, each done at most once.
+
+    Every result is computed on first use.  A computation that raises is
+    not cached, so it raises again in every check that asks for it.
+    """
+
+    def __init__(self, a, budget):
+        self.a = a
+        self.budget = budget
+
+    @cached_property
+    def minors(self):
+        """``principal_minors(A)``; None past the enumeration cap."""
+        if self.a.shape[0] > MINOR_ENUM_CAP:
+            return None
+        return matrix_core.principal_minors(self.a)
+
+    @cached_property
+    def neg_minors(self):
+        """``principal_minors(-A)``, derived from the table of A."""
+        if self.minors is None:
+            return None
+        return matrix_core.negate_minors(self.minors)
+
+    @cached_property
+    def classification(self):
+        return matrix_core.classify(self.a, minors=self.minors)
+
+    @cached_property
+    def neg_classification(self):
+        return matrix_core.classify(-self.a, minors=self.neg_minors)
+
+    @cached_property
+    def half_plane_search(self):
+        return lyapunov.diagonal_stability_search(self.a, budget=self.budget)
+
+
 def run(request):
     """Execute the analysis pipeline and assemble the report.
 
     Check order: classify, necessary minors, exact structural criteria,
     sufficient suite, certificate searches, falsification, then optional
     simulation and the principal-submatrix scan on what survived.
+
+    Checks share work through a per-request :class:`_SharedWork`: one
+    principal-minor sweep of A (the minors of -A are derived from it),
+    ``classify`` of A and of -A, and the half-plane diagonal stability
+    search.  ``classify``, ``necessary-p0plus``, ``sufficient-suite`` and
+    ``diagonal-certificate`` take them from there instead of recomputing.
     """
     a = request.matrix
     convention_note = "analysis in the hurwitz convention"
@@ -401,6 +446,7 @@ def run(request):
     region, gclass, op = request.region, request.gclass, request.op
     triple = _canonical_triple(request)
     modes = request.modes
+    shared = _SharedWork(a, request.budget)
     checks = []
     summary = [Status.UNKNOWN, "no-deciding-check"]
 
@@ -425,7 +471,7 @@ def run(request):
     if "classify" in modes:
         t0 = time.perf_counter()
         try:
-            rep = classify(a)
+            rep = shared.classification
             flags = {k: v for k, v in rep.flags().items()}
             v = Verdict(Status.UNKNOWN, "informational")
             record("classify", "determinantal class flags", v, False, t0,
@@ -455,7 +501,7 @@ def run(request):
         def necessary(t0):
             mode = ("multiplicative"
                     if triple == "multiplicative-d-stability" else "additive")
-            nec = ds.necessary_p0plus(a, mode=mode)
+            nec = ds.necessary_p0plus(a, mode=mode, minors=shared.neg_minors)
             record("necessary-p0plus", "minor-sign necessity", nec,
                    nec.refuted, t0)
 
@@ -470,7 +516,10 @@ def run(request):
                                             "additive-d-stability",
                                             "positive-diagonal-subclass"):
         def sufficient(t0):
-            suite = ds.sufficient_suite(-a, budget=request.budget)
+            suite = ds.sufficient_suite(
+                -a, budget=request.budget,
+                classification=shared.neg_classification,
+                search=shared.half_plane_search)
             fired = [name for name, v in suite if v.proved]
             status = Status.PROVED if fired else Status.UNKNOWN
             reason = ("sufficient:" + ",".join(fired)) if fired \
@@ -489,7 +538,7 @@ def run(request):
     if "certify" in modes:
         guarded("certificates", "certificate searches",
                 lambda _t0: _certificate_checks(a, request, triple, record,
-                                                proved_suite[0]))
+                                                proved_suite[0], shared))
 
     if "falsify" in modes:
         def falsification(t0):
@@ -597,7 +646,7 @@ def _structural_checks(a, request, triple, record):
                sym_ok, t0)
 
 
-def _certificate_checks(a, request, triple, record, proved_suite):
+def _certificate_checks(a, request, triple, record, proved_suite, shared):
     region = request.region
     diag_certifiable = triple in ("multiplicative-d-stability",
                                   "additive-d-stability",
@@ -607,8 +656,11 @@ def _certificate_checks(a, request, triple, record, proved_suite):
     if isinstance(region, (HalfPlaneLeft, Disk, LMIRegion, EMIRegion)):
         if not (proved_suite and isinstance(region, HalfPlaneLeft)):
             t0 = time.perf_counter()
-            v = lyapunov.diagonal_stability_search(a, region,
-                                                   budget=request.budget)
+            if isinstance(region, HalfPlaneLeft):
+                v = shared.half_plane_search
+            else:
+                v = lyapunov.diagonal_stability_search(a, region,
+                                                       budget=request.budget)
             data = None
             if v.proved:
                 margin = lyapunov.verify_certificate(a, v.witness)

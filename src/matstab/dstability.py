@@ -11,7 +11,7 @@ the realized product, the offending eigenvalue and the stream seed.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import numpy as np
 
@@ -518,13 +518,14 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
 # Necessary and sufficient conditions
 # ---------------------------------------------------------------------------
 
-def necessary_p0plus(a, mode="multiplicative"):
+def necessary_p0plus(a, mode="multiplicative", minors=None):
     """Necessary condition for D-stability of a Hurwitz-convention matrix.
 
     Both multiplicative and additive D-stability force -A to be a P0+
     matrix; a failing minor refutes D-stability outright.  Passing proves
     nothing, so the best non-refuted status is Unknown with the flag
-    ``necessary-p0plus-passed``.
+    ``necessary-p0plus-passed``.  ``minors``, when given, is
+    ``principal_minors(-a)``.
     """
     a = as_matrix(a)
     if mode not in ("multiplicative", "additive"):
@@ -533,15 +534,19 @@ def necessary_p0plus(a, mode="multiplicative"):
     if n > MINOR_ENUM_CAP:
         raise ValueError(f"minor enumeration capped at n = {MINOR_ENUM_CAP}")
     b = -a
+    if minors is None:
+        minors = principal_minors(b)
     sums = {}
-    for alpha, value in principal_minors(b):
-        k = len(alpha)
+    for k, group in groupby(minors, key=lambda item: len(item[0])):
         tol = minor_tol(b, k)
-        if value < -tol:
-            return Verdict(Status.REFUTED, f"not-p0-{mode}",
-                           witness={"indices": alpha, "minor": value,
-                                    "matrix": "-A"})
-        sums[k] = sums.get(k, 0.0) + value
+        s = 0.0  # left to right: the witness sum is a running total
+        for alpha, value in group:
+            if value < -tol:
+                return Verdict(Status.REFUTED, f"not-p0-{mode}",
+                               witness={"indices": alpha, "minor": value,
+                                        "matrix": "-A"})
+            s += value
+        sums[k] = s
     for k in sorted(sums):
         if sums[k] <= minor_tol(b, k):
             return Verdict(Status.REFUTED, f"p0-minor-sums-vanish-{mode}",
@@ -556,7 +561,8 @@ def _is_triangular(a, tol):
     return upper or lower
 
 
-def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET):
+def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET, classification=None,
+                     search=None):
     """Sufficient D-stability tests, positive-stability convention.
 
     Any Proved item implies D-stability of ``a`` (D a positive stable for
@@ -565,14 +571,17 @@ def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET):
     triangular with positive diagonal, tridiagonal P-matrix, and the
     W-map route (the off-diagonal absolute-value image of -A, or of its
     inverse, Hurwitz stable implies diagonal stability).
+    ``classification`` and ``search``, when given, are ``classify(a)``
+    and the half-plane ``diagonal_stability_search(-a, budget=budget)``.
     """
     a = as_matrix(a)
-    rep = classify(a)
+    rep = classify(a) if classification is None else classification
     tol = minor_tol(a, 1)
     diag_pos = bool((np.diag(a) > tol).all())
     out = []
 
-    search = lyapunov.diagonal_stability_search(-a, budget=budget)
+    if search is None:
+        search = lyapunov.diagonal_stability_search(-a, budget=budget)
     if search.proved:
         out.append(("diagonal-stability", Verdict(
             Status.PROVED, "diagonally-stable", witness=search.witness)))

@@ -3,11 +3,18 @@
 All index sets in witnesses and in :func:`principal_minors` output are
 0-based tuples.  Minor-based predicates use floating determinants with
 the scale-aware zero tolerance ``1e-10 * (1 + ||A||_inf ** k)`` for an
-order-``k`` minor.
+order-``k`` minor, computed once per order.
+
+:func:`principal_minors` is one batched kernel: for each order k it
+gathers the stacked k x k principal submatrices and takes all their
+determinants in one ``np.linalg.det`` call, bit for bit the values of a
+per-submatrix loop.  The minors of ``-A`` need no second sweep: an
+order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, exactly in
+floating point (:func:`negate_minors`).
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 
 import numpy as np
@@ -15,7 +22,8 @@ import numpy as np
 __all__ = [
     "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "hadamard", "kronecker",
     "block_hadamard", "compound", "additive_compound_2", "comparison_matrix",
-    "w_map", "sign_pattern", "principal_minors", "leading_minors",
+    "w_map", "sign_pattern", "principal_minors", "negate_minors",
+    "leading_minors",
     "is_z_matrix", "is_metzler", "is_m_matrix", "generalized_diag_dominant",
     "square_dd_every_order", "ClassReport", "classify",
 ]
@@ -131,7 +139,9 @@ def sign_pattern(a):
 def principal_minors(a, max_order=None):
     """All principal minors up to ``max_order`` as (index tuple, value) pairs.
 
-    Enumeration is capped at n = 14 (2^n growth).
+    Orders ascend; within an order the index tuples follow
+    ``itertools.combinations``.  Enumeration is capped at n = 14 (2^n
+    growth).
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -143,10 +153,24 @@ def principal_minors(a, max_order=None):
         raise ValueError(f"max_order must be in 1..{n}")
     out = []
     for k in range(1, max_order + 1):
-        for alpha in combinations(range(n), k):
-            sub = a[np.ix_(alpha, alpha)]
-            out.append((alpha, float(np.linalg.det(sub))))
+        sets = list(combinations(range(n), k))
+        idx = np.array(sets)
+        dets = np.linalg.det(a[idx[:, :, None], idx[:, None, :]])
+        out.extend(zip(sets, dets.tolist()))
     return out
+
+
+def negate_minors(minors):
+    """The :func:`principal_minors` table of ``-A`` from that of ``A``.
+
+    Negating a matrix leaves the pivots' magnitudes of its LU factors
+    unchanged and flips the sign of each, so ``det(-M) = (-1)^k det(M)``
+    holds bit for bit for every nonzero minor.  ``0.0 - v`` keeps a zero
+    minor ``+0.0``, as LAPACK gives it for an exact zero pivot; a minor
+    that underflowed to zero may carry the other sign bit when swept
+    directly, which no comparison or sum can tell apart.
+    """
+    return [(alpha, 0.0 - v if len(alpha) % 2 else v) for alpha, v in minors]
 
 
 def leading_minors(a):
@@ -244,22 +268,23 @@ class ClassReport:
         return {k: v for k, v in self.__dict__.items() if k != "witnesses"}
 
 
-def _p_flags(a, witnesses, prefix="", negate=False):
-    """P / P0 / P0+ flags from a full principal-minor sweep."""
-    m = -a if negate else a
+def _p_flags(m, minors, witnesses, prefix=""):
+    """P / P0 / P0+ flags of ``m`` from its full principal-minor table."""
     p = p0 = True
     order_sums = {}
     p_wit = p0_wit = None
-    for alpha, value in principal_minors(m):
-        k = len(alpha)
+    for k, group in groupby(minors, key=lambda item: len(item[0])):
         tol = minor_tol(m, k)
-        order_sums[k] = order_sums.get(k, 0.0) + value
-        if value <= tol and p:
-            p = False
-            p_wit = {"indices": alpha, "value": value}
-        if value < -tol and p0:
-            p0 = False
-            p0_wit = {"indices": alpha, "value": value}
+        s = 0.0  # left to right, so the sums match a running total
+        for alpha, value in group:
+            s += value
+            if value <= tol and p:
+                p = False
+                p_wit = {"indices": alpha, "value": value}
+            if value < -tol and p0:
+                p0 = False
+                p0_wit = {"indices": alpha, "value": value}
+        order_sums[k] = s
     q = True
     q_wit = None
     for k, s in sorted(order_sums.items()):
@@ -277,12 +302,14 @@ def _p_flags(a, witnesses, prefix="", negate=False):
     return p, p0, p0_plus
 
 
-def classify(a):
+def classify(a, minors=None):
     """Full class report for a dense square matrix.
 
     Minor-based flags need 2^n principal minors and are reported as
     ``None`` beyond n = 14; the pairwise sign-symmetry sweep is further
-    capped at n = 8.  Generalized diagonal dominance (the NDD / PDD and
+    capped at n = 8.  ``minors``, when given, is ``principal_minors(a)``;
+    the Hicksian flag uses the same table negated, so one sweep serves
+    both.  Generalized diagonal dominance (the NDD / PDD and
     H-matrix flags) is decided through the M-matrix test on the
     comparison matrix.
     """
@@ -329,9 +356,11 @@ def classify(a):
     rep.pdd = gdd and bool((diag > tol1).all())
 
     if n <= MINOR_ENUM_CAP:
-        rep.p, rep.p0, rep.p0_plus = _p_flags(a, w)
-        hick_p, _, _ = _p_flags(a, w, prefix="hicksian:", negate=True)
-        rep.hicksian = hick_p
+        if minors is None:
+            minors = principal_minors(a)
+        rep.p, rep.p0, rep.p0_plus = _p_flags(a, minors, w)
+        rep.hicksian, _, _ = _p_flags(-a, negate_minors(minors), w,
+                                      prefix="hicksian:")
         rep.m_matrix = rep.z and rep.p
         if not rep.m_matrix:
             w.setdefault("m_matrix", w.get("z") or w.get("p"))

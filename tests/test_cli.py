@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from matstab import cli
+from matstab import cli, lyapunov, matrix_core
 from matstab import dstability as ds
 from matstab.spectra import Status
 
@@ -143,6 +143,79 @@ class TestRun:
             a, modes=("classify", "total-scan"), samples=200, budget=200))
         scan = [c for c in report.checks if c.check == "total-scan"]
         assert scan and scan[0].verdict.proved
+
+
+# random Hurwitz n = 8 inputs whose sufficient suite does not prove at
+# budget 300: the half-plane diagonal search runs for both the suite and
+# the certificate check
+HURWITZ_8_UNDECIDED = [
+    [-3.5, 0.5, 0.2, 1.9, -0.0, -1.3, -1.0, 1.5],
+    [-0.5, -4.7, -0.6, 0.0, 1.2, -1.0, 0.7, 0.8],
+    [-0.7, -0.2, -0.8, 1.7, 0.9, 0.3, 1.1, -0.1],
+    [-0.1, -0.9, 0.0, -2.7, 2.8, -0.2, 1.3, 1.3],
+    [-0.2, 1.2, -2.2, 0.1, -1.7, -2.4, -1.2, 1.1],
+    [-0.3, -1.1, -0.4, -0.5, 0.7, -2.1, -0.3, -0.7],
+    [-0.1, 1.3, 0.3, 0.6, -0.2, -1.3, -3.3, 0.7],
+    [0.1, -0.9, -1.6, 0.1, -0.3, -0.4, -0.3, -2.3]]
+HURWITZ_8_NOT_P0 = [
+    [-3.3, -1.3, -0.2, 0.4, 1.1, 0.1, -0.6, -0.8],
+    [0.7, -0.9, 0.3, -1.2, -1.0, 1.6, 0.2, -1.7],
+    [-0.1, -1.2, -3.1, -0.5, -0.7, 0.6, -0.1, -0.6],
+    [0.4, 0.8, -1.6, -2.8, -1.0, -0.2, -1.3, 0.0],
+    [-0.0, -0.3, -1.0, -0.4, -3.6, -1.4, 0.2, -1.1],
+    [1.2, 0.7, -2.0, 0.3, -1.1, -2.5, 0.0, -2.0],
+    [-0.2, -0.3, 1.0, -1.2, 0.7, -1.1, -2.8, -0.8],
+    [1.4, 0.6, 2.4, 0.6, 0.8, 0.8, -0.6, -2.6]]
+
+
+class TestSharedWork:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"minors": 0, "search": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        sweep = counting("minors", matrix_core.principal_minors)
+        monkeypatch.setattr(matrix_core, "principal_minors", sweep)
+        monkeypatch.setattr(ds, "principal_minors", sweep)
+        monkeypatch.setattr(lyapunov, "diagonal_stability_search",
+                            counting("search",
+                                     lyapunov.diagonal_stability_search))
+        return counts
+
+    @pytest.mark.parametrize("matrix, class_spec, op_spec, summary, checks", [
+        (HURWITZ_8_UNDECIDED, "positive-diagonal", "multiply",
+         ("unknown", "no-deciding-check"),
+         [("classify", "unknown", False), ("gershgorin", "unknown", False),
+          ("self-stability", "proved", False),
+          ("necessary-p0plus", "unknown", False),
+          ("li-wang", "proved", False),
+          ("sufficient-suite", "unknown", False),
+          ("diagonal-certificate", "unknown", False),
+          ("falsify", "unknown", True)]),
+        (HURWITZ_8_NOT_P0, "negative-diagonal", "add",
+         ("refuted", "necessary-p0plus"),
+         [("classify", "unknown", False), ("gershgorin", "unknown", False),
+          ("self-stability", "proved", False),
+          ("necessary-p0plus", "refuted", True),
+          ("li-wang", "proved", False),
+          ("sufficient-suite", "unknown", False),
+          ("diagonal-certificate", "unknown", False),
+          ("falsify", "refuted", True)]),
+    ])
+    def test_one_sweep_and_one_search_per_request(
+            self, calls, matrix, class_spec, op_spec, summary, checks):
+        report = cli.run(request_for(matrix, class_spec=class_spec,
+                                     op_spec=op_spec, samples=200,
+                                     budget=300, seed=1))
+        assert calls == {"minors": 1, "search": 1}
+        assert [(c.check, c.verdict.status.value, c.decides)
+                for c in report.checks] == checks
+        assert (report.summary_status.value, report.summary_reason) == summary
 
 
 class TestEmit:

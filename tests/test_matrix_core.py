@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,14 @@ from hypothesis.extra.numpy import arrays
 from matstab import matrix_core as mc
 
 from conftest import multiset_close, naive_det
+
+
+def bits(minors):
+    return [(alpha, v.hex()) for alpha, v in minors]
+
+
+def nonzero(minors):
+    return [(alpha, v) for alpha, v in minors if v != 0.0]
 
 
 def square(n, lo=-5.0, hi=5.0):
@@ -186,6 +196,24 @@ class TestMinors:
     def test_dimension_cap(self, rng):
         with pytest.raises(ValueError):
             mc.principal_minors(np.eye(15))
+
+    @given(st.integers(1, 8).flatmap(square))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_sweep_matches_loop_bit_for_bit(self, a):
+        n = a.shape[0]
+        loop = [(alpha, float(np.linalg.det(a[np.ix_(alpha, alpha)])))
+                for k in range(1, n + 1)
+                for alpha in combinations(range(n), k)]
+        got = mc.principal_minors(a)
+        assert [alpha for alpha, _ in got] == [alpha for alpha, _ in loop]
+        assert bits(got) == bits(loop)
+        # det(-M) = (-1)^k det(M) exactly, so -A needs no second sweep.
+        # A zero minor keeps its value but not always its sign bit: LAPACK
+        # gives +0.0 for an exact zero pivot and a signed zero on underflow
+        swept = mc.principal_minors(-a)
+        derived = mc.negate_minors(got)
+        assert [v for _, v in swept] == [v for _, v in derived]
+        assert bits(nonzero(swept)) == bits(nonzero(derived))
 
 
 class TestClassify:
