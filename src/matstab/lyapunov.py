@@ -78,7 +78,7 @@ def is_negative_definite(w, tol=None):
     if tol is None:
         tol = definiteness_tol(w)
     lam = float(np.linalg.eigvalsh(w)[-1])
-    return lam < -tol, -lam
+    return bool(lam < -tol), -lam
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,15 @@ class TestMain:
         args = cli.build_parser().parse_args(["m.json"])
         assert args.seed == 77
 
+    def test_spd_json_report_parses(self, capsys):
+        # the symmetric-part check must record a plain bool, or emit fails
+        assert cli.main(["--class", "spd", "--format", "json",
+                         "--", "-1,0.5;0.2,-2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        sym = next(c for c in payload["checks"]
+                   if c["check"] == "symmetric-part")
+        assert sym["decides_request"] is True
+
     def test_json_format_flag(self, tmp_path, capsys):
         f = tmp_path / "m.json"
         f.write_text('{"n": 1, "rows": [[-1]]}')
