@@ -396,9 +396,11 @@ class _SharedWork:
             return None
         return matrix_core.principal_minors(self.a)
 
-    @cached_property
     def neg_minors(self):
-        """``principal_minors(-A)``, derived from the table of A."""
+        """``principal_minors(-A)``, derived afresh from the table of A.
+
+        Not cached, so no second 2^n table outlives the check reading it.
+        """
         if self.minors is None:
             return None
         return matrix_core.negate_minors(self.minors)
@@ -409,7 +411,7 @@ class _SharedWork:
 
     @cached_property
     def neg_classification(self):
-        return matrix_core.classify(-self.a, minors=self.neg_minors)
+        return matrix_core.classify(-self.a, minors=self.neg_minors())
 
     @cached_property
     def half_plane_search(self):
@@ -501,7 +503,8 @@ def run(request):
         def necessary(t0):
             mode = ("multiplicative"
                     if triple == "multiplicative-d-stability" else "additive")
-            nec = ds.necessary_p0plus(a, mode=mode, minors=shared.neg_minors)
+            nec = ds.necessary_p0plus(a, mode=mode,
+                                      minors=shared.neg_minors())
             record("necessary-p0plus", "minor-sign necessity", nec,
                    nec.refuted, t0)
 

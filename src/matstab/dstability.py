@@ -524,8 +524,8 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
     Both multiplicative and additive D-stability force -A to be a P0+
     matrix; a failing minor refutes D-stability outright.  Passing proves
     nothing, so the best non-refuted status is Unknown with the flag
-    ``necessary-p0plus-passed``.  ``minors``, when given, is
-    ``principal_minors(-a)``.
+    ``necessary-p0plus-passed``.  ``minors``, when given, yields the
+    pairs of ``principal_minors(-a)`` in its order.
     """
     a = as_matrix(a)
     if mode not in ("multiplicative", "additive"):

@@ -163,6 +163,8 @@ def principal_minors(a, max_order=None):
 def negate_minors(minors):
     """The :func:`principal_minors` table of ``-A`` from that of ``A``.
 
+    Returns an iterator, so that no second table is held in memory.
+
     Negating a matrix leaves the pivots' magnitudes of its LU factors
     unchanged and flips the sign of each, so ``det(-M) = (-1)^k det(M)``
     holds bit for bit for every nonzero minor.  ``0.0 - v`` keeps a zero
@@ -170,7 +172,7 @@ def negate_minors(minors):
     that underflowed to zero may carry the other sign bit when swept
     directly, which no comparison or sum can tell apart.
     """
-    return [(alpha, 0.0 - v if len(alpha) % 2 else v) for alpha, v in minors]
+    return ((alpha, 0.0 - v if len(alpha) % 2 else v) for alpha, v in minors)
 
 
 def leading_minors(a):
@@ -307,9 +309,9 @@ def classify(a, minors=None):
 
     Minor-based flags need 2^n principal minors and are reported as
     ``None`` beyond n = 14; the pairwise sign-symmetry sweep is further
-    capped at n = 8.  ``minors``, when given, is ``principal_minors(a)``;
-    the Hicksian flag uses the same table negated, so one sweep serves
-    both.  Generalized diagonal dominance (the NDD / PDD and
+    capped at n = 8.  ``minors``, when given, yields the pairs of
+    ``principal_minors(a)`` in its order; the Hicksian flag reads the
+    same table negated, so one sweep serves both.  Generalized diagonal dominance (the NDD / PDD and
     H-matrix flags) is decided through the M-matrix test on the
     comparison matrix.
     """
@@ -356,8 +358,7 @@ def classify(a, minors=None):
     rep.pdd = gdd and bool((diag > tol1).all())
 
     if n <= MINOR_ENUM_CAP:
-        if minors is None:
-            minors = principal_minors(a)
+        minors = principal_minors(a) if minors is None else list(minors)
         rep.p, rep.p0, rep.p0_plus = _p_flags(a, minors, w)
         rep.hicksian, _, _ = _p_flags(-a, negate_minors(minors), w,
                                       prefix="hicksian:")
