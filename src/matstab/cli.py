@@ -428,8 +428,9 @@ def run(request):
     Checks share work through a per-request :class:`_SharedWork`: one
     principal-minor sweep of A (the minors of -A are derived from it),
     ``classify`` of A and of -A, and the half-plane diagonal stability
-    search.  ``classify``, ``necessary-p0plus``, ``sufficient-suite`` and
-    ``diagonal-certificate`` take them from there instead of recomputing.
+    search.  ``classify``, ``necessary-p0plus``, ``interval-box``,
+    ``sufficient-suite`` and ``diagonal-certificate`` take them from
+    there instead of recomputing.
     """
     a = request.matrix
     convention_note = "analysis in the hurwitz convention"
@@ -512,7 +513,8 @@ def run(request):
 
     if "structural" in modes:
         guarded("structural", "exact structural criteria",
-                lambda _t0: _structural_checks(a, request, triple, record))
+                lambda _t0: _structural_checks(a, request, triple, record,
+                                               shared))
 
     proved_suite = [False]
     if "sufficient" in modes and triple in ("multiplicative-d-stability",
@@ -581,7 +583,7 @@ def _strict_submatrix_refutation(verdict):
     return False
 
 
-def _structural_checks(a, request, triple, record):
+def _structural_checks(a, request, triple, record, shared):
     region, gclass, op = request.region, request.gclass, request.op
     n = a.shape[0]
     diag_certifiable = triple in ("multiplicative-d-stability",
@@ -619,7 +621,8 @@ def _structural_checks(a, request, triple, record):
         t0 = time.perf_counter()
         try:
             v = polynomials.kosov_interval_dstability(
-                -a, np.asarray(gclass.d_min), np.asarray(gclass.d_max))
+                -a, np.asarray(gclass.d_min), np.asarray(gclass.d_max),
+                classification=shared.neg_classification)
             record("interval-box", "interval-to-polynomial-box reduction",
                    v, v.proved, t0)
         except ValueError as exc:

@@ -9,8 +9,8 @@ order-``k`` minor, computed once per order.
 gathers the stacked k x k principal submatrices and takes all their
 determinants in one ``np.linalg.det`` call, bit for bit the values of a
 per-submatrix loop.  The minors of ``-A`` need no second sweep: an
-order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, exactly in
-floating point (:func:`negate_minors`).
+order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, bit for bit
+for every nonzero minor (:func:`negate_minors`).
 """
 
 from dataclasses import dataclass, field
@@ -23,9 +23,9 @@ __all__ = [
     "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "hadamard", "kronecker",
     "block_hadamard", "compound", "additive_compound_2", "comparison_matrix",
     "w_map", "sign_pattern", "principal_minors", "negate_minors",
-    "leading_minors",
-    "is_z_matrix", "is_metzler", "is_m_matrix", "generalized_diag_dominant",
-    "square_dd_every_order", "ClassReport", "classify",
+    "leading_minors", "is_z_matrix", "is_metzler", "is_m_matrix",
+    "generalized_diag_dominant", "square_dd_every_order", "ClassReport",
+    "classify",
 ]
 
 # Full principal-minor enumeration grows as 2^n; beyond this cap classify

@@ -202,7 +202,8 @@ def kharitonov_stable(box):
     return Verdict(Status.PROVED, "kharitonov-four-polynomials-stable")
 
 
-def kosov_interval_dstability(a, d_min, d_max, mode="multiplicative"):
+def kosov_interval_dstability(a, d_min, d_max, mode="multiplicative",
+                              classification=None):
     """Interval D-stability of a P0 matrix over a diagonal box (sufficient).
 
     ``a`` is taken in the positive-stability convention: the claim
@@ -213,6 +214,7 @@ def kosov_interval_dstability(a, d_min, d_max, mode="multiplicative"):
     so the two box corners bound the whole coefficient family and the
     four-polynomial test applies.  Proved means D-stable with respect to
     the box; anything else is Unknown (the test is sufficient only).
+    ``classification``, when given, is ``classify(a)``.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -222,7 +224,7 @@ def kosov_interval_dstability(a, d_min, d_max, mode="multiplicative"):
         raise ValueError("need componentwise 0 < d_min <= d_max < inf")
     if mode not in ("multiplicative", "additive"):
         raise ValueError(f"unknown mode {mode!r}")
-    rep = classify(a)
+    rep = classify(a) if classification is None else classification
     if not rep.p0:
         raise ValueError("matrix must be P0 for the interval reduction;"
                          f" witness minor {rep.witnesses.get('p0')}")

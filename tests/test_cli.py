@@ -206,6 +206,15 @@ class TestSharedWork:
           ("sufficient-suite", "unknown", False),
           ("diagonal-certificate", "unknown", False),
           ("falsify", "refuted", True)]),
+        (HURWITZ_8_UNDECIDED, "interval-diagonal:" + ",".join(["0.5/2"] * 8),
+         "multiply", ("unknown", "no-deciding-check"),
+         [("classify", "unknown", False), ("gershgorin", "unknown", False),
+          ("self-stability", "proved", False),
+          ("li-wang", "proved", False),
+          ("interval-box", "unknown", False),
+          ("sufficient-suite", "unknown", False),
+          ("diagonal-certificate", "unknown", False),
+          ("falsify", "unknown", True)]),
     ])
     def test_one_sweep_and_one_search_per_request(
             self, calls, matrix, class_spec, op_spec, summary, checks):
