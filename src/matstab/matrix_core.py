@@ -311,9 +311,9 @@ def classify(a, minors=None):
     ``None`` beyond n = 14; the pairwise sign-symmetry sweep is further
     capped at n = 8.  ``minors``, when given, yields the pairs of
     ``principal_minors(a)`` in its order; the Hicksian flag reads the
-    same table negated, so one sweep serves both.  Generalized diagonal dominance (the NDD / PDD and
-    H-matrix flags) is decided through the M-matrix test on the
-    comparison matrix.
+    same table negated, so one sweep serves both.  Generalized diagonal
+    dominance (the NDD / PDD and H-matrix flags) is decided through the
+    M-matrix test on the comparison matrix.
     """
     a = as_matrix(a)
     n = a.shape[0]
