@@ -2,8 +2,22 @@
 
 Certificates are found by projected subgradient descent of the largest
 eigenvalue of the region operator over a compact diagonal slice.  The
-searches are {Proved, Unknown}-sound only: exhausting the budget never
-refutes, because the subgradient method yields no dual bound.
+searches are {Proved, Unknown}-sound only: they never refute.
+
+The positive-diagonal searches stop early, with Unknown, once their own
+subgradients prove that no certificate exists.  The operator
+W(d) = sum_i d_i W_i is linear in d, and the subgradient at an iterate
+is g_i = <W_i, v v^T> for the top eigenvector v.  The mean S of the
+v v^T seen so far is positive semidefinite with trace one, so for every
+d on the unit simplex
+
+    lambda_max(W(d)) >= <W(d), S> = sum_i d_i gbar_i >= min_i gbar_i,
+
+with gbar the running mean of g.  By homogeneity a positive min_i gbar_i
+excludes every positive diagonal factor, the lifted one included.  The
+stop asks for a margin of at least ``definiteness_tol``, far above the
+rounding in gbar, so a search that stops could never have returned
+Proved; every Proved search runs exactly as it would without the stop.
 """
 
 import math
@@ -266,6 +280,13 @@ def _project_simplex(d):
     css = np.cumsum(u) - 1.0
     k = np.arange(1, d.size + 1)
     idx = np.nonzero(u - css / k > 0)[0]
+    if idx.size == 0:
+        if not np.isfinite(u[0]):
+            raise ValueError("subgradient step is not finite")
+        # u[0] - css[0] is 1 in exact arithmetic and rounds to 0 only when
+        # u[0] is huge (a step of a nearly zero matrix); the projection is
+        # then the vertex at the largest entry
+        return np.maximum(d - u[0] + 1.0, 0.0)
     rho = idx[-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(d - theta, 0.0)
@@ -283,8 +304,11 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET, tol=None):
     Minimizes lambda_max of the region operator over the unit simplex of
     diagonals by projected subgradient (step mu/sqrt(k) with
     mu = 1/||A||_inf), polishing once a negative value is found.  Proved
-    verdicts carry a re-verifiable :class:`Certificate`; Unknown means
-    the budget ran out without a certificate.
+    verdicts carry a re-verifiable :class:`Certificate`.  Unknown means
+    that the running mean of the subgradients proved that no positive
+    diagonal certifies (``dual-bound-excludes-certificate``, see the
+    module docstring), or that the budget ran out first
+    (``search-budget-exhausted``).
     """
     a = as_matrix(a)
     if region is None:
@@ -298,9 +322,11 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET, tol=None):
     best_d = d.copy()
     found_at = None
     stall = 0
+    g_sum = np.zeros(n)
     k = 0
     for k in range(1, max(budget, 1) + 1):
         val, g, cur_tol = op.value_and_subgrad(d)
+        g_sum += g
         if val < best_val - 1e-15:
             if best_val - val > 1e-12 * max(1.0, abs(best_val)):
                 stall = 0
@@ -314,6 +340,8 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET, tol=None):
             # polish briefly, then stop once improvement stalls
             if stall >= 100 or k - found_at >= 500:
                 break
+        if found_at is None and g_sum.min() > k * max(w_tol, cur_tol):
+            return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
         d = _project_simplex(d - (mu / math.sqrt(k)) * g)
 
     # lift zero simplex entries to a strictly positive diagonal; retry
@@ -384,6 +412,9 @@ def common_diagonal_search(mats, budget=DEFAULT_BUDGET, tol=None):
     """Search one positive diagonal Lyapunov solution shared by all matrices.
 
     Minimizes max_i lambda_max(D A_i + A_i^T D) over the diagonal simplex.
+    The running mean of the active matrix's subgradients bounds that
+    maximum below as in :func:`diagonal_stability_search`, and the search
+    stops with the same Unknown reason once the bound is positive.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
@@ -395,7 +426,7 @@ def common_diagonal_search(mats, budget=DEFAULT_BUDGET, tol=None):
 
     def value_and_subgrad(d):
         worst_val = -math.inf
-        worst_g = None
+        worst_g = worst_w = None
         for m in mats:
             w = d[:, None] * m
             w = w + w.T
@@ -404,14 +435,17 @@ def common_diagonal_search(mats, budget=DEFAULT_BUDGET, tol=None):
                 worst_val = float(lam[-1])
                 v = vec[:, -1]
                 worst_g = 2.0 * v * (m @ v)
-        return worst_val, worst_g
+                worst_w = w
+        return worst_val, worst_g, definiteness_tol(worst_w)
 
     d = np.full(n, 1.0 / n)
     best_val, best_d = math.inf, d.copy()
     found_at = None
+    g_sum = np.zeros(n)
     k = 0
     for k in range(1, max(budget, 1) + 1):
-        val, g = value_and_subgrad(d)
+        val, g, cur_tol = value_and_subgrad(d)
+        g_sum += g
         if val < best_val:
             best_val, best_d = val, d.copy()
         if best_val < -(tol if tol is not None else 1e-9):
@@ -419,6 +453,9 @@ def common_diagonal_search(mats, budget=DEFAULT_BUDGET, tol=None):
                 found_at = k
             if k - found_at >= 200:
                 break
+        w_tol = cur_tol if tol is None else tol
+        if found_at is None and g_sum.min() > k * max(w_tol, cur_tol):
+            return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
         d = _project_simplex(d - (mu / math.sqrt(k)) * g)
 
     factor = _lift_positive(best_d)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from matstab import lyapunov as ly
 from matstab.spectra import Disk, HalfPlaneLeft, LMIRegion, EMIRegion
@@ -255,6 +258,74 @@ class TestDiagonalSearch:
             z = complex(rng.normal(), rng.normal()) * 2.0
             assert sp.region_membership(z, region, 1e-9) == \
                 sp.region_membership(z, direct, 1e-9)
+
+
+DUAL_STOP = "dual-bound-excludes-certificate"
+
+
+def half_plane_form(a, d):
+    return d[:, None] * a + (d[:, None] * a).T
+
+
+def unit_disk_form(a, d):
+    return a.T @ (d[:, None] * a) - np.diag(d)
+
+
+def simplex_points(n, seed, count=64):
+    """The uniform point, then ``count`` seeded random points of the simplex."""
+    pts = np.random.default_rng(seed).dirichlet(np.ones(n), size=count)
+    return np.vstack([np.full(n, 1.0 / n), pts])
+
+
+class TestDualBoundStop:
+    @given(st.integers(1, 6).flatmap(
+               lambda n: arrays(np.float64, (n, n),
+                                elements=st.floats(-3.0, 3.0))),
+           st.sampled_from([(HalfPlaneLeft(), half_plane_form),
+                            (Disk(0.0, 1.0), unit_disk_form)]))
+    @settings(max_examples=80, deadline=None)
+    def test_stop_only_where_no_simplex_point_certifies(self, a, case):
+        region, form = case
+        v = ly.diagonal_stability_search(a, region, budget=400)
+        if v.reason != DUAL_STOP:
+            return
+        assert v.status.value == "unknown"
+        for d in simplex_points(a.shape[0], seed=a.shape[0]):
+            assert np.linalg.eigvalsh(form(a, d))[-1] > 0
+
+    def test_diagonally_stable_inputs_still_proved(self, rng):
+        for n in range(2, 9):
+            for _ in range(4):
+                a, _ = random_diagonally_stable(rng, n)
+                v = ly.diagonal_stability_search(a)
+                assert v.proved
+                assert ly.verify_certificate(a, v.witness) > 0
+                b, _ = random_schur_diag_stable(rng, n)
+                v = ly.diagonal_stability_search(b, Disk(0.0, 1.0))
+                assert v.proved
+                assert ly.verify_certificate(b, v.witness) > 0
+
+    def test_classic_counterexample_stops_early(self, monkeypatch):
+        calls = [0]
+        inner = ly._DiagOperator.value_and_subgrad
+
+        def counting(self, d):
+            calls[0] += 1
+            return inner(self, d)
+
+        monkeypatch.setattr(ly._DiagOperator, "value_and_subgrad", counting)
+        v = ly.diagonal_stability_search(np.array([[1.0, -4.0],
+                                                   [1.0, -2.0]]))
+        assert v.reason == DUAL_STOP
+        assert calls[0] <= 50
+
+    def test_common_search_stops_where_one_matrix_has_no_certificate(self):
+        classic = np.array([[1.0, -4.0], [1.0, -2.0]])
+        v = ly.common_diagonal_search([-np.eye(2), classic])
+        assert v.reason == DUAL_STOP
+        for d in simplex_points(2, seed=2):
+            assert max(np.linalg.eigvalsh(half_plane_form(m, d))[-1]
+                       for m in (-np.eye(2), classic)) > 0
 
 
 class TestHyperbolicity:
