@@ -406,12 +406,19 @@ class _SharedWork:
         return matrix_core.negate_minors(self.minors)
 
     @cached_property
+    def sign_symmetry(self):
+        """``sign_symmetry_sweep(A)``, which is also that of -A."""
+        return matrix_core.sign_symmetry_sweep(self.a)
+
+    @cached_property
     def classification(self):
-        return matrix_core.classify(self.a, minors=self.minors)
+        return matrix_core.classify(self.a, minors=self.minors,
+                                    sign_symmetry=self.sign_symmetry)
 
     @cached_property
     def neg_classification(self):
-        return matrix_core.classify(-self.a, minors=self.neg_minors())
+        return matrix_core.classify(-self.a, minors=self.neg_minors(),
+                                    sign_symmetry=self.sign_symmetry)
 
     @cached_property
     def half_plane_search(self):
@@ -427,10 +434,11 @@ def run(request):
 
     Checks share work through a per-request :class:`_SharedWork`: one
     principal-minor sweep of A (the minors of -A are derived from it),
-    ``classify`` of A and of -A, and the half-plane diagonal stability
-    search.  ``classify``, ``necessary-p0plus``, ``interval-box``,
-    ``sufficient-suite`` and ``diagonal-certificate`` take them from
-    there instead of recomputing.
+    one pairwise sign-symmetry sweep, ``classify`` of A and of -A, and
+    the half-plane diagonal stability search.  ``classify``,
+    ``necessary-p0plus``, ``interval-box``, ``sufficient-suite`` and
+    ``diagonal-certificate`` take them from there instead of
+    recomputing.
     """
     a = request.matrix
     convention_note = "analysis in the hurwitz convention"

@@ -25,7 +25,7 @@ __all__ = [
     "w_map", "sign_pattern", "principal_minors", "negate_minors",
     "leading_minors", "is_z_matrix", "is_metzler", "is_m_matrix",
     "generalized_diag_dominant", "square_dd_every_order", "ClassReport",
-    "classify",
+    "classify", "sign_symmetry_sweep",
 ]
 
 # Full principal-minor enumeration grows as 2^n; beyond this cap classify
@@ -304,14 +304,16 @@ def _p_flags(m, minors, witnesses, prefix=""):
     return p, p0, p0_plus
 
 
-def classify(a, minors=None):
+def classify(a, minors=None, sign_symmetry=None):
     """Full class report for a dense square matrix.
 
     Minor-based flags need 2^n principal minors and are reported as
     ``None`` beyond n = 14; the pairwise sign-symmetry sweep is further
     capped at n = 8.  ``minors``, when given, yields the pairs of
     ``principal_minors(a)`` in its order; the Hicksian flag reads the
-    same table negated, so one sweep serves both.  Generalized diagonal
+    same table negated, so one sweep serves both.  ``sign_symmetry``,
+    when given, is ``sign_symmetry_sweep`` of ``a`` or of ``-a``, which
+    agree.  Generalized diagonal
     dominance (the NDD / PDD and H-matrix flags) is decided through the
     M-matrix test on the comparison matrix.
     """
@@ -365,22 +367,35 @@ def classify(a, minors=None):
         rep.m_matrix = rep.z and rep.p
         if not rep.m_matrix:
             w.setdefault("m_matrix", w.get("z") or w.get("p"))
-    if n <= _PAIRWISE_MINOR_CAP:
-        rep.sign_symmetric = True
-        for k in range(1, n + 1):
-            sets = list(combinations(range(n), k))
-            for ai in range(len(sets)):
-                for bi in range(ai + 1, len(sets)):
-                    alpha, beta = sets[ai], sets[bi]
-                    m1 = np.linalg.det(a[np.ix_(alpha, beta)])
-                    m2 = np.linalg.det(a[np.ix_(beta, alpha)])
-                    if m1 * m2 < -minor_tol(a, 2 * k):
-                        rep.sign_symmetric = False
-                        w["sign_symmetric"] = {"rows": alpha, "cols": beta,
-                                               "product": float(m1 * m2)}
-                        break
-                if rep.sign_symmetric is False:
-                    break
-            if rep.sign_symmetric is False:
-                break
+    if sign_symmetry is None:
+        sign_symmetry = sign_symmetry_sweep(a)
+    rep.sign_symmetric, wit = sign_symmetry
+    if wit is not None:
+        w["sign_symmetric"] = wit
     return rep
+
+
+def sign_symmetry_sweep(a):
+    """Pairwise sign symmetry: ``(flag, witness)``, ``(None, None)`` past n = 8.
+
+    Fails at the first pair of distinct equal-order index sets whose
+    (alpha, beta) and (beta, alpha) minors have a product below
+    ``-minor_tol(a, 2k)``.  The sweep of ``-A`` gives the same pair and
+    the same product bit for bit: both minors flip sign by ``(-1)^k``,
+    and the norm in the tolerance is unchanged.
+    """
+    a = as_matrix(a)
+    n = a.shape[0]
+    if n > _PAIRWISE_MINOR_CAP:
+        return None, None
+    for k in range(1, n + 1):
+        sets = list(combinations(range(n), k))
+        for ai in range(len(sets)):
+            for bi in range(ai + 1, len(sets)):
+                alpha, beta = sets[ai], sets[bi]
+                m1 = np.linalg.det(a[np.ix_(alpha, beta)])
+                m2 = np.linalg.det(a[np.ix_(beta, alpha)])
+                if m1 * m2 < -minor_tol(a, 2 * k):
+                    return False, {"rows": alpha, "cols": beta,
+                                   "product": float(m1 * m2)}
+    return True, None

@@ -226,6 +226,30 @@ class TestSharedWork:
                 for c in report.checks] == checks
         assert (report.summary_status.value, report.summary_reason) == summary
 
+    @pytest.mark.parametrize("matrix", [
+        -8.0 * np.eye(8) + 0.3 * np.ones((8, 8)),  # no pair fails
+        HURWITZ_8_UNDECIDED, HURWITZ_8_NOT_P0])
+    def test_one_sign_symmetry_sweep_per_request(self, monkeypatch, matrix):
+        calls = [0]
+        sweep = matrix_core.sign_symmetry_sweep
+
+        def counting(a):
+            calls[0] += 1
+            return sweep(a)
+
+        monkeypatch.setattr(matrix_core, "sign_symmetry_sweep", counting)
+        a = np.asarray(matrix, dtype=float)
+        cli.run(request_for(a, samples=100, budget=100))
+        assert calls[0] == 1
+        shared = cli._SharedWork(a, budget=100)
+        pos, neg = shared.classification, shared.neg_classification
+        assert calls[0] == 2
+        monkeypatch.undo()
+        for shared_rep, alone in ((pos, matrix_core.classify(a)),
+                                  (neg, matrix_core.classify(-a))):
+            assert shared_rep.flags() == alone.flags()
+            assert shared_rep.witnesses == alone.witnesses
+
 
 class TestEmit:
     def test_json_round_trip(self):

@@ -252,6 +252,14 @@ class TestClassify:
         if rep.h_plus:
             assert rep.h_matrix
 
+    @given(st.integers(1, 6).flatmap(square))
+    @settings(max_examples=60, deadline=None)
+    def test_sign_symmetry_sweep_of_negation_is_equal(self, a):
+        flag, wit = mc.sign_symmetry_sweep(a)
+        assert mc.sign_symmetry_sweep(-a) == (flag, wit)
+        if wit is not None:
+            assert wit["product"] < 0
+
     def test_ndd_pdd(self, rng):
         from conftest import random_ndd
         a = random_ndd(rng, 4)
