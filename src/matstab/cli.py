@@ -14,6 +14,7 @@ Exit codes: 0 proved-or-unknown, 2 refuted, 1 usage or I/O error.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -31,7 +32,7 @@ from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       eigenvalues, gershgorin, region_stable,
                       simulate_decay, spectral_abscissa)
 
-SCHEMA = "matstab-report/1"
+SCHEMA = "matstab-report/2"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")
@@ -279,21 +280,34 @@ class Report:
     convention_note: str
 
 
+def _json_float(x):
+    """A float as RFC 8259 JSON, which has no non-finite numbers.
+
+    Infinities and NaN become the strings ``"Infinity"``,
+    ``"-Infinity"`` and ``"NaN"``.
+    """
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    if math.isnan(x):
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
 def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
+    if isinstance(obj, (float, np.floating)):
+        return _json_float(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": _json_float(obj.real), "im": _json_float(obj.imag)}
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
+        if np.iscomplexobj(obj) or (obj.dtype.kind == "f"
+                                    and not np.isfinite(obj).all()):
             return [to_jsonable(v) for v in obj.tolist()]
         return obj.tolist()
     if isinstance(obj, Status):
@@ -303,8 +317,8 @@ def to_jsonable(obj):
                 "witness": to_jsonable(obj.witness),
                 "seed": to_jsonable(obj.seed)}
     if isinstance(obj, lyapunov.Certificate):
-        return {"kind": obj.kind, "factor": obj.factor.tolist(),
-                "margin": obj.margin, "region": obj.region.name,
+        return {"kind": obj.kind, "factor": to_jsonable(obj.factor),
+                "margin": to_jsonable(obj.margin), "region": obj.region.name,
                 "iterations": obj.iterations}
     if isinstance(obj, ds.FalsificationWitness):
         return {"g": to_jsonable(obj.g), "realized": to_jsonable(obj.realized),
@@ -735,7 +749,7 @@ def emit(report, fmt="json"):
         payload = {
             "schema": SCHEMA,
             "request": {
-                "matrix": report.request.matrix.tolist(),
+                "matrix": to_jsonable(report.request.matrix),
                 "region": report.request.region_spec,
                 "class": report.request.class_spec,
                 "op": report.request.op_spec,
@@ -764,7 +778,8 @@ def emit(report, fmt="json"):
                 "decided_by": report.summary_reason,
             },
         }
-        return (json.dumps(payload, indent=2) + "\n").encode()
+        return (json.dumps(payload, indent=2, allow_nan=False)
+                + "\n").encode()
     if fmt == "text":
         lines = [f"matstab report  (convention: {report.request.convention}; "
                  f"seed {report.request.seed})",

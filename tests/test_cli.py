@@ -255,7 +255,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/1"
+        assert payload["schema"] == "matstab-report/2"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -318,10 +318,23 @@ class TestMain:
                    if c["check"] == "symmetric-part")
         assert sym["decides_request"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["--format", "json", "--", "-1,-1;1,-1"],  # infinite secant bound
+        ["--mode", "falsify,simulate", "--simulate-horizon", "5000",
+         "--format", "json", "1,-4;1,-2"],  # infinite growth ratio
+    ])
+    def test_json_report_is_strict_rfc8259(self, capsys, argv):
+        def reject(name):
+            raise ValueError(f"non-RFC 8259 constant {name}")
+
+        cli.main(argv)
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert "Infinity" in json.dumps(payload)
+
     def test_json_format_flag(self, tmp_path, capsys):
         f = tmp_path / "m.json"
         f.write_text('{"n": 1, "rows": [[-1]]}')
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/1"
+        assert json.loads(out)["schema"] == "matstab-report/2"
