@@ -313,9 +313,9 @@ def classify(a, minors=None, sign_symmetry=None):
     ``principal_minors(a)`` in its order; the Hicksian flag reads the
     same table negated, so one sweep serves both.  ``sign_symmetry``,
     when given, is ``sign_symmetry_sweep`` of ``a`` or of ``-a``, which
-    agree.  Generalized diagonal
-    dominance (the NDD / PDD and H-matrix flags) is decided through the
-    M-matrix test on the comparison matrix.
+    agree.  Generalized diagonal dominance (the NDD / PDD and H-matrix
+    flags) is decided through the M-matrix test on the comparison
+    matrix.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -389,13 +389,10 @@ def sign_symmetry_sweep(a):
     if n > _PAIRWISE_MINOR_CAP:
         return None, None
     for k in range(1, n + 1):
-        sets = list(combinations(range(n), k))
-        for ai in range(len(sets)):
-            for bi in range(ai + 1, len(sets)):
-                alpha, beta = sets[ai], sets[bi]
-                m1 = np.linalg.det(a[np.ix_(alpha, beta)])
-                m2 = np.linalg.det(a[np.ix_(beta, alpha)])
-                if m1 * m2 < -minor_tol(a, 2 * k):
-                    return False, {"rows": alpha, "cols": beta,
-                                   "product": float(m1 * m2)}
+        for alpha, beta in combinations(combinations(range(n), k), 2):
+            m1 = np.linalg.det(a[np.ix_(alpha, beta)])
+            m2 = np.linalg.det(a[np.ix_(beta, alpha)])
+            if m1 * m2 < -minor_tol(a, 2 * k):
+                return False, {"rows": alpha, "cols": beta,
+                               "product": float(m1 * m2)}
     return True, None
