@@ -353,11 +353,6 @@ def _identity_in_class(gclass, op, n):
         return False
 
 
-def _is_unit_disk(region):
-    return isinstance(region, Disk) and region.center == 0.0 \
-        and region.radius == 1.0
-
-
 def _canonical_triple(request):
     """Names for the combos with exact proving/necessity wiring.
 
@@ -375,10 +370,10 @@ def _canonical_triple(request):
             and isinstance(g, (ds.AlphaScalar, ds.OrderedDiagonal,
                                ds.IntervalDiagonal)):
         return "positive-diagonal-subclass"
-    if _is_unit_disk(r) and isinstance(g, ds.DiagonalNormLt1) \
+    if r == Disk() and isinstance(g, ds.DiagonalNormLt1) \
             and isinstance(op, ds.Multiply):
         return "schur-d-stability"
-    if _is_unit_disk(r) and isinstance(g, ds.VertexDiagonal) \
+    if r == Disk() and isinstance(g, ds.VertexDiagonal) \
             and isinstance(op, ds.Multiply):
         return "vertex-stability"
     if isinstance(r, Hyperbolic) and isinstance(op, ds.Multiply) \
@@ -681,7 +676,7 @@ def _certificate_checks(a, request, triple, record, proved_suite, shared):
                                   "positive-diagonal-subclass",
                                   "schur-d-stability", "vertex-stability")
 
-    if isinstance(region, (HalfPlaneLeft, Disk, LMIRegion, EMIRegion)):
+    if region.emi is not None:
         if not (proved_suite and isinstance(region, HalfPlaneLeft)):
             t0 = time.perf_counter()
             if isinstance(region, HalfPlaneLeft):

@@ -19,9 +19,8 @@ from . import lyapunov
 from .matrix_core import (MINOR_ENUM_CAP, additive_compound_2, as_matrix,
                           block_hadamard, classify, minor_tol,
                           principal_minors, w_map)
-from .spectra import (Disk, EigenSolverError, EMIRegion, HalfPlaneLeft,
-                      Membership, Status, Verdict, default_tol, eigenvalues,
-                      membership_values, region_membership, region_stable)
+from .spectra import (Disk, EigenSolverError, HalfPlaneLeft, Status, Verdict,
+                      default_tol, eigenvalues, first_outside, region_stable)
 
 __all__ = [
     "GClass", "PositiveDiagonal", "DiagonalNormLt1", "VertexDiagonal",
@@ -420,15 +419,6 @@ class FalsificationWitness:
     note: str = ""
 
 
-def _region_is_bounded(region):
-    # conservative: used only to trigger the unbounded-class refutation
-    if isinstance(region, Disk):
-        return True
-    if isinstance(region, EMIRegion):
-        return bool(np.linalg.eigvalsh(region.r22)[0] > 0)
-    return False
-
-
 def _unbounded_witness(a, gclass, op, region, rng, tol):
     """Concrete witness for the bounded-region / unbounded-class refutation."""
     n = a.shape[0]
@@ -438,11 +428,9 @@ def _unbounded_witness(a, gclass, op, region, rng, tol):
         if not gclass.contains(g):
             continue
         m = apply_op(op, g, a)
-        spec = eigenvalues(m)
-        for z in spec:
-            t = default_tol(z) if tol is None else tol
-            if region_membership(z, region, t) is not Membership.INSIDE:
-                return g, m, complex(z)
+        z = first_outside(eigenvalues(m), region, tol)
+        if z is not None:
+            return g, m, z
     return None
 
 
@@ -459,7 +447,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
     n = a.shape[0]
     rng = np.random.default_rng(seed)
 
-    if _region_is_bounded(region) and not gclass.bounded:
+    if region.bounded and not gclass.bounded:
         found = _unbounded_witness(a, gclass, op, region, rng, tol)
         if found is not None:
             g, m, z = found
@@ -486,15 +474,11 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
                     specs[i] = np.linalg.eigvals(ms[i])
                 except np.linalg.LinAlgError:
                     specs[i] = np.nan
-        # vectorized screen; flagged candidates are re-checked one by one
-        if tol is None:
-            tols = 1e-8 * (1.0 + np.abs(specs))
-            screen_tol = 1e-8
-        else:
-            tols = np.full(specs.shape, tol)
-            screen_tol = tol
-        values = membership_values(specs, region, screen_tol)
-        bad = ~(values < -tols)
+        # vectorized screen with the re-check's own bands; the witness is
+        # re-solved alone, so that it replays and its eigenvalue is the
+        # first in sorted order
+        tols = default_tol(specs) if tol is None else tol
+        bad = ~(region.distance(specs, tols) < -tols)
         hits = np.nonzero(bad.any(axis=1))[0]
         for i in hits:
             g = gs[i]
@@ -503,13 +487,11 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
                 spec = eigenvalues(m)
             except EigenSolverError:
                 continue  # cannot witness a sample the solver rejects
-            for z in spec:
-                t = default_tol(z) if tol is None else tol
-                if region_membership(z, region, t) is not Membership.INSIDE:
-                    wit = FalsificationWitness(g, m, complex(z),
-                                               done + int(i), seed)
-                    return Verdict(Status.REFUTED, "sampled-counterexample",
-                                   witness=wit, seed=seed)
+            z = first_outside(spec, region, tol)
+            if z is not None:
+                wit = FalsificationWitness(g, m, z, done + int(i), seed)
+                return Verdict(Status.REFUTED, "sampled-counterexample",
+                               witness=wit, seed=seed)
         done += b
     return Verdict(Status.UNKNOWN, "falsification-budget-exhausted", seed=seed)
 
@@ -761,11 +743,9 @@ HADAMARD_P_CAP = 10
 
 def _p_matrix_violation(m):
     """First failing principal minor of a P-matrix test, or None."""
-    n = m.shape[0]
-    for k in range(1, n + 1):
+    for k, group in groupby(principal_minors(m), key=lambda item: len(item[0])):
         tol = minor_tol(m, k)
-        for alpha in combinations(range(n), k):
-            val = float(np.linalg.det(m[np.ix_(alpha, alpha)]))
+        for alpha, val in group:
             if val <= tol:
                 return alpha, val
     return None
@@ -910,11 +890,9 @@ def vertex_schur_check(a, tol=None):
         d = np.asarray(signs)
         m = d[:, None] * a
         spec = eigenvalues(m)
-        for z in spec:
-            t = default_tol(z) if tol is None else tol
-            if region_membership(z, disk, t) is not Membership.INSIDE:
-                return Verdict(Status.REFUTED, "vertex-spectral-radius",
-                               witness={"signs": signs,
-                                        "eigenvalue": complex(z),
-                                        "spectral_radius": float(abs(spec).max())})
+        z = first_outside(spec, disk, tol)
+        if z is not None:
+            return Verdict(Status.REFUTED, "vertex-spectral-radius",
+                           witness={"signs": signs, "eigenvalue": z,
+                                    "spectral_radius": float(abs(spec).max())})
     return Verdict(Status.PROVED, "vertex-stable")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import as_matrix
-from .spectra import (Disk, EMIRegion, HalfPlaneLeft, Hyperbolic, LMIRegion,
-                      Region, Status, Verdict, eigenvalues)
+from .spectra import (HalfPlaneLeft, Hyperbolic, Region, Status, Verdict,
+                      eigenvalues)
 
 __all__ = [
     "OperatorSingularError", "IllConditionedError", "CertificateError",
@@ -257,21 +257,14 @@ class _DiagOperator:
         return value, g, definiteness_tol(w)
 
 
+_DIAG_KINDS = {"half-plane-left": "diagonal-lyapunov", "disk": "diagonal-stein",
+               "lmi": "diagonal-lmi", "emi": "diagonal-emi"}
+
+
 def _region_diag_operator(a, region):
-    if isinstance(region, HalfPlaneLeft):
-        return _DiagOperator(a, [[0.0]], [[1.0]], [[0.0]],
-                             "diagonal-lyapunov", region)
-    if isinstance(region, Disk):
-        c, r = region.center, region.radius
-        return _DiagOperator(a, [[c * c - r * r]], [[-c]], [[1.0]],
-                             "diagonal-stein", region)
-    if isinstance(region, LMIRegion):
-        return _DiagOperator(a, region.l, region.m,
-                             np.zeros_like(region.l), "diagonal-lmi", region)
-    if isinstance(region, EMIRegion):
-        return _DiagOperator(a, region.r11, region.r12, region.r22,
-                             "diagonal-emi", region)
-    raise ValueError(f"no diagonal certificate form for region {region!r}")
+    if region.emi is None:
+        raise ValueError(f"no diagonal certificate form for region {region!r}")
+    return _DiagOperator(a, *region.emi, _DIAG_KINDS[region.name], region)
 
 
 def _project_simplex(d):

@@ -10,7 +10,9 @@ gathers the stacked k x k principal submatrices and takes all their
 determinants in one ``np.linalg.det`` call, bit for bit the values of a
 per-submatrix loop.  The minors of ``-A`` need no second sweep: an
 order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, bit for bit
-for every nonzero minor (:func:`negate_minors`).
+for every nonzero minor (:func:`negate_minors`).  :func:`compound` is the
+gather for all order-k minors, one batched ``np.linalg.det`` per row;
+the sign-symmetry sweep and square diagonal dominance read it.
 """
 
 from dataclasses import dataclass, field
@@ -87,14 +89,10 @@ def compound(a, j):
     n = a.shape[0]
     if not 1 <= j <= n:
         raise ValueError(f"compound order must be in 1..{n}, got {j}")
-    rows = list(combinations(range(n), j))
-    m = len(rows)
-    out = np.empty((m, m))
-    for p, alpha in enumerate(rows):
-        sub = a[np.ix_(alpha, range(n))]
-        for q, beta in enumerate(rows):
-            out[p, q] = np.linalg.det(sub[:, beta])
-    return out
+    sets = np.array(list(combinations(range(n), j)))
+    # row alpha: one det over the stack of a[alpha, beta] for every beta
+    return np.array([np.linalg.det(a[alpha[:, None], sets[:, None, :]])
+                     for alpha in sets])
 
 
 def additive_compound_2(a):
@@ -103,16 +101,13 @@ def additive_compound_2(a):
     n = a.shape[0]
     if n < 2:
         raise ValueError("second additive compound needs n >= 2")
-    pairs = list(combinations(range(n), 2))
-    m = len(pairs)
-    out = np.zeros((m, m))
+    pairs = np.array(list(combinations(range(n), 2)))
+    i, j = pairs[:, :1], pairs[:, 1:]  # row pair (i, j), as a column
+    k, l = pairs[:, 0], pairs[:, 1]  # column pair (k, l), as a row
     eye = np.eye(n)
-    for p, (i, j) in enumerate(pairs):
-        for q, (k, l) in enumerate(pairs):
-            # two-determinant sum over the 2x2 crossings with the identity
-            out[p, q] = (a[i, k] * eye[j, l] - eye[i, l] * a[j, k]
-                         + eye[i, k] * a[j, l] - a[i, l] * eye[j, k])
-    return out
+    # two-determinant sum over the 2x2 crossings with the identity
+    return (a[i, k] * eye[j, l] - eye[i, l] * a[j, k]
+            + eye[i, k] * a[j, l] - a[i, l] * eye[j, k])
 
 
 def comparison_matrix(a):
@@ -228,13 +223,10 @@ def square_dd_every_order(a):
     if n > _PAIRWISE_MINOR_CAP:
         raise ValueError(f"pairwise minor enumeration capped at n = {_PAIRWISE_MINOR_CAP}")
     for k in range(1, n + 1):
-        sets = list(combinations(range(n), k))
-        for alpha in sets:
-            rows = a[alpha, :]
-            diag = np.linalg.det(rows[:, alpha])
-            rest = sum(np.linalg.det(rows[:, beta]) ** 2
-                       for beta in sets if beta != alpha)
-            if diag ** 2 <= rest:
+        for p, row in enumerate(compound(a, k)):
+            # a left-to-right sum of numpy scalars, as np.sum would not be
+            rest = sum(v ** 2 for q, v in enumerate(row) if q != p)
+            if row[p] ** 2 <= rest:
                 return False
     return True
 
@@ -388,11 +380,15 @@ def sign_symmetry_sweep(a):
     n = a.shape[0]
     if n > _PAIRWISE_MINOR_CAP:
         return None, None
-    for k in range(1, n + 1):
-        for alpha, beta in combinations(combinations(range(n), k), 2):
-            m1 = np.linalg.det(a[np.ix_(alpha, beta)])
-            m2 = np.linalg.det(a[np.ix_(beta, alpha)])
-            if m1 * m2 < -minor_tol(a, 2 * k):
-                return False, {"rows": alpha, "cols": beta,
-                               "product": float(m1 * m2)}
+    for k in range(1, n):
+        c = compound(a, k)
+        # upper-triangle pairs in row-major order are combinations(sets, 2)
+        p, q = np.triu_indices(c.shape[0], 1)
+        prod = c[p, q] * c[q, p]
+        bad = np.flatnonzero(prod < -minor_tol(a, 2 * k))
+        if bad.size:
+            sets = list(combinations(range(n), k))
+            first = bad[0]
+            return False, {"rows": sets[p[first]], "cols": sets[q[first]],
+                           "product": float(prod[first])}
     return True, None

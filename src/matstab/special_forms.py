@@ -9,15 +9,15 @@ second-order systems with their block-Hadamard perturbation classes.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .dstability import (Multiply, PositiveDiagonal, falsify,
                          necessary_p0plus, sufficient_suite)
-from .matrix_core import additive_compound_2, as_matrix, classify, is_metzler
-from .spectra import (HalfPlaneLeft, Membership, Status, Verdict, default_tol,
-                      eigenvalues, region_membership, region_stable)
+from .matrix_core import (additive_compound_2, as_matrix, classify, compound,
+                          is_metzler)
+from .spectra import (HalfPlaneLeft, Status, Verdict, eigenvalues,
+                      first_outside, region_stable)
 
 __all__ = [
     "CyclicForm", "CompanionPair", "detect_cyclic", "secant_criterion",
@@ -334,12 +334,11 @@ def damping_class_stability(a, b, samples=5000, budget=5000, seed=0):
         realized[:n, :n] = np.diag(d) @ a
         realized[:n, n:] = b * np.eye(n)
         realized[n:, :n] = np.eye(n)
-        for z in eigenvalues(realized):
-            if region_membership(z, HalfPlaneLeft(), default_tol(z)) \
-                    is not Membership.INSIDE:
-                return Verdict(Status.REFUTED, "damping-class-falsified",
-                               witness={"g": g, "realized": realized,
-                                        "eigenvalue": complex(z)}, seed=seed)
+        z = first_outside(eigenvalues(realized), HalfPlaneLeft())
+        if z is not None:
+            return Verdict(Status.REFUTED, "damping-class-falsified",
+                           witness={"g": g, "realized": realized,
+                                    "eigenvalue": z}, seed=seed)
         return Verdict(Status.REFUTED, "damping-class-a-not-d-stable",
                        witness={"d": d, "eigenvalue": fal.witness.eigenvalue},
                        seed=seed)
@@ -360,10 +359,8 @@ def strictly_totally_positive(m, cap=6):
         raise ValueError(f"total positivity enumeration capped at n = {cap}")
     for k in range(1, n + 1):
         tol = 1e-12 * (1.0 + abs(m).max() ** k)
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                if np.linalg.det(m[np.ix_(rows, cols)]) <= tol:
-                    return False
+        if (compound(m, k) <= tol).any():
+            return False
     return True
 
 

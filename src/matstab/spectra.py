@@ -5,6 +5,27 @@ plane, each symmetric with respect to the real axis.  Membership is
 always decided with a deadband of width ``tol`` around the region
 boundary, so that strict-inequality regions never produce a false
 "inside" for an eigenvalue sitting numerically on the boundary.
+
+Each :class:`Region` owns its geometry, and every membership test in the
+library goes through it:
+
+- ``distance(zs, tol)`` is the signed boundary distance of a complex
+  array of points, with ``tol`` a scalar or one band per point: below
+  ``-tol`` is inside, within ``tol`` the boundary band, above ``tol``
+  outside.  The thin regions (the real line and its half-axes) return
+  ``+inf`` for a point more than ``tol`` off the real axis; on it, the
+  real line returns ``-inf`` and a half-axis its signed distance along
+  the axis.
+- ``emi`` is the ``(R11, R12, R22)`` form of the region as the set
+  where ``R11 + R12 z + R12^T conj(z) + R22 |z|^2`` is negative
+  definite, for the regions that have a diagonal certificate search;
+  it is None for the others.
+- ``bounded`` is True when the region is known to be bounded (a disk,
+  an EMI region with R22 positive definite); False is conservative.
+
+:func:`region_membership`, :func:`first_outside` and :func:`inertia`
+classify through ``distance``, so one point gets one verdict whichever
+of them asks.
 """
 
 import math
@@ -19,7 +40,8 @@ __all__ = [
     "ComplementSector", "RealLine", "PositiveRealAxis", "NegativeRealAxis",
     "Hyperbolic", "PunctureOrigin", "LMIRegion", "EMIRegion",
     "EigenSolverError", "eigenvalues", "conjugate_paired", "default_tol",
-    "region_membership", "region_stable", "inertia", "gershgorin",
+    "region_membership", "first_outside", "region_stable", "inertia",
+    "gershgorin",
     "simulate_decay", "spectral_abscissa", "decay_horizon",
 ]
 
@@ -87,19 +109,38 @@ class Inertia:
 # ---------------------------------------------------------------------------
 
 class Region:
-    """Base tag for the closed enumeration of stability regions."""
+    """Base of the closed enumeration of stability regions.
+
+    See the module docstring for the ``distance``, ``emi`` and
+    ``bounded`` contract.
+    """
 
     name = "region"
+    emi = None
+    bounded = False
+
+    def distance(self, zs, tol):
+        raise TypeError(f"unknown region {self!r}")
 
 
 @dataclass(frozen=True)
 class HalfPlaneLeft(Region):
     name = "half-plane-left"
 
+    @property
+    def emi(self):
+        return np.array([[0.0]]), np.array([[1.0]]), np.array([[0.0]])
+
+    def distance(self, zs, tol):
+        return zs.real.copy()
+
 
 @dataclass(frozen=True)
 class HalfPlaneRight(Region):
     name = "half-plane-right"
+
+    def distance(self, zs, tol):
+        return -zs.real
 
 
 @dataclass(frozen=True)
@@ -109,10 +150,19 @@ class Disk(Region):
     center: float = 0.0
     radius: float = 1.0
     name = "disk"
+    bounded = True
 
     def __post_init__(self):
         if not (self.radius > 0):
             raise ValueError("disk radius must be positive")
+
+    @property
+    def emi(self):
+        c, r = self.center, self.radius
+        return np.array([[c * c - r * r]]), np.array([[-c]]), np.array([[1.0]])
+
+    def distance(self, zs, tol):
+        return np.abs(zs - self.center) - self.radius
 
 
 @dataclass(frozen=True)
@@ -126,6 +176,10 @@ class SectorRight(Region):
         if not (0 < self.theta < math.pi / 2):
             raise ValueError("sector angle must lie in (0, pi/2)")
 
+    def distance(self, zs, tol):
+        v = np.abs(np.angle(zs)) - self.theta
+        return np.where(np.abs(zs) <= tol, 0.0, v)
+
 
 @dataclass(frozen=True)
 class ComplementSector(Region):
@@ -138,27 +192,46 @@ class ComplementSector(Region):
         if not (0 < self.theta < math.pi / 2):
             raise ValueError("sector angle must lie in (0, pi/2)")
 
+    def distance(self, zs, tol):
+        v = self.theta - np.abs(np.angle(zs))
+        return np.where(np.abs(zs) <= tol, 0.0, v)
+
 
 @dataclass(frozen=True)
 class RealLine(Region):
     name = "real-line"
+
+    def distance(self, zs, tol):
+        return np.where(np.abs(zs.imag) <= tol, -np.inf, np.inf)
 
 
 @dataclass(frozen=True)
 class PositiveRealAxis(Region):
     name = "positive-real-axis"
 
+    def distance(self, zs, tol):
+        return np.where(np.abs(zs.imag) <= tol, -zs.real, np.inf)
+
 
 @dataclass(frozen=True)
 class NegativeRealAxis(Region):
     name = "negative-real-axis"
 
+    def distance(self, zs, tol):
+        return np.where(np.abs(zs.imag) <= tol, zs.real, np.inf)
+
 
 @dataclass(frozen=True)
 class Hyperbolic(Region):
-    """Complex plane minus the imaginary axis."""
+    """Complex plane minus the imaginary axis.
+
+    Never "outside": the axis is the whole boundary.
+    """
 
     name = "hyperbolic"
+
+    def distance(self, zs, tol):
+        return -np.abs(zs.real)
 
 
 @dataclass(frozen=True)
@@ -166,6 +239,9 @@ class PunctureOrigin(Region):
     """Complex plane minus the origin."""
 
     name = "puncture-origin"
+
+    def distance(self, zs, tol):
+        return -np.abs(zs)
 
 
 def _sym(m):
@@ -192,8 +268,15 @@ class LMIRegion(Region):
             raise ValueError("L and M must have equal shape")
         object.__setattr__(self, "m", m)
 
+    @property
+    def emi(self):
+        return self.l, self.m, np.zeros_like(self.l)
+
     def characteristic(self, z):
         return self.l + z * self.m + np.conj(z) * self.m.T
+
+    def distance(self, zs, tol):
+        return np.linalg.eigvalsh(self.characteristic(zs[..., None, None]))[..., -1]
 
 
 @dataclass(frozen=True)
@@ -213,9 +296,20 @@ class EMIRegion(Region):
             raise ValueError("R blocks must have equal shape")
         object.__setattr__(self, "r12", r12)
 
+    @property
+    def emi(self):
+        return self.r11, self.r12, self.r22
+
+    @property
+    def bounded(self):
+        return bool(np.linalg.eigvalsh(self.r22)[0] > 0)
+
     def characteristic(self, z):
         return (self.r11 + z * self.r12 + np.conj(z) * self.r12.T
                 + (z * np.conj(z)).real * self.r22)
+
+    def distance(self, zs, tol):
+        return np.linalg.eigvalsh(self.characteristic(zs[..., None, None]))[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +379,15 @@ def _classify(value, tol):
     return Membership.BOUNDARY
 
 
+def _band(zs, tol):
+    # boundary band of each point: its default_tol, or the given tol
+    if tol is None:
+        return default_tol(zs)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return tol
+
+
 def region_membership(z, region, tol=None):
     """Classify a complex point against a region with a boundary band.
 
@@ -293,85 +396,19 @@ def region_membership(z, region, tol=None):
     and the strict inequalities hold with margin ``tol``.
     """
     z = complex(z)
-    if tol is None:
-        tol = default_tol(z)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    if isinstance(region, HalfPlaneLeft):
-        return _classify(z.real, tol)
-    if isinstance(region, HalfPlaneRight):
-        return _classify(-z.real, tol)
-    if isinstance(region, Disk):
-        return _classify(abs(z - region.center) - region.radius, tol)
-    if isinstance(region, SectorRight):
-        if abs(z) <= tol:
-            return Membership.BOUNDARY
-        return _classify(abs(np.angle(z)) - region.theta, tol)
-    if isinstance(region, ComplementSector):
-        if abs(z) <= tol:
-            return Membership.BOUNDARY
-        return _classify(region.theta - abs(np.angle(z)), tol)
-    if isinstance(region, RealLine):
-        return Membership.INSIDE if abs(z.imag) <= tol else Membership.OUTSIDE
-    if isinstance(region, PositiveRealAxis):
-        if abs(z.imag) > tol:
-            return Membership.OUTSIDE
-        return _classify(-z.real, tol)
-    if isinstance(region, NegativeRealAxis):
-        if abs(z.imag) > tol:
-            return Membership.OUTSIDE
-        return _classify(z.real, tol)
-    if isinstance(region, Hyperbolic):
-        # complement of the imaginary axis: never "outside", the axis is
-        # the whole boundary
-        return Membership.INSIDE if abs(z.real) > tol else Membership.BOUNDARY
-    if isinstance(region, PunctureOrigin):
-        return Membership.INSIDE if abs(z) > tol else Membership.BOUNDARY
-    if isinstance(region, (LMIRegion, EMIRegion)):
-        f = region.characteristic(z)
-        lam = np.linalg.eigvalsh(f)[-1]
-        return _classify(float(lam), tol)
-    raise TypeError(f"unknown region {region!r}")
+    tol = _band(z, tol)
+    return _classify(region.distance(np.asarray(z), tol), tol)
 
 
-def membership_values(zs, region, tol):
-    """Vectorized signed boundary distance; negative means strictly inside.
+def first_outside(spectrum, region, tol=None):
+    """First point of ``spectrum`` not strictly inside ``region``, or None.
 
-    Thin regions return +inf for points off the carrier line so that the
-    strict-inside test ``value < -tol`` matches ``region_membership``.
+    With ``tol=None`` each point gets its own ``default_tol`` band.
     """
-    zs = np.asarray(zs, dtype=complex)
-    if isinstance(region, HalfPlaneLeft):
-        return zs.real.copy()
-    if isinstance(region, HalfPlaneRight):
-        return -zs.real
-    if isinstance(region, Disk):
-        return np.abs(zs - region.center) - region.radius
-    if isinstance(region, SectorRight):
-        v = np.abs(np.angle(zs)) - region.theta
-        return np.where(np.abs(zs) <= tol, 0.0, v)
-    if isinstance(region, ComplementSector):
-        v = region.theta - np.abs(np.angle(zs))
-        return np.where(np.abs(zs) <= tol, 0.0, v)
-    if isinstance(region, RealLine):
-        return np.where(np.abs(zs.imag) <= tol, -np.inf, np.inf)
-    if isinstance(region, PositiveRealAxis):
-        return np.where(np.abs(zs.imag) <= tol, -zs.real, np.inf)
-    if isinstance(region, NegativeRealAxis):
-        return np.where(np.abs(zs.imag) <= tol, zs.real, np.inf)
-    if isinstance(region, Hyperbolic):
-        return -np.abs(zs.real)
-    if isinstance(region, PunctureOrigin):
-        return -np.abs(zs)
-    if isinstance(region, (LMIRegion, EMIRegion)):
-        out = np.empty(zs.shape, dtype=float)
-        flat = zs.ravel()
-        res = out.ravel()
-        for i, z in enumerate(flat):
-            res[i] = float(np.linalg.eigvalsh(region.characteristic(z))[-1])
-        return out
-    raise TypeError(f"unknown region {region!r}")
+    zs = np.asarray(spectrum, dtype=complex)
+    tols = _band(zs, tol)
+    out = np.flatnonzero(~(region.distance(zs, tols) < -tols))
+    return complex(zs[out[0]]) if out.size else None
 
 
 def region_stable(a, region, tol=None):
@@ -384,29 +421,21 @@ def region_stable(a, region, tol=None):
         spec = eigenvalues(a)
     except EigenSolverError as exc:
         return Verdict(Status.UNKNOWN, f"eigensolver-failure: {exc}")
-    for z in spec:
-        t = default_tol(z) if tol is None else tol
-        if region_membership(z, region, t) is not Membership.INSIDE:
-            return Verdict(Status.REFUTED, "eigenvalue-outside-region",
-                           witness={"eigenvalue": complex(z),
-                                    "region": region.name})
+    z = first_outside(spec, region, tol)
+    if z is not None:
+        return Verdict(Status.REFUTED, "eigenvalue-outside-region",
+                       witness={"eigenvalue": z, "region": region.name})
     return Verdict(Status.PROVED, "all-eigenvalues-inside")
 
 
 def inertia(a, region, tol=None):
     """Counts of eigenvalues inside / on the boundary of / outside a region."""
     spec = eigenvalues(a)
-    plus = zero = minus = 0
-    for z in spec:
-        t = default_tol(z) if tol is None else tol
-        m = region_membership(z, region, t)
-        if m is Membership.INSIDE:
-            plus += 1
-        elif m is Membership.BOUNDARY:
-            zero += 1
-        else:
-            minus += 1
-    return Inertia(plus, zero, minus)
+    tols = _band(spec, tol)
+    d = region.distance(spec, tols)
+    plus = int(np.count_nonzero(d < -tols))
+    minus = int(np.count_nonzero(d > tols))
+    return Inertia(plus, spec.size - plus - minus, minus)
 
 
 def gershgorin(a, tol=1e-9):

@@ -3,6 +3,7 @@ import pytest
 
 from matstab import dstability as ds
 from matstab import lyapunov as ly
+from matstab import spectra as sp
 from matstab.matrix_core import classify, principal_minors
 from matstab.spectra import Disk, HalfPlaneLeft, Status
 
@@ -162,6 +163,59 @@ class TestFalsify:
                         HalfPlaneLeft(), samples=2000, seed=99)
         assert v1.witness.sample_index == v2.witness.sample_index
         assert np.allclose(v1.witness.g, v2.witness.g)
+
+
+def _first_rejected_sample(a, gclass, op, region, samples, seed, batch):
+    """Reference: falsify without its screen, every sample re-solved."""
+    rng = np.random.default_rng(seed)
+    n = a.shape[0]
+    done = 0
+    while done < samples:
+        b = min(batch, samples - done)
+        gs = gclass.sample_batch(rng, n, b)
+        for i in range(b):
+            for z in sp.eigenvalues(op.apply(gs[i], a)):
+                if sp.region_membership(z, region) is not sp.Membership.INSIDE:
+                    return done + i, complex(z)
+        done += b
+    return None
+
+
+class TestFalsifyScreen:
+    # each region with a real point inside it: samples around that point
+    # leave the region now and then, so the screen has misses to make
+    @pytest.mark.parametrize("region, centre", [
+        (sp.HalfPlaneLeft(), -1.0), (sp.HalfPlaneRight(), 1.0),
+        (sp.Disk(0.0, 1.0), 0.0), (sp.SectorRight(0.6), 1.0),
+        (sp.ComplementSector(0.6), -1.0), (sp.RealLine(), 0.0),
+        (sp.PositiveRealAxis(), 1.0), (sp.NegativeRealAxis(), -1.0),
+        (sp.Hyperbolic(), -1.0), (sp.PunctureOrigin(), 1.0),
+        (sp.LMIRegion(np.diag([-4.0, 1.0]), np.diag([-1.0, 1.0])), -1.25),
+        (sp.EMIRegion([[-1.0]], [[0.0]], [[1.0]]), 0.0)],
+        ids=lambda r: getattr(r, "name", ""))
+    def test_screen_misses_no_rejected_sample(self, region, centre, rng):
+        # the screen flags every sample whose re-check rejects, so falsify
+        # refutes at the first such sample, with its first rejected eigenvalue
+        gclass = ds.DiagonalNormLt1() if region.bounded else ds.PositiveDiagonal()
+        refuted = 0
+        for trial in range(12):
+            n = int(rng.integers(2, 5))
+            e = rng.normal(size=(n, n))
+            noise = 0.5 * (e + e.T) + 0.1 * (e - e.T)
+            a = centre * np.eye(n) + rng.uniform(0.1, 0.6) * noise
+            if trial % 4 == 0:
+                a[:, 0] = 0.0  # singular: an eigenvalue at the origin
+            v = ds.falsify(a, gclass, ds.Multiply(), region, samples=48,
+                           seed=trial, batch=16)
+            ref = _first_rejected_sample(a, gclass, ds.Multiply(), region,
+                                         48, trial, 16)
+            if ref is None:
+                assert v.status is Status.UNKNOWN
+            else:
+                refuted += 1
+                assert v.refuted
+                assert (v.witness.sample_index, v.witness.eigenvalue) == ref
+        assert refuted > 0
 
 
 class TestNecessary:

@@ -325,6 +325,116 @@ class TestCompoundLink:
                                atol=1e-5 * (1 + abs(a).max() ** 2))
 
 
+def _compound_loop(a, j):
+    """Reference: one determinant per compound entry."""
+    n = a.shape[0]
+    rows = list(combinations(range(n), j))
+    out = np.empty((len(rows), len(rows)))
+    for p, alpha in enumerate(rows):
+        sub = a[np.ix_(alpha, range(n))]
+        for q, beta in enumerate(rows):
+            out[p, q] = np.linalg.det(sub[:, beta])
+    return out
+
+
+def _additive_compound_2_loop(a):
+    """Reference: the entry-by-entry build of the second additive compound."""
+    n = a.shape[0]
+    pairs = list(combinations(range(n), 2))
+    out = np.zeros((len(pairs), len(pairs)))
+    eye = np.eye(n)
+    for p, (i, j) in enumerate(pairs):
+        for q, (k, l) in enumerate(pairs):
+            out[p, q] = (a[i, k] * eye[j, l] - eye[i, l] * a[j, k]
+                         + eye[i, k] * a[j, l] - a[i, l] * eye[j, k])
+    return out
+
+
+def _sign_symmetry_loop(a):
+    """Reference: the pair-by-pair sign-symmetry sweep."""
+    n = a.shape[0]
+    for k in range(1, n + 1):
+        for alpha, beta in combinations(combinations(range(n), k), 2):
+            m1 = np.linalg.det(a[np.ix_(alpha, beta)])
+            m2 = np.linalg.det(a[np.ix_(beta, alpha)])
+            if m1 * m2 < -mc.minor_tol(a, 2 * k):
+                return False, {"rows": alpha, "cols": beta,
+                               "product": float(m1 * m2)}
+    return True, None
+
+
+def _square_dd_loop(a):
+    """Reference: square diagonal dominance, one determinant at a time."""
+    n = a.shape[0]
+    for k in range(1, n + 1):
+        sets = list(combinations(range(n), k))
+        for alpha in sets:
+            rows = a[alpha, :]
+            diag = np.linalg.det(rows[:, alpha])
+            rest = sum(np.linalg.det(rows[:, beta]) ** 2
+                       for beta in sets if beta != alpha)
+            if diag ** 2 <= rest:
+                return False
+    return True
+
+
+def same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x),
+                                                   np.signbit(y))
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-5.0, 5.0, allow_nan=False))
+
+
+def gathered(n):
+    return arrays(np.float64, (n, n), elements=_ENTRY)
+
+
+@st.composite
+def nearly_symmetric(draw, max_n=8):
+    """Raw, symmetric (the sweep runs to the end) or symmetric but one entry."""
+    n = draw(st.integers(1, max_n))
+    a = draw(gathered(n))
+    mode = draw(st.sampled_from(["raw", "symmetric", "perturbed"]))
+    if mode != "raw":
+        a = a + a.T
+    if mode == "perturbed":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[i, j] += draw(st.floats(-1.0, 1.0))
+    return a
+
+
+class TestMinorGather:
+    @given(st.integers(2, 15).flatmap(gathered))
+    @settings(max_examples=60, deadline=None)
+    def test_additive_compound_matches_loop_bit_for_bit(self, a):
+        assert same_bits(mc.additive_compound_2(a), _additive_compound_2_loop(a))
+
+    @given(st.integers(1, 7).flatmap(gathered), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_compound_matches_loop_bit_for_bit(self, a, data):
+        j = data.draw(st.integers(1, a.shape[0]))
+        assert same_bits(mc.compound(a, j), _compound_loop(a, j))
+
+    @given(nearly_symmetric())
+    @settings(max_examples=60, deadline=None)
+    def test_sign_symmetry_sweep_matches_loop(self, a):
+        flag, wit = mc.sign_symmetry_sweep(a)
+        ref_flag, ref_wit = _sign_symmetry_loop(a)
+        assert flag is ref_flag
+        assert wit == ref_wit
+        if wit is not None:
+            assert float(wit["product"]).hex() == ref_wit["product"].hex()
+
+    @given(st.integers(1, 6).flatmap(gathered), st.floats(0.0, 40.0))
+    @settings(max_examples=80, deadline=None)
+    def test_square_dd_matches_loop(self, a, shift):
+        # a large diagonal keeps the test going into the higher orders
+        a = a + shift * np.eye(a.shape[0])
+        assert mc.square_dd_every_order(a) is _square_dd_loop(a)
+
+
 class TestSquareDDEveryOrder:
     def test_identity_passes(self):
         assert mc.square_dd_every_order(np.eye(4))

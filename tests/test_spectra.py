@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matstab import spectra as sp
 
@@ -86,6 +88,149 @@ class TestMembership:
         for _ in range(500):
             z = complex(rng.normal(), rng.normal())
             assert sp.region_membership(z, r) == sp.region_membership(z, direct)
+
+
+def _membership_chain(z, region, tol=None):
+    """Reference: the per-region classification chain the regions replaced."""
+    z = complex(z)
+    if tol is None:
+        tol = sp.default_tol(z)
+    c = sp._classify
+    if isinstance(region, sp.HalfPlaneLeft):
+        return c(z.real, tol)
+    if isinstance(region, sp.HalfPlaneRight):
+        return c(-z.real, tol)
+    if isinstance(region, sp.Disk):
+        return c(abs(z - region.center) - region.radius, tol)
+    if isinstance(region, sp.SectorRight):
+        if abs(z) <= tol:
+            return sp.Membership.BOUNDARY
+        return c(abs(np.angle(z)) - region.theta, tol)
+    if isinstance(region, sp.ComplementSector):
+        if abs(z) <= tol:
+            return sp.Membership.BOUNDARY
+        return c(region.theta - abs(np.angle(z)), tol)
+    if isinstance(region, sp.RealLine):
+        return sp.Membership.INSIDE if abs(z.imag) <= tol \
+            else sp.Membership.OUTSIDE
+    if isinstance(region, sp.PositiveRealAxis):
+        if abs(z.imag) > tol:
+            return sp.Membership.OUTSIDE
+        return c(-z.real, tol)
+    if isinstance(region, sp.NegativeRealAxis):
+        if abs(z.imag) > tol:
+            return sp.Membership.OUTSIDE
+        return c(z.real, tol)
+    if isinstance(region, sp.Hyperbolic):
+        return sp.Membership.INSIDE if abs(z.real) > tol \
+            else sp.Membership.BOUNDARY
+    if isinstance(region, sp.PunctureOrigin):
+        return sp.Membership.INSIDE if abs(z) > tol \
+            else sp.Membership.BOUNDARY
+    lam = np.linalg.eigvalsh(region.characteristic(z))[-1]
+    return c(float(lam), tol)
+
+
+# the strip -2 < Re z < -0.5 as an LMI
+_STRIP = sp.LMIRegion(np.diag([-4.0, 1.0]), np.diag([-1.0, 1.0]))
+
+# every region kind with a map from a real parameter onto its boundary
+REGIONS = [
+    (sp.HalfPlaneLeft(), lambda t: 1j * t),
+    (sp.HalfPlaneRight(), lambda t: 1j * t),
+    (sp.Disk(0.5, 2.0), lambda t: 0.5 + 2.0 * np.exp(1j * t)),
+    (sp.SectorRight(0.6), lambda t: t * np.exp(0.6j)),
+    (sp.ComplementSector(0.6), lambda t: t * np.exp(-0.6j)),
+    (sp.RealLine(), lambda t: t),
+    (sp.PositiveRealAxis(), lambda t: t),
+    (sp.NegativeRealAxis(), lambda t: t),
+    (sp.Hyperbolic(), lambda t: 1j * t),
+    (sp.PunctureOrigin(), lambda t: 0.0),
+    (_STRIP, lambda t: (-2.0 if t < 0 else -0.5) + 1j * t),
+    (sp.EMIRegion([[-3.75]], [[-0.5]], [[1.0]]),  # the disk above
+     lambda t: 0.5 + 2.0 * np.exp(1j * t)),
+]
+REGION_IDS = [r.name for r, _ in REGIONS]
+
+# zero, a small coordinate of any scale from 1e-12 to 1e-6 (the bands are
+# 1e-9 and about 1e-8), or an ordinary one
+_COORD = st.one_of(st.just(0.0), st.just(-0.0),
+                   st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0),
+                             st.integers(-12, -6)),
+                   st.floats(-5.0, 5.0))
+
+
+@st.composite
+def points(draw, edge):
+    """A point near the boundary, near the origin, on an axis or anywhere."""
+    kind = draw(st.sampled_from(["edge", "origin", "plane"]))
+    if kind == "origin":  # any angle, a radius from 1e-12 to 1e-6
+        return complex(10.0 ** draw(st.floats(-12.0, -6.0))
+                       * np.exp(1j * draw(st.floats(-4.0, 4.0))))
+    base = complex(edge(draw(st.floats(-5.0, 5.0)))) if kind == "edge" else 0j
+    return base + complex(draw(_COORD), draw(_COORD))
+
+
+class TestRegionGeometry:
+    @pytest.mark.parametrize("region, edge", REGIONS, ids=REGION_IDS)
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_membership_matches_reference_chain(self, region, edge, data):
+        z = data.draw(points(edge))
+        tol = data.draw(st.sampled_from([None, 1e-9]))
+        assert sp.region_membership(z, region, tol) \
+            is _membership_chain(z, region, tol)
+
+    @pytest.mark.parametrize("region, edge", REGIONS, ids=REGION_IDS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_outside_is_first_rejection(self, region, edge, data):
+        zs = data.draw(st.lists(points(edge), max_size=6))
+        tol = data.draw(st.sampled_from([None, 1e-9]))
+        expect = next((z for z in zs if sp.region_membership(z, region, tol)
+                       is not sp.Membership.INSIDE), None)
+        got = sp.first_outside(zs, region, tol)
+        assert got == expect
+        assert got is None or type(got) is complex
+
+    @pytest.mark.parametrize("region", [sp.HalfPlaneLeft(), sp.Disk(0.5, 2.0),
+                                        _STRIP], ids=["half-plane", "disk",
+                                                      "lmi-strip"])
+    @given(x=st.floats(-6.0, 6.0), y=st.floats(-6.0, 6.0))
+    @settings(max_examples=200, deadline=None)
+    def test_emi_form_classifies_like_region(self, region, x, y):
+        z = complex(x, y)
+        if abs(region.distance(np.asarray(z), None)) <= 1e-6:
+            return  # inside the boundary band the two scales differ
+        assert sp.region_membership(z, sp.EMIRegion(*region.emi)) \
+            is sp.region_membership(z, region)
+
+    def test_bounded_and_emi_pinned(self):
+        bounded = {"disk": True, "emi": True}  # this EMI region is a disk
+        with_emi = {"half-plane-left", "disk", "lmi", "emi"}
+        for region, _ in REGIONS:
+            assert region.bounded is bounded.get(region.name, False), region
+            assert (region.emi is not None) is (region.name in with_emi)
+        assert sp.EMIRegion([[-1.0]], [[0.0]], [[1.0]]).bounded is True
+        assert sp.EMIRegion([[-1.0]], [[1.0]], [[0.0]]).bounded is False
+        assert sp.EMIRegion(-np.eye(2), np.zeros((2, 2)),
+                            np.diag([1.0, -1.0])).bounded is False
+
+    def test_unknown_region_raises(self):
+        with pytest.raises(TypeError):
+            sp.region_membership(1.0, sp.Region())
+
+    def test_nonpositive_tol_raises(self):
+        a = np.diag([-1.0, -2.0])
+        for tol in (0.0, -1e-9):
+            with pytest.raises(ValueError):
+                sp.region_stable(a, sp.HalfPlaneLeft(), tol=tol)
+            with pytest.raises(ValueError):
+                sp.inertia(a, sp.HalfPlaneLeft(), tol=tol)
+            with pytest.raises(ValueError):
+                sp.first_outside([-1.0], sp.HalfPlaneLeft(), tol=tol)
+            with pytest.raises(ValueError):
+                sp.region_membership(-1.0, sp.HalfPlaneLeft(), tol=tol)
 
 
 class TestRegionStable:
