@@ -8,10 +8,18 @@ All randomness derives from the single request seed; identical requests
 with the same seed produce byte-identical JSON reports, so the JSON
 format carries no timings (the text format does).
 
+The pipeline is one table, :data:`CHECKS`.  Each row names a check and
+its reference, the ``--mode`` value that turns it on, whether it applies
+to the request (through its canonical region/class/operation triple) and
+how to run it.  :func:`run` walks the table in order; it alone times the
+checks, builds their records and keeps the summary.  A check that raises
+is recorded under its own id as ``check-error``, and the rest still run.
+
 Exit codes: 0 proved-or-unknown, 2 refuted, 1 usage or I/O error.
 """
 
 import argparse
+import collections
 import dataclasses
 import json
 import math
@@ -28,8 +36,8 @@ from .matrix_core import MINOR_ENUM_CAP, as_matrix
 from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       HalfPlaneRight, Hyperbolic, LMIRegion,
                       NegativeRealAxis, PositiveRealAxis, PunctureOrigin,
-                      RealLine, SectorRight, Status, Verdict, default_tol,
-                      eigenvalues, gershgorin, region_stable,
+                      RealLine, SectorRight, Status, Verdict, decay_horizon,
+                      default_tol, eigenvalues, gershgorin, region_stable,
                       simulate_decay, spectral_abscissa)
 
 SCHEMA = "matstab-report/2"
@@ -339,52 +347,39 @@ def to_jsonable(obj):
 # Orchestration
 # ---------------------------------------------------------------------------
 
-def _identity_in_class(gclass, op, n):
-    """Whether the operation identity element belongs to the class."""
-    if isinstance(op, (ds.Multiply, ds.BlockHadamardProduct)):
-        probe = np.eye(n)
-    elif isinstance(op, ds.HadamardProduct):
-        probe = np.ones((n, n))
-    else:
-        probe = np.zeros((n, n))
-    try:
-        return bool(gclass.contains(probe))
-    except Exception:
-        return False
+# (triple, region, class names, op names); the first row that matches a
+# request names its triple.  The positive-diagonal-subclass triple marks
+# classes contained in the positive diagonals (alpha-scalar, ordered,
+# interval): a full D-stability proof transfers downward to them, but the
+# minor-sign necessity does not.
+_TRIPLES = (
+    ("multiplicative-d-stability", HalfPlaneLeft(), ("positive-diagonal",),
+     ("multiply",)),
+    ("additive-d-stability", HalfPlaneLeft(), ("negative-diagonal",),
+     ("add",)),
+    ("positive-diagonal-subclass", HalfPlaneLeft(),
+     ("alpha-scalar", "ordered-diagonal", "interval-diagonal"), ("multiply",)),
+    ("schur-d-stability", Disk(), ("diagonal-norm-lt1",), ("multiply",)),
+    ("vertex-stability", Disk(), ("vertex-diagonal",), ("multiply",)),
+    ("d-hyperbolicity", Hyperbolic(),
+     ("positive-diagonal", "negative-diagonal", "vertex-diagonal",
+      "sign-pattern-diagonal"), ("multiply",)),
+    ("h-stability", HalfPlaneLeft(), ("spd",), ("multiply",)),
+    ("hadamard-h-stability", HalfPlaneLeft(), ("spd",), ("hadamard",)),
+)
+
+# The triples that diagonal stability decides: a diagonal certificate or
+# an exact diagonal-stability criterion proves them.
+_DIAG_DECIDED = ("multiplicative-d-stability", "additive-d-stability",
+                 "positive-diagonal-subclass")
 
 
 def _canonical_triple(request):
-    """Names for the combos with exact proving/necessity wiring.
-
-    The subclass combo marks classes contained in the positive diagonals
-    (alpha-scalar, ordered, interval): a full D-stability proof transfers
-    downward to them, but the minor-sign necessity does not.
-    """
-    r, g, op = request.region, request.gclass, request.op
-    half = isinstance(r, HalfPlaneLeft)
-    if half and isinstance(g, ds.PositiveDiagonal) and isinstance(op, ds.Multiply):
-        return "multiplicative-d-stability"
-    if half and isinstance(g, ds.NegativeDiagonal) and isinstance(op, ds.Add):
-        return "additive-d-stability"
-    if half and isinstance(op, ds.Multiply) \
-            and isinstance(g, (ds.AlphaScalar, ds.OrderedDiagonal,
-                               ds.IntervalDiagonal)):
-        return "positive-diagonal-subclass"
-    if r == Disk() and isinstance(g, ds.DiagonalNormLt1) \
-            and isinstance(op, ds.Multiply):
-        return "schur-d-stability"
-    if r == Disk() and isinstance(g, ds.VertexDiagonal) \
-            and isinstance(op, ds.Multiply):
-        return "vertex-stability"
-    if isinstance(r, Hyperbolic) and isinstance(op, ds.Multiply) \
-            and isinstance(g, (ds.PositiveDiagonal, ds.NegativeDiagonal,
-                               ds.VertexDiagonal, ds.SignPatternDiagonal)):
-        return "d-hyperbolicity"
-    if half and isinstance(g, ds.SPD) and isinstance(op, ds.Multiply):
-        return "h-stability"
-    if half and isinstance(g, ds.SPD) and isinstance(op, ds.HadamardProduct):
-        return "hadamard-h-stability"
-    return None
+    """The name of the request's triple in ``_TRIPLES``, or None."""
+    gclass, op = request.gclass.name, request.op.name
+    return next((name for name, region, classes, ops in _TRIPLES
+                 if request.region == region and gclass in classes
+                 and op in ops), None)
 
 
 class _SharedWork:
@@ -433,305 +428,309 @@ class _SharedWork:
     def half_plane_search(self):
         return lyapunov.diagonal_stability_search(self.a, budget=self.budget)
 
+    @cached_property
+    def cyclic_form(self):
+        """``detect_cyclic(A)``: the cyclic feedback form, or None."""
+        return special_forms.detect_cyclic(self.a)
+
+
+class _Context:
+    """One request as the checks see it, and the records made so far."""
+
+    def __init__(self, request):
+        self.request = request
+        self.a = request.matrix
+        self.n = self.a.shape[0]
+        self.region, self.gclass, self.op = (request.region, request.gclass,
+                                             request.op)
+        self.half_plane = self.region == HalfPlaneLeft()
+        self.triple = _canonical_triple(request)
+        self.checks = []
+        self.shared = _SharedWork(self.a, request.budget)
+
+    def proved(self, check):
+        """Whether a record of ``check`` so far is Proved."""
+        return any(c.check == check and c.verdict.proved for c in self.checks)
+
+    @cached_property
+    def identity_in_class(self):
+        """Whether the identity element of the operation is in the class."""
+        n, op = self.n, self.op.name
+        probe = (np.eye(n) if op in ("multiply", "block-hadamard")
+                 else np.ones((n, n)) if op == "hadamard" else np.zeros((n, n)))
+        try:
+            return bool(self.gclass.contains(probe))
+        except Exception:
+            return False
+
+
+# Each check below takes the request context and returns
+# ``(verdict, decides, data)``, or None to leave no record.  Library
+# functions are looked up when a check runs, never stored in the table,
+# so that rebinding a module attribute (a tracer, a test) reaches them.
+
+def _classify(ctx):
+    try:
+        flags = ctx.shared.classification.flags()
+    except ValueError as exc:
+        return Verdict(Status.UNKNOWN, f"skipped: {exc}"), False, None
+    return Verdict(Status.UNKNOWN, "informational"), False, {"flags": flags}
+
+
+def _gershgorin(ctx):
+    disks, verdict = gershgorin(ctx.a)
+    return verdict, False, {"disks": disks}
+
+
+def _self_stability(ctx):
+    verdict = region_stable(ctx.a, ctx.region)
+    return (verdict, verdict.refuted and ctx.identity_in_class,
+            {"eigenvalues": eigenvalues(ctx.a)})
+
+
+def _necessary(ctx):
+    mode = ("multiplicative" if ctx.triple == "multiplicative-d-stability"
+            else "additive")
+    verdict = ds.necessary_p0plus(ctx.a, mode=mode,
+                                  minors=ctx.shared.neg_minors())
+    return verdict, verdict.refuted, None
+
+
+def _secant(ctx):
+    form = ctx.shared.cyclic_form
+    verdict = special_forms.secant_criterion(form)
+    # Proved decides the triple via diagonal stability; Refuted only
+    # denies diagonal stability, not D-stability.
+    return (verdict, verdict.proved and ctx.triple in _DIAG_DECIDED,
+            {"alpha": list(form.alpha), "beta": list(form.beta)})
+
+
+def _single_circuit(ctx):
+    try:
+        verdict = special_forms.single_circuit_criterion(ctx.a)
+    except ValueError:
+        return None
+    return verdict, verdict.proved and ctx.triple in _DIAG_DECIDED, None
+
+
+def _li_wang(ctx):
+    verdict = ds.li_wang_stable(ctx.a)
+    return verdict, verdict.refuted and ctx.identity_in_class, None
+
+
+def _interval_box(ctx):
+    # the diagonal box reduces to a four-polynomial test when the
+    # positive-convention matrix is P0 (sufficient only)
+    g = ctx.gclass
+    try:
+        verdict = polynomials.kosov_interval_dstability(
+            -ctx.a, np.asarray(g.d_min), np.asarray(g.d_max),
+            classification=ctx.shared.neg_classification)
+    except ValueError as exc:
+        return Verdict(Status.UNKNOWN, f"premise-fails: {exc}"), False, None
+    return verdict, verdict.proved, None
+
+
+def _vertex_enumeration(ctx):
+    verdict = ds.vertex_schur_check(ctx.a)
+    # exact for the vertex class itself; necessary-only for the
+    # norm-bounded class
+    return verdict, verdict.refuted or ctx.triple == "vertex-stability", None
+
+
+def _symmetric_part(ctx):
+    ok, _ = lyapunov.is_negative_definite(ctx.a + ctx.a.T)
+    if ctx.triple == "hadamard-h-stability":
+        ok = ok and bool(np.allclose(ctx.a, ctx.a.T))
+    verdict = (Verdict(Status.PROVED, "symmetric-part-negative-definite")
+               if ok else
+               Verdict(Status.UNKNOWN, "symmetric-part-not-negative-definite"))
+    return verdict, ok, None
+
+
+def _sufficient_suite(ctx):
+    suite = ds.sufficient_suite(
+        -ctx.a, budget=ctx.request.budget,
+        classification=ctx.shared.neg_classification,
+        search=ctx.shared.half_plane_search)
+    fired = [name for name, v in suite if v.proved]
+    wit = next((v.witness for _, v in suite if v.proved
+                and v.witness is not None), None)
+    verdict = (Verdict(Status.PROVED, "sufficient:" + ",".join(fired),
+                       witness=wit) if fired
+               else Verdict(Status.UNKNOWN, "no-sufficient-class-fired"))
+    return verdict, bool(fired), {"items": dict(suite)}
+
+
+def _diagonal_certificate(ctx):
+    if ctx.half_plane:
+        verdict = ctx.shared.half_plane_search
+    else:
+        verdict = lyapunov.diagonal_stability_search(
+            ctx.a, ctx.region, budget=ctx.request.budget)
+    data = None
+    if verdict.proved:
+        data = {"re-verified-margin":
+                lyapunov.verify_certificate(ctx.a, verdict.witness)}
+    decided = _DIAG_DECIDED + ("schur-d-stability", "vertex-stability")
+    return verdict, verdict.proved and ctx.triple in decided, data
+
+
+def _hyperbolicity_certificate(ctx):
+    verdict = lyapunov.diagonal_hyperbolicity_search(
+        ctx.a, budget=ctx.request.budget)
+    return verdict, verdict.proved, None
+
+
+def _falsify(ctx):
+    verdict = ds.falsify(ctx.a, ctx.gclass, ctx.op, ctx.region,
+                         samples=ctx.request.samples, seed=ctx.request.seed)
+    return verdict, True, None
+
+
+def _total_scan(ctx):
+    scan = ds.total_stability_scan(
+        ctx.a, samples=min(ctx.request.samples, 2000),
+        budget=ctx.request.budget, seed=ctx.request.seed)
+    overall = scan.pop("overall")
+    # only a strictly unstable principal submatrix decides the request
+    wit = overall.witness
+    strict = (overall.refuted and isinstance(wit, ds.FalsificationWitness)
+              and wit.eigenvalue is not None
+              and wit.eigenvalue.real > default_tol(wit.eigenvalue))
+    return (overall, strict and ctx.triple == "multiplicative-d-stability",
+            {"submatrices": {str(k): rec["verdict"]
+                             for k, rec in scan.items()}})
+
+
+def _simulate(ctx):
+    horizon = ctx.request.simulate_horizon
+    realized = next((c.verdict.witness.realized for c in ctx.checks
+                     if c.verdict.refuted
+                     and isinstance(c.verdict.witness, ds.FalsificationWitness)
+                     and c.verdict.witness.realized is not None), None)
+    if realized is not None:
+        h = horizon or 20.0
+        ratio = simulate_decay(
+            realized, h, min(0.01, 0.4 / (1.0 + np.linalg.norm(realized, 2))))
+        return (Verdict(Status.UNKNOWN, "witness-trajectory-grows" if ratio > 1
+                        else "witness-trajectory-bounded"), False,
+                {"ratio": ratio, "horizon": h, "target": "witness"})
+    alpha = spectral_abscissa(ctx.a)
+    if alpha >= 0:
+        return (Verdict(Status.UNKNOWN, "matrix-not-hurwitz"), False,
+                {"abscissa": alpha})
+    if horizon is None:
+        horizon = decay_horizon(ctx.a, target=1e-8)
+    step = min(0.01, 0.4 / (1.0 + np.linalg.norm(ctx.a, 2)), horizon / 10.0)
+    ratio = simulate_decay(ctx.a, horizon, step)
+    verdict = Verdict(Status.UNKNOWN, "trajectories-decay" if ratio < 1
+                      else "trajectories-grow")
+    return verdict, False, {"ratio": ratio, "horizon": horizon,
+                            "abscissa": alpha}
+
+
+def _always(ctx):
+    return True
+
+
+Check = collections.namedtuple("Check", "id reference mode applies run")
+
+# The pipeline in report order.  ``mode`` is the ``--mode`` value that
+# turns a check on (None: it always runs); ``applies`` says whether the
+# check has something to say about the request.
+CHECKS = (
+    Check("classify", "determinantal class flags", "classify",
+          _always, _classify),
+    Check("gershgorin", "row disc localization", "classify",
+          _always, _gershgorin),
+    Check("self-stability", "direct spectral membership", None,
+          _always, _self_stability),
+    Check("necessary-p0plus", "minor-sign necessity", "necessary",
+          lambda c: (c.triple in ("multiplicative-d-stability",
+                                  "additive-d-stability")
+                     and c.n <= MINOR_ENUM_CAP),
+          _necessary),
+    Check("secant-criterion", "cyclic feedback gain bound", "structural",
+          lambda c: c.shared.cyclic_form is not None, _secant),
+    Check("single-circuit", "circuit gain bound", "structural",
+          lambda c: c.shared.cyclic_form is None, _single_circuit),
+    Check("li-wang", "second additive compound equivalence", "structural",
+          lambda c: c.half_plane and c.n >= 2, _li_wang),
+    Check("interval-box", "interval-to-polynomial-box reduction",
+          "structural",
+          lambda c: (c.half_plane and c.op.name == "multiply"
+                     and c.gclass.name == "interval-diagonal"
+                     and c.gclass.bounded),
+          _interval_box),
+    Check("vertex-enumeration", "sign-vertex spectral radii", "structural",
+          lambda c: (c.triple in ("vertex-stability", "schur-d-stability")
+                     and c.n <= ds.VERTEX_ENUM_CAP),
+          _vertex_enumeration),
+    Check("symmetric-part", "definiteness of the symmetric part",
+          "structural",
+          lambda c: c.triple in ("h-stability", "hadamard-h-stability"),
+          _symmetric_part),
+    Check("sufficient-suite", "classical sufficient stability classes",
+          "sufficient", lambda c: c.triple in _DIAG_DECIDED,
+          _sufficient_suite),
+    Check("diagonal-certificate", "diagonal Lyapunov-type search", "certify",
+          lambda c: (c.region.emi is not None
+                     and not (c.half_plane and c.proved("sufficient-suite"))),
+          _diagonal_certificate),
+    Check("hyperbolicity-certificate", "sign-free diagonal search",
+          "certify", lambda c: c.triple == "d-hyperbolicity",
+          _hyperbolicity_certificate),
+    Check("falsify", "randomized class sampling", "falsify",
+          _always, _falsify),
+    Check("total-scan", "principal submatrix sweep", "total-scan",
+          lambda c: c.half_plane and c.n <= ds.TOTAL_SCAN_CAP, _total_scan),
+    Check("simulate", "fixed-step trajectory integration", "simulate",
+          lambda c: c.half_plane, _simulate),
+)
+
 
 def run(request):
     """Execute the analysis pipeline and assemble the report.
 
-    Check order: classify, necessary minors, exact structural criteria,
-    sufficient suite, certificate searches, falsification, then optional
-    simulation and the principal-submatrix scan on what survived.
-
-    Checks share work through a per-request :class:`_SharedWork`: one
-    principal-minor sweep of A (the minors of -A are derived from it),
-    one pairwise sign-symmetry sweep, ``classify`` of A and of -A, and
-    the half-plane diagonal stability search.  ``classify``,
-    ``necessary-p0plus``, ``interval-box``, ``sufficient-suite`` and
-    ``diagonal-certificate`` take them from there instead of
-    recomputing.
+    Runs each row of :data:`CHECKS` whose mode is requested and that
+    applies.  The summary is the verdict of the first deciding check that
+    is not Unknown.  Checks share work through a per-request
+    :class:`_SharedWork`: one principal-minor sweep of A (the minors of -A
+    are derived from it), one pairwise sign-symmetry sweep, ``classify``
+    of A and of -A, the half-plane diagonal search and the cyclic form.
     """
-    a = request.matrix
     convention_note = "analysis in the hurwitz convention"
     if request.convention == "positive":
         # the region names the stability type in the canonical (hurwitz)
         # vocabulary; the flag says the matrix is sign-flipped relative
         # to it, so negate once and adjust additive classes
-        a = -a
         request = dataclasses.replace(
-            request, matrix=a,
+            request, matrix=-request.matrix,
             gclass=(mirror_gclass_for_add(request.gclass)
                     if isinstance(request.op, ds.Add) else request.gclass))
         convention_note = ("positive-stability request mirrored: matrix "
                            "negated, additive class sign-flipped")
-    n = a.shape[0]
-    region, gclass, op = request.region, request.gclass, request.op
-    triple = _canonical_triple(request)
-    modes = request.modes
-    shared = _SharedWork(a, request.budget)
-    checks = []
-    summary = [Status.UNKNOWN, "no-deciding-check"]
-
-    def record(check, reference, verdict, decides, started, data=None):
-        checks.append(CheckRecord(check, reference, verdict, decides,
-                                  (time.perf_counter() - started) * 1e3, data))
-        if decides and summary[0] is Status.UNKNOWN \
-                and verdict.status is not Status.UNKNOWN:
-            summary[0] = verdict.status
-            summary[1] = check
-
-    def guarded(check, reference, fn):
-        # a failing check surfaces under its own id; the report survives
+    ctx = _Context(request)
+    status, decided_by = Status.UNKNOWN, "no-deciding-check"
+    for check in CHECKS:
+        if check.mode is not None and check.mode not in request.modes:
+            continue
         started = time.perf_counter()
         try:
-            fn(started)
+            out = check.run(ctx) if check.applies(ctx) else None
         except Exception as exc:
-            record(check, reference,
-                   Verdict(Status.UNKNOWN, f"check-error: {exc}"),
-                   False, started)
-
-    if "classify" in modes:
-        t0 = time.perf_counter()
-        try:
-            rep = shared.classification
-            flags = {k: v for k, v in rep.flags().items()}
-            v = Verdict(Status.UNKNOWN, "informational")
-            record("classify", "determinantal class flags", v, False, t0,
-                   data={"flags": flags})
-        except ValueError as exc:
-            record("classify", "determinantal class flags",
-                   Verdict(Status.UNKNOWN, f"skipped: {exc}"), False, t0)
-
-        def gersh(t0):
-            disks, gv = gershgorin(a)
-            record("gershgorin", "row disc localization", gv, False, t0,
-                   data={"disks": disks})
-
-        guarded("gershgorin", "row disc localization", gersh)
-
-    def self_stability(t0):
-        base = region_stable(a, region)
-        decides = base.refuted and _identity_in_class(gclass, op, n)
-        record("self-stability", "direct spectral membership", base,
-               decides, t0, data={"eigenvalues": eigenvalues(a)})
-
-    guarded("self-stability", "direct spectral membership", self_stability)
-
-    if "necessary" in modes and triple in ("multiplicative-d-stability",
-                                           "additive-d-stability") \
-            and n <= 14:
-        def necessary(t0):
-            mode = ("multiplicative"
-                    if triple == "multiplicative-d-stability" else "additive")
-            nec = ds.necessary_p0plus(a, mode=mode,
-                                      minors=shared.neg_minors())
-            record("necessary-p0plus", "minor-sign necessity", nec,
-                   nec.refuted, t0)
-
-        guarded("necessary-p0plus", "minor-sign necessity", necessary)
-
-    if "structural" in modes:
-        guarded("structural", "exact structural criteria",
-                lambda _t0: _structural_checks(a, request, triple, record,
-                                               shared))
-
-    proved_suite = [False]
-    if "sufficient" in modes and triple in ("multiplicative-d-stability",
-                                            "additive-d-stability",
-                                            "positive-diagonal-subclass"):
-        def sufficient(t0):
-            suite = ds.sufficient_suite(
-                -a, budget=request.budget,
-                classification=shared.neg_classification,
-                search=shared.half_plane_search)
-            fired = [name for name, v in suite if v.proved]
-            status = Status.PROVED if fired else Status.UNKNOWN
-            reason = ("sufficient:" + ",".join(fired)) if fired \
-                else "no-sufficient-class-fired"
-            wit = next((v.witness for _, v in suite if v.proved
-                        and v.witness is not None), None)
-            record("sufficient-suite",
-                   "classical sufficient stability classes",
-                   Verdict(status, reason, witness=wit), bool(fired), t0,
-                   data={"items": {name: v for name, v in suite}})
-            proved_suite[0] = bool(fired)
-
-        guarded("sufficient-suite", "classical sufficient stability classes",
-                sufficient)
-
-    if "certify" in modes:
-        guarded("certificates", "certificate searches",
-                lambda _t0: _certificate_checks(a, request, triple, record,
-                                                proved_suite[0], shared))
-
-    if "falsify" in modes:
-        def falsification(t0):
-            fal = ds.falsify(a, gclass, op, region, samples=request.samples,
-                             seed=request.seed)
-            record("falsify", "randomized class sampling", fal, True, t0)
-
-        guarded("falsify", "randomized class sampling", falsification)
-
-    if "total-scan" in modes and n <= ds.TOTAL_SCAN_CAP \
-            and isinstance(region, HalfPlaneLeft):
-        def total_scan(t0):
-            scan = ds.total_stability_scan(
-                a, samples=min(request.samples, 2000),
-                budget=request.budget, seed=request.seed)
-            overall = scan.pop("overall")
-            strict = overall.refuted and _strict_submatrix_refutation(overall)
-            record("total-scan", "principal submatrix sweep", overall,
-                   strict and triple == "multiplicative-d-stability", t0,
-                   data={"submatrices": {str(k): rec["verdict"]
-                                         for k, rec in scan.items()}})
-
-        guarded("total-scan", "principal submatrix sweep", total_scan)
-
-    if "simulate" in modes and isinstance(region, HalfPlaneLeft):
-        guarded("simulate", "fixed-step trajectory integration",
-                lambda _t0: _simulation_check(a, request, checks, record))
-
-    return Report(request, checks, summary[0], summary[1], convention_note)
-
-
-def _strict_submatrix_refutation(verdict):
-    wit = verdict.witness
-    if isinstance(wit, ds.FalsificationWitness):
-        z = wit.eigenvalue
-        return z is not None and z.real > default_tol(z)
-    return False
-
-
-def _structural_checks(a, request, triple, record, shared):
-    region, gclass, op = request.region, request.gclass, request.op
-    n = a.shape[0]
-    diag_certifiable = triple in ("multiplicative-d-stability",
-                                  "additive-d-stability",
-                                  "positive-diagonal-subclass")
-
-    form = special_forms.detect_cyclic(a)
-    if form is not None:
-        t0 = time.perf_counter()
-        v = special_forms.secant_criterion(form)
-        # Proved decides the triple via diagonal stability; Refuted only
-        # denies diagonal stability, not D-stability.
-        record("secant-criterion", "cyclic feedback gain bound", v,
-               v.proved and diag_certifiable, t0,
-               data={"alpha": list(form.alpha), "beta": list(form.beta)})
-    else:
-        try:
-            t0 = time.perf_counter()
-            v = special_forms.single_circuit_criterion(a)
-            record("single-circuit", "circuit gain bound", v,
-                   v.proved and diag_certifiable, t0)
-        except ValueError:
-            pass
-
-    if isinstance(region, HalfPlaneLeft) and 2 <= n:
-        t0 = time.perf_counter()
-        v = ds.li_wang_stable(a)
-        record("li-wang", "second additive compound equivalence", v,
-               v.refuted and _identity_in_class(gclass, op, n), t0)
-
-    if isinstance(region, HalfPlaneLeft) and isinstance(op, ds.Multiply) \
-            and isinstance(gclass, ds.IntervalDiagonal) and gclass.bounded:
-        # the diagonal box reduces to a four-polynomial test when the
-        # positive-convention matrix is P0 (sufficient only)
-        t0 = time.perf_counter()
-        try:
-            v = polynomials.kosov_interval_dstability(
-                -a, np.asarray(gclass.d_min), np.asarray(gclass.d_max),
-                classification=shared.neg_classification)
-            record("interval-box", "interval-to-polynomial-box reduction",
-                   v, v.proved, t0)
-        except ValueError as exc:
-            record("interval-box", "interval-to-polynomial-box reduction",
-                   Verdict(Status.UNKNOWN, f"premise-fails: {exc}"),
-                   False, t0)
-
-    if triple in ("vertex-stability", "schur-d-stability") \
-            and n <= ds.VERTEX_ENUM_CAP:
-        t0 = time.perf_counter()
-        v = ds.vertex_schur_check(a)
-        # exact for the vertex class itself; necessary-only for the
-        # norm-bounded class
-        decides = v.refuted or triple == "vertex-stability"
-        record("vertex-enumeration", "sign-vertex spectral radii", v,
-               decides, t0)
-
-    if triple in ("h-stability", "hadamard-h-stability"):
-        t0 = time.perf_counter()
-        sym_ok, _ = lyapunov.is_negative_definite(a + a.T)
-        if triple == "hadamard-h-stability":
-            sym_ok = sym_ok and bool(np.allclose(a, a.T))
-        v = Verdict(Status.PROVED, "symmetric-part-negative-definite") \
-            if sym_ok else Verdict(Status.UNKNOWN,
-                                   "symmetric-part-not-negative-definite")
-        record("symmetric-part", "definiteness of the symmetric part", v,
-               sym_ok, t0)
-
-
-def _certificate_checks(a, request, triple, record, proved_suite, shared):
-    region = request.region
-    diag_certifiable = triple in ("multiplicative-d-stability",
-                                  "additive-d-stability",
-                                  "positive-diagonal-subclass",
-                                  "schur-d-stability", "vertex-stability")
-
-    if region.emi is not None:
-        if not (proved_suite and isinstance(region, HalfPlaneLeft)):
-            t0 = time.perf_counter()
-            if isinstance(region, HalfPlaneLeft):
-                v = shared.half_plane_search
-            else:
-                v = lyapunov.diagonal_stability_search(a, region,
-                                                       budget=request.budget)
-            data = None
-            if v.proved:
-                margin = lyapunov.verify_certificate(a, v.witness)
-                data = {"re-verified-margin": margin}
-            record("diagonal-certificate", "diagonal Lyapunov-type search",
-                   v, v.proved and diag_certifiable, t0, data=data)
-
-    if triple == "d-hyperbolicity":
-        t0 = time.perf_counter()
-        v = lyapunov.diagonal_hyperbolicity_search(a, budget=request.budget)
-        record("hyperbolicity-certificate", "sign-free diagonal search", v,
-               v.proved, t0)
-
-
-def _simulation_check(a, request, checks, record):
-    horizon = request.simulate_horizon
-    t0 = time.perf_counter()
-    refuted_realized = None
-    for c in checks:
-        if c.verdict.refuted and isinstance(c.verdict.witness,
-                                            ds.FalsificationWitness) \
-                and c.verdict.witness.realized is not None:
-            refuted_realized = c.verdict.witness.realized
-            break
-    if refuted_realized is not None:
-        h = horizon or 20.0
-        step = min(0.01, 0.4 / (1.0 + np.linalg.norm(refuted_realized, 2)))
-        ratio = simulate_decay(refuted_realized, h, step)
-        v = Verdict(Status.UNKNOWN, "witness-trajectory-grows"
-                    if ratio > 1 else "witness-trajectory-bounded")
-        record("simulate", "fixed-step trajectory integration", v, False, t0,
-               data={"ratio": ratio, "horizon": h, "target": "witness"})
-        return
-    alpha = spectral_abscissa(a)
-    if alpha >= 0:
-        record("simulate", "fixed-step trajectory integration",
-               Verdict(Status.UNKNOWN, "matrix-not-hurwitz"), False, t0,
-               data={"abscissa": alpha})
-        return
-    if horizon is None:
-        from .spectra import decay_horizon
-        horizon = decay_horizon(a, target=1e-8)
-    step = min(0.01, 0.4 / (1.0 + np.linalg.norm(a, 2)), horizon / 10.0)
-    ratio = simulate_decay(a, horizon, step)
-    v = Verdict(Status.UNKNOWN, "trajectories-decay" if ratio < 1
-                else "trajectories-grow")
-    record("simulate", "fixed-step trajectory integration", v, False, t0,
-           data={"ratio": ratio, "horizon": horizon, "abscissa": alpha})
+            out = Verdict(Status.UNKNOWN, f"check-error: {exc}"), False, None
+        if out is None:
+            continue
+        verdict, decides, data = out
+        ctx.checks.append(CheckRecord(
+            check.id, check.reference, verdict, decides,
+            (time.perf_counter() - started) * 1e3, data))
+        if decides and status is Status.UNKNOWN \
+                and verdict.status is not Status.UNKNOWN:
+            status, decided_by = verdict.status, check.id
+    return Report(request, ctx.checks, status, decided_by, convention_note)
 
 
 # ---------------------------------------------------------------------------
