@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lyapunov
 from .matrix_core import (MINOR_ENUM_CAP, additive_compound_2, as_matrix,
-                          block_hadamard, classify, minor_tol,
+                          block_hadamard, classify, exact_det_sign, minor_tol,
                           principal_minors, w_map)
 from .spectra import (Disk, EigenSolverError, HalfPlaneLeft, Status, Verdict,
                       default_tol, eigenvalues, first_outside, region_stable)
@@ -56,7 +56,11 @@ class GClass:
     name = "gclass"
 
     def sample(self, rng, n):
-        raise NotImplementedError
+        """One member; diagonal classes draw it as a batch of one."""
+        diag = self._sample_diag_batch(rng, n, 1)
+        if diag is None:
+            raise NotImplementedError
+        return np.diag(diag[0])
 
     def contains(self, g, tol=1e-9):
         raise NotImplementedError
@@ -92,9 +96,6 @@ class PositiveDiagonal(GClass):
     high: float = 1e3
     name = "positive-diagonal"
 
-    def sample(self, rng, n):
-        return np.diag(_log_uniform(rng, self.low, self.high, n))
-
     def contains(self, g, tol=1e-9):
         return _is_diagonal(g, tol) and bool((np.diag(g) > 0).all())
 
@@ -111,6 +112,8 @@ class NegativeDiagonal(GClass):
     name = "negative-diagonal"
 
     def sample(self, rng, n):
+        # not the base-class default: -np.diag(x) has -0.0 off the
+        # diagonal, and falsify witnesses carry those zeros into reports
         return -np.diag(_log_uniform(rng, self.low, self.high, n))
 
     def contains(self, g, tol=1e-9):
@@ -129,9 +132,6 @@ class DiagonalNormLt1(GClass):
     name = "diagonal-norm-lt1"
     bounded = True
 
-    def sample(self, rng, n):
-        return np.diag(rng.uniform(-1.0, 1.0, n))
-
     def contains(self, g, tol=1e-9):
         return _is_diagonal(g, tol) and bool((np.abs(np.diag(g)) < 1.0).all())
 
@@ -147,9 +147,6 @@ class VertexDiagonal(GClass):
 
     name = "vertex-diagonal"
     bounded = True
-
-    def sample(self, rng, n):
-        return np.diag(rng.integers(0, 2, n) * 2.0 - 1.0)
 
     def contains(self, g, tol=1e-9):
         return _is_diagonal(g, tol) and bool(
@@ -508,6 +505,10 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
     nothing, so the best non-refuted status is Unknown with the flag
     ``necessary-p0plus-passed``.  ``minors``, when given, yields the
     pairs of ``principal_minors(-a)`` in its order.
+
+    Floats only screen: a minor refutes only if its exact sign
+    (:func:`exact_det_sign`) is negative, and an order-k sum only if
+    every order-k minor is exactly zero.
     """
     a = as_matrix(a)
     if mode not in ("multiplicative", "additive"):
@@ -523,14 +524,16 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
         tol = minor_tol(b, k)
         s = 0.0  # left to right: the witness sum is a running total
         for alpha, value in group:
-            if value < -tol:
+            if value < -tol and exact_det_sign(b[np.ix_(alpha, alpha)]) < 0:
                 return Verdict(Status.REFUTED, f"not-p0-{mode}",
                                witness={"indices": alpha, "minor": value,
                                         "matrix": "-A"})
             s += value
         sums[k] = s
     for k in sorted(sums):
-        if sums[k] <= minor_tol(b, k):
+        if sums[k] <= minor_tol(b, k) and not any(
+                exact_det_sign(b[np.ix_(alpha, alpha)])
+                for alpha in combinations(range(n), k)):
             return Verdict(Status.REFUTED, f"p0-minor-sums-vanish-{mode}",
                            witness={"order": k, "sum": sums[k],
                                     "matrix": "-A"})
@@ -742,11 +745,14 @@ HADAMARD_P_CAP = 10
 
 
 def _p_matrix_violation(m):
-    """First failing principal minor of a P-matrix test, or None."""
+    """First principal minor that is exactly <= 0, or None.
+
+    Floats screen with ``minor_tol``; :func:`exact_det_sign` confirms.
+    """
     for k, group in groupby(principal_minors(m), key=lambda item: len(item[0])):
         tol = minor_tol(m, k)
         for alpha, val in group:
-            if val <= tol:
+            if val <= tol and exact_det_sign(m[np.ix_(alpha, alpha)]) <= 0:
                 return alpha, val
     return None
 

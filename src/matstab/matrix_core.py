@@ -13,6 +13,9 @@ order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, bit for bit
 for every nonzero minor (:func:`negate_minors`).  :func:`compound` is the
 gather for all order-k minors, one batched ``np.linalg.det`` per row;
 the sign-symmetry sweep and square diagonal dominance read it.
+:func:`exact_det_sign` gives a determinant's sign in exact integer
+arithmetic; refutations by a minor sign use it to confirm what the
+floating-point screen found.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +28,7 @@ __all__ = [
     "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "hadamard", "kronecker",
     "block_hadamard", "compound", "additive_compound_2", "comparison_matrix",
     "w_map", "sign_pattern", "principal_minors", "negate_minors",
+    "exact_det_sign",
     "leading_minors", "is_z_matrix", "is_metzler", "is_m_matrix",
     "generalized_diag_dominant", "square_dd_every_order", "ClassReport",
     "classify", "sign_symmetry_sweep",
@@ -168,6 +172,37 @@ def negate_minors(minors):
     directly, which no comparison or sum can tell apart.
     """
     return ((alpha, 0.0 - v if len(alpha) % 2 else v) for alpha, v in minors)
+
+
+def exact_det_sign(m):
+    """The sign of ``det(m)``, -1, 0 or 1, in exact arithmetic.
+
+    Every finite float is a dyadic rational, so one power of two (the
+    largest denominator) scales ``m`` to an integer matrix with the same
+    determinant sign.  Fraction-free Bareiss elimination with row swaps
+    (Bareiss, Math. Comp. 22, 1968) then runs in Python integers: each
+    division is exact, and the last pivot is the scaled determinant.
+    """
+    m = as_matrix(m)
+    ratios = [x.as_integer_ratio() for x in m.ravel().tolist()]
+    scale = max(d for _, d in ratios)
+    k = m.shape[0]
+    rows = [[p * (scale // d) for p, d in ratios[i * k:(i + 1) * k]]
+            for i in range(k)]
+    sign, prev = 1, 1
+    for j in range(k - 1):
+        pivot = next((i for i in range(j, k) if rows[i][j]), None)
+        if pivot is None:
+            return 0
+        if pivot != j:
+            rows[j], rows[pivot] = rows[pivot], rows[j]
+            sign = -sign
+        for i in range(j + 1, k):
+            rows[i] = [(rows[i][c] * rows[j][j] - rows[i][j] * rows[j][c])
+                       // prev for c in range(k)]
+        prev = rows[j][j]
+    det = rows[-1][-1]
+    return sign * ((det > 0) - (det < 0))
 
 
 def leading_minors(a):

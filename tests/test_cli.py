@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matstab import cli, lyapunov, matrix_core
 from matstab import dstability as ds
 from matstab.spectra import Status
+
+from conftest import random_diagonally_stable
 
 
 def request_for(matrix, **kw):
@@ -338,3 +342,158 @@ class TestMain:
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["schema"] == "matstab-report/2"
+
+
+def _isinstance_triple(request):
+    """The triple chain of the isinstance-based pipeline, as a reference."""
+    from matstab.spectra import Disk, HalfPlaneLeft, Hyperbolic
+    r, g, op = request.region, request.gclass, request.op
+    half = isinstance(r, HalfPlaneLeft)
+    if half and isinstance(g, ds.PositiveDiagonal) and isinstance(op, ds.Multiply):
+        return "multiplicative-d-stability"
+    if half and isinstance(g, ds.NegativeDiagonal) and isinstance(op, ds.Add):
+        return "additive-d-stability"
+    if half and isinstance(op, ds.Multiply) \
+            and isinstance(g, (ds.AlphaScalar, ds.OrderedDiagonal,
+                               ds.IntervalDiagonal)):
+        return "positive-diagonal-subclass"
+    if r == Disk() and isinstance(g, ds.DiagonalNormLt1) \
+            and isinstance(op, ds.Multiply):
+        return "schur-d-stability"
+    if r == Disk() and isinstance(g, ds.VertexDiagonal) \
+            and isinstance(op, ds.Multiply):
+        return "vertex-stability"
+    if isinstance(r, Hyperbolic) and isinstance(op, ds.Multiply) \
+            and isinstance(g, (ds.PositiveDiagonal, ds.NegativeDiagonal,
+                               ds.VertexDiagonal, ds.SignPatternDiagonal)):
+        return "d-hyperbolicity"
+    if half and isinstance(g, ds.SPD) and isinstance(op, ds.Multiply):
+        return "h-stability"
+    if half and isinstance(g, ds.SPD) and isinstance(op, ds.HadamardProduct):
+        return "hadamard-h-stability"
+    return None
+
+
+REGION_SPECS = [
+    "half-plane-left", "half-plane-right", "disk", "disk:0,1", "disk:0.5,1",
+    "disk:0,2", "sector:0.6", "complement-sector:0.5", "real-line",
+    "positive-real-axis", "negative-real-axis", "hyperbolic",
+    "puncture-origin", 'lmi:{"l": [[0]], "m": [[1]]}',
+    'emi:{"r11": [[-1]], "r12": [[0]], "r22": [[1]]}']
+CLASS_SPECS = [
+    "positive-diagonal", "negative-diagonal", "diagonal-norm-lt1",
+    "vertex-diagonal", "spd", "alpha-scalar:0,1|2", "alpha-block-spd:0,1|2",
+    "ordered-diagonal:0,1,2", "interval-diagonal:0.5/2,0.5/2,0.5/2",
+    "interval-diagonal:0.5/inf,1/2,1/2", "sign-pattern:+-+",
+    "rank-positive:1"]
+OP_SPECS = ["multiply", "add", "hadamard", "block-hadamard:2"]
+
+
+class TestCheckTable:
+    def test_triple_lookup_matches_isinstance_chain(self):
+        from types import SimpleNamespace
+        seen = set()
+        for r in REGION_SPECS:
+            for g in CLASS_SPECS:
+                for op in OP_SPECS:
+                    request = SimpleNamespace(region=cli.parse_region(r),
+                                              gclass=cli.parse_gclass(g),
+                                              op=cli.parse_op(op))
+                    triple = cli._canonical_triple(request)
+                    assert triple == _isinstance_triple(request), (r, g, op)
+                    seen.add(triple)
+        assert seen == {name for name, *_ in cli._TRIPLES} | {None}
+
+    @pytest.mark.parametrize("matrix, kw", [
+        ([[1.0, -4.0], [1.0, -2.0]], dict(modes=cli.ALL_MODES)),
+        (-np.eye(2), dict(modes=cli.ALL_MODES)),
+        ([[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]], {}),
+        ([[-2.0, 1.0], [0.5, -2.0]],
+         dict(class_spec="interval-diagonal:0.5/2,0.5/2")),
+        (0.3 * np.eye(3), dict(region_spec="disk:0,1",
+                               class_spec="vertex-diagonal")),
+        ([[1.0, 2.0], [-3.0, 1.0]], dict(region_spec="hyperbolic")),
+        ([[-2.0, 0.5], [0.5, -3.0]], dict(class_spec="spd",
+                                          op_spec="hadamard")),
+    ])
+    def test_report_checks_follow_the_table(self, matrix, kw):
+        report = cli.run(request_for(matrix, samples=200, budget=200, **kw))
+        order = [check.id for check in cli.CHECKS]
+        ids = [c.check for c in report.checks]
+        assert ids
+        positions = [order.index(i) for i in ids]
+        assert positions == sorted(set(positions))
+
+    def test_errors_are_recorded_per_check(self, monkeypatch):
+        # -I + skew is H-stable: a failing li-wang no longer hides the
+        # symmetric-part proof that follows it in the table
+        def broken(a):
+            raise RuntimeError("li-wang broke")
+
+        monkeypatch.setattr(ds, "li_wang_stable", broken)
+        a = -np.eye(3) + np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5],
+                                   [2.0, -0.5, 0.0]])
+        report = cli.run(request_for(a, class_spec="spd", samples=200,
+                                     budget=200))
+        by_id = {c.check: c for c in report.checks}
+        assert by_id["li-wang"].verdict.reason == "check-error: li-wang broke"
+        assert not by_id["li-wang"].decides
+        assert by_id["symmetric-part"].verdict.proved
+        assert (report.summary_status, report.summary_reason) == (
+            Status.PROVED, "symmetric-part")
+
+    def test_classify_error_is_a_record(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("classify broke")
+
+        monkeypatch.setattr(matrix_core, "classify", broken)
+        report = cli.run(request_for(-np.eye(2), samples=100, budget=100))
+        assert report.checks[0].check == "classify"
+        assert report.checks[0].verdict.reason == \
+            "check-error: classify broke"
+        assert report.summary_status is Status.PROVED
+
+    def test_overflowing_spd_request_errs_per_check(self):
+        with np.errstate(all="ignore"):
+            report = cli.run(request_for([[1e308, 0.0], [0.0, -1e308]],
+                                         class_spec="spd"))
+        errors = [c.check for c in report.checks
+                  if c.verdict.reason.startswith("check-error")]
+        assert "symmetric-part" in errors
+        assert "diagonal-certificate" in errors
+        assert not {"structural", "certificates"} & set(errors)
+
+    def test_one_cyclic_form_per_request(self, monkeypatch):
+        from matstab import special_forms
+        calls = [0]
+        detect = special_forms.detect_cyclic
+
+        def counting(a):
+            calls[0] += 1
+            return detect(a)
+
+        monkeypatch.setattr(special_forms, "detect_cyclic", counting)
+        m = [[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
+        report = cli.run(request_for(m, samples=100, budget=100))
+        assert "secant-criterion" in [c.check for c in report.checks]
+        cli.run(request_for(-np.eye(3) + 0.1, samples=100, budget=100))
+        assert calls[0] == 2
+
+
+class TestExactMinorChecks:
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 12),
+           st.floats(30.0, 100.0))
+    @settings(max_examples=10, deadline=None)
+    def test_diagonally_stable_never_refuted(self, seed, n, norm):
+        # A = P^-1 (-S + K), S > 0, K skew, P > 0 diagonal: diagonally
+        # stable, so D-stable for both triples, at a scale where the float
+        # minor tolerance is huge
+        a, _ = random_diagonally_stable(np.random.default_rng(seed), n)
+        a *= norm / np.linalg.norm(a, np.inf)
+        for class_spec, op_spec in (("positive-diagonal", "multiply"),
+                                    ("negative-diagonal", "add")):
+            report = cli.run(request_for(
+                a, class_spec=class_spec, op_spec=op_spec, budget=300,
+                modes=("classify", "necessary", "sufficient")))
+            assert [c.check for c in report.checks if c.verdict.refuted] == []
+            assert report.summary_status is not Status.REFUTED

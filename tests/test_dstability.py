@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matstab import dstability as ds
 from matstab import lyapunov as ly
@@ -52,6 +54,24 @@ class TestSamplers:
         g = ds.sample_g(ds.EntrywisePositiveRank(1), rng, 4)
         assert (g > 0).all()
         assert np.linalg.matrix_rank(g, tol=1e-9 * abs(g).max()) == 1
+
+    @pytest.mark.parametrize("cls", [ds.PositiveDiagonal(),
+                                     ds.DiagonalNormLt1(),
+                                     ds.VertexDiagonal()],
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_default_sample_is_the_old_sampler_bit_for_bit(self, cls, n):
+        old = {"positive-diagonal":
+               lambda rng: np.diag(np.exp(rng.uniform(np.log(1e-3),
+                                                      np.log(1e3), n))),
+               "diagonal-norm-lt1":
+               lambda rng: np.diag(rng.uniform(-1.0, 1.0, n)),
+               "vertex-diagonal":
+               lambda rng: np.diag(rng.integers(0, 2, n) * 2.0 - 1.0)}
+        for seed in range(50):
+            got = cls.sample(np.random.default_rng(seed), n)
+            ref = old[cls.name](np.random.default_rng(seed))
+            assert got.tobytes() == ref.tobytes()
 
     def test_interval_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -234,6 +254,29 @@ class TestNecessary:
     def test_hicksian_passes_by_containment(self, rng):
         m = random_m_matrix(rng, 3)  # -(-M) = M is a P-matrix
         assert ds.necessary_p0plus(-m).status is Status.UNKNOWN
+
+
+class TestExactMinorRefutation:
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 12),
+           st.floats(30.0, 100.0))
+    @settings(max_examples=25, deadline=None)
+    def test_diagonally_stable_never_refuted_by_a_minor(self, seed, n, norm):
+        # the float tolerance of an order-k minor grows like ||A||^k, so
+        # at this scale float screens alone refute these inputs
+        a, _ = random_diagonally_stable(np.random.default_rng(seed), n)
+        a *= norm / np.linalg.norm(a, np.inf)
+        for mode in ("multiplicative", "additive"):
+            assert not ds.necessary_p0plus(a, mode=mode).refuted
+        assert ds._p_matrix_violation(-a) is None
+
+    def test_exactly_vanishing_sum_still_refutes(self):
+        # -A = diag(0, 1): its only order-2 minor is exactly 0
+        v = ds.necessary_p0plus(np.diag([0.0, -1.0]))
+        assert v.refuted and v.reason == "p0-minor-sums-vanish-multiplicative"
+        assert v.witness["order"] == 2
+
+    def test_exactly_zero_minor_fails_the_p_test(self):
+        assert ds._p_matrix_violation(np.diag([1.0, 0.0])) == ((1,), 0.0)
 
 
 class TestSufficientSuite:

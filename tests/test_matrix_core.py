@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -446,3 +447,62 @@ class TestSquareDDEveryOrder:
     def test_cap(self):
         with pytest.raises(ValueError):
             mc.square_dd_every_order(np.eye(9))
+
+
+def _fraction_det_sign(m):
+    """Sign of det(m) by Gaussian elimination over exact fractions."""
+    rows = [[Fraction(x) for x in row] for row in np.asarray(m).tolist()]
+    n, sign = len(rows), 1
+    for j in range(n):
+        pivot = next((i for i in range(j, n) if rows[i][j] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != j:
+            rows[j], rows[pivot] = rows[pivot], rows[j]
+            sign = -sign
+        if rows[j][j] < 0:
+            sign = -sign
+        for i in range(j + 1, n):
+            f = rows[i][j] / rows[j][j]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
+    return sign
+
+
+@st.composite
+def exact_det_inputs(draw):
+    """Square floats of mixed scale; half of them exactly singular."""
+    n = draw(st.integers(1, 7))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    a = draw(arrays(np.float64, (n, n), elements=st.one_of(
+        st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)))) * scale
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            a[i] = 0.0
+        elif i != j:
+            a[i] = a[j] * -2.0  # exact in floats: a power-of-two multiple
+        else:
+            a[:, i] = 0.0
+    return a
+
+
+class TestExactDetSign:
+    @given(exact_det_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_elimination(self, a):
+        assert mc.exact_det_sign(a) == _fraction_det_sign(a)
+
+    def test_exactly_singular_and_swaps(self):
+        assert mc.exact_det_sign(np.array([[0.1, 0.2], [0.3, 0.6]])) == \
+            _fraction_det_sign([[0.1, 0.2], [0.3, 0.6]])
+        assert mc.exact_det_sign(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0
+        assert mc.exact_det_sign(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1
+        assert mc.exact_det_sign(np.eye(3)[[1, 2, 0]]) == 1
+        assert mc.exact_det_sign(np.array([[-1e-300]])) == -1
+
+    def test_float_det_sign_can_be_wrong(self):
+        # [[1, 1+e], [1-e, 1]] has det e^2 > 0, which floats round to 0
+        e = 2.0 ** -30
+        a = np.array([[1.0, 1.0 + e], [1.0 - e, 1.0]])
+        assert np.linalg.det(a) <= 0
+        assert mc.exact_det_sign(a) == 1
