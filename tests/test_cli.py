@@ -1,13 +1,14 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matstab import cli, lyapunov, matrix_core
+from matstab import cli, lyapunov, matrix_core, special_forms
 from matstab import dstability as ds
-from matstab.spectra import Status
+from matstab.spectra import Disk, HalfPlaneLeft, Hyperbolic, Status
 
 from conftest import random_diagonally_stable
 
@@ -346,7 +347,6 @@ class TestMain:
 
 def _isinstance_triple(request):
     """The triple chain of the isinstance-based pipeline, as a reference."""
-    from matstab.spectra import Disk, HalfPlaneLeft, Hyperbolic
     r, g, op = request.region, request.gclass, request.op
     half = isinstance(r, HalfPlaneLeft)
     if half and isinstance(g, ds.PositiveDiagonal) and isinstance(op, ds.Multiply):
@@ -391,7 +391,6 @@ OP_SPECS = ["multiply", "add", "hadamard", "block-hadamard:2"]
 
 class TestCheckTable:
     def test_triple_lookup_matches_isinstance_chain(self):
-        from types import SimpleNamespace
         seen = set()
         for r in REGION_SPECS:
             for g in CLASS_SPECS:
@@ -464,7 +463,6 @@ class TestCheckTable:
         assert not {"structural", "certificates"} & set(errors)
 
     def test_one_cyclic_form_per_request(self, monkeypatch):
-        from matstab import special_forms
         calls = [0]
         detect = special_forms.detect_cyclic
 
