@@ -131,12 +131,18 @@ def _json_arg(text):
     return json.loads(text)
 
 
+# regions whose spec takes no argument
+_PLAIN_REGIONS = {
+    "half-plane-left": HalfPlaneLeft, "half-plane-right": HalfPlaneRight,
+    "real-line": RealLine, "positive-real-axis": PositiveRealAxis,
+    "negative-real-axis": NegativeRealAxis, "hyperbolic": Hyperbolic,
+    "puncture-origin": PunctureOrigin}
+
+
 def parse_region(spec):
     name, _, arg = spec.partition(":")
-    if name == "half-plane-left":
-        return HalfPlaneLeft()
-    if name == "half-plane-right":
-        return HalfPlaneRight()
+    if name in _PLAIN_REGIONS:
+        return _PLAIN_REGIONS[name]()
     if name == "disk":
         if not arg:
             return Disk()
@@ -146,16 +152,6 @@ def parse_region(spec):
         return SectorRight(float(arg))
     if name == "complement-sector":
         return ComplementSector(float(arg))
-    if name == "real-line":
-        return RealLine()
-    if name == "positive-real-axis":
-        return PositiveRealAxis()
-    if name == "negative-real-axis":
-        return NegativeRealAxis()
-    if name == "hyperbolic":
-        return Hyperbolic()
-    if name == "puncture-origin":
-        return PunctureOrigin()
     if name == "lmi":
         obj = _json_arg(arg)
         return LMIRegion(np.asarray(obj["l"], float), np.asarray(obj["m"], float))
@@ -168,10 +164,8 @@ def parse_region(spec):
 
 
 def _parse_partition(arg):
-    blocks = []
-    for chunk in arg.split("|"):
-        blocks.append(tuple(int(x) for x in chunk.split(",")))
-    return tuple(blocks)
+    return tuple(tuple(int(x) for x in chunk.split(","))
+                 for chunk in arg.split("|"))
 
 
 def parse_gclass(spec):
@@ -386,7 +380,8 @@ class _SharedWork:
     """Work that several checks of one request share, each done at most once.
 
     Every result is computed on first use.  A computation that raises is
-    not cached, so it raises again in every check that asks for it.
+    not cached, so it raises again in every check that asks for it; only
+    the cyclic-form detection keeps its error.
     """
 
     def __init__(self, a, budget):
@@ -429,9 +424,13 @@ class _SharedWork:
         return lyapunov.diagonal_stability_search(self.a, budget=self.budget)
 
     @cached_property
-    def cyclic_form(self):
-        """``detect_cyclic(A)``: the cyclic feedback form, or None."""
-        return special_forms.detect_cyclic(self.a)
+    def cyclic(self):
+        """One ``detect_cyclic(A)`` call as ``(form, error)``: a failing
+        detection runs once and errs once, under secant-criterion."""
+        try:
+            return special_forms.detect_cyclic(self.a), None
+        except Exception as exc:
+            return None, exc
 
 
 class _Context:
@@ -439,14 +438,11 @@ class _Context:
 
     def __init__(self, request):
         self.request = request
-        self.a = request.matrix
-        self.n = self.a.shape[0]
-        self.region, self.gclass, self.op = (request.region, request.gclass,
-                                             request.op)
-        self.half_plane = self.region == HalfPlaneLeft()
+        self.n = request.matrix.shape[0]
+        self.half_plane = request.region == HalfPlaneLeft()
         self.triple = _canonical_triple(request)
         self.checks = []
-        self.shared = _SharedWork(self.a, request.budget)
+        self.shared = _SharedWork(request.matrix, request.budget)
 
     def proved(self, check):
         """Whether a record of ``check`` so far is Proved."""
@@ -455,11 +451,11 @@ class _Context:
     @cached_property
     def identity_in_class(self):
         """Whether the identity element of the operation is in the class."""
-        n, op = self.n, self.op.name
+        n, op = self.n, self.request.op.name
         probe = (np.eye(n) if op in ("multiply", "block-hadamard")
                  else np.ones((n, n)) if op == "hadamard" else np.zeros((n, n)))
         try:
-            return bool(self.gclass.contains(probe))
+            return bool(self.request.gclass.contains(probe))
         except Exception:
             return False
 
@@ -478,26 +474,29 @@ def _classify(ctx):
 
 
 def _gershgorin(ctx):
-    disks, verdict = gershgorin(ctx.a)
+    disks, verdict = gershgorin(ctx.request.matrix)
     return verdict, False, {"disks": disks}
 
 
 def _self_stability(ctx):
-    verdict = region_stable(ctx.a, ctx.region)
+    a = ctx.request.matrix
+    verdict = region_stable(a, ctx.request.region)
     return (verdict, verdict.refuted and ctx.identity_in_class,
-            {"eigenvalues": eigenvalues(ctx.a)})
+            {"eigenvalues": eigenvalues(a)})
 
 
 def _necessary(ctx):
     mode = ("multiplicative" if ctx.triple == "multiplicative-d-stability"
             else "additive")
-    verdict = ds.necessary_p0plus(ctx.a, mode=mode,
+    verdict = ds.necessary_p0plus(ctx.request.matrix, mode=mode,
                                   minors=ctx.shared.neg_minors())
     return verdict, verdict.refuted, None
 
 
 def _secant(ctx):
-    form = ctx.shared.cyclic_form
+    form, error = ctx.shared.cyclic
+    if error is not None:
+        raise error
     verdict = special_forms.secant_criterion(form)
     # Proved decides the triple via diagonal stability; Refuted only
     # denies diagonal stability, not D-stability.
@@ -507,24 +506,24 @@ def _secant(ctx):
 
 def _single_circuit(ctx):
     try:
-        verdict = special_forms.single_circuit_criterion(ctx.a)
+        verdict = special_forms.single_circuit_criterion(ctx.request.matrix)
     except ValueError:
         return None
     return verdict, verdict.proved and ctx.triple in _DIAG_DECIDED, None
 
 
 def _li_wang(ctx):
-    verdict = ds.li_wang_stable(ctx.a)
+    verdict = ds.li_wang_stable(ctx.request.matrix)
     return verdict, verdict.refuted and ctx.identity_in_class, None
 
 
 def _interval_box(ctx):
     # the diagonal box reduces to a four-polynomial test when the
     # positive-convention matrix is P0 (sufficient only)
-    g = ctx.gclass
+    g = ctx.request.gclass
     try:
         verdict = polynomials.kosov_interval_dstability(
-            -ctx.a, np.asarray(g.d_min), np.asarray(g.d_max),
+            -ctx.request.matrix, np.asarray(g.d_min), np.asarray(g.d_max),
             classification=ctx.shared.neg_classification)
     except ValueError as exc:
         return Verdict(Status.UNKNOWN, f"premise-fails: {exc}"), False, None
@@ -532,16 +531,17 @@ def _interval_box(ctx):
 
 
 def _vertex_enumeration(ctx):
-    verdict = ds.vertex_schur_check(ctx.a)
+    verdict = ds.vertex_schur_check(ctx.request.matrix)
     # exact for the vertex class itself; necessary-only for the
     # norm-bounded class
     return verdict, verdict.refuted or ctx.triple == "vertex-stability", None
 
 
 def _symmetric_part(ctx):
-    ok, _ = lyapunov.is_negative_definite(ctx.a + ctx.a.T)
+    a = ctx.request.matrix
+    ok, _ = lyapunov.is_negative_definite(a + a.T)
     if ctx.triple == "hadamard-h-stability":
-        ok = ok and bool(np.allclose(ctx.a, ctx.a.T))
+        ok = ok and bool(np.allclose(a, a.T))
     verdict = (Verdict(Status.PROVED, "symmetric-part-negative-definite")
                if ok else
                Verdict(Status.UNKNOWN, "symmetric-part-not-negative-definite"))
@@ -550,7 +550,7 @@ def _symmetric_part(ctx):
 
 def _sufficient_suite(ctx):
     suite = ds.sufficient_suite(
-        -ctx.a, budget=ctx.request.budget,
+        -ctx.request.matrix, budget=ctx.request.budget,
         classification=ctx.shared.neg_classification,
         search=ctx.shared.half_plane_search)
     fired = [name for name, v in suite if v.proved]
@@ -563,35 +563,37 @@ def _sufficient_suite(ctx):
 
 
 def _diagonal_certificate(ctx):
+    r = ctx.request
     if ctx.half_plane:
         verdict = ctx.shared.half_plane_search
     else:
-        verdict = lyapunov.diagonal_stability_search(
-            ctx.a, ctx.region, budget=ctx.request.budget)
+        verdict = lyapunov.diagonal_stability_search(r.matrix, r.region,
+                                                     budget=r.budget)
     data = None
     if verdict.proved:
         data = {"re-verified-margin":
-                lyapunov.verify_certificate(ctx.a, verdict.witness)}
+                lyapunov.verify_certificate(r.matrix, verdict.witness)}
     decided = _DIAG_DECIDED + ("schur-d-stability", "vertex-stability")
     return verdict, verdict.proved and ctx.triple in decided, data
 
 
 def _hyperbolicity_certificate(ctx):
     verdict = lyapunov.diagonal_hyperbolicity_search(
-        ctx.a, budget=ctx.request.budget)
+        ctx.request.matrix, budget=ctx.request.budget)
     return verdict, verdict.proved, None
 
 
 def _falsify(ctx):
-    verdict = ds.falsify(ctx.a, ctx.gclass, ctx.op, ctx.region,
-                         samples=ctx.request.samples, seed=ctx.request.seed)
+    r = ctx.request
+    verdict = ds.falsify(r.matrix, r.gclass, r.op, r.region,
+                         samples=r.samples, seed=r.seed)
     return verdict, True, None
 
 
 def _total_scan(ctx):
-    scan = ds.total_stability_scan(
-        ctx.a, samples=min(ctx.request.samples, 2000),
-        budget=ctx.request.budget, seed=ctx.request.seed)
+    r = ctx.request
+    scan = ds.total_stability_scan(r.matrix, samples=min(r.samples, 2000),
+                                   budget=r.budget, seed=r.seed)
     overall = scan.pop("overall")
     # only a strictly unstable principal submatrix decides the request
     wit = overall.witness
@@ -604,7 +606,7 @@ def _total_scan(ctx):
 
 
 def _simulate(ctx):
-    horizon = ctx.request.simulate_horizon
+    a, horizon = ctx.request.matrix, ctx.request.simulate_horizon
     realized = next((c.verdict.witness.realized for c in ctx.checks
                      if c.verdict.refuted
                      and isinstance(c.verdict.witness, ds.FalsificationWitness)
@@ -616,52 +618,48 @@ def _simulate(ctx):
         return (Verdict(Status.UNKNOWN, "witness-trajectory-grows" if ratio > 1
                         else "witness-trajectory-bounded"), False,
                 {"ratio": ratio, "horizon": h, "target": "witness"})
-    alpha = spectral_abscissa(ctx.a)
+    alpha = spectral_abscissa(a)
     if alpha >= 0:
         return (Verdict(Status.UNKNOWN, "matrix-not-hurwitz"), False,
                 {"abscissa": alpha})
     if horizon is None:
-        horizon = decay_horizon(ctx.a, target=1e-8)
-    step = min(0.01, 0.4 / (1.0 + np.linalg.norm(ctx.a, 2)), horizon / 10.0)
-    ratio = simulate_decay(ctx.a, horizon, step)
+        horizon = decay_horizon(a, target=1e-8)
+    step = min(0.01, 0.4 / (1.0 + np.linalg.norm(a, 2)), horizon / 10.0)
+    ratio = simulate_decay(a, horizon, step)
     verdict = Verdict(Status.UNKNOWN, "trajectories-decay" if ratio < 1
                       else "trajectories-grow")
     return verdict, False, {"ratio": ratio, "horizon": horizon,
                             "abscissa": alpha}
 
 
-def _always(ctx):
-    return True
-
-
 Check = collections.namedtuple("Check", "id reference mode applies run")
 
 # The pipeline in report order.  ``mode`` is the ``--mode`` value that
 # turns a check on (None: it always runs); ``applies`` says whether the
-# check has something to say about the request.
+# check has something to say about the request (None: always).
 CHECKS = (
-    Check("classify", "determinantal class flags", "classify",
-          _always, _classify),
-    Check("gershgorin", "row disc localization", "classify",
-          _always, _gershgorin),
-    Check("self-stability", "direct spectral membership", None,
-          _always, _self_stability),
+    Check("classify", "determinantal class flags", "classify", None,
+          _classify),
+    Check("gershgorin", "row disc localization", "classify", None,
+          _gershgorin),
+    Check("self-stability", "direct spectral membership", None, None,
+          _self_stability),
     Check("necessary-p0plus", "minor-sign necessity", "necessary",
           lambda c: (c.triple in ("multiplicative-d-stability",
                                   "additive-d-stability")
                      and c.n <= MINOR_ENUM_CAP),
           _necessary),
     Check("secant-criterion", "cyclic feedback gain bound", "structural",
-          lambda c: c.shared.cyclic_form is not None, _secant),
+          lambda c: c.shared.cyclic != (None, None), _secant),
     Check("single-circuit", "circuit gain bound", "structural",
-          lambda c: c.shared.cyclic_form is None, _single_circuit),
+          lambda c: c.shared.cyclic == (None, None), _single_circuit),
     Check("li-wang", "second additive compound equivalence", "structural",
           lambda c: c.half_plane and c.n >= 2, _li_wang),
     Check("interval-box", "interval-to-polynomial-box reduction",
           "structural",
-          lambda c: (c.half_plane and c.op.name == "multiply"
-                     and c.gclass.name == "interval-diagonal"
-                     and c.gclass.bounded),
+          lambda c: (c.half_plane and c.request.op.name == "multiply"
+                     and c.request.gclass.name == "interval-diagonal"
+                     and c.request.gclass.bounded),
           _interval_box),
     Check("vertex-enumeration", "sign-vertex spectral radii", "structural",
           lambda c: (c.triple in ("vertex-stability", "schur-d-stability")
@@ -675,14 +673,13 @@ CHECKS = (
           "sufficient", lambda c: c.triple in _DIAG_DECIDED,
           _sufficient_suite),
     Check("diagonal-certificate", "diagonal Lyapunov-type search", "certify",
-          lambda c: (c.region.emi is not None
+          lambda c: (c.request.region.emi is not None
                      and not (c.half_plane and c.proved("sufficient-suite"))),
           _diagonal_certificate),
     Check("hyperbolicity-certificate", "sign-free diagonal search",
           "certify", lambda c: c.triple == "d-hyperbolicity",
           _hyperbolicity_certificate),
-    Check("falsify", "randomized class sampling", "falsify",
-          _always, _falsify),
+    Check("falsify", "randomized class sampling", "falsify", None, _falsify),
     Check("total-scan", "principal submatrix sweep", "total-scan",
           lambda c: c.half_plane and c.n <= ds.TOTAL_SCAN_CAP, _total_scan),
     Check("simulate", "fixed-step trajectory integration", "simulate",
@@ -718,7 +715,8 @@ def run(request):
             continue
         started = time.perf_counter()
         try:
-            out = check.run(ctx) if check.applies(ctx) else None
+            applies = check.applies is None or check.applies(ctx)
+            out = check.run(ctx) if applies else None
         except Exception as exc:
             out = Verdict(Status.UNKNOWN, f"check-error: {exc}"), False, None
         if out is None:

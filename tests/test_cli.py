@@ -477,6 +477,23 @@ class TestCheckTable:
         cli.run(request_for(-np.eye(3) + 0.1, samples=100, budget=100))
         assert calls[0] == 2
 
+    def test_failing_cyclic_detection_errs_once(self, monkeypatch):
+        calls = [0]
+
+        def failing(a):
+            calls[0] += 1
+            raise RuntimeError("detection failed")
+
+        monkeypatch.setattr(special_forms, "detect_cyclic", failing)
+        report = cli.run(request_for(-np.eye(3) + 0.1, samples=100,
+                                     budget=100))
+        assert calls[0] == 1
+        errors = [c.check for c in report.checks
+                  if c.verdict.reason.startswith("check-error")]
+        assert errors == ["secant-criterion"]
+        assert "single-circuit" not in [c.check for c in report.checks]
+        assert "li-wang" in [c.check for c in report.checks]
+
 
 class TestExactMinorChecks:
     @given(st.integers(0, 2**32 - 1), st.integers(8, 12),
