@@ -67,8 +67,14 @@ class GClass:
 
     def sample_checked(self, rng, n):
         g = self.sample(rng, n)
-        assert self.contains(g), f"sampler left the class {self.name}"
+        self._require_member(self.contains(g))
         return g
+
+    def _require_member(self, ok):
+        # an explicit raise, not an assert: python -O strips asserts, and
+        # a sampler that left its class would hand falsify an unsound witness
+        if not np.all(ok):
+            raise AssertionError(f"sampler left the class {self.name}")
 
     def sample_batch(self, rng, n, k):
         """(k, n, n) stack of checked samples; diagonal classes vectorize."""
@@ -101,7 +107,7 @@ class PositiveDiagonal(GClass):
 
     def _sample_diag_batch(self, rng, n, k):
         d = _log_uniform(rng, self.low, self.high, (k, n))
-        assert (d > 0).all()
+        self._require_member(d > 0)
         return d
 
 
@@ -121,7 +127,7 @@ class NegativeDiagonal(GClass):
 
     def _sample_diag_batch(self, rng, n, k):
         d = -_log_uniform(rng, self.low, self.high, (k, n))
-        assert (d < 0).all()
+        self._require_member(d < 0)
         return d
 
 
@@ -137,7 +143,7 @@ class DiagonalNormLt1(GClass):
 
     def _sample_diag_batch(self, rng, n, k):
         d = rng.uniform(-1.0, 1.0, (k, n))
-        assert (np.abs(d) < 1.0).all()
+        self._require_member(np.abs(d) < 1.0)
         return d
 
 
@@ -153,7 +159,9 @@ class VertexDiagonal(GClass):
             (np.abs(np.abs(np.diag(g)) - 1.0) <= tol).all())
 
     def _sample_diag_batch(self, rng, n, k):
-        return rng.integers(0, 2, (k, n)) * 2.0 - 1.0
+        d = rng.integers(0, 2, (k, n)) * 2.0 - 1.0
+        self._require_member(np.abs(d) == 1.0)
+        return d
 
 
 @dataclass(frozen=True)
@@ -163,19 +171,21 @@ class AlphaScalar(GClass):
     partition: tuple
     name = "alpha-scalar"
 
-    def sample(self, rng, n):
-        _check_partition(self.partition, n)
-        d = np.empty(n)
-        for block in self.partition:
-            d[list(block)] = _log_uniform(rng, 1e-3, 1e3)
-        return np.diag(d)
-
     def contains(self, g, tol=1e-9):
         if not _is_diagonal(g, tol) or not (np.diag(g) > 0).all():
             return False
         d = np.diag(g)
         return all(np.ptp(d[list(block)]) <= tol * (1.0 + abs(d).max())
                    for block in self.partition)
+
+    def _sample_diag_batch(self, rng, n, k):
+        _check_partition(self.partition, n)
+        block_of = np.empty(n, dtype=int)
+        for j, block in enumerate(self.partition):
+            block_of[list(block)] = j
+        d = _log_uniform(rng, 1e-3, 1e3, (k, len(self.partition)))[:, block_of]
+        self._require_member(d > 0)
+        return d
 
 
 @dataclass(frozen=True)
@@ -200,7 +210,7 @@ class AlphaBlockSPD(GClass):
             mask[np.ix_(idx, idx)] = False
         if np.abs(g[mask]).max(initial=0.0) > tol:
             return False
-        return _spd_contains(g, tol)
+        return bool(_spd_contains(g, tol))
 
 
 def _spd_sample(rng, n):
@@ -210,9 +220,12 @@ def _spd_sample(rng, n):
 
 
 def _spd_contains(g, tol):
-    if np.abs(g - g.T).max() > tol * (1.0 + np.abs(g).max()):
-        return False
-    return bool(np.linalg.eigvalsh(0.5 * (g + g.T))[0] > 0)
+    """Symmetric and positive definite; leading axes of ``g`` are a batch."""
+    gt = np.swapaxes(g, -1, -2)
+    axes = (-2, -1)
+    symmetric = ~(np.abs(g - gt).max(axis=axes)
+                  > tol * (1.0 + np.abs(g).max(axis=axes)))
+    return symmetric & (np.linalg.eigvalsh(0.5 * (g + gt))[..., 0] > 0)
 
 
 @dataclass(frozen=True)
@@ -222,10 +235,24 @@ class SPD(GClass):
     name = "spd"
 
     def sample(self, rng, n):
-        return _spd_sample(rng, n)
+        return self.sample_batch(rng, n, 1)[0]
 
     def contains(self, g, tol=1e-9):
-        return _spd_contains(g, tol)
+        return bool(_spd_contains(g, tol))
+
+    def sample_batch(self, rng, n, k):
+        # normal draws take a variable share of the stream, so each sample
+        # draws its normals and then its eigenvalues, as _spd_sample does;
+        # the QR, the products and the membership test run on the stack
+        z = np.empty((k, n, n))
+        lam = np.empty((k, 1, n))
+        for i in range(k):
+            z[i] = rng.normal(size=(n, n))
+            lam[i, 0] = _log_uniform(rng, 1e-3, 1e3, n)
+        q, _ = np.linalg.qr(z)
+        g = (q * lam) @ np.swapaxes(q, -1, -2)
+        self._require_member(_spd_contains(g, 1e-9))
+        return g
 
 
 @dataclass(frozen=True)
@@ -235,19 +262,20 @@ class OrderedDiagonal(GClass):
     tau: tuple
     name = "ordered-diagonal"
 
-    def sample(self, rng, n):
-        if sorted(self.tau) != list(range(n)):
-            raise ValueError("tau must be a permutation of 0..n-1")
-        values = np.sort(_log_uniform(rng, 1e-3, 1e3, n))[::-1]
-        d = np.empty(n)
-        d[list(self.tau)] = values
-        return np.diag(d)
-
     def contains(self, g, tol=1e-9):
         if not _is_diagonal(g, tol) or not (np.diag(g) > 0).all():
             return False
         d = np.diag(g)[list(self.tau)]
         return bool((d[:-1] >= d[1:] - tol * (1.0 + d.max())).all())
+
+    def _sample_diag_batch(self, rng, n, k):
+        if sorted(self.tau) != list(range(n)):
+            raise ValueError("tau must be a permutation of 0..n-1")
+        d = np.empty((k, n))
+        d[:, list(self.tau)] = np.sort(_log_uniform(rng, 1e-3, 1e3, (k, n)),
+                                       axis=1)[:, ::-1]
+        self._require_member(d > 0)
+        return d
 
 
 @dataclass(frozen=True)
@@ -276,20 +304,22 @@ class IntervalDiagonal(GClass):
     def bounded(self):
         return bool(np.isfinite(self.d_max).all())
 
-    def sample(self, rng, n):
-        lo = np.asarray(self.d_min)
-        hi = np.asarray(self.d_max)
-        if lo.size != n:
-            raise ValueError("interval bounds do not match the dimension")
-        hi = np.where(np.isfinite(hi), hi, 1e3 * lo)
-        return np.diag(_log_uniform(rng, lo, hi))
-
     def contains(self, g, tol=1e-9):
         if not _is_diagonal(g, tol):
             return False
         d = np.diag(g)
         return bool((d >= np.asarray(self.d_min)).all()
                     and (d <= np.asarray(self.d_max)).all())
+
+    def _sample_diag_batch(self, rng, n, k):
+        lo = np.asarray(self.d_min)
+        hi = np.asarray(self.d_max)
+        if lo.size != n:
+            raise ValueError("interval bounds do not match the dimension")
+        cap = np.where(np.isfinite(hi), hi, 1e3 * lo)
+        d = _log_uniform(rng, lo, cap, (k, n))
+        self._require_member((d >= lo) & (d <= hi))
+        return d
 
 
 @dataclass(frozen=True)
@@ -299,16 +329,18 @@ class SignPatternDiagonal(GClass):
     signs: tuple
     name = "sign-pattern-diagonal"
 
-    def sample(self, rng, n):
-        s = np.asarray(self.signs, dtype=float)
-        if s.size != n or not np.all(np.abs(s) == 1.0):
-            raise ValueError("signs must be a vector of +-1 matching n")
-        return np.diag(s * _log_uniform(rng, 1e-3, 1e3, n))
-
     def contains(self, g, tol=1e-9):
         if not _is_diagonal(g, tol):
             return False
         return bool((np.sign(np.diag(g)) == np.asarray(self.signs)).all())
+
+    def _sample_diag_batch(self, rng, n, k):
+        s = np.asarray(self.signs, dtype=float)
+        if s.size != n or not np.all(np.abs(s) == 1.0):
+            raise ValueError("signs must be a vector of +-1 matching n")
+        d = s * _log_uniform(rng, 1e-3, 1e3, (k, n))
+        self._require_member(np.sign(d) == s)
+        return d
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +17,72 @@ from matstab.spectra import Disk, HalfPlaneLeft, Status
 from conftest import (random_diagonally_stable, random_m_matrix,
                       random_schur_diag_stable, random_sdd_positive_diag,
                       random_tridiagonal_p, random_triangular_positive_diag)
+
+
+def _old_log_uniform(rng, lo, hi, size=None):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+
+def _old_interval_draw(lo, hi):
+    def draw(rng):
+        cap = np.where(np.isfinite(hi), hi, 1e3 * lo)
+        return np.diag(_old_log_uniform(rng, lo, cap))
+    return draw
+
+
+def _old_spd_draw(n):
+    def draw(rng):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = _old_log_uniform(rng, 1e-3, 1e3, n)
+        return (q * lam) @ q.T
+    return draw
+
+
+def _class_and_old_draw(name, n):
+    """A class for dimension n, and its per-sample draw before batching."""
+    lo = np.linspace(0.5, 1.0, n)
+    if name == "positive-diagonal":
+        return ds.PositiveDiagonal(), lambda rng: np.diag(
+            np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n)))
+    if name == "diagonal-norm-lt1":
+        return ds.DiagonalNormLt1(), lambda rng: np.diag(
+            rng.uniform(-1.0, 1.0, n))
+    if name == "vertex-diagonal":
+        return ds.VertexDiagonal(), lambda rng: np.diag(
+            rng.integers(0, 2, n) * 2.0 - 1.0)
+    if name == "spd":
+        return ds.SPD(), _old_spd_draw(n)
+    if name in ("interval-diagonal", "interval-diagonal-inf"):
+        hi = 4.0 * lo
+        if name.endswith("-inf"):
+            hi[::2] = np.inf
+        return ds.IntervalDiagonal(tuple(lo), tuple(hi)), \
+            _old_interval_draw(lo, hi)
+    if name == "ordered-diagonal":
+        tau = tuple(int(i) for i in np.random.default_rng(n).permutation(n))
+
+        def draw(rng):
+            values = np.sort(_old_log_uniform(rng, 1e-3, 1e3, n))[::-1]
+            d = np.empty(n)
+            d[list(tau)] = values
+            return np.diag(d)
+        return ds.OrderedDiagonal(tau), draw
+    if name == "alpha-scalar":
+        partition = tuple(b for b in (tuple(range(1, n, 2)),
+                                      tuple(range(0, n, 2))) if b)
+
+        def draw(rng):
+            d = np.empty(n)
+            for block in partition:
+                d[list(block)] = _old_log_uniform(rng, 1e-3, 1e3)
+            return np.diag(d)
+        return ds.AlphaScalar(partition), draw
+    if name == "sign-pattern-diagonal":
+        signs = tuple((-1) ** i for i in range(n))
+        s = np.asarray(signs, dtype=float)
+        return ds.SignPatternDiagonal(signs), lambda rng: np.diag(
+            s * _old_log_uniform(rng, 1e-3, 1e3, n))
+    raise KeyError(name)
 
 
 class TestSamplers:
@@ -55,23 +126,68 @@ class TestSamplers:
         assert (g > 0).all()
         assert np.linalg.matrix_rank(g, tol=1e-9 * abs(g).max()) == 1
 
-    @pytest.mark.parametrize("cls", [ds.PositiveDiagonal(),
-                                     ds.DiagonalNormLt1(),
-                                     ds.VertexDiagonal()],
-                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("name", [
+        "positive-diagonal", "diagonal-norm-lt1", "vertex-diagonal", "spd",
+        "interval-diagonal", "interval-diagonal-inf", "ordered-diagonal",
+        "alpha-scalar", "sign-pattern-diagonal"])
     @pytest.mark.parametrize("n", [1, 2, 5, 13])
-    def test_default_sample_is_the_old_sampler_bit_for_bit(self, cls, n):
-        old = {"positive-diagonal":
-               lambda rng: np.diag(np.exp(rng.uniform(np.log(1e-3),
-                                                      np.log(1e3), n))),
-               "diagonal-norm-lt1":
-               lambda rng: np.diag(rng.uniform(-1.0, 1.0, n)),
-               "vertex-diagonal":
-               lambda rng: np.diag(rng.integers(0, 2, n) * 2.0 - 1.0)}
+    def test_default_sample_is_the_old_sampler_bit_for_bit(self, name, n):
+        # single draws and batches both equal the per-sample code the
+        # batch samplers replaced, and leave the stream in the same state
+        cls, old = _class_and_old_draw(name, n)
         for seed in range(50):
-            got = cls.sample(np.random.default_rng(seed), n)
-            ref = old[cls.name](np.random.default_rng(seed))
+            got_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            got = cls.sample(got_rng, n)
+            ref = old(ref_rng)
             assert got.tobytes() == ref.tobytes()
+            got = cls.sample_batch(got_rng, n, 7)
+            ref = np.stack([old(ref_rng) for _ in range(7)])
+            assert got.tobytes() == ref.tobytes()
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_interval_draw_above_d_max_raises(self, monkeypatch):
+        monkeypatch.setattr(ds, "_log_uniform",
+                            lambda rng, lo, hi, size=None:
+                            np.broadcast_to(5.0 * np.asarray(lo), size))
+        cls = ds.IntervalDiagonal((0.5, 0.5, 0.5), (np.inf, np.inf, np.inf))
+        cls.sample_batch(np.random.default_rng(0), 3, 4)  # no upper bound
+        cls = ds.IntervalDiagonal((0.5, 0.5, 0.5), (2.0, 2.0, np.inf))
+        with pytest.raises(AssertionError,
+                           match="sampler left the class interval-diagonal"):
+            cls.sample_batch(np.random.default_rng(0), 3, 4)
+
+    def test_membership_checks_survive_python_O(self):
+        # a draw that leaves its class raises even with asserts stripped
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from matstab import dstability as ds
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            log_uniform = ds._log_uniform
+            ds._log_uniform = lambda *args: -log_uniform(*args)
+            classes = [ds.PositiveDiagonal(), ds.SPD(),
+                       ds.IntervalDiagonal((0.5, 0.5), (2.0, 2.0)),
+                       ds.AlphaBlockSPD(((0, 1),))]
+            for cls in classes:
+                for draw in (lambda rng: cls.sample_batch(rng, 2, 3),
+                             lambda rng: cls.sample_checked(rng, 2)):
+                    try:
+                        draw(np.random.default_rng(0))
+                    except AssertionError as exc:
+                        if str(exc) != "sampler left the class " + cls.name:
+                            sys.exit("wrong error: " + str(exc))
+                    else:
+                        sys.exit("no error from " + cls.name)
+            print("raised", len(classes))
+            """)
+        src = os.path.dirname(os.path.dirname(ds.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised 4"
 
     def test_interval_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -174,6 +290,36 @@ class TestFalsify:
         v = ds.falsify(a, ds.DiagonalNormLt1(), ds.Multiply(), Disk(0.0, 1.0),
                        samples=3000, seed=5)
         assert v.status is Status.UNKNOWN
+
+    @pytest.mark.parametrize("name, a", [
+        # Hurwitz, not H-stable: the first SPD witness is sample 420
+        ("spd", [[-0.4, -0.3, -0.2], [-0.2, -1.4, -0.9], [1.0, -0.4, -1.0]]),
+        # Hurwitz, not robust on the box [0.5, 2]^3: sample 715
+        ("interval", [[-2.0, 0.0, 0.8], [-2.8, -1.5, 0.5], [0.7, 1.7, -0.3]])],
+        ids=["spd", "interval"])
+    def test_witness_is_the_first_single_draw_witness(self, name, a):
+        # batched draws refute at the sample a loop of single draws,
+        # with the per-sample code the batch samplers replaced, refutes at
+        a = np.array(a)
+        if name == "spd":
+            gclass, draw = ds.SPD(), _old_spd_draw(3)
+        else:
+            lo, hi = np.full(3, 0.5), np.full(3, 2.0)
+            gclass = ds.IntervalDiagonal(tuple(lo), tuple(hi))
+            draw = _old_interval_draw(lo, hi)
+        region = HalfPlaneLeft()
+        rng = np.random.default_rng(0)
+        for i in range(2000):
+            g = draw(rng)
+            z = sp.first_outside(sp.eigenvalues(g @ a), region)
+            if z is not None:
+                break
+        assert z is not None and i > 256  # past the first batch
+        v = ds.falsify(a, gclass, ds.Multiply(), region, samples=2000, seed=0)
+        assert v.refuted
+        assert v.witness.sample_index == i
+        assert v.witness.g.tobytes() == g.tobytes()
+        assert v.witness.eigenvalue == z
 
     def test_deterministic_given_seed(self):
         a = np.array([[1.0, -4.0], [1.0, -2.0]])
