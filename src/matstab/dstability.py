@@ -57,13 +57,14 @@ class GClass:
 
     def sample(self, rng, n):
         """One member; diagonal classes draw it as a batch of one."""
-        diag = self._sample_diag_batch(rng, n, 1)
+        diag = self._diag_batch(rng, n, 1)
         if diag is None:
             raise NotImplementedError
         return np.diag(diag[0])
 
     def contains(self, g, tol=1e-9):
-        raise NotImplementedError
+        """Diagonal classes: g is diagonal and its diagonal is a member."""
+        return _is_diagonal(g, tol) and bool(self._diag_contains(np.diag(g), tol))
 
     def sample_checked(self, rng, n):
         g = self.sample(rng, n)
@@ -78,7 +79,7 @@ class GClass:
 
     def sample_batch(self, rng, n, k):
         """(k, n, n) stack of checked samples; diagonal classes vectorize."""
-        diag = self._sample_diag_batch(rng, n, k)
+        diag = self._diag_batch(rng, n, k)
         if diag is None:
             return np.stack([self.sample_checked(rng, n) for _ in range(k)])
         out = np.zeros((k, n, n))
@@ -86,8 +87,20 @@ class GClass:
         out[:, idx, idx] = diag
         return out
 
+    def _diag_batch(self, rng, n, k):
+        # the guard runs the test that contains runs, on every row
+        diag = self._sample_diag_batch(rng, n, k)
+        if diag is not None:
+            self._require_member(self._diag_contains(diag, 1e-9))
+        return diag
+
     def _sample_diag_batch(self, rng, n, k):
+        """(k, n) diagonals of a diagonal class, unchecked; None otherwise."""
         return None
+
+    def _diag_contains(self, d, tol):
+        """Membership of diagonals; leading axes of ``d`` are a batch."""
+        raise NotImplementedError
 
 
 def _is_diagonal(g, tol):
@@ -102,13 +115,11 @@ class PositiveDiagonal(GClass):
     high: float = 1e3
     name = "positive-diagonal"
 
-    def contains(self, g, tol=1e-9):
-        return _is_diagonal(g, tol) and bool((np.diag(g) > 0).all())
+    def _diag_contains(self, d, tol):
+        return (d > 0).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
-        d = _log_uniform(rng, self.low, self.high, (k, n))
-        self._require_member(d > 0)
-        return d
+        return _log_uniform(rng, self.low, self.high, (k, n))
 
 
 @dataclass(frozen=True)
@@ -122,13 +133,11 @@ class NegativeDiagonal(GClass):
         # diagonal, and falsify witnesses carry those zeros into reports
         return -np.diag(_log_uniform(rng, self.low, self.high, n))
 
-    def contains(self, g, tol=1e-9):
-        return _is_diagonal(g, tol) and bool((np.diag(g) < 0).all())
+    def _diag_contains(self, d, tol):
+        return (d < 0).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
-        d = -_log_uniform(rng, self.low, self.high, (k, n))
-        self._require_member(d < 0)
-        return d
+        return -_log_uniform(rng, self.low, self.high, (k, n))
 
 
 @dataclass(frozen=True)
@@ -138,13 +147,11 @@ class DiagonalNormLt1(GClass):
     name = "diagonal-norm-lt1"
     bounded = True
 
-    def contains(self, g, tol=1e-9):
-        return _is_diagonal(g, tol) and bool((np.abs(np.diag(g)) < 1.0).all())
+    def _diag_contains(self, d, tol):
+        return (np.abs(d) < 1.0).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
-        d = rng.uniform(-1.0, 1.0, (k, n))
-        self._require_member(np.abs(d) < 1.0)
-        return d
+        return rng.uniform(-1.0, 1.0, (k, n))
 
 
 @dataclass(frozen=True)
@@ -154,14 +161,11 @@ class VertexDiagonal(GClass):
     name = "vertex-diagonal"
     bounded = True
 
-    def contains(self, g, tol=1e-9):
-        return _is_diagonal(g, tol) and bool(
-            (np.abs(np.abs(np.diag(g)) - 1.0) <= tol).all())
+    def _diag_contains(self, d, tol):
+        return (np.abs(np.abs(d) - 1.0) <= tol).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
-        d = rng.integers(0, 2, (k, n)) * 2.0 - 1.0
-        self._require_member(np.abs(d) == 1.0)
-        return d
+        return rng.integers(0, 2, (k, n)) * 2.0 - 1.0
 
 
 @dataclass(frozen=True)
@@ -171,21 +175,19 @@ class AlphaScalar(GClass):
     partition: tuple
     name = "alpha-scalar"
 
-    def contains(self, g, tol=1e-9):
-        if not _is_diagonal(g, tol) or not (np.diag(g) > 0).all():
-            return False
-        d = np.diag(g)
-        return all(np.ptp(d[list(block)]) <= tol * (1.0 + abs(d).max())
-                   for block in self.partition)
+    def _diag_contains(self, d, tol):
+        slack = tol * (1.0 + np.abs(d).max(axis=-1))
+        ok = (d > 0).all(axis=-1)
+        for block in self.partition:
+            ok = ok & (np.ptp(d[..., list(block)], axis=-1) <= slack)
+        return ok
 
     def _sample_diag_batch(self, rng, n, k):
         _check_partition(self.partition, n)
         block_of = np.empty(n, dtype=int)
         for j, block in enumerate(self.partition):
             block_of[list(block)] = j
-        d = _log_uniform(rng, 1e-3, 1e3, (k, len(self.partition)))[:, block_of]
-        self._require_member(d > 0)
-        return d
+        return _log_uniform(rng, 1e-3, 1e3, (k, len(self.partition)))[:, block_of]
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,7 @@ class AlphaBlockSPD(GClass):
         g = np.zeros((n, n))
         for block in self.partition:
             idx = list(block)
-            g[np.ix_(idx, idx)] = _spd_sample(rng, len(idx))
+            g[np.ix_(idx, idx)] = _spd_sample(rng, len(idx), 1)[0]
         return g
 
     def contains(self, g, tol=1e-9):
@@ -213,10 +215,18 @@ class AlphaBlockSPD(GClass):
         return bool(_spd_contains(g, tol))
 
 
-def _spd_sample(rng, n):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    lam = _log_uniform(rng, 1e-3, 1e3, n)
-    return (q * lam) @ q.T
+def _spd_sample(rng, n, k):
+    """(k, n, n) stack of unchecked SPD draws, bit-identical to k single ones."""
+    # normal draws take a variable share of the stream, so each sample
+    # draws its normals and then its eigenvalues; the QR and the products
+    # run on the stack
+    z = np.empty((k, n, n))
+    lam = np.empty((k, 1, n))
+    for i in range(k):
+        z[i] = rng.normal(size=(n, n))
+        lam[i, 0] = _log_uniform(rng, 1e-3, 1e3, n)
+    q, _ = np.linalg.qr(z)
+    return (q * lam) @ np.swapaxes(q, -1, -2)
 
 
 def _spd_contains(g, tol):
@@ -241,16 +251,7 @@ class SPD(GClass):
         return bool(_spd_contains(g, tol))
 
     def sample_batch(self, rng, n, k):
-        # normal draws take a variable share of the stream, so each sample
-        # draws its normals and then its eigenvalues, as _spd_sample does;
-        # the QR, the products and the membership test run on the stack
-        z = np.empty((k, n, n))
-        lam = np.empty((k, 1, n))
-        for i in range(k):
-            z[i] = rng.normal(size=(n, n))
-            lam[i, 0] = _log_uniform(rng, 1e-3, 1e3, n)
-        q, _ = np.linalg.qr(z)
-        g = (q * lam) @ np.swapaxes(q, -1, -2)
+        g = _spd_sample(rng, n, k)
         self._require_member(_spd_contains(g, 1e-9))
         return g
 
@@ -262,11 +263,11 @@ class OrderedDiagonal(GClass):
     tau: tuple
     name = "ordered-diagonal"
 
-    def contains(self, g, tol=1e-9):
-        if not _is_diagonal(g, tol) or not (np.diag(g) > 0).all():
-            return False
-        d = np.diag(g)[list(self.tau)]
-        return bool((d[:-1] >= d[1:] - tol * (1.0 + d.max())).all())
+    def _diag_contains(self, d, tol):
+        dt = d[..., list(self.tau)]
+        slack = tol * (1.0 + dt.max(axis=-1, keepdims=True))
+        return ((d > 0).all(axis=-1)
+                & (dt[..., :-1] >= dt[..., 1:] - slack).all(axis=-1))
 
     def _sample_diag_batch(self, rng, n, k):
         if sorted(self.tau) != list(range(n)):
@@ -274,7 +275,6 @@ class OrderedDiagonal(GClass):
         d = np.empty((k, n))
         d[:, list(self.tau)] = np.sort(_log_uniform(rng, 1e-3, 1e3, (k, n)),
                                        axis=1)[:, ::-1]
-        self._require_member(d > 0)
         return d
 
 
@@ -304,12 +304,9 @@ class IntervalDiagonal(GClass):
     def bounded(self):
         return bool(np.isfinite(self.d_max).all())
 
-    def contains(self, g, tol=1e-9):
-        if not _is_diagonal(g, tol):
-            return False
-        d = np.diag(g)
-        return bool((d >= np.asarray(self.d_min)).all()
-                    and (d <= np.asarray(self.d_max)).all())
+    def _diag_contains(self, d, tol):
+        return ((d >= np.asarray(self.d_min))
+                & (d <= np.asarray(self.d_max))).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
         lo = np.asarray(self.d_min)
@@ -317,9 +314,7 @@ class IntervalDiagonal(GClass):
         if lo.size != n:
             raise ValueError("interval bounds do not match the dimension")
         cap = np.where(np.isfinite(hi), hi, 1e3 * lo)
-        d = _log_uniform(rng, lo, cap, (k, n))
-        self._require_member((d >= lo) & (d <= hi))
-        return d
+        return _log_uniform(rng, lo, cap, (k, n))
 
 
 @dataclass(frozen=True)
@@ -329,18 +324,14 @@ class SignPatternDiagonal(GClass):
     signs: tuple
     name = "sign-pattern-diagonal"
 
-    def contains(self, g, tol=1e-9):
-        if not _is_diagonal(g, tol):
-            return False
-        return bool((np.sign(np.diag(g)) == np.asarray(self.signs)).all())
+    def _diag_contains(self, d, tol):
+        return (np.sign(d) == np.asarray(self.signs)).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
         s = np.asarray(self.signs, dtype=float)
         if s.size != n or not np.all(np.abs(s) == 1.0):
             raise ValueError("signs must be a vector of +-1 matching n")
-        d = s * _log_uniform(rng, 1e-3, 1e3, (k, n))
-        self._require_member(np.sign(d) == s)
-        return d
+        return s * _log_uniform(rng, 1e-3, 1e3, (k, n))
 
 
 @dataclass(frozen=True)

@@ -67,16 +67,23 @@ def _class_and_old_draw(name, n):
             d[list(tau)] = values
             return np.diag(d)
         return ds.OrderedDiagonal(tau), draw
+    partition = tuple(b for b in (tuple(range(1, n, 2)),
+                                  tuple(range(0, n, 2))) if b)
     if name == "alpha-scalar":
-        partition = tuple(b for b in (tuple(range(1, n, 2)),
-                                      tuple(range(0, n, 2))) if b)
-
         def draw(rng):
             d = np.empty(n)
             for block in partition:
                 d[list(block)] = _old_log_uniform(rng, 1e-3, 1e3)
             return np.diag(d)
         return ds.AlphaScalar(partition), draw
+    if name == "alpha-block-spd":
+        def draw(rng):
+            g = np.zeros((n, n))
+            for block in partition:
+                idx = list(block)
+                g[np.ix_(idx, idx)] = _old_spd_draw(len(idx))(rng)
+            return g
+        return ds.AlphaBlockSPD(partition), draw
     if name == "sign-pattern-diagonal":
         signs = tuple((-1) ** i for i in range(n))
         s = np.asarray(signs, dtype=float)
@@ -129,7 +136,7 @@ class TestSamplers:
     @pytest.mark.parametrize("name", [
         "positive-diagonal", "diagonal-norm-lt1", "vertex-diagonal", "spd",
         "interval-diagonal", "interval-diagonal-inf", "ordered-diagonal",
-        "alpha-scalar", "sign-pattern-diagonal"])
+        "alpha-scalar", "sign-pattern-diagonal", "alpha-block-spd"])
     @pytest.mark.parametrize("n", [1, 2, 5, 13])
     def test_default_sample_is_the_old_sampler_bit_for_bit(self, name, n):
         # single draws and batches both equal the per-sample code the
@@ -156,6 +163,26 @@ class TestSamplers:
         with pytest.raises(AssertionError,
                            match="sampler left the class interval-diagonal"):
             cls.sample_batch(np.random.default_rng(0), 3, 4)
+
+    @pytest.mark.parametrize("cls, diag", [
+        (ds.OrderedDiagonal((0, 1, 2)), (1.0, 2.0, 3.0)),
+        (ds.AlphaScalar(((0, 2), (1,))), (1.0, 2.0, 3.0)),
+        (ds.SignPatternDiagonal((1, -1, 1)), (1.0, 2.0, 3.0)),
+        (ds.VertexDiagonal(), (1.0, -1.0, 0.5)),
+    ], ids=["ordered-diagonal", "alpha-scalar", "sign-pattern-diagonal",
+            "vertex-diagonal"])
+    def test_batch_guard_checks_what_contains_checks(self, cls, diag,
+                                                     monkeypatch):
+        # a positive draw that breaks the order along tau, the equal
+        # values in a block, the sign pattern or the vertex values
+        assert not cls.contains(np.diag(diag))
+        monkeypatch.setattr(type(cls), "_sample_diag_batch",
+                            lambda self, rng, n, k: np.tile(diag, (k, 1)))
+        for draw in (lambda rng: cls.sample_batch(rng, 3, 4),
+                     lambda rng: cls.sample(rng, 3)):
+            with pytest.raises(AssertionError,
+                               match="sampler left the class " + cls.name):
+                draw(np.random.default_rng(0))
 
     def test_membership_checks_survive_python_O(self):
         # a draw that leaves its class raises even with asserts stripped
