@@ -584,9 +584,14 @@ def _hyperbolicity_certificate(ctx):
 
 
 def _falsify(ctx):
+    # a certificate an earlier check found lets falsify skip the samples
+    # it provably keeps inside the region; none is searched for here
     r = ctx.request
+    cert = next((c.verdict.witness for c in ctx.checks
+                 if isinstance(c.verdict.witness, lyapunov.Certificate)),
+                None)
     verdict = ds.falsify(r.matrix, r.gclass, r.op, r.region,
-                         samples=r.samples, seed=r.seed)
+                         samples=r.samples, seed=r.seed, certificate=cert)
     return verdict, True, None
 
 

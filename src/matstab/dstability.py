@@ -454,15 +454,105 @@ def _unbounded_witness(a, gclass, op, region, rng, tol):
     return None
 
 
+# The eigen-solver is taken as backward stable with this constant: a
+# computed spectrum of M is the exact spectrum of some M + E with
+# ||E||_2 <= _SOLVER_C * n * eps * ||M||_F.
+_SOLVER_C = 64.0
+
+
+def _certified_screen(a, certificate, op, region, tol):
+    """Samples a diagonal Lyapunov certificate keeps inside the half-plane.
+
+    Returns ``clear(gs, ms)``, a mask of the batch members whose every
+    computed eigenvalue provably lies strictly inside its default band,
+    or None when the screen does not apply.  A positive diagonal P with
+    PA + A^T P <= -m I certifies every D A through P D^-1 (D positive
+    diagonal), with Re lambda <= -m / (2 max p_i/d_i), and every A + D
+    (D <= 0 diagonal) through P itself, with Re lambda <= -m / (2 max p).
+    The margin m is recomputed here, never taken from the certificate, so
+    a wrong or foreign certificate only turns the screen off.
+    """
+    if not (isinstance(certificate, lyapunov.Certificate)
+            and certificate.kind == "diagonal-lyapunov"
+            and region == HalfPlaneLeft() and tol is None
+            and isinstance(op, (Multiply, Add))):
+        return None
+    n = a.shape[0]
+    eps = np.finfo(float).eps
+    factor = np.asarray(certificate.factor, dtype=float)
+    if factor.shape != (n, n):
+        return None
+    p = np.diag(factor)
+    if (np.count_nonzero(factor) != np.count_nonzero(p)
+            or not np.all(np.isfinite(p) & (p > 0))):
+        return None
+    with np.errstate(all="ignore"):
+        s = p[:, None] * a
+        s = s + s.T
+        if not np.all(np.isfinite(s)):
+            return None
+        # rounding of PA + A^T P and of the symmetric solve
+        slack = _SOLVER_C * n * eps * (np.linalg.norm(s)
+                                       + 2.0 * p.max() * np.linalg.norm(a))
+        margin = -float(np.linalg.eigvalsh(s)[-1]) - slack
+    if not (np.isfinite(margin) and margin > 0):
+        return None
+    multiply = isinstance(op, Multiply)
+
+    def clear(gs, ms):
+        d = np.diagonal(gs, axis1=1, axis2=2)
+        diagonal = (np.count_nonzero(gs, axis=(1, 2))
+                    == np.count_nonzero(d, axis=1))
+        with np.errstate(all="ignore"):
+            if multiply:
+                ok = diagonal & np.all(d > 0, axis=1)
+                scale = np.max(p / d, axis=1)
+            else:
+                ok = diagonal & np.all(d <= 0, axis=1)
+                scale = p.max()
+            norm = np.sqrt(np.einsum("kij,kij->k", ms, ms))
+            # Re lambda of M + E is at most -m / (2 scale) + ||E||_2, and
+            # |lambda| <= ||M||_F + ||E||_2; a doubled band absorbs the
+            # rounding of the bound itself.  NaN never clears.
+            allow = _SOLVER_C * n * eps * norm
+            bound = allow - margin / (2.0 * scale)
+            return ok & (bound < -2.0 * default_tol(norm + allow))
+
+    return clear
+
+
+def _stacked_spectra(ms):
+    """Unsorted spectra of a stack; a sample the solver rejects gets NaN."""
+    try:
+        return np.linalg.eigvals(ms)
+    except np.linalg.LinAlgError:
+        # isolate the convergence failure; skip only that sample
+        specs = np.full(ms.shape[:2], 0.0, dtype=complex)
+        for i in range(ms.shape[0]):
+            try:
+                specs[i] = np.linalg.eigvals(ms[i])
+            except np.linalg.LinAlgError:
+                specs[i] = np.nan
+        return specs
+
+
 def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
-            batch=256):
+            batch=256, certificate=None):
     """Sample the class and hunt for a spectrum outside the region.
 
     Refuted embeds the replayable witness; Unknown after the budget.
     Never returns Proved.  A bounded region paired with an unbounded
     class is refuted up front: no matrix is stable for such a pair, and
     a concrete scaled witness is attached whenever one exists.
+
+    ``certificate``, a half-plane ``diagonal-lyapunov``
+    :class:`~matstab.lyapunov.Certificate` of ``a``, lets the samples it
+    provably keeps inside the half-plane skip the eigen-solve (see
+    :func:`_certified_screen`).  Every sample is still drawn and checked,
+    so the verdict and witness are those of a run without it.
     """
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     a = as_matrix(a)
     n = a.shape[0]
     rng = np.random.default_rng(seed)
@@ -479,28 +569,23 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
         return Verdict(Status.REFUTED, "unbounded-class-bounded-region",
                        witness=wit, seed=seed)
 
+    clear = _certified_screen(a, certificate, op, region, tol)
     done = 0
     while done < samples:
         b = min(batch, samples - done)
         gs = gclass.sample_batch(rng, n, b)
         ms = op.apply_batch(gs, a)
-        try:
-            specs = np.linalg.eigvals(ms)
-        except np.linalg.LinAlgError:
-            # isolate the convergence failure; skip only that sample
-            specs = np.full((b, n), 0.0, dtype=complex)
-            for i in range(b):
-                try:
-                    specs[i] = np.linalg.eigvals(ms[i])
-                except np.linalg.LinAlgError:
-                    specs[i] = np.nan
+        # the solver treats each matrix of a stack alone, so solving only
+        # the uncleared ones gives them the spectra a full solve gives
+        keep = None if clear is None else np.flatnonzero(~clear(gs, ms))
+        specs = _stacked_spectra(ms if keep is None else ms[keep])
         # vectorized screen with the re-check's own bands; the witness is
         # re-solved alone, so that it replays and its eigenvalue is the
         # first in sorted order
         tols = default_tol(specs) if tol is None else tol
         bad = ~(region.distance(specs, tols) < -tols)
         hits = np.nonzero(bad.any(axis=1))[0]
-        for i in hits:
+        for i in (hits if keep is None else keep[hits]):
             g = gs[i]
             m = op.apply(g, a)
             try:

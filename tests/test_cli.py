@@ -256,6 +256,59 @@ class TestSharedWork:
             assert shared_rep.witnesses == alone.witnesses
 
 
+class TestFalsifyCertificate:
+    @pytest.fixture
+    def certificates(self, monkeypatch):
+        """The certificate each falsify call receives."""
+        seen = []
+        falsify = ds.falsify
+
+        def recording(*args, certificate=None, **kwargs):
+            seen.append(certificate)
+            return falsify(*args, certificate=certificate, **kwargs)
+
+        monkeypatch.setattr(ds, "falsify", recording)
+        return seen
+
+    @pytest.mark.parametrize("class_spec, op_spec", [
+        ("positive-diagonal", "multiply"), ("negative-diagonal", "add")])
+    def test_report_is_the_one_without_certificate(
+            self, certificates, monkeypatch, class_spec, op_spec):
+        a, _ = random_diagonally_stable(np.random.default_rng(4), 6)
+        req = dict(class_spec=class_spec, op_spec=op_spec, samples=1500,
+                   budget=2000, seed=2)
+        report = cli.run(request_for(a, **req))
+        suite = next(c for c in report.checks
+                     if c.check == "sufficient-suite")
+        assert suite.verdict.proved
+        assert certificates == [suite.verdict.witness]
+        falsify = ds.falsify
+        monkeypatch.setattr(
+            ds, "falsify",
+            lambda *args, certificate=None, **kwargs: falsify(*args,
+                                                              **kwargs))
+        plain = cli.run(request_for(a, **req))
+        assert cli.emit(report, "json") == cli.emit(plain, "json")
+
+    def test_falsify_mode_alone_searches_nothing(self, certificates,
+                                                 monkeypatch, capsys):
+        # falsify only uses a certificate that an earlier check found
+        searches = [0]
+        search = lyapunov.diagonal_stability_search
+
+        def counting(*args, **kwargs):
+            searches[0] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(lyapunov, "diagonal_stability_search", counting)
+        assert cli.main(["--mode", "falsify", "--samples", "300",
+                         "--format", "json", "--", "-2,1;-1,-3"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["check"] for c in checks] == ["self-stability", "falsify"]
+        assert searches == [0]
+        assert certificates == [None]
+
+
 class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))

@@ -348,6 +348,13 @@ class TestFalsify:
         assert v.witness.g.tobytes() == g.tobytes()
         assert v.witness.eigenvalue == z
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_must_be_positive(self, batch):
+        # batch 0 would never advance the sample count
+        with pytest.raises(ValueError, match="batch"):
+            ds.falsify(-np.eye(2), ds.PositiveDiagonal(), ds.Multiply(),
+                       HalfPlaneLeft(), samples=10, batch=batch)
+
     def test_deterministic_given_seed(self):
         a = np.array([[1.0, -4.0], [1.0, -2.0]])
         v1 = ds.falsify(a, ds.PositiveDiagonal(), ds.Multiply(),
@@ -409,6 +416,180 @@ class TestFalsifyScreen:
                 assert v.refuted
                 assert (v.witness.sample_index, v.witness.eigenvalue) == ref
         assert refuted > 0
+
+
+def _half_plane_certificate(a, p):
+    """The diagonal Lyapunov certificate P claimed for ``a``; falsify
+    recomputes its margin, so the claimed 1.0 is never read."""
+    return ly.Certificate("diagonal-lyapunov", p, 1.0, HalfPlaneLeft())
+
+
+def _outcome(v):
+    wit = v.witness
+    return (v.status, v.reason,
+            None if wit is None else (wit.sample_index, wit.g.tobytes(),
+                                      wit.eigenvalue))
+
+
+def _count_stacked_solves(mp):
+    """Patch the eigen-solve to count the matrices of its stacked calls."""
+    solved = [0]
+    eigvals = np.linalg.eigvals
+
+    def counting(m):
+        if np.ndim(m) == 3:
+            solved[0] += len(m)
+        return eigvals(m)
+
+    mp.setattr(np.linalg, "eigvals", counting)
+    return solved
+
+
+class _FlipOne(ds.GClass):
+    """Positive diagonals, except that sample ``at`` has a negative entry.
+
+    For a diagonally stable A every sample but that one keeps the
+    spectrum inside the half-plane, and that one flips the sign of
+    det(D A), so it puts a real eigenvalue in the right half-plane.
+    """
+
+    name = "flip-one"
+
+    def __init__(self, at):
+        self.at, self.drawn = at, 0
+
+    def sample_batch(self, rng, n, k):
+        gs = ds.PositiveDiagonal().sample_batch(rng, n, k)
+        if 0 <= self.at - self.drawn < k:
+            gs[self.at - self.drawn, 0, 0] *= -1.0
+        self.drawn += k
+        return gs
+
+
+class TestCertifiedScreen:
+    # P D^-1 certifies D A and P certifies A + D (D <= 0): falsify with
+    # the certificate skips the eigen-solve of such samples, and its
+    # verdict and witness are those of falsify without it
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12),
+           st.sampled_from(["positive-diagonal", "interval-diagonal",
+                            "negative-diagonal"]))
+    @settings(max_examples=20, deadline=None)
+    def test_certified_samples_skip_the_solve(self, seed, n, name):
+        a, p = random_diagonally_stable(np.random.default_rng(seed), n)
+        gclass, op = {
+            "positive-diagonal": (ds.PositiveDiagonal(), ds.Multiply()),
+            "interval-diagonal": (ds.IntervalDiagonal(
+                (0.5,) * n, (2.0,) * n), ds.Multiply()),
+            "negative-diagonal": (ds.NegativeDiagonal(), ds.Add())}[name]
+        kw = dict(samples=600, seed=seed, batch=128)
+        with pytest.MonkeyPatch.context() as mp:
+            solved = _count_stacked_solves(mp)
+            plain = ds.falsify(a, gclass, op, HalfPlaneLeft(), **kw)
+            assert solved[0] == 600
+            screened = ds.falsify(a, gclass, op, HalfPlaneLeft(),
+                                  certificate=_half_plane_certificate(a, p),
+                                  **kw)
+        assert _outcome(screened) == _outcome(plain)
+        assert solved[0] < 2 * 600
+
+    @pytest.mark.parametrize("case", [
+        "foreign", "zero-entry", "negative-entry", "nan", "inf",
+        "not-diagonal", "stein-kind"])
+    def test_useless_certificate_changes_nothing(self, case, rng,
+                                                 monkeypatch):
+        # an A that is not D-stable and certificates that do not certify
+        # it: the screen stays off, the refutation is unchanged, and
+        # nothing raises
+        a = np.array([[1.0, -4.0], [1.0, -2.0]])  # Hurwitz, not D-stable
+        other, p = random_diagonally_stable(rng, 2)
+        cert = _half_plane_certificate(other, p)
+        factor = np.array(cert.factor)
+        if case == "zero-entry":
+            factor[0, 0] = 0.0
+        elif case == "negative-entry":
+            # P A + A^T P = -2 I, but P is not positive and A is unstable
+            a = np.array([[-1.0, 0.5], [0.5, 1.0]])
+            factor = np.diag([1.0, -1.0])
+        elif case == "nan":
+            factor[0, 0] = np.nan
+        elif case == "inf":
+            factor[1, 1] = np.inf
+        elif case == "not-diagonal":
+            factor[0, 1] = 1e-3
+        cert.factor = factor
+        if case == "stein-kind":
+            cert.kind = "diagonal-stein"
+        kw = dict(samples=2000, seed=11, batch=64)
+        solved = _count_stacked_solves(monkeypatch)
+        plain = ds.falsify(a, ds.PositiveDiagonal(), ds.Multiply(),
+                           HalfPlaneLeft(), **kw)
+        first = solved[0]
+        screened = ds.falsify(a, ds.PositiveDiagonal(), ds.Multiply(),
+                              HalfPlaneLeft(), certificate=cert, **kw)
+        assert plain.refuted
+        assert _outcome(screened) == _outcome(plain)
+        assert solved[0] == 2 * first
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_uncleared_sample_keeps_its_index(self, n, rng, monkeypatch):
+        # only the flipped sample and the ones the bound cannot clear are
+        # solved; the witness index maps back into the batch
+        a, p = random_diagonally_stable(rng, n)
+        kw = dict(samples=1000, seed=3, batch=64)
+        solved = _count_stacked_solves(monkeypatch)
+        plain = ds.falsify(a, _FlipOne(300), ds.Multiply(), HalfPlaneLeft(),
+                           **kw)
+        first = solved[0]
+        screened = ds.falsify(a, _FlipOne(300), ds.Multiply(),
+                              HalfPlaneLeft(),
+                              certificate=_half_plane_certificate(a, p), **kw)
+        assert plain.refuted and plain.witness.sample_index == 300
+        assert _outcome(screened) == _outcome(plain)
+        assert 0 < solved[0] - first < first
+
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_solver_failure_falls_back_per_sample(self, certified, rng,
+                                                  monkeypatch):
+        # a stacked solve that raises is redone one sample at a time, on
+        # the uncleared samples only, with the same verdict and witness
+        a, p = random_diagonally_stable(rng, 5)
+        cert = _half_plane_certificate(a, p) if certified else None
+
+        def run():
+            return ds.falsify(a, _FlipOne(300), ds.Multiply(),
+                              HalfPlaneLeft(), samples=1000, seed=3,
+                              batch=64, certificate=cert)
+
+        plain = run()
+        eigvals = np.linalg.eigvals
+
+        def failing(m):
+            if np.ndim(m) == 3:
+                raise np.linalg.LinAlgError("stack did not converge")
+            return eigvals(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        assert plain.witness.sample_index == 300
+        assert _outcome(run()) == _outcome(plain)
+
+    def test_nonfinite_sample_is_never_cleared(self, rng):
+        a, p = random_diagonally_stable(rng, 3)
+        clear = ds._certified_screen(a, _half_plane_certificate(a, p),
+                                     ds.Multiply(), HalfPlaneLeft(), None)
+        gs = np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([1.0, np.inf, 1.0]),
+                       np.diag([1.0, np.nan, 1.0]), np.diag([1e300] * 3)])
+        with np.errstate(all="ignore"):
+            ms = ds.Multiply().apply_batch(gs, a)  # 1e300: ||M||_F overflows
+        assert clear(gs, ms).tolist() == [True, False, False, False]
+
+    @pytest.mark.parametrize("region, op, tol", [
+        (Disk(0.0, 1.0), ds.Multiply(), None),
+        (HalfPlaneLeft(), ds.HadamardProduct(), None),
+        (HalfPlaneLeft(), ds.Multiply(), 1e-6)])
+    def test_screen_off_outside_its_premises(self, region, op, tol, rng):
+        a, p = random_diagonally_stable(rng, 3)
+        cert = _half_plane_certificate(a, p)
+        assert ds._certified_screen(a, cert, op, region, tol) is None
 
 
 class TestNecessary:
