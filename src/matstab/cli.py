@@ -15,7 +15,17 @@ how to run it.  :func:`run` walks the table in order; it alone times the
 checks, builds their records and keeps the summary.  A check that raises
 is recorded under its own id as ``check-error``, and the rest still run.
 
-Exit codes: 0 proved-or-unknown, 2 refuted, 1 usage or I/O error.
+The summary is the first deciding check that is not Unknown.  Once it is
+Proved or Refuted, :func:`run` skips the rest of the table: no later
+default check can change it, so each goes into ``summary.skipped``
+without a record.  The opt-in extras (``simulate``, ``total-scan``) still
+run.  ``--exhaustive`` runs every check, and also ``li-wang``, which
+decides exactly when ``self-stability`` does and so runs only there; a
+deciding check that disagrees with the summary is listed in
+``summary.conflicts``.
+
+Exit codes: 0 proved-or-unknown, 2 refuted, 3 a deciding check conflicts
+with the summary, 1 usage or I/O error.
 """
 
 import argparse
@@ -40,11 +50,15 @@ from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       default_tol, eigenvalues, gershgorin, region_stable,
                       simulate_decay, spectral_abscissa)
 
-SCHEMA = "matstab-report/2"
+SCHEMA = "matstab-report/3"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")
-ALL_MODES = DEFAULT_MODES + ("simulate", "total-scan")
+# opt-in checks that run even after the request is decided
+EXTRA_MODES = ("simulate", "total-scan")
+ALL_MODES = DEFAULT_MODES + EXTRA_MODES
+
+CHECK_ERROR = "check-error: "
 
 
 class UsageError(ValueError):
@@ -238,6 +252,7 @@ class AnalysisRequest:
     gclass: object = None
     op: object = None
     modes: tuple = DEFAULT_MODES
+    exhaustive: bool = False
     samples: int = 10000
     budget: int = 5000
     seed: int = 0
@@ -280,6 +295,20 @@ class Report:
     summary_status: Status
     summary_reason: str
     convention_note: str
+    skipped: list = dataclasses.field(default_factory=list)
+
+    @property
+    def conflicts(self):
+        """The deciding records whose verdict disagrees with the summary."""
+        return [c for c in self.checks
+                if c.decides and c.verdict.status is not Status.UNKNOWN
+                and c.verdict.status is not self.summary_status]
+
+    @property
+    def errors(self):
+        """The number of ``check-error`` records."""
+        return sum(c.verdict.reason.startswith(CHECK_ERROR)
+                   for c in self.checks)
 
 
 def _json_float(x):
@@ -389,6 +418,11 @@ class _SharedWork:
         self.budget = budget
 
     @cached_property
+    def spectrum(self):
+        """``eigenvalues(A)``."""
+        return eigenvalues(self.a)
+
+    @cached_property
     def minors(self):
         """``principal_minors(A)``; None past the enumeration cap."""
         if self.a.shape[0] > MINOR_ENUM_CAP:
@@ -479,10 +513,11 @@ def _gershgorin(ctx):
 
 
 def _self_stability(ctx):
-    a = ctx.request.matrix
-    verdict = region_stable(a, ctx.request.region)
+    spectrum = ctx.shared.spectrum
+    verdict = region_stable(ctx.request.matrix, ctx.request.region,
+                            spectrum=spectrum)
     return (verdict, verdict.refuted and ctx.identity_in_class,
-            {"eigenvalues": eigenvalues(a)})
+            {"eigenvalues": spectrum})
 
 
 def _necessary(ctx):
@@ -637,11 +672,14 @@ def _simulate(ctx):
                             "abscissa": alpha}
 
 
-Check = collections.namedtuple("Check", "id reference mode applies run")
+Check = collections.namedtuple("Check",
+                               "id reference mode applies run exhaustive",
+                               defaults=(False,))
 
 # The pipeline in report order.  ``mode`` is the ``--mode`` value that
 # turns a check on (None: it always runs); ``applies`` says whether the
-# check has something to say about the request (None: always).
+# check has something to say about the request (None: always); an
+# ``exhaustive`` check runs only in an exhaustive request.
 CHECKS = (
     Check("classify", "determinantal class flags", "classify", None,
           _classify),
@@ -658,8 +696,9 @@ CHECKS = (
           lambda c: c.shared.cyclic != (None, None), _secant),
     Check("single-circuit", "circuit gain bound", "structural",
           lambda c: c.shared.cyclic == (None, None), _single_circuit),
+    # decides exactly when self-stability does, so it only cross-checks
     Check("li-wang", "second additive compound equivalence", "structural",
-          lambda c: c.half_plane and c.n >= 2, _li_wang),
+          lambda c: c.half_plane and c.n >= 2, _li_wang, exhaustive=True),
     Check("interval-box", "interval-to-polynomial-box reduction",
           "structural",
           lambda c: (c.half_plane and c.request.op.name == "multiply"
@@ -697,10 +736,13 @@ def run(request):
 
     Runs each row of :data:`CHECKS` whose mode is requested and that
     applies.  The summary is the verdict of the first deciding check that
-    is not Unknown.  Checks share work through a per-request
-    :class:`_SharedWork`: one principal-minor sweep of A (the minors of -A
-    are derived from it), one pairwise sign-symmetry sweep, ``classify``
-    of A and of -A, the half-plane diagonal search and the cyclic form.
+    is not Unknown.  Once it is decided, the later rows are skipped and
+    listed in ``Report.skipped`` (their applicability is not evaluated),
+    except those of EXTRA_MODES; an exhaustive request runs them all.
+    Checks share work through a per-request :class:`_SharedWork`: the
+    spectrum of A, one principal-minor sweep of A (the minors of -A are
+    derived from it), one pairwise sign-symmetry sweep, ``classify`` of A
+    and of -A, the half-plane diagonal search and the cyclic form.
     """
     convention_note = "analysis in the hurwitz convention"
     if request.convention == "positive":
@@ -715,15 +757,21 @@ def run(request):
                            "negated, additive class sign-flipped")
     ctx = _Context(request)
     status, decided_by = Status.UNKNOWN, "no-deciding-check"
+    skipped = []
     for check in CHECKS:
-        if check.mode is not None and check.mode not in request.modes:
+        if (check.mode is not None and check.mode not in request.modes
+                or check.exhaustive and not request.exhaustive):
+            continue
+        if (status is not Status.UNKNOWN and not request.exhaustive
+                and check.mode not in EXTRA_MODES):
+            skipped.append(check.id)
             continue
         started = time.perf_counter()
         try:
             applies = check.applies is None or check.applies(ctx)
             out = check.run(ctx) if applies else None
         except Exception as exc:
-            out = Verdict(Status.UNKNOWN, f"check-error: {exc}"), False, None
+            out = Verdict(Status.UNKNOWN, f"{CHECK_ERROR}{exc}"), False, None
         if out is None:
             continue
         verdict, decides, data = out
@@ -733,7 +781,8 @@ def run(request):
         if decides and status is Status.UNKNOWN \
                 and verdict.status is not Status.UNKNOWN:
             status, decided_by = verdict.status, check.id
-    return Report(request, ctx.checks, status, decided_by, convention_note)
+    return Report(request, ctx.checks, status, decided_by, convention_note,
+                  skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +800,7 @@ def emit(report, fmt="json"):
                 "class": report.request.class_spec,
                 "op": report.request.op_spec,
                 "modes": list(report.request.modes),
+                "exhaustive": report.request.exhaustive,
                 "samples": report.request.samples,
                 "budget": report.request.budget,
                 "seed": report.request.seed,
@@ -773,6 +823,11 @@ def emit(report, fmt="json"):
             "summary": {
                 "status": report.summary_status.value,
                 "decided_by": report.summary_reason,
+                "skipped": list(report.skipped),
+                "conflicts": [{"check": c.check,
+                               "status": c.verdict.status.value}
+                              for c in report.conflicts],
+                "errors": report.errors,
             },
         }
         return (json.dumps(payload, indent=2, allow_nan=False)
@@ -790,6 +845,13 @@ def emit(report, fmt="json"):
                          f"({c.wall_ms:.1f} ms)")
         lines.append(f"summary: {report.summary_status.value} "
                      f"via {report.summary_reason}")
+        if report.skipped:
+            lines.append(f"  skipped once decided: "
+                         f"{', '.join(report.skipped)}")
+        for c in report.conflicts:
+            lines.append(f"  conflict: {c.check} is {c.verdict.status.value}")
+        if report.errors:
+            lines.append(f"  check errors: {report.errors}")
         return ("\n".join(lines) + "\n").encode()
     raise UsageError(f"unknown format {fmt!r}")
 
@@ -803,7 +865,10 @@ def build_parser():
         prog="matstab",
         description="Stability-region membership, class-robust stability "
                     "criteria and Lyapunov-type certificates for dense "
-                    "real matrices.")
+                    "real matrices.",
+        epilog="exit codes: 0 proved or unknown, 2 refuted, 3 a deciding "
+               "check conflicts with the summary (see --exhaustive), "
+               "1 usage or I/O error")
     p.add_argument("matrix", help="matrix file (JSON/CSV), '-' for stdin, "
                                   "or inline JSON / ';'-separated CSV")
     p.add_argument("--region", default="half-plane-left",
@@ -819,6 +884,10 @@ def build_parser():
                    help="comma-separated checks to run "
                         f"(default {','.join(DEFAULT_MODES)}; "
                         "optional extras: simulate, total-scan)")
+    p.add_argument("--exhaustive", action="store_true",
+                   help="run every check, also after the request is "
+                        "decided, and report deciding checks that "
+                        "disagree with the summary as conflicts")
     p.add_argument("--samples", type=int, default=10000,
                    help="falsification sample budget")
     p.add_argument("--budget", type=int, default=5000,
@@ -842,6 +911,7 @@ def main(argv=None):
         request = AnalysisRequest(
             matrix=matrix,
             modes=tuple(m.strip() for m in args.mode.split(",") if m.strip()),
+            exhaustive=args.exhaustive,
             samples=args.samples,
             budget=args.budget,
             seed=args.seed,
@@ -856,6 +926,8 @@ def main(argv=None):
         print(f"matstab: error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.buffer.write(emit(report, args.fmt))
+    if report.conflicts:
+        return 3
     return 2 if report.summary_status is Status.REFUTED else 0
 
 

@@ -411,16 +411,19 @@ def first_outside(spectrum, region, tol=None):
     return complex(zs[out[0]]) if out.size else None
 
 
-def region_stable(a, region, tol=None):
+def region_stable(a, region, tol=None, spectrum=None):
     """Proved iff every eigenvalue of ``a`` lies strictly inside ``region``.
 
     Any eigenvalue classified boundary-or-outside refutes, with that
     eigenvalue as the witness.  Unknown is reserved for solver failure.
+    ``spectrum``, when given, is ``eigenvalues(a)`` already solved.
     """
-    try:
-        spec = eigenvalues(a)
-    except EigenSolverError as exc:
-        return Verdict(Status.UNKNOWN, f"eigensolver-failure: {exc}")
+    spec = spectrum
+    if spec is None:
+        try:
+            spec = eigenvalues(a)
+        except EigenSolverError as exc:
+            return Verdict(Status.UNKNOWN, f"eigensolver-failure: {exc}")
     z = first_outside(spec, region, tol)
     if z is not None:
         return Verdict(Status.REFUTED, "eigenvalue-outside-region",

@@ -6,6 +6,9 @@ characteristic polynomial and companion roots, stability by explicit
 eigenvalue location.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -158,3 +161,17 @@ def random_ndd(rng, n):
     np.fill_diagonal(a, 0.0)
     diag = -(np.abs(a).sum(axis=1) + rng.uniform(0.1, 1.0, n))
     return a + np.diag(diag)
+
+
+# ---------------------------------------------------------------------------
+# Benchmark corpora
+# ---------------------------------------------------------------------------
+
+def benchmark_corpus(workload, seed, rounds):
+    """The seeded requests of a perfbench workload (perfbench/corpus.py):
+    its named cases, then ``rounds`` rounds of its strata."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus.build(workload, seed, rounds)

@@ -373,11 +373,16 @@ def test_criterion_14_cli_determinism_and_replay():
     t0 = time.perf_counter()
     a = [[1.0, -4.0], [1.0, -2.0]]
     kw = dict(samples=3000, budget=1000, seed=424242)
-    r1 = cli.run(cli.AnalysisRequest(matrix=np.asarray(a), **kw))
-    r2 = cli.run(cli.AnalysisRequest(matrix=np.asarray(a), **kw))
-    b1, b2 = cli.emit(r1, "json"), cli.emit(r2, "json")
-    deterministic = b1 == b2
+    deterministic = True
+    for exhaustive in (False, True):
+        r1, r2 = (cli.run(cli.AnalysisRequest(matrix=np.asarray(a),
+                                              exhaustive=exhaustive, **kw))
+                  for _ in range(2))
+        b1, b2 = cli.emit(r1, "json"), cli.emit(r2, "json")
+        deterministic = deterministic and b1 == b2
 
+    # necessary-p0plus decides the default run; the exhaustive run (b1)
+    # also holds the falsify witness
     payload = json.loads(b1)
     fal = next(c for c in payload["checks"] if c["check"] == "falsify")
     g = np.asarray(fal["witness"]["g"])

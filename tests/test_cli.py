@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from matstab import cli, lyapunov, matrix_core, special_forms
 from matstab import dstability as ds
-from matstab.spectra import Disk, HalfPlaneLeft, Hyperbolic, Status
+from matstab.spectra import Disk, HalfPlaneLeft, Hyperbolic, Status, Verdict
 
-from conftest import random_diagonally_stable
+from conftest import benchmark_corpus, random_diagonally_stable
 
 
 def request_for(matrix, **kw):
@@ -77,7 +77,8 @@ class TestRun:
                                          "diagonal-certificate")
 
     def test_classic_counterexample_refuted_with_witness(self):
-        report = cli.run(request_for([[1.0, -4.0], [1.0, -2.0]]))
+        report = cli.run(request_for([[1.0, -4.0], [1.0, -2.0]],
+                                     exhaustive=True))
         assert report.summary_status is Status.REFUTED
         fal = [c for c in report.checks if c.check == "falsify"]
         assert fal and fal[0].verdict.refuted
@@ -87,7 +88,7 @@ class TestRun:
     def test_cyclic_certify_attaches_certificate(self):
         from matstab import lyapunov as ly
         m = [[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
-        report = cli.run(request_for(m))
+        report = cli.run(request_for(m, exhaustive=True))
         secant = [c for c in report.checks if c.check == "secant-criterion"]
         assert secant and secant[0].verdict.proved
         assert report.summary_status is Status.PROVED
@@ -117,7 +118,7 @@ class TestRun:
         a = [[-2.0, 1.0], [0.5, -2.0]]
         report = cli.run(request_for(
             a, class_spec="interval-diagonal:0.5/2,0.5/2",
-            samples=500, budget=500))
+            samples=500, budget=500, exhaustive=True))
         boxes = [c for c in report.checks if c.check == "interval-box"]
         assert boxes and boxes[0].verdict.proved
         assert report.summary_status is Status.PROVED
@@ -225,7 +226,7 @@ class TestSharedWork:
             self, calls, matrix, class_spec, op_spec, summary, checks):
         report = cli.run(request_for(matrix, class_spec=class_spec,
                                      op_spec=op_spec, samples=200,
-                                     budget=300, seed=1))
+                                     budget=300, seed=1, exhaustive=True))
         assert calls == {"minors": 1, "search": 1}
         assert [(c.check, c.verdict.status.value, c.decides)
                 for c in report.checks] == checks
@@ -276,7 +277,7 @@ class TestFalsifyCertificate:
             self, certificates, monkeypatch, class_spec, op_spec):
         a, _ = random_diagonally_stable(np.random.default_rng(4), 6)
         req = dict(class_spec=class_spec, op_spec=op_spec, samples=1500,
-                   budget=2000, seed=2)
+                   budget=2000, seed=2, exhaustive=True)
         report = cli.run(request_for(a, **req))
         suite = next(c for c in report.checks
                      if c.check == "sufficient-suite")
@@ -309,11 +310,125 @@ class TestFalsifyCertificate:
         assert certificates == [None]
 
 
+def emitted(report):
+    return json.loads(cli.emit(report, "json"))
+
+
+# two rounds of each gated benchmark workload, at a seed of its own
+EQUIVALENCE_CORPUS = [spec for workload in ("desk-dstab", "regions-mix")
+                      for spec in benchmark_corpus(workload, 3, 2)]
+
+
+class TestDecideThenStop:
+    @pytest.mark.parametrize("spec", EQUIVALENCE_CORPUS,
+                             ids=lambda spec: spec.name)
+    def test_default_run_is_the_exhaustive_run_cut_at_the_decider(self,
+                                                                  spec):
+        kw = dict(region_spec=spec.region, class_spec=spec.gclass,
+                  op_spec=spec.op, seed=spec.seed)
+        default = emitted(cli.run(request_for(spec.matrix.copy(), **kw)))
+        full = emitted(cli.run(request_for(spec.matrix.copy(),
+                                           exhaustive=True, **kw)))
+        summary = default["summary"]
+        assert ((summary["status"], summary["decided_by"])
+                == (full["summary"]["status"], full["summary"]["decided_by"]))
+        checks = [c for c in full["checks"] if c["check"] != "li-wang"]
+        ids = [c["check"] for c in checks]
+        table = [c.id for c in cli.CHECKS
+                 if not c.exhaustive and c.mode not in cli.EXTRA_MODES]
+        if summary["decided_by"] == "no-deciding-check":
+            cut, skipped = len(checks), []
+        else:
+            cut = ids.index(summary["decided_by"]) + 1
+            skipped = table[table.index(summary["decided_by"]) + 1:]
+        assert default["checks"] == checks[:cut]
+        assert summary["skipped"] == skipped
+        assert set(ids[cut:]) <= set(skipped)
+        assert full["summary"]["skipped"] == []
+
+    def test_conflict_is_listed_and_exits_3(self, monkeypatch, capsys):
+        # a falsify that refutes what the sufficient suite proves
+        monkeypatch.setattr(ds, "falsify", lambda *args, **kwargs: Verdict(
+            Status.REFUTED, "refuted-by-stub", witness={"stub": True}))
+        argv = ["--format", "json", "--samples", "100", "--budget", "100",
+                "--", "-1,0;0,-2"]
+        assert cli.main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["conflicts"] == []
+        assert "falsify" in summary["skipped"]
+        assert cli.main(["--exhaustive"] + argv) == 3
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert (summary["status"], summary["decided_by"]) == (
+            "proved", "sufficient-suite")
+        assert summary["conflicts"] == [{"check": "falsify",
+                                         "status": "refuted"}]
+        assert cli.main(["--exhaustive", "--format", "text"] + argv[2:]) == 3
+        assert "conflict: falsify is refuted" in capsys.readouterr().out
+
+    def test_check_errors_are_counted(self, monkeypatch):
+        def broken(a):
+            raise RuntimeError("li-wang broke")
+
+        monkeypatch.setattr(ds, "li_wang_stable", broken)
+        req = dict(samples=100, budget=100)
+        assert emitted(cli.run(request_for(-np.eye(2), **req)))[
+            "summary"]["errors"] == 0
+        assert emitted(cli.run(request_for(-np.eye(2), exhaustive=True,
+                                           **req)))["summary"]["errors"] == 1
+
+    def test_extras_still_run_after_the_decision(self):
+        report = cli.run(request_for([[1.0, -4.0], [1.0, -2.0]],
+                                     modes=cli.ALL_MODES, samples=200,
+                                     budget=200))
+        assert report.summary_reason == "necessary-p0plus"
+        ids = [c.check for c in report.checks]
+        assert ids[-2:] == ["total-scan", "simulate"]
+        assert "falsify" in report.skipped and "falsify" not in ids
+        assert not {"total-scan", "simulate"} & set(report.skipped)
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_li_wang_runs_only_when_exhaustive(self, exhaustive):
+        report = cli.run(request_for(HURWITZ_8_UNDECIDED, samples=100,
+                                     budget=100, exhaustive=exhaustive))
+        assert report.summary_status is Status.UNKNOWN
+        ids = [c.check for c in report.checks]
+        assert ("li-wang" in ids) is exhaustive
+        assert report.skipped == []
+
+    def test_self_stability_solves_the_spectrum_once(self, monkeypatch):
+        calls = [0]
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls[0] += 1
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        report = cli.run(request_for(HURWITZ_8_UNDECIDED, modes=()))
+        assert [c.check for c in report.checks] == ["self-stability"]
+        assert calls == [1]
+
+    def test_exhaustive_flag(self, capsys):
+        argv = ["--format", "json", "--samples", "500", "--budget", "200",
+                "--", "1,-4;1,-2"]
+        assert cli.main(argv) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["request"]["exhaustive"] is False
+        assert "falsify" in payload["summary"]["skipped"]
+        assert "falsify" not in [c["check"] for c in payload["checks"]]
+        assert cli.main(["--exhaustive"] + argv) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["request"]["exhaustive"] is True
+        assert payload["summary"]["skipped"] == []
+        fal = next(c for c in payload["checks"] if c["check"] == "falsify")
+        assert fal["status"] == "refuted"
+
+
 class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/2"
+        assert payload["schema"] == "matstab-report/3"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -330,7 +445,8 @@ class TestEmit:
         assert "summary: proved" in text
 
     def test_witness_replay_from_json(self):
-        report = cli.run(request_for([[1.0, -4.0], [1.0, -2.0]], seed=7))
+        report = cli.run(request_for([[1.0, -4.0], [1.0, -2.0]], seed=7,
+                                     exhaustive=True))
         payload = json.loads(cli.emit(report, "json"))
         fal = next(c for c in payload["checks"] if c["check"] == "falsify")
         g = np.asarray(fal["witness"]["g"])
@@ -395,7 +511,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/2"
+        assert json.loads(out)["schema"] == "matstab-report/3"
 
 
 def _isinstance_triple(request):
@@ -486,7 +602,7 @@ class TestCheckTable:
         a = -np.eye(3) + np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5],
                                    [2.0, -0.5, 0.0]])
         report = cli.run(request_for(a, class_spec="spd", samples=200,
-                                     budget=200))
+                                     budget=200, exhaustive=True))
         by_id = {c.check: c for c in report.checks}
         assert by_id["li-wang"].verdict.reason == "check-error: li-wang broke"
         assert not by_id["li-wang"].decides
@@ -508,7 +624,7 @@ class TestCheckTable:
     def test_overflowing_spd_request_errs_per_check(self):
         with np.errstate(all="ignore"):
             report = cli.run(request_for([[1e308, 0.0], [0.0, -1e308]],
-                                         class_spec="spd"))
+                                         class_spec="spd", exhaustive=True))
         errors = [c.check for c in report.checks
                   if c.verdict.reason.startswith("check-error")]
         assert "symmetric-part" in errors
@@ -539,7 +655,7 @@ class TestCheckTable:
 
         monkeypatch.setattr(special_forms, "detect_cyclic", failing)
         report = cli.run(request_for(-np.eye(3) + 0.1, samples=100,
-                                     budget=100))
+                                     budget=100, exhaustive=True))
         assert calls[0] == 1
         errors = [c.check for c in report.checks
                   if c.verdict.reason.startswith("check-error")]
