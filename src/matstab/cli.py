@@ -80,11 +80,16 @@ def parse_matrix(text):
         if not isinstance(obj, dict) or "rows" not in obj:
             raise UsageError('matrix JSON needs an object with "rows"')
         rows = obj["rows"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise UsageError('matrix JSON "rows" must be a list of lists')
         n = obj.get("n", len(rows))
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise UsageError(
+                f'matrix JSON "n" must be a non-negative integer, got {n!r}')
         if len(rows) != n:
             raise UsageError(f"expected {n} rows, got {len(rows)}")
         for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
+            if len(row) != n:
                 raise UsageError(f"row {i} has length {len(row)}, expected {n}")
             for j, v in enumerate(row):
                 if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -145,6 +150,18 @@ def _json_arg(text):
     return json.loads(text)
 
 
+def _json_matrices(name, arg, keys):
+    """The matrices under ``keys`` of an LMI or EMI region's JSON object."""
+    obj = _json_arg(arg)
+    if not isinstance(obj, dict) or not all(k in obj for k in keys):
+        raise UsageError(f"{name} region needs a JSON object with keys "
+                         + ", ".join(keys))
+    try:
+        return [np.asarray(obj[k], float) for k in keys]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{name} region: {exc}") from exc
+
+
 # regions whose spec takes no argument
 _PLAIN_REGIONS = {
     "half-plane-left": HalfPlaneLeft, "half-plane-right": HalfPlaneRight,
@@ -167,13 +184,9 @@ def parse_region(spec):
     if name == "complement-sector":
         return ComplementSector(float(arg))
     if name == "lmi":
-        obj = _json_arg(arg)
-        return LMIRegion(np.asarray(obj["l"], float), np.asarray(obj["m"], float))
+        return LMIRegion(*_json_matrices(name, arg, ("l", "m")))
     if name == "emi":
-        obj = _json_arg(arg)
-        return EMIRegion(np.asarray(obj["r11"], float),
-                         np.asarray(obj["r12"], float),
-                         np.asarray(obj["r22"], float))
+        return EMIRegion(*_json_matrices(name, arg, ("r11", "r12", "r22")))
     raise UsageError(f"unknown region {spec!r}")
 
 

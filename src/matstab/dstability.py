@@ -29,9 +29,7 @@ __all__ = [
     "NegativeDiagonal", "BinOp", "Multiply", "Add", "HadamardProduct",
     "BlockHadamardProduct", "sample_g", "apply_op", "FalsificationWitness",
     "falsify", "necessary_p0plus", "sufficient_suite", "li_wang_stable",
-    "MultiPoly", "johnson_tesi_poly", "johnson_tesi_sufficient",
-    "hadamard_p_test", "total_stability_scan", "fisher_fuller_stabilize",
-    "vertex_schur_check",
+    "hadamard_p_test", "total_stability_scan", "vertex_schur_check",
 ]
 
 
@@ -727,127 +725,8 @@ def li_wang_stable(a):
 
 
 # ---------------------------------------------------------------------------
-# Determinant-polynomial tests
+# Hadamard P-property test
 # ---------------------------------------------------------------------------
-
-JOHNSON_TESI_CAP = 4
-
-
-class MultiPoly:
-    """Sparse real polynomial in d_1..d_n keyed by exponent tuples."""
-
-    def __init__(self, coeffs=None):
-        self.coeffs = dict(coeffs or {})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0.0) + c
-        return MultiPoly(out)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return MultiPoly(out)
-
-    def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.coeffs.items()})
-
-    def evaluate(self, point):
-        point = np.asarray(point, dtype=float)
-        total = 0.0
-        for e, c in self.coeffs.items():
-            total += c * np.prod(point ** np.asarray(e))
-        return float(total)
-
-    def nonzero(self, tol=0.0):
-        return {e: c for e, c in self.coeffs.items() if abs(c) > tol}
-
-
-def _det_poly(entries, nvars):
-    """Determinant of a matrix of MultiPoly entries by column expansion."""
-    zero = MultiPoly({})
-    memo = {}
-
-    def minor(rows):
-        if not rows:
-            return MultiPoly({(0,) * nvars: 1.0})
-        key = rows
-        if key in memo:
-            return memo[key]
-        col = len(entries) - len(rows)
-        acc = zero
-        for pos, r in enumerate(rows):
-            entry = entries[r][col]
-            if not entry.coeffs:
-                continue
-            sub = minor(rows[:pos] + rows[pos + 1:])
-            term = entry * sub
-            if pos % 2:
-                term = -term
-            acc = acc + term
-        memo[key] = acc
-        return acc
-
-    return minor(tuple(range(len(entries))))
-
-
-def johnson_tesi_poly(a):
-    """Exact expansion of det [[A, D], [-D, A]] in the diagonal unknowns.
-
-    Every d_i enters the 2n x 2n determinant at most squared.  The
-    symbolic expansion grows exponentially, so the dimension is capped
-    at n = 4.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if n > JOHNSON_TESI_CAP:
-        raise ValueError(f"symbolic determinant capped at n = {JOHNSON_TESI_CAP}")
-
-    def const(c):
-        return MultiPoly({(0,) * n: float(c)} if c != 0.0 else {})
-
-    def unit(i, sign):
-        e = [0] * n
-        e[i] = 1
-        return MultiPoly({tuple(e): sign})
-
-    size = 2 * n
-    entries = [[const(0.0)] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            entries[i][j] = const(a[i, j])
-            entries[n + i][n + j] = const(a[i, j])
-        entries[i][n + i] = unit(i, 1.0)
-        entries[n + i][i] = unit(i, -1.0)
-    return _det_poly(entries, n)
-
-
-def johnson_tesi_sufficient(a, tol=None):
-    """Sufficient D-stability test: Hurwitz plus a nonnegative expansion.
-
-    Proved when the matrix is Hurwitz stable and every coefficient of the
-    determinant polynomial is nonnegative; Unknown otherwise (the test is
-    one-directional).
-    """
-    a = as_matrix(a)
-    base = region_stable(a, HalfPlaneLeft())
-    if not base.proved:
-        return Verdict(Status.UNKNOWN, "johnson-tesi-not-hurwitz")
-    poly = johnson_tesi_poly(a)
-    if tol is None:
-        scale = max((abs(c) for c in poly.coeffs.values()), default=1.0)
-        tol = 1e-9 * (1.0 + scale)
-    worst = min(poly.coeffs.values(), default=0.0)
-    if worst >= -tol:
-        return Verdict(Status.PROVED, "johnson-tesi-nonnegative-coefficients")
-    offender = min(poly.coeffs.items(), key=lambda kv: kv[1])
-    return Verdict(Status.UNKNOWN, "johnson-tesi-negative-coefficient",
-                   witness={"exponents": offender[0], "coefficient": offender[1]})
-
 
 HADAMARD_P_CAP = 10
 
@@ -894,7 +773,7 @@ def hadamard_p_test(a, samples=1000, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Scans and constructive searches
+# Scans
 # ---------------------------------------------------------------------------
 
 TOTAL_SCAN_CAP = 10
@@ -952,37 +831,6 @@ def total_stability_scan(a, depth=None, samples=2000, budget=2000, seed=0):
                               seed=seed)
     results["overall"] = overall
     return results
-
-
-def fisher_fuller_stabilize(a, budget=200):
-    """Search a positive diagonal D making the spectrum of D A positive simple.
-
-    Premise: all leading principal minors of ``a`` are positive; existence
-    is then guaranteed, and geometric diagonals diag(eps^0, .., eps^{n-1})
-    realize it for small eps.  The sweep is log-scale over
-    eps in [1e-6, 1]; budget exhaustion returns Unknown.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    lead = [float(np.linalg.det(a[:k, :k])) for k in range(1, n + 1)]
-    if any(d <= minor_tol(a, k + 1) for k, d in enumerate(lead)):
-        raise ValueError("premise fails: leading principal minors must be positive")
-    for eps in np.logspace(0.0, -6.0, max(budget, 2)):
-        d = eps ** np.arange(n)
-        spec = eigenvalues(d[:, None] * a)
-        scale = max(abs(spec).max(), 1e-300)
-        if np.abs(spec.imag).max() > 1e-8 * scale:
-            continue
-        real = np.sort(spec.real)
-        if real[0] <= 1e-12 * scale:
-            continue
-        spread = real[-1] - real[0]
-        if n > 1 and (spread <= 0 or np.diff(real).min() <= 1e-6 * spread):
-            continue
-        return Verdict(Status.PROVED, "fisher-fuller-diagonal-found",
-                       witness={"epsilon": float(eps), "factor": np.diag(d),
-                                "spectrum": real.tolist()})
-    return Verdict(Status.UNKNOWN, "fisher-fuller-budget-exhausted")
 
 
 VERTEX_ENUM_CAP = 16

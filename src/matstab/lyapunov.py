@@ -32,10 +32,10 @@ from .spectra import (HalfPlaneLeft, Hyperbolic, Region, Status, Verdict,
 __all__ = [
     "OperatorSingularError", "IllConditionedError", "CertificateError",
     "Certificate", "KRONECKER_SOLVE_CAP",
-    "solve_lyapunov", "solve_stein", "apply_gen_lyap",
+    "solve_lyapunov", "solve_stein",
     "lmi_operator", "emi_operator", "is_negative_definite", "definiteness_tol",
     "diagonal_stability_search", "diagonal_hyperbolicity_search",
-    "common_diagonal_search", "shorten_narendra_reduce", "verify_certificate",
+    "verify_certificate",
 ]
 
 # dense LU on the vectorized n^2 x n^2 system
@@ -61,7 +61,7 @@ class Certificate:
     """A stability witness: a structured factor plus a definiteness margin.
 
     ``kind`` is one of diagonal-lyapunov, spd-lyapunov, diagonal-stein,
-    diagonal-lmi, diagonal-emi, diagonal-hyperbolic, common-diagonal.
+    diagonal-lmi, diagonal-emi, diagonal-hyperbolic.
     """
 
     kind: str
@@ -167,26 +167,6 @@ def solve_stein(a, w):
     if res > bound:
         raise IllConditionedError(f"residual {res:.2e} exceeds bound {bound:.2e}")
     return h
-
-
-def apply_gen_lyap(c, a, h):
-    """Evaluate the double sum  sum_ij c_ij (A^T)^i H A^j  with cached powers."""
-    a = as_matrix(a)
-    h = _check_sym(h, "H")
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("coefficient array must be square")
-    if not np.allclose(c, c.T, atol=1e-12 * (1.0 + abs(c).max())):
-        raise ValueError("coefficients must satisfy c_ij = c_ji")
-    powers = [np.eye(a.shape[0])]
-    for _ in range(c.shape[0] - 1):
-        powers.append(powers[-1] @ a)
-    w = np.zeros_like(h)
-    for i in range(c.shape[0]):
-        for j in range(c.shape[0]):
-            if c[i, j] != 0.0:
-                w += c[i, j] * (powers[i].T @ h @ powers[j])
-    return w
 
 
 def lmi_operator(l, m, a, h):
@@ -401,95 +381,6 @@ def diagonal_hyperbolicity_search(a, budget=DEFAULT_BUDGET, tol=None):
     return Verdict(Status.UNKNOWN, "search-budget-exhausted")
 
 
-def common_diagonal_search(mats, budget=DEFAULT_BUDGET, tol=None):
-    """Search one positive diagonal Lyapunov solution shared by all matrices.
-
-    Minimizes max_i lambda_max(D A_i + A_i^T D) over the diagonal simplex.
-    The running mean of the active matrix's subgradients bounds that
-    maximum below as in :func:`diagonal_stability_search`, and the search
-    stops with the same Unknown reason once the bound is positive.
-    """
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise ValueError("matrices must share the dimension")
-    mu = 1.0 / max(max(np.linalg.norm(m, np.inf) for m in mats), 1e-30)
-
-    def value_and_subgrad(d):
-        worst_val = -math.inf
-        worst_g = worst_w = None
-        for m in mats:
-            w = d[:, None] * m
-            w = w + w.T
-            lam, vec = np.linalg.eigh(w)
-            if lam[-1] > worst_val:
-                worst_val = float(lam[-1])
-                v = vec[:, -1]
-                worst_g = 2.0 * v * (m @ v)
-                worst_w = w
-        return worst_val, worst_g, definiteness_tol(worst_w)
-
-    d = np.full(n, 1.0 / n)
-    best_val, best_d = math.inf, d.copy()
-    found_at = None
-    g_sum = np.zeros(n)
-    k = 0
-    for k in range(1, max(budget, 1) + 1):
-        val, g, cur_tol = value_and_subgrad(d)
-        g_sum += g
-        if val < best_val:
-            best_val, best_d = val, d.copy()
-        if best_val < -(tol if tol is not None else 1e-9):
-            if found_at is None:
-                found_at = k
-            if k - found_at >= 200:
-                break
-        w_tol = cur_tol if tol is None else tol
-        if found_at is None and g_sum.min() > k * max(w_tol, cur_tol):
-            return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
-        d = _project_simplex(d - (mu / math.sqrt(k)) * g)
-
-    factor = _lift_positive(best_d)
-    vals = []
-    w_tol = 0.0
-    for m in mats:
-        w = factor[:, None] * m
-        w = w + w.T
-        vals.append(float(np.linalg.eigvalsh(w)[-1]))
-        w_tol = max(w_tol, definiteness_tol(w))
-    worst = max(vals)
-    if tol is not None:
-        w_tol = tol
-    if worst < -w_tol:
-        cert = Certificate("common-diagonal", np.diag(factor), -worst,
-                           HalfPlaneLeft(), k)
-        return Verdict(Status.PROVED, "certificate:common-diagonal",
-                       witness=cert)
-    return Verdict(Status.UNKNOWN, "search-budget-exhausted")
-
-
-def shorten_narendra_reduce(a):
-    """Leading principal submatrix and its rank-one correction.
-
-    For a matrix with a_nn < 0, diagonal stability is equivalent to the
-    two returned (n-1) x (n-1) matrices sharing a common diagonal
-    Lyapunov solution.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if n < 2:
-        raise ValueError("reduction needs n >= 2")
-    if not a[n - 1, n - 1] < 0:
-        raise ValueError("reduction requires a_nn < 0")
-    lead = a[: n - 1, : n - 1].copy()
-    col = a[: n - 1, n - 1]
-    row = a[n - 1, : n - 1]
-    corrected = lead - np.outer(col, row) / a[n - 1, n - 1]
-    return lead, corrected
-
-
 # ---------------------------------------------------------------------------
 # Certificate re-verification
 # ---------------------------------------------------------------------------
@@ -502,25 +393,10 @@ def _require(cond, msg):
 def verify_certificate(a, cert):
     """Recompute a certificate's operator and margin; raise on any failure.
 
-    ``a`` is the certified matrix, or the list of matrices for a
-    common-diagonal certificate.  Returns the recomputed margin.
+    ``a`` is the certified matrix.  Returns the recomputed margin.
     """
     factor = np.asarray(cert.factor, dtype=float)
     off = factor - np.diag(np.diag(factor))
-
-    if cert.kind == "common-diagonal":
-        mats = [as_matrix(m) for m in a]
-        _require(np.all(off == 0.0), "factor must be diagonal")
-        d = np.diag(factor)
-        _require((d > 0).all(), "factor must be positive diagonal")
-        worst = -math.inf
-        for m in mats:
-            w = d[:, None] * m
-            w = w + w.T
-            worst = max(worst, float(np.linalg.eigvalsh(w)[-1]))
-        _require(worst < 0, "certified form is not negative definite")
-        return -worst
-
     a = as_matrix(a)
     if cert.kind == "spd-lyapunov":
         _require(np.allclose(factor, factor.T,

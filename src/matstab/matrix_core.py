@@ -12,7 +12,7 @@ per-submatrix loop.  The minors of ``-A`` need no second sweep: an
 order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, bit for bit
 for every nonzero minor (:func:`negate_minors`).  :func:`compound` is the
 gather for all order-k minors, one batched ``np.linalg.det`` per row;
-the sign-symmetry sweep and square diagonal dominance read it.
+the sign-symmetry sweep reads it.
 :func:`exact_det_sign` gives a determinant's sign in exact integer
 arithmetic; refutations by a minor sign use it to confirm what the
 floating-point screen found.
@@ -20,18 +20,14 @@ floating-point screen found.
 
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
-from math import comb
 
 import numpy as np
 
 __all__ = [
-    "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "hadamard", "kronecker",
-    "block_hadamard", "compound", "additive_compound_2", "comparison_matrix",
-    "w_map", "sign_pattern", "principal_minors", "negate_minors",
-    "exact_det_sign",
-    "leading_minors", "is_z_matrix", "is_metzler", "is_m_matrix",
-    "generalized_diag_dominant", "square_dd_every_order", "ClassReport",
-    "classify", "sign_symmetry_sweep",
+    "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "block_hadamard", "compound",
+    "additive_compound_2", "comparison_matrix", "w_map", "principal_minors",
+    "negate_minors", "exact_det_sign", "leading_minors", "is_z_matrix",
+    "is_m_matrix", "ClassReport", "classify", "sign_symmetry_sweep",
 ]
 
 # Full principal-minor enumeration grows as 2^n; beyond this cap classify
@@ -54,19 +50,6 @@ def as_matrix(a):
 
 def minor_tol(a, order):
     return 1e-10 * (1.0 + np.linalg.norm(a, np.inf) ** order)
-
-
-def hadamard(a, b):
-    """Entry-wise product of two equal-size matrices."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError("hadamard product needs equal dimensions")
-    return a * b
-
-
-def kronecker(a, b):
-    """Kronecker product; block (i, j) of the result is a_ij * b."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def block_hadamard(h, g, block):
@@ -128,11 +111,6 @@ def w_map(a):
     out = abs(a)
     np.fill_diagonal(out, np.diag(a))
     return out
-
-
-def sign_pattern(a):
-    """Entry-wise sign matrix with values in {-1, 0, +1}."""
-    return np.sign(as_matrix(a))
 
 
 def principal_minors(a, max_order=None):
@@ -218,10 +196,6 @@ def is_z_matrix(a, tol=None):
     return bool((off <= tol).all())
 
 
-def is_metzler(a, tol=None):
-    return is_z_matrix(-as_matrix(a), tol)
-
-
 def is_m_matrix(a, tol=None):
     """Z-matrix with all principal minors positive.
 
@@ -235,34 +209,6 @@ def is_m_matrix(a, tol=None):
     for k, d in enumerate(leading_minors(a), start=1):
         if d <= minor_tol(a, k):
             return False
-    return True
-
-
-def generalized_diag_dominant(a):
-    """Existence of positive row weights m with m_i|a_ii| > sum m_j|a_ij|.
-
-    Equivalent to the comparison matrix being an M-matrix.
-    """
-    return is_m_matrix(comparison_matrix(a))
-
-
-def square_dd_every_order(a):
-    """Strict row square diagonal dominance for every order of minors.
-
-    For each order k and each row set alpha, the squared principal minor
-    must dominate the sum of squares over all other column sets.  The
-    pair enumeration is combinatorial, so the test is limited to n <= 8.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if n > _PAIRWISE_MINOR_CAP:
-        raise ValueError(f"pairwise minor enumeration capped at n = {_PAIRWISE_MINOR_CAP}")
-    for k in range(1, n + 1):
-        for p, row in enumerate(compound(a, k)):
-            # a left-to-right sum of numpy scalars, as np.sum would not be
-            rest = sum(v ** 2 for q, v in enumerate(row) if q != p)
-            if row[p] ** 2 <= rest:
-                return False
     return True
 
 

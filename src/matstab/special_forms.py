@@ -1,10 +1,8 @@
 """Structure-specific stability criteria.
 
-Cyclic feedback forms and their exact secant bound, reduction of
-reducible matrices to strongly connected diagonal blocks, the
-single-circuit gain criterion, the sign structure that makes the second
-additive compound Metzler, and the block companion matrices of
-second-order systems with their block-Hadamard perturbation classes.
+Cyclic feedback forms and their exact secant bound, the single-circuit
+gain criterion, and the block companion matrices of second-order
+systems.
 """
 
 import math
@@ -12,18 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dstability import (Multiply, PositiveDiagonal, falsify,
-                         necessary_p0plus, sufficient_suite)
-from .matrix_core import (additive_compound_2, as_matrix, classify, compound,
-                          is_metzler)
-from .spectra import (HalfPlaneLeft, Status, Verdict, eigenvalues,
-                      first_outside, region_stable)
+from .matrix_core import as_matrix, classify
+from .spectra import Status, Verdict
 
 __all__ = [
     "CyclicForm", "CompanionPair", "detect_cyclic", "secant_criterion",
-    "arcak_decompose", "single_circuit_criterion", "metzler_compound_structure",
-    "build_companion", "companion_ndd_stable", "companion_ndd_d_stable", "damping_class_stability",
-    "stiffness_class_stability", "strictly_totally_positive",
+    "single_circuit_criterion", "build_companion", "companion_ndd_stable",
+    "companion_ndd_d_stable",
 ]
 
 
@@ -93,72 +86,6 @@ def secant_criterion(form):
                    witness={"ratio": ratio, "bound": bound})
 
 
-def _strongly_connected_components(adj):
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    n = len(adj)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = [0]
-
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for next_i in range(pi, len(adj[v])):
-                w = adj[v][next_i]
-                if index[w] is None:
-                    work[-1] = (v, next_i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-    return components
-
-
-def arcak_decompose(a, tol=None):
-    """Diagonal blocks of the block-triangular form over strongly connected parts.
-
-    Diagonal stability of the input is equivalent to diagonal stability
-    of every returned block.  Returns (indices, block) pairs; a single
-    pair comes back for an irreducible matrix.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(a).max())
-    adj = [[j for j in range(n) if j != i and abs(a[i, j]) > tol]
-           for i in range(n)]
-    comps = _strongly_connected_components(adj)
-    return [(comp, a[np.ix_(comp, comp)]) for comp in comps]
-
-
 def single_circuit_criterion(a, tol=None):
     """Exact diagonal-stability decision when the graph is one circuit.
 
@@ -200,38 +127,6 @@ def single_circuit_criterion(a, tol=None):
                        witness={"gamma": gamma, "phi": phi, "value": value})
     return Verdict(Status.REFUTED, "single-circuit-gain",
                    witness={"gamma": gamma, "phi": phi, "value": value})
-
-
-def metzler_compound_structure(a, tol=None):
-    """Sign structure making the second additive compound Metzler.
-
-    Nonnegative first off-diagonals, nonpositive corner entries, zeros
-    elsewhere off the tridiagonal band, arbitrary diagonal.  The verdict
-    is cross-checked against Metzler-ness of the compound itself.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(a).max())
-    trimmed = np.where(np.abs(a) <= tol, 0.0, a)
-    if n <= 2:
-        return True
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            v = trimmed[i, j]
-            if abs(i - j) == 1:
-                ok = ok and v >= 0
-            elif (i, j) in ((0, n - 1), (n - 1, 0)):
-                ok = ok and v <= 0
-            else:
-                ok = ok and v == 0
-    compound_metzler = is_metzler(additive_compound_2(trimmed), tol=0.0)
-    if compound_metzler != ok:
-        raise RuntimeError("sign-structure test disagrees with the compound")
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -289,136 +184,3 @@ def companion_ndd_d_stable(a, b):
     if v.proved:
         return Verdict(Status.PROVED, "companion-ndd-d-stable")
     return Verdict(Status.UNKNOWN, v.reason)
-
-
-def _block_corner_class_witness(d, n, position):
-    g = np.eye(2 * n)
-    g[:n, :n] = np.eye(n)
-    if position == "upper-left":
-        g[:n, :n] = np.diag(d)
-    else:
-        g[:n, n:] = np.diag(d)
-    g[n:, :n] = np.eye(n)
-    g[n:, n:] = np.eye(n)
-    return g
-
-
-def damping_class_stability(a, b, samples=5000, budget=5000, seed=0):
-    """Block-Hadamard stability of [[A, bI], [I, 0]] via D-stability of A.
-
-    The class multiplies only the damping block: G = [[D, I], [I, I]]
-    with positive diagonal D, acting blockwise.  For a_ii < 0 and b < 0
-    the companion is class-stable iff A is multiplicative D-stable, so
-    the verdict is the D-stability orchestration on A relabeled for C,
-    with falsification witnesses transferred to the block class.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if not b < 0:
-        raise ValueError("damping-class reduction requires b < 0")
-    if not (np.diag(a) < 0).all():
-        raise ValueError("damping-class reduction requires a negative diagonal in A")
-
-    nec = necessary_p0plus(a)  # cheap kill before the sampling budget
-    if nec.refuted:
-        return Verdict(Status.REFUTED, "damping-class-necessary-fails",
-                       witness=nec.witness, seed=seed)
-
-    fal = falsify(a, PositiveDiagonal(), Multiply(), HalfPlaneLeft(),
-                  samples=samples, seed=seed)
-    if fal.refuted:
-        d = np.diag(fal.witness.g)
-        g = _block_corner_class_witness(d, n, "upper-left")
-        c = build_companion(a, b * np.eye(n)).c
-        realized = np.zeros_like(c)
-        realized[:n, :n] = np.diag(d) @ a
-        realized[:n, n:] = b * np.eye(n)
-        realized[n:, :n] = np.eye(n)
-        z = first_outside(eigenvalues(realized), HalfPlaneLeft())
-        if z is not None:
-            return Verdict(Status.REFUTED, "damping-class-falsified",
-                           witness={"g": g, "realized": realized,
-                                    "eigenvalue": z}, seed=seed)
-        return Verdict(Status.REFUTED, "damping-class-a-not-d-stable",
-                       witness={"d": d, "eigenvalue": fal.witness.eigenvalue},
-                       seed=seed)
-
-    suite = sufficient_suite(-a, budget=budget)
-    for name, verdict in suite:
-        if verdict.proved:
-            return Verdict(Status.PROVED, f"damping-class-d-stable-by-{name}",
-                           witness=verdict.witness, seed=seed)
-    return Verdict(Status.UNKNOWN, "damping-class-undecided", seed=seed)
-
-
-def strictly_totally_positive(m, cap=6):
-    """All minors of all orders strictly positive (full pair enumeration)."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    if n > cap:
-        raise ValueError(f"total positivity enumeration capped at n = {cap}")
-    for k in range(1, n + 1):
-        tol = 1e-12 * (1.0 + abs(m).max() ** k)
-        if (compound(m, k) <= tol).any():
-            return False
-    return True
-
-
-def stiffness_class_stability(b, a, samples=2000, seed=0):
-    """Block-Hadamard stability of [[aI, B], [I, 0]] from D-negativity of B.
-
-    The class multiplies only the stiffness block: G = [[I, D], [I, I]].
-    D-negativity of B (all eigenvalues of D B real negative for every
-    positive diagonal D) has no exact decider here, so the test combines
-    sufficient conditions (B symmetric negative definite, or -B strictly
-    totally positive) with a sampling falsifier.  A sampled D whose
-    realized companion leaves the half-plane refutes class stability
-    outright; a D-negativity violation alone downgrades to Unknown.
-    """
-    b = as_matrix(b)
-    n = b.shape[0]
-    if not a < 0:
-        raise ValueError("stiffness-class reduction requires a < 0")
-    tol = 1e-12 * (1.0 + abs(b).max())
-    if not (np.diag(b) < -tol).all():
-        raise ValueError("stiffness-class reduction requires a negative diagonal in B")
-
-    symmetric_nd = bool(
-        np.allclose(b, b.T, atol=tol)
-        and np.linalg.eigvalsh(0.5 * (b + b.T))[-1] < 0)
-    stp = n <= 6 and strictly_totally_positive(-b)
-
-    rng = np.random.default_rng(seed)
-    premise_violation = None
-    for idx in range(samples):
-        d = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
-        spec = eigenvalues(np.diag(d) @ b)
-        bad = [z for z in spec
-               if abs(z.imag) > 1e-8 * (1.0 + abs(z)) or z.real >= 0]
-        if not bad:
-            continue
-        realized = np.zeros((2 * n, 2 * n))
-        realized[:n, :n] = a * np.eye(n)
-        realized[:n, n:] = np.diag(d) @ b
-        realized[n:, :n] = np.eye(n)
-        check = region_stable(realized, HalfPlaneLeft())
-        if check.refuted:
-            g = _block_corner_class_witness(d, n, "upper-right")
-            return Verdict(Status.REFUTED, "stiffness-class-falsified",
-                           witness={"g": g, "realized": realized,
-                                    "eigenvalue": check.witness["eigenvalue"],
-                                    "sample_index": idx}, seed=seed)
-        if premise_violation is None:
-            premise_violation = {"d": d, "eigenvalue": complex(bad[0]),
-                                 "sample_index": idx}
-
-    if premise_violation is not None:
-        return Verdict(Status.UNKNOWN, "stiffness-class-d-negativity-refuted",
-                       witness=premise_violation, seed=seed)
-    if symmetric_nd:
-        return Verdict(Status.PROVED, "stiffness-class-b-symmetric-negative-definite",
-                       seed=seed)
-    if stp:
-        return Verdict(Status.PROVED, "stiffness-class-minus-b-strictly-totally-positive",
-                       seed=seed)
-    return Verdict(Status.UNKNOWN, "stiffness-class-d-negativity-undecided", seed=seed)

@@ -39,9 +39,8 @@ __all__ = [
     "Region", "HalfPlaneLeft", "HalfPlaneRight", "Disk", "SectorRight",
     "ComplementSector", "RealLine", "PositiveRealAxis", "NegativeRealAxis",
     "Hyperbolic", "PunctureOrigin", "LMIRegion", "EMIRegion",
-    "EigenSolverError", "eigenvalues", "conjugate_paired", "default_tol",
-    "region_membership", "first_outside", "region_stable", "inertia",
-    "gershgorin",
+    "EigenSolverError", "eigenvalues", "default_tol", "region_membership",
+    "first_outside", "region_stable", "inertia", "gershgorin",
     "simulate_decay", "spectral_abscissa", "decay_horizon",
 ]
 
@@ -339,26 +338,6 @@ def eigenvalues(a):
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(str(exc)) from exc
     return np.sort_complex(w)
-
-
-def conjugate_paired(spectrum, tol=1e-8):
-    """True when the multiset of eigenvalues is symmetric about the real axis."""
-    left = [z for z in spectrum if z.imag > tol]
-    right = [z for z in spectrum if z.imag < -tol]
-    if len(left) != len(right):
-        return False
-    scale = 1.0 + max((abs(z) for z in spectrum), default=0.0)
-    right = list(right)
-    for z in left:
-        match = None
-        for i, w in enumerate(right):
-            if abs(np.conj(z) - w) <= tol * scale:
-                match = i
-                break
-        if match is None:
-            return False
-        right.pop(match)
-    return True
 
 
 def default_tol(z):

@@ -42,6 +42,18 @@ class TestParseMatrix:
         with pytest.raises(cli.UsageError):
             cli.parse_matrix('{"n": 1, "rows": [[1e999]]}')
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"rows":[1,2]}', "list of lists"),
+        ('{"rows":{"a":1}}', "list of lists"),
+        ('{"rows":[[1]],"n":"1"}', "non-negative integer, got '1'"),
+        ('{"rows":[[1]],"n":true}', "non-negative integer, got True"),
+    ])
+    def test_malformed_json_rejected(self, text, message, capsys):
+        with pytest.raises(cli.UsageError, match=message):
+            cli.parse_matrix(text)
+        assert cli.main(["--", text]) == 1
+        assert capsys.readouterr().err.startswith("matstab: error: ")
+
 
 class TestParsers:
     def test_regions(self):
@@ -52,6 +64,18 @@ class TestParsers:
         assert lmi.name == "lmi"
         with pytest.raises(cli.UsageError):
             cli.parse_region("nope")
+
+    @pytest.mark.parametrize("spec, message", [
+        ('lmi:{"x":1}', "lmi region needs a JSON object with keys l, m"),
+        ('emi:{"r11":[[0]]}', "keys r11, r12, r22"),
+        ('lmi:[1]', "lmi region needs a JSON object"),
+        ('lmi:{"l":{"a":1},"m":[[1]]}', "lmi region: float"),
+    ])
+    def test_malformed_region_json_rejected(self, spec, message, capsys):
+        with pytest.raises(cli.UsageError, match=message):
+            cli.parse_region(spec)
+        assert cli.main(["--region", spec, "--", "-1,0;0,-1"]) == 1
+        assert capsys.readouterr().err.startswith("matstab: error: ")
 
     def test_classes(self):
         assert cli.parse_gclass("positive-diagonal").name == "positive-diagonal"

@@ -691,43 +691,6 @@ class TestLiWang:
             assert ds.li_wang_stable(a).proved == truth
 
 
-class TestJohnsonTesi:
-    def test_scalar_expansion(self):
-        # det [[a, d], [-d, a]] = a^2 + d^2
-        p = ds.johnson_tesi_poly(np.array([[3.0]]))
-        assert p.coeffs == {(0,): 9.0, (2,): 1.0}
-
-    def test_identity_has_nonnegative_coefficients(self):
-        p = ds.johnson_tesi_poly(np.eye(2))
-        assert min(p.coeffs.values()) >= 0
-
-    def test_matches_numeric_determinant(self, rng):
-        for n in (1, 2, 3, 4):
-            a = rng.normal(size=(n, n))
-            p = ds.johnson_tesi_poly(a)
-            for exponents in p.coeffs:
-                assert max(exponents) <= 2  # each d_i at most squared
-            for _ in range(5):
-                d = rng.uniform(0.1, 3.0, n)
-                big = np.block([[a, np.diag(d)], [-np.diag(d), a]])
-                expect = np.linalg.det(big)
-                assert abs(p.evaluate(d) - expect) <= 1e-9 * (1 + abs(expect))
-
-    def test_negative_identity_proved(self):
-        assert ds.johnson_tesi_sufficient(-np.eye(2)).proved
-
-    def test_scalar_stable(self):
-        assert ds.johnson_tesi_sufficient(np.array([[-0.5]])).proved
-
-    def test_classic_counterexample_not_proved(self):
-        a = np.array([[1.0, -4.0], [1.0, -2.0]])
-        assert not ds.johnson_tesi_sufficient(a).proved
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            ds.johnson_tesi_poly(-np.eye(5))
-
-
 class TestHadamardPTest:
     def test_diagonally_stable_never_refuted(self, rng):
         a, _ = random_diagonally_stable(rng, 3)
@@ -769,41 +732,6 @@ class TestTotalScan:
             assert classify(sub).m_matrix  # closure under principal slices
             assert rec["verdict"].proved
         assert overall.proved
-
-
-class TestFisherFuller:
-    def test_identity(self):
-        v = ds.fisher_fuller_stabilize(np.eye(3))
-        assert v.proved
-        spec = v.witness["spectrum"]
-        assert all(x > 0 for x in spec)
-        assert len(set(np.round(spec, 12))) == 3
-
-    def test_upper_triangular(self, rng):
-        a = random_triangular_positive_diag(rng, 4)
-        v = ds.fisher_fuller_stabilize(a)
-        assert v.proved
-        d = np.diag(v.witness["factor"])
-        lam = np.linalg.eigvals(np.diag(d) @ a)
-        assert abs(lam.imag).max() < 1e-8 * (1 + abs(lam).max())
-        assert lam.real.min() > 0
-
-    def test_random_p_matrices(self, rng):
-        proved = total = 0
-        for _ in range(40):
-            a = rng.normal(size=(3, 3))
-            lead = [np.linalg.det(a[:k, :k]) for k in (1, 2, 3)]
-            if min(lead) <= 1e-6:
-                continue
-            total += 1
-            if ds.fisher_fuller_stabilize(a, budget=300).proved:
-                proved += 1
-        assert total >= 5
-        assert proved >= 0.95 * total
-
-    def test_premise_checked(self):
-        with pytest.raises(ValueError):
-            ds.fisher_fuller_stabilize(np.diag([-1.0, 1.0]))
 
 
 class TestVertex:

@@ -65,48 +65,6 @@ class TestSolveStein:
             ly.solve_stein(a, -np.eye(2))
 
 
-class TestGenLyap:
-    def test_c00_only_returns_h(self, rng):
-        h = rng.normal(size=(3, 3))
-        h = h @ h.T + np.eye(3)
-        c = np.zeros((3, 3))
-        c[0, 0] = 1.0
-        assert np.allclose(ly.apply_gen_lyap(c, rng.normal(size=(3, 3)), h), h)
-
-    def test_reproduces_classical_form(self, rng):
-        a = random_hurwitz(rng, 3)
-        h = ly.solve_lyapunov(a, -np.eye(3))
-        c = np.zeros((2, 2))
-        c[0, 1] = c[1, 0] = 0.5
-        w = ly.apply_gen_lyap(c, a, h)
-        # c01 (A^T)^0 H A + c10 A^T H A^0 with the symmetric halves
-        assert np.allclose(w, 0.5 * (h @ a + a.T @ h), atol=1e-10)
-
-    def test_hill_scalar_identity_on_normal_matrices(self, rng):
-        # real normal matrix via orthogonal conjugation of rotation blocks
-        for _ in range(20):
-            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-            a_re, a_im = rng.normal(size=2)
-            blocks = np.zeros((4, 4))
-            blocks[:2, :2] = [[a_re, -a_im], [a_im, a_re]]
-            blocks[2:, 2:] = np.diag(rng.normal(size=2))
-            a = q @ blocks @ q.T
-            c = rng.normal(size=(3, 3))
-            c = 0.5 * (c + c.T)
-            w = ly.apply_gen_lyap(c, a, np.eye(4))
-            if np.linalg.eigvalsh(0.5 * (w + w.T))[0] <= 1e-9:
-                continue
-            for lam in np.linalg.eigvals(a):
-                f = sum(c[i, j] * np.conj(lam) ** i * lam ** j
-                        for i in range(3) for j in range(3))
-                assert f.real > 0
-                assert abs(f.imag) < 1e-8 * (1 + abs(f))
-
-    def test_symmetry_required(self):
-        with pytest.raises(ValueError):
-            ly.apply_gen_lyap([[0.0, 1.0], [0.0, 0.0]], np.eye(2), np.eye(2))
-
-
 class TestRegionOperators:
     def test_lmi_scalar_reduction(self, rng):
         h = rng.normal(size=(3, 3))
@@ -319,15 +277,6 @@ class TestDualBoundStop:
         assert v.reason == DUAL_STOP
         assert calls[0] <= 50
 
-    def test_common_search_stops_where_one_matrix_has_no_certificate(self):
-        classic = np.array([[1.0, -4.0], [1.0, -2.0]])
-        v = ly.common_diagonal_search([-np.eye(2), classic])
-        assert v.reason == DUAL_STOP
-        for d in simplex_points(2, seed=2):
-            assert max(np.linalg.eigvalsh(half_plane_form(m, d))[-1]
-                       for m in (-np.eye(2), classic)) > 0
-
-
 class TestHyperbolicity:
     def test_identity(self):
         v = ly.diagonal_hyperbolicity_search(np.eye(3))
@@ -350,69 +299,6 @@ class TestHyperbolicity:
             v = ly.diagonal_hyperbolicity_search(a, budget=800)
             if v.proved:
                 assert abs(np.linalg.eigvals(a).real).min() > 0
-
-
-class TestCommonDiagonal:
-    def test_single_matrix(self):
-        assert ly.common_diagonal_search([-np.eye(2)]).proved
-
-    def test_duplicates_match_single(self, rng):
-        a, _ = random_diagonally_stable(rng, 3)
-        single = ly.diagonal_stability_search(a).proved
-        double = ly.common_diagonal_search([a, a]).proved
-        assert single == double
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ly.common_diagonal_search([])
-
-    def test_reduction_pair_has_common_solution(self, rng):
-        for _ in range(10):
-            a, _ = random_diagonally_stable(rng, 3)
-            if not a[2, 2] < 0:
-                continue
-            lead, corrected = ly.shorten_narendra_reduce(a)
-            v = ly.common_diagonal_search([lead, corrected])
-            assert v.proved
-
-    def test_recursive_decision_agrees_with_search(self, rng):
-        # the reduction is an iff: cross-validate the two deciders on
-        # instances whose status is known by construction
-        for _ in range(100):
-            n = int(rng.integers(2, 5))
-            if rng.integers(0, 2):
-                a, _ = random_diagonally_stable(rng, n)
-                if not a[n - 1, n - 1] < 0:
-                    continue
-                expect = True
-            else:
-                a = rng.normal(size=(n, n))
-                a[0, 0] = abs(a[0, 0]) + 0.1   # positive entry kills it
-                a[n - 1, n - 1] = -abs(a[n - 1, n - 1]) - 0.1
-                expect = False
-            direct = ly.diagonal_stability_search(a, budget=3000).proved
-            lead, corrected = ly.shorten_narendra_reduce(a)
-            reduced = ly.common_diagonal_search([lead, corrected],
-                                                budget=3000).proved
-            assert direct == expect
-            assert reduced == expect
-
-
-class TestShortenNarendraReduce:
-    def test_forced_arithmetic(self):
-        lead, corrected = ly.shorten_narendra_reduce(
-            np.array([[-2.0, 1.0], [1.0, -1.0]]))
-        assert np.allclose(lead, [[-2.0]])
-        assert np.allclose(corrected, [[-1.0]])
-
-    def test_diagonal(self):
-        lead, corrected = ly.shorten_narendra_reduce(np.diag([-1.0, -2.0]))
-        assert np.allclose(lead, [[-1.0]])
-        assert np.allclose(corrected, [[-1.0]])
-
-    def test_premise(self):
-        with pytest.raises(ValueError):
-            ly.shorten_narendra_reduce(np.array([[-1.0, 0.0], [0.0, 1.0]]))
 
 
 class TestVerifyCertificate:

@@ -26,40 +26,6 @@ def square(n, lo=-5.0, hi=5.0):
 
 
 class TestProducts:
-    def test_hadamard_all_ones_identity(self, rng):
-        a = rng.normal(size=(3, 3))
-        assert np.array_equal(mc.hadamard(a, np.ones((3, 3))), a)
-
-    def test_hadamard_identity(self):
-        assert np.array_equal(mc.hadamard(np.eye(2), np.eye(2)), np.eye(2))
-
-    def test_hadamard_forced_arithmetic(self):
-        out = mc.hadamard([[1, 2], [3, 4]], [[2, 0], [0, 2]])
-        assert np.array_equal(out, [[2, 0], [0, 8]])
-
-    def test_hadamard_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mc.hadamard(np.eye(2), np.eye(3))
-
-    def test_kronecker_identity_blockdiag(self, rng):
-        b = rng.normal(size=(2, 2))
-        out = mc.kronecker(np.eye(2), b)
-        assert np.allclose(out[:2, :2], b)
-        assert np.allclose(out[2:, 2:], b)
-        assert np.allclose(out[:2, 2:], 0)
-
-    def test_kronecker_scalar(self, rng):
-        b = rng.normal(size=(3, 3))
-        assert np.allclose(mc.kronecker([[2.0]], b), 2.0 * b)
-
-    def test_kronecker_mixed_product(self, rng):
-        # checked by direct multiplication on random 2x2 samples
-        for _ in range(20):
-            a, b, c, d = (rng.normal(size=(2, 2)) for _ in range(4))
-            left = mc.kronecker(a, b) @ mc.kronecker(c, d)
-            right = mc.kronecker(a @ c, b @ d)
-            assert np.allclose(left, right, atol=1e-10)
-
     def test_block_hadamard_identity_blocks(self, rng):
         g = rng.normal(size=(4, 4))
         h = np.tile(np.eye(2), (2, 2))
@@ -170,14 +136,6 @@ class TestEntrywiseMaps:
         assert np.array_equal(mc.comparison_matrix(mc.w_map(a)),
                               mc.comparison_matrix(a))
 
-    def test_sign_pattern(self, rng):
-        assert np.array_equal(mc.sign_pattern(np.eye(2)), np.eye(2))
-        a = rng.normal(size=(3, 3))
-        assert np.array_equal(mc.sign_pattern(-a), -mc.sign_pattern(a))
-        s = mc.sign_pattern(a)
-        assert np.array_equal(mc.sign_pattern(s), s)
-
-
 class TestMinors:
     def test_identity_minors(self):
         out = mc.principal_minors(np.eye(3))
@@ -280,39 +238,6 @@ class TestClassify:
         assert rep.p is None and rep.m_matrix is None
 
 
-class TestGeneralizedDominance:
-    def test_weights_from_inverse_oracle(self, rng):
-        # when the comparison matrix is an M-matrix, m = M^-1 1 gives
-        # strictly feasible weights; cross-check the decision both ways
-        hits = 0
-        for _ in range(200):
-            n = int(rng.integers(2, 6))
-            a = rng.normal(size=(n, n))
-            if rng.integers(0, 2):
-                np.fill_diagonal(a, np.abs(a).sum(axis=1)
-                                 + rng.uniform(0.1, 1.0, n))
-            decided = mc.generalized_diag_dominant(a)
-            if not decided:
-                continue
-            hits += 1
-            comp = mc.comparison_matrix(a)
-            m = np.linalg.solve(comp, np.ones(n))
-            assert (m > 0).all()
-            lhs = m * np.abs(np.diag(a))
-            rhs = (np.abs(a) * m[None, :]).sum(axis=1) - lhs
-            assert (lhs > rhs).all()
-        assert hits >= 40
-
-    def test_negative_cases_admit_no_sampled_weights(self, rng):
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # off-diagonal dominates
-        assert not mc.generalized_diag_dominant(a)
-        for _ in range(2000):
-            m = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2))
-            lhs = m * np.abs(np.diag(a))
-            rhs = (np.abs(a) * m[None, :]).sum(axis=1) - lhs
-            assert not (lhs > rhs).all()
-
-
 class TestCompoundLink:
     def test_additive_compound_is_derivative_of_multiplicative(self, rng):
         # (I + hA)^(2) = I + h A^[2] + O(h^2): a finite-difference oracle
@@ -364,21 +289,6 @@ def _sign_symmetry_loop(a):
     return True, None
 
 
-def _square_dd_loop(a):
-    """Reference: square diagonal dominance, one determinant at a time."""
-    n = a.shape[0]
-    for k in range(1, n + 1):
-        sets = list(combinations(range(n), k))
-        for alpha in sets:
-            rows = a[alpha, :]
-            diag = np.linalg.det(rows[:, alpha])
-            rest = sum(np.linalg.det(rows[:, beta]) ** 2
-                       for beta in sets if beta != alpha)
-            if diag ** 2 <= rest:
-                return False
-    return True
-
-
 def same_bits(x, y):
     return np.array_equal(x, y) and np.array_equal(np.signbit(x),
                                                    np.signbit(y))
@@ -427,27 +337,6 @@ class TestMinorGather:
         assert wit == ref_wit
         if wit is not None:
             assert float(wit["product"]).hex() == ref_wit["product"].hex()
-
-    @given(st.integers(1, 6).flatmap(gathered), st.floats(0.0, 40.0))
-    @settings(max_examples=80, deadline=None)
-    def test_square_dd_matches_loop(self, a, shift):
-        # a large diagonal keeps the test going into the higher orders
-        a = a + shift * np.eye(a.shape[0])
-        assert mc.square_dd_every_order(a) is _square_dd_loop(a)
-
-
-class TestSquareDDEveryOrder:
-    def test_identity_passes(self):
-        assert mc.square_dd_every_order(np.eye(4))
-
-    def test_dominant_fails_when_minor_blows_up(self):
-        a = np.array([[1.0, 10.0], [0.0, 1.0]])
-        assert not mc.square_dd_every_order(a)
-
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            mc.square_dd_every_order(np.eye(9))
-
 
 def _fraction_det_sign(m):
     """Sign of det(m) by Gaussian elimination over exact fractions."""

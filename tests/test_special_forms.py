@@ -6,7 +6,6 @@ import pytest
 from matstab import dstability as ds
 from matstab import lyapunov as ly
 from matstab import special_forms as sf
-from matstab.matrix_core import additive_compound_2, is_metzler
 from matstab.spectra import HalfPlaneLeft, Status
 
 from conftest import multiset_close, random_ndd
@@ -69,36 +68,6 @@ class TestSecant:
                 assert v.proved == s.proved
 
 
-class TestArcakDecompose:
-    def test_block_diagonal(self):
-        a = np.zeros((4, 4))
-        a[:2, :2] = [[-1.0, 2.0], [3.0, -1.0]]
-        a[2:, 2:] = [[-1.0, 0.5], [0.5, -1.0]]
-        blocks = sf.arcak_decompose(a)
-        assert sorted(idx for idx, _ in blocks) == [(0, 1), (2, 3)]
-
-    def test_irreducible_single_block(self):
-        a = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        blocks = sf.arcak_decompose(a)
-        assert len(blocks) == 1 and blocks[0][0] == (0, 1)
-
-    def test_reducible_and_composition(self, rng):
-        # diagonal stability of the whole equals the AND over the blocks
-        for _ in range(10):
-            upper = rng.normal(size=(5, 5))
-            upper[np.tril_indices(5, -1)] = 0.0
-            blk1 = rng.normal(size=(2, 2))
-            blk2 = rng.normal(size=(3, 3))
-            upper[:2, :2] = blk1
-            upper[2:, 2:] = blk2
-            blocks = sf.arcak_decompose(upper)
-            direct = ly.diagonal_stability_search(upper, budget=3000).proved
-            per_block = all(
-                ly.diagonal_stability_search(b, budget=3000).proved
-                for _, b in blocks)
-            assert direct == per_block
-
-
 class TestSingleCircuit:
     def build(self, n, entries):
         m = -np.eye(n)
@@ -148,33 +117,6 @@ class TestSingleCircuit:
                 sec = sf.secant_criterion(form)
                 circ = sf.single_circuit_criterion(form.matrix())
                 assert sec.status == circ.status
-
-
-class TestStr1:
-    def build(self, n, rng):
-        a = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        a[idx + 1, idx] = rng.uniform(0.0, 2.0, n - 1)
-        a[idx, idx + 1] = rng.uniform(0.0, 2.0, n - 1)
-        a[0, n - 1] = -rng.uniform(0.0, 2.0)
-        a[n - 1, 0] = -rng.uniform(0.0, 2.0)
-        np.fill_diagonal(a, rng.normal(size=n))
-        return a
-
-    def test_structure_gives_metzler_compound(self, rng):
-        for n in (3, 4, 5):
-            a = self.build(n, rng)
-            assert sf.metzler_compound_structure(a)
-            assert is_metzler(additive_compound_2(a))
-
-    def test_violated_corner(self, rng):
-        a = self.build(4, rng)
-        a[0, 3] = 0.7  # corner must be nonpositive
-        assert not sf.metzler_compound_structure(a)
-        assert not is_metzler(additive_compound_2(a), tol=0.0)
-
-    def test_diagonal_vacuous(self):
-        assert sf.metzler_compound_structure(np.diag([-1.0, 2.0, 3.0]))
 
 
 class TestCompanion:
@@ -254,82 +196,3 @@ class TestTheorem1:
         assert v.status is Status.UNKNOWN
 
 
-class TestG1Equivalence:
-    def test_negative_identity(self):
-        v = sf.damping_class_stability(-np.eye(2), -1.0, samples=500)
-        assert v.proved
-
-    def test_matches_dstability_verdict(self, rng):
-        # A with negative diagonal, Hurwitz, not D-stable (n = 3)
-        a = self._non_d_stable(rng)
-        v = sf.damping_class_stability(a, -1.0, samples=20000, seed=5)
-        assert v.refuted
-        if "realized" in (v.witness or {}):
-            realized = v.witness["realized"]
-            z = v.witness["eigenvalue"]
-            lam = np.linalg.eigvals(realized)
-            assert min(abs(lam - z)) <= 1e-8 * (1 + abs(z))
-
-    @staticmethod
-    def _non_d_stable(rng):
-        # search for a Hurwitz matrix with negative diagonal that the
-        # falsifier kills quickly; existence is classical for n >= 3
-        for _ in range(500):
-            a = rng.normal(size=(3, 3))
-            np.fill_diagonal(a, -np.abs(np.diag(a)) - 0.05)
-            if np.linalg.eigvals(a).real.max() >= -1e-3:
-                continue
-            v = ds.falsify(a, ds.PositiveDiagonal(), ds.Multiply(),
-                           HalfPlaneLeft(), samples=2000, seed=1)
-            if v.refuted:
-                return a
-        raise AssertionError("no witness instance found")
-
-    def test_spectra_match_block_formula(self, rng):
-        a = -np.eye(3) + 0.2 * rng.normal(size=(3, 3))
-        np.fill_diagonal(a, -np.abs(np.diag(a)) - 0.5)
-        b = -0.7
-        d = rng.uniform(0.5, 2.0, 3)
-        g = np.block([[np.diag(d), np.eye(3)], [np.eye(3), np.eye(3)]])
-        c = sf.build_companion(a, b * np.eye(3)).c
-        from matstab.matrix_core import block_hadamard
-        realized = block_hadamard(g, c, 3)
-        expect = np.block([[np.diag(d) @ a, b * np.eye(3)],
-                           [np.eye(3), np.zeros((3, 3))]])
-        assert np.allclose(realized, expect)
-
-    def test_premise_errors(self):
-        with pytest.raises(ValueError):
-            sf.damping_class_stability(-np.eye(2), 1.0)
-        with pytest.raises(ValueError):
-            sf.damping_class_stability(np.eye(2), -1.0)
-
-
-class TestG2Sufficient:
-    def test_negative_identity(self):
-        v = sf.stiffness_class_stability(-np.eye(2), -1.0, samples=300)
-        assert v.proved
-
-    def test_strictly_totally_positive_route(self, rng):
-        b = -np.array([[2.0, 1.0], [1.0, 1.0]])  # -B is STP
-        assert sf.strictly_totally_positive(-b)
-        v = sf.stiffness_class_stability(b, -0.5, samples=500, seed=3)
-        assert v.proved
-        # sampled D B spectra are real negative
-        for _ in range(200):
-            d = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
-            lam = np.linalg.eigvals(np.diag(d) @ b)
-            assert abs(lam.imag).max() < 1e-9
-            assert lam.real.max() < 0
-
-    def test_positive_eigenvalue_direction_refutes(self):
-        b = np.array([[-1.0, 3.0], [3.0, -1.0]])  # symmetric, eigenvalue +2
-        v = sf.stiffness_class_stability(b, -0.5, samples=500, seed=3)
-        assert v.refuted
-        assert v.reason == "stiffness-class-falsified"
-
-    def test_premise_errors(self):
-        with pytest.raises(ValueError):
-            sf.stiffness_class_stability(-np.eye(2), 0.5)
-        with pytest.raises(ValueError):
-            sf.stiffness_class_stability(np.eye(2), -1.0)
