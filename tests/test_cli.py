@@ -93,6 +93,48 @@ class TestParsers:
             cli.parse_op("divide")
 
 
+class TestIngestionHelpers:
+    @pytest.mark.parametrize("arg, partition", [
+        ("0", ((0,),)),
+        ("0,1|2", ((0, 1), (2,))),
+        ("2|0|1,3", ((2,), (0,), (1, 3))),
+    ])
+    def test_partition(self, arg, partition):
+        assert cli._parse_partition(arg) == partition
+
+    @pytest.mark.parametrize("spec, mirrored", [
+        ("positive-diagonal", ds.NegativeDiagonal()),
+        ("negative-diagonal", ds.PositiveDiagonal()),
+        ("diagonal-norm-lt1", ds.DiagonalNormLt1()),
+        ("vertex-diagonal", ds.VertexDiagonal()),
+        ("sign-pattern:+-+", ds.SignPatternDiagonal((-1, 1, -1))),
+    ])
+    def test_additive_class_mirror(self, spec, mirrored):
+        assert cli.mirror_gclass_for_add(cli.parse_gclass(spec)) == mirrored
+
+    @pytest.mark.parametrize("spec", ["spd", "alpha-scalar:0|1",
+                                      "interval-diagonal:1/2,1/2"])
+    def test_unmirrorable_additive_class_is_a_usage_error(self, spec):
+        with pytest.raises(cli.UsageError, match="cannot mirror"):
+            cli.mirror_gclass_for_add(cli.parse_gclass(spec))
+
+    def test_load_matrix_from_file_and_inline(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("-1,0\n0,-2\n")
+        expect = np.diag([-1.0, -2.0])
+        assert np.array_equal(cli.load_matrix(str(path)), expect)
+        assert np.array_equal(cli.load_matrix("-1,0;0,-2"), expect)
+        assert np.array_equal(
+            cli.load_matrix('{"rows": [[-1, 0], [0, -2]]}'), expect)
+
+    @pytest.mark.parametrize("x, encoded", [
+        (1.5, 1.5), (float("inf"), "Infinity"), (float("-inf"), "-Infinity"),
+        (float("nan"), "NaN"), (np.float32(0.25), 0.25),
+    ])
+    def test_json_float(self, x, encoded):
+        assert cli._json_float(x) == encoded
+
+
 class TestRun:
     def test_negative_identity_proved_by_suite(self):
         report = cli.run(request_for(-np.eye(2)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from matstab import lyapunov as ly
-from matstab.spectra import Disk, HalfPlaneLeft, LMIRegion, EMIRegion
+from matstab.spectra import Disk, EMIRegion, HalfPlaneLeft, Hyperbolic, LMIRegion
 
 from conftest import (random_diagonally_stable, random_hurwitz,
                       random_schur, random_schur_diag_stable)
@@ -368,3 +368,89 @@ class TestCertificateLaws:
                                                        np.log(1e2), 3)))
                 lam = np.linalg.eigvals(a + d)
                 assert abs(lam.real).min() > 1e-12
+
+
+def _simplex_projection_by_bisection(d):
+    """Reference: the theta with sum(max(d - theta, 0)) = 1, by bisection."""
+    lo, hi = d.min() - 1.0, d.max()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(d - mid, 0.0).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(d - 0.5 * (lo + hi), 0.0)
+
+
+class TestProjectSimplex:
+    def test_simplex_points_are_fixed(self, rng):
+        for n in range(1, 7):
+            d = rng.dirichlet(np.ones(n))
+            assert np.allclose(ly._project_simplex(d), d, atol=1e-15)
+
+    def test_matches_bisection_reference(self, rng):
+        for _ in range(50):
+            d = rng.normal(scale=3.0, size=int(rng.integers(1, 9)))
+            got = ly._project_simplex(d)
+            assert (got >= 0).all() and np.isclose(got.sum(), 1.0)
+            assert np.allclose(got, _simplex_projection_by_bisection(d),
+                               atol=1e-12)
+
+    def test_huge_entry_projects_to_its_vertex(self):
+        got = ly._project_simplex(np.array([1e300, 0.0, -1.0]))
+        assert got.tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_step_rejected(self, bad):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="not finite"):
+            ly._project_simplex(np.array([bad, 0.5]))
+
+
+class TestLiftPositive:
+    def test_zeros_get_a_floor_relative_to_the_top(self):
+        d = np.array([0.0, 0.75, 0.25, 0.0])
+        floor = 1e-9 * 0.75
+        got = ly._lift_positive(d, 1e-9)
+        assert got.tolist() == [floor, 0.75, 0.25, floor]
+        assert (ly._lift_positive(d, 1e-15) > 0).all()
+
+
+class TestCertificateChecks:
+    @pytest.mark.parametrize("margin", [0.0, -1.0])
+    def test_nonpositive_margin_rejected(self, margin):
+        with pytest.raises(ly.CertificateError, match="margin"):
+            ly.Certificate("diagonal-lyapunov", np.eye(2), margin,
+                           HalfPlaneLeft())
+
+    def test_spd_lyapunov_certificate_round_trip(self, rng):
+        a = random_hurwitz(rng, 4)
+        h = ly.solve_lyapunov(a, -np.eye(4))
+        ok, margin = ly.is_negative_definite(h @ a + a.T @ h)
+        assert ok
+        cert = ly.Certificate("spd-lyapunov", h, margin, HalfPlaneLeft())
+        assert np.isclose(ly.verify_certificate(a, cert), margin)
+
+    @pytest.mark.parametrize("kind, factor, region, message", [
+        ("spd-lyapunov", [[1.0, 0.5], [0.0, 1.0]], HalfPlaneLeft(),
+         "symmetric"),
+        ("spd-lyapunov", [[1.0, 0.0], [0.0, -1.0]], HalfPlaneLeft(),
+         "positive definite"),
+        ("diagonal-lyapunov", [[1.0, 0.1], [0.1, 1.0]], HalfPlaneLeft(),
+         "diagonal"),
+        ("diagonal-lyapunov", [[1.0, 0.0], [0.0, 0.0]], HalfPlaneLeft(),
+         "positive diagonal"),
+        ("diagonal-stein", [[1.0, 0.0], [0.0, 1.0]], HalfPlaneLeft(),
+         "does not match"),
+        ("diagonal-hyperbolic", [[1.0, 0.0], [0.0, 0.0]], HalfPlaneLeft(),
+         "nonsingular"),
+    ], ids=["asymmetric", "indefinite", "off-diagonal", "zero-entry",
+            "kind-region", "singular-hyperbolic"])
+    def test_malformed_factor_rejected(self, kind, factor, region, message):
+        cert = ly.Certificate(kind, np.asarray(factor), 1.0, region)
+        with pytest.raises(ly.CertificateError, match=message):
+            ly.verify_certificate(-np.eye(2), cert)
+
+    def test_region_without_diagonal_form_rejected(self):
+        with pytest.raises(ValueError, match="no diagonal certificate form"):
+            ly.diagonal_stability_search(-np.eye(2), Hyperbolic())

@@ -395,3 +395,89 @@ class TestExactDetSign:
         a = np.array([[1.0, 1.0 + e], [1.0 - e, 1.0]])
         assert np.linalg.det(a) <= 0
         assert mc.exact_det_sign(a) == 1
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("a", [[1.0, 2.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                                   np.zeros((2, 2, 2))],
+                             ids=["vector", "rectangle", "three-axes"])
+    def test_non_square_rejected(self, a):
+        with pytest.raises(ValueError, match="square"):
+            mc.as_matrix(a)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            mc.as_matrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mc.as_matrix([[1.0, bad], [0.0, 1.0]])
+
+    def test_integer_input_becomes_float(self):
+        m = mc.as_matrix([[1, 2], [3, 4]])
+        assert m.dtype == np.float64
+        assert m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+class TestLeadingMinors:
+    def test_against_cofactor_oracle(self, rng):
+        a = rng.normal(size=(5, 5))
+        got = mc.leading_minors(a)
+        assert len(got) == 5
+        for k, value in enumerate(got, start=1):
+            assert np.isclose(value, naive_det(a[:k, :k]), atol=1e-9)
+
+    def test_triangular_gives_diagonal_prefix_products(self, rng):
+        a = np.triu(rng.normal(size=(4, 4)))
+        expect = np.cumprod(np.diag(a))
+        assert np.allclose(mc.leading_minors(a), expect)
+        assert np.allclose(mc.leading_minors(a.T), expect)
+
+
+def _m_matrix_by_every_minor(a):
+    """M-matrix reference: Z-matrix with every principal minor positive."""
+    if not mc.is_z_matrix(a):
+        return False
+    return all(v > mc.minor_tol(a, len(alpha))
+               for alpha, v in mc.principal_minors(a))
+
+
+class TestZAndMMatrices:
+    def test_z_matrix_reads_only_off_diagonal_signs(self):
+        assert mc.is_z_matrix([[5.0, -1.0], [0.0, -3.0]])
+        assert mc.is_z_matrix(np.diag([1.0, -1.0, 0.0]))
+        assert not mc.is_z_matrix([[-5.0, 0.1], [-1.0, -5.0]])
+
+    def test_z_matrix_tolerance(self):
+        # the default band is minor_tol(a, 1) = 1e-10 * (1 + ||A||_inf)
+        assert mc.is_z_matrix([[1.0, 1e-12], [-1.0, 1.0]])
+        assert not mc.is_z_matrix([[1.0, 1e-6], [-1.0, 1.0]])
+        assert mc.is_z_matrix([[1.0, 1e-6], [-1.0, 1.0]], tol=1e-5)
+
+    def test_generated_m_matrices_pass(self, rng):
+        from conftest import random_m_matrix
+        for n in range(1, 7):
+            assert mc.is_m_matrix(random_m_matrix(rng, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_leading_minors_decide_like_every_minor(self, n, rng):
+        # for a Z-matrix the n leading minors stand for all 2^n - 1 minors
+        decided = set()
+        for _ in range(60):
+            off = -rng.uniform(0.0, 1.0, (n, n))
+            np.fill_diagonal(off, 0.0)
+            a = off + np.diag(rng.uniform(0.0, 1.5 * n, n))
+            expect = _m_matrix_by_every_minor(a)
+            assert mc.is_m_matrix(a) is expect
+            decided.add(expect)
+        assert decided == {True, False}
+
+    def test_singular_z_matrix_is_not_m(self):
+        assert not mc.is_m_matrix([[1.0, -1.0], [-1.0, 1.0]])
+        assert mc.is_m_matrix([[1.0, -1.0], [-1.0, 1.0 + 1e-6]])
+
+    def test_positive_definite_non_z_is_not_m(self):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert mc.classify(a).p
+        assert not mc.is_m_matrix(a)

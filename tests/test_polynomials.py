@@ -225,3 +225,77 @@ class TestKosov:
             for _ in range(100):
                 d = np.exp(rng.uniform(np.log(0.5), np.log(3.0), 3))
                 assert (np.linalg.eigvals(np.diag(d) @ a).real > 0).all()
+
+
+class TestAsPoly:
+    @pytest.mark.parametrize("coeffs, message", [
+        ([1.0], "degree >= 1"),
+        ([], "degree >= 1"),
+        ([[1.0, 2.0]], "degree >= 1"),
+        ([np.nan, 1.0], "finite"),
+        ([1.0, np.inf], "finite"),
+        ([0.0, 1.0], "zero leading"),
+    ], ids=["constant", "empty", "matrix", "nan", "inf", "zero-leading"])
+    def test_rejected(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            pl.as_poly(coeffs)
+
+    def test_nonpositive_coefficient_is_the_witness(self):
+        v = pl.routh_hurwitz([1.0, 2.0, -3.0, 4.0])
+        assert v.refuted and v.reason == "nonpositive-coefficient"
+        assert v.witness == {"index": 2, "coefficient": -3.0}
+
+
+class TestIntervalPolyBox:
+    @pytest.mark.parametrize("lower, upper, message", [
+        ([1.0, 1.0], [1.0, 1.0, 1.0], "equal-length"),
+        ([1.0], [2.0], "degree >= 1"),
+        ([1.0, 2.0], [1.0, 1.0], "exceeds"),
+        ([1.0, 1.0], [1.0, np.inf], "finite"),
+    ], ids=["lengths", "constant", "crossed", "infinite"])
+    def test_rejected(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            pl.IntervalPoly(lower, upper)
+
+    def test_normalized_flips_a_negative_leading_box(self):
+        box = pl.IntervalPoly([-2.0, -1.0, 3.0], [-1.0, 4.0, 5.0])
+        flipped = box.normalized()
+        assert flipped.lower.tolist() == [1.0, -4.0, -5.0]
+        assert flipped.upper.tolist() == [2.0, 1.0, -3.0]
+        assert flipped.degree == box.degree == 2
+        assert flipped.normalized() is flipped
+
+    def test_samples_lie_in_the_box(self, rng):
+        box = pl.IntervalPoly([1.0, -1.0, 0.0], [2.0, 1.0, 0.5])
+        for _ in range(100):
+            p = box.sample(rng)
+            assert ((box.lower <= p) & (p <= box.upper)).all()
+
+
+class TestCharPolyCompanion:
+    def test_companion_matrix_gives_its_polynomial_back(self, rng):
+        for n in range(1, 7):
+            p = np.concatenate([[1.0], rng.normal(size=n)])
+            companion = np.zeros((n, n))
+            companion[0] = -p[1:]
+            companion[1:, :-1] = np.eye(n - 1)
+            assert np.allclose(pl.char_poly(companion), p, atol=1e-9)
+
+
+class TestKosovArguments:
+    @pytest.mark.parametrize("d_min, d_max, mode, message", [
+        ([0.0, 1.0], [1.0, 1.0], "multiplicative", "0 < d_min"),
+        ([2.0, 1.0], [1.0, 1.0], "multiplicative", "d_min <= d_max"),
+        ([1.0, 1.0], [1.0, np.inf], "multiplicative", "< inf"),
+        ([1.0, 1.0], [2.0, 2.0], "hadamard", "unknown mode"),
+    ], ids=["zero-lower", "crossed", "infinite-upper", "mode"])
+    def test_rejected(self, d_min, d_max, mode, message):
+        with pytest.raises(ValueError, match=message):
+            pl.kosov_interval_dstability(np.eye(2), d_min, d_max, mode=mode)
+
+    def test_scalar_bounds_broadcast(self):
+        a = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        v = pl.kosov_interval_dstability(a, 0.5, 2.0)
+        assert v.proved
+        assert v.witness == pl.kosov_interval_dstability(
+            a, [0.5, 0.5], [2.0, 2.0]).witness

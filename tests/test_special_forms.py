@@ -196,3 +196,38 @@ class TestTheorem1:
         assert v.status is Status.UNKNOWN
 
 
+
+
+class TestCyclicFormData:
+    @pytest.mark.parametrize("alpha, beta", [
+        ((1.0, 1.0), (1.0,)),
+        ((1.0,), (1.0,)),
+        ((1.0, 0.0), (1.0, 1.0)),
+        ((1.0, 1.0), (1.0, -2.0)),
+    ], ids=["lengths", "n-one", "zero-alpha", "negative-beta"])
+    def test_rejected(self, alpha, beta):
+        with pytest.raises(ValueError):
+            sf.CyclicForm(alpha, beta)
+
+    def test_matrix_layout(self):
+        m = sf.CyclicForm((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)).matrix()
+        assert m.tolist() == [[-1.0, 0.0, -6.0],
+                              [4.0, -2.0, 0.0],
+                              [0.0, 5.0, -3.0]]
+
+
+class TestCompanionPremises:
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal dimensions"):
+            sf.build_companion(-np.eye(2), -np.eye(3))
+
+    @pytest.mark.parametrize("a, b, reason", [
+        ([[0.0, 0.0], [0.0, -1.0]], -np.eye(2),
+         "companion-diagonal-of-A-not-negative"),
+        ([[-2.0, 0.5], [0.5, -2.0]], np.diag([-1.0, 0.0]),
+         "companion-B-not-negative-diagonal"),
+    ], ids=["a-diagonal", "b-diagonal"])
+    def test_failed_premise_is_named(self, a, b, reason):
+        v = sf.companion_ndd_stable(a, b)
+        assert v.status is Status.UNKNOWN and v.reason == reason
+        assert sf.companion_ndd_d_stable(a, b).reason == reason

@@ -358,3 +358,98 @@ class TestSimulateDecay:
         assert sp.region_stable(a, sp.HalfPlaneLeft()).proved
         t = sp.decay_horizon(a, target=1e-3)
         assert sp.simulate_decay(a, t, 0.005) < 1.0
+
+
+class TestVerdict:
+    def test_refutation_needs_a_witness(self):
+        with pytest.raises(ValueError, match="witness"):
+            sp.Verdict(sp.Status.REFUTED, "eigenvalue-outside-region")
+
+    def test_proof_needs_a_reason(self):
+        with pytest.raises(ValueError, match="reason"):
+            sp.Verdict(sp.Status.PROVED, "")
+
+    def test_status_properties(self):
+        proved = sp.Verdict(sp.Status.PROVED, "all-eigenvalues-inside")
+        refuted = sp.Verdict(sp.Status.REFUTED, "r", witness={"z": 1.0})
+        unknown = sp.Verdict(sp.Status.UNKNOWN, "")
+        assert (proved.proved, proved.refuted) == (True, False)
+        assert (refuted.proved, refuted.refuted) == (False, True)
+        assert (unknown.proved, unknown.refuted) == (False, False)
+
+
+class TestRegionValidation:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_disk_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            sp.Disk(0.0, radius)
+
+    @pytest.mark.parametrize("cls", [sp.SectorRight, sp.ComplementSector])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+    def test_sector_angle_must_lie_strictly_inside(self, cls, theta):
+        with pytest.raises(ValueError, match="angle"):
+            cls(theta)
+
+    def test_lmi_data_validated(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            sp.LMIRegion([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+        with pytest.raises(ValueError, match="square"):
+            sp.LMIRegion([[0.0, 1.0]], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="equal shape"):
+            sp.LMIRegion([[0.0]], np.eye(2))
+
+    def test_emi_data_validated(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            sp.EMIRegion([[-1.0]], [[0.0]], [[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="equal shape"):
+            sp.EMIRegion([[-1.0]], [[0.0]], np.eye(2))
+        with pytest.raises(ValueError, match="equal shape"):
+            sp.EMIRegion([[-1.0]], np.zeros((2, 2)), [[1.0]])
+
+
+class TestSpectralAbscissa:
+    def test_diagonal(self):
+        assert sp.spectral_abscissa(np.diag([-3.0, 0.5, -1.0])) == 0.5
+
+    def test_rotation_has_zero_abscissa(self):
+        assert abs(sp.spectral_abscissa([[0.0, -2.0], [2.0, 0.0]])) < 1e-12
+
+    def test_against_charpoly_root_oracle(self, rng):
+        for _ in range(20):
+            a = rng.normal(size=(5, 5))
+            expect = charpoly_roots(a).real.max()
+            assert np.isclose(sp.spectral_abscissa(a), expect, atol=1e-7)
+
+
+class TestDecayHorizon:
+    @pytest.mark.parametrize("a", [[[0.0]], [[1.0]], [[-1.0, 0.0], [0.0, 0.0]]],
+                             ids=["zero", "positive", "marginal"])
+    def test_requires_hurwitz_matrix(self, a):
+        with pytest.raises(ValueError, match="Hurwitz"):
+            sp.decay_horizon(a)
+
+    def test_normal_matrix_has_unit_condition(self):
+        # V orthogonal, so T solves exp(-T) = target exactly
+        t = sp.decay_horizon(-np.eye(3), target=1e-8)
+        assert np.isclose(t, 8.0 * math.log(10.0))
+
+    def test_clamped_to_its_bounds(self):
+        assert sp.decay_horizon(-1e6 * np.eye(2), t_min=1.0) == 1.0
+        assert sp.decay_horizon(-1e-9 * np.eye(2), t_max=1e4) == 1e4
+
+    def test_trajectories_decay_to_target(self, rng):
+        for _ in range(3):
+            a = random_hurwitz(rng, 3, margin_lo=0.5, margin_hi=1.0)
+            t = sp.decay_horizon(a, target=1e-4)
+            assert sp.simulate_decay(a, t, 0.01) < 1e-4
+
+
+class TestSimulateDecayArguments:
+    @pytest.mark.parametrize("horizon, step, message", [
+        (1.0, 0.0, "step must be positive"),
+        (1.0, -0.1, "step must be positive"),
+        (0.05, 0.1, "at least one step"),
+    ])
+    def test_rejected(self, horizon, step, message):
+        with pytest.raises(ValueError, match=message):
+            sp.simulate_decay(-np.eye(2), horizon, step)
