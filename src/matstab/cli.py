@@ -50,7 +50,7 @@ from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       default_tol, eigenvalues, gershgorin, region_stable,
                       simulate_decay, spectral_abscissa)
 
-SCHEMA = "matstab-report/3"
+SCHEMA = "matstab-report/4"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")
@@ -284,6 +284,15 @@ class AnalysisRequest:
             self.gclass = parse_gclass(self.class_spec)
         if self.op is None:
             self.op = parse_op(self.op_spec)
+        n = self.matrix.shape[0]
+        try:
+            # the size checks of the class's sampler and of the operation,
+            # which falsify would otherwise meet first
+            self.gclass.check_size(n)
+            self.op.apply(np.eye(n), self.matrix)
+        except ValueError as exc:
+            raise UsageError(f"the class or operation does not fit a "
+                             f"{n}x{n} matrix: {exc}") from exc
         if self.convention not in ("hurwitz", "positive"):
             raise UsageError("convention must be hurwitz or positive")
         for m in self.modes:

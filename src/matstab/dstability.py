@@ -60,6 +60,9 @@ class GClass:
             raise NotImplementedError
         return np.diag(diag[0])
 
+    def check_size(self, n):
+        """Raise ValueError unless the class has n x n members."""
+
     def contains(self, g, tol=1e-9):
         """Diagonal classes: g is diagonal and its diagonal is a member."""
         return _is_diagonal(g, tol) and bool(self._diag_contains(np.diag(g), tol))
@@ -87,6 +90,7 @@ class GClass:
 
     def _diag_batch(self, rng, n, k):
         # the guard runs the test that contains runs, on every row
+        self.check_size(n)
         diag = self._sample_diag_batch(rng, n, k)
         if diag is not None:
             self._require_member(self._diag_contains(diag, 1e-9))
@@ -180,8 +184,10 @@ class AlphaScalar(GClass):
             ok = ok & (np.ptp(d[..., list(block)], axis=-1) <= slack)
         return ok
 
-    def _sample_diag_batch(self, rng, n, k):
+    def check_size(self, n):
         _check_partition(self.partition, n)
+
+    def _sample_diag_batch(self, rng, n, k):
         block_of = np.empty(n, dtype=int)
         for j, block in enumerate(self.partition):
             block_of[list(block)] = j
@@ -195,8 +201,11 @@ class AlphaBlockSPD(GClass):
     partition: tuple
     name = "alpha-block-spd"
 
-    def sample(self, rng, n):
+    def check_size(self, n):
         _check_partition(self.partition, n)
+
+    def sample(self, rng, n):
+        self.check_size(n)
         g = np.zeros((n, n))
         for block in self.partition:
             idx = list(block)
@@ -267,9 +276,11 @@ class OrderedDiagonal(GClass):
         return ((d > 0).all(axis=-1)
                 & (dt[..., :-1] >= dt[..., 1:] - slack).all(axis=-1))
 
-    def _sample_diag_batch(self, rng, n, k):
+    def check_size(self, n):
         if sorted(self.tau) != list(range(n)):
             raise ValueError("tau must be a permutation of 0..n-1")
+
+    def _sample_diag_batch(self, rng, n, k):
         d = np.empty((k, n))
         d[:, list(self.tau)] = np.sort(_log_uniform(rng, 1e-3, 1e3, (k, n)),
                                        axis=1)[:, ::-1]
@@ -306,11 +317,13 @@ class IntervalDiagonal(GClass):
         return ((d >= np.asarray(self.d_min))
                 & (d <= np.asarray(self.d_max))).all(axis=-1)
 
+    def check_size(self, n):
+        if len(self.d_min) != n:
+            raise ValueError("interval bounds do not match the dimension")
+
     def _sample_diag_batch(self, rng, n, k):
         lo = np.asarray(self.d_min)
         hi = np.asarray(self.d_max)
-        if lo.size != n:
-            raise ValueError("interval bounds do not match the dimension")
         cap = np.where(np.isfinite(hi), hi, 1e3 * lo)
         return _log_uniform(rng, lo, cap, (k, n))
 
@@ -325,11 +338,14 @@ class SignPatternDiagonal(GClass):
     def _diag_contains(self, d, tol):
         return (np.sign(d) == np.asarray(self.signs)).all(axis=-1)
 
-    def _sample_diag_batch(self, rng, n, k):
+    def check_size(self, n):
         s = np.asarray(self.signs, dtype=float)
         if s.size != n or not np.all(np.abs(s) == 1.0):
             raise ValueError("signs must be a vector of +-1 matching n")
-        return s * _log_uniform(rng, 1e-3, 1e3, (k, n))
+
+    def _sample_diag_batch(self, rng, n, k):
+        return (np.asarray(self.signs, dtype=float)
+                * _log_uniform(rng, 1e-3, 1e3, (k, n)))
 
 
 @dataclass(frozen=True)
@@ -339,9 +355,12 @@ class EntrywisePositiveRank(GClass):
     k: int = 1
     name = "entrywise-positive-rank"
 
-    def sample(self, rng, n):
+    def check_size(self, n):
         if not 1 <= self.k <= n:
             raise ValueError("rank must lie in 1..n")
+
+    def sample(self, rng, n):
+        self.check_size(n)
         g = np.zeros((n, n))
         for _ in range(self.k):
             u = _log_uniform(rng, 10 ** -1.5, 10 ** 1.5, n)

@@ -2,8 +2,7 @@
 
 Oracles here are intentionally independent of the library paths they
 check: determinants by cofactor expansion, spectra through the
-characteristic polynomial and companion roots, stability by explicit
-eigenvalue location.
+characteristic polynomial and companion roots.
 """
 
 import importlib.util
@@ -60,18 +59,6 @@ def naive_det(m):
 def charpoly_roots(a):
     """Spectrum through the characteristic polynomial and companion roots."""
     return np.sort_complex(np.roots(char_poly(a)))
-
-
-def is_hurwitz_oracle(a, tol=1e-9):
-    return bool(np.linalg.eigvals(a).real.max() < -tol)
-
-
-def max_real_part(a):
-    return float(np.linalg.eigvals(a).real.max())
-
-
-def spectral_radius(a):
-    return float(abs(np.linalg.eigvals(a)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,22 @@ class TestParsers:
         with pytest.raises(cli.UsageError):
             cli.parse_op("divide")
 
+    @pytest.mark.parametrize("flag, spec, message", [
+        ("--class", "alpha-scalar:0,1,2,3", "partition blocks"),
+        ("--op", "block-hadamard:3", "block size 3 does not divide"),
+        ("--class", "sign-pattern:+", "signs must be a vector"),
+    ])
+    def test_class_or_op_of_another_size_rejected(self, flag, spec, message,
+                                                  capsys):
+        field = "class_spec" if flag == "--class" else "op_spec"
+        with pytest.raises(cli.UsageError, match=message):
+            request_for(-np.eye(2), **{field: spec})
+        assert cli.main([flag, spec, "--", "-1,0;0,-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("matstab: error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestIngestionHelpers:
     @pytest.mark.parametrize("arg, partition", [
@@ -494,7 +510,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/3"
+        assert payload["schema"] == "matstab-report/4"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -577,7 +593,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/3"
+        assert json.loads(out)["schema"] == "matstab-report/4"
 
 
 def _isinstance_triple(request):

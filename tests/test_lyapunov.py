@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -276,6 +276,58 @@ class TestDualBoundStop:
                                                    [1.0, -2.0]]))
         assert v.reason == DUAL_STOP
         assert calls[0] <= 50
+
+
+def d_hyperbolic(rng, n):
+    """-S A for A diagonally stable through D and S a random sign diagonal:
+    S D certifies it, since (S D)(-S A) + (-S A)^T (S D) = -(D A + A^T D)."""
+    a, _ = random_diagonally_stable(rng, n)
+    return -rng.choice((-1.0, 1.0), n)[:, None] * a
+
+
+seeded_sizes = st.tuples(st.integers(2, 10), st.integers(0, 2 ** 32 - 1))
+
+
+class TestFirstCertificate:
+    """Each search stops at its first certifying iterate."""
+
+    @staticmethod
+    def assert_first(search, a):
+        v = search(a)
+        if not v.proved:
+            return
+        assert ly.verify_certificate(a, v.witness) > 0
+        again = search(a, budget=v.witness.iterations - 1)
+        assert not again.proved
+
+    @given(seeded_sizes, st.sampled_from([
+        (lambda rng, n: random_diagonally_stable(rng, n)[0], HalfPlaneLeft()),
+        (lambda rng, n: random_schur_diag_stable(rng, n)[0], Disk(0.0, 1.0)),
+        (random_schur, Disk(0.0, 1.0)),
+    ]))
+    @settings(max_examples=40, deadline=None)
+    def test_positive_diagonal_search(self, size_seed, case):
+        n, seed = size_seed
+        make, region = case
+        a = make(np.random.default_rng(seed), n)
+        self.assert_first(
+            lambda m, **kw: ly.diagonal_stability_search(m, region, **kw), a)
+
+    @given(seeded_sizes, st.sampled_from([d_hyperbolic,
+                                          lambda rng, n: rng.normal(size=(n, n))]))
+    # certified in the last start; splitting the budget evenly among the
+    # starts would let a budget one smaller certify it in an earlier one
+    @example((8, 18), d_hyperbolic)
+    @settings(max_examples=30, deadline=None)
+    def test_hyperbolicity_search(self, size_seed, make):
+        n, seed = size_seed
+        self.assert_first(ly.diagonal_hyperbolicity_search,
+                          make(np.random.default_rng(seed), n))
+
+    def test_negative_identity_certifies_at_the_first_step(self):
+        v = ly.diagonal_stability_search(-np.eye(3))
+        assert v.proved and v.witness.iterations == 1
+
 
 class TestHyperbolicity:
     def test_identity(self):

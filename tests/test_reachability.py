@@ -9,6 +9,10 @@ without their module, which can only over-count what is reached.
 
 A definition that nothing reaches either gets a check-table row or is
 deleted; the few kept on purpose are listed in ``KEEP`` with a reason.
+
+The shared test helpers in ``tests/conftest.py`` follow the same rule,
+with the test modules as roots: a helper that no test uses, by name or
+as a fixture argument, fails the suite.
 """
 
 import ast
@@ -16,8 +20,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "matstab"
+TESTS = ROOT / "tests"
 ROOT_FILES = [LIBRARY / "cli.py", LIBRARY / "__init__.py",
-              ROOT / "tests" / "test_acceptance.py",
+              TESTS / "test_acceptance.py",
               *sorted((ROOT / "perfbench").glob("*.py"))]
 
 KEEP = {
@@ -40,11 +45,15 @@ def names_used(tree):
     return used
 
 
-def top_level_definitions():
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def top_level_definitions(paths):
     """Map each defined name to the nodes that define it, in any module."""
     defs = {}
-    for path in sorted(LIBRARY.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for path in paths:
+        for node in parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 targets = [node.name]
             elif isinstance(node, ast.Assign):
@@ -57,11 +66,8 @@ def top_level_definitions():
     return defs
 
 
-def unreached():
-    defs = top_level_definitions()
-    todo = set()
-    for path in ROOT_FILES:
-        todo |= names_used(ast.parse(path.read_text(encoding="utf-8")))
+def unreached_from(defs, todo):
+    """The names of ``defs`` that the names in ``todo`` do not reach."""
     reached = set()
     while todo:
         name = todo.pop()
@@ -73,9 +79,35 @@ def unreached():
     return set(defs) - reached
 
 
+def unreached():
+    todo = set()
+    for path in ROOT_FILES:
+        todo |= names_used(parse(path))
+    return unreached_from(top_level_definitions(sorted(LIBRARY.glob("*.py"))),
+                          todo)
+
+
+def unused_test_helpers():
+    """conftest definitions that no test module reaches; pytest hooks
+    are called by pytest itself."""
+    todo = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        tree = parse(path)
+        # a fixture is used as an argument name
+        todo |= names_used(tree) | {node.arg for node in ast.walk(tree)
+                                    if isinstance(node, ast.arg)}
+    unused = unreached_from(top_level_definitions([TESTS / "conftest.py"]),
+                            todo)
+    return {name for name in unused if not name.startswith("pytest_")}
+
+
 def test_every_definition_is_reached_or_kept():
     assert sorted(unreached() - set(KEEP)) == []
 
 
 def test_keep_list_names_only_unreached_definitions():
     assert sorted(set(KEEP) - unreached()) == []
+
+
+def test_every_test_helper_is_used():
+    assert sorted(unused_test_helpers()) == []
