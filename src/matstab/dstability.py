@@ -11,14 +11,14 @@ the realized product, the offending eigenvalue and the stream seed.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 
 import numpy as np
 
 from . import lyapunov
-from .matrix_core import (MINOR_ENUM_CAP, additive_compound_2, as_matrix,
-                          block_hadamard, classify, exact_det_sign, minor_tol,
-                          principal_minors, w_map)
+from .matrix_core import (MINOR_ENUM_CAP, _running_sum, additive_compound_2,
+                          as_matrix, block_hadamard, classify, exact_det_sign,
+                          minor_tol, principal_minors, w_map)
 from .spectra import (Disk, EigenSolverError, HalfPlaneLeft, Status, Verdict,
                       default_tol, eigenvalues, first_outside, region_stable)
 
@@ -628,8 +628,8 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
     Both multiplicative and additive D-stability force -A to be a P0+
     matrix; a failing minor refutes D-stability outright.  Passing proves
     nothing, so the best non-refuted status is Unknown with the flag
-    ``necessary-p0plus-passed``.  ``minors``, when given, yields the
-    pairs of ``principal_minors(-a)`` in its order.
+    ``necessary-p0plus-passed``.  ``minors``, when given, is
+    ``principal_minors(-a)``.
 
     Floats only screen: a minor refutes only if its exact sign
     (:func:`exact_det_sign`) is negative, and an order-k sum only if
@@ -644,24 +644,20 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
     b = -a
     if minors is None:
         minors = principal_minors(b)
-    sums = {}
-    for k, group in groupby(minors, key=lambda item: len(item[0])):
-        tol = minor_tol(b, k)
-        s = 0.0  # left to right: the witness sum is a running total
-        for alpha, value in group:
-            if value < -tol and exact_det_sign(b[np.ix_(alpha, alpha)]) < 0:
+    for k, (sets, values) in enumerate(minors.orders, start=1):
+        for i in np.flatnonzero(values < -minor_tol(b, k)):
+            alpha = tuple(sets[i].tolist())
+            if exact_det_sign(b[np.ix_(alpha, alpha)]) < 0:
                 return Verdict(Status.REFUTED, f"not-p0-{mode}",
-                               witness={"indices": alpha, "minor": value,
+                               witness={"indices": alpha,
+                                        "minor": float(values[i]),
                                         "matrix": "-A"})
-            s += value
-        sums[k] = s
-    for k in sorted(sums):
-        if sums[k] <= minor_tol(b, k) and not any(
-                exact_det_sign(b[np.ix_(alpha, alpha)])
-                for alpha in combinations(range(n), k)):
+    for k, (sets, values) in enumerate(minors.orders, start=1):
+        s = _running_sum(values)  # the witness sum is a running total
+        if s <= minor_tol(b, k) and not any(
+                exact_det_sign(b[np.ix_(alpha, alpha)]) for alpha in sets):
             return Verdict(Status.REFUTED, f"p0-minor-sums-vanish-{mode}",
-                           witness={"order": k, "sum": sums[k],
-                                    "matrix": "-A"})
+                           witness={"order": k, "sum": s, "matrix": "-A"})
     return Verdict(Status.UNKNOWN, "necessary-p0plus-passed")
 
 
@@ -755,11 +751,11 @@ def _p_matrix_violation(m):
 
     Floats screen with ``minor_tol``; :func:`exact_det_sign` confirms.
     """
-    for k, group in groupby(principal_minors(m), key=lambda item: len(item[0])):
-        tol = minor_tol(m, k)
-        for alpha, val in group:
-            if val <= tol and exact_det_sign(m[np.ix_(alpha, alpha)]) <= 0:
-                return alpha, val
+    for k, (sets, values) in enumerate(principal_minors(m).orders, start=1):
+        for i in np.flatnonzero(values <= minor_tol(m, k)):
+            alpha = tuple(sets[i].tolist())
+            if exact_det_sign(m[np.ix_(alpha, alpha)]) <= 0:
+                return alpha, float(values[i])
     return None
 
 

@@ -1,33 +1,42 @@
 """Dense matrix constructions and determinantal class predicates.
 
-All index sets in witnesses and in :func:`principal_minors` output are
-0-based tuples.  Minor-based predicates use floating determinants with
-the scale-aware zero tolerance ``1e-10 * (1 + ||A||_inf ** k)`` for an
-order-``k`` minor, computed once per order.
+All index sets in witnesses and in the pairs a :class:`MinorTable`
+yields are 0-based tuples.  Minor-based predicates use floating
+determinants with the scale-aware zero tolerance
+``1e-10 * (1 + ||A||_inf ** k)`` for an order-``k`` minor, computed once
+per order.
 
-:func:`principal_minors` is one batched kernel: for each order k it
-gathers the stacked k x k principal submatrices and takes all their
-determinants in one ``np.linalg.det`` call, bit for bit the values of a
-per-submatrix loop.  The minors of ``-A`` need no second sweep: an
-order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, bit for bit
-for every nonzero minor (:func:`negate_minors`).  :func:`compound` is the
-gather for all order-k minors, one batched ``np.linalg.det`` per row;
-the sign-symmetry sweep reads it.
+:func:`principal_minors` is one batched kernel and returns a
+:class:`MinorTable`, held per order k as two arrays: the ``(C(n, k), k)``
+intp array of index sets and the ``(C(n, k),)`` float array of their
+determinants.  The index sets are built in numpy, each order-k set an
+order-(k-1) set extended by every index after its last, which is
+``itertools.combinations`` order.  Each order gathers the stacked k x k
+principal submatrices and takes all their determinants in one
+``np.linalg.det`` call, bit for bit the values of a per-submatrix loop.
+The minors of ``-A`` need no second sweep: an order-k minor of ``-A`` is
+``(-1)^k`` times that of ``A``, bit for bit for every nonzero minor
+(:func:`negate_minors`).  The P / P0 / P0+ screens read the arrays of
+each order, never the pairs; an order's sum is a left-to-right running
+total (:func:`_running_sum`).  :func:`compound` is the gather for all
+order-k minors, one batched ``np.linalg.det`` per row; the sign-symmetry
+sweep reads it.
 :func:`exact_det_sign` gives a determinant's sign in exact integer
 arithmetic; refutations by a minor sign use it to confirm what the
 floating-point screen found.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import combinations, islice
 
 import numpy as np
 
 __all__ = [
     "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "block_hadamard", "compound",
-    "additive_compound_2", "comparison_matrix", "w_map", "principal_minors",
-    "negate_minors", "exact_det_sign", "leading_minors", "is_z_matrix",
-    "is_m_matrix", "ClassReport", "classify", "sign_symmetry_sweep",
+    "additive_compound_2", "comparison_matrix", "w_map", "MinorTable",
+    "principal_minors", "negate_minors", "exact_det_sign", "leading_minors",
+    "is_z_matrix", "is_m_matrix", "ClassReport", "classify",
+    "sign_symmetry_sweep",
 ]
 
 # Full principal-minor enumeration grows as 2^n; beyond this cap classify
@@ -113,10 +122,49 @@ def w_map(a):
     return out
 
 
-def principal_minors(a, max_order=None):
-    """All principal minors up to ``max_order`` as (index tuple, value) pairs.
+def _index_sets(n):
+    """Yield the order-k principal index sets of an n x n matrix, k = 1..n.
 
-    Orders ascend; within an order the index tuples follow
+    Each is a ``(C(n, k), k)`` intp array.  Every order-(k-1) set is
+    extended by every index after its last, in turn, which lists the
+    order-k sets in ``itertools.combinations`` order.
+    """
+    sets = np.arange(n, dtype=np.intp)[:, None]
+    yield sets
+    for _ in range(1, n):
+        last = sets[:, -1]
+        counts = n - 1 - last  # the indices after each set's last
+        rows = np.repeat(np.arange(len(sets)), counts)
+        starts = np.cumsum(counts) - counts  # each set's first new row
+        new = np.arange(rows.size) - np.repeat(starts - last - 1, counts)
+        sets = np.concatenate((sets[rows], new[:, None]), axis=1)
+        yield sets
+
+
+class MinorTable:
+    """Principal minors of one matrix, order by order.
+
+    ``orders[k - 1]`` is ``(sets, values)``: the ``(C(n, k), k)`` intp
+    array of order-k index sets in ``itertools.combinations`` order and
+    the ``(C(n, k),)`` float array of their determinants.  Iterating
+    yields ``(index tuple, value)`` pairs, orders ascending.
+    """
+
+    def __init__(self, orders):
+        self.orders = orders
+
+    def __len__(self):
+        return sum(len(values) for _, values in self.orders)
+
+    def __iter__(self):
+        for sets, values in self.orders:
+            yield from zip(map(tuple, sets.tolist()), values.tolist())
+
+
+def principal_minors(a, max_order=None):
+    """All principal minors up to ``max_order`` as a :class:`MinorTable`.
+
+    Orders ascend; within an order the index sets follow
     ``itertools.combinations``.  Enumeration is capped at n = 14 (2^n
     growth).
     """
@@ -128,19 +176,15 @@ def principal_minors(a, max_order=None):
         max_order = n
     if not 1 <= max_order <= n:
         raise ValueError(f"max_order must be in 1..{n}")
-    out = []
-    for k in range(1, max_order + 1):
-        sets = list(combinations(range(n), k))
-        idx = np.array(sets)
-        dets = np.linalg.det(a[idx[:, :, None], idx[:, None, :]])
-        out.extend(zip(sets, dets.tolist()))
-    return out
+    return MinorTable([
+        (idx, np.linalg.det(a[idx[:, :, None], idx[:, None, :]]))
+        for idx in islice(_index_sets(n), max_order)])
 
 
 def negate_minors(minors):
     """The :func:`principal_minors` table of ``-A`` from that of ``A``.
 
-    Returns an iterator, so that no second table is held in memory.
+    The index arrays are shared; only the odd orders' values are new.
 
     Negating a matrix leaves the pivots' magnitudes of its LU factors
     unchanged and flips the sign of each, so ``det(-M) = (-1)^k det(M)``
@@ -149,7 +193,26 @@ def negate_minors(minors):
     that underflowed to zero may carry the other sign bit when swept
     directly, which no comparison or sum can tell apart.
     """
-    return ((alpha, 0.0 - v if len(alpha) % 2 else v) for alpha, v in minors)
+    return MinorTable([(sets, 0.0 - values if k % 2 else values)
+                       for k, (sets, values) in enumerate(minors.orders, 1)])
+
+
+def _running_sum(values):
+    """``s = 0.0; for x in values: s += x`` in one pass, bit for bit.
+
+    ``np.add.accumulate`` adds left to right; builtin ``sum`` (compensated
+    since Python 3.12), ``np.sum`` (pairwise) and ``math.fsum`` do not.
+    """
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
+def _first_minor(sets, values, hit):
+    """The P-style witness of the first minor where ``hit``, or None."""
+    first = np.flatnonzero(hit)
+    if first.size:
+        i = first[0]
+        return {"indices": tuple(sets[i].tolist()), "value": float(values[i])}
+    return None
 
 
 def exact_det_sign(m):
@@ -245,36 +308,23 @@ class ClassReport:
 
 def _p_flags(m, minors, witnesses, prefix=""):
     """P / P0 / P0+ flags of ``m`` from its full principal-minor table."""
-    p = p0 = True
-    order_sums = {}
-    p_wit = p0_wit = None
-    for k, group in groupby(minors, key=lambda item: len(item[0])):
+    p_wit = p0_wit = q_wit = None
+    for k, (sets, values) in enumerate(minors.orders, start=1):
         tol = minor_tol(m, k)
-        s = 0.0  # left to right, so the sums match a running total
-        for alpha, value in group:
-            s += value
-            if value <= tol and p:
-                p = False
-                p_wit = {"indices": alpha, "value": value}
-            if value < -tol and p0:
-                p0 = False
-                p0_wit = {"indices": alpha, "value": value}
-        order_sums[k] = s
-    q = True
-    q_wit = None
-    for k, s in sorted(order_sums.items()):
-        if s <= minor_tol(m, k):
-            q = False
-            q_wit = {"order": k, "sum": s}
-            break
-    p0_plus = p0 and q
-    if p_wit is not None:
-        witnesses[prefix + "p"] = p_wit
-    if p0_wit is not None:
-        witnesses[prefix + "p0"] = p0_wit
-    if not p0_plus:
-        witnesses[prefix + "p0_plus"] = p0_wit or q_wit
-    return p, p0, p0_plus
+        if p_wit is None:
+            p_wit = _first_minor(sets, values, values <= tol)
+        p0_wit = _first_minor(sets, values, values < -tol)
+        if p0_wit is not None:
+            break  # a P0 failure is a P failure and the P0+ witness
+        if q_wit is None:
+            s = _running_sum(values)
+            if s <= tol:
+                q_wit = {"order": k, "sum": s}
+    for flag, wit in (("p", p_wit), ("p0", p0_wit),
+                      ("p0_plus", p0_wit or q_wit)):
+        if wit is not None:
+            witnesses[prefix + flag] = wit
+    return p_wit is None, p0_wit is None, p0_wit is None and q_wit is None
 
 
 def classify(a, minors=None, sign_symmetry=None):
@@ -282,13 +332,12 @@ def classify(a, minors=None, sign_symmetry=None):
 
     Minor-based flags need 2^n principal minors and are reported as
     ``None`` beyond n = 14; the pairwise sign-symmetry sweep is further
-    capped at n = 8.  ``minors``, when given, yields the pairs of
-    ``principal_minors(a)`` in its order; the Hicksian flag reads the
-    same table negated, so one sweep serves both.  ``sign_symmetry``,
-    when given, is ``sign_symmetry_sweep`` of ``a`` or of ``-a``, which
-    agree.  Generalized diagonal dominance (the NDD / PDD and H-matrix
-    flags) is decided through the M-matrix test on the comparison
-    matrix.
+    capped at n = 8.  ``minors``, when given, is ``principal_minors(a)``;
+    the Hicksian flag reads the same table negated, so one sweep serves
+    both.  ``sign_symmetry``, when given, is ``sign_symmetry_sweep`` of
+    ``a`` or of ``-a``, which agree.  Generalized diagonal dominance (the
+    NDD / PDD and H-matrix flags) is decided through the M-matrix test on
+    the comparison matrix.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -320,9 +369,8 @@ def classify(a, minors=None, sign_symmetry=None):
         w["strict_col_dd"] = {"column": i, "diag": float(diag[i]),
                               "radius": float(col_radii[i])}
 
-    rep.tridiagonal = bool(all(abs(a[i, j]) <= tol1
-                               for i in range(n) for j in range(n)
-                               if abs(i - j) > 1))
+    rep.tridiagonal = bool((abs(np.triu(a, 2)) <= tol1).all()
+                           and (abs(np.tril(a, -2)) <= tol1).all())
     rep.normal = bool(np.allclose(a @ a.T, a.T @ a,
                                   atol=1e-10 * (1.0 + np.linalg.norm(a) ** 2)))
 
@@ -333,7 +381,8 @@ def classify(a, minors=None, sign_symmetry=None):
     rep.pdd = gdd and bool((diag > tol1).all())
 
     if n <= MINOR_ENUM_CAP:
-        minors = principal_minors(a) if minors is None else list(minors)
+        if minors is None:
+            minors = principal_minors(a)
         rep.p, rep.p0, rep.p0_plus = _p_flags(a, minors, w)
         rep.hicksian, _, _ = _p_flags(-a, negate_minors(minors), w,
                                       prefix="hicksian:")

@@ -1,0 +1,313 @@
+"""The array minor table against the per-pair loops it replaced, bit for bit.
+
+The reference functions below are the pair-by-pair sweep, negation and
+P / P0 / P0+ / minor-sign loops that ``matrix_core`` and ``dstability``
+ran before the table held its minors as per-order arrays.  Every flag,
+witness, verdict and running sum must match them exactly: floats are
+compared by their bytes, so a ``-0.0`` for ``+0.0`` or an ``np.float64``
+for a ``float`` fails.
+"""
+
+import struct
+from itertools import combinations, groupby
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from matstab import cli
+from matstab import dstability as ds
+from matstab import matrix_core as mc
+
+from conftest import random_hurwitz, random_m_matrix
+
+
+# -- the per-pair loops, as the library ran them -----------------------------
+
+def ref_principal_minors(a):
+    n = a.shape[0]
+    out = []
+    for k in range(1, n + 1):
+        sets = list(combinations(range(n), k))
+        idx = np.array(sets)
+        dets = np.linalg.det(a[idx[:, :, None], idx[:, None, :]])
+        out.extend(zip(sets, dets.tolist()))
+    return out
+
+
+def ref_negate_minors(minors):
+    return [(alpha, 0.0 - v if len(alpha) % 2 else v) for alpha, v in minors]
+
+
+def ref_p_flags(m, minors, witnesses, prefix=""):
+    p = p0 = True
+    order_sums = {}
+    p_wit = p0_wit = None
+    for k, group in groupby(minors, key=lambda item: len(item[0])):
+        tol = mc.minor_tol(m, k)
+        s = 0.0
+        for alpha, value in group:
+            s += value
+            if value <= tol and p:
+                p = False
+                p_wit = {"indices": alpha, "value": value}
+            if value < -tol and p0:
+                p0 = False
+                p0_wit = {"indices": alpha, "value": value}
+        order_sums[k] = s
+    q = True
+    q_wit = None
+    for k, s in sorted(order_sums.items()):
+        if s <= mc.minor_tol(m, k):
+            q = False
+            q_wit = {"order": k, "sum": s}
+            break
+    p0_plus = p0 and q
+    if p_wit is not None:
+        witnesses[prefix + "p"] = p_wit
+    if p0_wit is not None:
+        witnesses[prefix + "p0"] = p0_wit
+    if not p0_plus:
+        witnesses[prefix + "p0_plus"] = p0_wit or q_wit
+    return p, p0, p0_plus
+
+
+def ref_classify_minor_part(a, rep, minors):
+    """The flags and witness dict that ``classify`` built from ``minors``.
+
+    The flags and witnesses that read no minor are taken from ``rep``, in
+    the order ``classify`` inserts them.
+    """
+    n = a.shape[0]
+    tol1 = mc.minor_tol(a, 1)
+    w = {key: rep.witnesses[key]
+         for key in ("z", "metzler", "strict_row_dd", "strict_col_dd")
+         if key in rep.witnesses}
+    flags = dict(rep.flags())
+    flags["tridiagonal"] = bool(all(abs(a[i, j]) <= tol1
+                                    for i in range(n) for j in range(n)
+                                    if abs(i - j) > 1))
+    flags["p"], flags["p0"], flags["p0_plus"] = ref_p_flags(a, minors, w)
+    flags["hicksian"], _, _ = ref_p_flags(-a, ref_negate_minors(minors), w,
+                                          prefix="hicksian:")
+    flags["m_matrix"] = flags["z"] and flags["p"]
+    if not flags["m_matrix"]:
+        w.setdefault("m_matrix", w.get("z") or w.get("p"))
+    if "sign_symmetric" in rep.witnesses:
+        w["sign_symmetric"] = rep.witnesses["sign_symmetric"]
+    return flags, w
+
+
+def ref_necessary(a, mode, minors):
+    b = -a
+    n = a.shape[0]
+    sums = {}
+    for k, group in groupby(minors, key=lambda item: len(item[0])):
+        tol = mc.minor_tol(b, k)
+        s = 0.0
+        for alpha, value in group:
+            if value < -tol and mc.exact_det_sign(b[np.ix_(alpha, alpha)]) < 0:
+                return ("refuted", f"not-p0-{mode}",
+                        {"indices": alpha, "minor": value, "matrix": "-A"})
+            s += value
+        sums[k] = s
+    for k in sorted(sums):
+        if sums[k] <= mc.minor_tol(b, k) and not any(
+                mc.exact_det_sign(b[np.ix_(alpha, alpha)])
+                for alpha in combinations(range(n), k)):
+            return ("refuted", f"p0-minor-sums-vanish-{mode}",
+                    {"order": k, "sum": sums[k], "matrix": "-A"})
+    return ("unknown", "necessary-p0plus-passed", None)
+
+
+def ref_running_sum(values):
+    s = 0.0
+    for x in values:
+        s += x
+    return s
+
+
+def exact(x):
+    """A comparable form that tells every float bit and every type apart."""
+    if isinstance(x, dict):
+        return ("dict", [(k, exact(v)) for k, v in x.items()])
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, [exact(v) for v in x])
+    if isinstance(x, float):
+        return (type(x).__name__, struct.pack("<d", x))
+    return (type(x).__name__, repr(x))
+
+
+# -- inputs ------------------------------------------------------------------
+
+def random_matrix(n):
+    return arrays(np.float64, (n, n),
+                  elements=st.floats(-5.0, 5.0, allow_nan=False))
+
+
+def diagonal_with_zeros(n):
+    """Diagonal inputs: exact zero minors, and order sums of signed zeros."""
+    return st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0]),
+                    min_size=n, max_size=n).map(np.diag)
+
+
+@st.composite
+def near_tolerance(draw, n):
+    """Minors at the zero tolerance.
+
+    Rank-one inputs have minors of order two and up that are rounding
+    noise; a rank-one Gram matrix of integers has them exactly zero too,
+    so their noisy order sums reach the exact vanishing-sum refutation.
+    The third kind sets the diagonal to within a few ulps of
+    +-minor_tol(A, 1).
+    """
+    kind = draw(st.sampled_from(["rank-one", "integer-gram", "diagonal"]))
+    if kind == "integer-gram":
+        u = np.array(draw(st.lists(st.integers(1, 40), min_size=n,
+                                   max_size=n)), dtype=float)
+        return draw(st.sampled_from([-1.0, 1.0])) * np.outer(u, u)
+    u = draw(arrays(np.float64, (n,), elements=st.floats(-2.0, 2.0)))
+    v = draw(arrays(np.float64, (n,), elements=st.floats(-2.0, 2.0)))
+    a = np.outer(u, v)
+    if kind == "diagonal":
+        np.fill_diagonal(a, 0.0)
+        tol = mc.minor_tol(a, 1)
+        steps = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                              min_size=n, max_size=n))
+        for i, (step, sign) in enumerate(zip(steps, signs)):
+            a[i, i] = sign * tol
+            for _ in range(abs(step)):
+                a[i, i] = np.nextafter(a[i, i], step * np.inf)
+    return a
+
+
+def any_matrix(n):
+    return st.one_of(random_matrix(n), diagonal_with_zeros(n),
+                     near_tolerance(n))
+
+
+def fixed_cases():
+    rng = np.random.default_rng(14)
+    return [
+        rng.normal(size=(12, 12)),
+        random_hurwitz(rng, 12),
+        -random_m_matrix(rng, 12),
+        np.diag([0.0, -1.0, 2.0, -0.0] * 3),
+        -np.outer(np.arange(3.0, 15.0), np.arange(3.0, 15.0)),
+        rng.normal(size=(14, 14)),
+        -random_m_matrix(rng, 14),
+        random_m_matrix(rng, 14),
+        np.diag([1.0, 0.0, -0.0, 2.0, -1.0, 3.0, 0.5] * 2),
+        np.outer(np.arange(5.0, 19.0), np.arange(5.0, 19.0)),
+    ]
+
+
+# -- the checks --------------------------------------------------------------
+
+def check_against_loops(a):
+    table = mc.principal_minors(a)
+    pairs = ref_principal_minors(a)
+    assert exact(list(table)) == exact(pairs)
+    assert len(table) == len(pairs)
+    neg_table = mc.negate_minors(table)
+    neg_pairs = ref_negate_minors(pairs)
+    assert exact(list(neg_table)) == exact(neg_pairs)
+
+    for m, minors, ref_minors in ((a, table, pairs),
+                                  (-a, neg_table, neg_pairs)):
+        rep = mc.classify(m, minors=minors)
+        flags, witnesses = ref_classify_minor_part(m, rep, ref_minors)
+        assert exact(rep.flags()) == exact(flags)
+        assert exact(rep.witnesses) == exact(witnesses)
+    assert exact(mc.classify(a).flags()) == exact(
+        mc.classify(a, minors=table).flags())
+
+    for mode in ("multiplicative", "additive"):
+        expect = ref_necessary(a, mode, neg_pairs)
+        # the swept table of -A and the negated table of A may differ in
+        # the sign bit of an underflowed zero, so each has its own reference
+        for got, ref in ((ds.necessary_p0plus(a, mode=mode, minors=neg_table),
+                          expect),
+                         (ds.necessary_p0plus(a, mode=mode),
+                          ref_necessary(a, mode, ref_principal_minors(-a)))):
+            assert exact((got.status.value, got.reason, got.witness)) == \
+                exact(ref)
+
+
+class TestBitIdentity:
+    @given(st.integers(1, 8).flatmap(any_matrix))
+    @settings(max_examples=150, deadline=None)
+    def test_array_scans_match_the_pair_loops(self, a):
+        check_against_loops(a)
+
+    @pytest.mark.parametrize("a", fixed_cases(),
+                             ids=lambda a: f"n{a.shape[0]}")
+    def test_array_scans_match_the_pair_loops_at_n12_and_n14(self, a):
+        check_against_loops(a)
+
+    def test_p_matrix_violation_matches_the_pair_loop(self):
+        rng = np.random.default_rng(3)
+        for a in (rng.normal(size=(6, 6)), random_m_matrix(rng, 6),
+                  np.diag([1.0, 2.0, 0.0, 3.0])):
+            expect = next(((alpha, v) for alpha, v in ref_principal_minors(a)
+                           if v <= mc.minor_tol(a, len(alpha)) and
+                           mc.exact_det_sign(a[np.ix_(alpha, alpha)]) <= 0),
+                          None)
+            assert exact(ds._p_matrix_violation(a)) == exact(expect)
+
+
+class TestIndexSets:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_index_sets_are_combinations(self, n):
+        sets = list(mc._index_sets(n))
+        assert len(sets) == n
+        for k, idx in enumerate(sets, start=1):
+            assert idx.dtype == np.intp and idx.shape[1] == k
+            assert list(map(tuple, idx.tolist())) == \
+                list(combinations(range(n), k))
+
+    def test_max_order_truncates_the_table(self):
+        a = np.random.default_rng(0).normal(size=(6, 6))
+        full, short = mc.principal_minors(a), mc.principal_minors(a, 3)
+        assert len(short.orders) == 3
+        assert exact(list(short)) == exact(list(full)[:len(short)])
+
+
+class TestRunningSum:
+    @given(st.lists(st.sampled_from([-0.0]), max_size=3),
+           st.lists(st.floats(-1e300, 1e300), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_left_to_right_loop(self, zeros, values):
+        values = zeros + values
+        got = mc._running_sum(np.array(values, dtype=float))
+        assert exact(got) == exact(ref_running_sum(values))
+
+    def test_leading_negative_zeros_sum_to_positive_zero(self):
+        assert exact(mc._running_sum(np.array([-0.0, -0.0]))) == exact(0.0)
+
+
+class TestPipelineReadsArrays:
+    @pytest.mark.parametrize("class_spec, op_spec", [
+        ("positive-diagonal", "multiply"), ("negative-diagonal", "add")])
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_report_bytes_without_the_pair_view(
+            self, monkeypatch, class_spec, op_spec, exhaustive):
+        a = random_hurwitz(np.random.default_rng(10), 10)
+
+        def report():
+            request = cli.AnalysisRequest(
+                matrix=a, class_spec=class_spec, op_spec=op_spec,
+                samples=200, budget=300, seed=1, exhaustive=exhaustive)
+            return cli.emit(cli.run(request), "json")
+
+        expect = report()
+
+        def no_pairs(self):
+            raise AssertionError("the pipeline walked the pair view")
+
+        monkeypatch.setattr(mc.MinorTable, "__iter__", no_pairs)
+        assert report() == expect
+        assert b'"check": "necessary-p0plus"' in expect
