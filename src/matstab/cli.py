@@ -46,9 +46,9 @@ from .matrix_core import MINOR_ENUM_CAP, as_matrix
 from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       HalfPlaneRight, Hyperbolic, LMIRegion,
                       NegativeRealAxis, PositiveRealAxis, PunctureOrigin,
-                      RealLine, SectorRight, Status, Verdict, decay_horizon,
-                      default_tol, eigenvalues, gershgorin, region_stable,
-                      simulate_decay, spectral_abscissa)
+                      RealLine, Region, SectorRight, Status, Verdict,
+                      decay_horizon, default_tol, eigenvalues, gershgorin,
+                      region_stable, simulate_decay, spectral_abscissa)
 
 SCHEMA = "matstab-report/4"
 
@@ -243,9 +243,9 @@ def parse_op(spec):
 
 def mirror_gclass_for_add(gclass):
     if isinstance(gclass, ds.PositiveDiagonal):
-        return ds.NegativeDiagonal(gclass.low, gclass.high)
+        return ds.NegativeDiagonal()
     if isinstance(gclass, ds.NegativeDiagonal):
-        return ds.PositiveDiagonal(gclass.low, gclass.high)
+        return ds.PositiveDiagonal()
     if isinstance(gclass, (ds.DiagonalNormLt1, ds.VertexDiagonal)):
         return gclass
     if isinstance(gclass, ds.SignPatternDiagonal):
@@ -260,10 +260,13 @@ def mirror_gclass_for_add(gclass):
 
 @dataclasses.dataclass
 class AnalysisRequest:
+    """One request.  ``region``, ``gclass`` and ``op`` are parsed from the
+    spec strings, which the report names, so the two cannot disagree."""
+
     matrix: np.ndarray
-    region: object = None
-    gclass: object = None
-    op: object = None
+    region: object = dataclasses.field(init=False)
+    gclass: object = dataclasses.field(init=False)
+    op: object = dataclasses.field(init=False)
     modes: tuple = DEFAULT_MODES
     exhaustive: bool = False
     samples: int = 10000
@@ -278,12 +281,9 @@ class AnalysisRequest:
     def __post_init__(self):
         if self.samples <= 0 or self.budget <= 0:
             raise UsageError("budgets must be positive")
-        if self.region is None:
-            self.region = parse_region(self.region_spec)
-        if self.gclass is None:
-            self.gclass = parse_gclass(self.class_spec)
-        if self.op is None:
-            self.op = parse_op(self.op_spec)
+        self.region = parse_region(self.region_spec)
+        self.gclass = parse_gclass(self.class_spec)
+        self.op = parse_op(self.op_spec)
         n = self.matrix.shape[0]
         try:
             # the size checks of the class's sampler and of the operation,
@@ -350,34 +350,21 @@ def _json_float(x):
 def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    # before the np.generic branch: .item() of an extended-precision
+    # scalar returns the scalar itself
     if isinstance(obj, (float, np.floating)):
         return _json_float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
+    if isinstance(obj, (complex, np.complexfloating)):
         return {"re": _json_float(obj.real), "im": _json_float(obj.imag)}
+    if isinstance(obj, np.generic):
+        return to_jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj) or (obj.dtype.kind == "f"
                                     and not np.isfinite(obj).all()):
             return [to_jsonable(v) for v in obj.tolist()]
         return obj.tolist()
-    if isinstance(obj, Status):
-        return obj.value
-    if isinstance(obj, Verdict):
-        return {"status": obj.status.value, "reason": obj.reason,
-                "witness": to_jsonable(obj.witness),
-                "seed": to_jsonable(obj.seed)}
-    if isinstance(obj, lyapunov.Certificate):
-        return {"kind": obj.kind, "factor": to_jsonable(obj.factor),
-                "margin": to_jsonable(obj.margin), "region": obj.region.name,
-                "iterations": obj.iterations}
-    if isinstance(obj, ds.FalsificationWitness):
-        return {"g": to_jsonable(obj.g), "realized": to_jsonable(obj.realized),
-                "eigenvalue": to_jsonable(obj.eigenvalue),
-                "sample_index": obj.sample_index,
-                "seed": to_jsonable(obj.seed), "note": obj.note}
+    if isinstance(obj, Region):
+        return obj.name
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -771,10 +758,9 @@ def run(request):
         # the region names the stability type in the canonical (hurwitz)
         # vocabulary; the flag says the matrix is sign-flipped relative
         # to it, so negate once and adjust additive classes
-        request = dataclasses.replace(
-            request, matrix=-request.matrix,
-            gclass=(mirror_gclass_for_add(request.gclass)
-                    if isinstance(request.op, ds.Add) else request.gclass))
+        request = dataclasses.replace(request, matrix=-request.matrix)
+        if isinstance(request.op, ds.Add):
+            request.gclass = mirror_gclass_for_add(request.gclass)
         convention_note = ("positive-stability request mirrored: matrix "
                            "negated, additive class sign-flipped")
     ctx = _Context(request)

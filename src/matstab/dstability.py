@@ -27,7 +27,7 @@ __all__ = [
     "AlphaScalar", "AlphaBlockSPD", "SPD", "OrderedDiagonal",
     "IntervalDiagonal", "SignPatternDiagonal", "EntrywisePositiveRank",
     "NegativeDiagonal", "BinOp", "Multiply", "Add", "HadamardProduct",
-    "BlockHadamardProduct", "sample_g", "apply_op", "FalsificationWitness",
+    "BlockHadamardProduct", "apply_op", "FalsificationWitness",
     "falsify", "necessary_p0plus", "sufficient_suite", "li_wang_stable",
     "hadamard_p_test", "total_stability_scan", "vertex_schur_check",
 ]
@@ -63,9 +63,9 @@ class GClass:
     def check_size(self, n):
         """Raise ValueError unless the class has n x n members."""
 
-    def contains(self, g, tol=1e-9):
+    def contains(self, g):
         """Diagonal classes: g is diagonal and its diagonal is a member."""
-        return _is_diagonal(g, tol) and bool(self._diag_contains(np.diag(g), tol))
+        return _is_diagonal(g) and bool(self._diag_contains(np.diag(g)))
 
     def sample_checked(self, rng, n):
         g = self.sample(rng, n)
@@ -93,53 +93,54 @@ class GClass:
         self.check_size(n)
         diag = self._sample_diag_batch(rng, n, k)
         if diag is not None:
-            self._require_member(self._diag_contains(diag, 1e-9))
+            self._require_member(self._diag_contains(diag))
         return diag
 
     def _sample_diag_batch(self, rng, n, k):
         """(k, n) diagonals of a diagonal class, unchecked; None otherwise."""
         return None
 
-    def _diag_contains(self, d, tol):
+    def _diag_contains(self, d):
         """Membership of diagonals; leading axes of ``d`` are a batch."""
         raise NotImplementedError
 
 
-def _is_diagonal(g, tol):
-    return bool(np.all(np.abs(g - np.diag(np.diag(g))) <= tol))
+# the structural slack of the membership tests: off-diagonal entries,
+# asymmetry and the equalities of a class hold within it
+_MEMBER_TOL = 1e-9
+
+
+def _is_diagonal(g):
+    return bool(np.all(np.abs(g - np.diag(np.diag(g))) <= _MEMBER_TOL))
 
 
 @dataclass(frozen=True)
 class PositiveDiagonal(GClass):
     """Positive diagonal matrices; samples are log-uniform over six decades."""
 
-    low: float = 1e-3
-    high: float = 1e3
     name = "positive-diagonal"
 
-    def _diag_contains(self, d, tol):
+    def _diag_contains(self, d):
         return (d > 0).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
-        return _log_uniform(rng, self.low, self.high, (k, n))
+        return _log_uniform(rng, 1e-3, 1e3, (k, n))
 
 
 @dataclass(frozen=True)
 class NegativeDiagonal(GClass):
-    low: float = 1e-3
-    high: float = 1e3
     name = "negative-diagonal"
 
     def sample(self, rng, n):
         # not the base-class default: -np.diag(x) has -0.0 off the
         # diagonal, and falsify witnesses carry those zeros into reports
-        return -np.diag(_log_uniform(rng, self.low, self.high, n))
+        return -np.diag(_log_uniform(rng, 1e-3, 1e3, n))
 
-    def _diag_contains(self, d, tol):
+    def _diag_contains(self, d):
         return (d < 0).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
-        return -_log_uniform(rng, self.low, self.high, (k, n))
+        return -_log_uniform(rng, 1e-3, 1e3, (k, n))
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ class DiagonalNormLt1(GClass):
     name = "diagonal-norm-lt1"
     bounded = True
 
-    def _diag_contains(self, d, tol):
+    def _diag_contains(self, d):
         return (np.abs(d) < 1.0).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
@@ -163,8 +164,8 @@ class VertexDiagonal(GClass):
     name = "vertex-diagonal"
     bounded = True
 
-    def _diag_contains(self, d, tol):
-        return (np.abs(np.abs(d) - 1.0) <= tol).all(axis=-1)
+    def _diag_contains(self, d):
+        return (np.abs(np.abs(d) - 1.0) <= _MEMBER_TOL).all(axis=-1)
 
     def _sample_diag_batch(self, rng, n, k):
         return rng.integers(0, 2, (k, n)) * 2.0 - 1.0
@@ -177,8 +178,8 @@ class AlphaScalar(GClass):
     partition: tuple
     name = "alpha-scalar"
 
-    def _diag_contains(self, d, tol):
-        slack = tol * (1.0 + np.abs(d).max(axis=-1))
+    def _diag_contains(self, d):
+        slack = _MEMBER_TOL * (1.0 + np.abs(d).max(axis=-1))
         ok = (d > 0).all(axis=-1)
         for block in self.partition:
             ok = ok & (np.ptp(d[..., list(block)], axis=-1) <= slack)
@@ -212,14 +213,14 @@ class AlphaBlockSPD(GClass):
             g[np.ix_(idx, idx)] = _spd_sample(rng, len(idx), 1)[0]
         return g
 
-    def contains(self, g, tol=1e-9):
+    def contains(self, g):
         mask = np.ones_like(g, dtype=bool)
         for block in self.partition:
             idx = list(block)
             mask[np.ix_(idx, idx)] = False
-        if np.abs(g[mask]).max(initial=0.0) > tol:
+        if np.abs(g[mask]).max(initial=0.0) > _MEMBER_TOL:
             return False
-        return bool(_spd_contains(g, tol))
+        return bool(_spd_contains(g))
 
 
 def _spd_sample(rng, n, k):
@@ -236,12 +237,12 @@ def _spd_sample(rng, n, k):
     return (q * lam) @ np.swapaxes(q, -1, -2)
 
 
-def _spd_contains(g, tol):
+def _spd_contains(g):
     """Symmetric and positive definite; leading axes of ``g`` are a batch."""
     gt = np.swapaxes(g, -1, -2)
     axes = (-2, -1)
     symmetric = ~(np.abs(g - gt).max(axis=axes)
-                  > tol * (1.0 + np.abs(g).max(axis=axes)))
+                  > _MEMBER_TOL * (1.0 + np.abs(g).max(axis=axes)))
     return symmetric & (np.linalg.eigvalsh(0.5 * (g + gt))[..., 0] > 0)
 
 
@@ -254,12 +255,12 @@ class SPD(GClass):
     def sample(self, rng, n):
         return self.sample_batch(rng, n, 1)[0]
 
-    def contains(self, g, tol=1e-9):
-        return bool(_spd_contains(g, tol))
+    def contains(self, g):
+        return bool(_spd_contains(g))
 
     def sample_batch(self, rng, n, k):
         g = _spd_sample(rng, n, k)
-        self._require_member(_spd_contains(g, 1e-9))
+        self._require_member(_spd_contains(g))
         return g
 
 
@@ -270,9 +271,9 @@ class OrderedDiagonal(GClass):
     tau: tuple
     name = "ordered-diagonal"
 
-    def _diag_contains(self, d, tol):
+    def _diag_contains(self, d):
         dt = d[..., list(self.tau)]
-        slack = tol * (1.0 + dt.max(axis=-1, keepdims=True))
+        slack = _MEMBER_TOL * (1.0 + dt.max(axis=-1, keepdims=True))
         return ((d > 0).all(axis=-1)
                 & (dt[..., :-1] >= dt[..., 1:] - slack).all(axis=-1))
 
@@ -313,7 +314,7 @@ class IntervalDiagonal(GClass):
     def bounded(self):
         return bool(np.isfinite(self.d_max).all())
 
-    def _diag_contains(self, d, tol):
+    def _diag_contains(self, d):
         return ((d >= np.asarray(self.d_min))
                 & (d <= np.asarray(self.d_max))).all(axis=-1)
 
@@ -335,7 +336,7 @@ class SignPatternDiagonal(GClass):
     signs: tuple
     name = "sign-pattern-diagonal"
 
-    def _diag_contains(self, d, tol):
+    def _diag_contains(self, d):
         return (np.sign(d) == np.asarray(self.signs)).all(axis=-1)
 
     def check_size(self, n):
@@ -368,10 +369,11 @@ class EntrywisePositiveRank(GClass):
             g += np.outer(u, v)
         return g
 
-    def contains(self, g, tol=1e-9):
+    def contains(self, g):
         if not (g > 0).all():
             return False
-        return np.linalg.matrix_rank(g, tol=1e-9 * (1.0 + abs(g).max())) <= self.k
+        return (np.linalg.matrix_rank(g, tol=_MEMBER_TOL * (1.0 + abs(g).max()))
+                <= self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +432,6 @@ class BlockHadamardProduct(BinOp):
         return block_hadamard(g, a, self.block)
 
 
-def sample_g(gclass, rng, n):
-    """One matrix provably in the class; the structural check is asserted."""
-    return gclass.sample_checked(rng, n)
-
-
 def apply_op(op, g, a):
     """Realize G o A for the given binary operation."""
     return op.apply(np.asarray(g, dtype=float), as_matrix(a))
@@ -456,7 +453,7 @@ class FalsificationWitness:
     note: str = ""
 
 
-def _unbounded_witness(a, gclass, op, region, rng, tol):
+def _unbounded_witness(a, gclass, op, region, rng):
     """Concrete witness for the bounded-region / unbounded-class refutation."""
     n = a.shape[0]
     base = gclass.sample_checked(rng, n)
@@ -465,7 +462,7 @@ def _unbounded_witness(a, gclass, op, region, rng, tol):
         if not gclass.contains(g):
             continue
         m = apply_op(op, g, a)
-        z = first_outside(eigenvalues(m), region, tol)
+        z = first_outside(eigenvalues(m), region)
         if z is not None:
             return g, m, z
     return None
@@ -477,7 +474,7 @@ def _unbounded_witness(a, gclass, op, region, rng, tol):
 _SOLVER_C = 64.0
 
 
-def _certified_screen(a, certificate, op, region, tol):
+def _certified_screen(a, certificate, op, region):
     """Samples a diagonal Lyapunov certificate keeps inside the half-plane.
 
     Returns ``clear(gs, ms)``, a mask of the batch members whose every
@@ -491,7 +488,7 @@ def _certified_screen(a, certificate, op, region, tol):
     """
     if not (isinstance(certificate, lyapunov.Certificate)
             and certificate.kind == "diagonal-lyapunov"
-            and region == HalfPlaneLeft() and tol is None
+            and region == HalfPlaneLeft()
             and isinstance(op, (Multiply, Add))):
         return None
     n = a.shape[0]
@@ -553,8 +550,8 @@ def _stacked_spectra(ms):
         return specs
 
 
-def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
-            batch=256, certificate=None):
+def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256,
+            certificate=None):
     """Sample the class and hunt for a spectrum outside the region.
 
     Refuted embeds the replayable witness; Unknown after the budget.
@@ -575,7 +572,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
     rng = np.random.default_rng(seed)
 
     if region.bounded and not gclass.bounded:
-        found = _unbounded_witness(a, gclass, op, region, rng, tol)
+        found = _unbounded_witness(a, gclass, op, region, rng)
         if found is not None:
             g, m, z = found
             wit = FalsificationWitness(g, m, z, -1, seed,
@@ -586,7 +583,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
         return Verdict(Status.REFUTED, "unbounded-class-bounded-region",
                        witness=wit, seed=seed)
 
-    clear = _certified_screen(a, certificate, op, region, tol)
+    clear = _certified_screen(a, certificate, op, region)
     done = 0
     while done < samples:
         b = min(batch, samples - done)
@@ -599,7 +596,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
         # vectorized screen with the re-check's own bands; the witness is
         # re-solved alone, so that it replays and its eigenvalue is the
         # first in sorted order
-        tols = default_tol(specs) if tol is None else tol
+        tols = default_tol(specs)
         bad = ~(region.distance(specs, tols) < -tols)
         hits = np.nonzero(bad.any(axis=1))[0]
         for i in (hits if keep is None else keep[hits]):
@@ -609,7 +606,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, tol=None,
                 spec = eigenvalues(m)
             except EigenSolverError:
                 continue  # cannot witness a sample the solver rejects
-            z = first_outside(spec, region, tol)
+            z = first_outside(spec, region)
             if z is not None:
                 wit = FalsificationWitness(g, m, z, done + int(i), seed)
                 return Verdict(Status.REFUTED, "sampled-counterexample",
@@ -794,7 +791,7 @@ def hadamard_p_test(a, samples=1000, seed=0):
 TOTAL_SCAN_CAP = 10
 
 
-def total_stability_scan(a, depth=None, samples=2000, budget=2000, seed=0):
+def total_stability_scan(a, samples=2000, budget=2000, seed=0):
     """Necessary / sufficient / falsification sweep over principal submatrices.
 
     Hurwitz convention.  Returns a map from 0-based index tuples to the
@@ -805,11 +802,9 @@ def total_stability_scan(a, depth=None, samples=2000, budget=2000, seed=0):
     n = a.shape[0]
     if n > TOTAL_SCAN_CAP:
         raise ValueError(f"total scan capped at n = {TOTAL_SCAN_CAP}")
-    if depth is None:
-        depth = n
     results = {}
     overall = Verdict(Status.UNKNOWN, "total-scan-no-refutation", seed=seed)
-    for k in range(1, depth + 1):
+    for k in range(1, n + 1):
         for alpha in combinations(range(n), k):
             sub = a[np.ix_(alpha, alpha)]
             nec = necessary_p0plus(sub)
@@ -851,7 +846,7 @@ def total_stability_scan(a, depth=None, samples=2000, budget=2000, seed=0):
 VERTEX_ENUM_CAP = 16
 
 
-def vertex_schur_check(a, tol=None):
+def vertex_schur_check(a):
     """Exhaustive spectral-radius check over all +-1 diagonal multipliers.
 
     Refuted kills Schur D-stability (vertex stability is necessary for
@@ -867,7 +862,7 @@ def vertex_schur_check(a, tol=None):
         d = np.asarray(signs)
         m = d[:, None] * a
         spec = eigenvalues(m)
-        z = first_outside(spec, disk, tol)
+        z = first_outside(spec, disk)
         if z is not None:
             return Verdict(Status.REFUTED, "vertex-spectral-radius",
                            witness={"signs": signs, "eigenvalue": z,

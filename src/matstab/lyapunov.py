@@ -272,25 +272,26 @@ def _project_simplex(d):
     return np.maximum(d - theta, 0.0)
 
 
-def _lift_positive(d, floor_scale=1e-9):
+def _lift_positive(d, floor_scale):
     """Replace zero entries of a simplex point with a tiny positive floor."""
     top = d.max()
     return np.maximum(d, floor_scale * top)
 
 
-def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET, tol=None):
+def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
     """Search a positive diagonal factor certifying region stability.
 
     Minimizes lambda_max of the region operator over the unit simplex of
     diagonals by projected subgradient (step mu/sqrt(k) with
     mu = 1/||A||_inf), and stops at the first iterate that certifies:
-    its value is below ``-tol`` and its lifted, strictly positive factor
-    passes :func:`is_negative_definite`.  Proved verdicts carry that
-    re-verifiable :class:`Certificate`, with ``iterations`` the step at
-    which the search stopped.  Unknown means that the running mean of the
-    subgradients proved that no positive diagonal certifies
-    (``dual-bound-excludes-certificate``, see the module docstring), or
-    that the budget ran out first (``search-budget-exhausted``).
+    its value is below ``-definiteness_tol`` of its operator and its
+    lifted, strictly positive factor passes :func:`is_negative_definite`.
+    Proved verdicts carry that re-verifiable :class:`Certificate`, with
+    ``iterations`` the step at which the search stopped.  Unknown means
+    that the running mean of the subgradients proved that no positive
+    diagonal certifies (``dual-bound-excludes-certificate``, see the
+    module docstring), or that the budget ran out first
+    (``search-budget-exhausted``).
     """
     a = as_matrix(a)
     if region is None:
@@ -302,27 +303,26 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET, tol=None):
 
     g_sum = np.zeros(n)
     for k in range(1, budget + 1):
-        val, g, cur_tol = op.value_and_subgrad(d)
-        w_tol = cur_tol if tol is None else tol
-        if val < -w_tol:
+        val, g, tol = op.value_and_subgrad(d)
+        if val < -tol:
             # lift zero simplex entries to a strictly positive diagonal;
             # retry with smaller floors if the lift eats the margin
             for floor in (1e-9, 1e-12, 1e-15):
                 factor = _lift_positive(d, floor)
-                ok, margin = is_negative_definite(op.apply(factor), tol)
+                ok, margin = is_negative_definite(op.apply(factor))
                 if ok:
                     cert = Certificate(op.kind, np.diag(factor), margin,
                                        region, k)
                     return Verdict(Status.PROVED, f"certificate:{op.kind}",
                                    witness=cert)
         g_sum += g
-        if g_sum.min() > k * max(w_tol, cur_tol):
+        if g_sum.min() > k * tol:
             return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
         d = _project_simplex(d - (mu / math.sqrt(k)) * g)
     return Verdict(Status.UNKNOWN, "search-budget-exhausted")
 
 
-def diagonal_hyperbolicity_search(a, budget=DEFAULT_BUDGET, tol=None):
+def diagonal_hyperbolicity_search(a, budget=DEFAULT_BUDGET):
     """Search a sign-unconstrained diagonal D with D A + A^T D positive definite.
 
     Concave maximization of lambda_min over the box ||diag||_inf <= 1 by
@@ -332,9 +332,10 @@ def diagonal_hyperbolicity_search(a, budget=DEFAULT_BUDGET, tol=None):
     budget, so a smaller budget runs a prefix of the same iterates.  The
     search stops at the first iterate whose factor, with entries below
     1e-9 in magnitude pushed to +-1e-9 so that it is nonsingular, gives
-    lambda_min above ``tol``; ``iterations`` of the certificate counts
-    the steps taken over all starts.  A certificate implies the matrix
-    has no imaginary-axis eigenvalues and is multiplicative D-hyperbolic.
+    lambda_min above its ``definiteness_tol``; ``iterations`` of the
+    certificate counts the steps taken over all starts.  A certificate
+    implies the matrix has no imaginary-axis eigenvalues and is
+    multiplicative D-hyperbolic.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -361,9 +362,8 @@ def diagonal_hyperbolicity_search(a, budget=DEFAULT_BUDGET, tol=None):
                 fixed[small] = np.where(fixed[small] >= 0, 1e-9, -1e-9)
                 wf = fixed[:, None] * a
                 wf = wf + wf.T
-                w_tol = definiteness_tol(wf) if tol is None else tol
                 lam_min = float(np.linalg.eigvalsh(wf)[0])
-                if lam_min > w_tol:
+                if lam_min > definiteness_tol(wf):
                     cert = Certificate("diagonal-hyperbolic", np.diag(fixed),
                                        lam_min, Hyperbolic(), used)
                     return Verdict(Status.PROVED,

@@ -27,7 +27,7 @@ floating-point screen found.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -161,8 +161,8 @@ class MinorTable:
             yield from zip(map(tuple, sets.tolist()), values.tolist())
 
 
-def principal_minors(a, max_order=None):
-    """All principal minors up to ``max_order`` as a :class:`MinorTable`.
+def principal_minors(a):
+    """All principal minors as a :class:`MinorTable`.
 
     Orders ascend; within an order the index sets follow
     ``itertools.combinations``.  Enumeration is capped at n = 14 (2^n
@@ -172,13 +172,9 @@ def principal_minors(a, max_order=None):
     n = a.shape[0]
     if n > MINOR_ENUM_CAP:
         raise ValueError(f"principal minor enumeration capped at n = {MINOR_ENUM_CAP}")
-    if max_order is None:
-        max_order = n
-    if not 1 <= max_order <= n:
-        raise ValueError(f"max_order must be in 1..{n}")
     return MinorTable([
         (idx, np.linalg.det(a[idx[:, :, None], idx[:, None, :]]))
-        for idx in islice(_index_sets(n), max_order)])
+        for idx in _index_sets(n)])
 
 
 def negate_minors(minors):
@@ -251,15 +247,13 @@ def leading_minors(a):
     return [float(np.linalg.det(a[:k, :k])) for k in range(1, a.shape[0] + 1)]
 
 
-def is_z_matrix(a, tol=None):
+def is_z_matrix(a):
     a = as_matrix(a)
-    if tol is None:
-        tol = minor_tol(a, 1)
     off = a - np.diag(np.diag(a))
-    return bool((off <= tol).all())
+    return bool((off <= minor_tol(a, 1)).all())
 
 
-def is_m_matrix(a, tol=None):
+def is_m_matrix(a):
     """Z-matrix with all principal minors positive.
 
     For Z-matrices positivity of the leading principal minors already
@@ -267,7 +261,7 @@ def is_m_matrix(a, tol=None):
     and carries no enumeration cap.
     """
     a = as_matrix(a)
-    if not is_z_matrix(a, tol):
+    if not is_z_matrix(a):
         return False
     for k, d in enumerate(leading_minors(a), start=1):
         if d <= minor_tol(a, k):

@@ -202,18 +202,17 @@ def kharitonov_stable(box):
     return Verdict(Status.PROVED, "kharitonov-four-polynomials-stable")
 
 
-def kosov_interval_dstability(a, d_min, d_max, mode="multiplicative",
-                              classification=None):
+def kosov_interval_dstability(a, d_min, d_max, classification=None):
     """Interval D-stability of a P0 matrix over a diagonal box (sufficient).
 
     ``a`` is taken in the positive-stability convention: the claim
-    certified is that D a (or a + D in additive mode) has its whole
-    spectrum in the open right half-plane for every diagonal D with
-    d_min <= diag(D) <= d_max.  The Hurwitz polynomial of the negated
-    product has coefficients monotone in each d_ii because ``a`` is P0,
-    so the two box corners bound the whole coefficient family and the
-    four-polynomial test applies.  Proved means D-stable with respect to
-    the box; anything else is Unknown (the test is sufficient only).
+    certified is that D a has its whole spectrum in the open right
+    half-plane for every diagonal D with d_min <= diag(D) <= d_max.
+    The Hurwitz polynomial of the negated product has coefficients
+    monotone in each d_ii because ``a`` is P0, so the two box corners
+    bound the whole coefficient family and the four-polynomial test
+    applies.  Proved means D-stable with respect to the box; anything
+    else is Unknown (the test is sufficient only).
     ``classification``, when given, is ``classify(a)``.
     """
     a = as_matrix(a)
@@ -222,23 +221,17 @@ def kosov_interval_dstability(a, d_min, d_max, mode="multiplicative",
     d_max = np.broadcast_to(np.asarray(d_max, dtype=float), (n,)).copy()
     if not ((d_min > 0).all() and (d_min <= d_max).all() and np.isfinite(d_max).all()):
         raise ValueError("need componentwise 0 < d_min <= d_max < inf")
-    if mode not in ("multiplicative", "additive"):
-        raise ValueError(f"unknown mode {mode!r}")
     rep = classify(a) if classification is None else classification
     if not rep.p0:
         raise ValueError("matrix must be P0 for the interval reduction;"
                          f" witness minor {rep.witnesses.get('p0')}")
 
-    if mode == "multiplicative":
-        f_lo = char_poly(-(np.diag(d_min) @ a))
-        f_hi = char_poly(-(np.diag(d_max) @ a))
-    else:
-        f_lo = char_poly(-(a + np.diag(d_min)))
-        f_hi = char_poly(-(a + np.diag(d_max)))
+    f_lo = char_poly(-(np.diag(d_min) @ a))
+    f_hi = char_poly(-(np.diag(d_max) @ a))
     box = IntervalPoly(np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi))
     inner = kharitonov_stable(box)
     if inner.proved:
-        return Verdict(Status.PROVED, f"kosov-interval-{mode}",
+        return Verdict(Status.PROVED, "kosov-interval-multiplicative",
                        witness={"box_lower": box.lower.tolist(),
                                 "box_upper": box.upper.tolist()})
     return Verdict(Status.UNKNOWN, f"kosov-inconclusive:{inner.reason}")

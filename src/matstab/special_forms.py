@@ -48,14 +48,13 @@ class CyclicForm:
         return m
 
 
-def detect_cyclic(a, tol=None):
+def detect_cyclic(a):
     """Extract the cyclic feedback form, or None when the pattern fails."""
     a = as_matrix(a)
     n = a.shape[0]
     if n < 2:
         return None
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(a).max())
+    tol = 1e-12 * (1.0 + abs(a).max())
     mask = np.zeros_like(a, dtype=bool)
     idx = np.arange(n)
     mask[idx, idx] = True
@@ -86,7 +85,7 @@ def secant_criterion(form):
                    witness={"ratio": ratio, "bound": bound})
 
 
-def single_circuit_criterion(a, tol=None):
+def single_circuit_criterion(a):
     """Exact diagonal-stability decision when the graph is one circuit.
 
     Rows are first normalized by |a_ii| so the diagonal becomes -1; the
@@ -95,8 +94,7 @@ def single_circuit_criterion(a, tol=None):
     """
     a = as_matrix(a)
     n = a.shape[0]
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(a).max())
+    tol = 1e-12 * (1.0 + abs(a).max())
     d = np.diag(a)
     if (np.abs(d) <= tol).any():
         raise ValueError("zero diagonal entry; cannot normalize to -1")

@@ -2,15 +2,16 @@
 
 The stability region is a closed enumeration of subsets of the complex
 plane, each symmetric with respect to the real axis.  Membership is
-always decided with a deadband of width ``tol`` around the region
-boundary, so that strict-inequality regions never produce a false
-"inside" for an eigenvalue sitting numerically on the boundary.
+always decided with a deadband around the region boundary, of width
+``default_tol(z) = 1e-8 * (1 + |z|)`` at a point z, so that
+strict-inequality regions never produce a false "inside" for an
+eigenvalue sitting numerically on the boundary.
 
 Each :class:`Region` owns its geometry, and every membership test in the
 library goes through it:
 
 - ``distance(zs, tol)`` is the signed boundary distance of a complex
-  array of points, with ``tol`` a scalar or one band per point: below
+  array of points, with ``tol`` one band per point: below
   ``-tol`` is inside, within ``tol`` the boundary band, above ``tol``
   outside.  The thin regions (the real line and its half-axes) return
   ``+inf`` for a point more than ``tol`` off the real axis; on it, the
@@ -24,8 +25,8 @@ library goes through it:
   an EMI region with R22 positive definite); False is conservative.
 
 :func:`region_membership`, :func:`first_outside` and :func:`inertia`
-classify through ``distance``, so one point gets one verdict whichever
-of them asks.
+classify through ``distance`` with each point's ``default_tol`` band,
+so one point gets one verdict whichever of them asks.
 """
 
 import math
@@ -358,39 +359,31 @@ def _classify(value, tol):
     return Membership.BOUNDARY
 
 
-def _band(zs, tol):
-    # boundary band of each point: its default_tol, or the given tol
-    if tol is None:
-        return default_tol(zs)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return tol
+def region_membership(z, region):
+    """Classify a complex point against a region with its boundary band.
 
-
-def region_membership(z, region, tol=None):
-    """Classify a complex point against a region with a boundary band.
-
-    Thin regions (the real line and its half-axes) have empty interior;
-    for these, "inside" means the defining equalities hold within ``tol``
-    and the strict inequalities hold with margin ``tol``.
+    The band is ``default_tol(z)``.  Thin regions (the real line and its
+    half-axes) have empty interior; for these, "inside" means the
+    defining equalities hold within the band and the strict inequalities
+    hold with the band as margin.
     """
     z = complex(z)
-    tol = _band(z, tol)
+    tol = default_tol(z)
     return _classify(region.distance(np.asarray(z), tol), tol)
 
 
-def first_outside(spectrum, region, tol=None):
+def first_outside(spectrum, region):
     """First point of ``spectrum`` not strictly inside ``region``, or None.
 
-    With ``tol=None`` each point gets its own ``default_tol`` band.
+    Each point gets its own ``default_tol`` band.
     """
     zs = np.asarray(spectrum, dtype=complex)
-    tols = _band(zs, tol)
+    tols = default_tol(zs)
     out = np.flatnonzero(~(region.distance(zs, tols) < -tols))
     return complex(zs[out[0]]) if out.size else None
 
 
-def region_stable(a, region, tol=None, spectrum=None):
+def region_stable(a, region, spectrum=None):
     """Proved iff every eigenvalue of ``a`` lies strictly inside ``region``.
 
     Any eigenvalue classified boundary-or-outside refutes, with that
@@ -403,36 +396,36 @@ def region_stable(a, region, tol=None, spectrum=None):
             spec = eigenvalues(a)
         except EigenSolverError as exc:
             return Verdict(Status.UNKNOWN, f"eigensolver-failure: {exc}")
-    z = first_outside(spec, region, tol)
+    z = first_outside(spec, region)
     if z is not None:
         return Verdict(Status.REFUTED, "eigenvalue-outside-region",
                        witness={"eigenvalue": z, "region": region.name})
     return Verdict(Status.PROVED, "all-eigenvalues-inside")
 
 
-def inertia(a, region, tol=None):
+def inertia(a, region):
     """Counts of eigenvalues inside / on the boundary of / outside a region."""
     spec = eigenvalues(a)
-    tols = _band(spec, tol)
+    tols = default_tol(spec)
     d = region.distance(spec, tols)
     plus = int(np.count_nonzero(d < -tols))
     minus = int(np.count_nonzero(d > tols))
     return Inertia(plus, spec.size - plus - minus, minus)
 
 
-def gershgorin(a, tol=1e-9):
+def gershgorin(a):
     """Row disc localization and the resulting Hurwitz verdict.
 
     Returns the discs (center a_ii, radius = off-diagonal row sum) and
-    Proved when every disc lies strictly in the open left half-plane;
-    Unknown otherwise (the localization never refutes).
+    Proved when every disc lies in the open left half-plane with margin
+    1e-9; Unknown otherwise (the localization never refutes).
     """
     a = _as_square(a)
     n = a.shape[0]
     radii = abs(a).sum(axis=1) - abs(np.diag(a))
     disks = [(float(a[i, i]), float(radii[i])) for i in range(n)]
     worst = max((c + r for c, r in disks), default=-np.inf)
-    if worst < -tol:
+    if worst < -1e-9:
         verdict = Verdict(Status.PROVED, "gershgorin-discs-in-left-half-plane")
     else:
         verdict = Verdict(Status.UNKNOWN, "gershgorin-inconclusive")
@@ -443,11 +436,11 @@ def spectral_abscissa(a):
     return float(max(z.real for z in eigenvalues(a)))
 
 
-def decay_horizon(a, target=1e-8, t_min=1.0, t_max=1e4):
+def decay_horizon(a, target=1e-8):
     """Horizon T with ||exp(a T)|| below ``target``, from the eigenbasis bound.
 
     Uses ||exp(a t)|| <= cond(V) * exp(alpha t) with alpha the spectral
-    abscissa; only meaningful for alpha < 0.
+    abscissa, clamped to [1, 1e4]; only meaningful for alpha < 0.
     """
     alpha = spectral_abscissa(a)
     if alpha >= 0:
@@ -455,7 +448,7 @@ def decay_horizon(a, target=1e-8, t_min=1.0, t_max=1e4):
     _, v = np.linalg.eig(_as_square(a))
     kappa = np.linalg.cond(v)
     t = (math.log(target) - math.log(max(kappa, 1.0))) / alpha
-    return float(min(max(t, t_min), t_max))
+    return float(min(max(t, 1.0), 1e4))
 
 
 def simulate_decay(m, horizon, step):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -204,6 +205,15 @@ class TestRun:
         boxes = [c for c in report.checks if c.check == "interval-box"]
         assert boxes and boxes[0].verdict.proved
         assert report.summary_status is Status.PROVED
+
+    def test_region_class_and_op_come_from_the_specs(self):
+        # the report names the specs, so a request cannot carry other objects
+        with pytest.raises(TypeError):
+            request_for(np.diag([0.5, 0.5]), region=Disk())
+        r = request_for(np.eye(2), region_spec="disk:0,1",
+                        class_spec="negative-diagonal", op_spec="add")
+        assert (r.region, r.gclass, r.op) == (Disk(), ds.NegativeDiagonal(),
+                                              ds.Add())
 
     def test_positive_convention_mirrors(self):
         # I is positive-stability D-stable; the mirrored run proves it
@@ -506,7 +516,81 @@ class TestDecideThenStop:
         assert fal["status"] == "refuted"
 
 
+def _to_jsonable_reference(obj):
+    """Reference: the branch-per-type serializer that to_jsonable replaced."""
+    tj = _to_jsonable_reference
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        return cli._json_float(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
+        return {"re": cli._json_float(obj.real),
+                "im": cli._json_float(obj.imag)}
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj) or (obj.dtype.kind == "f"
+                                    and not np.isfinite(obj).all()):
+            return [tj(v) for v in obj.tolist()]
+        return obj.tolist()
+    if isinstance(obj, Status):
+        return obj.value
+    if isinstance(obj, Verdict):
+        return {"status": obj.status.value, "reason": obj.reason,
+                "witness": tj(obj.witness), "seed": tj(obj.seed)}
+    if isinstance(obj, lyapunov.Certificate):
+        return {"kind": obj.kind, "factor": tj(obj.factor),
+                "margin": tj(obj.margin), "region": obj.region.name,
+                "iterations": obj.iterations}
+    if isinstance(obj, ds.FalsificationWitness):
+        return {"g": tj(obj.g), "realized": tj(obj.realized),
+                "eigenvalue": tj(obj.eigenvalue),
+                "sample_index": obj.sample_index,
+                "seed": tj(obj.seed), "note": obj.note}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: tj(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): tj(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [tj(v) for v in obj]
+    return repr(obj)
+
+
+def _same_json(obj):
+    got, ref = cli.to_jsonable(obj), _to_jsonable_reference(obj)
+    assert got == ref
+    assert (json.dumps(got, indent=2, allow_nan=False)
+            == json.dumps(ref, indent=2, allow_nan=False))
+
+
 class TestEmit:
+    @pytest.mark.parametrize("matrix, kw, check", [
+        (-np.eye(2), {}, "sufficient-suite"),
+        ([[1.0, -4.0], [1.0, -2.0]], {"exhaustive": True}, "falsify"),
+        ([[1.0, -4.0], [1.0, -2.0]],
+         {"modes": ("total-scan",), "samples": 300, "budget": 300},
+         "total-scan"),
+        ([[-1.0, 2.0], [-2.0, -1.0]], {}, "self-stability"),
+    ], ids=["certificate", "falsify-witness", "total-scan", "complex"])
+    def test_to_jsonable_matches_the_branch_per_type_serializer(
+            self, matrix, kw, check):
+        report = cli.run(request_for(matrix, **kw))
+        record = next(c for c in report.checks if c.check == check)
+        for obj in (record.verdict, record.verdict.witness, record.data):
+            _same_json(obj)
+
+    def test_to_jsonable_numpy_scalars_and_arrays(self):
+        _same_json([np.float64(1.5), np.float32(0.25), np.int64(-3),
+                    np.intp(7), np.bool_(True), np.bool_(False),
+                    np.complex128(1 - 2j), np.complex64(0.5j),
+                    np.float64(np.inf), np.float64(np.nan),
+                    np.longdouble(0.5), np.clongdouble(1j),
+                    np.array([1.0, np.inf]), np.array([1 + 1j, -1j]),
+                    np.array([[1, 2]]), (Status.PROVED, -0.0, 2 + 0j)])
+
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))

@@ -193,7 +193,7 @@ class TestDiagonalSearch:
         for _ in range(200):
             z = complex(rng.uniform(-5, 2), rng.normal())
             inside = -h < z.real < 0
-            got = sp.region_membership(z, region, 1e-9)
+            got = sp.region_membership(z, region)
             if abs(z.real) > 1e-6 and abs(z.real + h) > 1e-6:
                 assert (got is sp.Membership.INSIDE) == inside
 
@@ -214,8 +214,8 @@ class TestDiagonalSearch:
         direct = sp.Disk(-c, r)
         for _ in range(300):
             z = complex(rng.normal(), rng.normal()) * 2.0
-            assert sp.region_membership(z, region, 1e-9) == \
-                sp.region_membership(z, direct, 1e-9)
+            assert sp.region_membership(z, region) == \
+                sp.region_membership(z, direct)
 
 
 DUAL_STOP = "dual-bound-excludes-certificate"

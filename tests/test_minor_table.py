@@ -269,12 +269,6 @@ class TestIndexSets:
             assert list(map(tuple, idx.tolist())) == \
                 list(combinations(range(n), k))
 
-    def test_max_order_truncates_the_table(self):
-        a = np.random.default_rng(0).normal(size=(6, 6))
-        full, short = mc.principal_minors(a), mc.principal_minors(a, 3)
-        assert len(short.orders) == 3
-        assert exact(list(short)) == exact(list(full)[:len(short)])
-
 
 class TestRunningSum:
     @given(st.lists(st.sampled_from([-0.0]), max_size=3),

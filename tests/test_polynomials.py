@@ -206,15 +206,6 @@ class TestKosov:
                         assert (coeffs >= prev - 1e-9).all()
                     prev = coeffs
 
-    def test_additive_mode(self, rng):
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        v = pl.kosov_interval_dstability(a, [0.5, 0.5], [2.0, 2.0],
-                                         mode="additive")
-        assert v.proved
-        for _ in range(200):
-            d = rng.uniform(0.5, 2.0, 2)
-            assert (np.linalg.eigvals(-(a + np.diag(d))).real < 0).all()
-
     def test_sampled_members_stable_when_proved(self, rng):
         for _ in range(10):
             a = rng.normal(size=(3, 3))
@@ -283,15 +274,14 @@ class TestCharPolyCompanion:
 
 
 class TestKosovArguments:
-    @pytest.mark.parametrize("d_min, d_max, mode, message", [
-        ([0.0, 1.0], [1.0, 1.0], "multiplicative", "0 < d_min"),
-        ([2.0, 1.0], [1.0, 1.0], "multiplicative", "d_min <= d_max"),
-        ([1.0, 1.0], [1.0, np.inf], "multiplicative", "< inf"),
-        ([1.0, 1.0], [2.0, 2.0], "hadamard", "unknown mode"),
-    ], ids=["zero-lower", "crossed", "infinite-upper", "mode"])
-    def test_rejected(self, d_min, d_max, mode, message):
+    @pytest.mark.parametrize("d_min, d_max, message", [
+        ([0.0, 1.0], [1.0, 1.0], "0 < d_min"),
+        ([2.0, 1.0], [1.0, 1.0], "d_min <= d_max"),
+        ([1.0, 1.0], [1.0, np.inf], "< inf"),
+    ], ids=["zero-lower", "crossed", "infinite-upper"])
+    def test_rejected(self, d_min, d_max, message):
         with pytest.raises(ValueError, match=message):
-            pl.kosov_interval_dstability(np.eye(2), d_min, d_max, mode=mode)
+            pl.kosov_interval_dstability(np.eye(2), d_min, d_max)
 
     def test_scalar_bounds_broadcast(self):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])

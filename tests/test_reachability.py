@@ -10,6 +10,14 @@ without their module, which can only over-count what is reached.
 A definition that nothing reaches either gets a check-table row or is
 deleted; the few kept on purpose are listed in ``KEEP`` with a reason.
 
+Parameters follow the same rule.  A defaulted parameter of a library
+function or method that no call in the root files or in the library
+passes, by position or by keyword, is a constant in disguise: it gets a
+caller or becomes a constant.  Calls are matched by name, like
+definitions, and a call that unpacks ``*`` or ``**`` counts as passing
+every parameter; both can only over-count what is passed.  The few kept
+on purpose are listed in ``KEEP_PARAMS`` with a reason.
+
 The shared test helpers in ``tests/conftest.py`` follow the same rule,
 with the test modules as roots: a helper that no test uses, by name or
 as a fixture argument, fails the suite.
@@ -26,7 +34,6 @@ ROOT_FILES = [LIBRARY / "cli.py", LIBRARY / "__init__.py",
               *sorted((ROOT / "perfbench").glob("*.py"))]
 
 KEEP = {
-    "sample_g": "public one-draw sampler; the class tests draw through it",
     "hadamard_p_test": "waits for the dual witness of diagonal stability",
     "_p_matrix_violation": "reached only from hadamard_p_test",
     "HADAMARD_P_CAP": "reached only from hadamard_p_test",
@@ -101,12 +108,116 @@ def unused_test_helpers():
     return {name for name in unused if not name.startswith("pytest_")}
 
 
+def defaulted_parameters(paths):
+    """Map each function or method name to its defaulted parameters.
+
+    A parameter is listed as ``(position, name, label)``.  Its position
+    counts the arguments a call passes positionally, so a method's
+    ``self`` is not counted and a keyword-only parameter has position
+    None; its label is ``function(name)``, with a method's class in
+    front.  A class with an ``__init__`` is also listed under its own
+    name.
+    """
+    params = {}
+
+    def add(name, fn, owner=None):
+        a = fn.args
+        # a method's first parameter is bound, never passed
+        positional = (a.posonlyargs + a.args)[owner is not None:]
+        first = len(positional) - len(a.defaults)
+        where = fn.name if owner is None else f"{owner}.{fn.name}"
+        found = [(i, arg.arg) for i, arg in enumerate(positional)
+                 if i >= first]
+        found += [(None, arg.arg) for arg, default
+                  in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+        found = [(i, p, f"{where}({p})") for i, p in found]
+        if found:
+            params.setdefault(name, []).extend(found)
+
+    for path in paths:
+        tree = parse(path)
+        methods = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        methods.add(fn)
+                        add(fn.name, fn, cls.name)
+                        if fn.name == "__init__":
+                            add(cls.name, fn, cls.name)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn not in methods:
+                add(fn.name, fn)
+    return params
+
+
+def passed_arguments(paths):
+    """Map each called name to what its calls pass: the largest number of
+    positional arguments and the keyword names, or None when some call
+    unpacks ``*`` or ``**`` and so may pass anything."""
+    passed = {}
+    for path in paths:
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None or name in passed and passed[name] is None:
+                continue
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                passed[name] = None
+                continue
+            count, keywords = passed.get(name, (0, set()))
+            passed[name] = (max(count, len(node.args)),
+                            keywords | {k.arg for k in node.keywords})
+    return passed
+
+
+def unpassed_parameters():
+    """The label of every defaulted parameter of a library function or
+    method that no call in the root files or the library passes, by
+    position or by keyword."""
+    params = defaulted_parameters(sorted(LIBRARY.glob("*.py")))
+    passed = passed_arguments(sorted(set(ROOT_FILES)
+                                     | set(LIBRARY.glob("*.py"))))
+    out = set()
+    for name, found in params.items():
+        calls = passed.get(name, (0, set()))
+        if calls is None:
+            continue
+        count, keywords = calls
+        out |= {label for i, p, label in found
+                if p not in keywords and (i is None or i >= count)}
+    return out
+
+
+# a default that no caller overrides is a constant; these wait for one
+KEEP_PARAMS = {
+    "main(argv)": "None parses sys.argv, as the console entry point does; "
+                  "tests pass a list",
+    "hadamard_p_test(samples)": "waits for the dual witness of diagonal "
+                                "stability, as hadamard_p_test itself does",
+    "hadamard_p_test(seed)": "waits for the dual witness of diagonal "
+                             "stability, as hadamard_p_test itself does",
+}
+
+
 def test_every_definition_is_reached_or_kept():
     assert sorted(unreached() - set(KEEP)) == []
 
 
 def test_keep_list_names_only_unreached_definitions():
     assert sorted(set(KEEP) - unreached()) == []
+
+
+def test_every_keyword_parameter_is_passed():
+    assert sorted(unpassed_parameters() - set(KEEP_PARAMS)) == []
+
+
+def test_keep_params_names_only_unpassed_parameters():
+    assert sorted(set(KEEP_PARAMS) - unpassed_parameters()) == []
 
 
 def test_every_test_helper_is_used():
