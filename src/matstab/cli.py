@@ -174,19 +174,24 @@ def parse_region(spec):
     name, _, arg = spec.partition(":")
     if name in _PLAIN_REGIONS:
         return _PLAIN_REGIONS[name]()
-    if name == "disk":
-        if not arg:
-            return Disk()
-        c, r = (float(x) for x in arg.split(","))
-        return Disk(c, r)
-    if name == "sector":
-        return SectorRight(float(arg))
-    if name == "complement-sector":
-        return ComplementSector(float(arg))
-    if name == "lmi":
-        return LMIRegion(*_json_matrices(name, arg, ("l", "m")))
-    if name == "emi":
-        return EMIRegion(*_json_matrices(name, arg, ("r11", "r12", "r22")))
+    try:
+        if name == "disk":
+            if not arg:
+                return Disk()
+            c, r = (float(x) for x in arg.split(","))
+            return Disk(c, r)
+        if name == "sector":
+            return SectorRight(float(arg))
+        if name == "complement-sector":
+            return ComplementSector(float(arg))
+        if name == "lmi":
+            return LMIRegion(*_json_matrices(name, arg, ("l", "m")))
+        if name == "emi":
+            return EMIRegion(*_json_matrices(name, arg, ("r11", "r12", "r22")))
+    except UsageError:
+        raise
+    except ValueError as exc:
+        raise UsageError(f"{name} region: {exc}") from exc
     raise UsageError(f"unknown region {spec!r}")
 
 
@@ -221,6 +226,8 @@ def parse_gclass(spec):
             hi.append(float("inf") if b in ("inf", "") else float(b))
         return ds.IntervalDiagonal(tuple(lo), tuple(hi))
     if name == "sign-pattern":
+        if not set(arg) <= {"+", "-"}:
+            raise UsageError(f"sign pattern {arg!r} may hold only + and -")
         return ds.SignPatternDiagonal(
             tuple(1 if c == "+" else -1 for c in arg))
     if name == "rank-positive":
@@ -628,14 +635,9 @@ def _hyperbolicity_certificate(ctx):
 
 
 def _falsify(ctx):
-    # a certificate an earlier check found lets falsify skip the samples
-    # it provably keeps inside the region; none is searched for here
     r = ctx.request
-    cert = next((c.verdict.witness for c in ctx.checks
-                 if isinstance(c.verdict.witness, lyapunov.Certificate)),
-                None)
     verdict = ds.falsify(r.matrix, r.gclass, r.op, r.region,
-                         samples=r.samples, seed=r.seed, certificate=cert)
+                         samples=r.samples, seed=r.seed)
     return verdict, True, None
 
 

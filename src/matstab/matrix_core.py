@@ -26,7 +26,7 @@ arithmetic; refutations by a minor sign use it to confirm what the
 floating-point screen found.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
@@ -57,8 +57,10 @@ def as_matrix(a):
     return m
 
 
-def minor_tol(a, order):
-    return 1e-10 * (1.0 + np.linalg.norm(a, np.inf) ** order)
+def minor_tol(norm, order):
+    """Float band of an order-``order`` minor of a matrix whose infinity
+    norm is ``norm``; callers take the norm once per matrix."""
+    return 1e-10 * (1.0 + norm ** order)
 
 
 def block_hadamard(h, g, block):
@@ -250,7 +252,7 @@ def leading_minors(a):
 def is_z_matrix(a):
     a = as_matrix(a)
     off = a - np.diag(np.diag(a))
-    return bool((off <= minor_tol(a, 1)).all())
+    return bool((off <= minor_tol(np.linalg.norm(a, np.inf), 1)).all())
 
 
 def is_m_matrix(a):
@@ -263,8 +265,9 @@ def is_m_matrix(a):
     a = as_matrix(a)
     if not is_z_matrix(a):
         return False
+    norm = np.linalg.norm(a, np.inf)
     for k, d in enumerate(leading_minors(a), start=1):
-        if d <= minor_tol(a, k):
+        if d <= minor_tol(norm, k):
             return False
     return True
 
@@ -278,33 +281,35 @@ class ClassReport:
     ``h_plus => h_matrix`` holds by construction.
     """
 
-    z: bool = None
-    metzler: bool = None
-    p: bool = None
-    p0: bool = None
-    p0_plus: bool = None
-    m_matrix: bool = None
-    hicksian: bool = None
-    strict_row_dd: bool = None
-    strict_col_dd: bool = None
-    ndd: bool = None
-    pdd: bool = None
-    tridiagonal: bool = None
-    normal: bool = None
-    sign_symmetric: bool = None
-    h_matrix: bool = None
-    h_plus: bool = None
+    z: bool = field(default=None, init=False)
+    metzler: bool = field(default=None, init=False)
+    p: bool = field(default=None, init=False)
+    p0: bool = field(default=None, init=False)
+    p0_plus: bool = field(default=None, init=False)
+    m_matrix: bool = field(default=None, init=False)
+    hicksian: bool = field(default=None, init=False)
+    strict_row_dd: bool = field(default=None, init=False)
+    strict_col_dd: bool = field(default=None, init=False)
+    ndd: bool = field(default=None, init=False)
+    pdd: bool = field(default=None, init=False)
+    tridiagonal: bool = field(default=None, init=False)
+    normal: bool = field(default=None, init=False)
+    sign_symmetric: bool = field(default=None, init=False)
+    h_matrix: bool = field(default=None, init=False)
+    h_plus: bool = field(default=None, init=False)
     witnesses: dict = field(default_factory=dict)
 
     def flags(self):
-        return {k: v for k, v in self.__dict__.items() if k != "witnesses"}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "witnesses"}
 
 
-def _p_flags(m, minors, witnesses, prefix=""):
-    """P / P0 / P0+ flags of ``m`` from its full principal-minor table."""
+def _p_flags(norm, minors, witnesses, prefix=""):
+    """P / P0 / P0+ flags of a matrix from its full principal-minor table
+    and its infinity norm."""
     p_wit = p0_wit = q_wit = None
     for k, (sets, values) in enumerate(minors.orders, start=1):
-        tol = minor_tol(m, k)
+        tol = minor_tol(norm, k)
         if p_wit is None:
             p_wit = _first_minor(sets, values, values <= tol)
         p0_wit = _first_minor(sets, values, values < -tol)
@@ -337,7 +342,8 @@ def classify(a, minors=None, sign_symmetry=None):
     n = a.shape[0]
     w = {}
     rep = ClassReport(witnesses=w)
-    tol1 = minor_tol(a, 1)
+    norm = np.linalg.norm(a, np.inf)  # that of -A too
+    tol1 = minor_tol(norm, 1)
     off = a - np.diag(np.diag(a))
 
     rep.z = bool((off <= tol1).all())
@@ -377,8 +383,8 @@ def classify(a, minors=None, sign_symmetry=None):
     if n <= MINOR_ENUM_CAP:
         if minors is None:
             minors = principal_minors(a)
-        rep.p, rep.p0, rep.p0_plus = _p_flags(a, minors, w)
-        rep.hicksian, _, _ = _p_flags(-a, negate_minors(minors), w,
+        rep.p, rep.p0, rep.p0_plus = _p_flags(norm, minors, w)
+        rep.hicksian, _, _ = _p_flags(norm, negate_minors(minors), w,
                                       prefix="hicksian:")
         rep.m_matrix = rep.z and rep.p
         if not rep.m_matrix:
@@ -396,20 +402,21 @@ def sign_symmetry_sweep(a):
 
     Fails at the first pair of distinct equal-order index sets whose
     (alpha, beta) and (beta, alpha) minors have a product below
-    ``-minor_tol(a, 2k)``.  The sweep of ``-A`` gives the same pair and
-    the same product bit for bit: both minors flip sign by ``(-1)^k``,
-    and the norm in the tolerance is unchanged.
+    ``-minor_tol(norm, 2k)``, ``norm`` the infinity norm of ``a``.  The
+    sweep of ``-A`` gives the same pair and the same product bit for
+    bit: both minors flip sign by ``(-1)^k``, and the norm is unchanged.
     """
     a = as_matrix(a)
     n = a.shape[0]
     if n > _PAIRWISE_MINOR_CAP:
         return None, None
+    norm = np.linalg.norm(a, np.inf)
     for k in range(1, n):
         c = compound(a, k)
         # upper-triangle pairs in row-major order are combinations(sets, 2)
         p, q = np.triu_indices(c.shape[0], 1)
         prod = c[p, q] * c[q, p]
-        bad = np.flatnonzero(prod < -minor_tol(a, 2 * k))
+        bad = np.flatnonzero(prod < -minor_tol(norm, 2 * k))
         if bad.size:
             sets = list(combinations(range(n), k))
             first = bad[0]

@@ -153,6 +153,8 @@ class Disk(Region):
     bounded = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.radius)):
+            raise ValueError("disk center and radius must be finite")
         if not (self.radius > 0):
             raise ValueError("disk radius must be positive")
 
@@ -244,8 +246,15 @@ class PunctureOrigin(Region):
         return -np.abs(zs)
 
 
-def _sym(m):
+def _finite(m):
     m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("region data must be finite")
+    return m
+
+
+def _sym(m):
+    m = _finite(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("region data must be a square matrix")
     if not np.allclose(m, m.T, atol=1e-12 * (1.0 + abs(m).max(initial=0.0))):
@@ -263,7 +272,7 @@ class LMIRegion(Region):
 
     def __post_init__(self):
         object.__setattr__(self, "l", _sym(self.l))
-        m = np.asarray(self.m, dtype=float)
+        m = _finite(self.m)
         if m.shape != self.l.shape:
             raise ValueError("L and M must have equal shape")
         object.__setattr__(self, "m", m)
@@ -291,7 +300,7 @@ class EMIRegion(Region):
     def __post_init__(self):
         object.__setattr__(self, "r11", _sym(self.r11))
         object.__setattr__(self, "r22", _sym(self.r22))
-        r12 = np.asarray(self.r12, dtype=float)
+        r12 = _finite(self.r12)
         if r12.shape != self.r11.shape or self.r22.shape != self.r11.shape:
             raise ValueError("R blocks must have equal shape")
         object.__setattr__(self, "r12", r12)

@@ -71,6 +71,14 @@ class TestParsers:
         ('emi:{"r11":[[0]]}', "keys r11, r12, r22"),
         ('lmi:[1]', "lmi region needs a JSON object"),
         ('lmi:{"l":{"a":1},"m":[[1]]}', "lmi region: float"),
+        ('disk:nan,1', "disk region: disk center and radius must be finite"),
+        ('disk:0,inf', "disk region: disk center and radius must be finite"),
+        ('lmi:{"l":[[Infinity]],"m":[[1]]}',
+         "lmi region: region data must be finite"),
+        ('lmi:{"l":[[1]],"m":[[NaN]]}',
+         "lmi region: region data must be finite"),
+        ('emi:{"r11":[[-1]],"r12":[[Infinity]],"r22":[[1]]}',
+         "emi region: region data must be finite"),
     ])
     def test_malformed_region_json_rejected(self, spec, message, capsys):
         with pytest.raises(cli.UsageError, match=message):
@@ -97,6 +105,7 @@ class TestParsers:
         ("--class", "alpha-scalar:0,1,2,3", "partition blocks"),
         ("--op", "block-hadamard:3", "block size 3 does not divide"),
         ("--class", "sign-pattern:+", "signs must be a vector"),
+        ("--class", "sign-pattern:+x", "may hold only \\+ and -"),
     ])
     def test_class_or_op_of_another_size_rejected(self, flag, spec, message,
                                                   capsys):
@@ -349,43 +358,9 @@ class TestSharedWork:
             assert shared_rep.witnesses == alone.witnesses
 
 
-class TestFalsifyCertificate:
-    @pytest.fixture
-    def certificates(self, monkeypatch):
-        """The certificate each falsify call receives."""
-        seen = []
-        falsify = ds.falsify
-
-        def recording(*args, certificate=None, **kwargs):
-            seen.append(certificate)
-            return falsify(*args, certificate=certificate, **kwargs)
-
-        monkeypatch.setattr(ds, "falsify", recording)
-        return seen
-
-    @pytest.mark.parametrize("class_spec, op_spec", [
-        ("positive-diagonal", "multiply"), ("negative-diagonal", "add")])
-    def test_report_is_the_one_without_certificate(
-            self, certificates, monkeypatch, class_spec, op_spec):
-        a, _ = random_diagonally_stable(np.random.default_rng(4), 6)
-        req = dict(class_spec=class_spec, op_spec=op_spec, samples=1500,
-                   budget=2000, seed=2, exhaustive=True)
-        report = cli.run(request_for(a, **req))
-        suite = next(c for c in report.checks
-                     if c.check == "sufficient-suite")
-        assert suite.verdict.proved
-        assert certificates == [suite.verdict.witness]
-        falsify = ds.falsify
-        monkeypatch.setattr(
-            ds, "falsify",
-            lambda *args, certificate=None, **kwargs: falsify(*args,
-                                                              **kwargs))
-        plain = cli.run(request_for(a, **req))
-        assert cli.emit(report, "json") == cli.emit(plain, "json")
-
-    def test_falsify_mode_alone_searches_nothing(self, certificates,
-                                                 monkeypatch, capsys):
-        # falsify only uses a certificate that an earlier check found
+class TestFalsifyMode:
+    def test_falsify_mode_alone_searches_nothing(self, monkeypatch, capsys):
+        # falsify samples the class; it runs no certificate search
         searches = [0]
         search = lyapunov.diagonal_stability_search
 
@@ -399,7 +374,6 @@ class TestFalsifyCertificate:
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [c["check"] for c in checks] == ["self-stability", "falsify"]
         assert searches == [0]
-        assert certificates == [None]
 
 
 def emitted(report):

@@ -237,6 +237,22 @@ class TestClassify:
         assert rep.z is not None and rep.tridiagonal is not None
         assert rep.p is None and rep.m_matrix is None
 
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_norm_per_matrix(self, n, rng, monkeypatch):
+        # A (shared by -A), the comparison matrix in is_z_matrix and in
+        # is_m_matrix, and the sign-symmetry sweep: none per minor order
+        norms = []
+        norm = np.linalg.norm
+
+        def counting(x, ord=None, *args, **kwargs):
+            if ord == np.inf:
+                norms.append(x)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        mc.classify(-8.0 * np.eye(n) + 0.3 * rng.random((n, n)))
+        assert len(norms) == 4
+
 
 class TestCompoundLink:
     def test_additive_compound_is_derivative_of_multiplicative(self, rng):
@@ -283,7 +299,7 @@ def _sign_symmetry_loop(a):
         for alpha, beta in combinations(combinations(range(n), k), 2):
             m1 = np.linalg.det(a[np.ix_(alpha, beta)])
             m2 = np.linalg.det(a[np.ix_(beta, alpha)])
-            if m1 * m2 < -mc.minor_tol(a, 2 * k):
+            if m1 * m2 < -mc.minor_tol(np.linalg.norm(a, np.inf), 2 * k):
                 return False, {"rows": alpha, "cols": beta,
                                "product": float(m1 * m2)}
     return True, None
@@ -439,7 +455,7 @@ def _m_matrix_by_every_minor(a):
     """M-matrix reference: Z-matrix with every principal minor positive."""
     if not mc.is_z_matrix(a):
         return False
-    return all(v > mc.minor_tol(a, len(alpha))
+    return all(v > mc.minor_tol(np.linalg.norm(a, np.inf), len(alpha))
                for alpha, v in mc.principal_minors(a))
 
 
@@ -450,7 +466,7 @@ class TestZAndMMatrices:
         assert not mc.is_z_matrix([[-5.0, 0.1], [-1.0, -5.0]])
 
     def test_z_matrix_tolerance(self):
-        # the band is minor_tol(a, 1) = 1e-10 * (1 + ||A||_inf)
+        # the band is 1e-10 * (1 + ||A||_inf)
         assert mc.is_z_matrix([[1.0, 1e-12], [-1.0, 1.0]])
         assert not mc.is_z_matrix([[1.0, 1e-6], [-1.0, 1.0]])
 

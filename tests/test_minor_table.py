@@ -46,7 +46,7 @@ def ref_p_flags(m, minors, witnesses, prefix=""):
     order_sums = {}
     p_wit = p0_wit = None
     for k, group in groupby(minors, key=lambda item: len(item[0])):
-        tol = mc.minor_tol(m, k)
+        tol = mc.minor_tol(np.linalg.norm(m, np.inf), k)
         s = 0.0
         for alpha, value in group:
             s += value
@@ -60,7 +60,7 @@ def ref_p_flags(m, minors, witnesses, prefix=""):
     q = True
     q_wit = None
     for k, s in sorted(order_sums.items()):
-        if s <= mc.minor_tol(m, k):
+        if s <= mc.minor_tol(np.linalg.norm(m, np.inf), k):
             q = False
             q_wit = {"order": k, "sum": s}
             break
@@ -81,7 +81,7 @@ def ref_classify_minor_part(a, rep, minors):
     the order ``classify`` inserts them.
     """
     n = a.shape[0]
-    tol1 = mc.minor_tol(a, 1)
+    tol1 = mc.minor_tol(np.linalg.norm(a, np.inf), 1)
     w = {key: rep.witnesses[key]
          for key in ("z", "metzler", "strict_row_dd", "strict_col_dd")
          if key in rep.witnesses}
@@ -105,7 +105,7 @@ def ref_necessary(a, mode, minors):
     n = a.shape[0]
     sums = {}
     for k, group in groupby(minors, key=lambda item: len(item[0])):
-        tol = mc.minor_tol(b, k)
+        tol = mc.minor_tol(np.linalg.norm(b, np.inf), k)
         s = 0.0
         for alpha, value in group:
             if value < -tol and mc.exact_det_sign(b[np.ix_(alpha, alpha)]) < 0:
@@ -114,7 +114,7 @@ def ref_necessary(a, mode, minors):
             s += value
         sums[k] = s
     for k in sorted(sums):
-        if sums[k] <= mc.minor_tol(b, k) and not any(
+        if sums[k] <= mc.minor_tol(np.linalg.norm(b, np.inf), k) and not any(
                 mc.exact_det_sign(b[np.ix_(alpha, alpha)])
                 for alpha in combinations(range(n), k)):
             return ("refuted", f"p0-minor-sums-vanish-{mode}",
@@ -161,7 +161,7 @@ def near_tolerance(draw, n):
     noise; a rank-one Gram matrix of integers has them exactly zero too,
     so their noisy order sums reach the exact vanishing-sum refutation.
     The third kind sets the diagonal to within a few ulps of
-    +-minor_tol(A, 1).
+    +-minor_tol(||A||_inf, 1).
     """
     kind = draw(st.sampled_from(["rank-one", "integer-gram", "diagonal"]))
     if kind == "integer-gram":
@@ -173,7 +173,7 @@ def near_tolerance(draw, n):
     a = np.outer(u, v)
     if kind == "diagonal":
         np.fill_diagonal(a, 0.0)
-        tol = mc.minor_tol(a, 1)
+        tol = mc.minor_tol(np.linalg.norm(a, np.inf), 1)
         steps = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         signs = draw(st.lists(st.sampled_from([-1.0, 1.0]),
                               min_size=n, max_size=n))
@@ -252,8 +252,9 @@ class TestBitIdentity:
         rng = np.random.default_rng(3)
         for a in (rng.normal(size=(6, 6)), random_m_matrix(rng, 6),
                   np.diag([1.0, 2.0, 0.0, 3.0])):
+            norm = np.linalg.norm(a, np.inf)
             expect = next(((alpha, v) for alpha, v in ref_principal_minors(a)
-                           if v <= mc.minor_tol(a, len(alpha)) and
+                           if v <= mc.minor_tol(norm, len(alpha)) and
                            mc.exact_det_sign(a[np.ix_(alpha, alpha)]) <= 0),
                           None)
             assert exact(ds._p_matrix_violation(a)) == exact(expect)

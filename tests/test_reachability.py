@@ -11,9 +11,10 @@ A definition that nothing reaches either gets a check-table row or is
 deleted; the few kept on purpose are listed in ``KEEP`` with a reason.
 
 Parameters follow the same rule.  A defaulted parameter of a library
-function or method that no call in the root files or in the library
-passes, by position or by keyword, is a constant in disguise: it gets a
-caller or becomes a constant.  Calls are matched by name, like
+function or method, or a defaulted init field of a library dataclass,
+that no call in the root files or in the library passes, by position or
+by keyword, is a constant in disguise: it gets a caller or becomes a
+constant.  Calls are matched by name, like
 definitions, and a call that unpacks ``*`` or ``**`` counts as passing
 every parameter; both can only over-count what is passed.  The few kept
 on purpose are listed in ``KEEP_PARAMS`` with a reason.
@@ -116,9 +117,45 @@ def defaulted_parameters(paths):
     ``self`` is not counted and a keyword-only parameter has position
     None; its label is ``function(name)``, with a method's class in
     front.  A class with an ``__init__`` is also listed under its own
-    name.
+    name, and so is a dataclass without one, with its defaulted init
+    fields.
     """
     params = {}
+
+    def add_fields(cls):
+        # the __init__ a dataclass generates, from its own annotated
+        # fields only: fields of a base class would shift the positions
+        position = 0
+        for node in cls.body:
+            if not (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)):
+                continue
+            value = node.value
+            keywords = ({k.arg: k.value for k in value.keywords}
+                        if isinstance(value, ast.Call)
+                        and getattr(value.func, "id", None) == "field"
+                        else None)
+            if keywords is not None:
+                init = keywords.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                defaulted = ("default" in keywords
+                             or "default_factory" in keywords)
+            else:
+                defaulted = value is not None
+            if defaulted:
+                p = node.target.id
+                params.setdefault(cls.name, []).append(
+                    (position, p, f"{cls.name}({p})"))
+            position += 1
+
+    def is_dataclass(cls):
+        for dec in cls.decorator_list:
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            if (getattr(dec, "id", None) or getattr(dec, "attr", None)) \
+                    == "dataclass":
+                return True
+        return False
 
     def add(name, fn, owner=None):
         a = fn.args
@@ -145,6 +182,10 @@ def defaulted_parameters(paths):
                         add(fn.name, fn, cls.name)
                         if fn.name == "__init__":
                             add(cls.name, fn, cls.name)
+                if is_dataclass(cls) and not any(
+                        isinstance(fn, ast.FunctionDef)
+                        and fn.name == "__init__" for fn in cls.body):
+                    add_fields(cls)
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef) and fn not in methods:
                 add(fn.name, fn)

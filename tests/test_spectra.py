@@ -381,6 +381,10 @@ class TestRegionValidation:
             sp.LMIRegion([[0.0, 1.0]], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="equal shape"):
             sp.LMIRegion([[0.0]], np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            sp.LMIRegion([[np.inf]], [[1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            sp.LMIRegion([[0.0]], [[np.nan]])
 
     def test_emi_data_validated(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -389,6 +393,10 @@ class TestRegionValidation:
             sp.EMIRegion([[-1.0]], [[0.0]], np.eye(2))
         with pytest.raises(ValueError, match="equal shape"):
             sp.EMIRegion([[-1.0]], np.zeros((2, 2)), [[1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            sp.EMIRegion([[-1.0]], [[np.inf]], [[1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            sp.EMIRegion([[-1.0]], [[0.0]], [[np.nan]])
 
 
 class TestSpectralAbscissa:
