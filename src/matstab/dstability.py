@@ -523,6 +523,8 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
         for i in np.nonzero(bad.any(axis=1))[0]:
             g = gs[i]
             m = op.apply(g, a)
+            if not np.isfinite(m).all():
+                continue  # a nonfinite product has no spectrum to witness
             try:
                 spec = eigenvalues(m)
             except EigenSolverError:

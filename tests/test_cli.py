@@ -375,6 +375,28 @@ class TestFalsifyMode:
         assert [c["check"] for c in checks] == ["self-stability", "falsify"]
         assert searches == [0]
 
+    @pytest.mark.parametrize("class_spec, op_spec", [
+        ("positive-diagonal", "multiply"), ("negative-diagonal", "add")])
+    def test_falsify_check_ignores_an_earlier_proof(self, class_spec,
+                                                    op_spec):
+        # a proof by the sufficient suite leaves the falsify check as it
+        # is when falsify runs alone
+        a, _ = random_diagonally_stable(np.random.default_rng(4), 6)
+        req = dict(class_spec=class_spec, op_spec=op_spec, samples=1500,
+                   budget=2000, seed=2)
+        report = cli.run(request_for(a, exhaustive=True, **req))
+        suite = next(c for c in report.checks
+                     if c.check == "sufficient-suite")
+        assert suite.verdict.proved
+        alone = cli.run(request_for(a, modes=("falsify",), **req))
+
+        def falsify_check(rep):
+            return [c for c in emitted(rep)["checks"]
+                    if c["check"] == "falsify"]
+
+        assert len(falsify_check(report)) == 1
+        assert falsify_check(report) == falsify_check(alone)
+
 
 def emitted(report):
     return json.loads(cli.emit(report, "json"))

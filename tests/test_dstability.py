@@ -388,6 +388,20 @@ def _outcome(v):
                                       wit.eigenvalue))
 
 
+def _count_stacked_solves(mp):
+    """Patch the eigen-solve to count the matrices of its stacked calls."""
+    solved = [0]
+    eigvals = np.linalg.eigvals
+
+    def counting(m):
+        if np.ndim(m) == 3:
+            solved[0] += len(m)
+        return eigvals(m)
+
+    mp.setattr(np.linalg, "eigvals", counting)
+    return solved
+
+
 class _FlipOne(ds.GClass):
     """Positive diagonals, except that sample ``at`` has a negative entry.
 
@@ -466,6 +480,63 @@ class TestFalsifyScreen:
         monkeypatch.setattr(np.linalg, "eigvals", failing)
         assert plain.witness.sample_index == 300
         assert _outcome(run()) == _outcome(plain)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12))
+    @settings(max_examples=20, deadline=None)
+    @pytest.mark.parametrize("name", [
+        "positive-diagonal", "interval-diagonal", "negative-diagonal"])
+    def test_every_sample_is_solved(self, name, seed, n):
+        # P D^-1 certifies D A and P certifies A + D (D <= 0), so no sample
+        # is refuted; each is solved once, in a stacked call
+        a, _ = random_diagonally_stable(np.random.default_rng(seed), n)
+        gclass, op = {
+            "positive-diagonal": (ds.PositiveDiagonal(), ds.Multiply()),
+            "interval-diagonal": (ds.IntervalDiagonal(
+                (0.5,) * n, (2.0,) * n), ds.Multiply()),
+            "negative-diagonal": (ds.NegativeDiagonal(), ds.Add())}[name]
+        with pytest.MonkeyPatch.context() as mp:
+            solved = _count_stacked_solves(mp)
+            v = ds.falsify(a, gclass, op, HalfPlaneLeft(), samples=600,
+                           seed=seed, batch=128)
+        assert v.status is Status.UNKNOWN
+        assert solved[0] == 600
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_witness_keeps_its_sample_index(self, n, rng, monkeypatch):
+        # the flipped sample is the witness, its index maps back into the
+        # batch, and no batch after the one that holds it is drawn
+        a, _ = random_diagonally_stable(rng, n)
+        solved = _count_stacked_solves(monkeypatch)
+        v = ds.falsify(a, _FlipOne(300), ds.Multiply(), HalfPlaneLeft(),
+                       samples=1000, seed=3, batch=64)
+        assert v.refuted and v.witness.sample_index == 300
+        assert v.witness.g[0, 0] < 0
+        assert np.array_equal(v.witness.realized,
+                              ds.Multiply().apply(v.witness.g, a))
+        assert solved[0] == 5 * 64
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_sample_is_never_a_witness(self, bad, rng):
+        # the solver rejects the nonfinite sample, which is skipped; the
+        # flipped sample after it is the witness, as without it
+        a, _ = random_diagonally_stable(rng, 3)
+
+        class Poisoned(_FlipOne):
+            def sample_batch(self, rng, n, k):
+                first = self.drawn == 0
+                gs = super().sample_batch(rng, n, k)
+                if first:
+                    gs[5, 1, 1] = bad
+                return gs
+
+        kw = dict(samples=1000, seed=3, batch=64)
+        plain = ds.falsify(a, _FlipOne(300), ds.Multiply(), HalfPlaneLeft(),
+                           **kw)
+        with np.errstate(all="ignore"):
+            poisoned = ds.falsify(a, Poisoned(300), ds.Multiply(),
+                                  HalfPlaneLeft(), **kw)
+        assert plain.witness.sample_index == 300
+        assert _outcome(poisoned) == _outcome(plain)
 
 
 class TestNecessary:
