@@ -288,6 +288,10 @@ class AnalysisRequest:
     def __post_init__(self):
         if self.samples <= 0 or self.budget <= 0:
             raise UsageError("budgets must be positive")
+        h = self.simulate_horizon
+        if h is not None and not (math.isfinite(h) and h > 0):
+            raise UsageError("the simulate horizon must be finite and "
+                             "positive")
         self.region = parse_region(self.region_spec)
         self.gclass = parse_gclass(self.class_spec)
         self.op = parse_op(self.op_spec)
@@ -411,6 +415,14 @@ _TRIPLES = (
 # an exact diagonal-stability criterion proves them.
 _DIAG_DECIDED = ("multiplicative-d-stability", "additive-d-stability",
                  "positive-diagonal-subclass")
+
+# The classes within the positive diagonals.  On a conic region (L = 0)
+# a positive diagonal P that certifies A gives the same operator for D A
+# through P D^-1, for every positive diagonal D, so a diagonal
+# certificate decides multiplicative robustness over any of them.  A
+# predicate, not a _TRIPLES row: the sector carries its angle.
+_POSITIVE_DIAGONAL_CLASSES = ("positive-diagonal", "alpha-scalar",
+                              "ordered-diagonal", "interval-diagonal")
 
 
 def _canonical_triple(request):
@@ -589,14 +601,23 @@ def _vertex_enumeration(ctx):
 
 
 def _symmetric_part(ctx):
-    a = ctx.request.matrix
+    r = ctx.request
+    a = r.matrix
     ok, _ = lyapunov.is_negative_definite(a + a.T)
     if ctx.triple == "hadamard-h-stability":
         ok = ok and bool(np.allclose(a, a.T))
-    verdict = (Verdict(Status.PROVED, "symmetric-part-negative-definite")
-               if ok else
-               Verdict(Status.UNKNOWN, "symmetric-part-not-negative-definite"))
-    return verdict, ok, None
+    if ok:
+        return (Verdict(Status.PROVED, "symmetric-part-negative-definite"),
+                True, None)
+    # the rank-one witness answers H-stability only: (v v^T) o A is
+    # D_v A D_v, another question
+    witness = (ds.rank_one_witness(a, r.gclass, r.op, r.region)
+               if ctx.triple == "h-stability" else None)
+    if witness is not None:
+        return (Verdict(Status.REFUTED, "rank-one-counterexample",
+                        witness=witness), True, None)
+    return (Verdict(Status.UNKNOWN, "symmetric-part-not-negative-definite"),
+            False, None)
 
 
 def _sufficient_suite(ctx):
@@ -625,7 +646,11 @@ def _diagonal_certificate(ctx):
         data = {"re-verified-margin":
                 lyapunov.verify_certificate(r.matrix, verdict.witness)}
     decided = _DIAG_DECIDED + ("schur-d-stability", "vertex-stability")
-    return verdict, verdict.proved and ctx.triple in decided, data
+    conic_transfer = (r.region.conic and r.op.name == "multiply"
+                      and r.gclass.name in _POSITIVE_DIAGONAL_CLASSES)
+    return (verdict,
+            verdict.proved and (ctx.triple in decided or conic_transfer),
+            data)
 
 
 def _hyperbolicity_certificate(ctx):
@@ -727,8 +752,11 @@ CHECKS = (
     Check("sufficient-suite", "classical sufficient stability classes",
           "sufficient", lambda c: c.triple in _DIAG_DECIDED,
           _sufficient_suite),
+    # a diagonal certificate proves nothing about H-stability
     Check("diagonal-certificate", "diagonal Lyapunov-type search", "certify",
           lambda c: (c.request.region.emi is not None
+                     and c.triple not in ("h-stability",
+                                          "hadamard-h-stability")
                      and not (c.half_plane and c.proved("sufficient-suite"))),
           _diagonal_certificate),
     Check("hyperbolicity-certificate", "sign-free diagonal search",

@@ -28,8 +28,9 @@ __all__ = [
     "IntervalDiagonal", "SignPatternDiagonal", "EntrywisePositiveRank",
     "NegativeDiagonal", "BinOp", "Multiply", "Add", "HadamardProduct",
     "BlockHadamardProduct", "apply_op", "FalsificationWitness",
-    "falsify", "necessary_p0plus", "sufficient_suite", "li_wang_stable",
-    "hadamard_p_test", "total_stability_scan", "vertex_schur_check",
+    "rank_one_witness", "falsify", "necessary_p0plus", "sufficient_suite",
+    "li_wang_stable", "hadamard_p_test", "total_stability_scan",
+    "vertex_schur_check",
 ]
 
 
@@ -481,6 +482,42 @@ def _stacked_spectra(ms):
             except np.linalg.LinAlgError:
                 specs[i] = np.nan
         return specs
+
+
+# the eps of rank_one_witness's H = v v^T + eps I, tried in this order
+RANK_ONE_EPS = tuple(10.0 ** -k for k in range(1, 9))
+
+
+def rank_one_witness(a, gclass, op, region):
+    """A member H = v v^T + eps I of the class with H o A outside the region.
+
+    v is the unit top eigenvector of A + A^T.  When its eigenvalue lam
+    is above ``definiteness_tol``, H A tends to v (v^T A) as eps -> 0,
+    and the one nonzero eigenvalue of that limit is v^T A v = lam / 2 > 0,
+    so for a small eps H A is not Hurwitz and A is not H-stable
+    (Ostrowski and Schneider).  The first eps of ``RANK_ONE_EPS`` whose
+    H is in the class and whose product has a point of its spectrum
+    outside the region gives the witness, with sample index -1.  None
+    when lam is within the band or no eps replays.
+    """
+    a = as_matrix(a)
+    s = a + a.T
+    lam, vec = np.linalg.eigh(s)
+    if not lam[-1] > lyapunov.definiteness_tol(s):
+        return None
+    vv = np.outer(vec[:, -1], vec[:, -1])
+    eye = np.eye(a.shape[0])
+    for eps in RANK_ONE_EPS:
+        g = vv + eps * eye
+        if not gclass.contains(g):
+            continue
+        m = op.apply(g, a)
+        z = first_outside(eigenvalues(m), region)
+        if z is not None:
+            return FalsificationWitness(
+                g, m, z, -1, None,
+                note=f"rank-one-symmetric-part: v v^T + {eps:g} I")
+    return None
 
 
 def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):

@@ -245,6 +245,8 @@ class _DiagOperator:
 
 
 _DIAG_KINDS = {"half-plane-left": "diagonal-lyapunov", "disk": "diagonal-stein",
+               "half-plane-right": "diagonal-lmi",
+               "sector-right": "diagonal-lmi",
                "lmi": "diagonal-lmi", "emi": "diagonal-emi"}
 
 

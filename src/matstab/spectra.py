@@ -19,8 +19,12 @@ library goes through it:
   the axis.
 - ``emi`` is the ``(R11, R12, R22)`` form of the region as the set
   where ``R11 + R12 z + R12^T conj(z) + R22 |z|^2`` is negative
-  definite, for the regions that have a diagonal certificate search;
-  it is None for the others.
+  definite, for the regions that have a diagonal certificate search
+  (both half-planes, the disk, the sector and the LMI and EMI
+  regions); it is None for the others.
+- ``conic`` is True when the ``emi`` form has R11 = 0 and R22 = 0: the
+  region is a cone with its apex at the origin (the half-planes, the
+  sector, an LMI region with L = 0).
 - ``bounded`` is True when the region is known to be bounded (a disk,
   an EMI region with R22 positive definite); False is conservative.
 
@@ -111,13 +115,20 @@ class Inertia:
 class Region:
     """Base of the closed enumeration of stability regions.
 
-    See the module docstring for the ``distance``, ``emi`` and
-    ``bounded`` contract.
+    See the module docstring for the ``distance``, ``emi``, ``conic``
+    and ``bounded`` contract.
     """
 
     name = "region"
     emi = None
     bounded = False
+
+    @property
+    def conic(self):
+        if self.emi is None:
+            return False
+        r11, _, r22 = self.emi
+        return not (np.any(r11) or np.any(r22))
 
     def distance(self, zs, tol):
         raise TypeError(f"unknown region {self!r}")
@@ -138,6 +149,10 @@ class HalfPlaneLeft(Region):
 @dataclass(frozen=True)
 class HalfPlaneRight(Region):
     name = "half-plane-right"
+
+    @property
+    def emi(self):
+        return np.array([[0.0]]), np.array([[-1.0]]), np.array([[0.0]])
 
     def distance(self, zs, tol):
         return -zs.real
@@ -177,6 +192,15 @@ class SectorRight(Region):
     def __post_init__(self):
         if not (0 < self.theta < math.pi / 2):
             raise ValueError("sector angle must lie in (0, pi/2)")
+
+    @property
+    def emi(self):
+        # the characteristic 2 [[-x s, i y c], [-i y c, -x s]] of z = x + iy,
+        # s = sin(theta), c = cos(theta), is negative definite iff
+        # |y| c < x s
+        s, c = math.sin(self.theta), math.cos(self.theta)
+        m = np.array([[-s, c], [-c, -s]])
+        return np.zeros((2, 2)), m, np.zeros((2, 2))
 
     def distance(self, zs, tol):
         v = np.abs(np.angle(zs)) - self.theta

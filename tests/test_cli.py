@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from matstab import cli, lyapunov, matrix_core, special_forms
 from matstab import dstability as ds
-from matstab.spectra import Disk, HalfPlaneLeft, Hyperbolic, Status, Verdict
+from matstab.spectra import (Disk, HalfPlaneLeft, Hyperbolic, Status, Verdict,
+                             eigenvalues, first_outside)
 
 from conftest import benchmark_corpus, random_diagonally_stable
 
@@ -106,12 +107,16 @@ class TestParsers:
         ("--op", "block-hadamard:3", "block size 3 does not divide"),
         ("--class", "sign-pattern:+", "signs must be a vector"),
         ("--class", "sign-pattern:+x", "may hold only \\+ and -"),
+        ("--simulate-horizon", "-1", "horizon must be finite and positive"),
+        ("--simulate-horizon", "inf", "horizon must be finite and positive"),
     ])
     def test_class_or_op_of_another_size_rejected(self, flag, spec, message,
                                                   capsys):
-        field = "class_spec" if flag == "--class" else "op_spec"
+        field = {"--class": "class_spec", "--op": "op_spec",
+                 "--simulate-horizon": "simulate_horizon"}[flag]
+        value = float(spec) if field == "simulate_horizon" else spec
         with pytest.raises(cli.UsageError, match=message):
-            request_for(-np.eye(2), **{field: spec})
+            request_for(-np.eye(2), **{field: value})
         assert cli.main([flag, spec, "--", "-1,0;0,-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -237,6 +242,47 @@ class TestRun:
         assert report.summary_status is Status.REFUTED
         assert report.summary_reason == "falsify"
 
+    @pytest.mark.parametrize("region_spec, matrix", [
+        ("sector:0.6", [[2.0, 0.3], [0.3, 1.0]]),
+        ("half-plane-right", [[2.0, -1.0], [3.0, 1.0]]),
+        ('lmi:{"l": [[0]], "m": [[-1]]}', [[2.0, -1.0], [3.0, 1.0]]),
+    ])
+    @pytest.mark.parametrize("class_spec, decides", [
+        ("positive-diagonal", True), ("interval-diagonal:0.5/2,0.5/2", True),
+        ("alpha-scalar:0|1", True), ("ordered-diagonal:1,0", True),
+        ("spd", False), ("negative-diagonal", False)])
+    def test_conic_certificate_decides_positive_diagonal_classes(
+            self, region_spec, matrix, class_spec, decides):
+        report = cli.run(request_for(matrix, region_spec=region_spec,
+                                     class_spec=class_spec, samples=300,
+                                     exhaustive=True))
+        cert = next(c for c in report.checks
+                    if c.check == "diagonal-certificate")
+        assert cert.verdict.proved and cert.decides is decides
+        assert cert.verdict.witness.kind == "diagonal-lmi"
+        assert report.conflicts == []
+        if decides:
+            assert (report.summary_status, report.summary_reason) == (
+                Status.PROVED, "diagonal-certificate")
+
+    def test_conic_certificate_does_not_decide_addition(self):
+        report = cli.run(request_for([[2.0, 0.3], [0.3, 1.0]],
+                                     region_spec="sector:0.6", op_spec="add",
+                                     samples=300))
+        cert = next(c for c in report.checks
+                    if c.check == "diagonal-certificate")
+        assert cert.verdict.proved and not cert.decides
+
+    def test_sector_escape_is_not_certified(self):
+        # a complex pair at angle 0.9 lies outside the sector of angle 0.6
+        a = 1.5 * np.array([[np.cos(0.9), np.sin(0.9)],
+                            [-np.sin(0.9), np.cos(0.9)]])
+        report = cli.run(request_for(a, region_spec="sector:0.6",
+                                     samples=300))
+        assert report.summary_status is Status.REFUTED
+        cert = [c for c in report.checks if c.check == "diagonal-certificate"]
+        assert not any(c.verdict.proved for c in cert)
+
     def test_simulate_mode(self):
         report = cli.run(request_for(
             -np.eye(2), modes=cli.DEFAULT_MODES + ("simulate",),
@@ -250,6 +296,55 @@ class TestRun:
             a, modes=("classify", "total-scan"), samples=200, budget=200))
         scan = [c for c in report.checks if c.check == "total-scan"]
         assert scan and scan[0].verdict.proved
+
+
+def _with_symmetric_top(rng, n, scale, top):
+    """A random n x n matrix whose A + A^T has the top eigenvalue ``top``."""
+    b = scale * rng.normal(size=(n, n))
+    return b + 0.5 * (top - np.linalg.eigvalsh(b + b.T)[-1]) * np.eye(n)
+
+
+class TestRankOneWitness:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10),
+           scale=st.floats(0.1, 10.0), top=st.floats(-3.0, 6.0))
+    @settings(max_examples=60, deadline=None)
+    def test_every_refutation_replays(self, seed, n, scale, top):
+        a = _with_symmetric_top(np.random.default_rng(seed), n, scale, top)
+        report = cli.run(request_for(a, class_spec="spd",
+                                     modes=("structural",), exhaustive=True))
+        sym = next(c for c in report.checks if c.check == "symmetric-part")
+        if sym.verdict.refuted:
+            w = sym.verdict.witness
+            assert isinstance(w, ds.FalsificationWitness)
+            assert ds.SPD().contains(w.g)
+            assert np.array_equal(ds.Multiply().apply(w.g, a), w.realized)
+            assert first_outside(eigenvalues(w.realized),
+                                 HalfPlaneLeft()) is not None
+            assert w.sample_index == -1 and sym.decides
+        if top >= 1.0:
+            assert sym.verdict.refuted
+        if top <= -1.0:
+            assert sym.verdict.proved
+
+    def test_hadamard_gets_no_rank_one_witness(self):
+        a = [[-1.0, 3.0], [0.0, -1.0]]
+        mult = cli.run(request_for(a, class_spec="spd"))
+        assert (mult.summary_status, mult.summary_reason) == (
+            Status.REFUTED, "symmetric-part")
+        assert mult.checks[-1].verdict.witness.note.startswith(
+            "rank-one-symmetric-part")
+        had = cli.run(request_for(a, class_spec="spd", op_spec="hadamard",
+                                  samples=300, exhaustive=True))
+        sym = next(c for c in had.checks if c.check == "symmetric-part")
+        assert sym.verdict.status is Status.UNKNOWN
+        assert sym.verdict.witness is None and not sym.decides
+
+    @pytest.mark.parametrize("op_spec", ["multiply", "hadamard"])
+    def test_diagonal_certificate_skips_h_stability(self, op_spec):
+        a = [[-1.0, 3.0], [0.0, -1.0]]
+        report = cli.run(request_for(a, class_spec="spd", op_spec=op_spec,
+                                     samples=300, exhaustive=True))
+        assert "diagonal-certificate" not in [c.check for c in report.checks]
 
 
 # random Hurwitz n = 8 inputs whose sufficient suite does not prove at
@@ -790,7 +885,8 @@ class TestCheckTable:
         errors = [c.check for c in report.checks
                   if c.verdict.reason.startswith("check-error")]
         assert "symmetric-part" in errors
-        assert "diagonal-certificate" in errors
+        # the diagonal search does not apply to H-stability
+        assert "diagonal-certificate" not in [c.check for c in report.checks]
         assert not {"structural", "certificates"} & set(errors)
 
     def test_one_cyclic_form_per_request(self, monkeypatch):

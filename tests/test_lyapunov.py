@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from matstab import dstability as ds
 from matstab import lyapunov as ly
-from matstab.spectra import Disk, EMIRegion, HalfPlaneLeft, Hyperbolic, LMIRegion
+from matstab.spectra import (Disk, EMIRegion, HalfPlaneLeft, HalfPlaneRight,
+                             Hyperbolic, LMIRegion, SectorRight, eigenvalues,
+                             first_outside)
 
 from conftest import (random_diagonally_stable, random_hurwitz,
                       random_schur, random_schur_diag_stable)
@@ -420,6 +425,49 @@ class TestCertificateLaws:
                                                        np.log(1e2), 3)))
                 lam = np.linalg.eigvals(a + d)
                 assert abs(lam.real).min() > 1e-12
+
+
+def _sector_m(theta):
+    return [[-np.sin(theta), np.cos(theta)], [-np.cos(theta), -np.sin(theta)]]
+
+
+# the conic regions: L = 0, so P D^-1 certifies D A when P certifies A
+CONIC_REGIONS = {
+    "sector": lambda theta: SectorRight(theta),
+    "half-plane-right": lambda theta: HalfPlaneRight(),
+    "lmi": lambda theta: LMIRegion(np.zeros((2, 2)), _sector_m(theta)),
+}
+
+
+class TestConicTransfer:
+    @pytest.mark.parametrize("kind", sorted(CONIC_REGIONS))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           theta=st.floats(0.1, 1.4), skew=st.floats(0.0, 0.6))
+    @settings(max_examples=40, deadline=None)
+    def test_certificate_keeps_every_positive_diagonal_multiple_inside(
+            self, kind, seed, n, theta, skew):
+        # A = D0^-1 (S + K), S > 0 and K skew: D0 A = S + K is certified
+        # by D0 when K is small next to S; a larger K may have none
+        rng = np.random.default_rng(seed)
+        region = CONIC_REGIONS[kind](theta)
+        assert region.conic
+        b = rng.normal(size=(n, n))
+        k = rng.normal(size=(n, n))
+        d0 = np.exp(rng.uniform(-2.0, 2.0, n))
+        a = (b @ b.T / n + 0.1 * np.eye(n) + skew * (k - k.T)) / d0[:, None]
+        v = ly.diagonal_stability_search(a, region, budget=2000)
+        if not v.proved:
+            return
+        cert = v.witness
+        assert cert.kind == "diagonal-lmi"
+        assert ly.verify_certificate(a, cert) > 0
+        with pytest.raises(ly.CertificateError):
+            ly.verify_certificate(a, dataclasses.replace(cert, region=Disk()))
+        for gclass in (ds.PositiveDiagonal(),
+                       ds.IntervalDiagonal((0.5,) * n, (2.0,) * n),
+                       ds.AlphaScalar((tuple(range(n - 1)), (n - 1,)))):
+            for g in gclass.sample_batch(rng, n, 50):
+                assert first_outside(eigenvalues(g @ a), region) is None
 
 
 def _simplex_projection_by_bisection(d):

@@ -209,24 +209,33 @@ class TestRegionGeometry:
         assert got == expect
         assert got is None or type(got) is complex
 
-    @pytest.mark.parametrize("region", [sp.HalfPlaneLeft(), sp.Disk(0.5, 2.0),
-                                        _STRIP], ids=["half-plane", "disk",
-                                                      "lmi-strip"])
+    @pytest.mark.parametrize("region", [
+        sp.HalfPlaneLeft(), sp.HalfPlaneRight(), sp.Disk(0.5, 2.0),
+        sp.SectorRight(0.6), _STRIP],
+        ids=["half-plane", "half-plane-right", "disk", "sector", "lmi-strip"])
     @given(x=st.floats(-6.0, 6.0), y=st.floats(-6.0, 6.0))
     @settings(max_examples=200, deadline=None)
     def test_emi_form_classifies_like_region(self, region, x, y):
-        z = complex(x, y)
-        if abs(region.distance(np.asarray(z), None)) <= 1e-6:
+        z = np.asarray(complex(x, y))
+        form = sp.EMIRegion(*region.emi)
+        tol = sp.default_tol(z)
+        if min(abs(region.distance(z, tol)), abs(form.distance(z, tol))) \
+                <= 1e-6:
             return  # inside the boundary band the two scales differ
-        assert sp.region_membership(z, sp.EMIRegion(*region.emi)) \
+        assert sp.region_membership(z, form) \
             is sp.region_membership(z, region)
 
     def test_bounded_and_emi_pinned(self):
         bounded = {"disk": True, "emi": True}  # this EMI region is a disk
-        with_emi = {"half-plane-left", "disk", "lmi", "emi"}
+        with_emi = {"half-plane-left", "half-plane-right", "disk",
+                    "sector-right", "lmi", "emi"}
+        conic = {"half-plane-left", "half-plane-right", "sector-right"}
         for region, _ in REGIONS:
             assert region.bounded is bounded.get(region.name, False), region
             assert (region.emi is not None) is (region.name in with_emi)
+            assert region.conic is (region.name in conic), region
+        assert sp.LMIRegion([[0.0]], [[1.0]]).conic is True
+        assert sp.EMIRegion([[0.0]], [[1.0]], [[1e-300]]).conic is False
         assert sp.EMIRegion([[-1.0]], [[0.0]], [[1.0]]).bounded is True
         assert sp.EMIRegion([[-1.0]], [[1.0]], [[0.0]]).bounded is False
         assert sp.EMIRegion(-np.eye(2), np.zeros((2, 2)),
