@@ -6,19 +6,21 @@ determinants with the scale-aware zero tolerance
 ``1e-10 * (1 + ||A||_inf ** k)`` for an order-``k`` minor, computed once
 per order.
 
-:func:`principal_minors` is one batched kernel and returns a
-:class:`MinorTable`, held per order k as two arrays: the ``(C(n, k), k)``
-intp array of index sets and the ``(C(n, k),)`` float array of their
-determinants.  The index sets are built in numpy, each order-k set an
-order-(k-1) set extended by every index after its last, which is
-``itertools.combinations`` order.  Each order gathers the stacked k x k
-principal submatrices and takes all their determinants in one
-``np.linalg.det`` call, bit for bit the values of a per-submatrix loop.
-The minors of ``-A`` need no second sweep: an order-k minor of ``-A`` is
-``(-1)^k`` times that of ``A``, bit for bit for every nonzero minor
-(:func:`negate_minors`).  The P / P0 / P0+ screens read the arrays of
-each order, never the pairs; an order's sum is a left-to-right running
-total (:func:`_running_sum`).  :func:`compound` is the gather for all
+:func:`principal_minors` returns a lazy :class:`MinorTable`, held per
+order k as two arrays: the ``(C(n, k), k)`` intp array of index sets and
+the ``(C(n, k),)`` float array of their determinants.  Order k is
+computed the first time a reader reaches it, so the P / P0 / P0+ screens
+and the minor-sign necessity, which stop at their first failing order,
+never sweep the orders above it.  The index sets are built in numpy,
+each order-k set an order-(k-1) set extended by every index after its
+last, which is ``itertools.combinations`` order.  Each order gathers the
+stacked k x k principal submatrices and takes all their determinants in
+one ``np.linalg.det`` call, bit for bit the values of a per-submatrix
+loop.  The minors of ``-A`` need no second sweep: an order-k minor of
+``-A`` is ``(-1)^k`` times that of ``A``, bit for bit for every nonzero
+minor (:func:`negate_minors`).  The screens read the arrays of each
+order, never the pairs; an order's sum is a left-to-right running total
+(:func:`_running_sum`).  :func:`compound` is the gather for all
 order-k minors, one batched ``np.linalg.det`` per row; the sign-symmetry
 sweep reads it.
 :func:`exact_det_sign` gives a determinant's sign in exact integer
@@ -144,19 +146,31 @@ def _index_sets(n):
 
 
 class MinorTable:
-    """Principal minors of one matrix, order by order.
+    """Principal minors of one matrix, order by order, each on first use.
 
-    ``orders[k - 1]`` is ``(sets, values)``: the ``(C(n, k), k)`` intp
-    array of order-k index sets in ``itertools.combinations`` order and
-    the ``(C(n, k),)`` float array of their determinants.  Iterating
-    yields ``(index tuple, value)`` pairs, orders ascending.
+    Iterating ``orders`` yields ``(sets, values)`` for k = 1..n: the
+    ``(C(n, k), k)`` intp array of order-k index sets in
+    ``itertools.combinations`` order and the ``(C(n, k),)`` float array
+    of their determinants.  Order k is computed when a reader first
+    reaches it, and kept.  ``len()`` is 2^n - 1 and evaluates nothing;
+    iterating the table yields ``(index tuple, value)`` pairs, orders
+    ascending, and forces the remaining orders.
     """
 
-    def __init__(self, orders):
-        self.orders = orders
+    def __init__(self, n, orders):
+        self.n = n
+        self._pending = iter(orders)
+        self._done = []
+
+    @property
+    def orders(self):
+        for k in range(self.n):
+            if k == len(self._done):
+                self._done.append(next(self._pending))
+            yield self._done[k]
 
     def __len__(self):
-        return sum(len(values) for _, values in self.orders)
+        return 2 ** self.n - 1
 
     def __iter__(self):
         for sets, values in self.orders:
@@ -164,7 +178,7 @@ class MinorTable:
 
 
 def principal_minors(a):
-    """All principal minors as a :class:`MinorTable`.
+    """All principal minors as a lazy :class:`MinorTable`.
 
     Orders ascend; within an order the index sets follow
     ``itertools.combinations``.  Enumeration is capped at n = 14 (2^n
@@ -174,15 +188,17 @@ def principal_minors(a):
     n = a.shape[0]
     if n > MINOR_ENUM_CAP:
         raise ValueError(f"principal minor enumeration capped at n = {MINOR_ENUM_CAP}")
-    return MinorTable([
+    return MinorTable(n, (
         (idx, np.linalg.det(a[idx[:, :, None], idx[:, None, :]]))
-        for idx in _index_sets(n)])
+        for idx in _index_sets(n)))
 
 
 def negate_minors(minors):
     """The :func:`principal_minors` table of ``-A`` from that of ``A``.
 
     The index arrays are shared; only the odd orders' values are new.
+    Order k is derived when a reader reaches it, from order k of
+    ``minors``, which computes it at most once for both tables.
 
     Negating a matrix leaves the pivots' magnitudes of its LU factors
     unchanged and flips the sign of each, so ``det(-M) = (-1)^k det(M)``
@@ -191,8 +207,9 @@ def negate_minors(minors):
     that underflowed to zero may carry the other sign bit when swept
     directly, which no comparison or sum can tell apart.
     """
-    return MinorTable([(sets, 0.0 - values if k % 2 else values)
-                       for k, (sets, values) in enumerate(minors.orders, 1)])
+    return MinorTable(minors.n, (
+        (sets, 0.0 - values if k % 2 else values)
+        for k, (sets, values) in enumerate(minors.orders, 1)))
 
 
 def _running_sum(values):

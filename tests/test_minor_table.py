@@ -306,3 +306,59 @@ class TestPipelineReadsArrays:
         monkeypatch.setattr(mc.MinorTable, "__iter__", no_pairs)
         assert report() == expect
         assert b'"check": "necessary-p0plus"' in expect
+
+
+class TestLazyOrders:
+    """Each order of the table is computed once, when a reader reaches it."""
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        """The order of every batched ``det`` call, in call order."""
+        orders = []
+        det = np.linalg.det
+
+        def counting(m):
+            if np.ndim(m) == 3:
+                orders.append(np.shape(m)[-1])
+            return det(m)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        return orders
+
+    @staticmethod
+    def run_request(a):
+        report = cli.run(cli.AnalysisRequest(matrix=a))
+        return report, next(c.verdict for c in report.checks
+                            if c.check == "necessary-p0plus")
+
+    @pytest.mark.parametrize("seed, order", [(0, 3), (1, 7)])
+    def test_refuted_request_stops_at_the_failing_order(self, swept, seed,
+                                                        order):
+        report, necessary = self.run_request(
+            random_hurwitz(np.random.default_rng(seed), 14))
+        assert (report.summary_status.value, report.summary_reason) == (
+            "refuted", "necessary-p0plus")
+        assert len(necessary.witness["indices"]) == order
+        assert swept == list(range(1, order + 1))
+
+    def test_proved_request_evaluates_every_order_once(self, swept):
+        report, necessary = self.run_request(
+            random_hurwitz(np.random.default_rng(2), 14))
+        assert report.summary_status.value == "proved"
+        assert necessary.reason == "necessary-p0plus-passed"
+        assert swept == list(range(1, 15))
+
+    def test_len_evaluates_nothing(self, swept):
+        table = mc.principal_minors(random_hurwitz(np.random.default_rng(0),
+                                                   14))
+        assert len(table) == len(mc.negate_minors(table)) == 2 ** 14 - 1
+        assert swept == []
+
+    def test_iteration_forces_the_remaining_orders(self, swept):
+        a = random_hurwitz(np.random.default_rng(0), 6)
+        table = mc.principal_minors(a)
+        next(iter(mc.negate_minors(table).orders))
+        assert swept == [1]
+        pairs = list(table)
+        assert swept == list(range(1, 7))
+        assert exact(pairs) == exact(ref_principal_minors(a))
