@@ -1,28 +1,31 @@
 """Lyapunov/Stein solvers, region operators and certificate searches.
 
-Certificates are found by projected subgradient descent of the largest
-eigenvalue of the region operator over a compact diagonal slice.  The
-searches are {Proved, Unknown}-sound only: they never refute.  Each
-stops at the first iterate whose factor passes the definiteness check
-with a margin above ``definiteness_tol``: a Proved verdict needs one
-certificate, not the widest one, so no step is spent widening its
-margin, and the certificate's ``iterations`` is the step at which the
-search stopped.
+Certificates are found by first-order descent of the largest eigenvalue
+of the region operator over a compact diagonal slice: entropic mirror
+descent on the unit simplex for positive diagonals, projected
+supergradient ascent on a box for sign-free ones.  The searches are
+{Proved, Unknown}-sound only: they never refute.  Each stops at the
+first iterate whose factor passes the definiteness check with a margin
+above ``definiteness_tol``: a Proved verdict needs one certificate, not
+the widest one, so no step is spent widening its margin, and the
+certificate's ``iterations`` is the step at which the search stopped.
 
-The positive-diagonal searches stop early, with Unknown, once their own
+The positive-diagonal search stops early, with Unknown, once its own
 subgradients prove that no certificate exists.  The operator
 W(d) = sum_i d_i W_i is linear in d, and the subgradient at an iterate
-is g_i = <W_i, v v^T> for the top eigenvector v.  The mean S of the
-v v^T seen so far is positive semidefinite with trace one, so for every
-d on the unit simplex
+is g_i = <W_i, v v^T> for the top eigenvector v.  Step k has the weight
+w_k = 1 / (sqrt(k) ||g_k||_inf), proportional to its step size.  The
+weighted mean S of the v v^T seen so far is positive semidefinite with
+trace one, so for every d on the unit simplex
 
     lambda_max(W(d)) >= <W(d), S> = sum_i d_i gbar_i >= min_i gbar_i,
 
-with gbar the running mean of g.  By homogeneity a positive min_i gbar_i
-excludes every positive diagonal factor, the lifted one included.  The
-stop asks for a margin of at least ``definiteness_tol``, far above the
-rounding in gbar, so a search that stops could never have returned
-Proved; every Proved search runs exactly as it would without the stop.
+with gbar the weighted mean of the g.  By homogeneity a positive
+min_i gbar_i excludes every positive diagonal factor.  The stop asks
+for a margin of at least ``definiteness_tol``, far above the rounding in
+gbar, so a search that stops could never have returned Proved; every
+Proved search runs exactly as it would without the stop.  A zero
+subgradient stops at once: then <W(d), v v^T> = 0 for every d.
 """
 
 import math
@@ -256,71 +259,56 @@ def _region_diag_operator(a, region):
     return _DiagOperator(a, *region.emi, _DIAG_KINDS[region.name], region)
 
 
-def _project_simplex(d):
-    """Euclidean projection onto {d >= 0, sum d = 1} by sorting."""
-    u = np.sort(d)[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.arange(1, d.size + 1)
-    idx = np.nonzero(u - css / k > 0)[0]
-    if idx.size == 0:
-        if not np.isfinite(u[0]):
-            raise ValueError("subgradient step is not finite")
-        # u[0] - css[0] is 1 in exact arithmetic and rounds to 0 only when
-        # u[0] is huge (a step of a nearly zero matrix); the projection is
-        # then the vertex at the largest entry
-        return np.maximum(d - u[0] + 1.0, 0.0)
-    rho = idx[-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(d - theta, 0.0)
-
-
-def _lift_positive(d, floor_scale):
-    """Replace zero entries of a simplex point with a tiny positive floor."""
-    top = d.max()
-    return np.maximum(d, floor_scale * top)
-
-
 def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
     """Search a positive diagonal factor certifying region stability.
 
     Minimizes lambda_max of the region operator over the unit simplex of
-    diagonals by projected subgradient (step mu/sqrt(k) with
-    mu = 1/||A||_inf), and stops at the first iterate that certifies:
-    its value is below ``-definiteness_tol`` of its operator and its
-    lifted, strictly positive factor passes :func:`is_negative_definite`.
-    Proved verdicts carry that re-verifiable :class:`Certificate`, with
-    ``iterations`` the step at which the search stopped.  Unknown means
-    that the running mean of the subgradients proved that no positive
-    diagonal certifies (``dual-bound-excludes-certificate``, see the
-    module docstring), or that the budget ran out first
-    (``search-budget-exhausted``).
+    diagonals by entropic mirror descent (Beck & Teboulle, Oper. Res.
+    Lett. 31, 2003): d <- d exp(-eta_k g) / sum, with
+    eta_k = sqrt(2 ln n) / (sqrt(k) ||g||_inf).  The iterates stay
+    strictly positive, so the search stops at the first iterate whose
+    value is below ``-definiteness_tol`` of its operator, and that
+    iterate is the factor of the re-verifiable :class:`Certificate` of
+    the Proved verdict, with ``iterations`` the step at which the search
+    stopped.  Unknown means that the step-weighted mean of the
+    subgradients proved that no positive diagonal certifies
+    (``dual-bound-excludes-certificate``, see the module docstring), or
+    that the budget ran out first (``search-budget-exhausted``).
     """
     a = as_matrix(a)
     if region is None:
         region = HalfPlaneLeft()
     op = _region_diag_operator(a, region)
     n = a.shape[0]
+    rate = math.sqrt(2.0 * math.log(n))
+    z = np.zeros(n)  # log d, up to a constant
     d = np.full(n, 1.0 / n)
-    mu = 1.0 / max(np.linalg.norm(a, np.inf), 1e-30)
 
     g_sum = np.zeros(n)
+    w_sum = 0.0
     for k in range(1, budget + 1):
         val, g, tol = op.value_and_subgrad(d)
-        if val < -tol:
-            # lift zero simplex entries to a strictly positive diagonal;
-            # retry with smaller floors if the lift eats the margin
-            for floor in (1e-9, 1e-12, 1e-15):
-                factor = _lift_positive(d, floor)
-                ok, margin = is_negative_definite(op.apply(factor))
-                if ok:
-                    cert = Certificate(op.kind, np.diag(factor), margin,
-                                       region, k)
-                    return Verdict(Status.PROVED, f"certificate:{op.kind}",
-                                   witness=cert)
-        g_sum += g
-        if g_sum.min() > k * tol:
+        if val < -tol and d.min() > 0:
+            cert = Certificate(op.kind, np.diag(d), -val, region, k)
+            return Verdict(Status.PROVED, f"certificate:{op.kind}",
+                           witness=cert)
+        scale = float(np.abs(g).max())
+        if not math.isfinite(scale):
+            raise ValueError("subgradient step is not finite")
+        if scale == 0.0:
+            # lambda_max(W(d)) >= <W(d), v v^T> = 0 for every d
             return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
-        d = _project_simplex(d - (mu / math.sqrt(k)) * g)
+        # the weight 1/(sqrt(k) ||g||_inf), applied to g / ||g||_inf so
+        # that a subnormal subgradient cannot overflow the iterate
+        g = g / scale
+        step = 1.0 / math.sqrt(k)
+        g_sum += step * g
+        w_sum += step / scale
+        if g_sum.min() > w_sum * tol:
+            return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
+        z -= (rate * step) * g
+        d = np.exp(z - z.max())
+        d /= d.sum()
     return Verdict(Status.UNKNOWN, "search-budget-exhausted")
 
 

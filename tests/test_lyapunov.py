@@ -253,8 +253,10 @@ class TestDualBoundStop:
         if v.reason != DUAL_STOP:
             return
         assert v.status.value == "unknown"
+        # a certificate needs lambda_max < 0; a zero subgradient stops the
+        # search having shown lambda_max >= 0 at every simplex point
         for d in simplex_points(a.shape[0], seed=a.shape[0]):
-            assert np.linalg.eigvalsh(form(a, d))[-1] > 0
+            assert np.linalg.eigvalsh(form(a, d))[-1] >= 0
 
     def test_diagonally_stable_inputs_still_proved(self, rng):
         for n in range(2, 9):
@@ -281,6 +283,34 @@ class TestDualBoundStop:
                                                    [1.0, -2.0]]))
         assert v.reason == DUAL_STOP
         assert calls[0] <= 50
+
+    def test_zero_subgradient_stops_at_once(self, monkeypatch):
+        calls = [0]
+        inner = ly._DiagOperator.value_and_subgrad
+
+        def counting(self, d):
+            calls[0] += 1
+            return inner(self, d)
+
+        monkeypatch.setattr(ly._DiagOperator, "value_and_subgrad", counting)
+        v = ly.diagonal_stability_search(np.zeros((3, 3)))
+        assert (v.reason, calls[0]) == (DUAL_STOP, 1)
+
+    def test_nonfinite_subgradient_rejected(self):
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="not finite"):
+            ly.diagonal_stability_search(np.array([[1e308, 0.0],
+                                                   [0.0, -1e308]]))
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_every_constructed_input_proved(self, n):
+        # the projected Euclidean step ran out of budget on seed 12 at
+        # n = 8 and seeds 22 and 28 at n = 10
+        for seed in range(40):
+            a, _ = random_diagonally_stable(np.random.default_rng(seed), n)
+            v = ly.diagonal_stability_search(a)
+            assert v.proved, (n, seed, v.reason)
+            assert ly.verify_certificate(a, v.witness) > 0
 
 
 def d_hyperbolic(rng, n):
@@ -468,52 +498,6 @@ class TestConicTransfer:
                        ds.AlphaScalar((tuple(range(n - 1)), (n - 1,)))):
             for g in gclass.sample_batch(rng, n, 50):
                 assert first_outside(eigenvalues(g @ a), region) is None
-
-
-def _simplex_projection_by_bisection(d):
-    """Reference: the theta with sum(max(d - theta, 0)) = 1, by bisection."""
-    lo, hi = d.min() - 1.0, d.max()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(d - mid, 0.0).sum() > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.maximum(d - 0.5 * (lo + hi), 0.0)
-
-
-class TestProjectSimplex:
-    def test_simplex_points_are_fixed(self, rng):
-        for n in range(1, 7):
-            d = rng.dirichlet(np.ones(n))
-            assert np.allclose(ly._project_simplex(d), d, atol=1e-15)
-
-    def test_matches_bisection_reference(self, rng):
-        for _ in range(50):
-            d = rng.normal(scale=3.0, size=int(rng.integers(1, 9)))
-            got = ly._project_simplex(d)
-            assert (got >= 0).all() and np.isclose(got.sum(), 1.0)
-            assert np.allclose(got, _simplex_projection_by_bisection(d),
-                               atol=1e-12)
-
-    def test_huge_entry_projects_to_its_vertex(self):
-        got = ly._project_simplex(np.array([1e300, 0.0, -1.0]))
-        assert got.tolist() == [1.0, 0.0, 0.0]
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_nonfinite_step_rejected(self, bad):
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="not finite"):
-            ly._project_simplex(np.array([bad, 0.5]))
-
-
-class TestLiftPositive:
-    def test_zeros_get_a_floor_relative_to_the_top(self):
-        d = np.array([0.0, 0.75, 0.25, 0.0])
-        floor = 1e-9 * 0.75
-        got = ly._lift_positive(d, 1e-9)
-        assert got.tolist() == [floor, 0.75, 0.25, floor]
-        assert (ly._lift_positive(d, 1e-15) > 0).all()
 
 
 class TestCertificateChecks:
