@@ -290,6 +290,27 @@ class TestRun:
         sims = [c for c in report.checks if c.check == "simulate"]
         assert sims and sims[0].data["ratio"] < 1.0
 
+    @staticmethod
+    def simulate_record(capsys, argv, code):
+        assert cli.main(["--format", "json", *argv]) == code
+        return next(c for c in json.loads(capsys.readouterr().out)["checks"]
+                    if c["check"] == "simulate")
+
+    def test_simulate_witness_horizon_below_the_default_step(self, capsys):
+        # the witness branch takes the same step rule: at most horizon / 10
+        sim = self.simulate_record(capsys, [
+            "--mode", "falsify,simulate", "--simulate-horizon", "0.001",
+            "--", "1,-4;1,-2"], 2)
+        assert sim["reason"] == "witness-trajectory-grows"
+        assert sim["data"]["horizon"] == 0.001
+
+    def test_simulate_over_the_step_cap_is_skipped(self, capsys):
+        sim = self.simulate_record(capsys, [
+            "--mode", "simulate", "--simulate-horizon", "1e4",
+            "--", "-1,0;0,-1"], 0)
+        assert (sim["status"], sim["reason"]) == (
+            "unknown", "skipped: 1000000 steps exceed the cap of 500000")
+
     def test_total_scan_mode(self):
         a = np.diag([-1.0, -2.0])
         report = cli.run(request_for(
