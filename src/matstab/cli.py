@@ -60,8 +60,7 @@ ALL_MODES = DEFAULT_MODES + EXTRA_MODES
 
 CHECK_ERROR = "check-error: "
 
-# fixed steps of one simulate run, whatever the horizon: 5e5 steps of a
-# 2 x 2 system take about 17 s on a 2-CPU VM
+# steps of one simulate run (5e5 steps of a 2 x 2 system: about 17 s)
 SIMULATE_STEP_CAP = 500_000
 
 
@@ -691,15 +690,15 @@ def _simulate(ctx):
                      if c.verdict.refuted
                      and isinstance(c.verdict.witness, ds.FalsificationWitness)
                      and c.verdict.witness.realized is not None), None)
-    if realized is not None:
-        m, horizon = realized, horizon or 20.0
-    else:
-        m, alpha = a, spectral_abscissa(a)
+    if realized is None:
+        alpha = spectral_abscissa(a)
         if alpha >= 0:
             return (Verdict(Status.UNKNOWN, "matrix-not-hurwitz"), False,
                     {"abscissa": alpha})
-        if horizon is None:
-            horizon = decay_horizon(a, target=1e-8)
+        m, data = a, {"abscissa": alpha}
+        horizon = horizon or decay_horizon(a, target=1e-8)
+    else:
+        m, data, horizon = realized, {"target": "witness"}, horizon or 20.0
     step = min(0.01, 0.4 / (1.0 + np.linalg.norm(m, 2)), horizon / 10.0)
     steps = round(horizon / step)
     if steps > SIMULATE_STEP_CAP:
@@ -707,14 +706,13 @@ def _simulate(ctx):
                         f"cap of {SIMULATE_STEP_CAP}"), False,
                 {"horizon": horizon})
     ratio = simulate_decay(m, horizon, step)
-    if realized is not None:
-        return (Verdict(Status.UNKNOWN, "witness-trajectory-grows" if ratio > 1
-                        else "witness-trajectory-bounded"), False,
-                {"ratio": ratio, "horizon": horizon, "target": "witness"})
-    verdict = Verdict(Status.UNKNOWN, "trajectories-decay" if ratio < 1
-                      else "trajectories-grow")
-    return verdict, False, {"ratio": ratio, "horizon": horizon,
-                            "abscissa": alpha}
+    if realized is None:
+        reason = "trajectories-decay" if ratio < 1 else "trajectories-grow"
+    else:
+        reason = ("witness-trajectory-grows" if ratio > 1
+                  else "witness-trajectory-bounded")
+    return (Verdict(Status.UNKNOWN, reason), False,
+            {"ratio": ratio, "horizon": horizon, **data})
 
 
 Check = collections.namedtuple("Check",

@@ -1,31 +1,30 @@
 """Lyapunov/Stein solvers, region operators and certificate searches.
 
 Certificates are found by first-order descent of the largest eigenvalue
-of the region operator over a compact diagonal slice: entropic mirror
-descent on the unit simplex for positive diagonals, projected
-supergradient ascent on a box for sign-free ones.  The searches are
-{Proved, Unknown}-sound only: they never refute.  Each stops at the
-first iterate whose factor passes the definiteness check with a margin
-above ``definiteness_tol``: a Proved verdict needs one certificate, not
-the widest one, so no step is spent widening its margin, and the
-certificate's ``iterations`` is the step at which the search stopped.
+of the region operator over a compact diagonal slice: mirror descent on
+the simplex, or projected ascent on a box for sign-free diagonals.  The
+searches are {Proved, Unknown}-sound only: they never refute.  Each
+stops at the first iterate whose factor passes the definiteness check
+with a margin above ``definiteness_tol``: a Proved verdict needs one
+certificate, not the widest one, so no step is spent widening its
+margin, and the certificate's ``iterations`` is the step at which the
+search stopped.
 
 The positive-diagonal search stops early, with Unknown, once its own
 subgradients prove that no certificate exists.  The operator
 W(d) = sum_i d_i W_i is linear in d, and the subgradient at an iterate
-is g_i = <W_i, v v^T> for the top eigenvector v.  Step k has the weight
-w_k = 1 / (sqrt(k) ||g_k||_inf), proportional to its step size.  The
-weighted mean S of the v v^T seen so far is positive semidefinite with
-trace one, so for every d on the unit simplex
+is g_i = <W_i, v v^T> for the top eigenvector v.  The mean S of the
+v v^T seen so far, each weighted by its step 1 / (sqrt(k) ||g_k||_inf),
+is positive semidefinite with trace one, so for every d on the simplex
 
     lambda_max(W(d)) >= <W(d), S> = sum_i d_i gbar_i >= min_i gbar_i,
 
-with gbar the weighted mean of the g.  By homogeneity a positive
+with gbar the same weighted mean of g.  By homogeneity a positive
 min_i gbar_i excludes every positive diagonal factor.  The stop asks
 for a margin of at least ``definiteness_tol``, far above the rounding in
 gbar, so a search that stops could never have returned Proved; every
-Proved search runs exactly as it would without the stop.  A zero
-subgradient stops at once: then <W(d), v v^T> = 0 for every d.
+Proved search runs exactly as it would without the stop.  A zero g
+stops at once: then <W(d), v v^T> = 0 for every d.
 """
 
 import math
@@ -266,14 +265,14 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
     diagonals by entropic mirror descent (Beck & Teboulle, Oper. Res.
     Lett. 31, 2003): d <- d exp(-eta_k g) / sum, with
     eta_k = sqrt(2 ln n) / (sqrt(k) ||g||_inf).  The iterates stay
-    strictly positive, so the search stops at the first iterate whose
-    value is below ``-definiteness_tol`` of its operator, and that
-    iterate is the factor of the re-verifiable :class:`Certificate` of
-    the Proved verdict, with ``iterations`` the step at which the search
-    stopped.  Unknown means that the step-weighted mean of the
-    subgradients proved that no positive diagonal certifies
-    (``dual-bound-excludes-certificate``, see the module docstring), or
-    that the budget ran out first (``search-budget-exhausted``).
+    strictly positive, and the first whose value is below
+    ``-definiteness_tol`` of its operator is the factor of the Proved
+    verdict's re-verifiable :class:`Certificate`, with ``iterations`` the
+    step at which the search stopped.  Unknown means that the
+    step-weighted mean of the subgradients proved that no positive
+    diagonal certifies (``dual-bound-excludes-certificate``, see the
+    module docstring), or that the budget ran out
+    (``search-budget-exhausted``).
     """
     a = as_matrix(a)
     if region is None:
@@ -282,13 +281,12 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
     n = a.shape[0]
     rate = math.sqrt(2.0 * math.log(n))
     z = np.zeros(n)  # log d, up to a constant
-    d = np.full(n, 1.0 / n)
-
-    g_sum = np.zeros(n)
-    w_sum = 0.0
+    g_sum, w_sum = np.zeros(n), 0.0  # weighted sums of g and of weights
     for k in range(1, budget + 1):
+        d = np.exp(z - z.max())
+        d /= d.sum()
         val, g, tol = op.value_and_subgrad(d)
-        if val < -tol and d.min() > 0:
+        if val < -tol and d.min() > 0:  # no entry underflowed
             cert = Certificate(op.kind, np.diag(d), -val, region, k)
             return Verdict(Status.PROVED, f"certificate:{op.kind}",
                            witness=cert)
@@ -296,10 +294,8 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
         if not math.isfinite(scale):
             raise ValueError("subgradient step is not finite")
         if scale == 0.0:
-            # lambda_max(W(d)) >= <W(d), v v^T> = 0 for every d
             return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
-        # the weight 1/(sqrt(k) ||g||_inf), applied to g / ||g||_inf so
-        # that a subnormal subgradient cannot overflow the iterate
+        # weight 1/(sqrt(k) ||g||_inf); a subnormal g cannot overflow
         g = g / scale
         step = 1.0 / math.sqrt(k)
         g_sum += step * g
@@ -307,8 +303,6 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
         if g_sum.min() > w_sum * tol:
             return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
         z -= (rate * step) * g
-        d = np.exp(z - z.max())
-        d /= d.sum()
     return Verdict(Status.UNKNOWN, "search-budget-exhausted")
 
 

@@ -6,23 +6,21 @@ determinants with the scale-aware zero tolerance
 ``1e-10 * (1 + ||A||_inf ** k)`` for an order-``k`` minor, computed once
 per order.
 
-:func:`principal_minors` returns a lazy :class:`MinorTable`, held per
-order k as two arrays: the ``(C(n, k), k)`` intp array of index sets and
-the ``(C(n, k),)`` float array of their determinants.  Order k is
-computed the first time a reader reaches it, so the P / P0 / P0+ screens
-and the minor-sign necessity, which stop at their first failing order,
-never sweep the orders above it.  The index sets are built in numpy,
-each order-k set an order-(k-1) set extended by every index after its
-last, which is ``itertools.combinations`` order.  Each order gathers the
-stacked k x k principal submatrices and takes all their determinants in
-one ``np.linalg.det`` call, bit for bit the values of a per-submatrix
-loop.  The minors of ``-A`` need no second sweep: an order-k minor of
-``-A`` is ``(-1)^k`` times that of ``A``, bit for bit for every nonzero
-minor (:func:`negate_minors`).  The screens read the arrays of each
-order, never the pairs; an order's sum is a left-to-right running total
-(:func:`_running_sum`).  :func:`compound` is the gather for all
-order-k minors, one batched ``np.linalg.det`` per row; the sign-symmetry
-sweep reads it.
+:func:`principal_minors` returns a lazy :class:`MinorTable`: order k,
+the ``(C(n, k), k)`` intp array of index sets in
+``itertools.combinations`` order (built in numpy) and the ``(C(n, k),)``
+float array of their determinants, is computed when a reader first
+reaches it, so the P / P0 / P0+ screens and the minor-sign necessity,
+which stop at their first failing order, never sweep the orders above.
+Each order takes the determinants of its stacked k x k principal
+submatrices in one ``np.linalg.det`` call, bit for bit the values of a
+per-submatrix loop.  The minors of ``-A`` need no second sweep: an
+order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, bit for bit
+for every nonzero minor (:func:`negate_minors`).  The screens read each
+order's arrays, never the pairs; an order's sum is a left-to-right
+running total (:func:`_running_sum`).  :func:`compound` is the gather
+for all order-k minors, one batched ``np.linalg.det`` per row; the
+sign-symmetry sweep reads it.
 :func:`exact_det_sign` gives a determinant's sign in exact integer
 arithmetic; refutations by a minor sign use it to confirm what the
 floating-point screen found.
@@ -148,13 +146,10 @@ def _index_sets(n):
 class MinorTable:
     """Principal minors of one matrix, order by order, each on first use.
 
-    Iterating ``orders`` yields ``(sets, values)`` for k = 1..n: the
-    ``(C(n, k), k)`` intp array of order-k index sets in
-    ``itertools.combinations`` order and the ``(C(n, k),)`` float array
-    of their determinants.  Order k is computed when a reader first
-    reaches it, and kept.  ``len()`` is 2^n - 1 and evaluates nothing;
-    iterating the table yields ``(index tuple, value)`` pairs, orders
-    ascending, and forces the remaining orders.
+    ``orders`` yields ``(sets, values)`` for k = 1..n, computing order k
+    when a reader first reaches it and keeping it.  ``len()`` is 2^n - 1
+    and evaluates nothing.  Iterating yields ``(index tuple, value)``
+    pairs, orders ascending, and forces the remaining orders.
     """
 
     def __init__(self, n, orders):
@@ -196,9 +191,8 @@ def principal_minors(a):
 def negate_minors(minors):
     """The :func:`principal_minors` table of ``-A`` from that of ``A``.
 
-    The index arrays are shared; only the odd orders' values are new.
-    Order k is derived when a reader reaches it, from order k of
-    ``minors``, which computes it at most once for both tables.
+    The index arrays are shared; only the odd orders' values are new,
+    each derived from ``minors`` when a reader first reaches it.
 
     Negating a matrix leaves the pivots' magnitudes of its LU factors
     unchanged and flips the sign of each, so ``det(-M) = (-1)^k det(M)``
