@@ -50,7 +50,7 @@ from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       decay_horizon, default_tol, eigenvalues, gershgorin,
                       region_stable, simulate_decay, spectral_abscissa)
 
-SCHEMA = "matstab-report/5"
+SCHEMA = "matstab-report/6"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")

@@ -1,14 +1,14 @@
 """Lyapunov/Stein solvers, region operators and certificate searches.
 
-Certificates are found by first-order descent of the largest eigenvalue
-of the region operator over a compact diagonal slice: mirror descent on
-the simplex, or projected ascent on a box for sign-free diagonals.  The
-searches are {Proved, Unknown}-sound only: they never refute.  Each
-stops at the first iterate whose factor passes the definiteness check
-with a margin above ``definiteness_tol``: a Proved verdict needs one
-certificate, not the widest one, so no step is spent widening its
-margin, and the certificate's ``iterations`` is the step at which the
-search stopped.
+Certificates are found by entropic mirror descent of the largest
+eigenvalue of the region operator over the simplex of positive
+diagonals; the sign-free hyperbolicity search reduces to that search,
+since the signs of its certificates are forced.  The searches are
+{Proved, Unknown}-sound only: they never refute.  Each stops at the
+first iterate whose factor passes the definiteness check with a margin
+above ``definiteness_tol``: a Proved verdict needs one certificate, not
+the widest one, so no step is spent widening its margin, and the
+certificate's ``iterations`` is the step at which the search stopped.
 
 The positive-diagonal search stops early, with Unknown, once its own
 subgradients prove that no certificate exists.  The operator
@@ -49,8 +49,6 @@ __all__ = [
 KRONECKER_SOLVE_CAP = 12
 
 DEFAULT_BUDGET = 5000
-# steps of each hyperbolicity-search start but the last
-_START_STEPS = DEFAULT_BUDGET // 4
 
 
 class OperatorSingularError(RuntimeError):
@@ -309,54 +307,28 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
 def diagonal_hyperbolicity_search(a, budget=DEFAULT_BUDGET):
     """Search a sign-unconstrained diagonal D with D A + A^T D positive definite.
 
-    Concave maximization of lambda_min over the box ||diag||_inf <= 1 by
-    projected supergradient ascent from a handful of deterministic
-    starts, taken in order: each start but the last runs at most
-    ``DEFAULT_BUDGET // 4`` steps, and the last runs what is left of the
-    budget, so a smaller budget runs a prefix of the same iterates.  The
-    search stops at the first iterate whose factor, with entries below
-    1e-9 in magnitude pushed to +-1e-9 so that it is nonsingular, gives
-    lambda_min above its ``definiteness_tol``; ``iterations`` of the
-    certificate counts the steps taken over all starts.  A certificate
+    (D A + A^T D)_ii = 2 d_i a_ii, so every certificate has the signs
+    S = diag(sign a_ii), and a zero a_ii excludes them all (Unknown,
+    ``dual-bound-excludes-certificate``, with no eigen-solve).  With
+    D = S E, D A + A^T D = -(E (-S A) + (-S A)^T E): this is
+    :func:`diagonal_stability_search` on -S A, its certificate E mapped
+    back to S E with the same margin and ``iterations``.  A certificate
     implies the matrix has no imaginary-axis eigenvalues and is
     multiplicative D-hyperbolic.
     """
     a = as_matrix(a)
-    n = a.shape[0]
-    mu = 1.0 / max(np.linalg.norm(a, np.inf), 1e-30)
-    diag_sign = np.sign(np.diag(a))
-    diag_sign[diag_sign == 0] = 1.0
-    starts = [diag_sign, np.ones(n), -np.ones(n),
-              np.array([(-1.0) ** i for i in range(n)])]
-
-    left = budget
-    used = 0
-    for i, d0 in enumerate(starts):
-        steps = left if i == len(starts) - 1 else min(left, _START_STEPS)
-        left -= steps
-        d = d0.astype(float)
-        for k in range(1, steps + 1):
-            used += 1
-            w = d[:, None] * a
-            w = w + w.T
-            lam, vec = np.linalg.eigh(w)
-            if lam[0] > 0:
-                fixed = d.copy()
-                small = np.abs(fixed) < 1e-9
-                fixed[small] = np.where(fixed[small] >= 0, 1e-9, -1e-9)
-                wf = fixed[:, None] * a
-                wf = wf + wf.T
-                lam_min = float(np.linalg.eigvalsh(wf)[0])
-                if lam_min > definiteness_tol(wf):
-                    cert = Certificate("diagonal-hyperbolic", np.diag(fixed),
-                                       lam_min, Hyperbolic(), used)
-                    return Verdict(Status.PROVED,
-                                   "certificate:diagonal-hyperbolic",
-                                   witness=cert)
-            v = vec[:, 0]
-            g = 2.0 * v * (a @ v)
-            d = np.clip(d + (mu / math.sqrt(k)) * g, -1.0, 1.0)
-    return Verdict(Status.UNKNOWN, "search-budget-exhausted")
+    s = np.sign(np.diag(a))
+    if not s.all():
+        return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
+    v = diagonal_stability_search(-s[:, None] * a, budget=budget)
+    if not v.proved:
+        return v
+    cert = v.witness
+    return Verdict(Status.PROVED, "certificate:diagonal-hyperbolic",
+                   witness=Certificate("diagonal-hyperbolic",
+                                       np.diag(s * np.diag(cert.factor)),
+                                       cert.margin, Hyperbolic(),
+                                       cert.iterations))
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,18 @@ def simplex_points(n, seed, count=64):
     return np.vstack([np.full(n, 1.0 / n), pts])
 
 
+def count_eigen_solves(monkeypatch):
+    calls = [0]
+    inner = ly._DiagOperator.value_and_subgrad
+
+    def counting(self, d):
+        calls[0] += 1
+        return inner(self, d)
+
+    monkeypatch.setattr(ly._DiagOperator, "value_and_subgrad", counting)
+    return calls
+
+
 class TestDualBoundStop:
     @given(st.integers(1, 6).flatmap(
                lambda n: arrays(np.float64, (n, n),
@@ -271,28 +283,14 @@ class TestDualBoundStop:
                 assert ly.verify_certificate(b, v.witness) > 0
 
     def test_classic_counterexample_stops_early(self, monkeypatch):
-        calls = [0]
-        inner = ly._DiagOperator.value_and_subgrad
-
-        def counting(self, d):
-            calls[0] += 1
-            return inner(self, d)
-
-        monkeypatch.setattr(ly._DiagOperator, "value_and_subgrad", counting)
+        calls = count_eigen_solves(monkeypatch)
         v = ly.diagonal_stability_search(np.array([[1.0, -4.0],
                                                    [1.0, -2.0]]))
         assert v.reason == DUAL_STOP
         assert calls[0] <= 50
 
     def test_zero_subgradient_stops_at_once(self, monkeypatch):
-        calls = [0]
-        inner = ly._DiagOperator.value_and_subgrad
-
-        def counting(self, d):
-            calls[0] += 1
-            return inner(self, d)
-
-        monkeypatch.setattr(ly._DiagOperator, "value_and_subgrad", counting)
+        calls = count_eigen_solves(monkeypatch)
         v = ly.diagonal_stability_search(np.zeros((3, 3)))
         assert (v.reason, calls[0]) == (DUAL_STOP, 1)
 
@@ -305,12 +303,16 @@ class TestDualBoundStop:
     @pytest.mark.parametrize("n", [8, 10])
     def test_every_constructed_input_proved(self, n):
         # the projected Euclidean step ran out of budget on seed 12 at
-        # n = 8 and seeds 22 and 28 at n = 10
+        # n = 8 and seeds 22 and 28 at n = 10; the projected box ascent of
+        # the hyperbolicity search on 14 of the d_hyperbolic inputs
         for seed in range(40):
             a, _ = random_diagonally_stable(np.random.default_rng(seed), n)
-            v = ly.diagonal_stability_search(a)
-            assert v.proved, (n, seed, v.reason)
-            assert ly.verify_certificate(a, v.witness) > 0
+            h = d_hyperbolic(np.random.default_rng(seed), n)
+            for a, search in [(a, ly.diagonal_stability_search),
+                              (h, ly.diagonal_hyperbolicity_search)]:
+                v = search(a)
+                assert v.proved, (n, seed, search.__name__, v.reason)
+                assert ly.verify_certificate(a, v.witness) > 0
 
 
 def d_hyperbolic(rng, n):
@@ -350,8 +352,6 @@ class TestFirstCertificate:
 
     @given(seeded_sizes, st.sampled_from([d_hyperbolic,
                                           lambda rng, n: rng.normal(size=(n, n))]))
-    # certified in the last start; splitting the budget evenly among the
-    # starts would let a budget one smaller certify it in an earlier one
     @example((8, 18), d_hyperbolic)
     @settings(max_examples=30, deadline=None)
     def test_hyperbolicity_search(self, size_seed, make):
@@ -365,20 +365,32 @@ class TestFirstCertificate:
 
 
 class TestHyperbolicity:
+    # the factor has the signs of the diagonal; its magnitudes are the
+    # simplex iterate of the reduced search, uniform 1/n at step 1
     def test_identity(self):
         v = ly.diagonal_hyperbolicity_search(np.eye(3))
-        assert v.proved
-        assert np.allclose(np.diag(v.witness.factor), 1.0)
+        assert v.proved and v.witness.iterations == 1
+        assert np.allclose(np.diag(v.witness.factor), 1.0 / 3)
 
     def test_indefinite_diagonal(self):
         v = ly.diagonal_hyperbolicity_search(np.diag([1.0, -1.0]))
-        assert v.proved
-        assert np.allclose(np.diag(v.witness.factor), [1.0, -1.0])
+        assert v.proved and v.witness.iterations == 1
+        assert np.array_equal(np.sign(np.diag(v.witness.factor)), [1.0, -1.0])
+        assert np.allclose(np.diag(v.witness.factor), [0.5, -0.5])
 
-    def test_rotation_has_no_certificate(self):
+    def test_rotation_has_no_certificate(self, monkeypatch):
+        # spectrum {+-i} is purely imaginary; a zero diagonal entry makes
+        # the (i, i) entry of D A + A^T D vanish for every D
+        calls = count_eigen_solves(monkeypatch)
         v = ly.diagonal_hyperbolicity_search(np.array([[0.0, 1.0],
                                                        [-1.0, 0.0]]))
-        assert not v.proved  # spectrum {+-i} is purely imaginary
+        assert (v.reason, calls[0]) == (DUAL_STOP, 0)
+
+    def test_no_certificate_ends_at_the_dual_bound(self):
+        # spectrum +-i sqrt(5), with a nonzero diagonal
+        v = ly.diagonal_hyperbolicity_search(np.array([[1.0, 2.0],
+                                                       [-3.0, -1.0]]))
+        assert v.reason == DUAL_STOP
 
     def test_certificate_implies_no_imaginary_axis_eigenvalues(self, rng):
         for _ in range(20):
