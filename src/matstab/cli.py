@@ -291,6 +291,8 @@ class AnalysisRequest:
     def __post_init__(self):
         if self.samples <= 0 or self.budget <= 0:
             raise UsageError("budgets must be positive")
+        if self.seed < 0:
+            raise UsageError("the seed must be non-negative")
         h = self.simulate_horizon
         if h is not None and not (math.isfinite(h) and h > 0):
             raise UsageError("the simulate horizon must be finite and "
@@ -937,8 +939,7 @@ def build_parser():
                    help="falsification sample budget")
     p.add_argument("--budget", type=int, default=5000,
                    help="certificate search iteration budget")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("MATSTAB_SEED", "0")),
+    p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (env MATSTAB_SEED is the fallback)")
     p.add_argument("--convention", choices=("hurwitz", "positive"),
                    default="hurwitz")
@@ -952,6 +953,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is None:
+            env = os.environ.get("MATSTAB_SEED", "0")
+            try:
+                args.seed = int(env)
+            except ValueError:
+                raise UsageError(f"MATSTAB_SEED is not an integer: "
+                                 f"{env!r}") from None
         matrix = load_matrix(args.matrix)
         request = AnalysisRequest(
             matrix=matrix,

@@ -49,17 +49,16 @@ def _check_partition(partition, n):
 # ---------------------------------------------------------------------------
 
 class GClass:
-    """Base for the parameterized matrix classes with samplers."""
+    """Base for the parameterized matrix classes.
+
+    ``sample_batch`` is the one sampler of every class.  It draws with
+    ``_draw``, which gives the (k, n) diagonals of a diagonal class and
+    the (k, n, n) stack of any other, and checks every draw with the
+    membership test that ``contains`` runs.
+    """
 
     bounded = False
     name = "gclass"
-
-    def sample(self, rng, n):
-        """One member; diagonal classes draw it as a batch of one."""
-        diag = self._diag_batch(rng, n, 1)
-        if diag is None:
-            raise NotImplementedError
-        return np.diag(diag[0])
 
     def check_size(self, n):
         """Raise ValueError unless the class has n x n members."""
@@ -68,11 +67,6 @@ class GClass:
         """Diagonal classes: g is diagonal and its diagonal is a member."""
         return _is_diagonal(g) and bool(self._diag_contains(np.diag(g)))
 
-    def sample_checked(self, rng, n):
-        g = self.sample(rng, n)
-        self._require_member(self.contains(g))
-        return g
-
     def _require_member(self, ok):
         # an explicit raise, not an assert: python -O strips asserts, and
         # a sampler that left its class would hand falsify an unsound witness
@@ -80,30 +74,29 @@ class GClass:
             raise AssertionError(f"sampler left the class {self.name}")
 
     def sample_batch(self, rng, n, k):
-        """(k, n, n) stack of checked samples; diagonal classes vectorize."""
-        diag = self._diag_batch(rng, n, k)
-        if diag is None:
-            return np.stack([self.sample_checked(rng, n) for _ in range(k)])
+        """(k, n, n) stack of checked samples, equal to k draws of one."""
+        self.check_size(n)
+        drawn = self._draw(rng, n, k)
+        if drawn.ndim == 3:
+            self._require_member(self._stack_contains(drawn))
+            return drawn
+        self._require_member(self._diag_contains(drawn))
         out = np.zeros((k, n, n))
         idx = np.arange(n)
-        out[:, idx, idx] = diag
+        out[:, idx, idx] = drawn
         return out
 
-    def _diag_batch(self, rng, n, k):
-        # the guard runs the test that contains runs, on every row
-        self.check_size(n)
-        diag = self._sample_diag_batch(rng, n, k)
-        if diag is not None:
-            self._require_member(self._diag_contains(diag))
-        return diag
-
-    def _sample_diag_batch(self, rng, n, k):
-        """(k, n) diagonals of a diagonal class, unchecked; None otherwise."""
-        return None
+    def _draw(self, rng, n, k):
+        """Unchecked draw: (k, n) diagonals or a (k, n, n) stack."""
+        raise NotImplementedError
 
     def _diag_contains(self, d):
         """Membership of diagonals; leading axes of ``d`` are a batch."""
         raise NotImplementedError
+
+    def _stack_contains(self, gs):
+        """Membership of each matrix of a (k, n, n) stack."""
+        return [self.contains(g) for g in gs]
 
 
 # the structural slack of the membership tests: off-diagonal entries,
@@ -124,7 +117,7 @@ class PositiveDiagonal(GClass):
     def _diag_contains(self, d):
         return (d > 0).all(axis=-1)
 
-    def _sample_diag_batch(self, rng, n, k):
+    def _draw(self, rng, n, k):
         return _log_uniform(rng, 1e-3, 1e3, (k, n))
 
 
@@ -132,15 +125,10 @@ class PositiveDiagonal(GClass):
 class NegativeDiagonal(GClass):
     name = "negative-diagonal"
 
-    def sample(self, rng, n):
-        # not the base-class default: -np.diag(x) has -0.0 off the
-        # diagonal, and falsify witnesses carry those zeros into reports
-        return -np.diag(_log_uniform(rng, 1e-3, 1e3, n))
-
     def _diag_contains(self, d):
         return (d < 0).all(axis=-1)
 
-    def _sample_diag_batch(self, rng, n, k):
+    def _draw(self, rng, n, k):
         return -_log_uniform(rng, 1e-3, 1e3, (k, n))
 
 
@@ -154,7 +142,7 @@ class DiagonalNormLt1(GClass):
     def _diag_contains(self, d):
         return (np.abs(d) < 1.0).all(axis=-1)
 
-    def _sample_diag_batch(self, rng, n, k):
+    def _draw(self, rng, n, k):
         return rng.uniform(-1.0, 1.0, (k, n))
 
 
@@ -168,7 +156,7 @@ class VertexDiagonal(GClass):
     def _diag_contains(self, d):
         return (np.abs(np.abs(d) - 1.0) <= _MEMBER_TOL).all(axis=-1)
 
-    def _sample_diag_batch(self, rng, n, k):
+    def _draw(self, rng, n, k):
         return rng.integers(0, 2, (k, n)) * 2.0 - 1.0
 
 
@@ -189,7 +177,7 @@ class AlphaScalar(GClass):
     def check_size(self, n):
         _check_partition(self.partition, n)
 
-    def _sample_diag_batch(self, rng, n, k):
+    def _draw(self, rng, n, k):
         block_of = np.empty(n, dtype=int)
         for j, block in enumerate(self.partition):
             block_of[list(block)] = j
@@ -206,12 +194,12 @@ class AlphaBlockSPD(GClass):
     def check_size(self, n):
         _check_partition(self.partition, n)
 
-    def sample(self, rng, n):
-        self.check_size(n)
-        g = np.zeros((n, n))
-        for block in self.partition:
-            idx = list(block)
-            g[np.ix_(idx, idx)] = _spd_sample(rng, len(idx), 1)[0]
+    def _draw(self, rng, n, k):
+        g = np.zeros((k, n, n))
+        for i in range(k):
+            for block in self.partition:
+                idx = list(block)
+                g[i][np.ix_(idx, idx)] = _spd_draw(rng, len(idx), 1)[0]
         return g
 
     def contains(self, g):
@@ -224,7 +212,7 @@ class AlphaBlockSPD(GClass):
         return bool(_spd_contains(g))
 
 
-def _spd_sample(rng, n, k):
+def _spd_draw(rng, n, k):
     """(k, n, n) stack of unchecked SPD draws, bit-identical to k single ones."""
     # normal draws take a variable share of the stream, so each sample
     # draws its normals and then its eigenvalues; the QR and the products
@@ -253,16 +241,14 @@ class SPD(GClass):
 
     name = "spd"
 
-    def sample(self, rng, n):
-        return self.sample_batch(rng, n, 1)[0]
-
     def contains(self, g):
         return bool(_spd_contains(g))
 
-    def sample_batch(self, rng, n, k):
-        g = _spd_sample(rng, n, k)
-        self._require_member(_spd_contains(g))
-        return g
+    def _draw(self, rng, n, k):
+        return _spd_draw(rng, n, k)
+
+    def _stack_contains(self, gs):
+        return _spd_contains(gs)
 
 
 @dataclass(frozen=True)
@@ -282,7 +268,7 @@ class OrderedDiagonal(GClass):
         if sorted(self.tau) != list(range(n)):
             raise ValueError("tau must be a permutation of 0..n-1")
 
-    def _sample_diag_batch(self, rng, n, k):
+    def _draw(self, rng, n, k):
         d = np.empty((k, n))
         d[:, list(self.tau)] = np.sort(_log_uniform(rng, 1e-3, 1e3, (k, n)),
                                        axis=1)[:, ::-1]
@@ -323,7 +309,7 @@ class IntervalDiagonal(GClass):
         if len(self.d_min) != n:
             raise ValueError("interval bounds do not match the dimension")
 
-    def _sample_diag_batch(self, rng, n, k):
+    def _draw(self, rng, n, k):
         lo = np.asarray(self.d_min)
         hi = np.asarray(self.d_max)
         cap = np.where(np.isfinite(hi), hi, 1e3 * lo)
@@ -345,7 +331,7 @@ class SignPatternDiagonal(GClass):
         if s.size != n or not np.all(np.abs(s) == 1.0):
             raise ValueError("signs must be a vector of +-1 matching n")
 
-    def _sample_diag_batch(self, rng, n, k):
+    def _draw(self, rng, n, k):
         return (np.asarray(self.signs, dtype=float)
                 * _log_uniform(rng, 1e-3, 1e3, (k, n)))
 
@@ -361,13 +347,13 @@ class EntrywisePositiveRank(GClass):
         if not 1 <= self.k <= n:
             raise ValueError("rank must lie in 1..n")
 
-    def sample(self, rng, n):
-        self.check_size(n)
-        g = np.zeros((n, n))
-        for _ in range(self.k):
-            u = _log_uniform(rng, 10 ** -1.5, 10 ** 1.5, n)
-            v = _log_uniform(rng, 10 ** -1.5, 10 ** 1.5, n)
-            g += np.outer(u, v)
+    def _draw(self, rng, n, k):
+        g = np.zeros((k, n, n))
+        for i in range(k):
+            for _ in range(self.k):
+                u = _log_uniform(rng, 10 ** -1.5, 10 ** 1.5, n)
+                v = _log_uniform(rng, 10 ** -1.5, 10 ** 1.5, n)
+                g[i] += np.outer(u, v)
         return g
 
     def contains(self, g):
@@ -385,10 +371,8 @@ class BinOp:
     name = "binop"
 
     def apply(self, g, a):
+        """G o A; a (k, n, n) stack ``g`` gives the stack of k products."""
         raise NotImplementedError
-
-    def apply_batch(self, gs, a):
-        return np.stack([self.apply(g, a) for g in gs])
 
 
 @dataclass(frozen=True)
@@ -398,9 +382,6 @@ class Multiply(BinOp):
     def apply(self, g, a):
         return g @ a
 
-    def apply_batch(self, gs, a):
-        return gs @ a
-
 
 @dataclass(frozen=True)
 class Add(BinOp):
@@ -408,9 +389,6 @@ class Add(BinOp):
 
     def apply(self, g, a):
         return g + a
-
-    def apply_batch(self, gs, a):
-        return gs + a
 
 
 @dataclass(frozen=True)
@@ -420,9 +398,6 @@ class HadamardProduct(BinOp):
     def apply(self, g, a):
         return g * a
 
-    def apply_batch(self, gs, a):
-        return gs * a
-
 
 @dataclass(frozen=True)
 class BlockHadamardProduct(BinOp):
@@ -430,6 +405,8 @@ class BlockHadamardProduct(BinOp):
     name = "block-hadamard"
 
     def apply(self, g, a):
+        if np.ndim(g) == 3:
+            return np.stack([block_hadamard(h, a, self.block) for h in g])
         return block_hadamard(g, a, self.block)
 
 
@@ -457,7 +434,7 @@ class FalsificationWitness:
 def _unbounded_witness(a, gclass, op, region, rng):
     """Concrete witness for the bounded-region / unbounded-class refutation."""
     n = a.shape[0]
-    base = gclass.sample_checked(rng, n)
+    base = gclass.sample_batch(rng, n, 1)[0]
     for scale in (10.0 ** k for k in range(0, 13)):
         g = base * scale
         if not gclass.contains(g):
@@ -550,7 +527,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
     while done < samples:
         b = min(batch, samples - done)
         gs = gclass.sample_batch(rng, n, b)
-        ms = op.apply_batch(gs, a)
+        ms = op.apply(gs, a)
         specs = _stacked_spectra(ms)
         # vectorized screen with the re-check's own bands; the witness is
         # re-solved alone, so that it replays and its eigenvalue is the

@@ -756,10 +756,36 @@ class TestMain:
                          "--", "-1,0;0,-2"]) == 0
         capsys.readouterr()
 
-    def test_seed_env_fallback(self, monkeypatch):
+    def test_seed_env_fallback(self, monkeypatch, capsys):
         monkeypatch.setenv("MATSTAB_SEED", "77")
-        args = cli.build_parser().parse_args(["m.json"])
-        assert args.seed == 77
+        assert cli.main(["--format", "json", "--samples", "100", "--budget",
+                         "100", "--", "-1,0;0,-2"]) == 0
+        assert json.loads(capsys.readouterr().out)["request"]["seed"] == 77
+        assert cli.main(["--seed", "5", "--format", "json", "--samples",
+                         "100", "--budget", "100", "--", "-1,0;0,-2"]) == 0
+        assert json.loads(capsys.readouterr().out)["request"]["seed"] == 5
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # the generator would reject it inside falsify, as a check error
+        # under an Unknown summary
+        with pytest.raises(cli.UsageError, match="seed must be non-negative"):
+            request_for(-np.eye(2), seed=-1)
+        assert cli.main(["--mode", "falsify", "--seed", "-1",
+                         "--", "1,-4;1,-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "matstab: error: the seed must be non-negative\n"
+
+    def test_malformed_seed_env_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("MATSTAB_SEED", "abc")
+        assert cli.main(["--", "-1,0;0,-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("matstab: error: MATSTAB_SEED is not an "
+                                "integer: 'abc'\n")
+        # an explicit --seed does not read the variable
+        assert cli.main(["--seed", "3", "--samples", "100", "--budget", "100",
+                         "--", "-1,0;0,-1"]) == 0
 
     def test_spd_json_report_parses(self, capsys):
         # the symmetric-part check must record a plain bool, or emit fails

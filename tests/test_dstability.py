@@ -44,6 +44,9 @@ def _class_and_old_draw(name, n):
     if name == "positive-diagonal":
         return ds.PositiveDiagonal(), lambda rng: np.diag(
             np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n)))
+    if name == "negative-diagonal":
+        return ds.NegativeDiagonal(), lambda rng: np.diag(
+            -_old_log_uniform(rng, 1e-3, 1e3, n))
     if name == "diagonal-norm-lt1":
         return ds.DiagonalNormLt1(), lambda rng: np.diag(
             rng.uniform(-1.0, 1.0, n))
@@ -58,6 +61,17 @@ def _class_and_old_draw(name, n):
             hi[::2] = np.inf
         return ds.IntervalDiagonal(tuple(lo), tuple(hi)), \
             _old_interval_draw(lo, hi)
+    if name == "entrywise-positive-rank":
+        rank = min(2, n)
+
+        def draw(rng):
+            g = np.zeros((n, n))
+            for _ in range(rank):
+                u = _old_log_uniform(rng, 10 ** -1.5, 10 ** 1.5, n)
+                v = _old_log_uniform(rng, 10 ** -1.5, 10 ** 1.5, n)
+                g += np.outer(u, v)
+            return g
+        return ds.EntrywisePositiveRank(rank), draw
     if name == "ordered-diagonal":
         tau = tuple(int(i) for i in np.random.default_rng(n).permutation(n))
 
@@ -104,7 +118,7 @@ class TestSamplers:
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.name)
     def test_samples_lie_in_class(self, cls, rng):
         for _ in range(25):
-            g = cls.sample_checked(rng, 3)
+            g = cls.sample_batch(rng, 3, 1)[0]
             assert cls.contains(g)
 
     @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.name)
@@ -115,37 +129,38 @@ class TestSamplers:
             assert cls.contains(g)
 
     def test_vertex_values(self, rng):
-        g = ds.VertexDiagonal().sample_checked(rng, 2)
+        g = ds.VertexDiagonal().sample_batch(rng, 2, 1)[0]
         assert set(np.abs(np.diag(g))) == {1.0}
 
     def test_ordered_is_sorted_along_tau(self, rng):
         tau = (1, 2, 0)
-        g = ds.OrderedDiagonal(tau).sample_checked(rng, 3)
+        g = ds.OrderedDiagonal(tau).sample_batch(rng, 3, 1)[0]
         d = np.diag(g)[list(tau)]
         assert (d[:-1] >= d[1:]).all()
 
     def test_alpha_scalar_constant_blocks(self, rng):
-        g = ds.AlphaScalar(((0, 2), (1,))).sample_checked(rng, 3)
+        g = ds.AlphaScalar(((0, 2), (1,))).sample_batch(rng, 3, 1)[0]
         assert np.isclose(g[0, 0], g[2, 2])
 
     def test_rank_positive(self, rng):
-        g = ds.EntrywisePositiveRank(1).sample_checked(rng, 4)
+        g = ds.EntrywisePositiveRank(1).sample_batch(rng, 4, 1)[0]
         assert (g > 0).all()
         assert np.linalg.matrix_rank(g, tol=1e-9 * abs(g).max()) == 1
 
     @pytest.mark.parametrize("name", [
-        "positive-diagonal", "diagonal-norm-lt1", "vertex-diagonal", "spd",
-        "interval-diagonal", "interval-diagonal-inf", "ordered-diagonal",
-        "alpha-scalar", "sign-pattern-diagonal", "alpha-block-spd"])
+        "positive-diagonal", "negative-diagonal", "diagonal-norm-lt1",
+        "vertex-diagonal", "spd", "interval-diagonal",
+        "interval-diagonal-inf", "ordered-diagonal", "alpha-scalar",
+        "sign-pattern-diagonal", "alpha-block-spd", "entrywise-positive-rank"])
     @pytest.mark.parametrize("n", [1, 2, 5, 13])
     def test_default_sample_is_the_old_sampler_bit_for_bit(self, name, n):
-        # single draws and batches both equal the per-sample code the
-        # batch samplers replaced, and leave the stream in the same state
+        # batches of one and of seven both equal the per-sample code the
+        # batch sampler replaced, and leave the stream in the same state
         cls, old = _class_and_old_draw(name, n)
         for seed in range(50):
             got_rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
-            got = cls.sample(got_rng, n)
+            got = cls.sample_batch(got_rng, n, 1)[0]
             ref = old(ref_rng)
             assert got.tobytes() == ref.tobytes()
             got = cls.sample_batch(got_rng, n, 7)
@@ -176,13 +191,12 @@ class TestSamplers:
         # a positive draw that breaks the order along tau, the equal
         # values in a block, the sign pattern or the vertex values
         assert not cls.contains(np.diag(diag))
-        monkeypatch.setattr(type(cls), "_sample_diag_batch",
+        monkeypatch.setattr(type(cls), "_draw",
                             lambda self, rng, n, k: np.tile(diag, (k, 1)))
-        for draw in (lambda rng: cls.sample_batch(rng, 3, 4),
-                     lambda rng: cls.sample(rng, 3)):
+        for k in (4, 1):
             with pytest.raises(AssertionError,
                                match="sampler left the class " + cls.name):
-                draw(np.random.default_rng(0))
+                cls.sample_batch(np.random.default_rng(0), 3, k)
 
     def test_membership_checks_survive_python_O(self):
         # a draw that leaves its class raises even with asserts stripped
@@ -198,10 +212,9 @@ class TestSamplers:
                        ds.IntervalDiagonal((0.5, 0.5), (2.0, 2.0)),
                        ds.AlphaBlockSPD(((0, 1),))]
             for cls in classes:
-                for draw in (lambda rng: cls.sample_batch(rng, 2, 3),
-                             lambda rng: cls.sample_checked(rng, 2)):
+                for k in (3, 1):
                     try:
-                        draw(np.random.default_rng(0))
+                        cls.sample_batch(np.random.default_rng(0), 2, k)
                     except AssertionError as exc:
                         if str(exc) != "sampler left the class " + cls.name:
                             sys.exit("wrong error: " + str(exc))
@@ -231,30 +244,30 @@ class TestClassClosure:
     # that the transfer arguments lean on
     def test_positive_diagonal_group(self, rng):
         cls = ds.PositiveDiagonal()
-        g1, g2 = (cls.sample_checked(rng, 3) for _ in range(2))
+        g1, g2 = cls.sample_batch(rng, 3, 2)
         assert cls.contains(g1 @ g2)
         assert cls.contains(g1 + g2)
         assert cls.contains(np.linalg.inv(g1))
 
     def test_spd_closures(self, rng):
         cls = ds.SPD()
-        g1, g2 = (cls.sample_checked(rng, 3) for _ in range(2))
+        g1, g2 = cls.sample_batch(rng, 3, 2)
         assert cls.contains(g1 + g2)
         assert cls.contains(g1 * g2)  # entrywise product of SPD stays SPD
         assert cls.contains(np.linalg.inv(g1))
 
     def test_vertex_and_sign_pattern_closures(self, rng):
         vx = ds.VertexDiagonal()
-        g1, g2 = (vx.sample_checked(rng, 3) for _ in range(2))
+        g1, g2 = vx.sample_batch(rng, 3, 2)
         assert vx.contains(g1 @ g2)
         assert vx.contains(np.linalg.inv(g1))
         sp_cls = ds.SignPatternDiagonal((1, -1, 1))
-        h1, h2 = (sp_cls.sample_checked(rng, 3) for _ in range(2))
+        h1, h2 = sp_cls.sample_batch(rng, 3, 2)
         assert sp_cls.contains(h1 + h2)
 
     def test_alpha_scalar_group(self, rng):
         cls = ds.AlphaScalar(((0, 1), (2,)))
-        g1, g2 = (cls.sample_checked(rng, 3) for _ in range(2))
+        g1, g2 = cls.sample_batch(rng, 3, 2)
         assert cls.contains(g1 @ g2)
         assert cls.contains(g1 + g2)
         assert cls.contains(np.linalg.inv(g1))
@@ -273,6 +286,17 @@ class TestApplyOp:
         g = np.tile(np.eye(2), (2, 2))
         out = ds.apply_op(ds.BlockHadamardProduct(2), g, a)
         assert np.allclose(out, a)
+
+    @pytest.mark.parametrize("op", [
+        ds.Multiply(), ds.Add(), ds.HadamardProduct(),
+        ds.BlockHadamardProduct(1), ds.BlockHadamardProduct(2)],
+        ids=lambda op: f"{op.name}-{getattr(op, 'block', '')}".rstrip("-"))
+    def test_stack_is_the_stack_of_single_products(self, op, rng):
+        # falsify screens a whole batch with one apply on the stack
+        a = rng.normal(size=(4, 4))
+        gs = rng.normal(size=(9, 4, 4))
+        single = np.stack([op.apply(g, a) for g in gs])
+        assert op.apply(gs, a).tobytes() == single.tobytes()
 
 
 class TestFalsify:
@@ -305,6 +329,21 @@ class TestFalsify:
         w = v.witness
         assert w.g is not None  # a concrete scaled witness exists here
         assert abs(w.eigenvalue) >= 1.0 - 1e-8
+
+    def test_unbounded_witness_replays_without_negative_zeros(self):
+        # the witness is a sampled member, scaled: its off-diagonal zeros
+        # are the sampler's +0.0, and its product replays
+        a = -0.5 * np.eye(3)
+        v = ds.falsify(a, ds.NegativeDiagonal(), ds.Add(), Disk(0.0, 1.0),
+                       samples=10, seed=0)
+        assert v.refuted and v.witness.note == "unbounded-class-scaling"
+        g = v.witness.g
+        assert not np.signbit(g[g == 0.0]).any()
+        assert ds.NegativeDiagonal().contains(g)
+        assert np.array_equal(ds.Add().apply(g, a), v.witness.realized)
+        z = v.witness.eigenvalue
+        assert min(abs(np.linalg.eigvals(v.witness.realized) - z)) <= 1e-12
+        assert abs(z) >= 1.0
 
     def test_unbounded_interval_class_triggers_guard(self):
         cls = ds.IntervalDiagonal((0.5, 0.5), (np.inf, np.inf))
