@@ -50,7 +50,7 @@ from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       decay_horizon, default_tol, eigenvalues, gershgorin,
                       region_stable, simulate_decay, spectral_abscissa)
 
-SCHEMA = "matstab-report/6"
+SCHEMA = "matstab-report/7"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")
@@ -442,8 +442,7 @@ class _SharedWork:
     """Work that several checks of one request share, each done at most once.
 
     Every result is computed on first use.  A computation that raises is
-    not cached, so it raises again in every check that asks for it; only
-    the cyclic-form detection keeps its error.
+    not cached, so it raises again in every check that asks for it.
     """
 
     def __init__(self, a, budget):
@@ -489,15 +488,6 @@ class _SharedWork:
     @cached_property
     def half_plane_search(self):
         return lyapunov.diagonal_stability_search(self.a, budget=self.budget)
-
-    @cached_property
-    def cyclic(self):
-        """One ``detect_cyclic(A)`` call as ``(form, error)``: a failing
-        detection runs once and errs once, under secant-criterion."""
-        try:
-            return special_forms.detect_cyclic(self.a), None
-        except Exception as exc:
-            return None, exc
 
 
 class _Context:
@@ -561,22 +551,13 @@ def _necessary(ctx):
     return verdict, verdict.refuted, None
 
 
-def _secant(ctx):
-    form, error = ctx.shared.cyclic
-    if error is not None:
-        raise error
-    verdict = special_forms.secant_criterion(form)
-    # Proved decides the triple via diagonal stability; Refuted only
-    # denies diagonal stability, not D-stability.
-    return (verdict, verdict.proved and ctx.triple in _DIAG_DECIDED,
-            {"alpha": list(form.alpha), "beta": list(form.beta)})
-
-
 def _single_circuit(ctx):
     try:
         verdict = special_forms.single_circuit_criterion(ctx.request.matrix)
     except ValueError:
         return None
+    # Proved decides the triple via diagonal stability; Refuted only
+    # denies diagonal stability, not D-stability.
     return verdict, verdict.proved and ctx.triple in _DIAG_DECIDED, None
 
 
@@ -737,10 +718,8 @@ CHECKS = (
                                   "additive-d-stability")
                      and c.n <= MINOR_ENUM_CAP),
           _necessary),
-    Check("secant-criterion", "cyclic feedback gain bound", "structural",
-          lambda c: c.shared.cyclic != (None, None), _secant),
-    Check("single-circuit", "circuit gain bound", "structural",
-          lambda c: c.shared.cyclic == (None, None), _single_circuit),
+    Check("single-circuit", "circuit gain bound", "structural", None,
+          _single_circuit),
     # decides exactly when self-stability does, so it only cross-checks
     Check("li-wang", "second additive compound equivalence", "structural",
           lambda c: c.half_plane and c.n >= 2, _li_wang, exhaustive=True),
@@ -790,7 +769,7 @@ def run(request):
     Checks share work through a per-request :class:`_SharedWork`: the
     spectrum of A, one principal-minor sweep of A (the minors of -A are
     derived from it), one pairwise sign-symmetry sweep, ``classify`` of A
-    and of -A, the half-plane diagonal search and the cyclic form.
+    and of -A and the half-plane diagonal search.
     """
     convention_note = "analysis in the hurwitz convention"
     if request.convention == "positive":
@@ -907,8 +886,16 @@ def emit(report, fmt="json"):
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed flag is a usage error (exit 1), not argparse's exit 2,
+    the exit code of a Refuted summary."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="matstab",
         description="Stability-region membership, class-robust stability "
                     "criteria and Lyapunov-type certificates for dense "
@@ -950,9 +937,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.seed is None:
             env = os.environ.get("MATSTAB_SEED", "0")
             try:

@@ -1,8 +1,8 @@
 """Structure-specific stability criteria.
 
-Cyclic feedback forms and their exact secant bound, the single-circuit
-gain criterion, and the block companion matrices of second-order
-systems.
+The single-circuit gain criterion, which decides every cyclic feedback
+form; those forms and their secant bound, the same decision for one
+fixed circuit; and the block companion matrices of second-order systems.
 """
 
 import math
@@ -14,7 +14,7 @@ from .matrix_core import as_matrix, classify
 from .spectra import Status, Verdict
 
 __all__ = [
-    "CyclicForm", "CompanionPair", "detect_cyclic", "secant_criterion",
+    "CyclicForm", "CompanionPair", "secant_criterion",
     "single_circuit_criterion", "build_companion", "companion_ndd_stable",
     "companion_ndd_d_stable",
 ]
@@ -48,27 +48,6 @@ class CyclicForm:
         return m
 
 
-def detect_cyclic(a):
-    """Extract the cyclic feedback form, or None when the pattern fails."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    if n < 2:
-        return None
-    tol = 1e-12 * (1.0 + abs(a).max())
-    mask = np.zeros_like(a, dtype=bool)
-    idx = np.arange(n)
-    mask[idx, idx] = True
-    mask[idx[1:], idx[:-1]] = True
-    mask[0, n - 1] = True
-    if np.abs(a[~mask]).max(initial=0.0) > tol:
-        return None
-    alpha = -np.diag(a)
-    beta = np.append(a[idx[1:], idx[:-1]], -a[0, n - 1])
-    if (alpha <= tol).any() or (beta <= tol).any():
-        return None
-    return CyclicForm(tuple(alpha), tuple(beta))
-
-
 def secant_criterion(form):
     """Exact diagonal-stability decision for the cyclic feedback form.
 
@@ -88,23 +67,23 @@ def secant_criterion(form):
 def single_circuit_criterion(a):
     """Exact diagonal-stability decision when the graph is one circuit.
 
-    Rows are first normalized by |a_ii| so the diagonal becomes -1; the
+    The graph joins i to j where |a_ij| exceeds 1e-12 * (1 + max|A|).
+    Rows are normalized by |a_ii| so the diagonal becomes -1; the
     criterion compares the circuit gain |gamma| against cos^n(pi/n) for a
-    negative circuit and 1 for a positive one.
+    negative circuit and 1 for a positive one.  A cyclic form has
+    gamma = -prod(beta)/prod(alpha), so this is its secant bound.
     """
     a = as_matrix(a)
     n = a.shape[0]
     tol = 1e-12 * (1.0 + abs(a).max())
     d = np.diag(a)
-    if (np.abs(d) <= tol).any():
-        raise ValueError("zero diagonal entry; cannot normalize to -1")
-    m = a / np.abs(d)[:, None]
-    if not np.allclose(np.diag(m), -1.0, atol=1e-9):
-        raise ValueError("diagonal is not -1 after row scaling")
+    if (d >= -tol).any():
+        raise ValueError("diagonal entry not negative; cannot normalize to -1")
+    m = a / -d[:, None]
 
     succ = []
     for i in range(n):
-        row = [j for j in range(n) if j != i and abs(m[i, j]) > tol]
+        row = [j for j in range(n) if j != i and abs(a[i, j]) > tol]
         if len(row) != 1:
             raise ValueError("graph is not a single circuit")
         succ.append(row[0])

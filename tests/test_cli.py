@@ -186,8 +186,8 @@ class TestRun:
         from matstab import lyapunov as ly
         m = [[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
         report = cli.run(request_for(m, exhaustive=True))
-        secant = [c for c in report.checks if c.check == "secant-criterion"]
-        assert secant and secant[0].verdict.proved
+        circuit = [c for c in report.checks if c.check == "single-circuit"]
+        assert circuit and circuit[0].verdict.proved and circuit[0].decides
         assert report.summary_status is Status.PROVED
         # a diagonal certificate is attached and re-verifies
         certs = [c.verdict.witness for c in report.checks
@@ -706,7 +706,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/6"
+        assert payload["schema"] == "matstab-report/7"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -796,18 +796,31 @@ class TestMain:
                    if c["check"] == "symmetric-part")
         assert sym["decides_request"] is True
 
-    @pytest.mark.parametrize("argv", [
-        ["--format", "json", "--", "-1,-1;1,-1"],  # infinite secant bound
-        ["--mode", "falsify,simulate", "--simulate-horizon", "5000",
-         "--format", "json", "1,-4;1,-2"],  # infinite growth ratio
-    ])
-    def test_json_report_is_strict_rfc8259(self, capsys, argv):
+    def test_json_report_is_strict_rfc8259(self, capsys):
         def reject(name):
             raise ValueError(f"non-RFC 8259 constant {name}")
 
-        cli.main(argv)
+        # the witness trajectory's growth ratio overflows to infinity
+        cli.main(["--mode", "falsify,simulate", "--simulate-horizon", "5000",
+                  "--format", "json", "1,-4;1,-2"])
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert "Infinity" in json.dumps(payload)
+
+    @pytest.mark.parametrize("flag", ["--seed=abc", "--samples=x",
+                                      "--format=xml", "--no-such-flag"])
+    def test_malformed_flag_is_a_usage_error(self, capsys, flag):
+        # argparse's own exit code, 2, is that of a Refuted summary
+        assert cli.main([flag, "--", "-1,0;0,-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("matstab: error: ")
+        assert captured.err.count("\n") == 1 and "usage:" not in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: matstab")
 
     def test_json_format_flag(self, tmp_path, capsys):
         f = tmp_path / "m.json"
@@ -815,7 +828,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/6"
+        assert json.loads(out)["schema"] == "matstab-report/7"
 
 
 def _isinstance_triple(request):
@@ -936,37 +949,20 @@ class TestCheckTable:
         assert "diagonal-certificate" not in [c.check for c in report.checks]
         assert not {"structural", "certificates"} & set(errors)
 
-    def test_one_cyclic_form_per_request(self, monkeypatch):
-        calls = [0]
-        detect = special_forms.detect_cyclic
-
-        def counting(a):
-            calls[0] += 1
-            return detect(a)
-
-        monkeypatch.setattr(special_forms, "detect_cyclic", counting)
-        m = [[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
-        report = cli.run(request_for(m, samples=100, budget=100))
-        assert "secant-criterion" in [c.check for c in report.checks]
-        cli.run(request_for(-np.eye(3) + 0.1, samples=100, budget=100))
-        assert calls[0] == 2
-
-    def test_failing_cyclic_detection_errs_once(self, monkeypatch):
-        calls = [0]
-
+    def test_failing_circuit_criterion_errs_once(self, monkeypatch):
         def failing(a):
-            calls[0] += 1
-            raise RuntimeError("detection failed")
+            raise RuntimeError("circuit test failed")
 
-        monkeypatch.setattr(special_forms, "detect_cyclic", failing)
-        report = cli.run(request_for(-np.eye(3) + 0.1, samples=100,
-                                     budget=100, exhaustive=True))
-        assert calls[0] == 1
+        monkeypatch.setattr(special_forms, "single_circuit_criterion",
+                            failing)
+        m = [[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
+        report = cli.run(request_for(m, samples=100, budget=100,
+                                     exhaustive=True))
         errors = [c.check for c in report.checks
                   if c.verdict.reason.startswith("check-error")]
-        assert errors == ["secant-criterion"]
-        assert "single-circuit" not in [c.check for c in report.checks]
+        assert errors == ["single-circuit"]
         assert "li-wang" in [c.check for c in report.checks]
+        assert report.summary_status is Status.PROVED
 
 
 class TestExactMinorChecks:

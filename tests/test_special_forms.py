@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matstab import cli
 from matstab import dstability as ds
 from matstab import lyapunov as ly
 from matstab import special_forms as sf
@@ -11,29 +14,80 @@ from matstab.spectra import HalfPlaneLeft, Status
 from conftest import multiset_close, random_ndd
 
 
-class TestCyclicDetection:
+class TestCircuitOfCyclicForms:
     def test_unit_form(self):
-        form = sf.CyclicForm((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
-        found = sf.detect_cyclic(form.matrix())
-        assert found is not None
-        assert np.allclose(found.alpha, 1.0)
-        assert np.allclose(found.beta, 1.0)
-
-    def test_diagonal_is_not_cyclic(self):
-        assert sf.detect_cyclic(np.diag([-1.0, -2.0])) is None
+        v = sf.single_circuit_criterion(
+            sf.CyclicForm((1.0,) * 3, (1.0,) * 3).matrix())
+        assert v.proved
+        assert np.isclose(v.witness["gamma"], -1.0)
+        assert np.isclose(v.witness["value"], 0.125)
 
     def test_off_pattern_entry(self):
         m = sf.CyclicForm((1.0,) * 3, (1.0,) * 3).matrix()
         m[0, 1] = 0.3
-        assert sf.detect_cyclic(m) is None
+        with pytest.raises(ValueError, match="single circuit"):
+            sf.single_circuit_criterion(m)
 
     def test_roundtrip_random(self, rng):
         for n in (2, 3, 5):
-            alpha = tuple(rng.uniform(0.5, 2.0, n))
-            beta = tuple(rng.uniform(0.5, 2.0, n))
-            found = sf.detect_cyclic(sf.CyclicForm(alpha, beta).matrix())
-            assert np.allclose(found.alpha, alpha)
-            assert np.allclose(found.beta, beta)
+            alpha = rng.uniform(0.5, 2.0, n)
+            beta = rng.uniform(0.5, 2.0, n)
+            form = sf.CyclicForm(tuple(alpha), tuple(beta))
+            v = sf.single_circuit_criterion(form.matrix())
+            assert np.isclose(v.witness["gamma"], -beta.prod() / alpha.prod())
+
+
+def _spread(logs, delta):
+    """Add ``delta`` to sum(logs), keeping each entry in [-7, 7].
+
+    Returns the new entries and the part of ``delta`` that did not fit.
+    """
+    out = []
+    for x in logs:
+        step = min(max(delta, -7.0 - x), 7.0 - x)
+        out.append(x + step)
+        delta -= step
+    return out, delta
+
+
+@st.composite
+def cyclic_cases(draw):
+    """A cyclic form, alpha and beta log-uniform in [e^-7, e^7], and its
+    matrix, possibly with off-pattern entries under the circuit band."""
+    n = draw(st.integers(2, 8))
+    logs = st.lists(st.floats(-7.0, 7.0), min_size=n, max_size=n)
+    u, v = draw(logs), draw(logs)
+    if n > 2 and draw(st.booleans()):
+        # a gain ratio within 5% of the secant bound, but not on it
+        rel = draw(st.floats(1e-3, 0.05)) * draw(st.sampled_from((-1, 1)))
+        target = -n * math.log(math.cos(math.pi / n)) + math.log1p(rel)
+        v, rest = _spread(v, target - (sum(v) - sum(u)))
+        u, _ = _spread(u, -rest)
+    form = sf.CyclicForm(tuple(np.exp(u)), tuple(np.exp(v)))
+    m = form.matrix()
+    if draw(st.booleans()):
+        band = 0.9e-12 * (1.0 + abs(m).max())
+        noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                              max_size=n * n))
+        m = m + band * np.where(m == 0.0, np.reshape(noise, (n, n)), 0.0)
+    return form, m
+
+
+class TestCircuitDecidesCyclicForms:
+    @given(cyclic_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_single_circuit_is_the_secant_decision(self, case):
+        form, m = case
+        status = sf.secant_criterion(form).status
+        assert sf.single_circuit_criterion(m).status is status
+        # self-stability may refute first; --exhaustive keeps the row
+        for exhaustive in (False, True):
+            report = cli.run(cli.AnalysisRequest(
+                matrix=m, modes=("structural",), exhaustive=exhaustive))
+            assert b"secant" not in cli.emit(report, "json")
+        records = [c for c in report.checks if c.check == "single-circuit"]
+        assert [c.verdict.status for c in records] == [status]
+        assert records[0].decides == (status is Status.PROVED)
 
 
 class TestSecant:
