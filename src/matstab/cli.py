@@ -14,6 +14,10 @@ to the request (through its canonical region/class/operation triple) and
 how to run it.  :func:`run` walks the table in order; it alone times the
 checks, builds their records and keeps the summary.  A check that raises
 is recorded under its own id as ``check-error``, and the rest still run.
+Work that several checks read is done once per request
+(:class:`_SharedWork`).  The class flags are computed once, of ``-A``,
+the positive-convention matrix that every check reading them tests, and
+the ``classify`` row reports those flags.
 
 The summary is the first deciding check that is not Unknown.  Once it is
 Proved or Refuted, :func:`run` skips the rest of the table: no later
@@ -50,7 +54,7 @@ from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       decay_horizon, default_tol, eigenvalues, gershgorin,
                       region_stable, simulate_decay, spectral_abscissa)
 
-SCHEMA = "matstab-report/7"
+SCHEMA = "matstab-report/8"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")
@@ -471,19 +475,9 @@ class _SharedWork:
         return matrix_core.negate_minors(self.minors)
 
     @cached_property
-    def sign_symmetry(self):
-        """``sign_symmetry_sweep(A)``, which is also that of -A."""
-        return matrix_core.sign_symmetry_sweep(self.a)
-
-    @cached_property
     def classification(self):
-        return matrix_core.classify(self.a, minors=self.minors,
-                                    sign_symmetry=self.sign_symmetry)
-
-    @cached_property
-    def neg_classification(self):
-        return matrix_core.classify(-self.a, minors=self.neg_minors(),
-                                    sign_symmetry=self.sign_symmetry)
+        """``classify(-A)``, the convention of every check that reads it."""
+        return matrix_core.classify(-self.a, minors=self.neg_minors())
 
     @cached_property
     def half_plane_search(self):
@@ -523,11 +517,8 @@ class _Context:
 # so that rebinding a module attribute (a tracer, a test) reaches them.
 
 def _classify(ctx):
-    try:
-        flags = ctx.shared.classification.flags()
-    except ValueError as exc:
-        return Verdict(Status.UNKNOWN, f"skipped: {exc}"), False, None
-    return Verdict(Status.UNKNOWN, "informational"), False, {"flags": flags}
+    return (Verdict(Status.UNKNOWN, "informational"), False,
+            {"flags": ctx.shared.classification.flags()})
 
 
 def _gershgorin(ctx):
@@ -573,7 +564,7 @@ def _interval_box(ctx):
     try:
         verdict = polynomials.kosov_interval_dstability(
             -ctx.request.matrix, np.asarray(g.d_min), np.asarray(g.d_max),
-            classification=ctx.shared.neg_classification)
+            classification=ctx.shared.classification)
     except ValueError as exc:
         return Verdict(Status.UNKNOWN, f"premise-fails: {exc}"), False, None
     return verdict, verdict.proved, None
@@ -609,7 +600,7 @@ def _symmetric_part(ctx):
 def _sufficient_suite(ctx):
     suite = ds.sufficient_suite(
         -ctx.request.matrix, budget=ctx.request.budget,
-        classification=ctx.shared.neg_classification,
+        classification=ctx.shared.classification,
         search=ctx.shared.half_plane_search)
     fired = [name for name, v in suite if v.proved]
     wit = next((v.witness for _, v in suite if v.proved
@@ -707,7 +698,7 @@ Check = collections.namedtuple("Check",
 # check has something to say about the request (None: always); an
 # ``exhaustive`` check runs only in an exhaustive request.
 CHECKS = (
-    Check("classify", "determinantal class flags", "classify", None,
+    Check("classify", "determinantal class flags of -A", "classify", None,
           _classify),
     Check("gershgorin", "row disc localization", "classify", None,
           _gershgorin),
@@ -768,8 +759,8 @@ def run(request):
     except those of EXTRA_MODES; an exhaustive request runs them all.
     Checks share work through a per-request :class:`_SharedWork`: the
     spectrum of A, one principal-minor sweep of A (the minors of -A are
-    derived from it), one pairwise sign-symmetry sweep, ``classify`` of A
-    and of -A and the half-plane diagonal search.
+    derived from it), one ``classify`` of -A and the half-plane diagonal
+    search.
     """
     convention_note = "analysis in the hurwitz convention"
     if request.convention == "positive":

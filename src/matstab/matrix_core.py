@@ -10,17 +10,17 @@ per order.
 the ``(C(n, k), k)`` intp array of index sets in
 ``itertools.combinations`` order (built in numpy) and the ``(C(n, k),)``
 float array of their determinants, is computed when a reader first
-reaches it, so the P / P0 / P0+ screens and the minor-sign necessity,
-which stop at their first failing order, never sweep the orders above.
+reaches it, so the P / P0 screens and the minor-sign necessity, which
+stop at their first failing order, never sweep the orders above.
 Each order takes the determinants of its stacked k x k principal
 submatrices in one ``np.linalg.det`` call, bit for bit the values of a
 per-submatrix loop.  The minors of ``-A`` need no second sweep: an
 order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, bit for bit
 for every nonzero minor (:func:`negate_minors`).  The screens read each
 order's arrays, never the pairs; an order's sum is a left-to-right
-running total (:func:`_running_sum`).  :func:`compound` is the gather
-for all order-k minors, one batched ``np.linalg.det`` per row; the
-sign-symmetry sweep reads it.
+running total (:func:`_running_sum`).
+:func:`classify` reports only the class flags that a pipeline check
+reads; the pipeline classifies ``-A``, once per request.
 :func:`exact_det_sign` gives a determinant's sign in exact integer
 arithmetic; refutations by a minor sign use it to confirm what the
 floating-point screen found.
@@ -32,17 +32,15 @@ from itertools import combinations
 import numpy as np
 
 __all__ = [
-    "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "block_hadamard", "compound",
+    "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "block_hadamard",
     "additive_compound_2", "comparison_matrix", "w_map", "MinorTable",
     "principal_minors", "negate_minors", "exact_det_sign", "leading_minors",
     "is_z_matrix", "is_m_matrix", "ClassReport", "classify",
-    "sign_symmetry_sweep",
 ]
 
 # Full principal-minor enumeration grows as 2^n; beyond this cap classify
 # degrades to the flags computable without enumeration.
 MINOR_ENUM_CAP = 14
-_PAIRWISE_MINOR_CAP = 8
 
 
 def as_matrix(a):
@@ -79,18 +77,6 @@ def block_hadamard(h, g, block):
             c = slice(j * block, (j + 1) * block)
             out[r, c] = h[r, c] @ g[r, c]
     return out
-
-
-def compound(a, j):
-    """j-th multiplicative compound: all j x j minors in lexicographic order."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    if not 1 <= j <= n:
-        raise ValueError(f"compound order must be in 1..{n}, got {j}")
-    sets = np.array(list(combinations(range(n), j)))
-    # row alpha: one det over the stack of a[alpha, beta] for every beta
-    return np.array([np.linalg.det(a[alpha[:, None], sets[:, None, :]])
-                     for alpha in sets])
 
 
 def additive_compound_2(a):
@@ -285,29 +271,19 @@ def is_m_matrix(a):
 
 @dataclass
 class ClassReport:
-    """Boolean class flags with a witness for every decided-false flag.
+    """The class flags that the pipeline's checks read.
 
     Flags left ``None`` were not decidable (minor enumeration capped).
-    The flag lattice ``m_matrix => z & p``, ``p => p0_plus => p0`` and
-    ``h_plus => h_matrix`` holds by construction.
+    A false ``p`` or ``p0`` has its first failing minor as a witness.
+    The flag lattice ``m_matrix => p => p0`` holds by construction.
     """
 
-    z: bool = field(default=None, init=False)
-    metzler: bool = field(default=None, init=False)
     p: bool = field(default=None, init=False)
     p0: bool = field(default=None, init=False)
-    p0_plus: bool = field(default=None, init=False)
     m_matrix: bool = field(default=None, init=False)
-    hicksian: bool = field(default=None, init=False)
     strict_row_dd: bool = field(default=None, init=False)
     strict_col_dd: bool = field(default=None, init=False)
-    ndd: bool = field(default=None, init=False)
-    pdd: bool = field(default=None, init=False)
     tridiagonal: bool = field(default=None, init=False)
-    normal: bool = field(default=None, init=False)
-    sign_symmetric: bool = field(default=None, init=False)
-    h_matrix: bool = field(default=None, init=False)
-    h_plus: bool = field(default=None, init=False)
     witnesses: dict = field(default_factory=dict)
 
     def flags(self):
@@ -315,122 +291,47 @@ class ClassReport:
                 if f.name != "witnesses"}
 
 
-def _p_flags(norm, minors, witnesses, prefix=""):
-    """P / P0 / P0+ flags of a matrix from its full principal-minor table
-    and its infinity norm."""
-    p_wit = p0_wit = q_wit = None
+def _p_flags(norm, minors, witnesses):
+    """P / P0 flags of a matrix from its full principal-minor table and
+    its infinity norm."""
+    p_wit = p0_wit = None
     for k, (sets, values) in enumerate(minors.orders, start=1):
         tol = minor_tol(norm, k)
         if p_wit is None:
             p_wit = _first_minor(sets, values, values <= tol)
         p0_wit = _first_minor(sets, values, values < -tol)
         if p0_wit is not None:
-            break  # a P0 failure is a P failure and the P0+ witness
-        if q_wit is None:
-            s = _running_sum(values)
-            if s <= tol:
-                q_wit = {"order": k, "sum": s}
-    for flag, wit in (("p", p_wit), ("p0", p0_wit),
-                      ("p0_plus", p0_wit or q_wit)):
+            break  # a P0 failure is a P failure
+    for flag, wit in (("p", p_wit), ("p0", p0_wit)):
         if wit is not None:
-            witnesses[prefix + flag] = wit
-    return p_wit is None, p0_wit is None, p0_wit is None and q_wit is None
+            witnesses[flag] = wit
+    return p_wit is None, p0_wit is None
 
 
-def classify(a, minors=None, sign_symmetry=None):
-    """Full class report for a dense square matrix.
+def classify(a, minors=None):
+    """The class flags of a dense square matrix that the pipeline reads.
 
-    Minor-based flags need 2^n principal minors and are reported as
-    ``None`` beyond n = 14; the pairwise sign-symmetry sweep is further
-    capped at n = 8.  ``minors``, when given, is ``principal_minors(a)``;
-    the Hicksian flag reads the same table negated, so one sweep serves
-    both.  ``sign_symmetry``, when given, is ``sign_symmetry_sweep`` of
-    ``a`` or of ``-a``, which agree.  Generalized diagonal dominance (the
-    NDD / PDD and H-matrix flags) is decided through the M-matrix test on
-    the comparison matrix.
+    Strict row and column diagonal dominance and the tridiagonal pattern
+    read the entries; P, P0 and the M-matrix flag (a Z-matrix that is P)
+    need 2^n principal minors and are reported as ``None`` beyond
+    n = 14.  ``minors``, when given, is ``principal_minors(a)``.
     """
     a = as_matrix(a)
-    n = a.shape[0]
     w = {}
     rep = ClassReport(witnesses=w)
-    norm = np.linalg.norm(a, np.inf)  # that of -A too
+    norm = np.linalg.norm(a, np.inf)
     tol1 = minor_tol(norm, 1)
-    off = a - np.diag(np.diag(a))
-
-    rep.z = bool((off <= tol1).all())
-    if not rep.z:
-        i, j = np.unravel_index(np.argmax(off), off.shape)
-        w["z"] = {"entry": (int(i), int(j)), "value": float(a[i, j])}
-    rep.metzler = bool((off >= -tol1).all())
-    if not rep.metzler:
-        i, j = np.unravel_index(np.argmin(off), off.shape)
-        w["metzler"] = {"entry": (int(i), int(j)), "value": float(a[i, j])}
-
-    radii = abs(off).sum(axis=1)
     diag = np.diag(a)
-    rep.strict_row_dd = bool((abs(diag) > radii + tol1).all())
-    if not rep.strict_row_dd:
-        i = int(np.argmin(abs(diag) - radii))
-        w["strict_row_dd"] = {"row": i, "diag": float(diag[i]),
-                              "radius": float(radii[i])}
-    col_radii = abs(off).sum(axis=0)
-    rep.strict_col_dd = bool((abs(diag) > col_radii + tol1).all())
-    if not rep.strict_col_dd:
-        i = int(np.argmin(abs(diag) - col_radii))
-        w["strict_col_dd"] = {"column": i, "diag": float(diag[i]),
-                              "radius": float(col_radii[i])}
+    off = a - np.diag(diag)
 
+    rep.strict_row_dd = bool((abs(diag) > abs(off).sum(axis=1) + tol1).all())
+    rep.strict_col_dd = bool((abs(diag) > abs(off).sum(axis=0) + tol1).all())
     rep.tridiagonal = bool((abs(np.triu(a, 2)) <= tol1).all()
                            and (abs(np.tril(a, -2)) <= tol1).all())
-    rep.normal = bool(np.allclose(a @ a.T, a.T @ a,
-                                  atol=1e-10 * (1.0 + np.linalg.norm(a) ** 2)))
 
-    rep.h_matrix = is_m_matrix(comparison_matrix(a))
-    rep.h_plus = rep.h_matrix and bool((diag >= -tol1).all())
-    gdd = rep.h_matrix  # generalized diagonal dominance, same test
-    rep.ndd = gdd and bool((diag < -tol1).all())
-    rep.pdd = gdd and bool((diag > tol1).all())
-
-    if n <= MINOR_ENUM_CAP:
+    if a.shape[0] <= MINOR_ENUM_CAP:
         if minors is None:
             minors = principal_minors(a)
-        rep.p, rep.p0, rep.p0_plus = _p_flags(norm, minors, w)
-        rep.hicksian, _, _ = _p_flags(norm, negate_minors(minors), w,
-                                      prefix="hicksian:")
-        rep.m_matrix = rep.z and rep.p
-        if not rep.m_matrix:
-            w.setdefault("m_matrix", w.get("z") or w.get("p"))
-    if sign_symmetry is None:
-        sign_symmetry = sign_symmetry_sweep(a)
-    rep.sign_symmetric, wit = sign_symmetry
-    if wit is not None:
-        w["sign_symmetric"] = wit
+        rep.p, rep.p0 = _p_flags(norm, minors, w)
+        rep.m_matrix = rep.p and bool((off <= tol1).all())
     return rep
-
-
-def sign_symmetry_sweep(a):
-    """Pairwise sign symmetry: ``(flag, witness)``, ``(None, None)`` past n = 8.
-
-    Fails at the first pair of distinct equal-order index sets whose
-    (alpha, beta) and (beta, alpha) minors have a product below
-    ``-minor_tol(norm, 2k)``, ``norm`` the infinity norm of ``a``.  The
-    sweep of ``-A`` gives the same pair and the same product bit for
-    bit: both minors flip sign by ``(-1)^k``, and the norm is unchanged.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if n > _PAIRWISE_MINOR_CAP:
-        return None, None
-    norm = np.linalg.norm(a, np.inf)
-    for k in range(1, n):
-        c = compound(a, k)
-        # upper-triangle pairs in row-major order are combinations(sets, 2)
-        p, q = np.triu_indices(c.shape[0], 1)
-        prod = c[p, q] * c[q, p]
-        bad = np.flatnonzero(prod < -minor_tol(norm, 2 * k))
-        if bad.size:
-            sets = list(combinations(range(n), k))
-            first = bad[0]
-            return False, {"rows": sets[p[first]], "cols": sets[q[first]],
-                           "product": float(prod[first])}
-    return True, None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_matrix, classify
+from .matrix_core import MINOR_ENUM_CAP, as_matrix, classify
 from .spectra import Status, Verdict
 
 __all__ = [
@@ -222,6 +222,9 @@ def kosov_interval_dstability(a, d_min, d_max, classification=None):
     if not ((d_min > 0).all() and (d_min <= d_max).all() and np.isfinite(d_max).all()):
         raise ValueError("need componentwise 0 < d_min <= d_max < inf")
     rep = classify(a) if classification is None else classification
+    if rep.p0 is None:
+        raise ValueError("P0 is undecided past the minor enumeration cap"
+                         f" n = {MINOR_ENUM_CAP}")
     if not rep.p0:
         raise ValueError("matrix must be P0 for the interval reduction;"
                          f" witness minor {rep.witnesses.get('p0')}")

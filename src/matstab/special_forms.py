@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_matrix, classify
+from .matrix_core import (as_matrix, comparison_matrix, is_m_matrix,
+                          minor_tol)
 from .spectra import Status, Verdict
 
 __all__ = [
@@ -150,7 +151,11 @@ def companion_ndd_stable(a, b):
         return Verdict(Status.UNKNOWN, "companion-diagonal-of-A-not-negative")
     if not _negative_diagonal(b, tol):
         return Verdict(Status.UNKNOWN, "companion-B-not-negative-diagonal")
-    if not classify(a).ndd:
+    # NDD: the comparison matrix is an M-matrix (generalized diagonal
+    # dominance) and the diagonal is negative
+    band = minor_tol(np.linalg.norm(a, np.inf), 1)
+    if not (is_m_matrix(comparison_matrix(a))
+            and (np.diag(a) < -band).all()):
         return Verdict(Status.UNKNOWN, "companion-A-not-ndd")
     return Verdict(Status.PROVED, "companion-ndd-stable")
 

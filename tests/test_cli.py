@@ -220,6 +220,17 @@ class TestRun:
         assert boxes and boxes[0].verdict.proved
         assert report.summary_status is Status.PROVED
 
+    def test_interval_box_past_the_minor_cap_names_the_cap(self):
+        # -A is a triangular P-matrix, but P0 is not decided past n = 14
+        a = np.diag(np.full(15, -3.0)) + np.diag(np.full(14, 0.5), 1)
+        report = cli.run(request_for(
+            a, class_spec="interval-diagonal:" + ",".join(["0.5/2"] * 15),
+            samples=100, budget=100, exhaustive=True))
+        box = next(c for c in report.checks if c.check == "interval-box")
+        assert box.verdict.reason == ("premise-fails: P0 is undecided past "
+                                      "the minor enumeration cap n = 14")
+        assert not box.decides
+
     def test_region_class_and_op_come_from_the_specs(self):
         # the report names the specs, so a request cannot carry other objects
         with pytest.raises(TypeError):
@@ -449,29 +460,33 @@ class TestSharedWork:
                 for c in report.checks] == checks
         assert (report.summary_status.value, report.summary_reason) == summary
 
+    @pytest.mark.parametrize("class_spec", [
+        "positive-diagonal", "interval-diagonal:" + ",".join(["0.5/2"] * 8)])
     @pytest.mark.parametrize("matrix", [
-        -8.0 * np.eye(8) + 0.3 * np.ones((8, 8)),  # no pair fails
+        -8.0 * np.eye(8) + 0.3 * np.ones((8, 8)),
         HURWITZ_8_UNDECIDED, HURWITZ_8_NOT_P0])
-    def test_one_sign_symmetry_sweep_per_request(self, monkeypatch, matrix):
-        calls = [0]
-        sweep = matrix_core.sign_symmetry_sweep
+    def test_one_classification_of_the_negation_per_request(
+            self, monkeypatch, matrix, class_spec):
+        seen = []
+        classify = matrix_core.classify
 
-        def counting(a):
-            calls[0] += 1
-            return sweep(a)
+        def counting(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return classify(a, *args, **kwargs)
 
-        monkeypatch.setattr(matrix_core, "sign_symmetry_sweep", counting)
+        monkeypatch.setattr(matrix_core, "classify", counting)
         a = np.asarray(matrix, dtype=float)
-        cli.run(request_for(a, samples=100, budget=100))
-        assert calls[0] == 1
-        shared = cli._SharedWork(a, budget=100)
-        pos, neg = shared.classification, shared.neg_classification
-        assert calls[0] == 2
+        report = cli.run(request_for(a, class_spec=class_spec, samples=100,
+                                     budget=100, exhaustive=True))
+        assert len(seen) == 1 and np.array_equal(seen[0], -a)
         monkeypatch.undo()
-        for shared_rep, alone in ((pos, matrix_core.classify(a)),
-                                  (neg, matrix_core.classify(-a))):
-            assert shared_rep.flags() == alone.flags()
-            assert shared_rep.witnesses == alone.witnesses
+        alone = matrix_core.classify(-a)
+        record = next(c for c in report.checks if c.check == "classify")
+        assert record.data == {"flags": alone.flags()}
+        # the checks that read the flags ran
+        ran = {c.check for c in report.checks}
+        assert "sufficient-suite" in ran
+        assert ("interval-box" in ran) == class_spec.startswith("interval")
 
 
 class TestFalsifyMode:
@@ -706,7 +721,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/7"
+        assert payload["schema"] == "matstab-report/8"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -828,7 +843,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/7"
+        assert json.loads(out)["schema"] == "matstab-report/8"
 
 
 def _isinstance_triple(request):

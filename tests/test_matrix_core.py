@@ -3,11 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from matstab import dstability as ds
 from matstab import matrix_core as mc
+from matstab import special_forms as sf
 
 from conftest import multiset_close, naive_det
 
@@ -50,33 +52,6 @@ class TestProducts:
     def test_block_hadamard_indivisible(self):
         with pytest.raises(ValueError):
             mc.block_hadamard(np.eye(4), np.eye(4), 3)
-
-
-class TestCompound:
-    def test_order_one_is_identity_map(self, rng):
-        a = rng.normal(size=(4, 4))
-        assert np.allclose(mc.compound(a, 1), a)
-
-    def test_full_order_is_determinant(self, rng):
-        a = rng.normal(size=(3, 3))
-        out = mc.compound(a, 3)
-        assert out.shape == (1, 1)
-        assert np.isclose(out[0, 0], np.linalg.det(a))
-
-    def test_identity_compound(self):
-        assert np.allclose(mc.compound(np.eye(3), 2), np.eye(3))
-
-    def test_cauchy_binet(self, rng):
-        for n, j in [(3, 2), (4, 2), (4, 3)]:
-            for _ in range(10):
-                a, b = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-                left = mc.compound(a, j) @ mc.compound(b, j)
-                right = mc.compound(a @ b, j)
-                assert np.allclose(left, right, atol=1e-9 * (1 + abs(right).max()))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mc.compound(np.eye(2), 3)
 
 
 class TestAdditiveCompound:
@@ -175,72 +150,196 @@ class TestMinors:
         assert bits(nonzero(swept)) == bits(nonzero(derived))
 
 
+def _reference_classify(a, minors=None):
+    """The six read flags and the P / P0 witnesses, computed as
+    ``classify`` did when it also reported ten unread flags: the P0+
+    running sum in the minor loop, M = Z and P."""
+    n = a.shape[0]
+    norm = np.linalg.norm(a, np.inf)
+    tol1 = mc.minor_tol(norm, 1)
+    off = a - np.diag(np.diag(a))
+    diag = np.diag(a)
+    flags = {"p": None, "p0": None, "m_matrix": None,
+             "strict_row_dd": bool((abs(diag) > abs(off).sum(axis=1)
+                                    + tol1).all()),
+             "strict_col_dd": bool((abs(diag) > abs(off).sum(axis=0)
+                                    + tol1).all()),
+             "tridiagonal": bool((abs(np.triu(a, 2)) <= tol1).all()
+                                 and (abs(np.tril(a, -2)) <= tol1).all())}
+    witnesses = {}
+    if n > mc.MINOR_ENUM_CAP:
+        return flags, witnesses
+
+    def first(sets, values, hit):
+        i = np.flatnonzero(hit)
+        return ({"indices": tuple(sets[i[0]].tolist()),
+                 "value": float(values[i[0]])} if i.size else None)
+
+    p_wit = p0_wit = q_wit = None
+    minors = mc.principal_minors(a) if minors is None else minors
+    for k, (sets, values) in enumerate(minors.orders, start=1):
+        tol = mc.minor_tol(norm, k)
+        if p_wit is None:
+            p_wit = first(sets, values, values <= tol)
+        p0_wit = first(sets, values, values < -tol)
+        if p0_wit is not None:
+            break
+        if q_wit is None:
+            s = 0.0
+            for x in values.tolist():
+                s += x
+            if s <= tol:
+                q_wit = {"order": k, "sum": s}
+    for flag, wit in (("p", p_wit), ("p0", p0_wit)):
+        if wit is not None:
+            witnesses[flag] = wit
+    flags["p"], flags["p0"] = p_wit is None, p0_wit is None
+    flags["m_matrix"] = bool((off <= tol1).all()) and flags["p"]
+    return flags, witnesses
+
+
+@st.composite
+def classified_inputs(draw):
+    """A for classify(-A): random, negated M-matrices, negated SPD (P but
+    not Z), tridiagonal, order-1 minors on the band, and rows within a
+    few ulps of strict dominance."""
+    n = draw(st.integers(1, 15))
+    kind = draw(st.sampled_from(["random", "m-matrix", "spd", "tridiagonal",
+                                 "band", "near-dominance"]))
+    if kind == "m-matrix":
+        from conftest import random_m_matrix
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        return -random_m_matrix(np.random.default_rng(seed), n)
+    if kind == "band":
+        # -A = diag(big, d...) with each d on the band of -A's own norm
+        big = draw(st.floats(1.0, 10.0))
+        tol1 = mc.minor_tol(big, 1)
+        return -np.diag([big] + draw(st.lists(st.sampled_from(
+            [tol1, -tol1, np.nextafter(tol1, 0.0), np.nextafter(tol1, 1.0)]),
+            min_size=n - 1, max_size=n - 1)))
+    a = draw(square(n))
+    if kind == "spd":
+        return -(a @ a.T + np.eye(n))
+    if kind == "tridiagonal":
+        return np.triu(np.tril(a, 1), -1)
+    if kind == "near-dominance":
+        # row 0 fixes the norm; each other row's diagonal is its radius
+        # plus the band, give or take a few ulps
+        np.fill_diagonal(a, 0.0)
+        radii = abs(a).sum(axis=1)
+        a[0, 0] = 10.0 * (radii.max() + 1.0)
+        tol1 = mc.minor_tol(np.linalg.norm(a, np.inf), 1)
+        for i in range(1, n):
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            a[i, i] = sign * (radii[i] + tol1)
+            for _ in range(draw(st.integers(0, 3))):
+                a[i, i] = np.nextafter(a[i, i], draw(st.sampled_from(
+                    [-np.inf, np.inf])))
+    return a
+
+
 class TestClassify:
     def test_identity(self):
         rep = mc.classify(np.eye(3))
-        assert rep.p and rep.p0_plus and rep.m_matrix
-        assert rep.normal and rep.strict_row_dd
+        assert rep.p and rep.p0 and rep.m_matrix
+        assert rep.strict_row_dd and rep.strict_col_dd and rep.tridiagonal
 
     def test_nilpotent_p0_not_p0plus(self):
-        rep = mc.classify(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert rep.p0 and not rep.p0_plus
-        assert not rep.p
+        # -A = [[0, 1], [0, 0]] is P0, not P, and its order sums vanish:
+        # the minor-sign necessity, the one P0+ test, refutes A exactly
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rep = mc.classify(nilpotent)
+        assert rep.p0 and not rep.p
+        v = ds.necessary_p0plus(-nilpotent)
+        assert v.refuted
+        assert v.reason == "p0-minor-sums-vanish-multiplicative"
 
     def test_m_matrix_via_minor_oracle(self):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
         rep = mc.classify(a)
         minors = {idx: v for idx, v in mc.principal_minors(a)}
         assert np.isclose(minors[(0, 1)], 3.0)
-        assert rep.m_matrix and rep.z and rep.p
+        assert rep.m_matrix and rep.p and rep.p0
 
     def test_witnesses_for_false_flags(self):
-        rep = mc.classify(np.array([[1.0, 5.0], [0.0, 1.0]]))
-        assert not rep.z and "z" in rep.witnesses
-        assert not rep.strict_row_dd and "strict_row_dd" in rep.witnesses
+        # only P and P0 carry a witness: their first failing minor
+        rep = mc.classify(np.array([[1.0, 5.0], [1.0, -1.0]]))
+        assert not rep.p and not rep.p0 and not rep.m_matrix
+        assert not rep.strict_row_dd
+        assert rep.witnesses == {"p": {"indices": (1,), "value": -1.0},
+                                 "p0": {"indices": (1,), "value": -1.0}}
+        rep = mc.classify(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert rep.p0 and rep.witnesses == {"p": {"indices": (0,),
+                                                  "value": 0.0}}
+
+    @given(classified_inputs())
+    @example(np.diag(np.full(15, -3.0)) + np.diag(np.full(14, 0.5), 1))
+    @settings(max_examples=120, deadline=None)
+    def test_negation_matches_the_reference(self, a):
+        flags, witnesses = _reference_classify(-a)
+        capped = a.shape[0] > mc.MINOR_ENUM_CAP
+        # the pipeline's table of -A is the negated table of A
+        table = None if capped else mc.negate_minors(mc.principal_minors(a))
+        for rep in (mc.classify(-a), mc.classify(-a, minors=table)):
+            assert rep.flags() == flags
+            assert rep.witnesses == witnesses
+        if capped:
+            assert flags["p"] is flags["p0"] is flags["m_matrix"] is None
 
     @given(square(3))
     @settings(max_examples=80, deadline=None)
     def test_flag_lattice(self, a):
         rep = mc.classify(a)
         if rep.m_matrix:
-            assert rep.z and rep.p
+            assert rep.p
         if rep.p:
-            assert rep.p0_plus
-        if rep.p0_plus:
             assert rep.p0
-        if rep.h_plus:
-            assert rep.h_matrix
-
-    @given(st.integers(1, 6).flatmap(square))
-    @settings(max_examples=60, deadline=None)
-    def test_sign_symmetry_sweep_of_negation_is_equal(self, a):
-        flag, wit = mc.sign_symmetry_sweep(a)
-        assert mc.sign_symmetry_sweep(-a) == (flag, wit)
-        if wit is not None:
-            assert wit["product"] < 0
 
     def test_ndd_pdd(self, rng):
+        # generalized diagonal dominance reads |A| only, so A and -A share
+        # it; the NDD premise of the companion criterion adds the sign
         from conftest import random_ndd
         a = random_ndd(rng, 4)
-        rep = mc.classify(a)
-        assert rep.ndd and not rep.pdd
-        rep2 = mc.classify(-a)
-        assert rep2.pdd and not rep2.ndd
+        assert mc.is_m_matrix(mc.comparison_matrix(a))
+        assert mc.is_m_matrix(mc.comparison_matrix(-a))
+        assert sf.companion_ndd_stable(a, -np.eye(4)).proved
+        assert sf.companion_ndd_stable(-a, -np.eye(4)).reason == \
+            "companion-diagonal-of-A-not-negative"
 
     def test_h_matrix_via_comparison(self):
         a = np.array([[3.0, 1.0], [-1.0, 3.0]])  # not Z, but comparison is M
-        rep = mc.classify(a)
-        assert rep.h_matrix and rep.h_plus and not rep.z
+        assert mc.is_m_matrix(mc.comparison_matrix(a))
+        assert not mc.is_z_matrix(a) and not mc.classify(a).m_matrix
 
     def test_degrades_beyond_enumeration_cap(self):
         rep = mc.classify(-np.eye(15))
-        assert rep.z is not None and rep.tridiagonal is not None
-        assert rep.p is None and rep.m_matrix is None
+        assert rep.tridiagonal and rep.strict_row_dd and rep.strict_col_dd
+        assert rep.p is None and rep.p0 is None and rep.m_matrix is None
+        assert rep.witnesses == {}
+
+    def test_decides_at_the_enumeration_cap(self):
+        # -A for A = -3 I + 0.5 (superdiagonal) is a triangular Z-matrix
+        # with positive diagonal: an M-matrix, decided at n = 14
+        n = mc.MINOR_ENUM_CAP
+        a = np.diag(np.full(n, -3.0)) + np.diag(np.full(n - 1, 0.5), 1)
+        rep = mc.classify(-a)
+        assert rep.p is rep.p0 is rep.m_matrix is True
+        assert rep.witnesses == {}
+
+    def test_given_minor_table_is_not_recomputed(self, rng, monkeypatch):
+        a = -8.0 * np.eye(5) + 0.3 * rng.random((5, 5))
+        table = mc.principal_minors(-a)
+        calls = []
+        sweep = mc.principal_minors
+        monkeypatch.setattr(mc, "principal_minors",
+                            lambda x: calls.append(x) or sweep(x))
+        assert mc.classify(-a, minors=table).flags() == \
+            mc.classify(-a).flags()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_one_norm_per_matrix(self, n, rng, monkeypatch):
-        # A (shared by -A), the comparison matrix in is_z_matrix and in
-        # is_m_matrix, and the sign-symmetry sweep: none per minor order
+        # the norm of A, none per minor order
         norms = []
         norm = np.linalg.norm
 
@@ -251,7 +350,7 @@ class TestClassify:
 
         monkeypatch.setattr(np.linalg, "norm", counting)
         mc.classify(-8.0 * np.eye(n) + 0.3 * rng.random((n, n)))
-        assert len(norms) == 4
+        assert len(norms) == 1
 
 
 class TestCompoundLink:
@@ -261,7 +360,7 @@ class TestCompoundLink:
         for n in (3, 4):
             a = rng.normal(size=(n, n))
             h = 1e-7
-            fd = (mc.compound(np.eye(n) + h * a, 2) - np.eye(len(
+            fd = (_compound_loop(np.eye(n) + h * a, 2) - np.eye(len(
                 mc.additive_compound_2(a)))) / h
             assert np.allclose(fd, mc.additive_compound_2(a),
                                atol=1e-5 * (1 + abs(a).max() ** 2))
@@ -292,19 +391,6 @@ def _additive_compound_2_loop(a):
     return out
 
 
-def _sign_symmetry_loop(a):
-    """Reference: the pair-by-pair sign-symmetry sweep."""
-    n = a.shape[0]
-    for k in range(1, n + 1):
-        for alpha, beta in combinations(combinations(range(n), k), 2):
-            m1 = np.linalg.det(a[np.ix_(alpha, beta)])
-            m2 = np.linalg.det(a[np.ix_(beta, alpha)])
-            if m1 * m2 < -mc.minor_tol(np.linalg.norm(a, np.inf), 2 * k):
-                return False, {"rows": alpha, "cols": beta,
-                               "product": float(m1 * m2)}
-    return True, None
-
-
 def same_bits(x, y):
     return np.array_equal(x, y) and np.array_equal(np.signbit(x),
                                                    np.signbit(y))
@@ -318,41 +404,12 @@ def gathered(n):
     return arrays(np.float64, (n, n), elements=_ENTRY)
 
 
-@st.composite
-def nearly_symmetric(draw, max_n=8):
-    """Raw, symmetric (the sweep runs to the end) or symmetric but one entry."""
-    n = draw(st.integers(1, max_n))
-    a = draw(gathered(n))
-    mode = draw(st.sampled_from(["raw", "symmetric", "perturbed"]))
-    if mode != "raw":
-        a = a + a.T
-    if mode == "perturbed":
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        a[i, j] += draw(st.floats(-1.0, 1.0))
-    return a
-
-
 class TestMinorGather:
     @given(st.integers(2, 15).flatmap(gathered))
     @settings(max_examples=60, deadline=None)
     def test_additive_compound_matches_loop_bit_for_bit(self, a):
         assert same_bits(mc.additive_compound_2(a), _additive_compound_2_loop(a))
 
-    @given(st.integers(1, 7).flatmap(gathered), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_compound_matches_loop_bit_for_bit(self, a, data):
-        j = data.draw(st.integers(1, a.shape[0]))
-        assert same_bits(mc.compound(a, j), _compound_loop(a, j))
-
-    @given(nearly_symmetric())
-    @settings(max_examples=60, deadline=None)
-    def test_sign_symmetry_sweep_matches_loop(self, a):
-        flag, wit = mc.sign_symmetry_sweep(a)
-        ref_flag, ref_wit = _sign_symmetry_loop(a)
-        assert flag is ref_flag
-        assert wit == ref_wit
-        if wit is not None:
-            assert float(wit["product"]).hex() == ref_wit["product"].hex()
 
 def _fraction_det_sign(m):
     """Sign of det(m) by Gaussian elimination over exact fractions."""

@@ -41,62 +41,40 @@ def ref_negate_minors(minors):
     return [(alpha, 0.0 - v if len(alpha) % 2 else v) for alpha, v in minors]
 
 
-def ref_p_flags(m, minors, witnesses, prefix=""):
+def ref_p_flags(m, minors, witnesses):
     p = p0 = True
-    order_sums = {}
     p_wit = p0_wit = None
     for k, group in groupby(minors, key=lambda item: len(item[0])):
         tol = mc.minor_tol(np.linalg.norm(m, np.inf), k)
-        s = 0.0
         for alpha, value in group:
-            s += value
             if value <= tol and p:
                 p = False
                 p_wit = {"indices": alpha, "value": value}
             if value < -tol and p0:
                 p0 = False
                 p0_wit = {"indices": alpha, "value": value}
-        order_sums[k] = s
-    q = True
-    q_wit = None
-    for k, s in sorted(order_sums.items()):
-        if s <= mc.minor_tol(np.linalg.norm(m, np.inf), k):
-            q = False
-            q_wit = {"order": k, "sum": s}
-            break
-    p0_plus = p0 and q
     if p_wit is not None:
-        witnesses[prefix + "p"] = p_wit
+        witnesses["p"] = p_wit
     if p0_wit is not None:
-        witnesses[prefix + "p0"] = p0_wit
-    if not p0_plus:
-        witnesses[prefix + "p0_plus"] = p0_wit or q_wit
-    return p, p0, p0_plus
+        witnesses["p0"] = p0_wit
+    return p, p0
 
 
 def ref_classify_minor_part(a, rep, minors):
     """The flags and witness dict that ``classify`` built from ``minors``.
 
-    The flags and witnesses that read no minor are taken from ``rep``, in
-    the order ``classify`` inserts them.
+    The dominance flags, which read no minor, are taken from ``rep``.
     """
     n = a.shape[0]
     tol1 = mc.minor_tol(np.linalg.norm(a, np.inf), 1)
-    w = {key: rep.witnesses[key]
-         for key in ("z", "metzler", "strict_row_dd", "strict_col_dd")
-         if key in rep.witnesses}
+    w = {}
     flags = dict(rep.flags())
     flags["tridiagonal"] = bool(all(abs(a[i, j]) <= tol1
                                     for i in range(n) for j in range(n)
                                     if abs(i - j) > 1))
-    flags["p"], flags["p0"], flags["p0_plus"] = ref_p_flags(a, minors, w)
-    flags["hicksian"], _, _ = ref_p_flags(-a, ref_negate_minors(minors), w,
-                                          prefix="hicksian:")
-    flags["m_matrix"] = flags["z"] and flags["p"]
-    if not flags["m_matrix"]:
-        w.setdefault("m_matrix", w.get("z") or w.get("p"))
-    if "sign_symmetric" in rep.witnesses:
-        w["sign_symmetric"] = rep.witnesses["sign_symmetric"]
+    flags["p"], flags["p0"] = ref_p_flags(a, minors, w)
+    z = all(a[i, j] <= tol1 for i in range(n) for j in range(n) if i != j)
+    flags["m_matrix"] = z and flags["p"]
     return flags, w
 
 

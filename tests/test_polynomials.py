@@ -190,6 +190,11 @@ class TestKosov:
         with pytest.raises(ValueError):
             pl.kosov_interval_dstability(-np.eye(2), [1, 1], [2, 2])
 
+    def test_undecided_p0_names_the_cap(self):
+        a = np.diag(np.full(15, 3.0)) + np.diag(np.full(14, -0.5), 1)
+        with pytest.raises(ValueError, match="minor enumeration cap n = 14"):
+            pl.kosov_interval_dstability(a, np.full(15, 0.5), np.full(15, 2.0))
+
     def test_monotone_coefficients_premise(self, rng):
         # P0 matrix: every coefficient of det(lambda I + D A) grows with d_ii
         for _ in range(10):

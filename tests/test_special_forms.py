@@ -280,7 +280,10 @@ class TestCompanionPremises:
          "companion-diagonal-of-A-not-negative"),
         ([[-2.0, 0.5], [0.5, -2.0]], np.diag([-1.0, 0.0]),
          "companion-B-not-negative-diagonal"),
-    ], ids=["a-diagonal", "b-diagonal"])
+        # |A| is dominant, but a_22 is inside the NDD band 1e-10 (1 + ||A||)
+        # and outside the sign band 1e-12 (1 + max |a|)
+        (np.diag([-100.0, -1.005e-8]), -np.eye(2), "companion-A-not-ndd"),
+    ], ids=["a-diagonal", "b-diagonal", "a-diagonal-in-the-ndd-band"])
     def test_failed_premise_is_named(self, a, b, reason):
         v = sf.companion_ndd_stable(a, b)
         assert v.status is Status.UNKNOWN and v.reason == reason
