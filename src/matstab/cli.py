@@ -572,9 +572,12 @@ def _interval_box(ctx):
 
 def _vertex_enumeration(ctx):
     verdict = ds.vertex_schur_check(ctx.request.matrix)
-    # exact for the vertex class itself; necessary-only for the
-    # norm-bounded class
-    return verdict, verdict.refuted or ctx.triple == "vertex-stability", None
+    if ctx.triple == "vertex-stability":
+        return verdict, True, None  # exact for the vertex class itself
+    # the norm-bounded class holds no vertex: it is refuted only when
+    # rho(S A) > 1 past the band, so that t S escapes for some t < 1
+    rho = verdict.witness["spectral_radius"] if verdict.refuted else 0.0
+    return verdict, rho - 1.0 > default_tol(rho), None
 
 
 def _symmetric_part(ctx):

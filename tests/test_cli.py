@@ -204,6 +204,35 @@ class TestRun:
         assert "vertex-enumeration" in names
         assert report.summary_status is not Status.REFUTED
 
+    @pytest.mark.parametrize("a", [np.eye(2), [[0.0, 1.0], [1.0, 0.0]]],
+                             ids=["identity", "permutation"])
+    def test_boundary_vertex_does_not_refute_schur(self, a):
+        # rho(S A) = 1 at every vertex, and every D A with |d_i| < 1 has
+        # rho < 1: the vertex is not in the strict class, so it refutes
+        # vertex stability only
+        for exhaustive in (False, True):
+            report = cli.run(request_for(
+                a, region_spec="disk:0,1", class_spec="diagonal-norm-lt1",
+                samples=500, budget=500, exhaustive=exhaustive))
+            vertex = next(c for c in report.checks
+                          if c.check == "vertex-enumeration")
+            assert vertex.verdict.refuted and not vertex.decides
+            assert report.summary_status is not Status.REFUTED
+        # S = I is in the vertex class, so there the boundary decides
+        report = cli.run(request_for(
+            a, region_spec="disk:0,1", class_spec="vertex-diagonal",
+            samples=500, budget=500, exhaustive=True))
+        vertex = next(c for c in report.checks
+                      if c.check == "vertex-enumeration")
+        assert vertex.verdict.refuted and vertex.decides
+
+    def test_vertex_past_the_band_refutes_schur(self):
+        report = cli.run(request_for(
+            [[0.0, 1.5], [1.0, 0.0]], region_spec="disk:0,1",
+            class_spec="diagonal-norm-lt1", samples=500, budget=500))
+        assert report.summary_status is Status.REFUTED
+        assert report.summary_reason == "vertex-enumeration"
+
     def test_positive_diagonal_subclass_wiring(self):
         # D-stability proofs transfer to subclasses of positive diagonals
         a = [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]]

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -737,6 +739,139 @@ class TestVertex:
     def test_cap(self):
         with pytest.raises(ValueError):
             ds.vertex_schur_check(np.eye(17))
+
+
+def _vertex_loop(a):
+    """The 2^n loop that the bounded batched vertex check replaces."""
+    disk = Disk(0.0, 1.0)
+    for signs in product((1.0, -1.0), repeat=a.shape[0]):
+        spec = sp.eigenvalues(np.asarray(signs)[:, None] * a)
+        z = sp.first_outside(spec, disk)
+        if z is not None:
+            return sp.Verdict(Status.REFUTED, "vertex-spectral-radius",
+                              witness={"signs": signs, "eigenvalue": z,
+                                       "spectral_radius":
+                                           float(abs(spec).max())})
+    return sp.Verdict(Status.PROVED, "vertex-stable")
+
+
+def _assert_same_vertex_verdict(got, want):
+    assert (got.status, got.reason) == (want.status, want.reason)
+    if want.witness is None:
+        assert got.witness is None
+        return
+    assert set(got.witness) == set(want.witness)
+    # bit for bit: repr tells -0.0 from 0.0
+    assert [repr(s) for s in got.witness["signs"]] == \
+        [repr(s) for s in want.witness["signs"]]
+    assert repr(got.witness["eigenvalue"]) == repr(want.witness["eigenvalue"])
+    assert repr(got.witness["spectral_radius"]) == \
+        repr(want.witness["spectral_radius"])
+
+
+def _vertex_input(kind, rng, n):
+    b = rng.normal(size=(n, n))
+    if kind == "random":
+        return b * rng.uniform(0.1, 2.0)
+    if kind == "norm-bounded":
+        return b * (rng.uniform(0.5, 0.95) / np.linalg.norm(b, 2))
+    radius = np.abs(np.linalg.eigvals(b)).max()
+    if kind == "radius-above-one":
+        return b * (rng.uniform(1.3, 2.0) / radius)
+    if kind == "triangular":
+        # every S A is triangular with diagonal entries |a_ii| < 1, while
+        # ||A||_2 >> 1
+        return np.triu(5.0 * b, 1) + np.diag(rng.uniform(-0.9, 0.9, n))
+    # near-boundary: rho(A) within a few band widths of 1
+    return b * ((1.0 + rng.uniform(-3e-8, 3e-8)) / radius)
+
+
+class _SolveCounter:
+    """Wraps ds._stacked_spectra and counts the vertices it solves."""
+
+    def __init__(self, monkeypatch):
+        self.solved = 0
+        inner = ds._stacked_spectra
+
+        def counted(ms):
+            self.solved += ms.shape[0]
+            return inner(ms)
+        monkeypatch.setattr(ds, "_stacked_spectra", counted)
+
+
+class TestVertexKernel:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10),
+           st.sampled_from(["random", "norm-bounded", "radius-above-one",
+                            "triangular", "near-boundary"]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_two_to_the_n_loop(self, seed, n, kind):
+        a = _vertex_input(kind, np.random.default_rng(seed), n)
+        _assert_same_vertex_verdict(ds.vertex_schur_check(a), _vertex_loop(a))
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_norm_bound_edge(self, n, monkeypatch):
+        q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+        # the scale at which ||A||_2 (1 + 16 n eps) meets the inside radius
+        edge = ds._DISK_INSIDE / (1.0 + 16 * n * np.finfo(float).eps)
+        counter = _SolveCounter(monkeypatch)
+        for rel, fires in ((-1e-13, True), (1e-13, False)):
+            a = (edge * (1.0 + rel)) * q
+            before = counter.solved
+            _assert_same_vertex_verdict(ds.vertex_schur_check(a),
+                                        _vertex_loop(a))
+            assert (counter.solved == before) == fires
+        # rho(Q) = 1: no bound, and the first vertex refutes
+        _assert_same_vertex_verdict(ds.vertex_schur_check(q), _vertex_loop(q))
+
+    @pytest.mark.parametrize("norm", [np.nan, np.inf])
+    def test_nonfinite_norm_takes_no_shortcut(self, norm, monkeypatch):
+        monkeypatch.setattr(np.linalg, "norm", lambda *args: norm)
+        counter = _SolveCounter(monkeypatch)
+        assert ds.vertex_schur_check(0.5 * np.eye(3)).proved
+        assert counter.solved == 4
+
+    def test_norm_bounded_input_solves_nothing(self, monkeypatch):
+        counter = _SolveCounter(monkeypatch)
+        a = _vertex_input("norm-bounded", np.random.default_rng(3), 12)
+        assert ds.vertex_schur_check(a).proved
+        assert counter.solved == 0
+
+    def test_vertex_stable_triangular_solves_half_the_vertices(
+            self, monkeypatch):
+        counter = _SolveCounter(monkeypatch)
+        a = _vertex_input("triangular", np.random.default_rng(4), 12)
+        assert np.linalg.norm(a, 2) > 1.0
+        assert ds.vertex_schur_check(a).proved
+        assert counter.solved == 2 ** 11
+
+    def test_radius_above_one_solves_one_vertex(self, monkeypatch):
+        counter = _SolveCounter(monkeypatch)
+        a = _vertex_input("radius-above-one", np.random.default_rng(5), 12)
+        v = ds.vertex_schur_check(a)
+        assert v.refuted and v.witness["signs"] == (1.0,) * 12
+        assert counter.solved == 1
+
+    def test_memory_at_the_cap(self):
+        a = _vertex_input("triangular", np.random.default_rng(6), 16)
+        tracemalloc.start()
+        try:
+            assert ds.vertex_schur_check(a).proved
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_solver_failure_is_an_error(self, monkeypatch):
+        def fail(ms):
+            return np.full(ms.shape[:2], np.nan, dtype=complex)
+
+        def raise_(a):
+            raise sp.EigenSolverError("no convergence")
+        monkeypatch.setattr(ds, "_stacked_spectra", fail)
+        monkeypatch.setattr(ds, "eigenvalues", raise_)
+        with pytest.raises(sp.EigenSolverError):
+            ds.vertex_schur_check(_vertex_input("triangular",
+                                                np.random.default_rng(7), 4))
 
 
 class TestInvariantChains:
