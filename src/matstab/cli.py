@@ -574,10 +574,14 @@ def _vertex_enumeration(ctx):
     verdict = ds.vertex_schur_check(ctx.request.matrix)
     if ctx.triple == "vertex-stability":
         return verdict, True, None  # exact for the vertex class itself
-    # the norm-bounded class holds no vertex: it is refuted only when
-    # rho(S A) > 1 past the band, so that t S escapes for some t < 1
+    # the norm-bounded class holds no vertex: a vertex past the band
+    # escapes as t S for some t < 1, one on the unit circle refutes
+    # nothing, though a later vertex may still escape
     rho = verdict.witness["spectral_radius"] if verdict.refuted else 0.0
-    return verdict, rho - 1.0 > default_tol(rho), None
+    if rho - 1.0 > default_tol(rho):
+        return verdict, True, None
+    escape = ds.vertex_escape(ctx.request.matrix) if verdict.refuted else None
+    return (escape, True, None) if escape else (verdict, False, None)
 
 
 def _symmetric_part(ctx):

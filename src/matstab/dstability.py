@@ -11,7 +11,7 @@ the realized product, the offending eigenvalue and the stream seed.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -30,7 +30,7 @@ __all__ = [
     "BlockHadamardProduct", "apply_op", "FalsificationWitness",
     "rank_one_witness", "falsify", "necessary_p0plus", "sufficient_suite",
     "li_wang_stable", "hadamard_p_test", "total_stability_scan",
-    "vertex_schur_check",
+    "vertex_schur_check", "vertex_escape",
 ]
 
 
@@ -784,11 +784,23 @@ def total_stability_scan(a, samples, budget, seed):
 
 
 VERTEX_ENUM_CAP = 16
-# the largest stack of sign vertices solved at once, falsify's batch
-_VERTEX_BLOCK = 256
 # the largest |z| that first_outside counts strictly inside the unit disk:
 # |z| - 1 < -1e-8 (1 + |z|)
 _DISK_INSIDE = (1.0 - 1e-8) / (1.0 + 1e-8)
+
+
+def _vertex_spectra(a):
+    """(signs, spectrum of S A) for the sign vertices with s_1 = +1.
+
+    rho(-M) = rho(M), so they stand for all 2^n vertices.  They are the
+    first half of ``product((1.0, -1.0), repeat=n)``, in that order.
+    """
+    n = a.shape[0]
+    if n > VERTEX_ENUM_CAP:
+        raise ValueError(f"vertex enumeration capped at n = {VERTEX_ENUM_CAP}")
+    for rest in product((1.0, -1.0), repeat=n - 1):
+        signs = (1.0,) + rest
+        yield signs, eigenvalues(np.asarray(signs)[:, None] * a)
 
 
 def vertex_schur_check(a):
@@ -796,17 +808,14 @@ def vertex_schur_check(a):
 
     Proved asserts vertex stability: rho(S A) < 1 for every S.  Refuted
     names the first vertex, in ``product((1.0, -1.0), repeat=n)`` order,
-    with a point of its spectrum not strictly inside the unit disk.  Such
-    a vertex refutes Schur D-stability when its spectral radius is past
-    the band outside the closed disk; on the boundary it refutes vertex
-    stability only.
+    with a point of its spectrum not strictly inside the unit disk; that
+    kills vertex stability, and Schur D-stability too when the vertex is
+    past the boundary band (see ``vertex_escape``).
 
-    ||S A||_2 = ||A||_2, so a norm below the disk's inside radius proves
-    every vertex with no eigen-solve.  Otherwise rho(-M) = rho(M), so the
-    2^(n-1) vertices with s_1 = +1 suffice; they are solved in stacks of
-    1, 2, 4, ... up to 256, so the work is bounded by 2^(n-1) solves and
-    the memory by 256 matrices.  The first flagged vertex is re-solved
-    alone for its witness.  Capped at n = 16.
+    rho(S A) <= ||S A||_2 = ||A||_2, so a norm below the disk's inside
+    radius proves every vertex with no eigen-solve.  Otherwise the
+    2^(n-1) vertices with s_1 = +1 are solved one at a time.  Capped at
+    n = 16.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -816,29 +825,37 @@ def vertex_schur_check(a):
         norm = np.linalg.norm(a, 2)
     except np.linalg.LinAlgError:
         norm = np.inf
-    # |z| <= ||S A + E||_2 <= ||A||_2 (1 + 16 n eps) for each computed z, E the
-    # solver's backward error; below _DISK_INSIDE the 2^n loop proves them all
+    # exact arithmetic proves the bound; the 16 n eps allowance covers the
+    # rounding of the computed norm.  That the solved vertices agree at the
+    # edge is checked by test_norm_bound_edge, not proven.
     if norm * (1.0 + 16 * n * np.finfo(float).eps) < _DISK_INSIDE:
         return Verdict(Status.PROVED, "vertex-stable")
     disk = Disk(0.0, 1.0)
-    bits = np.arange(n - 1, -1, -1)
-    start, size, half = 0, 1, 1 << (n - 1)
-    while start < half:
-        ks = np.arange(start, min(start + size, half))
-        # s_j = -1 where bit n-1-j of k is set: product order
-        signs = 1.0 - 2.0 * ((ks[:, None] >> bits) & 1)
-        specs = _stacked_spectra(signs[:, :, None] * a)
-        tols = default_tol(specs)
-        bad = ~(disk.distance(specs, tols) < -tols)
-        for i in np.nonzero(bad.any(axis=1))[0]:
-            spec = eigenvalues(signs[i][:, None] * a)
-            z = first_outside(spec, disk)
-            if z is not None:
-                return Verdict(Status.REFUTED, "vertex-spectral-radius",
-                               witness={"signs": tuple(signs[i].tolist()),
-                                        "eigenvalue": z,
-                                        "spectral_radius":
-                                            float(abs(spec).max())})
-        start += ks.size
-        size = min(2 * size, _VERTEX_BLOCK)
+    for signs, spec in _vertex_spectra(a):
+        z = first_outside(spec, disk)
+        if z is not None:
+            return Verdict(Status.REFUTED, "vertex-spectral-radius",
+                           witness={"signs": signs, "eigenvalue": z,
+                                    "spectral_radius": float(abs(spec).max())})
     return Verdict(Status.PROVED, "vertex-stable")
+
+
+def vertex_escape(a):
+    """Refuted at the first vertex S with rho(S A) past the band outside
+    the closed unit disk, or None.
+
+    Then t S with 1/rho < t < 1 lies in {|d_i| < 1} and rho(t S A) > 1,
+    which kills Schur D-stability.  A vertex on the unit circle does not:
+    the class holds no vertex.  The witness names the eigenvalue of
+    largest modulus.
+    """
+    a = as_matrix(a)
+    for signs, spec in _vertex_spectra(a):
+        rho = float(abs(spec).max())
+        if rho - 1.0 > default_tol(rho):
+            return Verdict(Status.REFUTED, "vertex-spectral-radius",
+                           witness={"signs": signs,
+                                    "eigenvalue": complex(
+                                        spec[np.argmax(abs(spec))]),
+                                    "spectral_radius": rho})
+    return None

@@ -226,12 +226,44 @@ class TestRun:
                       if c.check == "vertex-enumeration")
         assert vertex.verdict.refuted and vertex.decides
 
-    def test_vertex_past_the_band_refutes_schur(self):
-        report = cli.run(request_for(
-            [[0.0, 1.5], [1.0, 0.0]], region_spec="disk:0,1",
-            class_spec="diagonal-norm-lt1", samples=500, budget=500))
-        assert report.summary_status is Status.REFUTED
-        assert report.summary_reason == "vertex-enumeration"
+    @pytest.mark.parametrize("a, signs", [
+        ([[0.0, 1.5], [1.0, 0.0]], (1.0, 1.0)),
+        # S = I is on the circle (spectrum {1, -0.5}); diag(1, -1) escapes
+        ([[1.5, 1.0], [-1.0, -1.0]], (1.0, -1.0))],
+        ids=["first-vertex", "later-vertex"])
+    def test_vertex_past_the_band_refutes_schur(self, a, signs):
+        for exhaustive in (False, True):
+            report = cli.run(request_for(
+                a, region_spec="disk:0,1", class_spec="diagonal-norm-lt1",
+                samples=500, budget=500, exhaustive=exhaustive))
+            assert report.summary_status is Status.REFUTED
+            assert report.summary_reason == "vertex-enumeration"
+            vertex = next(c for c in report.checks
+                          if c.check == "vertex-enumeration")
+            assert vertex.verdict.witness["signs"] == signs
+            assert vertex.verdict.witness["spectral_radius"] > 1.0 + 1e-6
+
+    @pytest.mark.parametrize("kind, n", [("triangular", 16), ("dense", 16),
+                                         ("triangular", 17)])
+    def test_vertex_enumeration_at_the_cap(self, kind, n, capsys):
+        if kind == "triangular":
+            # every S A is triangular with diagonal 0.5, while ||A||_2 >> 1
+            a = np.triu(np.full((n, n), 2.0), 1) + 0.5 * np.eye(n)
+        else:
+            # proved by ||A||_2 = 0.9 with no eigen-solve
+            a = np.cos(0.7 * np.arange(float(n * n)).reshape(n, n))
+            a *= 0.9 / np.linalg.norm(a, 2)
+        text = ";".join(",".join(repr(float(x)) for x in row) for row in a)
+        assert cli.main(["--region", "disk:0,1", "--class", "vertex-diagonal",
+                         "--samples", "200", "--budget", "200",
+                         "--format", "json", "--", text]) == 0
+        report = json.loads(capsys.readouterr().out)
+        vertex = [c for c in report["checks"]
+                  if c["check"] == "vertex-enumeration"]
+        if n > ds.VERTEX_ENUM_CAP:
+            assert not vertex
+        else:
+            assert report["summary"]["decided_by"] == "vertex-enumeration"
 
     def test_positive_diagonal_subclass_wiring(self):
         # D-stability proofs transfer to subclasses of positive diagonals

@@ -739,10 +739,29 @@ class TestVertex:
     def test_cap(self):
         with pytest.raises(ValueError):
             ds.vertex_schur_check(np.eye(17))
+        with pytest.raises(ValueError):
+            ds.vertex_schur_check(0.5 * np.eye(17))
+        with pytest.raises(ValueError):
+            ds.vertex_escape(np.eye(17))
+
+    @pytest.mark.parametrize("a", [np.eye(2), [[0.0, 1.0], [1.0, 0.0]],
+                                   0.5 * np.eye(3)])
+    def test_no_escape_on_or_inside_the_circle(self, a):
+        assert ds.vertex_escape(a) is None
+
+    def test_escape_past_a_boundary_vertex(self):
+        # S = I has spectrum {1, -0.5}; S = diag(1, -1) has rho ~ 2.28
+        a = [[1.5, 1.0], [-1.0, -1.0]]
+        assert ds.vertex_schur_check(a).witness["signs"] == (1.0, 1.0)
+        v = ds.vertex_escape(a)
+        assert v.refuted and v.witness["signs"] == (1.0, -1.0)
+        assert v.witness["spectral_radius"] == pytest.approx(
+            (2.5 + np.sqrt(4.25)) / 2)
+        assert abs(v.witness["eigenvalue"]) == v.witness["spectral_radius"]
 
 
 def _vertex_loop(a):
-    """The 2^n loop that the bounded batched vertex check replaces."""
+    """The plain 2^n loop, with no norm bound and no halving."""
     disk = Disk(0.0, 1.0)
     for signs in product((1.0, -1.0), repeat=a.shape[0]):
         spec = sp.eigenvalues(np.asarray(signs)[:, None] * a)
@@ -787,16 +806,16 @@ def _vertex_input(kind, rng, n):
 
 
 class _SolveCounter:
-    """Wraps ds._stacked_spectra and counts the vertices it solves."""
+    """Wraps ds.eigenvalues and counts the vertices it solves."""
 
     def __init__(self, monkeypatch):
         self.solved = 0
-        inner = ds._stacked_spectra
+        inner = ds.eigenvalues
 
-        def counted(ms):
-            self.solved += ms.shape[0]
-            return inner(ms)
-        monkeypatch.setattr(ds, "_stacked_spectra", counted)
+        def counted(m):
+            self.solved += 1
+            return inner(m)
+        monkeypatch.setattr(ds, "eigenvalues", counted)
 
 
 class TestVertexKernel:
@@ -862,12 +881,8 @@ class TestVertexKernel:
         assert peak < 4 * 2 ** 20
 
     def test_solver_failure_is_an_error(self, monkeypatch):
-        def fail(ms):
-            return np.full(ms.shape[:2], np.nan, dtype=complex)
-
         def raise_(a):
             raise sp.EigenSolverError("no convergence")
-        monkeypatch.setattr(ds, "_stacked_spectra", fail)
         monkeypatch.setattr(ds, "eigenvalues", raise_)
         with pytest.raises(sp.EigenSolverError):
             ds.vertex_schur_check(_vertex_input("triangular",
