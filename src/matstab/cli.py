@@ -19,13 +19,18 @@ Work that several checks read is done once per request
 the positive-convention matrix that every check reading them tests, and
 the ``classify`` row reports those flags.
 
+On the two D-stability triples, ``submatrix-descent`` lifts an unstable
+principal submatrix A[S] to a diagonal D with D o A outside the
+half-plane, so that its witness, like those of ``falsify``, replays on A
+itself.  It runs at any n, before ``falsify`` samples the class.
+
 The summary is the first deciding check that is not Unknown.  Once it is
 Proved or Refuted, :func:`run` skips the rest of the table: no later
 default check can change it, so each goes into ``summary.skipped``
-without a record.  The opt-in extras (``simulate``, ``total-scan``) still
-run.  ``--exhaustive`` runs every check, and also ``li-wang``, which
-decides exactly when ``self-stability`` does and so runs only there; a
-deciding check that disagrees with the summary is listed in
+without a record.  The opt-in extra ``simulate`` still runs.
+``--exhaustive`` runs every check, and also ``li-wang``, which decides
+exactly when ``self-stability`` does and so runs only there; a deciding
+check that disagrees with the summary is listed in
 ``summary.conflicts``.
 
 Exit codes: 0 proved-or-unknown, 2 refuted, 3 a deciding check conflicts
@@ -54,12 +59,12 @@ from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       decay_horizon, default_tol, eigenvalues, gershgorin,
                       region_stable, simulate_decay, spectral_abscissa)
 
-SCHEMA = "matstab-report/8"
+SCHEMA = "matstab-report/9"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")
 # opt-in checks that run even after the request is decided
-EXTRA_MODES = ("simulate", "total-scan")
+EXTRA_MODES = ("simulate",)
 ALL_MODES = DEFAULT_MODES + EXTRA_MODES
 
 CHECK_ERROR = "check-error: "
@@ -420,10 +425,12 @@ _TRIPLES = (
     ("hadamard-h-stability", HalfPlaneLeft(), ("spd",), ("hadamard",)),
 )
 
+# The two triples of D-stability proper.
+_D_STABILITY = ("multiplicative-d-stability", "additive-d-stability")
+
 # The triples that diagonal stability decides: a diagonal certificate or
 # an exact diagonal-stability criterion proves them.
-_DIAG_DECIDED = ("multiplicative-d-stability", "additive-d-stability",
-                 "positive-diagonal-subclass")
+_DIAG_DECIDED = _D_STABILITY + ("positive-diagonal-subclass",)
 
 # The classes within the positive diagonals.  On a conic region (L = 0)
 # a positive diagonal P that certifies A gives the same operator for D A
@@ -534,10 +541,14 @@ def _self_stability(ctx):
             {"eigenvalues": spectrum})
 
 
-def _necessary(ctx):
-    mode = ("multiplicative" if ctx.triple == "multiplicative-d-stability"
+def _d_stability_mode(ctx):
+    return ("multiplicative" if ctx.triple == "multiplicative-d-stability"
             else "additive")
-    verdict = ds.necessary_p0plus(ctx.request.matrix, mode=mode,
+
+
+def _necessary(ctx):
+    verdict = ds.necessary_p0plus(ctx.request.matrix,
+                                  mode=_d_stability_mode(ctx),
                                   minors=ctx.shared.neg_minors())
     return verdict, verdict.refuted, None
 
@@ -571,17 +582,23 @@ def _interval_box(ctx):
 
 
 def _vertex_enumeration(ctx):
-    verdict = ds.vertex_schur_check(ctx.request.matrix)
+    a = ctx.request.matrix
     if ctx.triple == "vertex-stability":
-        return verdict, True, None  # exact for the vertex class itself
-    # the norm-bounded class holds no vertex: a vertex past the band
-    # escapes as t S for some t < 1, one on the unit circle refutes
-    # nothing, though a later vertex may still escape
-    rho = verdict.witness["spectral_radius"] if verdict.refuted else 0.0
-    if rho - 1.0 > default_tol(rho):
-        return verdict, True, None
-    escape = ds.vertex_escape(ctx.request.matrix) if verdict.refuted else None
-    return (escape, True, None) if escape else (verdict, False, None)
+        return ds.vertex_schur_check(a), True, None  # exact for the class
+    # The norm-bounded class holds no vertex.  A vertex past the band
+    # escapes as t S for some t < 1 and decides; one on the unit circle
+    # refutes nothing, so the sweep reads on, each vertex solved once, to
+    # a later vertex that escapes.  That one names the eigenvalue of
+    # largest modulus.
+    first = None
+    for signs, spec, point in ds.flagged_vertices(a):
+        rho = float(abs(spec).max())
+        if rho - 1.0 > default_tol(rho):
+            if first:
+                point = spec[np.argmax(abs(spec))]
+            return ds.vertex_refutation(signs, spec, point), True, None
+        first = first or ds.vertex_refutation(signs, spec, point)
+    return first or Verdict(Status.PROVED, "vertex-stable"), False, None
 
 
 def _symmetric_part(ctx):
@@ -650,19 +667,10 @@ def _falsify(ctx):
     return verdict, True, None
 
 
-def _total_scan(ctx):
-    r = ctx.request
-    scan = ds.total_stability_scan(r.matrix, samples=min(r.samples, 2000),
-                                   budget=r.budget, seed=r.seed)
-    overall = scan.pop("overall")
-    # only a strictly unstable principal submatrix decides the request
-    wit = overall.witness
-    strict = (overall.refuted and isinstance(wit, ds.FalsificationWitness)
-              and wit.eigenvalue is not None
-              and wit.eigenvalue.real > default_tol(wit.eigenvalue))
-    return (overall, strict and ctx.triple == "multiplicative-d-stability",
-            {"submatrices": {str(k): rec["verdict"]
-                             for k, rec in scan.items()}})
+def _submatrix_descent(ctx):
+    verdict = ds.submatrix_descent(ctx.request.matrix,
+                                   mode=_d_stability_mode(ctx))
+    return verdict, verdict.refuted, None
 
 
 def _simulate(ctx):
@@ -712,9 +720,7 @@ CHECKS = (
     Check("self-stability", "direct spectral membership", None, None,
           _self_stability),
     Check("necessary-p0plus", "minor-sign necessity", "necessary",
-          lambda c: (c.triple in ("multiplicative-d-stability",
-                                  "additive-d-stability")
-                     and c.n <= MINOR_ENUM_CAP),
+          lambda c: c.triple in _D_STABILITY and c.n <= MINOR_ENUM_CAP,
           _necessary),
     Check("single-circuit", "circuit gain bound", "structural", None,
           _single_circuit),
@@ -748,9 +754,10 @@ CHECKS = (
     Check("hyperbolicity-certificate", "sign-free diagonal search",
           "certify", lambda c: c.triple == "d-hyperbolicity",
           _hyperbolicity_certificate),
+    # no cap in n: at most n (n + 1) / 2 - 1 submatrix eigen-solves
+    Check("submatrix-descent", "unstable principal submatrix descent",
+          "falsify", lambda c: c.triple in _D_STABILITY, _submatrix_descent),
     Check("falsify", "randomized class sampling", "falsify", None, _falsify),
-    Check("total-scan", "principal submatrix sweep", "total-scan",
-          lambda c: c.half_plane and c.n <= ds.TOTAL_SCAN_CAP, _total_scan),
     Check("simulate", "fixed-step trajectory integration", "simulate",
           lambda c: c.half_plane, _simulate),
 )
@@ -915,7 +922,7 @@ def build_parser():
     p.add_argument("--mode", default=",".join(DEFAULT_MODES),
                    help="comma-separated checks to run "
                         f"(default {','.join(DEFAULT_MODES)}; "
-                        "optional extras: simulate, total-scan)")
+                        "optional extra: simulate)")
     p.add_argument("--exhaustive", action="store_true",
                    help="run every check, also after the request is "
                         "decided, and report deciding checks that "

@@ -11,7 +11,7 @@ the realized product, the offending eigenvalue and the stream seed.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -29,8 +29,8 @@ __all__ = [
     "NegativeDiagonal", "BinOp", "Multiply", "Add", "HadamardProduct",
     "BlockHadamardProduct", "apply_op", "FalsificationWitness",
     "rank_one_witness", "falsify", "necessary_p0plus", "sufficient_suite",
-    "li_wang_stable", "hadamard_p_test", "total_stability_scan",
-    "vertex_schur_check", "vertex_escape",
+    "li_wang_stable", "hadamard_p_test", "submatrix_descent",
+    "flagged_vertices", "vertex_refutation", "vertex_schur_check",
 ]
 
 
@@ -725,97 +725,87 @@ def hadamard_p_test(a, samples=1000, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Scans
+# Principal-submatrix descent
 # ---------------------------------------------------------------------------
 
-TOTAL_SCAN_CAP = 10
+# the eps of submatrix_descent's D_eps, tried in this order
+DESCENT_EPS = tuple(10.0 ** -k for k in range(1, 13))
 
 
-def total_stability_scan(a, samples, budget, seed):
-    """Necessary / sufficient / falsification sweep over principal submatrices.
+def submatrix_descent(a, mode="multiplicative"):
+    """Refute D-stability by an unstable principal submatrix, Hurwitz
+    convention.
 
-    Hurwitz convention.  Returns a map from 0-based index tuples to the
-    per-submatrix verdict record plus an ``overall`` aggregate that is
-    Refuted as soon as any submatrix is refuted.
+    Every principal submatrix of a D-stable matrix is D-semistable
+    (Hershkowitz, LAA 171, 1992).  From the full index set, each step
+    drops the index whose removal leaves the largest spectral abscissa,
+    up to the first A[S] with an eigenvalue z of Re z > ``default_tol(z)``.
+    As eps -> 0, D_eps A with D_eps = diag(1 on S, eps elsewhere) has the
+    spectrum of A[S] plus points near 0; in ``additive`` mode,
+    D_eps + A with D_eps = diag(-eps on S, -1/eps elsewhere) has it plus
+    points near -1/eps.  The first eps of ``DESCENT_EPS`` whose product
+    has a point outside the half-plane gives the witness, with sample
+    index -1; else Unknown.  At most n (n + 1) / 2 - 1 submatrix
+    eigen-solves (a 1 x 1 block is its entry) and 12 lifts.
     """
     a = as_matrix(a)
-    n = a.shape[0]
-    if n > TOTAL_SCAN_CAP:
-        raise ValueError(f"total scan capped at n = {TOTAL_SCAN_CAP}")
-    results = {}
-    overall = Verdict(Status.UNKNOWN, "total-scan-no-refutation", seed=seed)
-    for k in range(1, n + 1):
-        for alpha in combinations(range(n), k):
-            sub = a[np.ix_(alpha, alpha)]
-            nec = necessary_p0plus(sub)
-            record = {"necessary": nec}
-            if nec.refuted:
-                record["verdict"] = Verdict(Status.REFUTED,
-                                            f"submatrix-{nec.reason}",
-                                            witness=nec.witness)
-            else:
-                suite = sufficient_suite(-sub, budget=budget)
-                record["sufficient"] = suite
-                fal = falsify(sub, PositiveDiagonal(), Multiply(),
-                              HalfPlaneLeft(), samples=samples, seed=seed)
-                record["falsify"] = fal
-                if fal.refuted:
-                    record["verdict"] = Verdict(Status.REFUTED,
-                                                "submatrix-falsified",
-                                                witness=fal.witness)
-                elif any(v.proved for _, v in suite):
-                    record["verdict"] = Verdict(Status.PROVED,
-                                                "submatrix-sufficient")
-                else:
-                    record["verdict"] = Verdict(Status.UNKNOWN,
-                                                "submatrix-undecided")
-            results[alpha] = record
-            if record["verdict"].refuted and not overall.refuted:
-                overall = Verdict(Status.REFUTED,
-                                  f"principal-submatrix-{alpha}-refuted",
-                                  witness=record["verdict"].witness, seed=seed)
-    if not overall.refuted:
-        proved_all = all(rec["verdict"].proved for rec in results.values())
-        if proved_all:
-            overall = Verdict(Status.PROVED, "all-submatrices-sufficient",
-                              seed=seed)
-    results["overall"] = overall
-    return results
+    if mode not in ("multiplicative", "additive"):
+        raise ValueError(f"unknown mode {mode!r}")
 
+    def top(s):
+        """The eigenvalue of A[s] of largest real part."""
+        if len(s) == 1:
+            return complex(a[s[0], s[0]])
+        return eigenvalues(a[np.ix_(s, s)])[-1]
+
+    keep = list(range(a.shape[0]))
+    z = top(keep)
+    while not z.real > default_tol(z):
+        if len(keep) == 1:
+            return Verdict(Status.UNKNOWN, "no-unstable-principal-submatrix")
+        # ties go to the first index
+        z, drop = max(((top(keep[:i] + keep[i + 1:]), i)
+                       for i in range(len(keep))),
+                      key=lambda pair: pair[0].real)
+        del keep[drop]
+    on_s = np.isin(np.arange(a.shape[0]), keep)
+    for eps in DESCENT_EPS:
+        if mode == "multiplicative":
+            g, op = np.diag(np.where(on_s, 1.0, eps)), Multiply()
+        else:
+            g, op = np.diag(np.where(on_s, -eps, -1.0 / eps)), Add()
+        m = op.apply(g, a)
+        point = first_outside(eigenvalues(m), HalfPlaneLeft())
+        if point is not None:
+            return Verdict(Status.REFUTED, "unstable-principal-submatrix",
+                           witness=FalsificationWitness(
+                               g, m, point, -1, None,
+                               note=f"principal submatrix {tuple(keep)}, "
+                                    f"eps {eps:g}"))
+    return Verdict(Status.UNKNOWN, "unstable-principal-submatrix-not-lifted")
+
+
+# ---------------------------------------------------------------------------
+# Sign vertices
+# ---------------------------------------------------------------------------
 
 VERTEX_ENUM_CAP = 16
 # the largest |z| that first_outside counts strictly inside the unit disk:
 # |z| - 1 < -1e-8 (1 + |z|)
 _DISK_INSIDE = (1.0 - 1e-8) / (1.0 + 1e-8)
+_UNIT_DISK = Disk(0.0, 1.0)
 
 
-def _vertex_spectra(a):
-    """(signs, spectrum of S A) for the sign vertices with s_1 = +1.
-
-    rho(-M) = rho(M), so they stand for all 2^n vertices.  They are the
-    first half of ``product((1.0, -1.0), repeat=n)``, in that order.
-    """
-    n = a.shape[0]
-    if n > VERTEX_ENUM_CAP:
-        raise ValueError(f"vertex enumeration capped at n = {VERTEX_ENUM_CAP}")
-    for rest in product((1.0, -1.0), repeat=n - 1):
-        signs = (1.0,) + rest
-        yield signs, eigenvalues(np.asarray(signs)[:, None] * a)
-
-
-def vertex_schur_check(a):
-    """Spectral-radius check over every +-1 diagonal multiplier S.
-
-    Proved asserts vertex stability: rho(S A) < 1 for every S.  Refuted
-    names the first vertex, in ``product((1.0, -1.0), repeat=n)`` order,
-    with a point of its spectrum not strictly inside the unit disk; that
-    kills vertex stability, and Schur D-stability too when the vertex is
-    past the boundary band (see ``vertex_escape``).
+def flagged_vertices(a):
+    """(signs, spectrum of S A, its first point) of each sign vertex S
+    whose spectrum has a point not strictly inside the unit disk, in the
+    order of ``product((1.0, -1.0), repeat=n)``.
 
     rho(S A) <= ||S A||_2 = ||A||_2, so a norm below the disk's inside
-    radius proves every vertex with no eigen-solve.  Otherwise the
-    2^(n-1) vertices with s_1 = +1 are solved one at a time.  Capped at
-    n = 16.
+    radius flags no vertex, with no eigen-solve.  Otherwise the 2^(n-1)
+    vertices with s_1 = +1 (the first half of that order) stand for all
+    2^n, as rho(-M) = rho(M); each is solved once, when the caller reads
+    on to it.  Capped at n = 16.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -829,33 +819,31 @@ def vertex_schur_check(a):
     # rounding of the computed norm.  That the solved vertices agree at the
     # edge is checked by test_norm_bound_edge, not proven.
     if norm * (1.0 + 16 * n * np.finfo(float).eps) < _DISK_INSIDE:
-        return Verdict(Status.PROVED, "vertex-stable")
-    disk = Disk(0.0, 1.0)
-    for signs, spec in _vertex_spectra(a):
-        z = first_outside(spec, disk)
-        if z is not None:
-            return Verdict(Status.REFUTED, "vertex-spectral-radius",
-                           witness={"signs": signs, "eigenvalue": z,
-                                    "spectral_radius": float(abs(spec).max())})
-    return Verdict(Status.PROVED, "vertex-stable")
+        return
+    for rest in product((1.0, -1.0), repeat=n - 1):
+        signs = (1.0,) + rest
+        spec = eigenvalues(np.asarray(signs)[:, None] * a)
+        point = first_outside(spec, _UNIT_DISK)
+        if point is not None:
+            yield signs, spec, point
 
 
-def vertex_escape(a):
-    """Refuted at the first vertex S with rho(S A) past the band outside
-    the closed unit disk, or None.
+def vertex_refutation(signs, spec, point):
+    """Refuted at the sign vertex ``signs``, naming ``point`` of its
+    spectrum ``spec``."""
+    return Verdict(Status.REFUTED, "vertex-spectral-radius",
+                   witness={"signs": signs, "eigenvalue": complex(point),
+                            "spectral_radius": float(abs(spec).max())})
 
-    Then t S with 1/rho < t < 1 lies in {|d_i| < 1} and rho(t S A) > 1,
-    which kills Schur D-stability.  A vertex on the unit circle does not:
-    the class holds no vertex.  The witness names the eigenvalue of
-    largest modulus.
+
+def vertex_schur_check(a):
+    """Spectral-radius check over every +-1 diagonal multiplier S.
+
+    Proved asserts vertex stability: rho(S A) < 1 for every S.  Refuted
+    names the first flagged vertex (see ``flagged_vertices``) and the
+    first point of its spectrum not strictly inside the unit disk; that
+    kills vertex stability.
     """
-    a = as_matrix(a)
-    for signs, spec in _vertex_spectra(a):
-        rho = float(abs(spec).max())
-        if rho - 1.0 > default_tol(rho):
-            return Verdict(Status.REFUTED, "vertex-spectral-radius",
-                           witness={"signs": signs,
-                                    "eigenvalue": complex(
-                                        spec[np.argmax(abs(spec))]),
-                                    "spectral_radius": rho})
-    return None
+    for flagged in flagged_vertices(a):
+        return vertex_refutation(*flagged)
+    return Verdict(Status.PROVED, "vertex-stable")

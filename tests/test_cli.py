@@ -243,6 +243,22 @@ class TestRun:
             assert vertex.verdict.witness["signs"] == signs
             assert vertex.verdict.witness["spectral_radius"] > 1.0 + 1e-6
 
+    def test_later_vertex_is_solved_once(self, monkeypatch):
+        # S = I is on the circle, diag(1, -1) escapes: one pass solves
+        # each of the two vertices once
+        solved = []
+        inner = ds.eigenvalues
+        monkeypatch.setattr(ds, "eigenvalues",
+                            lambda m: solved.append(m) or inner(m))
+        report = cli.run(request_for(
+            [[1.5, 1.0], [-1.0, -1.0]], region_spec="disk:0,1",
+            class_spec="diagonal-norm-lt1", samples=500, budget=500))
+        assert report.summary_reason == "vertex-enumeration"
+        assert len(solved) == 2
+        # the later vertex names its eigenvalue of largest modulus
+        w = report.checks[-1].verdict.witness
+        assert abs(w["eigenvalue"]) == w["spectral_radius"]
+
     @pytest.mark.parametrize("kind, n", [("triangular", 16), ("dense", 16),
                                          ("triangular", 17)])
     def test_vertex_enumeration_at_the_cap(self, kind, n, capsys):
@@ -383,12 +399,60 @@ class TestRun:
         assert (sim["status"], sim["reason"]) == (
             "unknown", "skipped: 1000000 steps exceed the cap of 500000")
 
-    def test_total_scan_mode(self):
-        a = np.diag([-1.0, -2.0])
-        report = cli.run(request_for(
-            a, modes=("classify", "total-scan"), samples=200, budget=200))
-        scan = [c for c in report.checks if c.check == "total-scan"]
-        assert scan and scan[0].verdict.proved
+    def test_total_scan_mode_is_a_usage_error(self, capsys):
+        assert cli.main(["--mode", "total-scan", "--", "-1,0;0,-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "matstab: error: unknown mode 'total-scan'\n"
+
+
+# Hurwitz, -A passes P0+, and A[{0, 1, 3}] has Re lambda ~ +0.097
+UNSTABLE_BLOCK_4 = "0,0.5,0.5,-1;0,-1.5,-1.5,-1.5;-0.5,1,-0.5,-0.5;1,0,0.5,0"
+
+
+class TestSubmatrixDescentRow:
+    @pytest.mark.parametrize("op, gclass", [
+        ("multiply", ds.PositiveDiagonal()),
+        ("add", ds.NegativeDiagonal())])
+    def test_unstable_block_is_refuted_by_the_descent(self, op, gclass,
+                                                      capsys):
+        code = cli.main(["--op", op, "--class", gclass.name,
+                         "--format", "json", "--", UNSTABLE_BLOCK_4])
+        assert code == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["decided_by"] == "submatrix-descent"
+        assert report["summary"]["skipped"] == ["falsify"]
+        a = np.asarray(report["request"]["matrix"])
+        w = next(c for c in report["checks"]
+                 if c["check"] == "submatrix-descent")["witness"]
+        g, realized = np.asarray(w["g"]), np.asarray(w["realized"])
+        assert g.shape == (4, 4) and w["sample_index"] == -1
+        assert gclass.contains(g)
+        assert np.array_equal(cli.parse_op(op).apply(g, a), realized)
+        assert first_outside(eigenvalues(realized),
+                             HalfPlaneLeft()) is not None
+
+    def test_all_blocks_hurwitz_falls_through_to_falsify(self):
+        a = [[-1.1586866326625964, -1.590694533491332, -0.02837087229130277,
+              -0.22586043941753345],
+             [0.00943665078785278, -0.00888761263571032,
+              0.12288948299918538, 0.8184366940797856],
+             [1.474260216290081, -0.41458649631380295,
+              -0.8094849271207406, 0.5878909690485365],
+             [0.0844667555063645, -0.3531982696503235,
+              -0.03852174189029013, -0.8639405594525829]]
+        report = cli.run(request_for(a))
+        descent = next(c for c in report.checks
+                       if c.check == "submatrix-descent")
+        assert descent.verdict.status is Status.UNKNOWN
+        assert (report.summary_status, report.summary_reason) == (
+            Status.REFUTED, "falsify")
+        assert report.checks[-1].verdict.witness.g.shape == (4, 4)
+
+    def test_other_triples_do_not_run_it(self):
+        report = cli.run(request_for([[1.5, 1.0], [-1.0, -1.0]],
+                                     class_spec="spd", exhaustive=True,
+                                     samples=200, budget=200))
+        assert "submatrix-descent" not in [c.check for c in report.checks]
 
 
 def _with_symmetric_top(rng, n, scale, top):
@@ -491,6 +555,7 @@ class TestSharedWork:
           ("li-wang", "proved", False),
           ("sufficient-suite", "unknown", False),
           ("diagonal-certificate", "unknown", False),
+          ("submatrix-descent", "unknown", False),
           ("falsify", "unknown", True)]),
         (HURWITZ_8_NOT_P0, "negative-diagonal", "add",
          ("refuted", "necessary-p0plus"),
@@ -500,6 +565,7 @@ class TestSharedWork:
           ("li-wang", "proved", False),
           ("sufficient-suite", "unknown", False),
           ("diagonal-certificate", "unknown", False),
+          ("submatrix-descent", "refuted", True),
           ("falsify", "refuted", True)]),
         (HURWITZ_8_UNDECIDED, "interval-diagonal:" + ",".join(["0.5/2"] * 8),
          "multiply", ("unknown", "no-deciding-check"),
@@ -552,7 +618,8 @@ class TestSharedWork:
 
 class TestFalsifyMode:
     def test_falsify_mode_alone_searches_nothing(self, monkeypatch, capsys):
-        # falsify samples the class; it runs no certificate search
+        # falsify samples the class and the descent solves submatrices;
+        # neither runs a certificate search
         searches = [0]
         search = lyapunov.diagonal_stability_search
 
@@ -564,7 +631,8 @@ class TestFalsifyMode:
         assert cli.main(["--mode", "falsify", "--samples", "300",
                          "--format", "json", "--", "-2,1;-1,-3"]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
-        assert [c["check"] for c in checks] == ["self-stability", "falsify"]
+        assert [c["check"] for c in checks] == [
+            "self-stability", "submatrix-descent", "falsify"]
         assert searches == [0]
 
     @pytest.mark.parametrize("class_spec, op_spec", [
@@ -662,9 +730,9 @@ class TestDecideThenStop:
                                      budget=200))
         assert report.summary_reason == "necessary-p0plus"
         ids = [c.check for c in report.checks]
-        assert ids[-2:] == ["total-scan", "simulate"]
+        assert ids[-1:] == ["simulate"]
         assert "falsify" in report.skipped and "falsify" not in ids
-        assert not {"total-scan", "simulate"} & set(report.skipped)
+        assert "simulate" not in report.skipped
 
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_li_wang_runs_only_when_exhaustive(self, exhaustive):
@@ -758,17 +826,17 @@ class TestEmit:
     @pytest.mark.parametrize("matrix, kw, check", [
         (-np.eye(2), {}, "sufficient-suite"),
         ([[1.0, -4.0], [1.0, -2.0]], {"exhaustive": True}, "falsify"),
-        ([[1.0, -4.0], [1.0, -2.0]],
-         {"modes": ("total-scan",), "samples": 300, "budget": 300},
-         "total-scan"),
         ([[-1.0, 2.0], [-2.0, -1.0]], {}, "self-stability"),
-    ], ids=["certificate", "falsify-witness", "total-scan", "complex"])
+    ], ids=["certificate", "falsify-witness", "complex"])
     def test_to_jsonable_matches_the_branch_per_type_serializer(
             self, matrix, kw, check):
         report = cli.run(request_for(matrix, **kw))
         record = next(c for c in report.checks if c.check == check)
         for obj in (record.verdict, record.verdict.witness, record.data):
             _same_json(obj)
+
+    def test_to_jsonable_tuple_keys(self):
+        _same_json({(0, 1): 1.0})
 
     def test_to_jsonable_numpy_scalars_and_arrays(self):
         _same_json([np.float64(1.5), np.float32(0.25), np.int64(-3),
@@ -782,7 +850,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/8"
+        assert payload["schema"] == "matstab-report/9"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -904,7 +972,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/8"
+        assert json.loads(out)["schema"] == "matstab-report/9"
 
 
 def _isinstance_triple(request):

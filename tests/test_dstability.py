@@ -3,7 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from matstab import dstability as ds
 from matstab import lyapunov as ly
 from matstab import spectra as sp
-from matstab.matrix_core import classify, principal_minors
+from matstab.matrix_core import principal_minors
 from matstab.spectra import Disk, HalfPlaneLeft, Status
 
 from conftest import (random_diagonally_stable, random_m_matrix,
@@ -697,30 +697,108 @@ class TestHadamardPTest:
                                   seed=0).status is Status.UNKNOWN
 
 
-class TestTotalScan:
-    def test_negative_identity_all_pass(self):
-        out = ds.total_stability_scan(-np.eye(3), samples=500, budget=500,
-                                      seed=0)
-        overall = out.pop("overall")
-        assert overall.proved
-        assert all(rec["verdict"].proved for rec in out.values())
+def _hurwitz_with_unstable_block(rng, n, k, t=10.0):
+    """A Hurwitz A with a principal block A[S], |S| = k <= n - k, equal
+    to b I + skew with b > 0.
 
-    def test_refuted_submatrix_aggregates(self):
-        a = np.diag([-1.0, -1.0, -1.0])
-        a[0, 1], a[1, 0] = -4.0, 4.0
-        a[0, 0] = 1.0  # the (0,) submatrix alone is unstable
-        out = ds.total_stability_scan(a, samples=200, budget=200, seed=0)
-        assert out["overall"].refuted
+    The other n - k indices couple to S through sqrt(t) K, with
+    K = c [I_k, 0] and c^2 > b, and carry -t I: for large t the spectrum
+    tends to that of b I + skew - c^2 I plus points near -t.
+    """
+    b = rng.uniform(0.1, 1.0)
+    w = rng.normal(size=(k, k))
+    c = np.sqrt(b + rng.uniform(0.5, 2.0))
+    k_mat = np.zeros((k, n - k))
+    k_mat[:, :k] = c * np.eye(k)
+    a = np.block([[b * np.eye(k) + w - w.T, np.sqrt(t) * k_mat],
+                  [-np.sqrt(t) * k_mat.T, -t * np.eye(n - k)]])
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)]
 
-    def test_m_matrix_all_submatrices_pass(self, rng):
-        m = random_m_matrix(rng, 3)
-        out = ds.total_stability_scan(-m, samples=300, budget=1000, seed=0)
-        overall = out.pop("overall")
-        for idx, rec in out.items():
-            sub = m[np.ix_(idx, idx)]
-            assert classify(sub).m_matrix  # closure under principal slices
-            assert rec["verdict"].proved
-        assert overall.proved
+
+_DESCENT_TRIPLES = {"multiplicative": (ds.PositiveDiagonal(), ds.Multiply()),
+                    "additive": (ds.NegativeDiagonal(), ds.Add())}
+
+# Hurwitz, and every principal submatrix is Hurwitz, yet not D-stable
+_ALL_BLOCKS_HURWITZ = np.array([
+    [-1.1586866326625964, -1.590694533491332, -0.02837087229130277,
+     -0.22586043941753345],
+    [0.00943665078785278, -0.00888761263571032, 0.12288948299918538,
+     0.8184366940797856],
+    [1.474260216290081, -0.41458649631380295, -0.8094849271207406,
+     0.5878909690485365],
+    [0.0844667555063645, -0.3531982696503235, -0.03852174189029013,
+     -0.8639405594525829]])
+
+
+def _assert_descent_witness_replays(v, a, mode):
+    gclass, op = _DESCENT_TRIPLES[mode]
+    assert v.refuted and v.reason == "unstable-principal-submatrix"
+    w = v.witness
+    assert isinstance(w, ds.FalsificationWitness)
+    assert w.g.shape == a.shape and w.sample_index == -1
+    assert gclass.contains(w.g)
+    assert np.array_equal(op.apply(w.g, a), w.realized)
+    assert sp.first_outside(sp.eigenvalues(w.realized),
+                            HalfPlaneLeft()) is not None
+
+
+class TestSubmatrixDescent:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12),
+           st.sampled_from(["multiplicative", "additive"]))
+    @settings(max_examples=60, deadline=None)
+    def test_unstable_block_witness_replays(self, seed, n, mode):
+        rng = np.random.default_rng(seed)
+        a = _hurwitz_with_unstable_block(rng, n, int(rng.integers(
+            1, n // 2 + 1)))
+        assert sp.eigenvalues(a)[-1].real < 0
+        _assert_descent_witness_replays(ds.submatrix_descent(a, mode), a,
+                                        mode)
+
+    @pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+    def test_unstable_matrix_stops_at_the_full_set(self, mode):
+        a = np.array([[0.5, 1.0], [-1.0, 0.2]])
+        v = ds.submatrix_descent(a, mode)
+        _assert_descent_witness_replays(v, a, mode)
+        assert v.witness.note.startswith("principal submatrix (0, 1),")
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12),
+           st.sampled_from(["diagonally-stable", "negated-m-matrix"]),
+           st.sampled_from(["multiplicative", "additive"]))
+    @settings(max_examples=60, deadline=None)
+    def test_d_stable_inputs_get_no_hit(self, seed, n, kind, mode):
+        # every principal submatrix of these is Hurwitz
+        rng = np.random.default_rng(seed)
+        a = (random_diagonally_stable(rng, n)[0]
+             if kind == "diagonally-stable" else -random_m_matrix(rng, n))
+        v = ds.submatrix_descent(a, mode)
+        assert (v.status, v.reason) == (Status.UNKNOWN,
+                                        "no-unstable-principal-submatrix")
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_solves_within_the_bound(self, n, monkeypatch):
+        counter = _SolveCounter(monkeypatch)
+        rng = np.random.default_rng(n)
+        ds.submatrix_descent(-random_m_matrix(rng, n))
+        assert counter.solved <= n * (n + 1) // 2 - 1
+        if n >= 2:
+            counter.solved = 0
+            a = _hurwitz_with_unstable_block(rng, n, 1)
+            assert ds.submatrix_descent(a).refuted
+            assert counter.solved <= n * (n + 1) // 2 - 1 + len(
+                ds.DESCENT_EPS)
+
+    def test_every_block_hurwitz_ends_unknown(self):
+        a = _ALL_BLOCKS_HURWITZ
+        for k in range(1, 5):
+            for idx in combinations(range(4), k):
+                assert sp.eigenvalues(a[np.ix_(idx, idx)])[-1].real < 0
+        for mode in ("multiplicative", "additive"):
+            assert ds.submatrix_descent(a, mode).status is Status.UNKNOWN
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            ds.submatrix_descent(-np.eye(2), mode="hadamard")
 
 
 class TestVertex:
@@ -742,22 +820,24 @@ class TestVertex:
         with pytest.raises(ValueError):
             ds.vertex_schur_check(0.5 * np.eye(17))
         with pytest.raises(ValueError):
-            ds.vertex_escape(np.eye(17))
+            next(ds.flagged_vertices(np.eye(17)))
 
     @pytest.mark.parametrize("a", [np.eye(2), [[0.0, 1.0], [1.0, 0.0]],
                                    0.5 * np.eye(3)])
-    def test_no_escape_on_or_inside_the_circle(self, a):
-        assert ds.vertex_escape(a) is None
+    def test_no_vertex_past_the_circle(self, a):
+        # every flagged vertex is on the unit circle, within the band
+        for _, spec, _ in ds.flagged_vertices(a):
+            rho = abs(spec).max()
+            assert rho - 1.0 <= sp.default_tol(rho)
 
-    def test_escape_past_a_boundary_vertex(self):
+    def test_flagged_vertices_in_product_order(self):
         # S = I has spectrum {1, -0.5}; S = diag(1, -1) has rho ~ 2.28
         a = [[1.5, 1.0], [-1.0, -1.0]]
         assert ds.vertex_schur_check(a).witness["signs"] == (1.0, 1.0)
-        v = ds.vertex_escape(a)
-        assert v.refuted and v.witness["signs"] == (1.0, -1.0)
-        assert v.witness["spectral_radius"] == pytest.approx(
-            (2.5 + np.sqrt(4.25)) / 2)
-        assert abs(v.witness["eigenvalue"]) == v.witness["spectral_radius"]
+        flagged = [(signs, abs(spec).max())
+                   for signs, spec, _ in ds.flagged_vertices(a)]
+        assert [signs for signs, _ in flagged] == [(1.0, 1.0), (1.0, -1.0)]
+        assert flagged[1][1] == pytest.approx((2.5 + np.sqrt(4.25)) / 2)
 
 
 def _vertex_loop(a):

@@ -11,7 +11,7 @@ from matstab import dstability as ds
 from matstab import matrix_core as mc
 from matstab import special_forms as sf
 
-from conftest import multiset_close, naive_det
+from conftest import multiset_close, naive_det, random_m_matrix
 
 
 def bits(minors):
@@ -285,6 +285,12 @@ class TestClassify:
             assert rep.witnesses == witnesses
         if capped:
             assert flags["p"] is flags["p0"] is flags["m_matrix"] is None
+
+    def test_m_matrix_closed_under_principal_submatrices(self, rng):
+        m = random_m_matrix(rng, 3)
+        for k in (1, 2, 3):
+            for idx in combinations(range(3), k):
+                assert mc.classify(m[np.ix_(idx, idx)]).m_matrix
 
     @given(square(3))
     @settings(max_examples=80, deadline=None)
