@@ -19,6 +19,17 @@ Work that several checks read is done once per request
 the positive-convention matrix that every check reading them tests, and
 the ``classify`` row reports those flags.
 
+The rows run cheapest sound check first.  ``sufficient-suite`` comes
+before the minor-sign necessity: its exact items cost O(n^3) and read no
+principal minor, and its diagonal-stability item is the first
+SEARCH_PREFIX steps of the half-plane diagonal search.  If those end
+Unknown with budget left, ``diagonal-certificate`` resumes the same
+search up to ``--budget``, so a request runs one search, no step twice.
+The 2^n minor table is built only when ``necessary-p0plus``,
+``interval-box`` or ``classify`` reaches it; ``classify`` and
+``gershgorin`` decide nothing and come last, so a decided request
+skips them.
+
 On the two D-stability triples, ``submatrix-descent`` lifts an unstable
 principal submatrix A[S] to a diagonal D with D o A outside the
 half-plane, so that its witness, like those of ``falsify``, replays on A
@@ -26,8 +37,9 @@ itself.  It runs at any n, before ``falsify`` samples the class.
 
 The summary is the first deciding check that is not Unknown.  Once it is
 Proved or Refuted, :func:`run` skips the rest of the table: no later
-default check can change it, so each goes into ``summary.skipped``
-without a record.  The opt-in extra ``simulate`` still runs.
+default check can change it, so each that applies to the request goes
+into ``summary.skipped`` without a record.  The opt-in extra
+``simulate`` still runs.
 ``--exhaustive`` runs every check, and also ``li-wang``, which decides
 exactly when ``self-stability`` does and so runs only there; a deciding
 check that disagrees with the summary is listed in
@@ -59,7 +71,7 @@ from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       decay_horizon, default_tol, eigenvalues, gershgorin,
                       region_stable, simulate_decay, spectral_abscissa)
 
-SCHEMA = "matstab-report/9"
+SCHEMA = "matstab-report/10"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")
@@ -71,6 +83,10 @@ CHECK_ERROR = "check-error: "
 
 # steps of one simulate run (5e5 steps of a 2 x 2 system: about 17 s)
 SIMULATE_STEP_CAP = 500_000
+
+# steps of the half-plane diagonal search that sufficient-suite runs;
+# diagonal-certificate resumes the same search up to --budget
+SEARCH_PREFIX = 64
 
 
 class UsageError(ValueError):
@@ -487,8 +503,23 @@ class _SharedWork:
         return matrix_core.classify(-self.a, minors=self.neg_minors())
 
     @cached_property
-    def half_plane_search(self):
-        return lyapunov.diagonal_stability_search(self.a, budget=self.budget)
+    def _search(self):
+        return lyapunov.DiagonalSearch(self.a, HalfPlaneLeft())
+
+    def half_plane_search(self, steps):
+        """The half-plane diagonal search of A, run up to ``steps`` steps.
+
+        One search per request: each call resumes it where the last one
+        paused, so no step runs twice, and a search that stopped keeps
+        its verdict.  A search paused short of the budget is Unknown with
+        ``search-prefix-exhausted``.
+        """
+        steps = min(steps, self.budget)
+        verdict = self._search.run(steps)
+        if verdict is not None:
+            return verdict
+        return Verdict(Status.UNKNOWN, "search-budget-exhausted"
+                       if steps == self.budget else "search-prefix-exhausted")
 
 
 class _Context:
@@ -624,8 +655,7 @@ def _symmetric_part(ctx):
 def _sufficient_suite(ctx):
     suite = ds.sufficient_suite(
         -ctx.request.matrix, budget=ctx.request.budget,
-        classification=ctx.shared.classification,
-        search=ctx.shared.half_plane_search)
+        search=ctx.shared.half_plane_search(SEARCH_PREFIX))
     fired = [name for name, v in suite if v.proved]
     wit = next((v.witness for _, v in suite if v.proved
                 and v.witness is not None), None)
@@ -638,7 +668,7 @@ def _sufficient_suite(ctx):
 def _diagonal_certificate(ctx):
     r = ctx.request
     if ctx.half_plane:
-        verdict = ctx.shared.half_plane_search
+        verdict = ctx.shared.half_plane_search(r.budget)
     else:
         verdict = lyapunov.diagonal_stability_search(r.matrix, r.region,
                                                      budget=r.budget)
@@ -708,25 +738,26 @@ Check = collections.namedtuple("Check",
                                "id reference mode applies run exhaustive",
                                defaults=(False,))
 
-# The pipeline in report order.  ``mode`` is the ``--mode`` value that
-# turns a check on (None: it always runs); ``applies`` says whether the
-# check has something to say about the request (None: always); an
-# ``exhaustive`` check runs only in an exhaustive request.
+# The pipeline in report order, cheapest sound check first.  ``mode`` is
+# the ``--mode`` value that turns a check on (None: it always runs);
+# ``applies`` says whether the check has something to say about the
+# request (None: always); an ``exhaustive`` check runs only in an
+# exhaustive request.  No row before necessary-p0plus reads a principal
+# minor.
 CHECKS = (
-    Check("classify", "determinantal class flags of -A", "classify", None,
-          _classify),
-    Check("gershgorin", "row disc localization", "classify", None,
-          _gershgorin),
     Check("self-stability", "direct spectral membership", None, None,
           _self_stability),
-    Check("necessary-p0plus", "minor-sign necessity", "necessary",
-          lambda c: c.triple in _D_STABILITY and c.n <= MINOR_ENUM_CAP,
-          _necessary),
     Check("single-circuit", "circuit gain bound", "structural", None,
           _single_circuit),
     # decides exactly when self-stability does, so it only cross-checks
     Check("li-wang", "second additive compound equivalence", "structural",
           lambda c: c.half_plane and c.n >= 2, _li_wang, exhaustive=True),
+    Check("sufficient-suite", "classical sufficient stability classes",
+          "sufficient", lambda c: c.triple in _DIAG_DECIDED,
+          _sufficient_suite),
+    Check("necessary-p0plus", "minor-sign necessity", "necessary",
+          lambda c: c.triple in _D_STABILITY and c.n <= MINOR_ENUM_CAP,
+          _necessary),
     Check("interval-box", "interval-to-polynomial-box reduction",
           "structural",
           lambda c: (c.half_plane and c.request.op.name == "multiply"
@@ -741,9 +772,6 @@ CHECKS = (
           "structural",
           lambda c: c.triple in ("h-stability", "hadamard-h-stability"),
           _symmetric_part),
-    Check("sufficient-suite", "classical sufficient stability classes",
-          "sufficient", lambda c: c.triple in _DIAG_DECIDED,
-          _sufficient_suite),
     # a diagonal certificate proves nothing about H-stability
     Check("diagonal-certificate", "diagonal Lyapunov-type search", "certify",
           lambda c: (c.request.region.emi is not None
@@ -758,6 +786,11 @@ CHECKS = (
     Check("submatrix-descent", "unstable principal submatrix descent",
           "falsify", lambda c: c.triple in _D_STABILITY, _submatrix_descent),
     Check("falsify", "randomized class sampling", "falsify", None, _falsify),
+    # informational: they decide nothing, so a decided request skips them
+    Check("classify", "determinantal class flags of -A", "classify", None,
+          _classify),
+    Check("gershgorin", "row disc localization", "classify", None,
+          _gershgorin),
     Check("simulate", "fixed-step trajectory integration", "simulate",
           lambda c: c.half_plane, _simulate),
 )
@@ -768,13 +801,14 @@ def run(request):
 
     Runs each row of :data:`CHECKS` whose mode is requested and that
     applies.  The summary is the verdict of the first deciding check that
-    is not Unknown.  Once it is decided, the later rows are skipped and
-    listed in ``Report.skipped`` (their applicability is not evaluated),
-    except those of EXTRA_MODES; an exhaustive request runs them all.
-    Checks share work through a per-request :class:`_SharedWork`: the
-    spectrum of A, one principal-minor sweep of A (the minors of -A are
-    derived from it), one ``classify`` of -A and the half-plane diagonal
-    search.
+    is not Unknown.  Once it is decided, the later rows are skipped,
+    except those of EXTRA_MODES, and each that applies is listed in
+    ``Report.skipped``; an exhaustive request runs them all.  Checks
+    share work through a per-request :class:`_SharedWork`: the spectrum
+    of A, one principal-minor sweep of A (the minors of -A are derived
+    from it), one ``classify`` of -A and one half-plane diagonal search,
+    which ``sufficient-suite`` runs for SEARCH_PREFIX steps and
+    ``diagonal-certificate`` resumes.
     """
     convention_note = "analysis in the hurwitz convention"
     if request.convention == "positive":
@@ -793,16 +827,20 @@ def run(request):
         if (check.mode is not None and check.mode not in request.modes
                 or check.exhaustive and not request.exhaustive):
             continue
-        if (status is not Status.UNKNOWN and not request.exhaustive
-                and check.mode not in EXTRA_MODES):
-            skipped.append(check.id)
-            continue
+        decided = (status is not Status.UNKNOWN and not request.exhaustive
+                   and check.mode not in EXTRA_MODES)
         started = time.perf_counter()
         try:
             applies = check.applies is None or check.applies(ctx)
-            out = check.run(ctx) if applies else None
+            out = check.run(ctx) if applies and not decided else None
         except Exception as exc:
+            # a row whose applies raises would have recorded the error
+            applies = True
             out = Verdict(Status.UNKNOWN, f"{CHECK_ERROR}{exc}"), False, None
+        if decided:
+            if applies:
+                skipped.append(check.id)
+            continue
         if out is None:
             continue
         verdict, decides, data = out

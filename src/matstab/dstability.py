@@ -17,8 +17,9 @@ import numpy as np
 
 from . import lyapunov
 from .matrix_core import (MINOR_ENUM_CAP, _running_sum, additive_compound_2,
-                          as_matrix, block_hadamard, classify, exact_det_sign,
-                          minor_tol, principal_minors, w_map)
+                          as_matrix, block_hadamard, exact_det_sign,
+                          is_m_matrix, is_tridiagonal_p_matrix, minor_tol,
+                          principal_minors, strict_diagonal_dominance, w_map)
 from .spectra import (Disk, EigenSolverError, HalfPlaneLeft, Status, Verdict,
                       default_tol, eigenvalues, first_outside, region_stable)
 
@@ -602,8 +603,7 @@ def _is_triangular(a, tol):
     return upper or lower
 
 
-def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET, classification=None,
-                     search=None):
+def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET, search=None):
     """Sufficient D-stability tests, positive-stability convention.
 
     Any Proved item implies D-stability of ``a`` (D a positive stable for
@@ -611,12 +611,15 @@ def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET, classification=None,
     search, M-matrix, strict diagonal dominance with positive diagonal,
     triangular with positive diagonal, tridiagonal P-matrix, and the
     W-map route (the off-diagonal absolute-value image of -A, or of its
-    inverse, Hurwitz stable implies diagonal stability).
-    ``classification`` and ``search``, when given, are ``classify(a)``
-    and the half-plane ``diagonal_stability_search(-a, budget=budget)``.
+    inverse, Hurwitz stable implies diagonal stability).  No item needs
+    the 2^n principal minors: a Z-matrix is an M-matrix when its leading
+    minors are positive, and a tridiagonal matrix is P when its
+    contiguous principal minors are, so every item runs at any n.
+    ``search``, when given, is the verdict of the half-plane diagonal
+    search of -a (``diagonal_stability_search(-a, budget=budget)`` or a
+    prefix of it).
     """
     a = as_matrix(a)
-    rep = classify(a) if classification is None else classification
     norm = np.linalg.norm(a, np.inf)  # that of -A too
     tol = minor_tol(norm, 1)
     diag_pos = bool((np.diag(a) > tol).all())
@@ -636,11 +639,11 @@ def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET, classification=None,
         else:
             out.append((name, Verdict(Status.UNKNOWN, f"{name}-premise-fails")))
 
-    exact("m-matrix", bool(rep.m_matrix))
+    exact("m-matrix", is_m_matrix(a))
     exact("strict-diagonal-dominance",
-          diag_pos and (rep.strict_row_dd or rep.strict_col_dd))
+          diag_pos and any(strict_diagonal_dominance(a, tol)))
     exact("triangular-positive-diagonal", diag_pos and _is_triangular(a, tol))
-    exact("tridiagonal-p-matrix", bool(rep.tridiagonal and rep.p))
+    exact("tridiagonal-p-matrix", is_tridiagonal_p_matrix(a))
 
     b = -a
     w_ok = region_stable(w_map(b), HalfPlaneLeft()).proved

@@ -41,7 +41,8 @@ __all__ = [
     "Certificate", "KRONECKER_SOLVE_CAP",
     "solve_lyapunov", "solve_stein",
     "lmi_operator", "emi_operator", "is_negative_definite", "definiteness_tol",
-    "diagonal_stability_search", "diagonal_hyperbolicity_search",
+    "DiagonalSearch", "diagonal_stability_search",
+    "diagonal_hyperbolicity_search",
     "verify_certificate",
 ]
 
@@ -256,6 +257,61 @@ def _region_diag_operator(a, region):
     return _DiagOperator(a, *region.emi, _DIAG_KINDS[region.name], region)
 
 
+class DiagonalSearch:
+    """One positive-diagonal certificate search, resumable step by step.
+
+    The state is the iterate (``z``, log d up to a constant), the
+    step-weighted sums of the subgradients and of the weights, and the
+    step count ``k``.  ``run(until)`` takes the steps ``k + 1 .. until``
+    and pauses; a later ``run`` with a larger ``until`` continues from
+    the same state.  The steps are those of one uninterrupted
+    :func:`diagonal_stability_search`, bit for bit, so a search cut in
+    two runs no step twice and stops with the same verdict.
+    """
+
+    def __init__(self, a, region):
+        a = as_matrix(a)
+        self._op = _region_diag_operator(a, region)
+        n = a.shape[0]
+        self._rate = math.sqrt(2.0 * math.log(n))
+        self._z = np.zeros(n)  # log d, up to a constant
+        self._g_sum, self._w_sum = np.zeros(n), 0.0
+        self.k = 0
+        self.verdict = None  # set when the search stops
+
+    def run(self, until):
+        """Step up to ``until``: the verdict once stopped, else None."""
+        while self.verdict is None and self.k < until:
+            self.verdict = self._step(self.k + 1)
+            self.k += 1
+        return self.verdict
+
+    def _step(self, k):
+        """Take step ``k``: the verdict if the search stops there."""
+        op, z = self._op, self._z
+        d = np.exp(z - z.max())
+        d /= d.sum()
+        val, g, tol = op.value_and_subgrad(d)
+        if val < -tol and d.min() > 0:  # no entry underflowed
+            cert = Certificate(op.kind, np.diag(d), -val, op.region, k)
+            return Verdict(Status.PROVED, f"certificate:{op.kind}",
+                           witness=cert)
+        scale = float(np.abs(g).max())
+        if not math.isfinite(scale):
+            raise ValueError("subgradient step is not finite")
+        if scale == 0.0:
+            return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
+        # weight 1/(sqrt(k) ||g||_inf); a subnormal g cannot overflow
+        g = g / scale
+        step = 1.0 / math.sqrt(k)
+        self._g_sum += step * g
+        self._w_sum += step / scale
+        if self._g_sum.min() > self._w_sum * tol:
+            return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
+        z -= (self._rate * step) * g
+        return None
+
+
 def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
     """Search a positive diagonal factor certifying region stability.
 
@@ -270,38 +326,15 @@ def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
     step-weighted mean of the subgradients proved that no positive
     diagonal certifies (``dual-bound-excludes-certificate``, see the
     module docstring), or that the budget ran out
-    (``search-budget-exhausted``).
+    (``search-budget-exhausted``).  :class:`DiagonalSearch` runs the
+    same steps in parts.
     """
-    a = as_matrix(a)
     if region is None:
         region = HalfPlaneLeft()
-    op = _region_diag_operator(a, region)
-    n = a.shape[0]
-    rate = math.sqrt(2.0 * math.log(n))
-    z = np.zeros(n)  # log d, up to a constant
-    g_sum, w_sum = np.zeros(n), 0.0  # weighted sums of g and of weights
-    for k in range(1, budget + 1):
-        d = np.exp(z - z.max())
-        d /= d.sum()
-        val, g, tol = op.value_and_subgrad(d)
-        if val < -tol and d.min() > 0:  # no entry underflowed
-            cert = Certificate(op.kind, np.diag(d), -val, region, k)
-            return Verdict(Status.PROVED, f"certificate:{op.kind}",
-                           witness=cert)
-        scale = float(np.abs(g).max())
-        if not math.isfinite(scale):
-            raise ValueError("subgradient step is not finite")
-        if scale == 0.0:
-            return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
-        # weight 1/(sqrt(k) ||g||_inf); a subnormal g cannot overflow
-        g = g / scale
-        step = 1.0 / math.sqrt(k)
-        g_sum += step * g
-        w_sum += step / scale
-        if g_sum.min() > w_sum * tol:
-            return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
-        z -= (rate * step) * g
-    return Verdict(Status.UNKNOWN, "search-budget-exhausted")
+    verdict = DiagonalSearch(a, region).run(budget)
+    if verdict is None:
+        return Verdict(Status.UNKNOWN, "search-budget-exhausted")
+    return verdict
 
 
 def diagonal_hyperbolicity_search(a, budget=DEFAULT_BUDGET):

@@ -19,8 +19,11 @@ order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, bit for bit
 for every nonzero minor (:func:`negate_minors`).  The screens read each
 order's arrays, never the pairs; an order's sum is a left-to-right
 running total (:func:`_running_sum`).
-:func:`classify` reports only the class flags that a pipeline check
-reads; the pipeline classifies ``-A``, once per request.
+:func:`classify` reports the class flags of the pipeline's ``classify``
+row; the pipeline classifies ``-A``, once per request.  The M-matrix
+and tridiagonal P-matrix tests that the sufficient suite reads
+(:func:`is_m_matrix`, :func:`is_tridiagonal_p_matrix`) cost O(n^3) and
+need no enumeration.
 :func:`exact_det_sign` gives a determinant's sign in exact integer
 arithmetic; refutations by a minor sign use it to confirm what the
 floating-point screen found.
@@ -35,7 +38,8 @@ __all__ = [
     "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "block_hadamard",
     "additive_compound_2", "comparison_matrix", "w_map", "MinorTable",
     "principal_minors", "negate_minors", "exact_det_sign", "leading_minors",
-    "is_z_matrix", "is_m_matrix", "ClassReport", "classify",
+    "is_z_matrix", "is_m_matrix", "strict_diagonal_dominance",
+    "is_tridiagonal", "is_tridiagonal_p_matrix", "ClassReport", "classify",
 ]
 
 # Full principal-minor enumeration grows as 2^n; beyond this cap classify
@@ -269,11 +273,49 @@ def is_m_matrix(a):
     return True
 
 
+def strict_diagonal_dominance(a, tol):
+    """``(rows, columns)``: whether every |a_ii| exceeds the absolute sum
+    of the rest of its row, and of its column, by ``tol``."""
+    diag = abs(np.diag(a))
+    off = abs(a - np.diag(np.diag(a)))
+    return (bool((diag > off.sum(axis=1) + tol).all()),
+            bool((diag > off.sum(axis=0) + tol).all()))
+
+
+def is_tridiagonal(a, tol):
+    """Every entry off the three central diagonals within ``tol``."""
+    return bool((abs(np.triu(a, 2)) <= tol).all()
+                and (abs(np.tril(a, -2)) <= tol).all())
+
+
+def is_tridiagonal_p_matrix(a):
+    """Tridiagonal with every principal minor positive, in O(n^3).
+
+    A principal submatrix of a tridiagonal matrix is block diagonal, its
+    blocks the contiguous principal blocks A[i:j, i:j] on the runs of
+    consecutive indices, so every principal minor is a product of
+    contiguous ones.  The n (n + 1) / 2 contiguous minors, one batched
+    ``det`` per order, then decide P with no enumeration cap.
+    """
+    a = as_matrix(a)
+    norm = np.linalg.norm(a, np.inf)
+    if not is_tridiagonal(a, minor_tol(norm, 1)):
+        return False
+    n = a.shape[0]
+    for k in range(1, n + 1):
+        idx = np.arange(n - k + 1)[:, None] + np.arange(k)
+        values = np.linalg.det(a[idx[:, :, None], idx[:, None, :]])
+        if (values <= minor_tol(norm, k)).any():
+            return False
+    return True
+
+
 @dataclass
 class ClassReport:
-    """The class flags that the pipeline's checks read.
+    """The class flags that the pipeline reports and reads.
 
-    Flags left ``None`` were not decidable (minor enumeration capped).
+    The ``classify`` row reports them all; ``interval-box`` reads
+    ``p0``.  Flags left ``None`` were not decidable (minor enumeration capped).
     A false ``p`` or ``p0`` has its first failing minor as a witness.
     The flag lattice ``m_matrix => p => p0`` holds by construction.
     """
@@ -309,7 +351,7 @@ def _p_flags(norm, minors, witnesses):
 
 
 def classify(a, minors=None):
-    """The class flags of a dense square matrix that the pipeline reads.
+    """The class flags of a dense square matrix that the pipeline reports.
 
     Strict row and column diagonal dominance and the tridiagonal pattern
     read the entries; P, P0 and the M-matrix flag (a Z-matrix that is P)
@@ -321,17 +363,12 @@ def classify(a, minors=None):
     rep = ClassReport(witnesses=w)
     norm = np.linalg.norm(a, np.inf)
     tol1 = minor_tol(norm, 1)
-    diag = np.diag(a)
-    off = a - np.diag(diag)
-
-    rep.strict_row_dd = bool((abs(diag) > abs(off).sum(axis=1) + tol1).all())
-    rep.strict_col_dd = bool((abs(diag) > abs(off).sum(axis=0) + tol1).all())
-    rep.tridiagonal = bool((abs(np.triu(a, 2)) <= tol1).all()
-                           and (abs(np.tril(a, -2)) <= tol1).all())
-
+    rep.strict_row_dd, rep.strict_col_dd = strict_diagonal_dominance(a, tol1)
+    rep.tridiagonal = is_tridiagonal(a, tol1)
     if a.shape[0] <= MINOR_ENUM_CAP:
         if minors is None:
             minors = principal_minors(a)
         rep.p, rep.p0 = _p_flags(norm, minors, w)
-        rep.m_matrix = rep.p and bool((off <= tol1).all())
+        rep.m_matrix = rep.p and bool(
+            (a - np.diag(np.diag(a)) <= tol1).all())
     return rep

@@ -420,7 +420,8 @@ class TestSubmatrixDescentRow:
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert report["summary"]["decided_by"] == "submatrix-descent"
-        assert report["summary"]["skipped"] == ["falsify"]
+        assert report["summary"]["skipped"] == ["falsify", "classify",
+                                                "gershgorin"]
         a = np.asarray(report["request"]["matrix"])
         w = next(c for c in report["checks"]
                  if c["check"] == "submatrix-descent")["witness"]
@@ -505,8 +506,8 @@ class TestRankOneWitness:
 
 
 # random Hurwitz n = 8 inputs whose sufficient suite does not prove at
-# budget 300: the half-plane diagonal search runs for both the suite and
-# the certificate check
+# budget 300: the suite runs the first SEARCH_PREFIX steps of the
+# half-plane diagonal search, and the certificate check resumes it
 HURWITZ_8_UNDECIDED = [
     [-3.5, 0.5, 0.2, 1.9, -0.0, -1.3, -1.0, 1.5],
     [-0.5, -4.7, -0.6, 0.0, 1.2, -1.0, 0.7, 0.8],
@@ -530,62 +531,112 @@ HURWITZ_8_NOT_P0 = [
 class TestSharedWork:
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"minors": 0, "search": 0}
+        """Minor sweeps, diagonal searches, and the steps each run took."""
+        counts = {"minors": 0, "search": 0, "runs": []}
+        sweep = matrix_core.principal_minors
 
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting_sweep(*args, **kwargs):
+            counts["minors"] += 1
+            return sweep(*args, **kwargs)
 
-        sweep = counting("minors", matrix_core.principal_minors)
-        monkeypatch.setattr(matrix_core, "principal_minors", sweep)
-        monkeypatch.setattr(ds, "principal_minors", sweep)
-        monkeypatch.setattr(lyapunov, "diagonal_stability_search",
-                            counting("search",
-                                     lyapunov.diagonal_stability_search))
+        class CountingSearch(lyapunov.DiagonalSearch):
+            def __init__(self, *args):
+                counts["search"] += 1
+                super().__init__(*args)
+
+            def run(self, until):
+                start = self.k
+                verdict = super().run(until)
+                counts["runs"].append((start, self.k))
+                return verdict
+
+        monkeypatch.setattr(matrix_core, "principal_minors", counting_sweep)
+        monkeypatch.setattr(ds, "principal_minors", counting_sweep)
+        monkeypatch.setattr(lyapunov, "DiagonalSearch", CountingSearch)
         return counts
 
     @pytest.mark.parametrize("matrix, class_spec, op_spec, summary, checks", [
         (HURWITZ_8_UNDECIDED, "positive-diagonal", "multiply",
          ("unknown", "no-deciding-check"),
-         [("classify", "unknown", False), ("gershgorin", "unknown", False),
-          ("self-stability", "proved", False),
-          ("necessary-p0plus", "unknown", False),
+         [("self-stability", "proved", False),
           ("li-wang", "proved", False),
           ("sufficient-suite", "unknown", False),
+          ("necessary-p0plus", "unknown", False),
           ("diagonal-certificate", "unknown", False),
           ("submatrix-descent", "unknown", False),
-          ("falsify", "unknown", True)]),
+          ("falsify", "unknown", True),
+          ("classify", "unknown", False), ("gershgorin", "unknown", False)]),
         (HURWITZ_8_NOT_P0, "negative-diagonal", "add",
          ("refuted", "necessary-p0plus"),
-         [("classify", "unknown", False), ("gershgorin", "unknown", False),
-          ("self-stability", "proved", False),
-          ("necessary-p0plus", "refuted", True),
+         [("self-stability", "proved", False),
           ("li-wang", "proved", False),
           ("sufficient-suite", "unknown", False),
+          ("necessary-p0plus", "refuted", True),
           ("diagonal-certificate", "unknown", False),
           ("submatrix-descent", "refuted", True),
-          ("falsify", "refuted", True)]),
+          ("falsify", "refuted", True),
+          ("classify", "unknown", False), ("gershgorin", "unknown", False)]),
         (HURWITZ_8_UNDECIDED, "interval-diagonal:" + ",".join(["0.5/2"] * 8),
          "multiply", ("unknown", "no-deciding-check"),
-         [("classify", "unknown", False), ("gershgorin", "unknown", False),
-          ("self-stability", "proved", False),
+         [("self-stability", "proved", False),
           ("li-wang", "proved", False),
-          ("interval-box", "unknown", False),
           ("sufficient-suite", "unknown", False),
+          ("interval-box", "unknown", False),
           ("diagonal-certificate", "unknown", False),
-          ("falsify", "unknown", True)]),
+          ("falsify", "unknown", True),
+          ("classify", "unknown", False), ("gershgorin", "unknown", False)]),
     ])
     def test_one_sweep_and_one_search_per_request(
             self, calls, matrix, class_spec, op_spec, summary, checks):
         report = cli.run(request_for(matrix, class_spec=class_spec,
                                      op_spec=op_spec, samples=200,
                                      budget=300, seed=1, exhaustive=True))
-        assert calls == {"minors": 1, "search": 1}
+        assert (calls["minors"], calls["search"]) == (1, 1)
+        # the suite runs the prefix, the certificate check resumes it:
+        # each run starts where the last one stopped, so no step runs twice
+        (start, prefix), (resumed, end) = calls["runs"]
+        assert start == 0 and resumed == prefix <= cli.SEARCH_PREFIX
+        assert prefix <= end <= 300
         assert [(c.check, c.verdict.status.value, c.decides)
                 for c in report.checks] == checks
         assert (report.summary_status.value, report.summary_reason) == summary
+
+    def test_suite_proof_runs_the_prefix_only(self, calls):
+        # -A = 15 I - ones is an M-matrix: the suite proves it with no
+        # minor table, and its search stops inside the prefix
+        a = np.ones((14, 14)) - 15.0 * np.eye(14)
+        report = cli.run(request_for(a, samples=200, seed=1))
+        assert (report.summary_status.value, report.summary_reason) == (
+            "proved", "sufficient-suite")
+        assert [c.check for c in report.checks] == ["self-stability",
+                                                    "sufficient-suite"]
+        assert report.checks[-1].data["items"]["m-matrix"].proved
+        assert (calls["minors"], calls["search"]) == (0, 1)
+        (start, stop), = calls["runs"]
+        assert start == 0 and stop <= cli.SEARCH_PREFIX
+
+    @pytest.mark.parametrize("budget", [40, 300])
+    @pytest.mark.parametrize("matrix", [
+        random_diagonally_stable(np.random.default_rng(0), 12)[0],
+        HURWITZ_8_UNDECIDED, HURWITZ_8_NOT_P0])
+    def test_prefix_then_budget_is_the_whole_search(self, matrix, budget):
+        a = np.asarray(matrix, dtype=float)
+        whole = lyapunov.diagonal_stability_search(a, budget=budget)
+        shared = cli._SharedWork(a, budget)
+        prefix = shared.half_plane_search(cli.SEARCH_PREFIX)
+        resumed = shared.half_plane_search(budget)
+        if prefix.reason == "search-prefix-exhausted":
+            assert budget > cli.SEARCH_PREFIX
+        else:  # the prefix was the whole search
+            assert (prefix.status, prefix.reason, prefix.witness) == (
+                resumed.status, resumed.reason, resumed.witness)
+        assert (resumed.status, resumed.reason) == (whole.status,
+                                                    whole.reason)
+        if whole.proved:
+            got, want = resumed.witness, whole.witness
+            assert np.array_equal(got.factor, want.factor)
+            assert (got.margin, got.iterations) == (want.margin,
+                                                    want.iterations)
 
     @pytest.mark.parametrize("class_spec", [
         "positive-diagonal", "interval-diagonal:" + ",".join(["0.5/2"] * 8)])
@@ -610,9 +661,9 @@ class TestSharedWork:
         alone = matrix_core.classify(-a)
         record = next(c for c in report.checks if c.check == "classify")
         assert record.data == {"flags": alone.flags()}
-        # the checks that read the flags ran
+        # the checks that read the flags ran; the suite reads none
         ran = {c.check for c in report.checks}
-        assert "sufficient-suite" in ran
+        assert {"sufficient-suite", "classify"} <= ran
         assert ("interval-box" in ran) == class_spec.startswith("interval")
 
 
@@ -621,13 +672,13 @@ class TestFalsifyMode:
         # falsify samples the class and the descent solves submatrices;
         # neither runs a certificate search
         searches = [0]
-        search = lyapunov.diagonal_stability_search
 
-        def counting(*args, **kwargs):
-            searches[0] += 1
-            return search(*args, **kwargs)
+        class CountingSearch(lyapunov.DiagonalSearch):
+            def __init__(self, *args):
+                searches[0] += 1
+                super().__init__(*args)
 
-        monkeypatch.setattr(lyapunov, "diagonal_stability_search", counting)
+        monkeypatch.setattr(lyapunov, "DiagonalSearch", CountingSearch)
         assert cli.main(["--mode", "falsify", "--samples", "300",
                          "--format", "json", "--", "-2,1;-1,-3"]) == 0
         checks = json.loads(capsys.readouterr().out)["checks"]
@@ -674,7 +725,8 @@ class TestDecideThenStop:
                                                                   spec):
         kw = dict(region_spec=spec.region, class_spec=spec.gclass,
                   op_spec=spec.op, seed=spec.seed)
-        default = emitted(cli.run(request_for(spec.matrix.copy(), **kw)))
+        report = cli.run(request_for(spec.matrix.copy(), **kw))
+        default = emitted(report)
         full = emitted(cli.run(request_for(spec.matrix.copy(),
                                            exhaustive=True, **kw)))
         summary = default["summary"]
@@ -682,17 +734,51 @@ class TestDecideThenStop:
                 == (full["summary"]["status"], full["summary"]["decided_by"]))
         checks = [c for c in full["checks"] if c["check"] != "li-wang"]
         ids = [c["check"] for c in checks]
-        table = [c.id for c in cli.CHECKS
-                 if not c.exhaustive and c.mode not in cli.EXTRA_MODES]
+        rows = [c for c in cli.CHECKS
+                if not c.exhaustive and c.mode not in cli.EXTRA_MODES]
+        table = [c.id for c in rows]
         if summary["decided_by"] == "no-deciding-check":
-            cut, skipped = len(checks), []
+            cut, after = len(checks), []
         else:
             cut = ids.index(summary["decided_by"]) + 1
-            skipped = table[table.index(summary["decided_by"]) + 1:]
+            after = rows[table.index(summary["decided_by"]) + 1:]
         assert default["checks"] == checks[:cut]
-        assert summary["skipped"] == skipped
-        assert set(ids[cut:]) <= set(skipped)
+        # the skipped rows are those after the decider that apply to the
+        # request as decided, in table order; they include every row that
+        # the exhaustive run records after the decider
+        ctx = cli._Context(report.request)
+        ctx.checks = report.checks
+        assert summary["skipped"] == [c.id for c in after if c.applies is None
+                                      or c.applies(ctx)]
+        assert set(ids[cut:]) <= set(summary["skipped"])
         assert full["summary"]["skipped"] == []
+
+    @pytest.mark.parametrize("matrix, kw, skipped", [
+        (-np.eye(2), {}, ["necessary-p0plus", "submatrix-descent", "falsify",
+                          "classify", "gershgorin"]),
+        (0.3 * np.eye(3), dict(region_spec="disk:0,1",
+                               class_spec="vertex-diagonal"),
+         ["diagonal-certificate", "falsify", "classify", "gershgorin"]),
+        ([[-1.0, 3.0], [0.0, -1.0]], dict(class_spec="spd"),
+         ["falsify", "classify", "gershgorin"]),
+    ], ids=["half-plane", "vertex", "h-stability"])
+    def test_skipped_lists_only_rows_that_apply(self, matrix, kw, skipped):
+        report = cli.run(request_for(matrix, samples=100, budget=100, **kw))
+        assert report.skipped == skipped
+
+    def test_skipped_row_whose_applies_raises_is_listed(self, monkeypatch):
+        def broken(ctx):
+            raise RuntimeError("applies broke")
+
+        rows = [c._replace(applies=broken) if c.id == "interval-box" else c
+                for c in cli.CHECKS]
+        monkeypatch.setattr(cli, "CHECKS", tuple(rows))
+        report = cli.run(request_for(-np.eye(2), samples=100, budget=100))
+        assert "interval-box" in report.skipped and report.errors == 0
+        report = cli.run(request_for(-np.eye(2), samples=100, budget=100,
+                                     exhaustive=True))
+        box = next(c for c in report.checks if c.check == "interval-box")
+        assert box.verdict.reason == "check-error: applies broke"
 
     def test_conflict_is_listed_and_exits_3(self, monkeypatch, capsys):
         # a falsify that refutes what the sufficient suite proves
@@ -850,7 +936,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/9"
+        assert payload["schema"] == "matstab-report/10"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -861,10 +947,16 @@ class TestEmit:
         assert cli.emit(r1, "json") == cli.emit(r2, "json")
 
     def test_text_contains_reference_names(self):
-        report = cli.run(request_for(-np.eye(2), samples=200, budget=200))
-        text = cli.emit(report, "text").decode()
-        assert "row disc localization" in text
-        assert "summary: proved" in text
+        # the default run skips the informational rows once decided; the
+        # exhaustive run records them too
+        for exhaustive in (False, True):
+            report = cli.run(request_for(-np.eye(2), samples=200, budget=200,
+                                         exhaustive=exhaustive))
+            text = cli.emit(report, "text").decode()
+            assert all(c.reference in text for c in report.checks)
+            assert ("row disc localization" in text) is exhaustive
+            assert ("skipped once decided: " in text) is not exhaustive
+            assert "summary: proved" in text
 
     def test_witness_replay_from_json(self):
         report = cli.run(request_for([[1.0, -4.0], [1.0, -2.0]], seed=7,
@@ -972,7 +1064,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/9"
+        assert json.loads(out)["schema"] == "matstab-report/10"
 
 
 def _isinstance_triple(request):
@@ -1076,10 +1168,17 @@ class TestCheckTable:
             raise RuntimeError("classify broke")
 
         monkeypatch.setattr(matrix_core, "classify", broken)
+        # a decided request skips classify, so nothing calls it
         report = cli.run(request_for(-np.eye(2), samples=100, budget=100))
-        assert report.checks[0].check == "classify"
-        assert report.checks[0].verdict.reason == \
-            "check-error: classify broke"
+        assert "classify" in report.skipped and report.errors == 0
+        report = cli.run(request_for(-np.eye(2), samples=100, budget=100,
+                                     exhaustive=True))
+        ids = [c.check for c in report.checks]
+        record = report.checks[ids.index("classify")]
+        assert record.verdict.reason == "check-error: classify broke"
+        assert not record.decides and report.errors == 1
+        # the row after it still runs
+        assert ids[ids.index("classify") + 1:] == ["gershgorin"]
         assert report.summary_status is Status.PROVED
 
     def test_overflowing_spd_request_errs_per_check(self):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from matstab import dstability as ds
 from matstab import lyapunov as ly
+from matstab import matrix_core as mc
 from matstab import spectra as sp
 from matstab.matrix_core import principal_minors
 from matstab.spectra import Disk, HalfPlaneLeft, Status
@@ -632,6 +633,41 @@ class TestSufficientSuite:
         assert all(v > 0 for idx, v in principal_minors(a))  # minor oracle
         fired = {k for k, v in ds.sufficient_suite(a) if v.proved}
         assert "tridiagonal-p-matrix" in fired
+
+    @pytest.mark.parametrize("n", [15, 20])
+    def test_exact_items_past_the_minor_cap(self, n, monkeypatch):
+        # (n + 1) I - ones is an M-matrix and the tridiagonal 3 I - 0.5
+        # (off-diagonals) a P-matrix: neither item reads the 2^n minors
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the suite swept the principal minors")
+
+        monkeypatch.setattr(ds, "principal_minors", no_sweep)
+        monkeypatch.setattr(mc, "principal_minors", no_sweep)
+        m_matrix = (n + 1.0) * np.eye(n) - np.ones((n, n))
+        items = dict(ds.sufficient_suite(m_matrix, budget=50))
+        assert items["m-matrix"].proved
+        band = np.diag(np.full(n - 1, -0.5))
+        tridiagonal = 3.0 * np.eye(n) + np.pad(band, ((1, 0), (0, 1))) \
+            + np.pad(band, ((0, 1), (1, 0)))
+        items = dict(ds.sufficient_suite(tridiagonal, budget=50))
+        assert items["tridiagonal-p-matrix"].proved
+
+    def test_tridiagonal_p_item_reads_every_contiguous_minor(self):
+        # -A = [[1, 2, 0], [2, 1, 0.1], [0, 0.1, 1]] has positive diagonal
+        # but det(-A[0:2, 0:2]) = -3: the contiguous block refutes P
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.1], [0.0, 0.1, 1.0]])
+        items = dict(ds.sufficient_suite(a, budget=50))
+        assert not items["tridiagonal-p-matrix"].proved
+        assert items["tridiagonal-p-matrix"].reason == \
+            "tridiagonal-p-matrix-premise-fails"
+        for n in (3, 6, 9):
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                t = np.diag(rng.uniform(0.2, 2.0, n)) \
+                    + np.diag(rng.uniform(-1.5, 1.5, n - 1), 1) \
+                    + np.diag(rng.uniform(-1.5, 1.5, n - 1), -1)
+                oracle = all(v > 0 for _, v in principal_minors(t))
+                assert mc.is_tridiagonal_p_matrix(t) is oracle
 
     def test_dense_spd_fires_search_with_verified_certificate(self, rng):
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))

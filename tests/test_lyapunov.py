@@ -364,6 +364,69 @@ class TestFirstCertificate:
         assert v.proved and v.witness.iterations == 1
 
 
+def search_outcome(v):
+    """Everything a search verdict reports, with the floats' bits."""
+    cert = v.witness
+    if cert is None:
+        return v.status, v.reason
+    return (v.status, v.reason, cert.kind, np.diag(cert.factor).tobytes(),
+            float(cert.margin).hex(), cert.iterations)
+
+
+class TestResumableSearch:
+    """A search run in parts equals one uninterrupted search, bit for bit."""
+
+    @staticmethod
+    def assert_resumes(a, region, budget, splits):
+        whole = ly.diagonal_stability_search(a, region, budget=budget)
+        search = ly.DiagonalSearch(a, region)
+        for until in splits:
+            partial = search.run(min(until, budget))
+            assert search.k <= until
+            if partial is not None:  # a stopped search keeps its verdict
+                assert search_outcome(partial) == search_outcome(whole)
+        resumed = search.run(budget)
+        assert search.k <= budget
+        if resumed is None:
+            assert whole.reason == "search-budget-exhausted"
+            assert search.k == budget
+        else:
+            assert search_outcome(resumed) == search_outcome(whole)
+        return whole
+
+    @pytest.mark.parametrize("make, n, seed, reason, steps", [
+        (lambda rng, n: random_diagonally_stable(rng, n)[0], 12, 0,
+         "certificate:diagonal-lyapunov", 174),
+        (random_hurwitz, 6, 0, DUAL_STOP, None),
+        (random_hurwitz, 6, 3, "search-budget-exhausted", None),
+    ], ids=["past-the-prefix", "dual-bound", "budget-exhausted"])
+    def test_each_way_a_search_ends(self, make, n, seed, reason, steps):
+        a = make(np.random.default_rng(seed), n)
+        whole = self.assert_resumes(a, HalfPlaneLeft(), 300, [64])
+        assert whole.reason == reason
+        if steps is not None:
+            assert whole.witness.iterations == steps > 64
+
+    @given(seeded_sizes, st.sampled_from([
+               (lambda rng, n: random_diagonally_stable(rng, n)[0],
+                HalfPlaneLeft()),
+               (random_hurwitz, HalfPlaneLeft()),
+               (lambda rng, n: rng.normal(size=(n, n)), HalfPlaneLeft()),
+               (lambda rng, n: random_schur_diag_stable(rng, n)[0],
+                Disk(0.0, 1.0))]),
+           st.integers(1, 300),
+           st.lists(st.integers(0, 320), max_size=3).map(sorted))
+    @example((12, 0), (lambda rng, n: random_diagonally_stable(rng, n)[0],
+                       HalfPlaneLeft()), 300, [64])
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_and_continuation_equal_one_search(self, size_seed, case,
+                                                      budget, splits):
+        n, seed = size_seed
+        make, region = case
+        self.assert_resumes(make(np.random.default_rng(seed), n), region,
+                            budget, splits)
+
+
 class TestHyperbolicity:
     # the factor has the signs of the diagonal; its magnitudes are the
     # simplex iterate of the reduced search, uniform 1/n at step 1

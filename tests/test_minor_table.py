@@ -304,8 +304,8 @@ class TestLazyOrders:
         return orders
 
     @staticmethod
-    def run_request(a):
-        report = cli.run(cli.AnalysisRequest(matrix=a))
+    def run_request(a, **kw):
+        report = cli.run(cli.AnalysisRequest(matrix=a, **kw))
         return report, next(c.verdict for c in report.checks
                             if c.check == "necessary-p0plus")
 
@@ -319,11 +319,37 @@ class TestLazyOrders:
         assert len(necessary.witness["indices"]) == order
         assert swept == list(range(1, order + 1))
 
-    def test_proved_request_evaluates_every_order_once(self, swept):
+    @pytest.mark.parametrize("class_spec, op_spec", [
+        ("positive-diagonal", "multiply"), ("negative-diagonal", "add")])
+    def test_refutation_after_the_suite_sweeps_to_the_failing_order(
+            self, swept, class_spec, op_spec):
+        # the suite runs first and reads no minor; the necessity then
+        # sweeps the orders up to its witness, and nothing sweeps more
         report, necessary = self.run_request(
-            random_hurwitz(np.random.default_rng(2), 14))
+            random_hurwitz(np.random.default_rng(1), 14),
+            class_spec=class_spec, op_spec=op_spec)
+        assert [c.check for c in report.checks] == [
+            "self-stability", "sufficient-suite", "necessary-p0plus"]
+        assert report.summary_reason == "necessary-p0plus"
+        assert swept == list(range(1, len(necessary.witness["indices"]) + 1))
+        assert {"classify", "gershgorin"} <= set(report.skipped)
+
+    def test_proved_request_sweeps_no_order(self, swept):
+        # the suite proves it before any row reads a minor
+        report = cli.run(cli.AnalysisRequest(
+            matrix=random_hurwitz(np.random.default_rng(2), 14)))
+        assert (report.summary_status.value, report.summary_reason) == (
+            "proved", "sufficient-suite")
+        assert swept == []
+
+    def test_exhaustive_request_evaluates_every_order_once(self, swept):
+        # the necessity and classify share one table of the orders
+        report, necessary = self.run_request(
+            random_hurwitz(np.random.default_rng(2), 14), exhaustive=True,
+            samples=200, budget=200)
         assert report.summary_status.value == "proved"
         assert necessary.reason == "necessary-p0plus-passed"
+        assert "classify" in [c.check for c in report.checks]
         assert swept == list(range(1, 15))
 
     def test_len_evaluates_nothing(self, swept):
