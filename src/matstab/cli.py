@@ -14,10 +14,11 @@ to the request (through its canonical region/class/operation triple) and
 how to run it.  :func:`run` walks the table in order; it alone times the
 checks, builds their records and keeps the summary.  A check that raises
 is recorded under its own id as ``check-error``, and the rest still run.
-Work that several checks read is done once per request
-(:class:`_SharedWork`).  The class flags are computed once, of ``-A``,
-the positive-convention matrix that every check reading them tests, and
-the ``classify`` row reports those flags.
+Work that several checks read is done once per request and cached on
+the request's :class:`_Context`.  The principal minors and the class
+flags are computed once, of ``-A``, the positive-convention matrix that
+every check reading them tests, and the ``classify`` row reports those
+flags.
 
 The rows run cheapest sound check first.  ``sufficient-suite`` comes
 before the minor-sign necessity: its exact items cost O(n^3) and read no
@@ -465,65 +466,14 @@ def _canonical_triple(request):
                  and op in ops), None)
 
 
-class _SharedWork:
-    """Work that several checks of one request share, each done at most once.
-
-    Every result is computed on first use.  A computation that raises is
-    not cached, so it raises again in every check that asks for it.
-    """
-
-    def __init__(self, a, budget):
-        self.a = a
-        self.budget = budget
-
-    @cached_property
-    def spectrum(self):
-        """``eigenvalues(A)``."""
-        return eigenvalues(self.a)
-
-    @cached_property
-    def minors(self):
-        """``principal_minors(A)``; None past the enumeration cap."""
-        if self.a.shape[0] > MINOR_ENUM_CAP:
-            return None
-        return matrix_core.principal_minors(self.a)
-
-    def neg_minors(self):
-        """``principal_minors(-A)``, derived afresh from the table of A.
-
-        Not cached, so no second 2^n table outlives the check reading it.
-        """
-        if self.minors is None:
-            return None
-        return matrix_core.negate_minors(self.minors)
-
-    @cached_property
-    def classification(self):
-        """``classify(-A)``, the convention of every check that reads it."""
-        return matrix_core.classify(-self.a, minors=self.neg_minors())
-
-    @cached_property
-    def _search(self):
-        return lyapunov.DiagonalSearch(self.a, HalfPlaneLeft())
-
-    def half_plane_search(self, steps):
-        """The half-plane diagonal search of A, run up to ``steps`` steps.
-
-        One search per request: each call resumes it where the last one
-        paused, so no step runs twice, and a search that stopped keeps
-        its verdict.  A search paused short of the budget is Unknown with
-        ``search-prefix-exhausted``.
-        """
-        steps = min(steps, self.budget)
-        verdict = self._search.run(steps)
-        if verdict is not None:
-            return verdict
-        return Verdict(Status.UNKNOWN, "search-budget-exhausted"
-                       if steps == self.budget else "search-prefix-exhausted")
-
-
 class _Context:
-    """One request as the checks see it, and the records made so far."""
+    """One request as the checks see it, the records made so far, and the
+    work that several checks share, each done at most once.
+
+    Every shared result is computed on first use.  A computation that
+    raises is not cached, so it raises again in every check that asks
+    for it.
+    """
 
     def __init__(self, request):
         self.request = request
@@ -531,7 +481,6 @@ class _Context:
         self.half_plane = request.region == HalfPlaneLeft()
         self.triple = _canonical_triple(request)
         self.checks = []
-        self.shared = _SharedWork(request.matrix, request.budget)
 
     def proved(self, check):
         """Whether a record of ``check`` so far is Proved."""
@@ -548,6 +497,43 @@ class _Context:
         except Exception:
             return False
 
+    @cached_property
+    def spectrum(self):
+        """``eigenvalues(A)``."""
+        return eigenvalues(self.request.matrix)
+
+    @cached_property
+    def minors(self):
+        """``principal_minors(-A)``; None past the enumeration cap."""
+        if self.n > MINOR_ENUM_CAP:
+            return None
+        return matrix_core.principal_minors(-self.request.matrix)
+
+    @cached_property
+    def classification(self):
+        """``classify(-A)``, the convention of every check that reads it."""
+        return matrix_core.classify(-self.request.matrix, minors=self.minors)
+
+    @cached_property
+    def _search(self):
+        return lyapunov.DiagonalSearch(self.request.matrix, HalfPlaneLeft())
+
+    def half_plane_search(self, steps):
+        """The half-plane diagonal search of A, run up to ``steps`` steps.
+
+        One search per request: each call resumes it where the last one
+        paused, so no step runs twice, and a search that stopped keeps
+        its verdict.  A search paused short of the budget is Unknown with
+        ``search-prefix-exhausted``.
+        """
+        budget = self.request.budget
+        steps = min(steps, budget)
+        verdict = self._search.run(steps)
+        if verdict is not None:
+            return verdict
+        return Verdict(Status.UNKNOWN, "search-budget-exhausted"
+                       if steps == budget else "search-prefix-exhausted")
+
 
 # Each check below takes the request context and returns
 # ``(verdict, decides, data)``, or None to leave no record.  Library
@@ -556,7 +542,7 @@ class _Context:
 
 def _classify(ctx):
     return (Verdict(Status.UNKNOWN, "informational"), False,
-            {"flags": ctx.shared.classification.flags()})
+            {"flags": ctx.classification.flags()})
 
 
 def _gershgorin(ctx):
@@ -565,7 +551,7 @@ def _gershgorin(ctx):
 
 
 def _self_stability(ctx):
-    spectrum = ctx.shared.spectrum
+    spectrum = ctx.spectrum
     verdict = region_stable(ctx.request.matrix, ctx.request.region,
                             spectrum=spectrum)
     return (verdict, verdict.refuted and ctx.identity_in_class,
@@ -580,7 +566,7 @@ def _d_stability_mode(ctx):
 def _necessary(ctx):
     verdict = ds.necessary_p0plus(ctx.request.matrix,
                                   mode=_d_stability_mode(ctx),
-                                  minors=ctx.shared.neg_minors())
+                                  minors=ctx.minors)
     return verdict, verdict.refuted, None
 
 
@@ -606,7 +592,7 @@ def _interval_box(ctx):
     try:
         verdict = polynomials.kosov_interval_dstability(
             -ctx.request.matrix, np.asarray(g.d_min), np.asarray(g.d_max),
-            classification=ctx.shared.classification)
+            classification=ctx.classification)
     except ValueError as exc:
         return Verdict(Status.UNKNOWN, f"premise-fails: {exc}"), False, None
     return verdict, verdict.proved, None
@@ -655,7 +641,7 @@ def _symmetric_part(ctx):
 def _sufficient_suite(ctx):
     suite = ds.sufficient_suite(
         -ctx.request.matrix, budget=ctx.request.budget,
-        search=ctx.shared.half_plane_search(SEARCH_PREFIX))
+        search=ctx.half_plane_search(SEARCH_PREFIX))
     fired = [name for name, v in suite if v.proved]
     wit = next((v.witness for _, v in suite if v.proved
                 and v.witness is not None), None)
@@ -668,7 +654,7 @@ def _sufficient_suite(ctx):
 def _diagonal_certificate(ctx):
     r = ctx.request
     if ctx.half_plane:
-        verdict = ctx.shared.half_plane_search(r.budget)
+        verdict = ctx.half_plane_search(r.budget)
     else:
         verdict = lyapunov.diagonal_stability_search(r.matrix, r.region,
                                                      budget=r.budget)
@@ -804,11 +790,10 @@ def run(request):
     is not Unknown.  Once it is decided, the later rows are skipped,
     except those of EXTRA_MODES, and each that applies is listed in
     ``Report.skipped``; an exhaustive request runs them all.  Checks
-    share work through a per-request :class:`_SharedWork`: the spectrum
-    of A, one principal-minor sweep of A (the minors of -A are derived
-    from it), one ``classify`` of -A and one half-plane diagonal search,
-    which ``sufficient-suite`` runs for SEARCH_PREFIX steps and
-    ``diagonal-certificate`` resumes.
+    share work through the per-request :class:`_Context`: the spectrum
+    of A, one principal-minor sweep of -A, one ``classify`` of -A and
+    one half-plane diagonal search, which ``sufficient-suite`` runs for
+    SEARCH_PREFIX steps and ``diagonal-certificate`` resumes.
     """
     convention_note = "analysis in the hurwitz convention"
     if request.convention == "positive":

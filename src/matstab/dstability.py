@@ -30,8 +30,8 @@ __all__ = [
     "NegativeDiagonal", "BinOp", "Multiply", "Add", "HadamardProduct",
     "BlockHadamardProduct", "apply_op", "FalsificationWitness",
     "rank_one_witness", "falsify", "necessary_p0plus", "sufficient_suite",
-    "li_wang_stable", "hadamard_p_test", "submatrix_descent",
-    "flagged_vertices", "vertex_refutation", "vertex_schur_check",
+    "li_wang_stable", "submatrix_descent", "flagged_vertices",
+    "vertex_refutation", "vertex_schur_check",
 ]
 
 
@@ -676,55 +676,6 @@ def li_wang_stable(a):
                        witness={"det": det, "n": n})
     return Verdict(Status.REFUTED, "li-wang-compound-unstable",
                    witness=inner.witness)
-
-
-# ---------------------------------------------------------------------------
-# Hadamard P-property test
-# ---------------------------------------------------------------------------
-
-HADAMARD_P_CAP = 10
-
-
-def _p_matrix_violation(m):
-    """First principal minor that is exactly <= 0, or None.
-
-    Floats screen with ``minor_tol``; :func:`exact_det_sign` confirms.
-    """
-    norm = np.linalg.norm(m, np.inf)
-    for k, (sets, values) in enumerate(principal_minors(m).orders, start=1):
-        for i in np.flatnonzero(values <= minor_tol(norm, k)):
-            alpha = tuple(sets[i].tolist())
-            if exact_det_sign(m[np.ix_(alpha, alpha)]) <= 0:
-                return alpha, float(values[i])
-    return None
-
-
-def hadamard_p_test(a, samples=1000, seed=0):
-    """Sampled Hadamard P-property test, positive-stability convention.
-
-    Diagonal stability forces A o S to be a P-matrix for every nonzero
-    symmetric positive semidefinite S; one sampled failure refutes
-    diagonal stability.  Samples are random correlation matrices (PSD,
-    unit diagonal): positive scaling of S cannot change the P-property,
-    so the unit-diagonal normalization loses nothing.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if n > HADAMARD_P_CAP:
-        raise ValueError(f"hadamard sampling capped at n = {HADAMARD_P_CAP}")
-    rng = np.random.default_rng(seed)
-    for idx in range(samples):
-        b = rng.normal(size=(n, n))
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-        s = b @ b.T
-        np.fill_diagonal(s, 1.0)
-        bad = _p_matrix_violation(a * s)
-        if bad is not None:
-            alpha, val = bad
-            return Verdict(Status.REFUTED, "hadamard-p-violation",
-                           witness={"s": s, "indices": alpha, "minor": val,
-                                    "sample_index": idx}, seed=seed)
-    return Verdict(Status.UNKNOWN, "hadamard-p-budget-exhausted", seed=seed)
 
 
 # ---------------------------------------------------------------------------

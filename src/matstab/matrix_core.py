@@ -14,11 +14,9 @@ reaches it, so the P / P0 screens and the minor-sign necessity, which
 stop at their first failing order, never sweep the orders above.
 Each order takes the determinants of its stacked k x k principal
 submatrices in one ``np.linalg.det`` call, bit for bit the values of a
-per-submatrix loop.  The minors of ``-A`` need no second sweep: an
-order-k minor of ``-A`` is ``(-1)^k`` times that of ``A``, bit for bit
-for every nonzero minor (:func:`negate_minors`).  The screens read each
-order's arrays, never the pairs; an order's sum is a left-to-right
-running total (:func:`_running_sum`).
+per-submatrix loop.  The screens read each order's arrays, never the
+pairs; an order's sum is a left-to-right running total
+(:func:`_running_sum`).
 :func:`classify` reports the class flags of the pipeline's ``classify``
 row; the pipeline classifies ``-A``, once per request.  The M-matrix
 and tridiagonal P-matrix tests that the sufficient suite reads
@@ -37,9 +35,9 @@ import numpy as np
 __all__ = [
     "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "block_hadamard",
     "additive_compound_2", "comparison_matrix", "w_map", "MinorTable",
-    "principal_minors", "negate_minors", "exact_det_sign", "leading_minors",
-    "is_z_matrix", "is_m_matrix", "strict_diagonal_dominance",
-    "is_tridiagonal", "is_tridiagonal_p_matrix", "ClassReport", "classify",
+    "principal_minors", "exact_det_sign", "leading_minors", "is_z_matrix",
+    "is_m_matrix", "strict_diagonal_dominance", "is_tridiagonal",
+    "is_tridiagonal_p_matrix", "ClassReport", "classify",
 ]
 
 # Full principal-minor enumeration grows as 2^n; beyond this cap classify
@@ -176,24 +174,6 @@ def principal_minors(a):
     return MinorTable(n, (
         (idx, np.linalg.det(a[idx[:, :, None], idx[:, None, :]]))
         for idx in _index_sets(n)))
-
-
-def negate_minors(minors):
-    """The :func:`principal_minors` table of ``-A`` from that of ``A``.
-
-    The index arrays are shared; only the odd orders' values are new,
-    each derived from ``minors`` when a reader first reaches it.
-
-    Negating a matrix leaves the pivots' magnitudes of its LU factors
-    unchanged and flips the sign of each, so ``det(-M) = (-1)^k det(M)``
-    holds bit for bit for every nonzero minor.  ``0.0 - v`` keeps a zero
-    minor ``+0.0``, as LAPACK gives it for an exact zero pivot; a minor
-    that underflowed to zero may carry the other sign bit when swept
-    directly, which no comparison or sum can tell apart.
-    """
-    return MinorTable(minors.n, (
-        (sets, 0.0 - values if k % 2 else values)
-        for k, (sets, values) in enumerate(minors.orders, 1)))
 
 
 def _running_sum(values):

@@ -531,13 +531,14 @@ HURWITZ_8_NOT_P0 = [
 class TestSharedWork:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Minor sweeps, diagonal searches, and the steps each run took."""
-        counts = {"minors": 0, "search": 0, "runs": []}
+        """The matrix of each minor sweep, diagonal searches, and the steps
+        each run took."""
+        counts = {"minors": [], "search": 0, "runs": []}
         sweep = matrix_core.principal_minors
 
-        def counting_sweep(*args, **kwargs):
-            counts["minors"] += 1
-            return sweep(*args, **kwargs)
+        def counting_sweep(a, *args, **kwargs):
+            counts["minors"].append(np.array(a))
+            return sweep(a, *args, **kwargs)
 
         class CountingSearch(lyapunov.DiagonalSearch):
             def __init__(self, *args):
@@ -591,7 +592,7 @@ class TestSharedWork:
         report = cli.run(request_for(matrix, class_spec=class_spec,
                                      op_spec=op_spec, samples=200,
                                      budget=300, seed=1, exhaustive=True))
-        assert (calls["minors"], calls["search"]) == (1, 1)
+        assert (len(calls["minors"]), calls["search"]) == (1, 1)
         # the suite runs the prefix, the certificate check resumes it:
         # each run starts where the last one stopped, so no step runs twice
         (start, prefix), (resumed, end) = calls["runs"]
@@ -611,9 +612,26 @@ class TestSharedWork:
         assert [c.check for c in report.checks] == ["self-stability",
                                                     "sufficient-suite"]
         assert report.checks[-1].data["items"]["m-matrix"].proved
-        assert (calls["minors"], calls["search"]) == (0, 1)
+        assert (calls["minors"], calls["search"]) == ([], 1)
         (start, stop), = calls["runs"]
         assert start == 0 and stop <= cli.SEARCH_PREFIX
+
+    @pytest.mark.parametrize("matrix, kw", [
+        (HURWITZ_8_UNDECIDED, {}),
+        (HURWITZ_8_NOT_P0, dict(class_spec="negative-diagonal",
+                                op_spec="add")),
+        (HURWITZ_8_UNDECIDED, dict(class_spec="interval-diagonal:"
+                                   + ",".join(["0.5/2"] * 8))),
+        (-np.asarray(HURWITZ_8_NOT_P0), dict(convention="positive")),
+        (np.diag([0.0, -0.0, -1.0, 2.0]), {})])
+    def test_the_one_sweep_is_of_the_negation(self, calls, matrix, kw):
+        # every reader of the table tests -A, so the pipeline sweeps -A,
+        # under either convention and bit for bit, signed zeros too
+        report = cli.run(request_for(matrix, samples=100, budget=100,
+                                     exhaustive=True, **kw))
+        swept, = calls["minors"]
+        want = -report.request.matrix
+        assert swept.dtype == want.dtype and swept.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("budget", [40, 300])
     @pytest.mark.parametrize("matrix", [
@@ -622,9 +640,9 @@ class TestSharedWork:
     def test_prefix_then_budget_is_the_whole_search(self, matrix, budget):
         a = np.asarray(matrix, dtype=float)
         whole = lyapunov.diagonal_stability_search(a, budget=budget)
-        shared = cli._SharedWork(a, budget)
-        prefix = shared.half_plane_search(cli.SEARCH_PREFIX)
-        resumed = shared.half_plane_search(budget)
+        ctx = cli._Context(request_for(a, budget=budget))
+        prefix = ctx.half_plane_search(cli.SEARCH_PREFIX)
+        resumed = ctx.half_plane_search(budget)
         if prefix.reason == "search-prefix-exhausted":
             assert budget > cli.SEARCH_PREFIX
         else:  # the prefix was the whole search

@@ -22,6 +22,11 @@ on purpose are listed in ``KEEP_PARAMS`` with a reason.
 The shared test helpers in ``tests/conftest.py`` follow the same rule,
 with the test modules as roots: a helper that no test uses, by name or
 as a fixture argument, fails the suite.
+
+A deletion leaves no trace behind: each library module's ``__all__``
+names only its public top-level names and every public function and
+class, so ``import *`` cannot fail on a stale entry, and no library
+module but ``__init__`` imports a name it does not use.
 """
 
 import ast
@@ -34,11 +39,7 @@ ROOT_FILES = [LIBRARY / "cli.py", LIBRARY / "__init__.py",
               TESTS / "test_acceptance.py",
               *sorted((ROOT / "perfbench").glob("*.py"))]
 
-KEEP = {
-    "hadamard_p_test": "waits for the dual witness of diagonal stability",
-    "_p_matrix_violation": "reached only from hadamard_p_test",
-    "HADAMARD_P_CAP": "reached only from hadamard_p_test",
-}
+KEEP = {}
 
 
 def names_used(tree):
@@ -238,10 +239,6 @@ def unpassed_parameters():
 KEEP_PARAMS = {
     "main(argv)": "None parses sys.argv, as the console entry point does; "
                   "tests pass a list",
-    "hadamard_p_test(samples)": "waits for the dual witness of diagonal "
-                                "stability, as hadamard_p_test itself does",
-    "hadamard_p_test(seed)": "waits for the dual witness of diagonal "
-                             "stability, as hadamard_p_test itself does",
 }
 
 
@@ -263,3 +260,56 @@ def test_keep_params_names_only_unpassed_parameters():
 
 def test_every_test_helper_is_used():
     assert sorted(unused_test_helpers()) == []
+
+
+def library_modules():
+    """Each library module but ``__init__``, with its syntax tree."""
+    return [(path.name, parse(path)) for path in sorted(LIBRARY.glob("*.py"))
+            if path.name != "__init__.py"]
+
+
+def export_mismatches(tree):
+    """``__all__`` against the public top-level names of a module: the
+    entries that name none of them, and the public functions and classes
+    it leaves out.  Public constants may be left out.  None without an
+    ``__all__``."""
+    exported, public, defined = None, set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+        else:
+            continue
+        public |= {name for name in names if not name.startswith("_")}
+    if exported is None:
+        return None
+    return (sorted(set(exported) - public),
+            sorted(n for n in defined - set(exported)
+                   if not n.startswith("_")))
+
+
+def unused_imports(tree):
+    """The names that a module's imports bind and nothing in it reads."""
+    bound = {alias.asname or alias.name.partition(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+
+
+def test_all_names_exactly_the_public_definitions():
+    found = {name: export_mismatches(tree)
+             for name, tree in library_modules()}
+    assert {name: got for name, got in found.items()
+            if got is not None and got != ([], [])} == {}
+
+
+def test_no_library_module_imports_an_unused_name():
+    found = {name: sorted(unused_imports(tree))
+             for name, tree in library_modules()}
+    assert {name: got for name, got in found.items() if got} == {}
