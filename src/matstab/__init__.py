@@ -2,11 +2,11 @@
 Lyapunov-type certificates for dense real matrices."""
 
 from .spectra import (Disk, EMIRegion, HalfPlaneLeft, HalfPlaneRight,
-                      Hyperbolic, Inertia, LMIRegion, Membership,
-                      NegativeRealAxis, PositiveRealAxis, PunctureOrigin,
-                      RealLine, Region, SectorRight, ComplementSector,
-                      Status, Verdict, eigenvalues, gershgorin, inertia,
-                      region_membership, region_stable, simulate_decay)
+                      Hyperbolic, LMIRegion, NegativeRealAxis,
+                      PositiveRealAxis, PunctureOrigin, RealLine, Region,
+                      SectorRight, ComplementSector, Status, Verdict,
+                      eigenvalues, gershgorin, membership, region_stable,
+                      simulate_decay)
 from .lyapunov import (Certificate, diagonal_stability_search, solve_lyapunov,
                        solve_stein, verify_certificate)
 from .dstability import falsify, necessary_p0plus, sufficient_suite

@@ -69,8 +69,8 @@ from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
                       HalfPlaneRight, Hyperbolic, LMIRegion,
                       NegativeRealAxis, PositiveRealAxis, PunctureOrigin,
                       RealLine, Region, SectorRight, Status, Verdict,
-                      decay_horizon, default_tol, eigenvalues, gershgorin,
-                      region_stable, simulate_decay, spectral_abscissa)
+                      decay_horizon, eigenvalues, first_outside, gershgorin,
+                      membership, region_stable, simulate_decay)
 
 SCHEMA = "matstab-report/10"
 
@@ -540,7 +540,7 @@ class _Context:
 # functions are looked up when a check runs, never stored in the table,
 # so that rebinding a module attribute (a tracer, a test) reaches them.
 
-def _classify(ctx):
+def _class_flags(ctx):
     return (Verdict(Status.UNKNOWN, "informational"), False,
             {"flags": ctx.classification.flags()})
 
@@ -609,11 +609,10 @@ def _vertex_enumeration(ctx):
     # largest modulus.
     first = None
     for signs, spec, point in ds.flagged_vertices(a):
-        rho = float(abs(spec).max())
-        if rho - 1.0 > default_tol(rho):
-            if first:
-                point = spec[np.argmax(abs(spec))]
-            return ds.vertex_refutation(signs, spec, point), True, None
+        top = spec[np.argmax(abs(spec))]
+        if membership(top, Disk()) > 0:
+            return (ds.vertex_refutation(signs, spec, top if first else point),
+                    True, None)
         first = first or ds.vertex_refutation(signs, spec, point)
     return first or Verdict(Status.PROVED, "vertex-stable"), False, None
 
@@ -696,8 +695,8 @@ def _simulate(ctx):
                      and isinstance(c.verdict.witness, ds.FalsificationWitness)
                      and c.verdict.witness.realized is not None), None)
     if realized is None:
-        alpha = spectral_abscissa(a)
-        if alpha >= 0:
+        alpha = float(ctx.spectrum[-1].real)  # sorted by real part
+        if first_outside(ctx.spectrum, HalfPlaneLeft()) is not None:
             return (Verdict(Status.UNKNOWN, "matrix-not-hurwitz"), False,
                     {"abscissa": alpha})
         m, data = a, {"abscissa": alpha}
@@ -774,7 +773,7 @@ CHECKS = (
     Check("falsify", "randomized class sampling", "falsify", None, _falsify),
     # informational: they decide nothing, so a decided request skips them
     Check("classify", "determinantal class flags of -A", "classify", None,
-          _classify),
+          _class_flags),
     Check("gershgorin", "row disc localization", "classify", None,
           _gershgorin),
     Check("simulate", "fixed-step trajectory integration", "simulate",

@@ -21,7 +21,7 @@ from .matrix_core import (MINOR_ENUM_CAP, _running_sum, additive_compound_2,
                           is_m_matrix, is_tridiagonal_p_matrix, minor_tol,
                           principal_minors, strict_diagonal_dominance, w_map)
 from .spectra import (Disk, EigenSolverError, HalfPlaneLeft, Status, Verdict,
-                      default_tol, eigenvalues, first_outside, region_stable)
+                      eigenvalues, first_outside, membership, region_stable)
 
 __all__ = [
     "GClass", "PositiveDiagonal", "DiagonalNormLt1", "VertexDiagonal",
@@ -92,11 +92,12 @@ class GClass:
         raise NotImplementedError
 
     def _diag_contains(self, d):
-        """Membership of diagonals; leading axes of ``d`` are a batch."""
+        """Whether each diagonal is in the class; leading axes of ``d`` are
+        a batch."""
         raise NotImplementedError
 
     def _stack_contains(self, gs):
-        """Membership of each matrix of a (k, n, n) stack."""
+        """Whether each matrix of a (k, n, n) stack is in the class."""
         return [self.contains(g) for g in gs]
 
 
@@ -533,8 +534,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
         # vectorized screen with the re-check's own bands; the witness is
         # re-solved alone, so that it replays and its eigenvalue is the
         # first in sorted order
-        tols = default_tol(specs)
-        bad = ~(region.distance(specs, tols) < -tols)
+        bad = membership(specs, region) >= 0
         for i in np.nonzero(bad.any(axis=1))[0]:
             g = gs[i]
             m = op.apply(g, a)
@@ -693,7 +693,7 @@ def submatrix_descent(a, mode="multiplicative"):
     Every principal submatrix of a D-stable matrix is D-semistable
     (Hershkowitz, LAA 171, 1992).  From the full index set, each step
     drops the index whose removal leaves the largest spectral abscissa,
-    up to the first A[S] with an eigenvalue z of Re z > ``default_tol(z)``.
+    up to the first A[S] with an eigenvalue strictly outside the half-plane.
     As eps -> 0, D_eps A with D_eps = diag(1 on S, eps elsewhere) has the
     spectrum of A[S] plus points near 0; in ``additive`` mode,
     D_eps + A with D_eps = diag(-eps on S, -1/eps elsewhere) has it plus
@@ -714,7 +714,7 @@ def submatrix_descent(a, mode="multiplicative"):
 
     keep = list(range(a.shape[0]))
     z = top(keep)
-    while not z.real > default_tol(z):
+    while membership(z, HalfPlaneLeft()) <= 0:
         if len(keep) == 1:
             return Verdict(Status.UNKNOWN, "no-unstable-principal-submatrix")
         # ties go to the first index
@@ -744,9 +744,6 @@ def submatrix_descent(a, mode="multiplicative"):
 # ---------------------------------------------------------------------------
 
 VERTEX_ENUM_CAP = 16
-# the largest |z| that first_outside counts strictly inside the unit disk:
-# |z| - 1 < -1e-8 (1 + |z|)
-_DISK_INSIDE = (1.0 - 1e-8) / (1.0 + 1e-8)
 _UNIT_DISK = Disk(0.0, 1.0)
 
 
@@ -755,8 +752,8 @@ def flagged_vertices(a):
     whose spectrum has a point not strictly inside the unit disk, in the
     order of ``product((1.0, -1.0), repeat=n)``.
 
-    rho(S A) <= ||S A||_2 = ||A||_2, so a norm below the disk's inside
-    radius flags no vertex, with no eigen-solve.  Otherwise the 2^(n-1)
+    rho(S A) <= ||S A||_2 = ||A||_2, so a norm strictly inside the disk
+    flags no vertex, with no eigen-solve.  Otherwise the 2^(n-1)
     vertices with s_1 = +1 (the first half of that order) stand for all
     2^n, as rho(-M) = rho(M); each is solved once, when the caller reads
     on to it.  Capped at n = 16.
@@ -772,7 +769,7 @@ def flagged_vertices(a):
     # exact arithmetic proves the bound; the 16 n eps allowance covers the
     # rounding of the computed norm.  That the solved vertices agree at the
     # edge is checked by test_norm_bound_edge, not proven.
-    if norm * (1.0 + 16 * n * np.finfo(float).eps) < _DISK_INSIDE:
+    if membership(norm * (1.0 + 16 * n * np.finfo(float).eps), _UNIT_DISK) < 0:
         return
     for rest in product((1.0, -1.0), repeat=n - 1):
         signs = (1.0,) + rest

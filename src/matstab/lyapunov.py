@@ -68,8 +68,8 @@ class CertificateError(ValueError):
 class Certificate:
     """A stability witness: a structured factor plus a definiteness margin.
 
-    ``kind`` is one of diagonal-lyapunov, spd-lyapunov, diagonal-stein,
-    diagonal-lmi, diagonal-emi, diagonal-hyperbolic.
+    ``kind`` is one of diagonal-lyapunov, diagonal-stein, diagonal-lmi,
+    diagonal-emi, diagonal-hyperbolic.
     """
 
     kind: str
@@ -381,17 +381,6 @@ def verify_certificate(a, cert):
     factor = np.asarray(cert.factor, dtype=float)
     off = factor - np.diag(np.diag(factor))
     a = as_matrix(a)
-    if cert.kind == "spd-lyapunov":
-        _require(np.allclose(factor, factor.T,
-                             atol=1e-10 * (1.0 + abs(factor).max())),
-                 "factor must be symmetric")
-        _require(float(np.linalg.eigvalsh(_sym_part(factor))[0]) > 0,
-                 "factor must be positive definite")
-        w = factor @ a + a.T @ factor
-        _, margin = is_negative_definite(w, tol=0.0)
-        _require(margin > 0, "certified form is not negative definite")
-        return margin
-
     _require(np.all(off == 0.0), "factor must be diagonal")
     d = np.diag(factor)
 

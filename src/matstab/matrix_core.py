@@ -349,6 +349,5 @@ def classify(a, minors=None):
         if minors is None:
             minors = principal_minors(a)
         rep.p, rep.p0 = _p_flags(norm, minors, w)
-        rep.m_matrix = rep.p and bool(
-            (a - np.diag(np.diag(a)) <= tol1).all())
+        rep.m_matrix = rep.p and is_z_matrix(a)
     return rep

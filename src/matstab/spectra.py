@@ -28,9 +28,12 @@ library goes through it:
 - ``bounded`` is True when the region is known to be bounded (a disk,
   an EMI region with R22 positive definite); False is conservative.
 
-:func:`region_membership`, :func:`first_outside` and :func:`inertia`
-classify through ``distance`` with each point's ``default_tol`` band,
-so one point gets one verdict whichever of them asks.
+:func:`membership` is the one band test: through ``distance`` with each
+point's ``default_tol`` band it gives -1 (strictly inside), 0 (in the
+band) or +1 (strictly outside) per point, and 0 for a NaN point.
+:func:`first_outside`, :func:`region_stable`, :func:`gershgorin` and
+every other band test of the library go through it, so one point gets
+one verdict whichever of them asks.
 """
 
 import math
@@ -40,12 +43,12 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
-    "Status", "Verdict", "Membership", "Inertia",
+    "Status", "Verdict",
     "Region", "HalfPlaneLeft", "HalfPlaneRight", "Disk", "SectorRight",
     "ComplementSector", "RealLine", "PositiveRealAxis", "NegativeRealAxis",
     "Hyperbolic", "PunctureOrigin", "LMIRegion", "EMIRegion",
-    "EigenSolverError", "eigenvalues", "default_tol", "region_membership",
-    "first_outside", "region_stable", "inertia", "gershgorin",
+    "EigenSolverError", "eigenvalues", "default_tol", "membership",
+    "first_outside", "region_stable", "gershgorin",
     "simulate_decay", "spectral_abscissa", "decay_horizon",
 ]
 
@@ -88,24 +91,6 @@ class Verdict:
     @property
     def refuted(self):
         return self.status is Status.REFUTED
-
-
-class Membership(str, Enum):
-    INSIDE = "inside"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
-
-
-@dataclass
-class Inertia:
-    """Eigenvalue counts (inside, on boundary, outside) w.r.t. a region."""
-
-    i_plus: int
-    i_zero: int
-    i_minus: int
-
-    def as_tuple(self):
-        return (self.i_plus, self.i_zero, self.i_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -383,36 +368,26 @@ def default_tol(z):
 # Membership
 # ---------------------------------------------------------------------------
 
-def _classify(value, tol):
-    # value < 0 inside, value > 0 outside, |value| <= tol boundary band
-    if value < -tol:
-        return Membership.INSIDE
-    if value > tol:
-        return Membership.OUTSIDE
-    return Membership.BOUNDARY
+def membership(zs, region):
+    """Per point of ``zs`` (any shape): -1 strictly inside ``region``, 0 in
+    its boundary band, +1 strictly outside.
 
-
-def region_membership(z, region):
-    """Classify a complex point against a region with its boundary band.
-
-    The band is ``default_tol(z)``.  Thin regions (the real line and its
-    half-axes) have empty interior; for these, "inside" means the
-    defining equalities hold within the band and the strict inequalities
-    hold with the band as margin.
+    The band of a point z is ``default_tol(z)``.  Thin regions (the real
+    line and its half-axes) have empty interior; for these, "inside"
+    means the defining equalities hold within the band and the strict
+    inequalities hold with the band as margin.  A NaN point is 0: in the
+    band, never inside.
     """
-    z = complex(z)
-    tol = default_tol(z)
-    return _classify(region.distance(np.asarray(z), tol), tol)
+    zs = np.asarray(zs, dtype=complex)
+    tols = default_tol(zs)
+    d = region.distance(zs, tols)
+    return (d > tols).astype(int) - (d < -tols)
 
 
 def first_outside(spectrum, region):
-    """First point of ``spectrum`` not strictly inside ``region``, or None.
-
-    Each point gets its own ``default_tol`` band.
-    """
+    """First point of ``spectrum`` not strictly inside ``region``, or None."""
     zs = np.asarray(spectrum, dtype=complex)
-    tols = default_tol(zs)
-    out = np.flatnonzero(~(region.distance(zs, tols) < -tols))
+    out = np.flatnonzero(membership(zs, region) >= 0)
     return complex(zs[out[0]]) if out.size else None
 
 
@@ -436,29 +411,19 @@ def region_stable(a, region, spectrum=None):
     return Verdict(Status.PROVED, "all-eigenvalues-inside")
 
 
-def inertia(a, region):
-    """Counts of eigenvalues inside / on the boundary of / outside a region."""
-    spec = eigenvalues(a)
-    tols = default_tol(spec)
-    d = region.distance(spec, tols)
-    plus = int(np.count_nonzero(d < -tols))
-    minus = int(np.count_nonzero(d > tols))
-    return Inertia(plus, spec.size - plus - minus, minus)
-
-
 def gershgorin(a):
     """Row disc localization and the resulting Hurwitz verdict.
 
     Returns the discs (center a_ii, radius = off-diagonal row sum) and
-    Proved when every disc lies in the open left half-plane with margin
-    1e-9; Unknown otherwise (the localization never refutes).
+    Proved when the rightmost point a_ii + r_i of every disc is strictly
+    inside the left half-plane (:func:`membership`); Unknown otherwise
+    (the localization never refutes).
     """
     a = _as_square(a)
     n = a.shape[0]
     radii = abs(a).sum(axis=1) - abs(np.diag(a))
     disks = [(float(a[i, i]), float(radii[i])) for i in range(n)]
-    worst = max((c + r for c, r in disks), default=-np.inf)
-    if worst < -1e-9:
+    if (membership(np.diag(a) + radii, HalfPlaneLeft()) < 0).all():
         verdict = Verdict(Status.PROVED, "gershgorin-discs-in-left-half-plane")
     else:
         verdict = Verdict(Status.UNKNOWN, "gershgorin-inconclusive")

@@ -417,7 +417,7 @@ def _first_rejected_sample(a, gclass, op, region, samples, seed, batch):
         gs = gclass.sample_batch(rng, n, b)
         for i in range(b):
             for z in sp.eigenvalues(op.apply(gs[i], a)):
-                if sp.region_membership(z, region) is not sp.Membership.INSIDE:
+                if sp.membership(z, region) >= 0:
                     return done + i, complex(z)
         done += b
     return None
@@ -926,8 +926,10 @@ class TestVertexKernel:
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_norm_bound_edge(self, n, monkeypatch):
         q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
-        # the scale at which ||A||_2 (1 + 16 n eps) meets the inside radius
-        edge = ds._DISK_INSIDE / (1.0 + 16 * n * np.finfo(float).eps)
+        # the scale at which ||A||_2 (1 + 16 n eps) meets the largest |z|
+        # strictly inside the unit disk, |z| - 1 < -1e-8 (1 + |z|)
+        inside = (1.0 - 1e-8) / (1.0 + 1e-8)
+        edge = inside / (1.0 + 16 * n * np.finfo(float).eps)
         counter = _SolveCounter(monkeypatch)
         for rel, fires in ((-1e-13, True), (1e-13, False)):
             a = (edge * (1.0 + rel)) * q

@@ -198,9 +198,9 @@ class TestDiagonalSearch:
         for _ in range(200):
             z = complex(rng.uniform(-5, 2), rng.normal())
             inside = -h < z.real < 0
-            got = sp.region_membership(z, region)
+            got = sp.membership(z, region)
             if abs(z.real) > 1e-6 and abs(z.real + h) > 1e-6:
-                assert (got is sp.Membership.INSIDE) == inside
+                assert (got == -1) == inside
 
         # a diagonally stable matrix squeezed into the strip certifies
         a, _ = random_diagonally_stable(rng, 3)
@@ -219,8 +219,7 @@ class TestDiagonalSearch:
         direct = sp.Disk(-c, r)
         for _ in range(300):
             z = complex(rng.normal(), rng.normal()) * 2.0
-            assert sp.region_membership(z, region) == \
-                sp.region_membership(z, direct)
+            assert sp.membership(z, region) == sp.membership(z, direct)
 
 
 DUAL_STOP = "dual-bound-excludes-certificate"
@@ -587,19 +586,25 @@ class TestCertificateChecks:
             ly.Certificate("diagonal-lyapunov", np.eye(2), margin,
                            HalfPlaneLeft())
 
-    def test_spd_lyapunov_certificate_round_trip(self, rng):
+    def test_spd_lyapunov_certificate_rejected(self, rng):
+        # no search makes a full Lyapunov factor: a valid one is rejected
+        # as not diagonal, and a diagonal one by the kind/region check
         a = random_hurwitz(rng, 4)
         h = ly.solve_lyapunov(a, -np.eye(4))
         ok, margin = ly.is_negative_definite(h @ a + a.T @ h)
         assert ok
         cert = ly.Certificate("spd-lyapunov", h, margin, HalfPlaneLeft())
-        assert np.isclose(ly.verify_certificate(a, cert), margin)
+        with pytest.raises(ly.CertificateError, match="diagonal"):
+            ly.verify_certificate(a, cert)
+        cert = ly.Certificate("spd-lyapunov", np.eye(4), 1.0, HalfPlaneLeft())
+        with pytest.raises(ly.CertificateError, match="does not match"):
+            ly.verify_certificate(-np.eye(4), cert)
 
     @pytest.mark.parametrize("kind, factor, region, message", [
         ("spd-lyapunov", [[1.0, 0.5], [0.0, 1.0]], HalfPlaneLeft(),
-         "symmetric"),
+         "must be diagonal"),
         ("spd-lyapunov", [[1.0, 0.0], [0.0, -1.0]], HalfPlaneLeft(),
-         "positive definite"),
+         "positive diagonal"),
         ("diagonal-lyapunov", [[1.0, 0.1], [0.1, 1.0]], HalfPlaneLeft(),
          "diagonal"),
         ("diagonal-lyapunov", [[1.0, 0.0], [0.0, 0.0]], HalfPlaneLeft(),
