@@ -65,14 +65,14 @@ import numpy as np
 from . import dstability as ds
 from . import lyapunov, matrix_core, polynomials, special_forms
 from .matrix_core import MINOR_ENUM_CAP, as_matrix
-from .spectra import (ComplementSector, Disk, EMIRegion, HalfPlaneLeft,
-                      HalfPlaneRight, Hyperbolic, LMIRegion,
+from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
+                      HalfPlaneLeft, HalfPlaneRight, Hyperbolic, LMIRegion,
                       NegativeRealAxis, PositiveRealAxis, PunctureOrigin,
                       RealLine, Region, SectorRight, Status, Verdict,
                       decay_horizon, eigenvalues, first_outside, gershgorin,
                       membership, region_stable, simulate_decay)
 
-SCHEMA = "matstab-report/10"
+SCHEMA = "matstab-report/11"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")
@@ -503,6 +503,18 @@ class _Context:
         return eigenvalues(self.request.matrix)
 
     @cached_property
+    def escapes(self):
+        """Whether A has an eigenvalue strictly outside the region (False
+        when the eigen-solve fails).  Every sufficient-suite item, and any
+        diagonal certificate, puts A's own spectrum strictly inside the
+        region (D = I), so neither can prove such a request."""
+        try:
+            return bool((membership(self.spectrum, self.request.region)
+                         > 0).any())
+        except EigenSolverError:
+            return False
+
+    @cached_property
     def minors(self):
         """``principal_minors(-A)``; None past the enumeration cap."""
         if self.n > MINOR_ENUM_CAP:
@@ -621,8 +633,6 @@ def _symmetric_part(ctx):
     r = ctx.request
     a = r.matrix
     ok, _ = lyapunov.is_negative_definite(a + a.T)
-    if ctx.triple == "hadamard-h-stability":
-        ok = ok and bool(np.allclose(a, a.T))
     if ok:
         return (Verdict(Status.PROVED, "symmetric-part-negative-definite"),
                 True, None)
@@ -738,7 +748,7 @@ CHECKS = (
     Check("li-wang", "second additive compound equivalence", "structural",
           lambda c: c.half_plane and c.n >= 2, _li_wang, exhaustive=True),
     Check("sufficient-suite", "classical sufficient stability classes",
-          "sufficient", lambda c: c.triple in _DIAG_DECIDED,
+          "sufficient", lambda c: c.triple in _DIAG_DECIDED and not c.escapes,
           _sufficient_suite),
     Check("necessary-p0plus", "minor-sign necessity", "necessary",
           lambda c: c.triple in _D_STABILITY and c.n <= MINOR_ENUM_CAP,
@@ -762,7 +772,8 @@ CHECKS = (
           lambda c: (c.request.region.emi is not None
                      and c.triple not in ("h-stability",
                                           "hadamard-h-stability")
-                     and not (c.half_plane and c.proved("sufficient-suite"))),
+                     and not (c.half_plane and c.proved("sufficient-suite"))
+                     and not c.escapes),
           _diagonal_certificate),
     Check("hyperbolicity-certificate", "sign-free diagonal search",
           "certify", lambda c: c.triple == "d-hyperbolicity",

@@ -1,9 +1,9 @@
 """Stability regions, spectra and region-membership verdicts.
 
 The stability region is a closed enumeration of subsets of the complex
-plane, each symmetric with respect to the real axis.  Membership is
-always decided with a deadband around the region boundary, of width
-``default_tol(z) = 1e-8 * (1 + |z|)`` at a point z, so that
+plane, each symmetric with respect to the real axis.  Region
+membership is always decided with a deadband around the boundary, of
+width ``default_tol(z) = 1e-8 * (1 + |z|)`` at a point z, so that
 strict-inequality regions never produce a false "inside" for an
 eigenvalue sitting numerically on the boundary.
 
@@ -365,7 +365,7 @@ def default_tol(z):
 
 
 # ---------------------------------------------------------------------------
-# Membership
+# Region membership
 # ---------------------------------------------------------------------------
 
 def membership(zs, region):

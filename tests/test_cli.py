@@ -954,7 +954,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/10"
+        assert payload["schema"] == "matstab-report/11"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -1082,7 +1082,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/10"
+        assert json.loads(out)["schema"] == "matstab-report/11"
 
 
 def _isinstance_triple(request):
@@ -1224,6 +1224,70 @@ class TestCheckTable:
         assert errors == ["single-circuit"]
         assert "li-wang" in [c.check for c in report.checks]
         assert report.summary_status is Status.PROVED
+
+
+class TestEscapingMatrix:
+    """No certificate row on an A with an eigenvalue strictly outside the
+    region: every suite item and any diagonal certificate puts A's own
+    spectrum strictly inside it."""
+
+    CERTIFYING = {"sufficient-suite", "diagonal-certificate"}
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_escaping_additive_request_runs_no_suite(self, exhaustive):
+        report = cli.run(request_for(np.diag([1.0, -1.0]), op_spec="add",
+                                     class_spec="negative-diagonal",
+                                     samples=300, budget=300,
+                                     exhaustive=exhaustive))
+        assert (report.summary_status, report.summary_reason) == (
+            Status.REFUTED, "necessary-p0plus")
+        assert not self.CERTIFYING & {c.check for c in report.checks}
+        assert not self.CERTIFYING & set(report.skipped)
+        assert report.conflicts == []
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_band_edge_stays_proved_by_the_suite(self, exhaustive):
+        # -9e-9 is in the band: self-stability refutes A, but A is not
+        # strictly outside, and D + A is Hurwitz for every D < 0
+        report = cli.run(request_for(np.diag([-9e-9, -1.0]), op_spec="add",
+                                     class_spec="negative-diagonal",
+                                     samples=300, budget=300,
+                                     exhaustive=exhaustive))
+        assert report.checks[0].verdict.refuted
+        assert (report.summary_status, report.summary_reason) == (
+            Status.PROVED, "sufficient-suite")
+        assert report.conflicts == []
+
+    def test_escaping_disk_request_runs_no_search(self):
+        a = np.array([[1.5, 0.0], [0.0, 0.2]])
+        report = cli.run(request_for(a, region_spec="disk:0,1",
+                                     class_spec="diagonal-norm-lt1",
+                                     samples=300, budget=300,
+                                     exhaustive=True))
+        assert "diagonal-certificate" not in [c.check for c in report.checks]
+        assert report.summary_status is Status.REFUTED
+
+    def test_failed_eigen_solve_runs_the_rows(self, monkeypatch):
+        def failing(a):
+            raise cli.EigenSolverError("no convergence")
+
+        monkeypatch.setattr(cli, "eigenvalues", failing)
+        report = cli.run(request_for(-np.eye(2), samples=100, budget=100))
+        assert report.checks[0].verdict.reason.startswith("check-error")
+        assert (report.summary_status, report.summary_reason) == (
+            Status.PROVED, "sufficient-suite")
+
+    def test_hadamard_h_stability_needs_no_symmetric_a(self):
+        # for SPD H, H o A + (H o A)^T = H o (A + A^T), negative definite
+        # by the Schur product theorem whenever A + A^T is
+        a = [[-2.0, 1.0], [0.0, -2.0]]
+        report = cli.run(request_for(a, class_spec="spd", op_spec="hadamard",
+                                     samples=3000, exhaustive=True))
+        sym = next(c for c in report.checks if c.check == "symmetric-part")
+        assert sym.verdict.proved and sym.decides
+        assert (report.summary_status, report.summary_reason) == (
+            Status.PROVED, "symmetric-part")
+        assert report.conflicts == []
 
 
 class TestExactMinorChecks:

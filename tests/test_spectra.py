@@ -118,7 +118,8 @@ class TestMembership:
         got = sp.membership(zs, region)
         assert got.shape == zs.shape
         for z, m in zip(zs.ravel(), got.ravel()):
-            assert m == sp.membership(z, region) == _membership_chain(z, region)
+            assert m == sp.membership(z, region)
+            assert m == _membership_chain(z, region)
 
     @pytest.mark.parametrize("region", [
         sp.HalfPlaneLeft(), sp.HalfPlaneRight(), sp.Disk(), sp.RealLine(),
