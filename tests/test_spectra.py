@@ -147,37 +147,36 @@ def _membership_chain(z, region):
     """Reference: the per-region classification chain the regions replaced."""
     z = complex(z)
     tol = sp.default_tol(z)
-    c = _band
     if isinstance(region, sp.HalfPlaneLeft):
-        return c(z.real, tol)
+        return _band(z.real, tol)
     if isinstance(region, sp.HalfPlaneRight):
-        return c(-z.real, tol)
+        return _band(-z.real, tol)
     if isinstance(region, sp.Disk):
-        return c(abs(z - region.center) - region.radius, tol)
+        return _band(abs(z - region.center) - region.radius, tol)
     if isinstance(region, sp.SectorRight):
         if abs(z) <= tol:
             return BAND
-        return c(abs(np.angle(z)) - region.theta, tol)
+        return _band(abs(np.angle(z)) - region.theta, tol)
     if isinstance(region, sp.ComplementSector):
         if abs(z) <= tol:
             return BAND
-        return c(region.theta - abs(np.angle(z)), tol)
+        return _band(region.theta - abs(np.angle(z)), tol)
     if isinstance(region, sp.RealLine):
         return INSIDE if abs(z.imag) <= tol else OUTSIDE
     if isinstance(region, sp.PositiveRealAxis):
         if abs(z.imag) > tol:
             return OUTSIDE
-        return c(-z.real, tol)
+        return _band(-z.real, tol)
     if isinstance(region, sp.NegativeRealAxis):
         if abs(z.imag) > tol:
             return OUTSIDE
-        return c(z.real, tol)
+        return _band(z.real, tol)
     if isinstance(region, sp.Hyperbolic):
         return INSIDE if abs(z.real) > tol else BAND
     if isinstance(region, sp.PunctureOrigin):
         return INSIDE if abs(z) > tol else BAND
     lam = np.linalg.eigvalsh(region.characteristic(z))[-1]
-    return c(float(lam), tol)
+    return _band(float(lam), tol)
 
 
 # the strip -2 < Re z < -0.5 as an LMI
