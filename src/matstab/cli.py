@@ -72,7 +72,7 @@ from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
                       decay_horizon, eigenvalues, first_outside, gershgorin,
                       membership, region_stable, simulate_decay)
 
-SCHEMA = "matstab-report/11"
+SCHEMA = "matstab-report/12"
 
 DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
                  "certify", "falsify")

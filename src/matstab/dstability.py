@@ -28,7 +28,7 @@ __all__ = [
     "AlphaScalar", "AlphaBlockSPD", "SPD", "OrderedDiagonal",
     "IntervalDiagonal", "SignPatternDiagonal", "EntrywisePositiveRank",
     "NegativeDiagonal", "BinOp", "Multiply", "Add", "HadamardProduct",
-    "BlockHadamardProduct", "apply_op", "FalsificationWitness",
+    "BlockHadamardProduct", "FalsificationWitness",
     "rank_one_witness", "falsify", "necessary_p0plus", "sufficient_suite",
     "li_wang_stable", "submatrix_descent", "flagged_vertices",
     "vertex_refutation", "vertex_schur_check",
@@ -412,11 +412,6 @@ class BlockHadamardProduct(BinOp):
         return block_hadamard(g, a, self.block)
 
 
-def apply_op(op, g, a):
-    """Realize G o A for the given binary operation."""
-    return op.apply(np.asarray(g, dtype=float), as_matrix(a))
-
-
 # ---------------------------------------------------------------------------
 # Falsification
 # ---------------------------------------------------------------------------
@@ -441,7 +436,7 @@ def _unbounded_witness(a, gclass, op, region, rng):
         g = base * scale
         if not gclass.contains(g):
             continue
-        m = apply_op(op, g, a)
+        m = op.apply(g, a)
         z = first_outside(eigenvalues(m), region)
         if z is not None:
             return g, m, z

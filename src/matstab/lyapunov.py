@@ -40,7 +40,7 @@ __all__ = [
     "OperatorSingularError", "IllConditionedError", "CertificateError",
     "Certificate", "KRONECKER_SOLVE_CAP",
     "solve_lyapunov", "solve_stein",
-    "lmi_operator", "emi_operator", "is_negative_definite", "definiteness_tol",
+    "emi_operator", "is_negative_definite", "definiteness_tol",
     "DiagonalSearch", "diagonal_stability_search",
     "diagonal_hyperbolicity_search",
     "verify_certificate",
@@ -177,17 +177,11 @@ def solve_stein(a, w):
     return h
 
 
-def lmi_operator(l, m, a, h):
-    """L (x) H + M (x) (H A) + M^T (x) (A^T H) for a symmetric H."""
-    a = as_matrix(a)
-    h = _check_sym(h, "H")
-    l = np.asarray(l, dtype=float)
-    m = np.asarray(m, dtype=float)
-    return np.kron(l, h) + np.kron(m, h @ a) + np.kron(m.T, a.T @ h)
-
-
 def emi_operator(r11, r12, r22, a, h):
-    """The four-term operator, adding R22 (x) (A^T H A) to the linear part."""
+    """R11 (x) H + R12 (x) (H A) + R12^T (x) (A^T H) + R22 (x) (A^T H A).
+
+    H is symmetric.  An LMI region's operator is the case R22 = 0.
+    """
     a = as_matrix(a)
     h = _check_sym(h, "H")
     r11 = np.asarray(r11, dtype=float)

@@ -1,4 +1,4 @@
-"""Characteristic polynomials, Routh tables and interval-polynomial tests.
+"""Characteristic polynomials and interval-polynomial tests.
 
 Polynomials are plain 1-D coefficient arrays, degree-descending, with a
 nonzero leading coefficient.  Interval polynomials carry elementwise
@@ -12,23 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import MINOR_ENUM_CAP, as_matrix, classify
-from .spectra import Status, Verdict
+from .spectra import HalfPlaneLeft, Status, Verdict, first_outside
 
 __all__ = [
-    "as_poly", "IntervalPoly", "char_poly", "routh_hurwitz",
+    "IntervalPoly", "char_poly",
     "kharitonov_polys", "kharitonov_stable", "kosov_interval_dstability",
 ]
-
-
-def as_poly(coeffs):
-    p = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("polynomial needs degree >= 1")
-    if not np.isfinite(p).all():
-        raise ValueError("polynomial coefficients must be finite")
-    if p[0] == 0.0:
-        raise ValueError("zero leading coefficient")
-    return p
 
 
 @dataclass(frozen=True)
@@ -86,119 +75,33 @@ def char_poly(a):
     return coeffs
 
 
-def _routh_first_column(p, eps_sign, zero_tol):
-    """First column of the Routh table, or None on a vanishing row.
-
-    A zero pivot in a nonzero row is replaced by ``eps_sign * zero_tol``;
-    an entirely vanishing row means a root configuration symmetric about
-    the origin and is reported separately.
-    """
-    deg = p.size - 1
-    rows = [p[0::2].astype(float), p[1::2].astype(float)]
-    width = rows[0].size
-    rows[0] = np.pad(rows[0], (0, width - rows[0].size))
-    rows[1] = np.pad(rows[1], (0, width - rows[1].size))
-    column = [rows[0][0]]
-    for _ in range(deg - 1):
-        prev, cur = rows[-2], rows[-1]
-        if np.all(np.abs(cur) <= zero_tol):
-            return None, "symmetric-root-row"
-        pivot = cur[0]
-        if abs(pivot) <= zero_tol:
-            pivot = eps_sign * zero_tol
-        nxt = np.zeros(width)
-        for j in range(width - 1):
-            nxt[j] = (pivot * prev[j + 1] - prev[0] * cur[j + 1]) / pivot
-        column.append(pivot if abs(cur[0]) <= zero_tol else cur[0])
-        rows.append(nxt)
-    column.append(rows[-1][0])
-    return np.asarray(column), None
-
-
-def routh_hurwitz(coeffs):
-    """Hurwitz test through the Routh table.
-
-    Proved iff all roots lie in the open left half-plane.  A zero first
-    column entry is handled by a two-sided epsilon perturbation; verdicts
-    that disagree between the two signs come back Unknown.
-    """
-    p = as_poly(coeffs)
-    if p[0] < 0:
-        p = -p
-    scale = np.abs(p).max()
-    zero_tol = 1e-12 * scale
-
-    # strictly positive coefficients are necessary for a Hurwitz polynomial
-    bad = np.nonzero(p <= 0.0)[0]
-    if bad.size:
-        i = int(bad[0])
-        return Verdict(Status.REFUTED, "nonpositive-coefficient",
-                       witness={"index": i, "coefficient": float(p[i])})
-
-    changes_seen = []
-    for eps_sign in (+1.0, -1.0):
-        col, note = _routh_first_column(p, eps_sign, zero_tol)
-        if note is not None:
-            return Verdict(Status.REFUTED, note,
-                           witness={"polynomial": p.tolist()})
-        if abs(col[-1]) <= zero_tol:
-            # the last entry stuck on zero means a root on the axis
-            return Verdict(Status.REFUTED, "routh-boundary-entry",
-                           witness={"column": col.tolist(),
-                                    "polynomial": p.tolist()})
-        changes_seen.append(int(np.count_nonzero(col[:-1] * col[1:] < 0)))
-    if changes_seen[0] != changes_seen[1]:
-        return Verdict(Status.UNKNOWN, "routh-singular-ambiguous")
-    if changes_seen[0] == 0:
-        return Verdict(Status.PROVED, "routh-table-positive")
-    return Verdict(Status.REFUTED, "routh-sign-changes",
-                   witness={"right-half-plane-roots": changes_seen[0],
-                            "polynomial": p.tolist()})
-
-
-# Endpoint selection for the four box polynomials, keyed by the power of z
-# counted from the constant term: k = t // 2 alternates the choice.
-def _select(lo, hi, even_start_hi, odd_start_hi):
-    n = lo.size - 1
-    out = np.empty(n + 1)
-    for i in range(n + 1):
-        t = n - i  # power of z at position i
-        k_even = (t // 2) % 2 == 0
-        start_hi = even_start_hi if t % 2 == 0 else odd_start_hi
-        take_hi = k_even if start_hi else not k_even
-        out[i] = hi[i] if take_hi else lo[i]
-    return out
-
-
 def kharitonov_polys(box):
-    """The four extreme polynomials deciding stability of the whole box."""
+    """The four extreme polynomials deciding stability of the whole box.
+
+    Each reads a period-4 pattern of upper ("u") and lower ("l")
+    endpoints, indexed by the power of z counted from the constant term.
+    """
     b = box.normalized()
-    lo, hi = b.lower, b.upper
-    k1 = _select(lo, hi, True, True)
-    k2 = _select(lo, hi, False, False)
-    k3 = _select(lo, hi, False, True)
-    k4 = _select(lo, hi, True, False)
-    return k1, k2, k3, k4
+    powers = np.arange(b.degree, -1, -1) % 4
+    return tuple(np.where(np.array([c == "u" for c in pattern])[powers],
+                          b.upper, b.lower)
+                 for pattern in ("uull", "lluu", "luul", "ullu"))
 
 
 def kharitonov_stable(box):
     """Hurwitz stability of every member of the coefficient box.
 
-    Proved iff the four extreme polynomials each pass the Routh test;
-    Refuted names the failing extreme polynomial.
+    Proved iff every root of each of the four extreme polynomials lies
+    strictly inside the left half-plane (:func:`spectra.first_outside`);
+    Refuted names the first extreme polynomial with a root that does
+    not, and that root.
     """
-    polys = kharitonov_polys(box)
-    unknown = None
-    for idx, k in enumerate(polys, start=1):
-        v = routh_hurwitz(k)
-        if v.refuted:
+    for idx, k in enumerate(kharitonov_polys(box), start=1):
+        z = first_outside(np.roots(k), HalfPlaneLeft())
+        if z is not None:
             return Verdict(Status.REFUTED, f"kharitonov-k{idx}-unstable",
                            witness={"which": idx, "polynomial": k.tolist(),
-                                    "inner": v.witness})
-        if not v.proved and unknown is None:
-            unknown = idx
-    if unknown is not None:
-        return Verdict(Status.UNKNOWN, f"kharitonov-k{unknown}-ambiguous")
+                                    "root": z})
     return Verdict(Status.PROVED, "kharitonov-four-polynomials-stable")
 
 

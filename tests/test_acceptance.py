@@ -269,7 +269,7 @@ def test_criterion_09_lmi_emi_reductions():
         a = RNG.normal(size=(n, n))
         h = RNG.normal(size=(n, n))
         h = 0.5 * (h + h.T)
-        w1 = ly.lmi_operator([[0.0]], [[1.0]], a, h)
+        w1 = ly.emi_operator([[0.0]], [[1.0]], [[0.0]], a, h)
         w2 = ly.emi_operator([[-1.0]], [[0.0]], [[1.0]], a, h)
         worst = max(worst,
                     abs(w1 - (h @ a + a.T @ h)).max(),
@@ -388,7 +388,7 @@ def test_criterion_14_cli_determinism_and_replay():
     g = np.asarray(fal["witness"]["g"])
     z = complex(fal["witness"]["eigenvalue"]["re"],
                 fal["witness"]["eigenvalue"]["im"])
-    lam = np.linalg.eigvals(ds.apply_op(ds.Multiply(), g, np.asarray(a)))
+    lam = np.linalg.eigvals(ds.Multiply().apply(g, np.asarray(a)))
     replay = min(abs(lam - z)) <= 1e-9 * (1 + abs(z))
     report(14, deterministic and replay,
            f"byte-identical reports: {deterministic}; witness replay to "

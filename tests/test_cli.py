@@ -954,7 +954,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/11"
+        assert payload["schema"] == "matstab-report/12"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -984,8 +984,7 @@ class TestEmit:
         g = np.asarray(fal["witness"]["g"])
         z = complex(fal["witness"]["eigenvalue"]["re"],
                     fal["witness"]["eigenvalue"]["im"])
-        realized = ds.apply_op(ds.Multiply(),
-                               g, np.array([[1.0, -4.0], [1.0, -2.0]]))
+        realized = ds.Multiply().apply(g, np.array([[1.0, -4.0], [1.0, -2.0]]))
         lam = np.linalg.eigvals(realized)
         assert min(abs(lam - z)) <= 1e-9 * (1 + abs(z))
 
@@ -1082,7 +1081,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/11"
+        assert json.loads(out)["schema"] == "matstab-report/12"
 
 
 def _isinstance_triple(request):

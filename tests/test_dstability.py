@@ -279,15 +279,14 @@ class TestClassClosure:
 class TestApplyOp:
     def test_identities(self, rng):
         a = rng.normal(size=(3, 3))
-        assert np.allclose(ds.apply_op(ds.Multiply(), np.eye(3), a), a)
-        assert np.allclose(ds.apply_op(ds.Add(), np.zeros((3, 3)), a), a)
-        assert np.allclose(ds.apply_op(ds.HadamardProduct(),
-                                       np.ones((3, 3)), a), a)
+        assert np.allclose(ds.Multiply().apply(np.eye(3), a), a)
+        assert np.allclose(ds.Add().apply(np.zeros((3, 3)), a), a)
+        assert np.allclose(ds.HadamardProduct().apply(np.ones((3, 3)), a), a)
 
     def test_block_hadamard_op(self, rng):
         a = rng.normal(size=(4, 4))
         g = np.tile(np.eye(2), (2, 2))
-        out = ds.apply_op(ds.BlockHadamardProduct(2), g, a)
+        out = ds.BlockHadamardProduct(2).apply(g, a)
         assert np.allclose(out, a)
 
     @pytest.mark.parametrize("op", [
@@ -314,7 +313,7 @@ class TestFalsify:
         assert v.refuted
         w = v.witness
         # witness replays: realized product has the recorded eigenvalue
-        realized = ds.apply_op(ds.Multiply(), w.g, a)
+        realized = ds.Multiply().apply(w.g, a)
         assert np.allclose(realized, w.realized)
         lam = np.linalg.eigvals(realized)
         assert min(abs(lam - w.eigenvalue)) <= 1e-9 * (1 + abs(w.eigenvalue))

@@ -75,11 +75,12 @@ class TestRegionOperators:
         h = rng.normal(size=(3, 3))
         h = h @ h.T + np.eye(3)
         a = rng.normal(size=(3, 3))
-        w = ly.lmi_operator([[0.0]], [[1.0]], a, h)
+        w = ly.emi_operator([[0.0]], [[1.0]], [[0.0]], a, h)
         assert np.allclose(w, h @ a + a.T @ h, atol=1e-12)
 
     def test_lmi_identity_example(self):
-        w = ly.lmi_operator([[0.0]], [[1.0]], -np.eye(2), np.eye(2))
+        w = ly.emi_operator([[0.0]], [[1.0]], [[0.0]], -np.eye(2),
+                            np.eye(2))
         assert np.allclose(w, -2.0 * np.eye(2))
 
     def test_lmi_shifted_half_plane(self, rng):
@@ -89,7 +90,7 @@ class TestRegionOperators:
             a = random_hurwitz(rng, 3) + r * np.eye(3)
             assert np.linalg.eigvals(a).real.max() < r
             h = ly.solve_lyapunov(a - r * np.eye(3), -np.eye(3))
-            w = ly.lmi_operator([[-2.0 * r]], [[1.0]], a, h)
+            w = ly.emi_operator([[-2.0 * r]], [[1.0]], [[0.0]], a, h)
             ok, _ = ly.is_negative_definite(w)
             assert ok and spd(h)
 
@@ -99,13 +100,6 @@ class TestRegionOperators:
         h = h @ h.T + np.eye(3)
         w = ly.emi_operator([[-1.0]], [[0.0]], [[1.0]], a, h)
         assert np.allclose(w, a.T @ h @ a - h, atol=1e-12)
-
-    def test_emi_r22_zero_is_lmi(self, rng):
-        a = rng.normal(size=(2, 2))
-        h = np.eye(2)
-        l, m = [[0.5]], [[1.0]]
-        assert np.allclose(ly.emi_operator(l, m, [[0.0]], a, h),
-                           ly.lmi_operator(l, m, a, h))
 
     def test_emi_disk_encoding_via_membership_oracle(self, rng):
         # the disk(c, r) operator is exactly r^2 * (Stein form of the

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matstab import polynomials as pl
-from matstab.spectra import Status
+from matstab.spectra import HalfPlaneLeft, Status, first_outside, membership
 
 
 class TestCharPoly:
@@ -29,63 +29,55 @@ class TestCharPoly:
             assert np.allclose(got, expect, atol=1e-6 * (1 + abs(expect).max()))
 
 
-class TestRouthHurwitz:
-    def test_linear(self):
-        assert pl.routh_hurwitz([1.0, 1.0]).proved
+class TestDegenerateBox:
+    # lower == upper: the four extreme polynomials are the one polynomial,
+    # so the verdict is the Hurwitz test of its roots
+    @pytest.mark.parametrize("coeffs, status", [
+        ([1.0, 1.0], Status.PROVED),
+        ([1.0, 1.0, 1.0], Status.PROVED),       # roots (-1 +- i sqrt 3) / 2
+        ([1.0, 0.0, -1.0], Status.REFUTED),     # root +1
+        ([-1.0, -3.0, -2.0], Status.PROVED),    # negative leading, roots -1, -2
+        ([1.0, 0.0, 1.0], Status.REFUTED),      # +-i, in the boundary band
+        ([1.0, 2.0, 2.0, 4.0, 11.0, 10.0], Status.REFUTED),  # two right roots
+        ([1.0, 1.0, 1.0, 1.0], Status.REFUTED),  # (z^2 + 1)(z + 1)
+        ([1.0, 2.0, -3.0, 4.0], Status.REFUTED),  # a negative coefficient
+        ([1.0, 1.0, 0.0], Status.REFUTED),      # a root at the origin
+    ], ids=["linear", "quadratic", "right-root", "negative-leading",
+            "imaginary-pair", "two-right-roots", "symmetric-pair",
+            "negative-coefficient", "origin-root"])
+    def test_status(self, coeffs, status):
+        v = pl.kharitonov_stable(pl.IntervalPoly(coeffs, coeffs))
+        assert v.status is status
+        if v.refuted:
+            assert v.reason == "kharitonov-k1-unstable"
+            assert v.witness["which"] == 1
+            assert membership(v.witness["root"], HalfPlaneLeft()) >= 0
 
-    def test_quadratic_by_root_formula(self):
-        # roots (-1 +- i sqrt(3)) / 2, strictly left
-        roots = np.roots([1.0, 1.0, 1.0])
-        assert roots.real.max() < 0
-        assert pl.routh_hurwitz([1.0, 1.0, 1.0]).proved
+    def test_seventh_roots_of_unity_refuted(self):
+        # 1 + z + ... + z^6: the 7th roots of unity but 1, the rightmost
+        # at Re = cos(2 pi / 7), a clear refutation, not an ambiguous one
+        v = pl.kharitonov_stable(pl.IntervalPoly(np.ones(7), np.ones(7)))
+        assert v.refuted and v.reason == "kharitonov-k1-unstable"
+        assert v.witness["polynomial"] == [1.0] * 7
+        assert v.witness["root"].real == pytest.approx(np.cos(2 * np.pi / 7))
 
-    def test_refuted_with_rhs_root(self):
-        v = pl.routh_hurwitz([1.0, 0.0, -1.0])
-        assert v.refuted
-
-    def test_zero_leading_coefficient(self):
-        with pytest.raises(ValueError):
-            pl.routh_hurwitz([0.0, 1.0, 1.0])
-
-    def test_negative_leading_is_normalized(self):
-        assert pl.routh_hurwitz([-1.0, -3.0, -2.0]).proved
-
-    def test_pure_imaginary_pair_refuted(self):
-        assert pl.routh_hurwitz([1.0, 0.0, 1.0]).refuted
-
-    def test_zero_pivot_epsilon_case(self):
-        # classic table with a vanishing pivot; companion roots put two
-        # roots in the right half-plane
-        p = [1.0, 2.0, 2.0, 4.0, 11.0, 10.0]
-        assert int((np.roots(p).real > 0).sum()) == 2
-        v = pl.routh_hurwitz(p)
-        assert v.refuted
-        assert v.witness["right-half-plane-roots"] == 2
-
-    def test_vanishing_row_refutes(self):
-        # (x^2 + 1)(x + 1): a root pair symmetric about the origin
-        assert pl.routh_hurwitz([1.0, 1.0, 1.0, 1.0]).refuted
-
-    def test_agrees_with_companion_roots(self, rng):
-        disagreements = 0
-        checked = 0
-        for _ in range(1000):
+    def test_root_witness_is_a_root_of_the_named_polynomial(self, rng):
+        refuted = 0
+        for _ in range(200):
             deg = int(rng.integers(1, 9))
-            p = rng.normal(size=deg + 1)
-            if abs(p[0]) < 1e-3:
-                p[0] = 1.0
-            roots = np.roots(p)
-            if abs(roots.real).min(initial=1.0) < 1e-6:
-                continue  # generic-position check only
-            truth = roots.real.max() < 0
-            v = pl.routh_hurwitz(p)
-            checked += 1
-            if v.status is Status.UNKNOWN:
+            lo = rng.normal(size=deg + 1)
+            lo[0] = abs(lo[0]) + 0.1
+            hi = lo + rng.uniform(0.0, 0.5, deg + 1)
+            v = pl.kharitonov_stable(pl.IntervalPoly(lo, hi))
+            if not v.refuted:
                 continue
-            if v.proved != truth:
-                disagreements += 1
-        assert checked > 900
-        assert disagreements == 0
+            refuted += 1
+            k, z = np.asarray(v.witness["polynomial"]), v.witness["root"]
+            assert k.tolist() == pl.kharitonov_polys(
+                pl.IntervalPoly(lo, hi))[v.witness["which"] - 1].tolist()
+            assert abs(np.polyval(k, z)) <= 1e-8 * np.polyval(abs(k), abs(z))
+            assert membership(z, HalfPlaneLeft()) >= 0
+        assert refuted > 100
 
 
 # independent re-implementation of the endpoint selection, written as the
@@ -154,6 +146,14 @@ class TestKharitonov:
         assert np.roots(bad).real.max() >= -1e-9
         assert 1 <= which <= 4
 
+    def test_refutation_names_the_first_unstable_polynomial(self):
+        # z^2 + z + c, c in [-1, 1]: K1 takes c = 1 (stable), K2 takes
+        # c = -1 (a root at (-1 + sqrt 5) / 2)
+        v = pl.kharitonov_stable(pl.IntervalPoly([1, 1, -1], [1, 1, 1]))
+        assert v.reason == "kharitonov-k2-unstable"
+        assert v.witness["polynomial"] == [1.0, 1.0, -1.0]
+        assert v.witness["root"] == pytest.approx((np.sqrt(5.0) - 1.0) / 2)
+
     def test_soundness_by_member_sampling(self, rng):
         proved = 0
         for _ in range(30):
@@ -180,11 +180,20 @@ class TestKosov:
             assert (np.linalg.eigvals(-(np.diag(d) @ np.eye(3))).real
                     < 0).all()
 
-    def test_degenerate_box_is_single_routh_call(self):
+    def test_degenerate_box_is_single_root_test(self):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
         v = pl.kosov_interval_dstability(a, [1.0, 1.0], [1.0, 1.0])
-        direct = pl.routh_hurwitz(pl.char_poly(-(np.eye(2) @ a)))
-        assert v.proved == direct.proved
+        direct = first_outside(np.roots(pl.char_poly(-(np.eye(2) @ a))),
+                               HalfPlaneLeft())
+        assert v.proved == (direct is None)
+
+    def test_inconclusive_names_the_polynomial_test(self):
+        # a = [[0, 1], [-1, 0]] is P0, and every -(D a) has the spectrum
+        # +-i sqrt(d1 d2), on the axis: Unknown, with the refuting reason
+        v = pl.kosov_interval_dstability([[0.0, 1.0], [-1.0, 0.0]],
+                                         [1.0, 1.0], [2.0, 2.0])
+        assert v.status is Status.UNKNOWN
+        assert v.reason == "kosov-inconclusive:kharitonov-k1-unstable"
 
     def test_non_p0_rejected(self):
         with pytest.raises(ValueError):
@@ -223,32 +232,18 @@ class TestKosov:
                 assert (np.linalg.eigvals(np.diag(d) @ a).real > 0).all()
 
 
-class TestAsPoly:
-    @pytest.mark.parametrize("coeffs, message", [
-        ([1.0], "degree >= 1"),
-        ([], "degree >= 1"),
-        ([[1.0, 2.0]], "degree >= 1"),
-        ([np.nan, 1.0], "finite"),
-        ([1.0, np.inf], "finite"),
-        ([0.0, 1.0], "zero leading"),
-    ], ids=["constant", "empty", "matrix", "nan", "inf", "zero-leading"])
-    def test_rejected(self, coeffs, message):
-        with pytest.raises(ValueError, match=message):
-            pl.as_poly(coeffs)
-
-    def test_nonpositive_coefficient_is_the_witness(self):
-        v = pl.routh_hurwitz([1.0, 2.0, -3.0, 4.0])
-        assert v.refuted and v.reason == "nonpositive-coefficient"
-        assert v.witness == {"index": 2, "coefficient": -3.0}
-
-
 class TestIntervalPolyBox:
     @pytest.mark.parametrize("lower, upper, message", [
         ([1.0, 1.0], [1.0, 1.0, 1.0], "equal-length"),
         ([1.0], [2.0], "degree >= 1"),
         ([1.0, 2.0], [1.0, 1.0], "exceeds"),
         ([1.0, 1.0], [1.0, np.inf], "finite"),
-    ], ids=["lengths", "constant", "crossed", "infinite"])
+        ([], [], "degree >= 1"),
+        ([[1.0, 2.0]], [[1.0, 2.0]], "degree >= 1"),
+        ([np.nan, 1.0], [np.nan, 1.0], "finite"),
+        ([0.0, 1.0], [0.0, 1.0], "exclude zero"),
+    ], ids=["lengths", "constant", "crossed", "infinite", "empty", "matrix",
+            "nan", "zero-leading"])
     def test_rejected(self, lower, upper, message):
         with pytest.raises(ValueError, match=message):
             pl.IntervalPoly(lower, upper)
