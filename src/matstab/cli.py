@@ -9,16 +9,15 @@ with the same seed produce byte-identical JSON reports, so the JSON
 format carries no timings (the text format does).
 
 The pipeline is one table, :data:`CHECKS`.  Each row names a check and
-its reference, the ``--mode`` value that turns it on, whether it applies
-to the request (through its canonical region/class/operation triple) and
-how to run it.  :func:`run` walks the table in order; it alone times the
-checks, builds their records and keeps the summary.  A check that raises
-is recorded under its own id as ``check-error``, and the rest still run.
-Work that several checks read is done once per request and cached on
-the request's :class:`_Context`.  The principal minors and the class
-flags are computed once, of ``-A``, the positive-convention matrix that
-every check reading them tests, and the ``classify`` row reports those
-flags.
+its reference, whether it applies to the request (through its canonical
+region/class/operation triple) and how to run it.  :func:`run` walks the
+table in order; it alone times the checks, builds their records and
+keeps the summary.  A check that raises is recorded under its own id as
+``check-error``, and the rest still run.  Work that several checks read
+is done once per request and cached on the request's :class:`_Context`.
+The principal minors and the class flags are computed once, of ``-A``,
+the positive-convention matrix that every check reading them tests, and
+the ``classify`` row reports those flags.
 
 The rows run cheapest sound check first.  ``sufficient-suite`` comes
 before the minor-sign necessity: its exact items cost O(n^3) and read no
@@ -38,12 +37,9 @@ itself.  It runs at any n, before ``falsify`` samples the class.
 
 The summary is the first deciding check that is not Unknown.  Once it is
 Proved or Refuted, :func:`run` skips the rest of the table: no later
-default check can change it, so each that applies to the request goes
-into ``summary.skipped`` without a record.  The opt-in extra
-``simulate`` still runs.
-``--exhaustive`` runs every check, and also ``li-wang``, which decides
-exactly when ``self-stability`` does and so runs only there; a deciding
-check that disagrees with the summary is listed in
+check can change it, so each that applies to the request goes into
+``summary.skipped`` without a record.  ``--exhaustive`` runs every
+check; a deciding check that disagrees with the summary is listed in
 ``summary.conflicts``.
 
 Exit codes: 0 proved-or-unknown, 2 refuted, 3 a deciding check conflicts
@@ -69,21 +65,11 @@ from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
                       HalfPlaneLeft, HalfPlaneRight, Hyperbolic, LMIRegion,
                       NegativeRealAxis, PositiveRealAxis, PunctureOrigin,
                       RealLine, Region, SectorRight, Status, Verdict,
-                      decay_horizon, eigenvalues, first_outside, gershgorin,
-                      membership, region_stable, simulate_decay)
+                      eigenvalues, gershgorin, membership, region_stable)
 
-SCHEMA = "matstab-report/12"
-
-DEFAULT_MODES = ("classify", "necessary", "structural", "sufficient",
-                 "certify", "falsify")
-# opt-in checks that run even after the request is decided
-EXTRA_MODES = ("simulate",)
-ALL_MODES = DEFAULT_MODES + EXTRA_MODES
+SCHEMA = "matstab-report/13"
 
 CHECK_ERROR = "check-error: "
-
-# steps of one simulate run (5e5 steps of a 2 x 2 system: about 17 s)
-SIMULATE_STEP_CAP = 500_000
 
 # steps of the half-plane diagonal search that sufficient-suite runs;
 # diagonal-certificate resumes the same search up to --budget
@@ -123,7 +109,10 @@ def parse_matrix(text):
             for j, v in enumerate(row):
                 if not isinstance(v, (int, float)) or isinstance(v, bool):
                     raise UsageError(f"entry ({i},{j}) is not a number")
-        m = np.asarray(rows, dtype=float)
+        try:
+            m = np.asarray(rows, dtype=float)
+        except OverflowError as exc:
+            raise UsageError(f"matrix JSON: {exc}") from exc
     else:
         rows = []
         for i, line in enumerate(stripped.splitlines()):
@@ -187,7 +176,7 @@ def _json_matrices(name, arg, keys):
                          + ", ".join(keys))
     try:
         return [np.asarray(obj[k], float) for k in keys]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{name} region: {exc}") from exc
 
 
@@ -303,13 +292,11 @@ class AnalysisRequest:
     region: object = dataclasses.field(init=False)
     gclass: object = dataclasses.field(init=False)
     op: object = dataclasses.field(init=False)
-    modes: tuple = DEFAULT_MODES
     exhaustive: bool = False
     samples: int = 10000
     budget: int = 5000
     seed: int = 0
     convention: str = "hurwitz"
-    simulate_horizon: float = None
     region_spec: str = "half-plane-left"
     class_spec: str = "positive-diagonal"
     op_spec: str = "multiply"
@@ -319,10 +306,6 @@ class AnalysisRequest:
             raise UsageError("budgets must be positive")
         if self.seed < 0:
             raise UsageError("the seed must be non-negative")
-        h = self.simulate_horizon
-        if h is not None and not (math.isfinite(h) and h > 0):
-            raise UsageError("the simulate horizon must be finite and "
-                             "positive")
         self.region = parse_region(self.region_spec)
         self.gclass = parse_gclass(self.class_spec)
         self.op = parse_op(self.op_spec)
@@ -337,9 +320,6 @@ class AnalysisRequest:
                              f"{n}x{n} matrix: {exc}") from exc
         if self.convention not in ("hurwitz", "positive"):
             raise UsageError("convention must be hurwitz or positive")
-        for m in self.modes:
-            if m not in ALL_MODES:
-                raise UsageError(f"unknown mode {m!r}")
 
 
 @dataclasses.dataclass
@@ -489,11 +469,9 @@ class _Context:
     @cached_property
     def identity_in_class(self):
         """Whether the identity element of the operation is in the class."""
-        n, op = self.n, self.request.op.name
-        probe = (np.eye(n) if op in ("multiply", "block-hadamard")
-                 else np.ones((n, n)) if op == "hadamard" else np.zeros((n, n)))
         try:
-            return bool(self.request.gclass.contains(probe))
+            return bool(self.request.gclass.contains(
+                self.request.op.identity(self.n)))
         except Exception:
             return False
 
@@ -570,14 +548,13 @@ def _self_stability(ctx):
             {"eigenvalues": spectrum})
 
 
-def _d_stability_mode(ctx):
+def _perturbation(ctx):
     return ("multiplicative" if ctx.triple == "multiplicative-d-stability"
             else "additive")
 
 
 def _necessary(ctx):
-    verdict = ds.necessary_p0plus(ctx.request.matrix,
-                                  mode=_d_stability_mode(ctx),
+    verdict = ds.necessary_p0plus(ctx.request.matrix, _perturbation(ctx),
                                   minors=ctx.minors)
     return verdict, verdict.refuted, None
 
@@ -590,11 +567,6 @@ def _single_circuit(ctx):
     # Proved decides the triple via diagonal stability; Refuted only
     # denies diagonal stability, not D-stability.
     return verdict, verdict.proved and ctx.triple in _DIAG_DECIDED, None
-
-
-def _li_wang(ctx):
-    verdict = ds.li_wang_stable(ctx.request.matrix)
-    return verdict, verdict.refuted and ctx.identity_in_class, None
 
 
 def _interval_box(ctx):
@@ -693,82 +665,39 @@ def _falsify(ctx):
 
 
 def _submatrix_descent(ctx):
-    verdict = ds.submatrix_descent(ctx.request.matrix,
-                                   mode=_d_stability_mode(ctx))
+    verdict = ds.submatrix_descent(ctx.request.matrix, _perturbation(ctx))
     return verdict, verdict.refuted, None
 
 
-def _simulate(ctx):
-    a, horizon = ctx.request.matrix, ctx.request.simulate_horizon
-    realized = next((c.verdict.witness.realized for c in ctx.checks
-                     if c.verdict.refuted
-                     and isinstance(c.verdict.witness, ds.FalsificationWitness)
-                     and c.verdict.witness.realized is not None), None)
-    if realized is None:
-        alpha = float(ctx.spectrum[-1].real)  # sorted by real part
-        if first_outside(ctx.spectrum, HalfPlaneLeft()) is not None:
-            return (Verdict(Status.UNKNOWN, "matrix-not-hurwitz"), False,
-                    {"abscissa": alpha})
-        m, data = a, {"abscissa": alpha}
-        horizon = horizon or decay_horizon(a, target=1e-8)
-    else:
-        m, data, horizon = realized, {"target": "witness"}, horizon or 20.0
-    step = min(0.01, 0.4 / (1.0 + np.linalg.norm(m, 2)), horizon / 10.0)
-    steps = round(horizon / step)
-    if steps > SIMULATE_STEP_CAP:
-        return (Verdict(Status.UNKNOWN, f"skipped: {steps} steps exceed the "
-                        f"cap of {SIMULATE_STEP_CAP}"), False,
-                {"horizon": horizon})
-    ratio = simulate_decay(m, horizon, step)
-    if realized is None:
-        reason = "trajectories-decay" if ratio < 1 else "trajectories-grow"
-    else:
-        reason = ("witness-trajectory-grows" if ratio > 1
-                  else "witness-trajectory-bounded")
-    return (Verdict(Status.UNKNOWN, reason), False,
-            {"ratio": ratio, "horizon": horizon, **data})
+Check = collections.namedtuple("Check", "id reference applies run")
 
-
-Check = collections.namedtuple("Check",
-                               "id reference mode applies run exhaustive",
-                               defaults=(False,))
-
-# The pipeline in report order, cheapest sound check first.  ``mode`` is
-# the ``--mode`` value that turns a check on (None: it always runs);
-# ``applies`` says whether the check has something to say about the
-# request (None: always); an ``exhaustive`` check runs only in an
-# exhaustive request.  No row before necessary-p0plus reads a principal
-# minor.
+# The pipeline in report order, cheapest sound check first.  ``applies``
+# says whether the check has something to say about the request (None:
+# always).  No row before necessary-p0plus reads a principal minor.
 CHECKS = (
-    Check("self-stability", "direct spectral membership", None, None,
+    Check("self-stability", "direct spectral membership", None,
           _self_stability),
-    Check("single-circuit", "circuit gain bound", "structural", None,
-          _single_circuit),
-    # decides exactly when self-stability does, so it only cross-checks
-    Check("li-wang", "second additive compound equivalence", "structural",
-          lambda c: c.half_plane and c.n >= 2, _li_wang, exhaustive=True),
+    Check("single-circuit", "circuit gain bound", None, _single_circuit),
     Check("sufficient-suite", "classical sufficient stability classes",
-          "sufficient", lambda c: c.triple in _DIAG_DECIDED and not c.escapes,
+          lambda c: c.triple in _DIAG_DECIDED and not c.escapes,
           _sufficient_suite),
-    Check("necessary-p0plus", "minor-sign necessity", "necessary",
+    Check("necessary-p0plus", "minor-sign necessity",
           lambda c: c.triple in _D_STABILITY and c.n <= MINOR_ENUM_CAP,
           _necessary),
     Check("interval-box", "interval-to-polynomial-box reduction",
-          "structural",
           lambda c: (c.half_plane and c.request.op.name == "multiply"
                      and c.request.gclass.name == "interval-diagonal"
                      and c.request.gclass.bounded),
           _interval_box),
-    Check("vertex-enumeration", "sign-vertex spectral radii", "structural",
+    Check("vertex-enumeration", "sign-vertex spectral radii",
           lambda c: (c.triple in ("vertex-stability", "schur-d-stability")
                      and c.n <= ds.VERTEX_ENUM_CAP),
           _vertex_enumeration),
     Check("symmetric-part", "definiteness of the symmetric part",
-          "structural",
           lambda c: c.triple in ("h-stability", "hadamard-h-stability"),
           _symmetric_part),
     # a diagonal certificate proves nothing about H-stability
-    Check("diagonal-certificate", "diagonal Lyapunov-type search", "certify",
+    Check("diagonal-certificate", "diagonal Lyapunov-type search",
           lambda c: (c.request.region.emi is not None
                      and c.triple not in ("h-stability",
                                           "hadamard-h-stability")
@@ -776,30 +705,25 @@ CHECKS = (
                      and not c.escapes),
           _diagonal_certificate),
     Check("hyperbolicity-certificate", "sign-free diagonal search",
-          "certify", lambda c: c.triple == "d-hyperbolicity",
+          lambda c: c.triple == "d-hyperbolicity",
           _hyperbolicity_certificate),
     # no cap in n: at most n (n + 1) / 2 - 1 submatrix eigen-solves
     Check("submatrix-descent", "unstable principal submatrix descent",
-          "falsify", lambda c: c.triple in _D_STABILITY, _submatrix_descent),
-    Check("falsify", "randomized class sampling", "falsify", None, _falsify),
+          lambda c: c.triple in _D_STABILITY, _submatrix_descent),
+    Check("falsify", "randomized class sampling", None, _falsify),
     # informational: they decide nothing, so a decided request skips them
-    Check("classify", "determinantal class flags of -A", "classify", None,
-          _class_flags),
-    Check("gershgorin", "row disc localization", "classify", None,
-          _gershgorin),
-    Check("simulate", "fixed-step trajectory integration", "simulate",
-          lambda c: c.half_plane, _simulate),
+    Check("classify", "determinantal class flags of -A", None, _class_flags),
+    Check("gershgorin", "row disc localization", None, _gershgorin),
 )
 
 
 def run(request):
     """Execute the analysis pipeline and assemble the report.
 
-    Runs each row of :data:`CHECKS` whose mode is requested and that
-    applies.  The summary is the verdict of the first deciding check that
-    is not Unknown.  Once it is decided, the later rows are skipped,
-    except those of EXTRA_MODES, and each that applies is listed in
-    ``Report.skipped``; an exhaustive request runs them all.  Checks
+    Runs each row of :data:`CHECKS` that applies.  The summary is the
+    verdict of the first deciding check that is not Unknown.  Once it is
+    decided, the later rows are skipped, and each that applies is listed
+    in ``Report.skipped``; an exhaustive request runs them all.  Checks
     share work through the per-request :class:`_Context`: the spectrum
     of A, one principal-minor sweep of -A, one ``classify`` of -A and
     one half-plane diagonal search, which ``sufficient-suite`` runs for
@@ -819,11 +743,7 @@ def run(request):
     status, decided_by = Status.UNKNOWN, "no-deciding-check"
     skipped = []
     for check in CHECKS:
-        if (check.mode is not None and check.mode not in request.modes
-                or check.exhaustive and not request.exhaustive):
-            continue
-        decided = (status is not Status.UNKNOWN and not request.exhaustive
-                   and check.mode not in EXTRA_MODES)
+        decided = status is not Status.UNKNOWN and not request.exhaustive
         started = time.perf_counter()
         try:
             applies = check.applies is None or check.applies(ctx)
@@ -863,7 +783,6 @@ def emit(report, fmt="json"):
                 "region": report.request.region_spec,
                 "class": report.request.class_spec,
                 "op": report.request.op_spec,
-                "modes": list(report.request.modes),
                 "exhaustive": report.request.exhaustive,
                 "samples": report.request.samples,
                 "budget": report.request.budget,
@@ -952,10 +871,6 @@ def build_parser():
     p.add_argument("--op", default="multiply",
                    help="binary operation: multiply, add, hadamard, "
                         "block-hadamard:K")
-    p.add_argument("--mode", default=",".join(DEFAULT_MODES),
-                   help="comma-separated checks to run "
-                        f"(default {','.join(DEFAULT_MODES)}; "
-                        "optional extra: simulate)")
     p.add_argument("--exhaustive", action="store_true",
                    help="run every check, also after the request is "
                         "decided, and report deciding checks that "
@@ -970,7 +885,6 @@ def build_parser():
                    default="hurwitz")
     p.add_argument("--format", dest="fmt", choices=("json", "text"),
                    default="text")
-    p.add_argument("--simulate-horizon", type=float, default=None)
     return p
 
 
@@ -987,13 +901,11 @@ def main(argv=None):
         matrix = load_matrix(args.matrix)
         request = AnalysisRequest(
             matrix=matrix,
-            modes=tuple(m.strip() for m in args.mode.split(",") if m.strip()),
             exhaustive=args.exhaustive,
             samples=args.samples,
             budget=args.budget,
             seed=args.seed,
             convention=args.convention,
-            simulate_horizon=args.simulate_horizon,
             region_spec=args.region,
             class_spec=args.gclass,
             op_spec=args.op,

@@ -376,6 +376,10 @@ class BinOp:
         """G o A; a (k, n, n) stack ``g`` gives the stack of k products."""
         raise NotImplementedError
 
+    def identity(self, n):
+        """The n x n E with E o A = A for every n x n A."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Multiply(BinOp):
@@ -383,6 +387,9 @@ class Multiply(BinOp):
 
     def apply(self, g, a):
         return g @ a
+
+    def identity(self, n):
+        return np.eye(n)
 
 
 @dataclass(frozen=True)
@@ -392,6 +399,9 @@ class Add(BinOp):
     def apply(self, g, a):
         return g + a
 
+    def identity(self, n):
+        return np.zeros((n, n))
+
 
 @dataclass(frozen=True)
 class HadamardProduct(BinOp):
@@ -399,6 +409,9 @@ class HadamardProduct(BinOp):
 
     def apply(self, g, a):
         return g * a
+
+    def identity(self, n):
+        return np.ones((n, n))
 
 
 @dataclass(frozen=True)
@@ -410,6 +423,11 @@ class BlockHadamardProduct(BinOp):
         if np.ndim(g) == 3:
             return np.stack([block_hadamard(h, a, self.block) for h in g])
         return block_hadamard(g, a, self.block)
+
+    def identity(self, n):
+        # I_b in every block, off the diagonal blocks too
+        k = n // self.block
+        return np.kron(np.ones((k, k)), np.eye(self.block))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ from enum import Enum
 
 import numpy as np
 
+from .matrix_core import as_matrix
+
 __all__ = [
     "Status", "Verdict",
     "Region", "HalfPlaneLeft", "HalfPlaneRight", "Disk", "SectorRight",
@@ -334,15 +336,6 @@ class EMIRegion(Region):
 # Eigenvalues
 # ---------------------------------------------------------------------------
 
-def _as_square(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
 def eigenvalues(a):
     """Spectrum of a real square matrix, sorted by (real, imag).
 
@@ -351,7 +344,7 @@ def eigenvalues(a):
     ``EigenSolverError``.  Real input keeps the returned multiset closed
     under conjugation.
     """
-    a = _as_square(a)
+    a = as_matrix(a)
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -419,7 +412,7 @@ def gershgorin(a):
     inside the left half-plane (:func:`membership`); Unknown otherwise
     (the localization never refutes).
     """
-    a = _as_square(a)
+    a = as_matrix(a)
     n = a.shape[0]
     radii = abs(a).sum(axis=1) - abs(np.diag(a))
     disks = [(float(a[i, i]), float(radii[i])) for i in range(n)]
@@ -443,7 +436,7 @@ def decay_horizon(a, target=1e-8):
     alpha = spectral_abscissa(a)
     if alpha >= 0:
         raise ValueError("decay horizon requires a Hurwitz-stable matrix")
-    _, v = np.linalg.eig(_as_square(a))
+    _, v = np.linalg.eig(as_matrix(a))
     kappa = np.linalg.cond(v)
     t = (math.log(target) - math.log(max(kappa, 1.0))) / alpha
     return float(min(max(t, 1.0), 1e4))
@@ -457,7 +450,7 @@ def simulate_decay(m, horizon, step):
     max_i ||x_i(T)|| / ||x_i(0)||.  Overflow is reported as ``inf``
     (a divergence witness), not an exception.
     """
-    m = _as_square(m)
+    m = as_matrix(m)
     if step <= 0:
         raise ValueError("step must be positive")
     if horizon < step:

@@ -276,23 +276,32 @@ class TestClassClosure:
         assert cls.contains(np.linalg.inv(g1))
 
 
+OPS = [ds.Multiply(), ds.Add(), ds.HadamardProduct(),
+       ds.BlockHadamardProduct(1), ds.BlockHadamardProduct(2),
+       ds.BlockHadamardProduct(3)]
+
+
+def _op_id(op):
+    return f"{op.name}-{getattr(op, 'block', '')}".rstrip("-")
+
+
 class TestApplyOp:
-    def test_identities(self, rng):
-        a = rng.normal(size=(3, 3))
-        assert np.allclose(ds.Multiply().apply(np.eye(3), a), a)
-        assert np.allclose(ds.Add().apply(np.zeros((3, 3)), a), a)
-        assert np.allclose(ds.HadamardProduct().apply(np.ones((3, 3)), a), a)
+    @pytest.mark.parametrize("op", OPS, ids=_op_id)
+    def test_identity_is_exact(self, op, rng):
+        # E o A = A bit for bit, at every n the operation takes
+        for n in (1, 2, 3, 4, 6, 12):
+            if n % getattr(op, "block", 1) == 0:
+                a = rng.normal(size=(n, n))
+                assert op.apply(op.identity(n), a).tobytes() == a.tobytes()
 
-    def test_block_hadamard_op(self, rng):
+    def test_eye_is_not_the_block_hadamard_identity(self, rng):
+        # I o_2 A keeps the diagonal blocks of A only
         a = rng.normal(size=(4, 4))
-        g = np.tile(np.eye(2), (2, 2))
-        out = ds.BlockHadamardProduct(2).apply(g, a)
-        assert np.allclose(out, a)
+        out = ds.BlockHadamardProduct(2).apply(np.eye(4), a)
+        assert np.array_equal(out, np.kron(np.eye(2), np.ones((2, 2))) * a)
+        assert not np.array_equal(out, a)
 
-    @pytest.mark.parametrize("op", [
-        ds.Multiply(), ds.Add(), ds.HadamardProduct(),
-        ds.BlockHadamardProduct(1), ds.BlockHadamardProduct(2)],
-        ids=lambda op: f"{op.name}-{getattr(op, 'block', '')}".rstrip("-"))
+    @pytest.mark.parametrize("op", OPS[:5], ids=_op_id)
     def test_stack_is_the_stack_of_single_products(self, op, rng):
         # falsify screens a whole batch with one apply on the stack
         a = rng.normal(size=(4, 4))

@@ -83,7 +83,7 @@ class TestCircuitDecidesCyclicForms:
         # self-stability may refute first; --exhaustive keeps the row
         for exhaustive in (False, True):
             report = cli.run(cli.AnalysisRequest(
-                matrix=m, modes=("structural",), exhaustive=exhaustive))
+                matrix=m, samples=100, budget=100, exhaustive=exhaustive))
             assert b"secant" not in cli.emit(report, "json")
         records = [c for c in report.checks if c.check == "single-circuit"]
         assert [c.verdict.status for c in records] == [status]
