@@ -8,7 +8,7 @@ from .spectra import (Disk, EMIRegion, HalfPlaneLeft, HalfPlaneRight,
                       eigenvalues, gershgorin, membership, region_stable,
                       simulate_decay)
 from .lyapunov import (Certificate, diagonal_stability_search, solve_lyapunov,
-                       solve_stein, verify_certificate)
+                       verify_certificate)
 from .dstability import falsify, necessary_p0plus, sufficient_suite
 
 __version__ = "0.1.0"

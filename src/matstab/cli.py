@@ -22,9 +22,11 @@ the ``classify`` row reports those flags.
 The rows run cheapest sound check first.  ``sufficient-suite`` comes
 before the minor-sign necessity: its exact items cost O(n^3) and read no
 principal minor, and its diagonal-stability item is the first
-SEARCH_PREFIX steps of the half-plane diagonal search.  If those end
-Unknown with budget left, ``diagonal-certificate`` resumes the same
-search up to ``--budget``, so a request runs one search, no step twice.
+SEARCH_PREFIX steps of the request's diagonal search (the suite runs on
+half-plane triples only).  If those end Unknown with budget left,
+``diagonal-certificate`` resumes the same search up to ``--budget``; on
+any other region with an EMI form it runs that one search from the
+start.  A request thus runs one search, no step twice.
 The 2^n minor table is built only when ``necessary-p0plus``,
 ``interval-box`` or ``classify`` reaches it; ``classify`` and
 ``gershgorin`` decide nothing and come last, so a decided request
@@ -71,7 +73,7 @@ SCHEMA = "matstab-report/13"
 
 CHECK_ERROR = "check-error: "
 
-# steps of the half-plane diagonal search that sufficient-suite runs;
+# steps of the request's diagonal search that sufficient-suite runs;
 # diagonal-certificate resumes the same search up to --budget
 SEARCH_PREFIX = 64
 
@@ -506,10 +508,12 @@ class _Context:
 
     @cached_property
     def _search(self):
-        return lyapunov.DiagonalSearch(self.request.matrix, HalfPlaneLeft())
+        return lyapunov.DiagonalSearch(self.request.matrix,
+                                       self.request.region)
 
-    def half_plane_search(self, steps):
-        """The half-plane diagonal search of A, run up to ``steps`` steps.
+    def diagonal_search(self, steps):
+        """The diagonal search of A on the request's region, run up to
+        ``steps`` steps.
 
         One search per request: each call resumes it where the last one
         paused, so no step runs twice, and a search that stopped keeps
@@ -622,7 +626,7 @@ def _symmetric_part(ctx):
 def _sufficient_suite(ctx):
     suite = ds.sufficient_suite(
         -ctx.request.matrix, budget=ctx.request.budget,
-        search=ctx.half_plane_search(SEARCH_PREFIX))
+        search=ctx.diagonal_search(SEARCH_PREFIX))
     fired = [name for name, v in suite if v.proved]
     wit = next((v.witness for _, v in suite if v.proved
                 and v.witness is not None), None)
@@ -634,11 +638,7 @@ def _sufficient_suite(ctx):
 
 def _diagonal_certificate(ctx):
     r = ctx.request
-    if ctx.half_plane:
-        verdict = ctx.half_plane_search(r.budget)
-    else:
-        verdict = lyapunov.diagonal_stability_search(r.matrix, r.region,
-                                                     budget=r.budget)
+    verdict = ctx.diagonal_search(r.budget)
     data = None
     if verdict.proved:
         data = {"re-verified-margin":
@@ -726,8 +726,9 @@ def run(request):
     in ``Report.skipped``; an exhaustive request runs them all.  Checks
     share work through the per-request :class:`_Context`: the spectrum
     of A, one principal-minor sweep of -A, one ``classify`` of -A and
-    one half-plane diagonal search, which ``sufficient-suite`` runs for
-    SEARCH_PREFIX steps and ``diagonal-certificate`` resumes.
+    one diagonal search on the request's region, which
+    ``sufficient-suite`` runs for SEARCH_PREFIX steps and
+    ``diagonal-certificate`` resumes.
     """
     convention_note = "analysis in the hurwitz convention"
     if request.convention == "positive":

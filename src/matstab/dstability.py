@@ -517,8 +517,10 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
 
     Refuted embeds the replayable witness; Unknown after the budget.
     Never returns Proved.  A bounded region paired with an unbounded
-    class is refuted up front: no matrix is stable for such a pair, and
-    a concrete scaled witness is attached whenever one exists.
+    class is refuted up front when one drawn member, scaled up, takes
+    the spectrum out of the region; otherwise the class is sampled as
+    for any other pair: a strictly triangular A keeps the spectrum of
+    every D A at {0}, inside the unit disk however large D is.
     """
     if batch < 1:
         raise ValueError("batch must be at least 1")
@@ -532,11 +534,8 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
             g, m, z = found
             wit = FalsificationWitness(g, m, z, -1, seed,
                                        note="unbounded-class-scaling")
-        else:
-            wit = FalsificationWitness(None, None, None, -1, seed,
-                                       note="unbounded-class-no-finite-witness")
-        return Verdict(Status.REFUTED, "unbounded-class-bounded-region",
-                       witness=wit, seed=seed)
+            return Verdict(Status.REFUTED, "unbounded-class-bounded-region",
+                           witness=wit, seed=seed)
 
     done = 0
     while done < samples:

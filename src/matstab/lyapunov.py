@@ -1,4 +1,12 @@
-"""Lyapunov/Stein solvers, region operators and certificate searches.
+"""The Lyapunov operator of a region, its solver and certificate searches.
+
+A region's ``emi`` form (R11, R12, R22) is its one Lyapunov structure:
+the operator H -> R11 (x) H + R12 (x) (H A) + R12^T (x) (A^T H)
++ R22 (x) (A^T H A) of :func:`emi_operator`.  :func:`solve_lyapunov`
+solves it for every region whose form is 1x1, the Lyapunov equation on
+the left half-plane and the Stein equation on the unit disk among them,
+and the diagonal searches minimize its largest eigenvalue over positive
+diagonal H on every region that has a form.
 
 Certificates are found by entropic mirror descent of the largest
 eigenvalue of the region operator over the simplex of positive
@@ -39,7 +47,7 @@ from .spectra import (HalfPlaneLeft, Hyperbolic, Region, Status, Verdict,
 __all__ = [
     "OperatorSingularError", "IllConditionedError", "CertificateError",
     "Certificate", "KRONECKER_SOLVE_CAP",
-    "solve_lyapunov", "solve_stein",
+    "solve_lyapunov",
     "emi_operator", "is_negative_definite", "definiteness_tol",
     "DiagonalSearch", "diagonal_stability_search",
     "diagonal_hyperbolicity_search",
@@ -53,7 +61,7 @@ DEFAULT_BUDGET = 5000
 
 
 class OperatorSingularError(RuntimeError):
-    """The Lyapunov/Stein operator is singular (eigenvalue pairing)."""
+    """A region's Lyapunov operator is singular (eigenvalue pairing)."""
 
 
 class IllConditionedError(RuntimeError):
@@ -114,64 +122,56 @@ def _check_sym(w, name):
     return _sym_part(w)
 
 
-def _pairing_gap(eigs, combine):
-    return min(abs(combine(li, np.conj(lj))) for li in eigs for lj in eigs)
+def _emi_sum(r, terms):
+    """r11 t0 + r12 t1 + r22 t2 over the nonzero coefficients only, so a
+    zero coefficient adds no term (0.0 when all three are zero)."""
+    parts = [rk * t for rk, t in zip(r, terms) if rk]
+    return sum(parts[1:], parts[0]) if parts else 0.0
 
 
-def solve_lyapunov(a, w):
-    """Solve H A + A^T H = W for symmetric H by Kronecker vectorization.
+def solve_lyapunov(a, w, region=None):
+    """Solve R11 H + R12 (H A + A^T H) + R22 A^T H A = W for symmetric H.
 
-    A singular operator (some eigenvalue pairing lambda_i + conj(lambda_j)
-    vanishing) raises ``OperatorSingularError``; a solve whose residual
-    exceeds ``1e-8 * (||A|| ||H|| + ||W||)`` raises ``IllConditionedError``.
+    (R11, R12, R22) is the ``emi`` form of ``region``, which must be 1x1
+    (default the left half-plane: H A + A^T H = W; ``Disk()`` gives the
+    Stein equation A^T H A - H = W).  The solve is one Kronecker
+    vectorization.  A singular operator (some eigenvalue pairing
+    r11 + r12 (lambda_i + conj(lambda_j)) + r22 lambda_i conj(lambda_j)
+    within 1e-12 (1 + ||A||_inf)^(2 if r22 else 1) of zero) raises
+    ``OperatorSingularError``; a solve whose :func:`emi_operator`
+    residual exceeds 1e-8 (|r11| ||H|| + |r12| ||A|| ||H||
+    + |r22| ||A||^2 ||H|| + ||W||) raises ``IllConditionedError``.  A
+    region with no ``emi``, or a matrix-valued one, raises ValueError.
     """
+    if region is None:
+        region = HalfPlaneLeft()
+    if region.emi is None or region.emi[0].shape != (1, 1):
+        raise ValueError(f"no scalar Lyapunov form for region {region!r}")
+    r = [float(x[0, 0]) for x in region.emi]
     a = as_matrix(a)
     w = _check_sym(w, "W")
     n = a.shape[0]
     if n > KRONECKER_SOLVE_CAP:
         raise ValueError(f"dense vectorized solve capped at n = {KRONECKER_SOLVE_CAP}")
-    gap = _pairing_gap(eigenvalues(a), lambda x, y: x + y)
-    if gap <= 1e-12 * (1.0 + np.linalg.norm(a, np.inf)):
+    lam = eigenvalues(a)
+    li, lj = lam[:, None], np.conj(lam)[None, :]
+    gap = np.abs(_emi_sum(r, (1.0, li + lj, li * lj))).min()
+    if gap <= 1e-12 * (1.0 + np.linalg.norm(a, np.inf)) ** (2 if r[2] else 1):
         raise OperatorSingularError(
-            f"eigenvalue pairing lambda_i + conj(lambda_j) ~ 0 (gap {gap:.2e})")
+            f"eigenvalue pairing of the {region.name} operator ~ 0 "
+            f"(gap {gap:.2e})")
     eye = np.eye(n)
-    op = np.kron(a.T, eye) + np.kron(eye, a.T)
+    op = _emi_sum(r, (np.eye(n * n), np.kron(a.T, eye) + np.kron(eye, a.T),
+                      np.kron(a.T, a.T)))
     try:
         h = np.linalg.solve(op, w.reshape(-1)).reshape(n, n)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(str(exc)) from exc
     h = _sym_part(h)
-    res = np.linalg.norm(h @ a + a.T @ h - w)
-    bound = 1e-8 * (np.linalg.norm(a) * np.linalg.norm(h) + np.linalg.norm(w))
-    if res > bound:
-        raise IllConditionedError(f"residual {res:.2e} exceeds bound {bound:.2e}")
-    return h
-
-
-def solve_stein(a, w):
-    """Solve A^T H A - H = W for symmetric H by Kronecker vectorization.
-
-    The operator is singular when some eigenvalue product
-    lambda_i * conj(lambda_j) equals one.
-    """
-    a = as_matrix(a)
-    w = _check_sym(w, "W")
-    n = a.shape[0]
-    if n > KRONECKER_SOLVE_CAP:
-        raise ValueError(f"dense vectorized solve capped at n = {KRONECKER_SOLVE_CAP}")
-    gap = _pairing_gap(eigenvalues(a), lambda x, y: x * y - 1.0)
-    if gap <= 1e-12 * (1.0 + np.linalg.norm(a, np.inf)) ** 2:
-        raise OperatorSingularError(
-            f"eigenvalue pairing lambda_i * conj(lambda_j) ~ 1 (gap {gap:.2e})")
-    op = np.kron(a.T, a.T) - np.eye(n * n)
-    try:
-        h = np.linalg.solve(op, w.reshape(-1)).reshape(n, n)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(str(exc)) from exc
-    h = _sym_part(h)
-    res = np.linalg.norm(a.T @ h @ a - h - w)
-    bound = 1e-8 * (np.linalg.norm(a) ** 2 * np.linalg.norm(h)
-                    + np.linalg.norm(h) + np.linalg.norm(w))
+    res = np.linalg.norm(emi_operator(*region.emi, a, h) - w)
+    na, nh = np.linalg.norm(a), np.linalg.norm(h)
+    bound = 1e-8 * (_emi_sum([abs(rk) for rk in r], (nh, na * nh, na ** 2 * nh))
+                    + np.linalg.norm(w))
     if res > bound:
         raise IllConditionedError(f"residual {res:.2e} exceeds bound {bound:.2e}")
     return h
@@ -195,19 +195,27 @@ def emi_operator(r11, r12, r22, a, h):
 # Diagonal certificate searches
 # ---------------------------------------------------------------------------
 
+_DIAG_KINDS = {"half-plane-left": "diagonal-lyapunov", "disk": "diagonal-stein",
+               "half-plane-right": "diagonal-lmi",
+               "sector-right": "diagonal-lmi",
+               "lmi": "diagonal-lmi", "emi": "diagonal-emi"}
+
+
 class _DiagOperator:
     """W(d) = R11 (x) D + R12 (x) (DA) + R12^T (x) (A^T D) + R22 (x) (A^T D A).
 
-    Linear in the diagonal vector d, so lambda_max(W(d)) is convex and a
-    subgradient at d is read off the top eigenvector.
+    (R11, R12, R22) is the ``emi`` form of the region, and the
+    certificate kind is the region's.  Linear in the diagonal vector d,
+    so lambda_max(W(d)) is convex and a subgradient at d is read off the
+    top eigenvector.
     """
 
-    def __init__(self, a, r11, r12, r22, kind, region):
+    def __init__(self, a, region):
+        if region.emi is None:
+            raise ValueError(f"no diagonal certificate form for region {region!r}")
         self.a = as_matrix(a)
-        self.r11 = np.atleast_2d(np.asarray(r11, dtype=float))
-        self.r12 = np.atleast_2d(np.asarray(r12, dtype=float))
-        self.r22 = np.atleast_2d(np.asarray(r22, dtype=float))
-        self.kind = kind
+        self.r11, self.r12, self.r22 = region.emi
+        self.kind = _DIAG_KINDS[region.name]
         self.region = region
         self.m = self.r11.shape[0]
 
@@ -239,18 +247,6 @@ class _DiagOperator:
         return value, g, definiteness_tol(w)
 
 
-_DIAG_KINDS = {"half-plane-left": "diagonal-lyapunov", "disk": "diagonal-stein",
-               "half-plane-right": "diagonal-lmi",
-               "sector-right": "diagonal-lmi",
-               "lmi": "diagonal-lmi", "emi": "diagonal-emi"}
-
-
-def _region_diag_operator(a, region):
-    if region.emi is None:
-        raise ValueError(f"no diagonal certificate form for region {region!r}")
-    return _DiagOperator(a, *region.emi, _DIAG_KINDS[region.name], region)
-
-
 class DiagonalSearch:
     """One positive-diagonal certificate search, resumable step by step.
 
@@ -265,7 +261,7 @@ class DiagonalSearch:
 
     def __init__(self, a, region):
         a = as_matrix(a)
-        self._op = _region_diag_operator(a, region)
+        self._op = _DiagOperator(a, region)
         n = a.shape[0]
         self._rate = math.sqrt(2.0 * math.log(n))
         self._z = np.zeros(n)  # log d, up to a constant
@@ -387,7 +383,7 @@ def verify_certificate(a, cert):
         return margin
 
     _require((d > 0).all(), "factor must be positive diagonal")
-    op = _region_diag_operator(a, cert.region)
+    op = _DiagOperator(a, cert.region)
     _require(op.kind == cert.kind, f"kind {cert.kind!r} does not match region")
     w = op.apply(d)
     _, margin = is_negative_definite(w, tol=0.0)

@@ -274,32 +274,6 @@ def _sym(m):
 
 
 @dataclass(frozen=True)
-class LMIRegion(Region):
-    """Region {z : L + M z + M^T conj(z) negative definite}, L symmetric."""
-
-    l: np.ndarray
-    m: np.ndarray
-    name = "lmi"
-
-    def __post_init__(self):
-        object.__setattr__(self, "l", _sym(self.l))
-        m = _finite(self.m)
-        if m.shape != self.l.shape:
-            raise ValueError("L and M must have equal shape")
-        object.__setattr__(self, "m", m)
-
-    @property
-    def emi(self):
-        return self.l, self.m, np.zeros_like(self.l)
-
-    def characteristic(self, z):
-        return self.l + z * self.m + np.conj(z) * self.m.T
-
-    def distance(self, zs, tol):
-        return np.linalg.eigvalsh(self.characteristic(zs[..., None, None]))[..., -1]
-
-
-@dataclass(frozen=True)
 class EMIRegion(Region):
     """Region {z : R11 + R12 z + R12^T conj(z) + R22 z conj(z) neg. def.}."""
 
@@ -325,11 +299,23 @@ class EMIRegion(Region):
         return bool(np.linalg.eigvalsh(self.r22)[0] > 0)
 
     def characteristic(self, z):
-        return (self.r11 + z * self.r12 + np.conj(z) * self.r12.T
-                + (z * np.conj(z)).real * self.r22)
+        c = self.r11 + z * self.r12 + np.conj(z) * self.r12.T
+        if self.r22.any():  # |z|^2 may overflow: a zero R22 adds no inf * 0
+            c = c + (z * np.conj(z)).real * self.r22
+        return c
 
     def distance(self, zs, tol):
         return np.linalg.eigvalsh(self.characteristic(zs[..., None, None]))[..., -1]
+
+
+class LMIRegion(EMIRegion):
+    """Region {z : L + M z + M^T conj(z) negative definite}, L symmetric:
+    the EMI region with R11 = L, R12 = M and R22 = 0."""
+
+    name = "lmi"
+
+    def __init__(self, l, m):
+        super().__init__(l, m, np.zeros(np.shape(l)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +355,11 @@ def membership(zs, region):
     line and its half-axes) have empty interior; for these, "inside"
     means the defining equalities hold within the band and the strict
     inequalities hold with the band as margin.  A NaN point is 0: in the
-    band, never inside.
+    band, never inside.  An infinite point (an overflowed eigenvalue) has
+    the band of the origin, since its own band would be infinite.
     """
     zs = np.asarray(zs, dtype=complex)
-    tols = default_tol(zs)
+    tols = default_tol(np.where(np.isinf(zs), 0.0, zs))
     d = region.distance(zs, tols)
     return (d > tols).astype(int) - (d < -tols)
 

@@ -74,7 +74,7 @@ def test_criterion_02_stein_iff():
     for _ in range(500):
         n = int(RNG.integers(2, 7))
         a = random_schur(RNG, n)
-        h = ly.solve_stein(a, -np.eye(n))
+        h = ly.solve_lyapunov(a, -np.eye(n), sp.Disk())
         if not spd(h):
             bad += 1
     for _ in range(500):
@@ -83,7 +83,7 @@ def test_criterion_02_stein_iff():
         rho = abs(np.linalg.eigvals(a)).max()
         a *= RNG.uniform(1.0, 2.0) / rho
         try:
-            h = ly.solve_stein(a, -np.eye(n))
+            h = ly.solve_lyapunov(a, -np.eye(n), sp.Disk())
         except (ly.OperatorSingularError, ly.IllConditionedError):
             continue
         if spd(h):

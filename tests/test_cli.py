@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from matstab import cli, lyapunov, matrix_core, special_forms
 from matstab import dstability as ds
-from matstab.spectra import (Disk, HalfPlaneLeft, Hyperbolic, Status, Verdict,
-                             eigenvalues, first_outside)
+from matstab.spectra import (Disk, HalfPlaneLeft, Hyperbolic, SectorRight,
+                             Status, Verdict, eigenvalues, first_outside)
 
-from conftest import benchmark_corpus, random_diagonally_stable
+from conftest import (benchmark_corpus, random_diagonally_stable,
+                      random_schur_diag_stable)
 
 
 def request_for(matrix, **kw):
@@ -635,8 +636,8 @@ class TestSharedWork:
         a = np.asarray(matrix, dtype=float)
         whole = lyapunov.diagonal_stability_search(a, budget=budget)
         ctx = cli._Context(request_for(a, budget=budget))
-        prefix = ctx.half_plane_search(cli.SEARCH_PREFIX)
-        resumed = ctx.half_plane_search(budget)
+        prefix = ctx.diagonal_search(cli.SEARCH_PREFIX)
+        resumed = ctx.diagonal_search(budget)
         if prefix.reason == "search-prefix-exhausted":
             assert budget > cli.SEARCH_PREFIX
         else:  # the prefix was the whole search
@@ -649,6 +650,28 @@ class TestSharedWork:
             assert np.array_equal(got.factor, want.factor)
             assert (got.margin, got.iterations) == (want.margin,
                                                     want.iterations)
+
+    @pytest.mark.parametrize("region_spec, region, matrix", [
+        ("disk:0,1", Disk(),
+         random_schur_diag_stable(np.random.default_rng(3), 6)[0]),
+        ("disk:0,1", Disk(), [[0.307, 0.778, -0.096], [1.019, -0.496, 0.262],
+                              [0.674, 0.07, -0.555]]),
+        ("sector:0.6", SectorRight(0.6), [[2.0, 0.3], [0.3, 1.0]]),
+        ("sector:0.6", SectorRight(0.6), [[2.03, -0.4, -0.88],
+                                          [1.47, -0.05, -0.37],
+                                          [0.22, 0.84, 0.99]])])
+    def test_any_region_runs_the_one_search(self, calls, region_spec, region,
+                                            matrix):
+        # off the half-plane, too, the certificate check runs the
+        # request's one search, with the steps of a fresh search
+        a = np.asarray(matrix, dtype=float)
+        report = cli.run(request_for(a, region_spec=region_spec, budget=200,
+                                     samples=100, exhaustive=True))
+        assert calls["search"] == 1 and len(calls["runs"]) == 1
+        fresh = lyapunov.diagonal_stability_search(a, region, budget=200)
+        record, = (c for c in report.checks
+                   if c.check == "diagonal-certificate")
+        assert cli.to_jsonable(record.verdict) == cli.to_jsonable(fresh)
 
     @pytest.mark.parametrize("class_spec", [
         "positive-diagonal", "interval-diagonal:" + ",".join(["0.5/2"] * 8)])
@@ -1057,6 +1080,31 @@ class TestMain:
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["schema"] == "matstab-report/13"
+
+    def test_unbounded_class_with_no_escaping_member_is_not_refuted(
+            self, capsys):
+        # every D A of a strictly upper triangular A has spectrum {0},
+        # inside the unit disk however large the positive diagonal D is:
+        # no witness exists, so nothing may refute
+        argv = ["--region", "disk:0,1", "--class", "positive-diagonal",
+                "--samples", "500", "--format", "json", "--", "0,1;0,0"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["status"] != "refuted"
+        falsify, = (c for c in report["checks"] if c["check"] == "falsify")
+        assert falsify["status"] == "unknown"
+
+    def test_overflowed_eigenvalue_is_not_the_witness(self, capsys):
+        # one eigenvalue overflows to -inf, inside the half-plane; the
+        # witness is the finite one strictly outside it
+        argv = ["--format", "json", "--", "-1e308,1e308;1e308,-1e308"]
+        assert cli.main(argv) == 2
+        report = json.loads(capsys.readouterr().out)
+        first = report["checks"][0]
+        assert (first["check"], report["summary"]["decided_by"]) == (
+            "self-stability", "self-stability")
+        assert first["witness"]["eigenvalue"] == {
+            "re": 2.220446049250313e+292, "im": 0.0}
 
 
 def _isinstance_triple(request):

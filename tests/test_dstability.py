@@ -356,6 +356,16 @@ class TestFalsify:
         assert min(abs(np.linalg.eigvals(v.witness.realized) - z)) <= 1e-12
         assert abs(z) >= 1.0
 
+    def test_unbounded_class_without_escaping_member_is_sampled(self):
+        # D A keeps the spectrum {0} for every positive diagonal D: no
+        # scaled member escapes the disk, so the class is sampled and
+        # nothing refutes
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        v = ds.falsify(a, ds.PositiveDiagonal(), ds.Multiply(),
+                       Disk(0.0, 1.0), samples=300, seed=0)
+        assert v.status is Status.UNKNOWN
+        assert v.reason == "falsification-budget-exhausted"
+
     def test_unbounded_interval_class_triggers_guard(self):
         cls = ds.IntervalDiagonal((0.5, 0.5), (np.inf, np.inf))
         v = ds.falsify(0.9 * np.eye(2), cls, ds.Multiply(), Disk(0.0, 1.0),

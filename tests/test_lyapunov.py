@@ -50,24 +50,63 @@ class TestSolveLyapunov:
 
 
 class TestSolveStein:
+    # the Stein equation A^T H A - H = W is the unit disk's
     def test_zero_matrix(self):
-        assert np.allclose(ly.solve_stein(np.zeros((2, 2)), -np.eye(2)),
+        assert np.allclose(ly.solve_lyapunov(np.zeros((2, 2)), -np.eye(2),
+                                             Disk()),
                            np.eye(2))
 
     def test_half_identity(self):
-        assert np.allclose(ly.solve_stein(0.5 * np.eye(2), -0.75 * np.eye(2)),
+        assert np.allclose(ly.solve_lyapunov(0.5 * np.eye(2),
+                                             -0.75 * np.eye(2), Disk()),
                            np.eye(2))
 
     def test_schur_gives_spd_solution(self, rng):
         for _ in range(25):
             a = random_schur(rng, 4)
-            h = ly.solve_stein(a, -np.eye(4))
+            h = ly.solve_lyapunov(a, -np.eye(4), Disk())
             assert spd(h)
 
     def test_singular_pairing_detected(self):
         a = np.diag([1.0, 0.5])  # 1 * 1 = 1
         with pytest.raises(ly.OperatorSingularError):
-            ly.solve_stein(a, -np.eye(2))
+            ly.solve_lyapunov(a, -np.eye(2), Disk())
+
+
+class TestSolveOnARegion:
+    @pytest.mark.parametrize("region", [Disk(0.5, 0.4), HalfPlaneRight()],
+                             ids=lambda r: r.name)
+    def test_residual_through_the_region_operator(self, rng, region):
+        # A = c I + r B with B Schur puts the spectrum in the disk; -A of
+        # a Hurwitz matrix puts it in the right half-plane
+        for _ in range(25):
+            n = int(rng.integers(2, 6))
+            if region.name == "disk":
+                a = 0.5 * np.eye(n) + 0.4 * random_schur(rng, n)
+            else:
+                a = -random_hurwitz(rng, n)
+            h = ly.solve_lyapunov(a, -np.eye(n), region)
+            assert spd(h)
+            w = ly.emi_operator(*region.emi, a, h)
+            res = np.linalg.norm(w + np.eye(n))
+            r11, r12, r22 = (abs(float(r[0, 0])) for r in region.emi)
+            na, nh = np.linalg.norm(a), np.linalg.norm(h)
+            bound = 1e-8 * (r11 * nh + r12 * na * nh + r22 * na ** 2 * nh
+                            + np.sqrt(n))
+            assert res <= bound
+
+    def test_default_region_is_the_left_half_plane(self, rng):
+        a = random_hurwitz(rng, 4)
+        assert np.array_equal(ly.solve_lyapunov(a, -np.eye(4)),
+                              ly.solve_lyapunov(a, -np.eye(4),
+                                                HalfPlaneLeft()))
+
+    @pytest.mark.parametrize("region", [SectorRight(0.6), Hyperbolic()],
+                             ids=lambda r: r.name)
+    def test_no_scalar_emi_form_is_rejected(self, region):
+        # the sector's form is 2 x 2; the hyperbolic region has none
+        with pytest.raises(ValueError):
+            ly.solve_lyapunov(-np.eye(2), -np.eye(2), region)
 
 
 class TestRegionOperators:
@@ -112,7 +151,7 @@ class TestRegionOperators:
             if rng.integers(0, 2):
                 # spectrum inside the disk: the Stein solution certifies
                 a = c * np.eye(n) + r * b
-                hb = ly.solve_stein(b, -np.eye(n))
+                hb = ly.solve_lyapunov(b, -np.eye(n), Disk())
                 w = ly.emi_operator([[c * c - r * r]], [[-c]], [[1.0]], a, hb)
                 ok, _ = ly.is_negative_definite(w)
                 assert ok and spd(hb)

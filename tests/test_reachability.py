@@ -239,6 +239,10 @@ def unpassed_parameters():
 KEEP_PARAMS = {
     "main(argv)": "None parses sys.argv, as the console entry point does; "
                   "tests pass a list",
+    "diagonal_stability_search(region)": (
+        "None is the left half-plane; the command line searches every "
+        "region through the resumable DiagonalSearch(a, region), and tests "
+        "pass a region here to check that it takes the same steps"),
 }
 
 

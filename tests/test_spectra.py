@@ -134,6 +134,22 @@ class TestMembership:
         assert sp.first_outside(zs, region) is not None
 
 
+    def test_infinite_point_has_the_band_of_the_origin(self):
+        # an overflowed eigenvalue: -inf is strictly inside the left
+        # half-plane and +inf strictly outside, so the finite point past
+        # the band is the one that first_outside names
+        zs = np.array([-np.inf, 2.220446049250313e+292, np.inf],
+                      dtype=complex)
+        assert sp.membership(zs, sp.HalfPlaneLeft()).tolist() == [
+            INSIDE, OUTSIDE, OUTSIDE]
+        assert sp.first_outside(zs, sp.HalfPlaneLeft()) == zs[1]
+        assert sp.membership(complex(np.inf, 0.0), sp.Disk()) == OUTSIDE
+        # an LMI region's |z|^2 term is zero, not inf * 0 = NaN: a point
+        # past 1e154 keeps its side
+        lmi = sp.LMIRegion([[0.0]], [[1.0]])
+        assert sp.membership(zs, lmi).tolist() == [INSIDE, OUTSIDE, OUTSIDE]
+
+
 def _band(value, tol):
     # value < 0 inside, value > 0 outside, |value| <= tol boundary band
     if value < -tol:
