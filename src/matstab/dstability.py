@@ -446,15 +446,28 @@ class FalsificationWitness:
     note: str = ""
 
 
+def _radius(region):
+    """R >= |z| on a bounded region: for v the top eigenvector of R22 and
+    (p, q, r) = v^T (R11, R12, R22) v, v^T C(z) v >= p - 2|q||z| + r|z|^2
+    is positive past R."""
+    v = np.linalg.eigh(region.emi[2])[1][:, -1]
+    p, q, r = (v @ x @ v for x in region.emi)
+    return (abs(q) + np.sqrt(max(q * q - p * r, 0.0))) / r
+
+
 def _unbounded_witness(a, gclass, op, region, rng):
-    """Concrete witness for the bounded-region / unbounded-class refutation."""
+    """Concrete witness for the bounded-region / unbounded-class refutation:
+    one drawn G scaled by 1, 10, ..., 1e12, then by 2 R / rho(G o A), which
+    escapes unless G o A is nilpotent (every product but ``add`` is linear)."""
     n = a.shape[0]
     base = gclass.sample_batch(rng, n, 1)[0]
-    for scale in (10.0 ** k for k in range(0, 13)):
+    rho = np.abs(eigenvalues(op.apply(base, a))).max()
+    last = [2.0 * _radius(region) / rho] if rho > 0 else []
+    for scale in [10.0 ** k for k in range(0, 13)] + last:
         g = base * scale
-        if not gclass.contains(g):
-            continue
         m = op.apply(g, a)
+        if not (gclass.contains(g) and np.isfinite(m).all()):
+            continue
         z = first_outside(eigenvalues(m), region)
         if z is not None:
             return g, m, z

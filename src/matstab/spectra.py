@@ -30,7 +30,7 @@ library goes through it:
 
 :func:`membership` is the one band test: through ``distance`` with each
 point's ``default_tol`` band it gives -1 (strictly inside), 0 (in the
-band) or +1 (strictly outside) per point, and 0 for a NaN point.
+band) or +1 (strictly outside) per point, and 0 for a non-finite point.
 :func:`first_outside`, :func:`region_stable`, :func:`gershgorin` and
 every other band test of the library go through it, so one point gets
 one verdict whichever of them asks.
@@ -354,21 +354,22 @@ def membership(zs, region):
     The band of a point z is ``default_tol(z)``.  Thin regions (the real
     line and its half-axes) have empty interior; for these, "inside"
     means the defining equalities hold within the band and the strict
-    inequalities hold with the band as margin.  A NaN point is 0: in the
-    band, never inside.  An infinite point (an overflowed eigenvalue) has
-    the band of the origin, since its own band would be infinite.
+    inequalities hold with the band as margin.  A NaN or infinite point
+    (an overflowed eigenvalue, whose band is infinite) is 0: never inside.
     """
     zs = np.asarray(zs, dtype=complex)
-    tols = default_tol(np.where(np.isinf(zs), 0.0, zs))
+    tols = default_tol(zs)
     d = region.distance(zs, tols)
     return (d > tols).astype(int) - (d < -tols)
 
 
 def first_outside(spectrum, region):
-    """First point of ``spectrum`` not strictly inside ``region``, or None."""
+    """First point of ``spectrum`` not strictly inside ``region``, or None;
+    a finite point before a non-finite one (an overflowed eigenvalue)."""
     zs = np.asarray(spectrum, dtype=complex)
-    out = np.flatnonzero(membership(zs, region) >= 0)
-    return complex(zs[out[0]]) if out.size else None
+    out = zs[membership(zs, region) >= 0]
+    out = np.concatenate([out[np.isfinite(out)], out[~np.isfinite(out)]])
+    return complex(out[0]) if out.size else None
 
 
 def region_stable(a, region, spectrum=None):

@@ -1094,18 +1094,29 @@ class TestMain:
         falsify, = (c for c in report["checks"] if c["check"] == "falsify")
         assert falsify["status"] == "unknown"
 
+    def test_unbounded_class_with_a_tiny_spectrum_is_refuted(self, capsys):
+        # every D A = 1e-17 D escapes the unit disk once D is past 1e17:
+        # the scale read off the member's spectrum finds such a D
+        argv = ["--region", "disk:0,1", "--class", "positive-diagonal",
+                "--format", "json", "--", "1e-17,0;0,1e-17"]
+        assert cli.main(argv) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["decided_by"] == "falsify"
+        falsify, = (c for c in report["checks"] if c["check"] == "falsify")
+        assert falsify["witness"]["note"] == "unbounded-class-scaling"
+
     def test_overflowed_eigenvalue_is_not_the_witness(self, capsys):
-        # one eigenvalue overflows to -inf, inside the half-plane; the
-        # witness is the finite one strictly outside it
-        argv = ["--format", "json", "--", "-1e308,1e308;1e308,-1e308"]
+        # the first block's eigenvalues overflow to -inf (and round off
+        # near 0); the witness is the exact eigenvalue 1 of the second
+        # block, not the overflowed one
+        argv = ["--format", "json", "--",
+                "-1e308,1e308,0;1e308,-1e308,0;0,0,1"]
         assert cli.main(argv) == 2
         report = json.loads(capsys.readouterr().out)
         first = report["checks"][0]
         assert (first["check"], report["summary"]["decided_by"]) == (
             "self-stability", "self-stability")
-        assert first["witness"]["eigenvalue"] == {
-            "re": 2.220446049250313e+292, "im": 0.0}
-
+        assert first["witness"]["eigenvalue"] == {"re": 1.0, "im": 0.0}
 
 def _isinstance_triple(request):
     """The triple chain of the isinstance-based pipeline, as a reference."""

@@ -356,6 +356,19 @@ class TestFalsify:
         assert min(abs(np.linalg.eigvals(v.witness.realized) - z)) <= 1e-12
         assert abs(z) >= 1.0
 
+    def test_unbounded_witness_scales_from_the_spectrum(self):
+        # D A = 1e-17 D stays inside the disk for D up to 1e12 times a
+        # draw; the scale 2 R / rho(D A) takes it out, and it replays
+        a = 1e-17 * np.eye(2)
+        v = ds.falsify(a, ds.PositiveDiagonal(), ds.Multiply(),
+                       Disk(0.0, 1.0), samples=10, seed=0)
+        assert v.refuted and v.witness.note == "unbounded-class-scaling"
+        w = v.witness
+        assert ds.PositiveDiagonal().contains(w.g)
+        assert np.array_equal(ds.Multiply().apply(w.g, a), w.realized)
+        z = sp.first_outside(sp.eigenvalues(w.realized), Disk())
+        assert z == w.eigenvalue
+
     def test_unbounded_class_without_escaping_member_is_sampled(self):
         # D A keeps the spectrum {0} for every positive diagonal D: no
         # scaled member escapes the disk, so the class is sampled and

@@ -240,9 +240,10 @@ KEEP_PARAMS = {
     "main(argv)": "None parses sys.argv, as the console entry point does; "
                   "tests pass a list",
     "diagonal_stability_search(region)": (
-        "None is the left half-plane; the command line searches every "
-        "region through the resumable DiagonalSearch(a, region), and tests "
-        "pass a region here to check that it takes the same steps"),
+        "None is the left half-plane; the benchmark's tracer "
+        "(perfbench/tracer.py) binds the arguments of each call and reads "
+        "`region` for its repeat key, so `run.py --trace 1` needs it; it "
+        "goes with that read in a change to the benchmark"),
 }
 
 

@@ -134,20 +134,23 @@ class TestMembership:
         assert sp.first_outside(zs, region) is not None
 
 
-    def test_infinite_point_has_the_band_of_the_origin(self):
-        # an overflowed eigenvalue: -inf is strictly inside the left
-        # half-plane and +inf strictly outside, so the finite point past
-        # the band is the one that first_outside names
-        zs = np.array([-np.inf, 2.220446049250313e+292, np.inf],
-                      dtype=complex)
-        assert sp.membership(zs, sp.HalfPlaneLeft()).tolist() == [
-            INSIDE, OUTSIDE, OUTSIDE]
-        assert sp.first_outside(zs, sp.HalfPlaneLeft()) == zs[1]
-        assert sp.membership(complex(np.inf, 0.0), sp.Disk()) == OUTSIDE
-        # an LMI region's |z|^2 term is zero, not inf * 0 = NaN: a point
-        # past 1e154 keeps its side
-        lmi = sp.LMIRegion([[0.0]], [[1.0]])
-        assert sp.membership(zs, lmi).tolist() == [INSIDE, OUTSIDE, OUTSIDE]
+    @pytest.mark.parametrize("region", [
+        sp.HalfPlaneLeft(), sp.Disk(),
+        sp.EMIRegion([[-1.0]], [[0.0]], [[1.0]]),
+        sp.LMIRegion([[0.0]], [[1.0]])], ids=lambda r: r.name)
+    def test_overflowed_eigenvalue_is_named_after_a_finite_point(self,
+                                                                  region):
+        # an infinite point is in the band, never inside (its band is
+        # infinite), also where 0 * inf is NaN (the unit disk as an EMI
+        # region); first_outside names the finite point outside first.
+        # An LMI region's |z|^2 term is zero, not inf * 0 = NaN, so the
+        # point past 1e154 keeps its side
+        zs = np.array([-np.inf, 2.220446049250313e+292, np.inf,
+                       complex(0.0, np.inf)])
+        assert sp.membership(zs, region).tolist() == [BAND, OUTSIDE, BAND,
+                                                      BAND]
+        assert sp.first_outside(zs, region) == zs[1]
+        assert sp.first_outside(zs[[0, 2]], region) == -np.inf
 
 
 def _band(value, tol):
