@@ -7,7 +7,7 @@ from .spectra import (Disk, EMIRegion, HalfPlaneLeft, HalfPlaneRight,
                       SectorRight, ComplementSector, Status, Verdict,
                       eigenvalues, gershgorin, membership, region_stable,
                       simulate_decay)
-from .lyapunov import (Certificate, diagonal_stability_search, solve_lyapunov,
+from .lyapunov import (Certificate, DiagonalSearch, solve_lyapunov,
                        verify_certificate)
 from .dstability import falsify, necessary_p0plus, sufficient_suite
 

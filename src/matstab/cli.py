@@ -22,11 +22,13 @@ the ``classify`` row reports those flags.
 The rows run cheapest sound check first.  ``sufficient-suite`` comes
 before the minor-sign necessity: its exact items cost O(n^3) and read no
 principal minor, and its diagonal-stability item is the first
-SEARCH_PREFIX steps of the request's diagonal search (the suite runs on
-half-plane triples only).  If those end Unknown with budget left,
-``diagonal-certificate`` resumes the same search up to ``--budget``; on
-any other region with an EMI form it runs that one search from the
-start.  A request thus runs one search, no step twice.
+SEARCH_PREFIX steps of the request's diagonal search, the one
+``lyapunov.DiagonalSearch`` of A on the request's region in the
+``--budget`` (the suite runs on half-plane triples only).  If those end
+Unknown with budget left, ``diagonal-certificate`` resumes the same
+search to its budget; on any other region with an EMI form it runs that
+one search from the start.  A request thus runs one search, no step
+twice.
 The 2^n minor table is built only when ``necessary-p0plus``,
 ``interval-box`` or ``classify`` reaches it; ``classify`` and
 ``gershgorin`` decide nothing and come last, so a decided request
@@ -507,26 +509,13 @@ class _Context:
         return matrix_core.classify(-self.request.matrix, minors=self.minors)
 
     @cached_property
-    def _search(self):
-        return lyapunov.DiagonalSearch(self.request.matrix,
-                                       self.request.region)
-
-    def diagonal_search(self, steps):
-        """The diagonal search of A on the request's region, run up to
-        ``steps`` steps.
-
-        One search per request: each call resumes it where the last one
-        paused, so no step runs twice, and a search that stopped keeps
-        its verdict.  A search paused short of the budget is Unknown with
-        ``search-prefix-exhausted``.
-        """
-        budget = self.request.budget
-        steps = min(steps, budget)
-        verdict = self._search.run(steps)
-        if verdict is not None:
-            return verdict
-        return Verdict(Status.UNKNOWN, "search-budget-exhausted"
-                       if steps == budget else "search-prefix-exhausted")
+    def search(self):
+        """The diagonal search of A on the request's region, in the
+        request's budget.  One search per request: each ``run`` resumes
+        it where the last one paused, so no step runs twice, and a search
+        that stopped keeps its verdict."""
+        r = self.request
+        return lyapunov.DiagonalSearch(r.matrix, r.region, r.budget)
 
 
 # Each check below takes the request context and returns
@@ -624,9 +613,8 @@ def _symmetric_part(ctx):
 
 
 def _sufficient_suite(ctx):
-    suite = ds.sufficient_suite(
-        -ctx.request.matrix, budget=ctx.request.budget,
-        search=ctx.diagonal_search(SEARCH_PREFIX))
+    suite = ds.sufficient_suite(-ctx.request.matrix,
+                                ctx.search.run(SEARCH_PREFIX))
     fired = [name for name, v in suite if v.proved]
     wit = next((v.witness for _, v in suite if v.proved
                 and v.witness is not None), None)
@@ -638,7 +626,7 @@ def _sufficient_suite(ctx):
 
 def _diagonal_certificate(ctx):
     r = ctx.request
-    verdict = ctx.diagonal_search(r.budget)
+    verdict = ctx.search.run()
     data = None
     if verdict.proved:
         data = {"re-verified-margin":

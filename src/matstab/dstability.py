@@ -628,7 +628,7 @@ def _is_triangular(a, tol):
     return upper or lower
 
 
-def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET, search=None):
+def sufficient_suite(a, search):
     """Sufficient D-stability tests, positive-stability convention.
 
     Any Proved item implies D-stability of ``a`` (D a positive stable for
@@ -640,9 +640,9 @@ def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET, search=None):
     the 2^n principal minors: a Z-matrix is an M-matrix when its leading
     minors are positive, and a tridiagonal matrix is P when its
     contiguous principal minors are, so every item runs at any n.
-    ``search``, when given, is the verdict of the half-plane diagonal
-    search of -a (``diagonal_stability_search(-a, budget=budget)`` or a
-    prefix of it).
+    ``search`` is the verdict of the half-plane diagonal search of -a:
+    ``DiagonalSearch(-a, HalfPlaneLeft(), budget).run(steps)``, the
+    whole search or a prefix of it.
     """
     a = as_matrix(a)
     norm = np.linalg.norm(a, np.inf)  # that of -A too
@@ -650,8 +650,6 @@ def sufficient_suite(a, budget=lyapunov.DEFAULT_BUDGET, search=None):
     diag_pos = bool((np.diag(a) > tol).all())
     out = []
 
-    if search is None:
-        search = lyapunov.diagonal_stability_search(-a, budget=budget)
     if search.proved:
         out.append(("diagonal-stability", Verdict(
             Status.PROVED, "diagonally-stable", witness=search.witness)))

@@ -8,15 +8,16 @@ the left half-plane and the Stein equation on the unit disk among them,
 and the diagonal searches minimize its largest eigenvalue over positive
 diagonal H on every region that has a form.
 
-Certificates are found by entropic mirror descent of the largest
-eigenvalue of the region operator over the simplex of positive
-diagonals; the sign-free hyperbolicity search reduces to that search,
-since the signs of its certificates are forced.  The searches are
-{Proved, Unknown}-sound only: they never refute.  Each stops at the
-first iterate whose factor passes the definiteness check with a margin
-above ``definiteness_tol``: a Proved verdict needs one certificate, not
-the widest one, so no step is spent widening its margin, and the
-certificate's ``iterations`` is the step at which the search stopped.
+Certificates are found by :class:`DiagonalSearch`, the one search: an
+entropic mirror descent of the largest eigenvalue of the region operator
+over the simplex of positive diagonals, in a step budget of its own.
+The sign-free hyperbolicity search runs it, since the signs of its
+certificates are forced.  The searches are {Proved, Unknown}-sound
+only: they never refute.  Each stops at the first iterate whose factor
+passes the definiteness check with a margin above ``definiteness_tol``:
+a Proved verdict needs one certificate, not the widest one, so no step
+is spent widening its margin, and the certificate's ``iterations`` is
+the step at which the search stopped.
 
 The positive-diagonal search stops early, with Unknown, once its own
 subgradients prove that no certificate exists.  The operator
@@ -49,15 +50,12 @@ __all__ = [
     "Certificate", "KRONECKER_SOLVE_CAP",
     "solve_lyapunov",
     "emi_operator", "is_negative_definite", "definiteness_tol",
-    "DiagonalSearch", "diagonal_stability_search",
-    "diagonal_hyperbolicity_search",
+    "DiagonalSearch", "diagonal_hyperbolicity_search",
     "verify_certificate",
 ]
 
 # dense LU on the vectorized n^2 x n^2 system
 KRONECKER_SOLVE_CAP = 12
-
-DEFAULT_BUDGET = 5000
 
 
 class OperatorSingularError(RuntimeError):
@@ -248,33 +246,55 @@ class _DiagOperator:
 
 
 class DiagonalSearch:
-    """One positive-diagonal certificate search, resumable step by step.
+    """The positive-diagonal certificate search of ``a`` on ``region``,
+    resumable step by step, in at most ``budget`` steps.
+
+    Minimizes lambda_max of the region operator over the unit simplex of
+    diagonals by entropic mirror descent (Beck & Teboulle, Oper. Res.
+    Lett. 31, 2003): d <- d exp(-eta_k g) / sum, with
+    eta_k = sqrt(2 ln n) / (sqrt(k) ||g||_inf).  The iterates stay
+    strictly positive, and the first whose value is below
+    ``-definiteness_tol`` of its operator is the factor of the Proved
+    verdict's re-verifiable :class:`Certificate`, with ``iterations`` the
+    step at which the search stopped.  The search also stops, Unknown
+    with ``dual-bound-excludes-certificate``, once the step-weighted mean
+    of the subgradients proves that no positive diagonal certifies (see
+    the module docstring).
 
     The state is the iterate (``z``, log d up to a constant), the
     step-weighted sums of the subgradients and of the weights, and the
-    step count ``k``.  ``run(until)`` takes the steps ``k + 1 .. until``
-    and pauses; a later ``run`` with a larger ``until`` continues from
-    the same state.  The steps are those of one uninterrupted
-    :func:`diagonal_stability_search`, bit for bit, so a search cut in
-    two runs no step twice and stops with the same verdict.
+    step count ``k``.  ``run(steps)`` takes the steps
+    ``k + 1 .. min(steps, budget)`` and pauses; a later ``run`` continues
+    from the same state, so a search cut in two runs no step twice, and
+    its steps and verdict are those of one ``run()``, bit for bit.
     """
 
-    def __init__(self, a, region):
+    def __init__(self, a, region, budget):
         a = as_matrix(a)
         self._op = _DiagOperator(a, region)
         n = a.shape[0]
         self._rate = math.sqrt(2.0 * math.log(n))
         self._z = np.zeros(n)  # log d, up to a constant
         self._g_sum, self._w_sum = np.zeros(n), 0.0
+        self.budget = budget
         self.k = 0
         self.verdict = None  # set when the search stops
 
-    def run(self, until):
-        """Step up to ``until``: the verdict once stopped, else None."""
+    def run(self, steps=None):
+        """Step up to ``min(steps, budget)`` (default the budget).
+
+        The verdict once the search stopped; else Unknown with
+        ``search-budget-exhausted`` at the budget and
+        ``search-prefix-exhausted`` short of it.
+        """
+        until = self.budget if steps is None else min(steps, self.budget)
         while self.verdict is None and self.k < until:
             self.verdict = self._step(self.k + 1)
             self.k += 1
-        return self.verdict
+        if self.verdict is not None:
+            return self.verdict
+        return Verdict(Status.UNKNOWN, "search-budget-exhausted"
+                       if self.k == self.budget else "search-prefix-exhausted")
 
     def _step(self, k):
         """Take step ``k``: the verdict if the search stops there."""
@@ -302,39 +322,14 @@ class DiagonalSearch:
         return None
 
 
-def diagonal_stability_search(a, region=None, budget=DEFAULT_BUDGET):
-    """Search a positive diagonal factor certifying region stability.
-
-    Minimizes lambda_max of the region operator over the unit simplex of
-    diagonals by entropic mirror descent (Beck & Teboulle, Oper. Res.
-    Lett. 31, 2003): d <- d exp(-eta_k g) / sum, with
-    eta_k = sqrt(2 ln n) / (sqrt(k) ||g||_inf).  The iterates stay
-    strictly positive, and the first whose value is below
-    ``-definiteness_tol`` of its operator is the factor of the Proved
-    verdict's re-verifiable :class:`Certificate`, with ``iterations`` the
-    step at which the search stopped.  Unknown means that the
-    step-weighted mean of the subgradients proved that no positive
-    diagonal certifies (``dual-bound-excludes-certificate``, see the
-    module docstring), or that the budget ran out
-    (``search-budget-exhausted``).  :class:`DiagonalSearch` runs the
-    same steps in parts.
-    """
-    if region is None:
-        region = HalfPlaneLeft()
-    verdict = DiagonalSearch(a, region).run(budget)
-    if verdict is None:
-        return Verdict(Status.UNKNOWN, "search-budget-exhausted")
-    return verdict
-
-
-def diagonal_hyperbolicity_search(a, budget=DEFAULT_BUDGET):
+def diagonal_hyperbolicity_search(a, budget):
     """Search a sign-unconstrained diagonal D with D A + A^T D positive definite.
 
     (D A + A^T D)_ii = 2 d_i a_ii, so every certificate has the signs
     S = diag(sign a_ii), and a zero a_ii excludes them all (Unknown,
     ``dual-bound-excludes-certificate``, with no eigen-solve).  With
-    D = S E, D A + A^T D = -(E (-S A) + (-S A)^T E): this is
-    :func:`diagonal_stability_search` on -S A, its certificate E mapped
+    D = S E, D A + A^T D = -(E (-S A) + (-S A)^T E): this is the
+    half-plane :class:`DiagonalSearch` of -S A, its certificate E mapped
     back to S E with the same margin and ``iterations``.  A certificate
     implies the matrix has no imaginary-axis eigenvalues and is
     multiplicative D-hyperbolic.
@@ -343,7 +338,7 @@ def diagonal_hyperbolicity_search(a, budget=DEFAULT_BUDGET):
     s = np.sign(np.diag(a))
     if not s.all():
         return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
-    v = diagonal_stability_search(-s[:, None] * a, budget=budget)
+    v = DiagonalSearch(-s[:, None] * a, HalfPlaneLeft(), budget).run()
     if not v.proved:
         return v
     cert = v.witness

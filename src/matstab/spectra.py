@@ -13,10 +13,12 @@ library goes through it:
 - ``distance(zs, tol)`` is the signed boundary distance of a complex
   array of points, with ``tol`` one band per point: below
   ``-tol`` is inside, within ``tol`` the boundary band, above ``tol``
-  outside.  The thin regions (the real line and its half-axes) return
-  ``+inf`` for a point more than ``tol`` off the real axis; on it, the
-  real line returns ``-inf`` and a half-axis its signed distance along
-  the axis.
+  outside.  It is a signed length, in the units of the band, on every
+  region but the LMI and EMI regions (the top eigenvalue of their
+  characteristic matrix).  The thin regions (the real line and its
+  half-axes) return ``+inf`` for a point more than ``tol`` off the real
+  axis; on it, the real line returns ``-inf`` and a half-axis its signed
+  distance along the axis.
 - ``emi`` is the ``(R11, R12, R22)`` form of the region as the set
   where ``R11 + R12 z + R12^T conj(z) + R22 |z|^2`` is negative
   definite, for the regions that have a diagonal certificate search
@@ -190,8 +192,10 @@ class SectorRight(Region):
         return np.zeros((2, 2)), m, np.zeros((2, 2))
 
     def distance(self, zs, tol):
-        v = np.abs(np.angle(zs)) - self.theta
-        return np.where(np.abs(zs) <= tol, 0.0, v)
+        # the signed distance to the line of the nearer boundary ray: a
+        # length, like the band, and negative exactly inside the sector
+        s, c = math.sin(self.theta), math.cos(self.theta)
+        return np.abs(zs.imag) * c - zs.real * s
 
 
 @dataclass(frozen=True)
@@ -206,8 +210,7 @@ class ComplementSector(Region):
             raise ValueError("sector angle must lie in (0, pi/2)")
 
     def distance(self, zs, tol):
-        v = self.theta - np.abs(np.angle(zs))
-        return np.where(np.abs(zs) <= tol, 0.0, v)
+        return -SectorRight(self.theta).distance(zs, tol)
 
 
 @dataclass(frozen=True)

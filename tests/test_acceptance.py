@@ -108,7 +108,8 @@ def test_criterion_03_secant_exactness():
             beta *= (bound * np.exp(u) / (beta.prod() / alpha.prod())) ** (1 / n)
             form = sf.CyclicForm(tuple(alpha), tuple(beta))
             verdict = sf.secant_criterion(form)
-            search = ly.diagonal_stability_search(form.matrix(), budget=5000)
+            search = ly.DiagonalSearch(form.matrix(), sp.HalfPlaneLeft(),
+                                       5000).run()
             if verdict.proved:
                 proved += 1
                 if not (search.proved

@@ -543,9 +543,9 @@ class TestSharedWork:
                 counts["search"] += 1
                 super().__init__(*args)
 
-            def run(self, until):
+            def run(self, steps=None):
                 start = self.k
-                verdict = super().run(until)
+                verdict = super().run(steps)
                 counts["runs"].append((start, self.k))
                 return verdict
 
@@ -634,10 +634,10 @@ class TestSharedWork:
         HURWITZ_8_UNDECIDED, HURWITZ_8_NOT_P0])
     def test_prefix_then_budget_is_the_whole_search(self, matrix, budget):
         a = np.asarray(matrix, dtype=float)
-        whole = lyapunov.diagonal_stability_search(a, budget=budget)
+        whole = lyapunov.DiagonalSearch(a, HalfPlaneLeft(), budget).run()
         ctx = cli._Context(request_for(a, budget=budget))
-        prefix = ctx.diagonal_search(cli.SEARCH_PREFIX)
-        resumed = ctx.diagonal_search(budget)
+        prefix = ctx.search.run(cli.SEARCH_PREFIX)
+        resumed = ctx.search.run()
         if prefix.reason == "search-prefix-exhausted":
             assert budget > cli.SEARCH_PREFIX
         else:  # the prefix was the whole search
@@ -668,7 +668,7 @@ class TestSharedWork:
         report = cli.run(request_for(a, region_spec=region_spec, budget=200,
                                      samples=100, exhaustive=True))
         assert calls["search"] == 1 and len(calls["runs"]) == 1
-        fresh = lyapunov.diagonal_stability_search(a, region, budget=200)
+        fresh = lyapunov.DiagonalSearch(a, region, 200).run()
         record, = (c for c in report.checks
                    if c.check == "diagonal-certificate")
         assert cli.to_jsonable(record.verdict) == cli.to_jsonable(fresh)
@@ -1117,6 +1117,20 @@ class TestMain:
         assert (first["check"], report["summary"]["decided_by"]) == (
             "self-stability", "self-stability")
         assert first["witness"]["eigenvalue"] == {"re": 1.0, "im": 0.0}
+
+    @pytest.mark.parametrize("region, matrix, status", [
+        ("sector:0.6", "1e9", "proved"),
+        ("sector:0.6", "1e9,0;0,2e9", "proved"),
+        ("complement-sector:0.6", "-1e9", "unknown")])
+    def test_large_eigenvalue_on_the_sector_axis(self, capsys, region,
+                                                  matrix, status):
+        # the points lie on the axis of the sector (or of its complement),
+        # far from the boundary rays, however large they are
+        assert cli.main(["--region", region, "--format", "json", "--",
+                         matrix]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["status"] == status
+
 
 def _isinstance_triple(request):
     """The triple chain of the isinstance-based pipeline, as a reference."""

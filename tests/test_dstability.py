@@ -22,6 +22,16 @@ from conftest import (random_diagonally_stable, random_m_matrix,
                       random_tridiagonal_p, random_triangular_positive_diag)
 
 
+# the command line's default --budget
+BUDGET = 5000
+
+
+def suite(a, budget):
+    """The sufficient suite of ``a`` on the whole half-plane search of -a."""
+    return ds.sufficient_suite(
+        a, ly.DiagonalSearch(-a, HalfPlaneLeft(), budget).run())
+
+
 def _old_log_uniform(rng, lo, hi, size=None):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
 
@@ -653,14 +663,14 @@ class TestExactMinorRefutation:
 
 class TestSufficientSuite:
     def test_identity_fires_exact_items(self):
-        fired = {k for k, v in ds.sufficient_suite(np.eye(3)) if v.proved}
+        fired = {k for k, v in suite(np.eye(3), BUDGET) if v.proved}
         assert {"m-matrix", "strict-diagonal-dominance",
                 "triangular-positive-diagonal"} <= fired
 
     def test_tridiagonal_p_matrix(self):
         a = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         assert all(v > 0 for idx, v in principal_minors(a))  # minor oracle
-        fired = {k for k, v in ds.sufficient_suite(a) if v.proved}
+        fired = {k for k, v in suite(a, BUDGET) if v.proved}
         assert "tridiagonal-p-matrix" in fired
 
     @pytest.mark.parametrize("n", [15, 20])
@@ -673,19 +683,19 @@ class TestSufficientSuite:
         monkeypatch.setattr(ds, "principal_minors", no_sweep)
         monkeypatch.setattr(mc, "principal_minors", no_sweep)
         m_matrix = (n + 1.0) * np.eye(n) - np.ones((n, n))
-        items = dict(ds.sufficient_suite(m_matrix, budget=50))
+        items = dict(suite(m_matrix, 50))
         assert items["m-matrix"].proved
         band = np.diag(np.full(n - 1, -0.5))
         tridiagonal = 3.0 * np.eye(n) + np.pad(band, ((1, 0), (0, 1))) \
             + np.pad(band, ((0, 1), (1, 0)))
-        items = dict(ds.sufficient_suite(tridiagonal, budget=50))
+        items = dict(suite(tridiagonal, 50))
         assert items["tridiagonal-p-matrix"].proved
 
     def test_tridiagonal_p_item_reads_every_contiguous_minor(self):
         # -A = [[1, 2, 0], [2, 1, 0.1], [0, 0.1, 1]] has positive diagonal
         # but det(-A[0:2, 0:2]) = -3: the contiguous block refutes P
         a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.1], [0.0, 0.1, 1.0]])
-        items = dict(ds.sufficient_suite(a, budget=50))
+        items = dict(suite(a, 50))
         assert not items["tridiagonal-p-matrix"].proved
         assert items["tridiagonal-p-matrix"].reason == \
             "tridiagonal-p-matrix-premise-fails"
@@ -701,7 +711,7 @@ class TestSufficientSuite:
     def test_dense_spd_fires_search_with_verified_certificate(self, rng):
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         a = (q * rng.uniform(0.5, 3.0, 4)) @ q.T
-        items = dict(ds.sufficient_suite(a))
+        items = dict(suite(a, BUDGET))
         v = items["diagonal-stability"]
         assert v.proved
         assert ly.verify_certificate(-a, v.witness) > 0
@@ -709,7 +719,7 @@ class TestSufficientSuite:
     def test_w_map_route(self, rng):
         # Hurwitz W-map image certifies diagonal stability of -A
         a = np.array([[2.0, -0.1], [0.1, 2.0]])
-        items = dict(ds.sufficient_suite(a))
+        items = dict(suite(a, BUDGET))
         assert items["w-map-stable"].proved
 
     def test_soundness_against_falsifier(self, rng):
@@ -719,7 +729,7 @@ class TestSufficientSuite:
         for gen in gens:
             for _ in range(5):
                 member = gen(rng, 3)
-                fired = [k for k, v in ds.sufficient_suite(member) if v.proved]
+                fired = [k for k, v in suite(member, BUDGET) if v.proved]
                 assert fired
                 v = ds.falsify(-member, ds.PositiveDiagonal(), ds.Multiply(),
                                HalfPlaneLeft(), samples=2000, seed=3)
@@ -1039,15 +1049,15 @@ class TestInvariantChains:
         for gen in (random_m_matrix, random_sdd_positive_diag,
                     random_tridiagonal_p):
             a = gen(rng, 3)
-            assert any(v.proved for _, v in ds.sufficient_suite(a))
+            assert any(v.proved for _, v in suite(a, BUDGET))
             perm = np.eye(3)[list((1, 2, 0))]
             d = np.diag(rng.uniform(0.1, 10.0, 3))
             for sim in (perm.T @ a @ perm,
                         d @ a @ np.linalg.inv(d)):
-                assert any(v.proved for _, v in ds.sufficient_suite(sim))
+                assert any(v.proved for _, v in suite(sim, BUDGET))
 
     def test_scalar_scaling_preserves_verdicts(self, rng):
         a, _ = random_diagonally_stable(rng, 3)
         for alpha in (0.1, 2.0, 17.0):
-            v = ly.diagonal_stability_search(alpha * a)
+            v = ly.DiagonalSearch(alpha * a, HalfPlaneLeft(), BUDGET).run()
             assert v.proved

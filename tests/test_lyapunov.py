@@ -16,6 +16,10 @@ from conftest import (random_diagonally_stable, random_hurwitz,
                       random_schur, random_schur_diag_stable)
 
 
+# the command line's default --budget
+BUDGET = 5000
+
+
 def spd(m):
     return np.linalg.eigvalsh(0.5 * (m + m.T))[0] > 0
 
@@ -179,7 +183,7 @@ class TestRegionOperators:
 
 class TestDiagonalSearch:
     def test_negative_identity(self):
-        v = ly.diagonal_stability_search(-np.eye(3))
+        v = ly.DiagonalSearch(-np.eye(3), HalfPlaneLeft(), BUDGET).run()
         assert v.proved
         cert = v.witness
         assert np.allclose(np.diag(cert.factor), 1.0 / 3)
@@ -189,12 +193,13 @@ class TestDiagonalSearch:
         m = np.array([[-1.0, 0.0, -1.0],
                       [1.0, -1.0, 0.0],
                       [0.0, 1.0, -1.0]])
-        v = ly.diagonal_stability_search(m)
+        v = ly.DiagonalSearch(m, HalfPlaneLeft(), BUDGET).run()
         assert v.proved
         assert ly.verify_certificate(m, v.witness) > 0
 
     def test_schur_diagonal(self):
-        v = ly.diagonal_stability_search(0.5 * np.eye(2), Disk(0.0, 1.0))
+        v = ly.DiagonalSearch(0.5 * np.eye(2), Disk(0.0, 1.0),
+                               BUDGET).run()
         assert v.proved
         assert np.allclose(np.diag(v.witness.factor), 0.5)
         d = v.witness.factor
@@ -202,8 +207,8 @@ class TestDiagonalSearch:
         assert spd(d - a.T @ d @ a)
 
     def test_unknown_for_rotation(self):
-        v = ly.diagonal_stability_search(np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                                         budget=300)
+        v = ly.DiagonalSearch(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                              HalfPlaneLeft(), 300).run()
         assert not v.proved
 
     def test_lmi_region_certificate(self, rng):
@@ -211,14 +216,14 @@ class TestDiagonalSearch:
         region = LMIRegion([[0.2]], [[1.0]])
         a, _ = random_diagonally_stable(rng, 3)
         a = a - 0.2 * np.eye(3)
-        v = ly.diagonal_stability_search(a, region)
+        v = ly.DiagonalSearch(a, region, BUDGET).run()
         assert v.proved
         assert ly.verify_certificate(a, v.witness) > 0
 
     def test_emi_region_certificate(self, rng):
         region = EMIRegion([[-1.0]], [[0.0]], [[1.0]])
         a, _ = random_schur_diag_stable(rng, 3)
-        v = ly.diagonal_stability_search(a, region)
+        v = ly.DiagonalSearch(a, region, BUDGET).run()
         assert v.proved
         assert ly.verify_certificate(a, v.witness) > 0
 
@@ -240,7 +245,7 @@ class TestDiagonalSearch:
         a = a / (2.0 * np.linalg.norm(a, 2) / h) - 0.05 * np.eye(3)
         lam = np.linalg.eigvals(a).real
         assert (lam < 0).all() and (lam > -h).all()
-        v = ly.diagonal_stability_search(a, region, budget=8000)
+        v = ly.DiagonalSearch(a, region, 8000).run()
         if v.proved:
             assert ly.verify_certificate(a, v.witness) > 0
 
@@ -297,7 +302,7 @@ class TestDualBoundStop:
     @settings(max_examples=80, deadline=None)
     def test_stop_only_where_no_simplex_point_certifies(self, a, case):
         region, form = case
-        v = ly.diagonal_stability_search(a, region, budget=400)
+        v = ly.DiagonalSearch(a, region, 400).run()
         if v.reason != DUAL_STOP:
             return
         assert v.status.value == "unknown"
@@ -311,31 +316,32 @@ class TestDualBoundStop:
         for n in range(2, 9):
             for _ in range(4):
                 a, _ = random_diagonally_stable(rng, n)
-                v = ly.diagonal_stability_search(a)
+                v = ly.DiagonalSearch(a, HalfPlaneLeft(), BUDGET).run()
                 assert v.proved
                 assert ly.verify_certificate(a, v.witness) > 0
                 b, _ = random_schur_diag_stable(rng, n)
-                v = ly.diagonal_stability_search(b, Disk(0.0, 1.0))
+                v = ly.DiagonalSearch(b, Disk(0.0, 1.0), BUDGET).run()
                 assert v.proved
                 assert ly.verify_certificate(b, v.witness) > 0
 
     def test_classic_counterexample_stops_early(self, monkeypatch):
         calls = count_eigen_solves(monkeypatch)
-        v = ly.diagonal_stability_search(np.array([[1.0, -4.0],
-                                                   [1.0, -2.0]]))
+        v = ly.DiagonalSearch(np.array([[1.0, -4.0], [1.0, -2.0]]),
+                              HalfPlaneLeft(), BUDGET).run()
         assert v.reason == DUAL_STOP
         assert calls[0] <= 50
 
     def test_zero_subgradient_stops_at_once(self, monkeypatch):
         calls = count_eigen_solves(monkeypatch)
-        v = ly.diagonal_stability_search(np.zeros((3, 3)))
+        v = ly.DiagonalSearch(np.zeros((3, 3)), HalfPlaneLeft(),
+                              BUDGET).run()
         assert (v.reason, calls[0]) == (DUAL_STOP, 1)
 
     def test_nonfinite_subgradient_rejected(self):
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="not finite"):
-            ly.diagonal_stability_search(np.array([[1e308, 0.0],
-                                                   [0.0, -1e308]]))
+            ly.DiagonalSearch(np.array([[1e308, 0.0], [0.0, -1e308]]),
+                              HalfPlaneLeft(), BUDGET).run()
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_every_constructed_input_proved(self, n):
@@ -345,10 +351,10 @@ class TestDualBoundStop:
         for seed in range(40):
             a, _ = random_diagonally_stable(np.random.default_rng(seed), n)
             h = d_hyperbolic(np.random.default_rng(seed), n)
-            for a, search in [(a, ly.diagonal_stability_search),
-                              (h, ly.diagonal_hyperbolicity_search)]:
-                v = search(a)
-                assert v.proved, (n, seed, search.__name__, v.reason)
+            for a, v in [
+                    (a, ly.DiagonalSearch(a, HalfPlaneLeft(), BUDGET).run()),
+                    (h, ly.diagonal_hyperbolicity_search(h, BUDGET))]:
+                assert v.proved, (n, seed, v.reason)
                 assert ly.verify_certificate(a, v.witness) > 0
 
 
@@ -367,11 +373,11 @@ class TestFirstCertificate:
 
     @staticmethod
     def assert_first(search, a):
-        v = search(a)
+        v = search(a, BUDGET)
         if not v.proved:
             return
         assert ly.verify_certificate(a, v.witness) > 0
-        again = search(a, budget=v.witness.iterations - 1)
+        again = search(a, v.witness.iterations - 1)
         assert not again.proved
 
     @given(seeded_sizes, st.sampled_from([
@@ -385,7 +391,7 @@ class TestFirstCertificate:
         make, region = case
         a = make(np.random.default_rng(seed), n)
         self.assert_first(
-            lambda m, **kw: ly.diagonal_stability_search(m, region, **kw), a)
+            lambda m, budget: ly.DiagonalSearch(m, region, budget).run(), a)
 
     @given(seeded_sizes, st.sampled_from([d_hyperbolic,
                                           lambda rng, n: rng.normal(size=(n, n))]))
@@ -397,7 +403,7 @@ class TestFirstCertificate:
                           make(np.random.default_rng(seed), n))
 
     def test_negative_identity_certifies_at_the_first_step(self):
-        v = ly.diagonal_stability_search(-np.eye(3))
+        v = ly.DiagonalSearch(-np.eye(3), HalfPlaneLeft(), BUDGET).run()
         assert v.proved and v.witness.iterations == 1
 
 
@@ -415,20 +421,18 @@ class TestResumableSearch:
 
     @staticmethod
     def assert_resumes(a, region, budget, splits):
-        whole = ly.diagonal_stability_search(a, region, budget=budget)
-        search = ly.DiagonalSearch(a, region)
+        whole = ly.DiagonalSearch(a, region, budget).run()
+        search = ly.DiagonalSearch(a, region, budget)
         for until in splits:
-            partial = search.run(min(until, budget))
-            assert search.k <= until
-            if partial is not None:  # a stopped search keeps its verdict
+            partial = search.run(until)
+            assert search.k <= min(until, budget)
+            if search.verdict is not None:  # a stopped search keeps it
                 assert search_outcome(partial) == search_outcome(whole)
-        resumed = search.run(budget)
+        resumed = search.run()
         assert search.k <= budget
-        if resumed is None:
-            assert whole.reason == "search-budget-exhausted"
+        assert search_outcome(resumed) == search_outcome(whole)
+        if whole.reason == "search-budget-exhausted":
             assert search.k == budget
-        else:
-            assert search_outcome(resumed) == search_outcome(whole)
         return whole
 
     @pytest.mark.parametrize("make, n, seed, reason, steps", [
@@ -443,6 +447,35 @@ class TestResumableSearch:
         assert whole.reason == reason
         if steps is not None:
             assert whole.witness.iterations == steps > 64
+
+    def test_steps_past_the_budget_stop_at_the_budget(self):
+        # this input ends budget-exhausted at 300 steps
+        a = random_hurwitz(np.random.default_rng(3), 6)
+        search = ly.DiagonalSearch(a, HalfPlaneLeft(), 50)
+        assert search.run(10).reason == "search-prefix-exhausted"
+        assert search.k == 10
+        assert search.run(1000).reason == "search-budget-exhausted"
+        assert search.k == 50
+        assert search.run().reason == "search-budget-exhausted"
+        assert search.k == 50
+
+    def test_prefix_then_continuation_is_one_run(self):
+        # certified at step 174, past the prefix of 64 steps
+        a, _ = random_diagonally_stable(np.random.default_rng(0), 12)
+        whole = ly.DiagonalSearch(a, HalfPlaneLeft(), 300).run()
+        search = ly.DiagonalSearch(a, HalfPlaneLeft(), 300)
+        assert search.run(64).reason == "search-prefix-exhausted"
+        resumed = search.run()
+        assert search_outcome(resumed) == search_outcome(whole)
+        assert resumed.witness.iterations == search.k == 174
+
+    def test_run_after_a_stop_takes_no_step(self, monkeypatch):
+        calls = count_eigen_solves(monkeypatch)
+        search = ly.DiagonalSearch(-np.eye(3), HalfPlaneLeft(), BUDGET)
+        stopped = search.run()
+        assert stopped.proved and calls[0] == search.k == 1
+        assert search.run() is stopped and search.run(10) is stopped
+        assert calls[0] == search.k == 1
 
     @given(seeded_sizes, st.sampled_from([
                (lambda rng, n: random_diagonally_stable(rng, n)[0],
@@ -468,12 +501,12 @@ class TestHyperbolicity:
     # the factor has the signs of the diagonal; its magnitudes are the
     # simplex iterate of the reduced search, uniform 1/n at step 1
     def test_identity(self):
-        v = ly.diagonal_hyperbolicity_search(np.eye(3))
+        v = ly.diagonal_hyperbolicity_search(np.eye(3), BUDGET)
         assert v.proved and v.witness.iterations == 1
         assert np.allclose(np.diag(v.witness.factor), 1.0 / 3)
 
     def test_indefinite_diagonal(self):
-        v = ly.diagonal_hyperbolicity_search(np.diag([1.0, -1.0]))
+        v = ly.diagonal_hyperbolicity_search(np.diag([1.0, -1.0]), BUDGET)
         assert v.proved and v.witness.iterations == 1
         assert np.array_equal(np.sign(np.diag(v.witness.factor)), [1.0, -1.0])
         assert np.allclose(np.diag(v.witness.factor), [0.5, -0.5])
@@ -483,19 +516,19 @@ class TestHyperbolicity:
         # the (i, i) entry of D A + A^T D vanish for every D
         calls = count_eigen_solves(monkeypatch)
         v = ly.diagonal_hyperbolicity_search(np.array([[0.0, 1.0],
-                                                       [-1.0, 0.0]]))
+                                                       [-1.0, 0.0]]), BUDGET)
         assert (v.reason, calls[0]) == (DUAL_STOP, 0)
 
     def test_no_certificate_ends_at_the_dual_bound(self):
         # spectrum +-i sqrt(5), with a nonzero diagonal
         v = ly.diagonal_hyperbolicity_search(np.array([[1.0, 2.0],
-                                                       [-3.0, -1.0]]))
+                                                       [-3.0, -1.0]]), BUDGET)
         assert v.reason == DUAL_STOP
 
     def test_certificate_implies_no_imaginary_axis_eigenvalues(self, rng):
         for _ in range(20):
             a = rng.normal(size=(3, 3))
-            v = ly.diagonal_hyperbolicity_search(a, budget=800)
+            v = ly.diagonal_hyperbolicity_search(a, 800)
             if v.proved:
                 assert abs(np.linalg.eigvals(a).real).min() > 0
 
@@ -515,7 +548,7 @@ class TestVerifyCertificate:
     def test_round_trip_margin(self, rng):
         for _ in range(20):
             a, _ = random_diagonally_stable(rng, 4)
-            v = ly.diagonal_stability_search(a)
+            v = ly.DiagonalSearch(a, HalfPlaneLeft(), BUDGET).run()
             assert v.proved
             again = ly.verify_certificate(a, v.witness)
             assert abs(again - v.witness.margin) <= 1e-9 * (1 + again)
@@ -545,7 +578,7 @@ class TestCertificateLaws:
         for _ in range(5):
             a, _ = random_diagonally_stable(rng, 3)
             b = -a
-            assert ly.diagonal_stability_search(-b).proved
+            assert ly.DiagonalSearch(-b, HalfPlaneLeft(), BUDGET).run().proved
             for _ in range(200):
                 g = np.diag(np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 3)))
                 assert np.linalg.eigvals(g @ b).real.min() > 0
@@ -597,7 +630,7 @@ class TestConicTransfer:
         k = rng.normal(size=(n, n))
         d0 = np.exp(rng.uniform(-2.0, 2.0, n))
         a = (b @ b.T / n + 0.1 * np.eye(n) + skew * (k - k.T)) / d0[:, None]
-        v = ly.diagonal_stability_search(a, region, budget=2000)
+        v = ly.DiagonalSearch(a, region, 2000).run()
         if not v.proved:
             return
         cert = v.witness
@@ -655,4 +688,4 @@ class TestCertificateChecks:
 
     def test_region_without_diagonal_form_rejected(self):
         with pytest.raises(ValueError, match="no diagonal certificate form"):
-            ly.diagonal_stability_search(-np.eye(2), Hyperbolic())
+            ly.DiagonalSearch(-np.eye(2), Hyperbolic(), BUDGET)

@@ -239,11 +239,6 @@ def unpassed_parameters():
 KEEP_PARAMS = {
     "main(argv)": "None parses sys.argv, as the console entry point does; "
                   "tests pass a list",
-    "diagonal_stability_search(region)": (
-        "None is the left half-plane; the benchmark's tracer "
-        "(perfbench/tracer.py) binds the arguments of each call and reads "
-        "`region` for its repeat key, so `run.py --trace 1` needs it; it "
-        "goes with that read in a change to the benchmark"),
 }
 
 

@@ -118,7 +118,8 @@ class TestSecant:
                     continue
                 form = sf.CyclicForm(tuple(alpha), tuple(beta))
                 v = sf.secant_criterion(form)
-                s = ly.diagonal_stability_search(form.matrix(), budget=5000)
+                s = ly.DiagonalSearch(form.matrix(), HalfPlaneLeft(),
+                                      5000).run()
                 assert v.proved == s.proved
 
 

@@ -82,6 +82,16 @@ class TestMembership:
         assert sp.membership(1j, r) == OUTSIDE
         assert sp.membership(0.0, r) == BAND
 
+    def test_sector_distance_is_a_length(self):
+        # the band 1e-8 (1 + |z|) grows with |z|: an angle gap compared
+        # with it puts every point past |z| ~ 3e8 in the band
+        r, c = sp.SectorRight(0.6), sp.ComplementSector(0.6)
+        for z in (1e9, 2e9, 1e15):
+            assert sp.membership(z, r) == INSIDE
+            assert sp.membership(-z, c) == INSIDE
+            assert sp.membership(z * np.exp(0.7j), r) == OUTSIDE
+            assert sp.membership(z * np.exp(0.6j), r) == BAND
+
     def test_axes_and_lines(self):
         assert sp.membership(2.0, sp.PositiveRealAxis()) == INSIDE
         assert sp.membership(0.0, sp.PositiveRealAxis()) == BAND
@@ -172,14 +182,11 @@ def _membership_chain(z, region):
         return _band(-z.real, tol)
     if isinstance(region, sp.Disk):
         return _band(abs(z - region.center) - region.radius, tol)
+    # a sector's angle gap |arg z| - theta, as a length: |z| times its sine
     if isinstance(region, sp.SectorRight):
-        if abs(z) <= tol:
-            return BAND
-        return _band(abs(np.angle(z)) - region.theta, tol)
+        return _band(abs(z) * np.sin(abs(np.angle(z)) - region.theta), tol)
     if isinstance(region, sp.ComplementSector):
-        if abs(z) <= tol:
-            return BAND
-        return _band(region.theta - abs(np.angle(z)), tol)
+        return _band(abs(z) * np.sin(region.theta - abs(np.angle(z))), tol)
     if isinstance(region, sp.RealLine):
         return INSIDE if abs(z.imag) <= tol else OUTSIDE
     if isinstance(region, sp.PositiveRealAxis):
