@@ -192,10 +192,11 @@ class SectorRight(Region):
         return np.zeros((2, 2)), m, np.zeros((2, 2))
 
     def distance(self, zs, tol):
-        # the signed distance to the line of the nearer boundary ray: a
-        # length, like the band, and negative exactly inside the sector
+        # the signed distance to the nearer boundary ray, a length like
+        # the band: to the ray's line, or to the vertex for a point behind it
         s, c = math.sin(self.theta), math.cos(self.theta)
-        return np.abs(zs.imag) * c - zs.real * s
+        d = np.abs(zs.imag) * c - zs.real * s
+        return np.where(zs.real * c + np.abs(zs.imag) * s < 0, np.abs(zs), d)
 
 
 @dataclass(frozen=True)

@@ -1121,11 +1121,14 @@ class TestMain:
     @pytest.mark.parametrize("region, matrix, status", [
         ("sector:0.6", "1e9", "proved"),
         ("sector:0.6", "1e9,0;0,2e9", "proved"),
-        ("complement-sector:0.6", "-1e9", "unknown")])
+        ("complement-sector:0.6", "-1e9", "unknown"),
+        ("complement-sector:1e-4", "-1e-5", "unknown"),
+        ("complement-sector:1e-9", "-1", "unknown")])
     def test_large_eigenvalue_on_the_sector_axis(self, capsys, region,
                                                   matrix, status):
         # the points lie on the axis of the sector (or of its complement),
-        # far from the boundary rays, however large they are
+        # far from the boundary rays however large they are; behind the
+        # vertex a point is |z| from the boundary however thin the sector
         assert cli.main(["--region", region, "--format", "json", "--",
                          matrix]) == 0
         report = json.loads(capsys.readouterr().out)

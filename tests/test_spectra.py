@@ -81,16 +81,19 @@ class TestMembership:
         assert sp.membership(1.0, r) == INSIDE
         assert sp.membership(1j, r) == OUTSIDE
         assert sp.membership(0.0, r) == BAND
-
-    def test_sector_distance_is_a_length(self):
-        # the band 1e-8 (1 + |z|) grows with |z|: an angle gap compared
-        # with it puts every point past |z| ~ 3e8 in the band
+        # the distance is a length, like the band 1e-8 (1 + |z|): points on
+        # the axis are inside however large, and a point behind the vertex
+        # is |z| from the boundary, not its distance to a ray's line
         r, c = sp.SectorRight(0.6), sp.ComplementSector(0.6)
         for z in (1e9, 2e9, 1e15):
             assert sp.membership(z, r) == INSIDE
             assert sp.membership(-z, c) == INSIDE
             assert sp.membership(z * np.exp(0.7j), r) == OUTSIDE
             assert sp.membership(z * np.exp(0.6j), r) == BAND
+        assert sp.membership(-1e-5, sp.ComplementSector(1e-4)) == INSIDE
+        assert sp.membership(-1.0, sp.ComplementSector(1e-9)) == INSIDE
+        assert sp.membership(-1.5e-8, c) == INSIDE
+        assert sp.membership(-1e-5, sp.SectorRight(1e-4)) == OUTSIDE
 
     def test_axes_and_lines(self):
         assert sp.membership(2.0, sp.PositiveRealAxis()) == INSIDE
@@ -182,11 +185,13 @@ def _membership_chain(z, region):
         return _band(-z.real, tol)
     if isinstance(region, sp.Disk):
         return _band(abs(z - region.center) - region.radius, tol)
-    # a sector's angle gap |arg z| - theta, as a length: |z| times its sine
-    if isinstance(region, sp.SectorRight):
-        return _band(abs(z) * np.sin(abs(np.angle(z)) - region.theta), tol)
-    if isinstance(region, sp.ComplementSector):
-        return _band(abs(z) * np.sin(region.theta - abs(np.angle(z))), tol)
+    if isinstance(region, (sp.SectorRight, sp.ComplementSector)):
+        # the distance to the nearer boundary ray, at the angle gap
+        # |arg z| - theta from it: |z| sin(gap) off the ray's side, |z| to
+        # the vertex once the gap passes pi/2
+        gap = abs(np.angle(z)) - region.theta
+        d = abs(z) * np.sin(gap) if gap <= np.pi / 2 else abs(z)
+        return _band(d if isinstance(region, sp.SectorRight) else -d, tol)
     if isinstance(region, sp.RealLine):
         return INSIDE if abs(z.imag) <= tol else OUTSIDE
     if isinstance(region, sp.PositiveRealAxis):
