@@ -576,22 +576,8 @@ def _interval_box(ctx):
 
 
 def _vertex_enumeration(ctx):
-    a = ctx.request.matrix
-    if ctx.triple == "vertex-stability":
-        return ds.vertex_schur_check(a), True, None  # exact for the class
-    # The norm-bounded class holds no vertex.  A vertex past the band
-    # escapes as t S for some t < 1 and decides; one on the unit circle
-    # refutes nothing, so the sweep reads on, each vertex solved once, to
-    # a later vertex that escapes.  That one names the eigenvalue of
-    # largest modulus.
-    first = None
-    for signs, spec, point in ds.flagged_vertices(a):
-        top = spec[np.argmax(abs(spec))]
-        if membership(top, Disk()) > 0:
-            return (ds.vertex_refutation(signs, spec, top if first else point),
-                    True, None)
-        first = first or ds.vertex_refutation(signs, spec, point)
-    return first or Verdict(Status.PROVED, "vertex-stable"), False, None
+    r = ctx.request
+    return (*ds.vertex_schur_check(r.matrix, r.gclass), None)
 
 
 def _symmetric_part(ctx):
@@ -716,19 +702,22 @@ def run(request):
     of A, one principal-minor sweep of -A, one ``classify`` of -A and
     one diagonal search on the request's region, which
     ``sufficient-suite`` runs for SEARCH_PREFIX steps and
-    ``diagonal-certificate`` resumes.
+    ``diagonal-certificate`` resumes.  The checks see the request in
+    the canonical convention, on the context; the report carries it as
+    it was asked, so that re-running the report's request replays it.
     """
     convention_note = "analysis in the hurwitz convention"
+    canonical = request
     if request.convention == "positive":
         # the region names the stability type in the canonical (hurwitz)
         # vocabulary; the flag says the matrix is sign-flipped relative
         # to it, so negate once and adjust additive classes
-        request = dataclasses.replace(request, matrix=-request.matrix)
+        canonical = dataclasses.replace(request, matrix=-request.matrix)
         if isinstance(request.op, ds.Add):
-            request.gclass = mirror_gclass_for_add(request.gclass)
+            canonical.gclass = mirror_gclass_for_add(request.gclass)
         convention_note = ("positive-stability request mirrored: matrix "
                            "negated, additive class sign-flipped")
-    ctx = _Context(request)
+    ctx = _Context(canonical)
     status, decided_by = Status.UNKNOWN, "no-deciding-check"
     skipped = []
     for check in CHECKS:

@@ -30,8 +30,7 @@ __all__ = [
     "NegativeDiagonal", "BinOp", "Multiply", "Add", "HadamardProduct",
     "BlockHadamardProduct", "FalsificationWitness",
     "rank_one_witness", "falsify", "necessary_p0plus", "sufficient_suite",
-    "li_wang_stable", "submatrix_descent", "flagged_vertices",
-    "vertex_refutation", "vertex_schur_check",
+    "li_wang_stable", "submatrix_descent", "vertex_schur_check",
 ]
 
 
@@ -455,7 +454,23 @@ def _radius(region):
     return (abs(q) + np.sqrt(max(q * q - p * r, 0.0))) / r
 
 
-def _unbounded_witness(a, gclass, op, region, rng):
+def _member_witness(g, a, op, region, index, seed, note):
+    """The witness of the member ``g``: G o A, formed alone so that it
+    replays, and its first point not strictly inside ``region``.  None
+    when the product is not finite, the solver rejects it (neither has a
+    spectrum to witness) or its spectrum is strictly inside."""
+    m = op.apply(g, a)
+    if not np.isfinite(m).all():
+        return None
+    try:
+        z = first_outside(eigenvalues(m), region)
+    except EigenSolverError:
+        return None
+    return None if z is None else FalsificationWitness(g, m, z, index, seed,
+                                                       note)
+
+
+def _unbounded_witness(a, gclass, op, region, rng, seed):
     """Concrete witness for the bounded-region / unbounded-class refutation:
     one drawn G scaled by 1, 10, ..., 1e12, then by 2 R / rho(G o A), which
     escapes unless G o A is nilpotent (every product but ``add`` is linear)."""
@@ -465,12 +480,12 @@ def _unbounded_witness(a, gclass, op, region, rng):
     last = [2.0 * _radius(region) / rho] if rho > 0 else []
     for scale in [10.0 ** k for k in range(0, 13)] + last:
         g = base * scale
-        m = op.apply(g, a)
-        if not (gclass.contains(g) and np.isfinite(m).all()):
+        if not gclass.contains(g):
             continue
-        z = first_outside(eigenvalues(m), region)
-        if z is not None:
-            return g, m, z
+        wit = _member_witness(g, a, op, region, -1, seed,
+                              "unbounded-class-scaling")
+        if wit is not None:
+            return wit
     return None
 
 
@@ -516,12 +531,10 @@ def rank_one_witness(a, gclass, op, region):
         g = vv + eps * eye
         if not gclass.contains(g):
             continue
-        m = op.apply(g, a)
-        z = first_outside(eigenvalues(m), region)
-        if z is not None:
-            return FalsificationWitness(
-                g, m, z, -1, None,
-                note=f"rank-one-symmetric-part: v v^T + {eps:g} I")
+        wit = _member_witness(g, a, op, region, -1, None,
+                              f"rank-one-symmetric-part: v v^T + {eps:g} I")
+        if wit is not None:
+            return wit
     return None
 
 
@@ -542,11 +555,8 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
     rng = np.random.default_rng(seed)
 
     if region.bounded and not gclass.bounded:
-        found = _unbounded_witness(a, gclass, op, region, rng)
-        if found is not None:
-            g, m, z = found
-            wit = FalsificationWitness(g, m, z, -1, seed,
-                                       note="unbounded-class-scaling")
+        wit = _unbounded_witness(a, gclass, op, region, rng, seed)
+        if wit is not None:
             return Verdict(Status.REFUTED, "unbounded-class-bounded-region",
                            witness=wit, seed=seed)
 
@@ -557,21 +567,13 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
         ms = op.apply(gs, a)
         specs = _stacked_spectra(ms)
         # vectorized screen with the re-check's own bands; the witness is
-        # re-solved alone, so that it replays and its eigenvalue is the
-        # first in sorted order
+        # re-solved alone, so that its eigenvalue is the first in sorted
+        # order
         bad = membership(specs, region) >= 0
         for i in np.nonzero(bad.any(axis=1))[0]:
-            g = gs[i]
-            m = op.apply(g, a)
-            if not np.isfinite(m).all():
-                continue  # a nonfinite product has no spectrum to witness
-            try:
-                spec = eigenvalues(m)
-            except EigenSolverError:
-                continue  # cannot witness a sample the solver rejects
-            z = first_outside(spec, region)
-            if z is not None:
-                wit = FalsificationWitness(g, m, z, done + int(i), seed)
+            wit = _member_witness(gs[i], a, op, region, done + int(i), seed,
+                                  "")
+            if wit is not None:
                 return Verdict(Status.REFUTED, "sampled-counterexample",
                                witness=wit, seed=seed)
         done += b
@@ -751,14 +753,12 @@ def submatrix_descent(a, mode="multiplicative"):
             g, op = np.diag(np.where(on_s, 1.0, eps)), Multiply()
         else:
             g, op = np.diag(np.where(on_s, -eps, -1.0 / eps)), Add()
-        m = op.apply(g, a)
-        point = first_outside(eigenvalues(m), HalfPlaneLeft())
-        if point is not None:
+        wit = _member_witness(g, a, op, HalfPlaneLeft(), -1, None,
+                              f"principal submatrix {tuple(keep)}, "
+                              f"eps {eps:g}")
+        if wit is not None:
             return Verdict(Status.REFUTED, "unstable-principal-submatrix",
-                           witness=FalsificationWitness(
-                               g, m, point, -1, None,
-                               note=f"principal submatrix {tuple(keep)}, "
-                                    f"eps {eps:g}"))
+                           witness=wit)
     return Verdict(Status.UNKNOWN, "unstable-principal-submatrix-not-lifted")
 
 
@@ -770,21 +770,32 @@ VERTEX_ENUM_CAP = 16
 _UNIT_DISK = Disk(0.0, 1.0)
 
 
-def flagged_vertices(a):
-    """(signs, spectrum of S A, its first point) of each sign vertex S
-    whose spectrum has a point not strictly inside the unit disk, in the
-    order of ``product((1.0, -1.0), repeat=n)``.
+def vertex_schur_check(a, gclass):
+    """The ``(verdict, decides)`` of the sign vertices S = diag(+-1) for
+    the vertex class or the Schur class {|d_i| < 1}.
+
+    Proved says rho(S A) < 1 for every S.  A vertex is flagged when its
+    spectrum has a point not strictly inside the unit disk, in the order
+    of ``product((1.0, -1.0), repeat=n)``.  A class that holds its
+    vertices (it holds I) is refuted by the first flagged vertex, named
+    by that point, and every verdict decides.  The Schur class holds
+    none: a vertex past the band escapes as t S for some t < 1 and
+    decides, but one on the unit circle refutes nothing, so the sweep
+    reads on, each vertex solved once, to a later one that escapes,
+    which names its eigenvalue of largest modulus.  Without one the
+    first flagged vertex's Refuted stands and, like Proved, decides
+    nothing.
 
     rho(S A) <= ||S A||_2 = ||A||_2, so a norm strictly inside the disk
-    flags no vertex, with no eigen-solve.  Otherwise the 2^(n-1)
-    vertices with s_1 = +1 (the first half of that order) stand for all
-    2^n, as rho(-M) = rho(M); each is solved once, when the caller reads
-    on to it.  Capped at n = 16.
+    proves with no eigen-solve.  Otherwise the 2^(n-1) vertices with
+    s_1 = +1 stand for all 2^n, as rho(-M) = rho(M).  Capped at n = 16.
     """
     a = as_matrix(a)
     n = a.shape[0]
     if n > VERTEX_ENUM_CAP:
         raise ValueError(f"vertex enumeration capped at n = {VERTEX_ENUM_CAP}")
+    members = gclass.contains(np.eye(n))
+    rests = product((1.0, -1.0), repeat=n - 1)
     try:
         norm = np.linalg.norm(a, 2)
     except np.linalg.LinAlgError:
@@ -793,31 +804,21 @@ def flagged_vertices(a):
     # rounding of the computed norm.  That the solved vertices agree at the
     # edge is checked by test_norm_bound_edge, not proven.
     if membership(norm * (1.0 + 16 * n * np.finfo(float).eps), _UNIT_DISK) < 0:
-        return
-    for rest in product((1.0, -1.0), repeat=n - 1):
+        rests = ()
+    first = None
+    for rest in rests:
         signs = (1.0,) + rest
         spec = eigenvalues(np.asarray(signs)[:, None] * a)
         point = first_outside(spec, _UNIT_DISK)
-        if point is not None:
-            yield signs, spec, point
-
-
-def vertex_refutation(signs, spec, point):
-    """Refuted at the sign vertex ``signs``, naming ``point`` of its
-    spectrum ``spec``."""
-    return Verdict(Status.REFUTED, "vertex-spectral-radius",
-                   witness={"signs": signs, "eigenvalue": complex(point),
-                            "spectral_radius": float(abs(spec).max())})
-
-
-def vertex_schur_check(a):
-    """Spectral-radius check over every +-1 diagonal multiplier S.
-
-    Proved asserts vertex stability: rho(S A) < 1 for every S.  Refuted
-    names the first flagged vertex (see ``flagged_vertices``) and the
-    first point of its spectrum not strictly inside the unit disk; that
-    kills vertex stability.
-    """
-    for flagged in flagged_vertices(a):
-        return vertex_refutation(*flagged)
-    return Verdict(Status.PROVED, "vertex-stable")
+        if point is None:
+            continue
+        top = spec[np.argmax(abs(spec))]
+        escapes = members or membership(top, _UNIT_DISK) > 0
+        verdict = Verdict(Status.REFUTED, "vertex-spectral-radius", witness={
+            "signs": signs,
+            "eigenvalue": complex(top if escapes and first else point),
+            "spectral_radius": float(abs(spec).max())})
+        if escapes:
+            return verdict, True
+        first = first or verdict
+    return first or Verdict(Status.PROVED, "vertex-stable"), members

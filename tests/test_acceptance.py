@@ -310,7 +310,7 @@ def test_criterion_11_vertex_necessity():
         n = int(RNG.integers(2, 11))
         a, d = random_schur_diag_stable(RNG, n)
         assert spd(d - a.T @ d @ a)  # Stein certificate by construction
-        if not ds.vertex_schur_check(a).proved:
+        if not ds.vertex_schur_check(a, ds.VertexDiagonal())[0].proved:
             bad += 1
     report(11, bad == 0, f"100 Schur-certified matrices pass the "
                          f"exhaustive vertex check, {bad} failures", t0)

@@ -355,6 +355,26 @@ class TestRun:
         assert report.summary_status is Status.PROVED
         assert "mirrored" in report.convention_note
 
+    @pytest.mark.parametrize("triple", [
+        [], ["--op", "add", "--class", "positive-diagonal"]],
+        ids=["multiply", "add"])
+    def test_positive_convention_report_replays_its_request(self, triple,
+                                                            capsys):
+        # the report echoes the request as it was asked, not its mirror,
+        # so running the echoed request again gives the same checks
+        cli.main(["--convention", "positive", "--format", "json",
+                  "--samples", "300", "--budget", "200", *triple, "--",
+                  "1,-4;1,-2"])
+        report = json.loads(capsys.readouterr().out)
+        r = report["request"]
+        assert r["matrix"] == [[1.0, -4.0], [1.0, -2.0]]
+        again = cli.run(cli.AnalysisRequest(
+            matrix=np.asarray(r["matrix"], dtype=float),
+            region_spec=r["region"], class_spec=r["class"], op_spec=r["op"],
+            exhaustive=r["exhaustive"], samples=r["samples"],
+            budget=r["budget"], seed=r["seed"], convention=r["convention"]))
+        assert json.loads(cli.emit(again))["checks"] == report["checks"]
+
     def test_bounded_region_guard_in_pipeline(self):
         report = cli.run(request_for(
             0.5 * np.eye(2), region_spec="disk:0,1",
@@ -625,7 +645,10 @@ class TestSharedWork:
         report = cli.run(request_for(matrix, samples=100, budget=100,
                                      exhaustive=True, **kw))
         swept, = calls["minors"]
-        want = -report.request.matrix
+        # the checks see the canonical request, whose matrix is the asked
+        # one negated under the positive convention
+        a = report.request.matrix
+        want = -(-a if report.request.convention == "positive" else a)
         assert swept.dtype == want.dtype and swept.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("budget", [40, 300])

@@ -858,60 +858,91 @@ class TestSubmatrixDescent:
             ds.submatrix_descent(-np.eye(2), mode="hadamard")
 
 
+# the two classes of the vertex sweep: the vertex class holds its
+# vertices, the Schur class {|d_i| < 1} holds none
+VERTICES = ds.VertexDiagonal()
+SCHUR = ds.DiagonalNormLt1()
+
+
 class TestVertex:
     def test_scaled_identity(self):
-        assert ds.vertex_schur_check(0.5 * np.eye(3)).proved
+        assert ds.vertex_schur_check(0.5 * np.eye(3), VERTICES)[0].proved
 
     def test_spectral_radius_one_refuted(self):
-        v = ds.vertex_schur_check(np.eye(2))
-        assert v.refuted
+        v, decides = ds.vertex_schur_check(np.eye(2), VERTICES)
+        assert v.refuted and decides
 
     def test_schur_diag_stable_pass(self, rng):
         for _ in range(10):
             a, _ = random_schur_diag_stable(rng, 4)
-            assert ds.vertex_schur_check(a).proved
+            assert ds.vertex_schur_check(a, VERTICES)[0].proved
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            ds.vertex_schur_check(np.eye(17))
+            ds.vertex_schur_check(np.eye(17), VERTICES)
         with pytest.raises(ValueError):
-            ds.vertex_schur_check(0.5 * np.eye(17))
+            ds.vertex_schur_check(0.5 * np.eye(17), VERTICES)
         with pytest.raises(ValueError):
-            next(ds.flagged_vertices(np.eye(17)))
+            ds.vertex_schur_check(np.eye(17), SCHUR)
 
     @pytest.mark.parametrize("a", [np.eye(2), [[0.0, 1.0], [1.0, 0.0]],
                                    0.5 * np.eye(3)])
     def test_no_vertex_past_the_circle(self, a):
-        # every flagged vertex is on the unit circle, within the band
-        for _, spec, _ in ds.flagged_vertices(a):
-            rho = abs(spec).max()
+        # every flagged vertex is on the unit circle, within the band, so
+        # the Schur class's sweep reads on to the end and decides nothing
+        v, decides = ds.vertex_schur_check(a, SCHUR)
+        assert not decides
+        if v.refuted:
+            rho = v.witness["spectral_radius"]
             assert rho - 1.0 <= sp.default_tol(rho)
 
     def test_flagged_vertices_in_product_order(self):
         # S = I has spectrum {1, -0.5}; S = diag(1, -1) has rho ~ 2.28
         a = [[1.5, 1.0], [-1.0, -1.0]]
-        assert ds.vertex_schur_check(a).witness["signs"] == (1.0, 1.0)
-        flagged = [(signs, abs(spec).max())
-                   for signs, spec, _ in ds.flagged_vertices(a)]
-        assert [signs for signs, _ in flagged] == [(1.0, 1.0), (1.0, -1.0)]
-        assert flagged[1][1] == pytest.approx((2.5 + np.sqrt(4.25)) / 2)
+        assert ds.vertex_schur_check(a, VERTICES)[0].witness["signs"] == \
+            (1.0, 1.0)
+        v, decides = ds.vertex_schur_check(a, SCHUR)
+        assert decides and v.witness["signs"] == (1.0, -1.0)
+        assert v.witness["spectral_radius"] == pytest.approx(
+            (2.5 + np.sqrt(4.25)) / 2)
 
 
-def _vertex_loop(a):
-    """The plain 2^n loop, with no norm bound and no halving."""
+def _vertex_loop(a, gclass):
+    """The plain 2^n loop, with no norm bound and no halving.
+
+    The first vertex with a point not strictly inside the unit disk
+    refutes.  When the class does not hold I, a vertex refutes and
+    decides only when its spectral radius is past the band, and a later
+    one names its eigenvalue of largest modulus; the first vertex on the
+    circle then stands, deciding nothing.
+    """
     disk = Disk(0.0, 1.0)
+    members = gclass.contains(np.eye(a.shape[0]))
+    first = None
     for signs in product((1.0, -1.0), repeat=a.shape[0]):
         spec = sp.eigenvalues(np.asarray(signs)[:, None] * a)
         z = sp.first_outside(spec, disk)
-        if z is not None:
-            return sp.Verdict(Status.REFUTED, "vertex-spectral-radius",
-                              witness={"signs": signs, "eigenvalue": z,
-                                       "spectral_radius":
-                                           float(abs(spec).max())})
-    return sp.Verdict(Status.PROVED, "vertex-stable")
+        if z is None:
+            continue
+        rho = float(abs(spec).max())
+        top = complex(spec[np.argmax(abs(spec))])
+        escapes = members or sp.membership(top, disk) > 0
+        named = top if escapes and first is not None else z
+        verdict = sp.Verdict(Status.REFUTED, "vertex-spectral-radius",
+                             witness={"signs": signs, "eigenvalue": named,
+                                      "spectral_radius": rho})
+        if escapes:
+            return verdict, True
+        if first is None:
+            first = verdict
+    if first is not None:
+        return first, members
+    return sp.Verdict(Status.PROVED, "vertex-stable"), members
 
 
 def _assert_same_vertex_verdict(got, want):
+    (got, got_decides), (want, want_decides) = got, want
+    assert got_decides == want_decides
     assert (got.status, got.reason) == (want.status, want.reason)
     if want.witness is None:
         assert got.witness is None
@@ -958,11 +989,13 @@ class _SolveCounter:
 class TestVertexKernel:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10),
            st.sampled_from(["random", "norm-bounded", "radius-above-one",
-                            "triangular", "near-boundary"]))
+                            "triangular", "near-boundary"]),
+           st.sampled_from([VERTICES, SCHUR]))
     @settings(max_examples=80, deadline=None)
-    def test_equals_the_two_to_the_n_loop(self, seed, n, kind):
+    def test_equals_the_two_to_the_n_loop(self, seed, n, kind, gclass):
         a = _vertex_input(kind, np.random.default_rng(seed), n)
-        _assert_same_vertex_verdict(ds.vertex_schur_check(a), _vertex_loop(a))
+        _assert_same_vertex_verdict(ds.vertex_schur_check(a, gclass),
+                                    _vertex_loop(a, gclass))
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_norm_bound_edge(self, n, monkeypatch):
@@ -975,23 +1008,24 @@ class TestVertexKernel:
         for rel, fires in ((-1e-13, True), (1e-13, False)):
             a = (edge * (1.0 + rel)) * q
             before = counter.solved
-            _assert_same_vertex_verdict(ds.vertex_schur_check(a),
-                                        _vertex_loop(a))
+            _assert_same_vertex_verdict(ds.vertex_schur_check(a, VERTICES),
+                                        _vertex_loop(a, VERTICES))
             assert (counter.solved == before) == fires
         # rho(Q) = 1: no bound, and the first vertex refutes
-        _assert_same_vertex_verdict(ds.vertex_schur_check(q), _vertex_loop(q))
+        _assert_same_vertex_verdict(ds.vertex_schur_check(q, VERTICES),
+                                    _vertex_loop(q, VERTICES))
 
     @pytest.mark.parametrize("norm", [np.nan, np.inf])
     def test_nonfinite_norm_takes_no_shortcut(self, norm, monkeypatch):
         monkeypatch.setattr(np.linalg, "norm", lambda *args: norm)
         counter = _SolveCounter(monkeypatch)
-        assert ds.vertex_schur_check(0.5 * np.eye(3)).proved
+        assert ds.vertex_schur_check(0.5 * np.eye(3), VERTICES)[0].proved
         assert counter.solved == 4
 
     def test_norm_bounded_input_solves_nothing(self, monkeypatch):
         counter = _SolveCounter(monkeypatch)
         a = _vertex_input("norm-bounded", np.random.default_rng(3), 12)
-        assert ds.vertex_schur_check(a).proved
+        assert ds.vertex_schur_check(a, VERTICES)[0].proved
         assert counter.solved == 0
 
     def test_vertex_stable_triangular_solves_half_the_vertices(
@@ -999,13 +1033,13 @@ class TestVertexKernel:
         counter = _SolveCounter(monkeypatch)
         a = _vertex_input("triangular", np.random.default_rng(4), 12)
         assert np.linalg.norm(a, 2) > 1.0
-        assert ds.vertex_schur_check(a).proved
+        assert ds.vertex_schur_check(a, VERTICES)[0].proved
         assert counter.solved == 2 ** 11
 
     def test_radius_above_one_solves_one_vertex(self, monkeypatch):
         counter = _SolveCounter(monkeypatch)
         a = _vertex_input("radius-above-one", np.random.default_rng(5), 12)
-        v = ds.vertex_schur_check(a)
+        v, _ = ds.vertex_schur_check(a, VERTICES)
         assert v.refuted and v.witness["signs"] == (1.0,) * 12
         assert counter.solved == 1
 
@@ -1013,7 +1047,7 @@ class TestVertexKernel:
         a = _vertex_input("triangular", np.random.default_rng(6), 16)
         tracemalloc.start()
         try:
-            assert ds.vertex_schur_check(a).proved
+            assert ds.vertex_schur_check(a, VERTICES)[0].proved
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1025,7 +1059,8 @@ class TestVertexKernel:
         monkeypatch.setattr(ds, "eigenvalues", raise_)
         with pytest.raises(sp.EigenSolverError):
             ds.vertex_schur_check(_vertex_input("triangular",
-                                                np.random.default_rng(7), 4))
+                                                np.random.default_rng(7), 4),
+                                  VERTICES)
 
 
 class TestInvariantChains:
