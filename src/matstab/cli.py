@@ -71,7 +71,7 @@ from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
                       RealLine, Region, SectorRight, Status, Verdict,
                       eigenvalues, gershgorin, membership, region_stable)
 
-SCHEMA = "matstab-report/13"
+SCHEMA = "matstab-report/14"
 
 CHECK_ERROR = "check-error: "
 
@@ -607,7 +607,9 @@ def _sufficient_suite(ctx):
     verdict = (Verdict(Status.PROVED, "sufficient:" + ",".join(fired),
                        witness=wit) if fired
                else Verdict(Status.UNKNOWN, "no-sufficient-class-fired"))
-    return verdict, bool(fired), {"items": dict(suite)}
+    # the row's verdict carries the certificate; an item keeps its outcome
+    return verdict, bool(fired), {
+        "items": {name: Verdict(v.status, v.reason) for name, v in suite}}
 
 
 def _diagonal_certificate(ctx):
@@ -752,7 +754,11 @@ def run(request):
 # ---------------------------------------------------------------------------
 
 def emit(report, fmt="json"):
-    """Serialize a report; JSON is deterministic (no timings), text is not."""
+    """Serialize a report; JSON is deterministic (no timings), text is not.
+
+    JSON is one compact line of strict RFC 8259 JSON, through the C
+    encoder; a certificate appears once, as the witness of its row.
+    """
     if fmt == "json":
         payload = {
             "schema": SCHEMA,
@@ -791,7 +797,7 @@ def emit(report, fmt="json"):
                 "errors": report.errors,
             },
         }
-        return (json.dumps(payload, indent=2, allow_nan=False)
+        return (json.dumps(payload, separators=(",", ":"), allow_nan=False)
                 + "\n").encode()
     if fmt == "text":
         lines = [f"matstab report  (convention: {report.request.convention}; "

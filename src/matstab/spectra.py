@@ -303,9 +303,13 @@ class EMIRegion(Region):
         return bool(np.linalg.eigvalsh(self.r22)[0] > 0)
 
     def characteristic(self, z):
-        c = self.r11 + z * self.r12 + np.conj(z) * self.r12.T
-        if self.r22.any():  # |z|^2 may overflow: a zero R22 adds no inf * 0
-            c = c + (z * np.conj(z)).real * self.r22
+        # an infinite z gives inf or NaN entries, and membership puts that
+        # point in the band by design: the overflow is expected, not warned.
+        # |z|^2 may overflow too; a zero R22 adds no inf * 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = self.r11 + z * self.r12 + np.conj(z) * self.r12.T
+            if self.r22.any():
+                c = c + (z * np.conj(z)).real * self.r22
         return c
 
     def distance(self, zs, tol):

@@ -973,9 +973,46 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/13"
+        assert payload["schema"] == "matstab-report/14"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
+
+    @pytest.mark.parametrize("matrix, kw", [
+        (-np.eye(2), {}),
+        ([[1.0, -4.0], [1.0, -2.0]], {"exhaustive": True, "samples": 300}),
+        ([[-1e308, 1e308], [1e308, -1e308]], {}),
+    ], ids=["proved", "falsify-witness", "overflow"])
+    def test_json_is_one_strict_line(self, matrix, kw):
+        def reject(name):
+            raise ValueError(f"non-RFC 8259 constant {name}")
+
+        with np.errstate(all="ignore"):
+            report = cli.run(request_for(matrix, **kw))
+        out = cli.emit(report, "json").decode()
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert json.loads(out, parse_constant=reject)["schema"] == cli.SCHEMA
+
+    def test_suite_certificate_is_written_once(self):
+        # the row's verdict carries the certificate; each item keeps only
+        # its status and reason
+        a = np.array([[-1.0, 2.0, 1.0], [-1.0, -1.0, 0.5], [0.3, -0.4, -1.0]])
+        report = cli.run(request_for(a))
+        record = next(c for c in report.checks
+                      if c.check == "sufficient-suite")
+        assert record.data["items"]["diagonal-stability"].proved
+        cert = record.verdict.witness
+        assert isinstance(cert, lyapunov.Certificate)
+        assert lyapunov.verify_certificate(a, cert) > 0
+        payload = json.loads(cli.emit(report, "json"))
+        row = next(c for c in payload["checks"]
+                   if c["check"] == "sufficient-suite")
+        assert row["witness"] == cli.to_jsonable(cert)
+        items = row["data"]["items"]
+        assert items["diagonal-stability"] == {
+            "status": "proved", "reason": "diagonally-stable",
+            "witness": None, "seed": None}
+        assert all(v["witness"] is None and v["seed"] is None
+                   for v in items.values())
 
     def test_json_deterministic(self):
         req_kw = dict(samples=500, budget=400, seed=123)
@@ -1102,7 +1139,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/13"
+        assert json.loads(out)["schema"] == "matstab-report/14"
 
     def test_unbounded_class_with_no_escaping_member_is_not_refuted(
             self, capsys):

@@ -260,7 +260,7 @@ class TestPipelineReadsArrays:
 
         monkeypatch.setattr(mc.MinorTable, "__iter__", no_pairs)
         assert report() == expect
-        assert b'"check": "necessary-p0plus"' in expect
+        assert b'"check":"necessary-p0plus"' in expect
 
 
 class TestLazyOrders:
