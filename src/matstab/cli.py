@@ -26,9 +26,9 @@ SEARCH_PREFIX steps of the request's diagonal search, the one
 ``lyapunov.DiagonalSearch`` of A on the request's region in the
 ``--budget`` (the suite runs on half-plane triples only).  If those end
 Unknown with budget left, ``diagonal-certificate`` resumes the same
-search to its budget; on any other region with an EMI form it runs that
-one search from the start.  A request thus runs one search, no step
-twice.
+search to its budget; on any other region with an EMI form, and on the
+d-hyperbolicity triple, whose search is sign-free, it runs that one
+search from the start.  A request thus runs one search, no step twice.
 The 2^n minor table is built only when ``necessary-p0plus``,
 ``interval-box`` or ``classify`` reaches it; ``classify`` and
 ``gershgorin`` decide nothing and come last, so a decided request
@@ -71,7 +71,7 @@ from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
                       RealLine, Region, SectorRight, Status, Verdict,
                       eigenvalues, gershgorin, membership, region_stable)
 
-SCHEMA = "matstab-report/14"
+SCHEMA = "matstab-report/15"
 
 CHECK_ERROR = "check-error: "
 
@@ -324,6 +324,8 @@ class AnalysisRequest:
                              f"{n}x{n} matrix: {exc}") from exc
         if self.convention not in ("hurwitz", "positive"):
             raise UsageError("convention must be hurwitz or positive")
+        if self.convention == "positive" and isinstance(self.op, ds.Add):
+            mirror_gclass_for_add(self.gclass)  # raises before run does
 
 
 @dataclasses.dataclass
@@ -511,9 +513,10 @@ class _Context:
     @cached_property
     def search(self):
         """The diagonal search of A on the request's region, in the
-        request's budget.  One search per request: each ``run`` resumes
-        it where the last one paused, so no step runs twice, and a search
-        that stopped keeps its verdict."""
+        request's budget: positive diagonals on a region with an EMI form,
+        sign-free diagonals on the hyperbolic region.  One search per
+        request: each ``run`` resumes it where the last one paused, so no
+        step runs twice, and a search that stopped keeps its verdict."""
         r = self.request
         return lyapunov.DiagonalSearch(r.matrix, r.region, r.budget)
 
@@ -619,18 +622,13 @@ def _diagonal_certificate(ctx):
     if verdict.proved:
         data = {"re-verified-margin":
                 lyapunov.verify_certificate(r.matrix, verdict.witness)}
-    decided = _DIAG_DECIDED + ("schur-d-stability", "vertex-stability")
+    decided = _DIAG_DECIDED + ("schur-d-stability", "vertex-stability",
+                               "d-hyperbolicity")
     conic_transfer = (r.region.conic and r.op.name == "multiply"
                       and r.gclass.name in _POSITIVE_DIAGONAL_CLASSES)
     return (verdict,
             verdict.proved and (ctx.triple in decided or conic_transfer),
             data)
-
-
-def _hyperbolicity_certificate(ctx):
-    verdict = lyapunov.diagonal_hyperbolicity_search(
-        ctx.request.matrix, budget=ctx.request.budget)
-    return verdict, verdict.proved, None
 
 
 def _falsify(ctx):
@@ -672,17 +670,16 @@ CHECKS = (
     Check("symmetric-part", "definiteness of the symmetric part",
           lambda c: c.triple in ("h-stability", "hadamard-h-stability"),
           _symmetric_part),
-    # a diagonal certificate proves nothing about H-stability
+    # a diagonal certificate proves nothing about H-stability; the
+    # hyperbolic region has no form, and its search is sign-free
     Check("diagonal-certificate", "diagonal Lyapunov-type search",
-          lambda c: (c.request.region.emi is not None
+          lambda c: ((c.request.region.emi is not None
+                      or c.triple == "d-hyperbolicity")
                      and c.triple not in ("h-stability",
                                           "hadamard-h-stability")
                      and not (c.half_plane and c.proved("sufficient-suite"))
                      and not c.escapes),
           _diagonal_certificate),
-    Check("hyperbolicity-certificate", "sign-free diagonal search",
-          lambda c: c.triple == "d-hyperbolicity",
-          _hyperbolicity_certificate),
     # no cap in n: at most n (n + 1) / 2 - 1 submatrix eigen-solves
     Check("submatrix-descent", "unstable principal submatrix descent",
           lambda c: c.triple in _D_STABILITY, _submatrix_descent),

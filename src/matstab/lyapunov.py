@@ -5,26 +5,27 @@ the operator H -> R11 (x) H + R12 (x) (H A) + R12^T (x) (A^T H)
 + R22 (x) (A^T H A) of :func:`emi_operator`.  :func:`solve_lyapunov`
 solves it for every region whose form is 1x1, the Lyapunov equation on
 the left half-plane and the Stein equation on the unit disk among them,
-and the diagonal searches minimize its largest eigenvalue over positive
+and the diagonal search minimizes its largest eigenvalue over positive
 diagonal H on every region that has a form.
 
 Certificates are found by :class:`DiagonalSearch`, the one search: an
 entropic mirror descent of the largest eigenvalue of the region operator
 over the simplex of positive diagonals, in a step budget of its own.
-The sign-free hyperbolicity search runs it, since the signs of its
-certificates are forced.  The searches are {Proved, Unknown}-sound
-only: they never refute.  Each stops at the first iterate whose factor
+On the hyperbolic region, which has no form, the signs of a sign-free
+certificate are forced, and the same search runs on the half-plane form
+of the sign-corrected matrix.  The search is {Proved, Unknown}-sound
+only: it never refutes.  It stops at the first iterate whose factor
 passes the definiteness check with a margin above ``definiteness_tol``:
 a Proved verdict needs one certificate, not the widest one, so no step
 is spent widening its margin, and the certificate's ``iterations`` is
 the step at which the search stopped.
 
-The positive-diagonal search stops early, with Unknown, once its own
-subgradients prove that no certificate exists.  The operator
-W(d) = sum_i d_i W_i is linear in d, and the subgradient at an iterate
-is g_i = <W_i, v v^T> for the top eigenvector v.  The mean S of the
-v v^T seen so far, each weighted by its step 1 / (sqrt(k) ||g_k||_inf),
-is positive semidefinite with trace one, so for every d on the simplex
+The search stops early, with Unknown, once its own subgradients prove
+that no certificate exists.  The operator W(d) = sum_i d_i W_i is
+linear in d, and the subgradient at an iterate is g_i = <W_i, v v^T>
+for the top eigenvector v.  The mean S of the v v^T seen so far, each
+weighted by its step 1 / (sqrt(k) ||g_k||_inf), is positive
+semidefinite with trace one, so for every d on the simplex
 
     lambda_max(W(d)) >= <W(d), S> = sum_i d_i gbar_i >= min_i gbar_i,
 
@@ -50,7 +51,7 @@ __all__ = [
     "Certificate", "KRONECKER_SOLVE_CAP",
     "solve_lyapunov",
     "emi_operator", "is_negative_definite", "definiteness_tol",
-    "DiagonalSearch", "diagonal_hyperbolicity_search",
+    "DiagonalSearch",
     "verify_certificate",
 ]
 
@@ -196,16 +197,16 @@ def emi_operator(r11, r12, r22, a, h):
 _DIAG_KINDS = {"half-plane-left": "diagonal-lyapunov", "disk": "diagonal-stein",
                "half-plane-right": "diagonal-lmi",
                "sector-right": "diagonal-lmi",
-               "lmi": "diagonal-lmi", "emi": "diagonal-emi"}
+               "lmi": "diagonal-lmi", "emi": "diagonal-emi",
+               "hyperbolic": "diagonal-hyperbolic"}
 
 
 class _DiagOperator:
     """W(d) = R11 (x) D + R12 (x) (DA) + R12^T (x) (A^T D) + R22 (x) (A^T D A).
 
-    (R11, R12, R22) is the ``emi`` form of the region, and the
-    certificate kind is the region's.  Linear in the diagonal vector d,
-    so lambda_max(W(d)) is convex and a subgradient at d is read off the
-    top eigenvector.
+    (R11, R12, R22) is the ``emi`` form of the region.  Linear in the
+    diagonal vector d, so lambda_max(W(d)) is convex and a subgradient at
+    d is read off the top eigenvector.
     """
 
     def __init__(self, a, region):
@@ -213,8 +214,6 @@ class _DiagOperator:
             raise ValueError(f"no diagonal certificate form for region {region!r}")
         self.a = as_matrix(a)
         self.r11, self.r12, self.r22 = region.emi
-        self.kind = _DIAG_KINDS[region.name]
-        self.region = region
         self.m = self.r11.shape[0]
 
     def apply(self, d):
@@ -261,6 +260,16 @@ class DiagonalSearch:
     of the subgradients proves that no positive diagonal certifies (see
     the module docstring).
 
+    On ``Hyperbolic()`` the certificate is a sign-free diagonal D with
+    D A + A^T D positive definite.  Its diagonal is 2 d_i a_ii, so every
+    certificate has the signs S = diag(sign a_ii), and a zero a_ii
+    excludes them all: the search stops at once (``k`` = 0, no
+    eigen-solve).  With D = S E, D A + A^T D = -(E (-S A) + (-S A)^T E),
+    so the search is that of -S A on the left half-plane, its factor E
+    reported as S E (kind ``diagonal-hyperbolic``) with the same margin
+    and ``iterations``.  A certificate implies that A has no
+    imaginary-axis eigenvalue and is multiplicative D-hyperbolic.
+
     The state is the iterate (``z``, log d up to a constant), the
     step-weighted sums of the subgradients and of the weights, and the
     step count ``k``.  ``run(steps)`` takes the steps
@@ -271,14 +280,23 @@ class DiagonalSearch:
 
     def __init__(self, a, region, budget):
         a = as_matrix(a)
-        self._op = _DiagOperator(a, region)
         n = a.shape[0]
+        # the factor is S E for the iterate E; S = I but on Hyperbolic()
+        self._kind = _DIAG_KINDS.get(region.name)
+        self._region, self._signs = region, np.ones(n)
+        self.verdict = None  # set when the search stops
+        if region == Hyperbolic():
+            self._signs = np.sign(np.diag(a))
+            a, region = -self._signs[:, None] * a, HalfPlaneLeft()
+            if not self._signs.all():
+                self.verdict = Verdict(Status.UNKNOWN,
+                                       "dual-bound-excludes-certificate")
+        self._op = _DiagOperator(a, region)
         self._rate = math.sqrt(2.0 * math.log(n))
         self._z = np.zeros(n)  # log d, up to a constant
         self._g_sum, self._w_sum = np.zeros(n), 0.0
         self.budget = budget
         self.k = 0
-        self.verdict = None  # set when the search stops
 
     def run(self, steps=None):
         """Step up to ``min(steps, budget)`` (default the budget).
@@ -303,8 +321,9 @@ class DiagonalSearch:
         d /= d.sum()
         val, g, tol = op.value_and_subgrad(d)
         if val < -tol and d.min() > 0:  # no entry underflowed
-            cert = Certificate(op.kind, np.diag(d), -val, op.region, k)
-            return Verdict(Status.PROVED, f"certificate:{op.kind}",
+            cert = Certificate(self._kind, np.diag(self._signs * d), -val,
+                               self._region, k)
+            return Verdict(Status.PROVED, f"certificate:{self._kind}",
                            witness=cert)
         scale = float(np.abs(g).max())
         if not math.isfinite(scale):
@@ -320,33 +339,6 @@ class DiagonalSearch:
             return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
         z -= (self._rate * step) * g
         return None
-
-
-def diagonal_hyperbolicity_search(a, budget):
-    """Search a sign-unconstrained diagonal D with D A + A^T D positive definite.
-
-    (D A + A^T D)_ii = 2 d_i a_ii, so every certificate has the signs
-    S = diag(sign a_ii), and a zero a_ii excludes them all (Unknown,
-    ``dual-bound-excludes-certificate``, with no eigen-solve).  With
-    D = S E, D A + A^T D = -(E (-S A) + (-S A)^T E): this is the
-    half-plane :class:`DiagonalSearch` of -S A, its certificate E mapped
-    back to S E with the same margin and ``iterations``.  A certificate
-    implies the matrix has no imaginary-axis eigenvalues and is
-    multiplicative D-hyperbolic.
-    """
-    a = as_matrix(a)
-    s = np.sign(np.diag(a))
-    if not s.all():
-        return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
-    v = DiagonalSearch(-s[:, None] * a, HalfPlaneLeft(), budget).run()
-    if not v.proved:
-        return v
-    cert = v.witness
-    return Verdict(Status.PROVED, "certificate:diagonal-hyperbolic",
-                   witness=Certificate("diagonal-hyperbolic",
-                                       np.diag(s * np.diag(cert.factor)),
-                                       cert.margin, Hyperbolic(),
-                                       cert.iterations))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +371,8 @@ def verify_certificate(a, cert):
 
     _require((d > 0).all(), "factor must be positive diagonal")
     op = _DiagOperator(a, cert.region)
-    _require(op.kind == cert.kind, f"kind {cert.kind!r} does not match region")
+    _require(_DIAG_KINDS[cert.region.name] == cert.kind,
+             f"kind {cert.kind!r} does not match region")
     w = op.apply(d)
     _, margin = is_negative_definite(w, tol=0.0)
     _require(margin > 0, "certified form is not negative definite")

@@ -168,6 +168,22 @@ class TestIngestionHelpers:
         with pytest.raises(cli.UsageError, match="cannot mirror"):
             cli.mirror_gclass_for_add(cli.parse_gclass(spec))
 
+    @pytest.mark.parametrize("spec", ["spd", "alpha-scalar:0|1",
+                                      "interval-diagonal:1/2,1/2"])
+    def test_unmirrorable_additive_request_is_rejected_when_built(
+            self, spec, capsys):
+        # a library caller meets the error building the request, not in run
+        with pytest.raises(cli.UsageError, match="cannot mirror"):
+            request_for(-np.eye(2), convention="positive", op_spec="add",
+                        class_spec=spec)
+        # the hurwitz convention mirrors nothing, so the request builds
+        request_for(-np.eye(2), op_spec="add", class_spec=spec)
+        assert cli.main(["--convention", "positive", "--op", "add",
+                         "--class", spec, "--", "-1,0;0,-1"]) == 1
+        assert capsys.readouterr().err == (
+            "matstab: error: the positive-stability convention cannot "
+            "mirror this additive class\n")
+
     def test_load_matrix_from_file_and_inline(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("-1,0\n0,-2\n")
@@ -696,6 +712,28 @@ class TestSharedWork:
                    if c.check == "diagonal-certificate")
         assert cli.to_jsonable(record.verdict) == cli.to_jsonable(fresh)
 
+    @pytest.mark.parametrize("class_spec", ["positive-diagonal",
+                                            "sign-pattern:+-+"])
+    def test_hyperbolicity_runs_the_one_search(self, calls, class_spec):
+        # the hyperbolic region has no form: its sign-free search is the
+        # request's one search, and the certificate row re-verifies it
+        a = np.array([[3.0, -1.0, 0.5], [1.0, -2.0, 0.5], [0.0, 1.0, 2.5]])
+        report = cli.run(request_for(a, region_spec="hyperbolic",
+                                     class_spec=class_spec, samples=100,
+                                     exhaustive=True))
+        assert calls["search"] == 1 and len(calls["runs"]) == 1
+        record, = (c for c in report.checks
+                   if c.check == "diagonal-certificate")
+        cert = record.verdict.witness
+        assert record.verdict.proved and record.decides
+        assert (cert.kind, cert.region) == ("diagonal-hyperbolic",
+                                            Hyperbolic())
+        assert record.data == {"re-verified-margin":
+                               lyapunov.verify_certificate(a, cert)}
+        assert record.data["re-verified-margin"] > 0
+        assert (report.summary_status, report.summary_reason) == (
+            Status.PROVED, "diagonal-certificate")
+
     @pytest.mark.parametrize("class_spec", [
         "positive-diagonal", "interval-diagonal:" + ",".join(["0.5/2"] * 8)])
     @pytest.mark.parametrize("matrix", [
@@ -973,7 +1011,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/14"
+        assert payload["schema"] == "matstab-report/15"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -1139,7 +1177,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/14"
+        assert json.loads(out)["schema"] == "matstab-report/15"
 
     def test_unbounded_class_with_no_escaping_member_is_not_refuted(
             self, capsys):

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 from matstab import dstability as ds
 from matstab import lyapunov as ly
 from matstab.spectra import (Disk, EMIRegion, HalfPlaneLeft, HalfPlaneRight,
-                             Hyperbolic, LMIRegion, SectorRight, eigenvalues,
+                             Hyperbolic, LMIRegion, PunctureOrigin,
+                             SectorRight, Status, Verdict, eigenvalues,
                              first_outside)
 
 from conftest import (random_diagonally_stable, random_hurwitz,
@@ -353,9 +354,13 @@ class TestDualBoundStop:
             h = d_hyperbolic(np.random.default_rng(seed), n)
             for a, v in [
                     (a, ly.DiagonalSearch(a, HalfPlaneLeft(), BUDGET).run()),
-                    (h, ly.diagonal_hyperbolicity_search(h, BUDGET))]:
+                    (h, hyperbolic_search(h, BUDGET))]:
                 assert v.proved, (n, seed, v.reason)
                 assert ly.verify_certificate(a, v.witness) > 0
+
+
+def hyperbolic_search(a, budget):
+    return ly.DiagonalSearch(a, Hyperbolic(), budget).run()
 
 
 def d_hyperbolic(rng, n):
@@ -399,7 +404,7 @@ class TestFirstCertificate:
     @settings(max_examples=30, deadline=None)
     def test_hyperbolicity_search(self, size_seed, make):
         n, seed = size_seed
-        self.assert_first(ly.diagonal_hyperbolicity_search,
+        self.assert_first(hyperbolic_search,
                           make(np.random.default_rng(seed), n))
 
     def test_negative_identity_certifies_at_the_first_step(self):
@@ -501,12 +506,12 @@ class TestHyperbolicity:
     # the factor has the signs of the diagonal; its magnitudes are the
     # simplex iterate of the reduced search, uniform 1/n at step 1
     def test_identity(self):
-        v = ly.diagonal_hyperbolicity_search(np.eye(3), BUDGET)
+        v = hyperbolic_search(np.eye(3), BUDGET)
         assert v.proved and v.witness.iterations == 1
         assert np.allclose(np.diag(v.witness.factor), 1.0 / 3)
 
     def test_indefinite_diagonal(self):
-        v = ly.diagonal_hyperbolicity_search(np.diag([1.0, -1.0]), BUDGET)
+        v = hyperbolic_search(np.diag([1.0, -1.0]), BUDGET)
         assert v.proved and v.witness.iterations == 1
         assert np.array_equal(np.sign(np.diag(v.witness.factor)), [1.0, -1.0])
         assert np.allclose(np.diag(v.witness.factor), [0.5, -0.5])
@@ -515,22 +520,68 @@ class TestHyperbolicity:
         # spectrum {+-i} is purely imaginary; a zero diagonal entry makes
         # the (i, i) entry of D A + A^T D vanish for every D
         calls = count_eigen_solves(monkeypatch)
-        v = ly.diagonal_hyperbolicity_search(np.array([[0.0, 1.0],
-                                                       [-1.0, 0.0]]), BUDGET)
-        assert (v.reason, calls[0]) == (DUAL_STOP, 0)
+        search = ly.DiagonalSearch(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                   Hyperbolic(), BUDGET)
+        v = search.run()
+        assert (v.reason, calls[0], search.k) == (DUAL_STOP, 0, 0)
 
     def test_no_certificate_ends_at_the_dual_bound(self):
         # spectrum +-i sqrt(5), with a nonzero diagonal
-        v = ly.diagonal_hyperbolicity_search(np.array([[1.0, 2.0],
-                                                       [-3.0, -1.0]]), BUDGET)
+        v = hyperbolic_search(np.array([[1.0, 2.0], [-3.0, -1.0]]), BUDGET)
         assert v.reason == DUAL_STOP
 
     def test_certificate_implies_no_imaginary_axis_eigenvalues(self, rng):
         for _ in range(20):
             a = rng.normal(size=(3, 3))
-            v = ly.diagonal_hyperbolicity_search(a, 800)
+            v = hyperbolic_search(a, 800)
             if v.proved:
                 assert abs(np.linalg.eigvals(a).real).min() > 0
+
+    @staticmethod
+    def sign_mapped(a, budget):
+        """A reference written out: the half-plane search of -S A, its
+        factor E mapped to S E."""
+        s = np.sign(np.diag(a))
+        if not s.all():
+            return Verdict(Status.UNKNOWN, DUAL_STOP)
+        v = ly.DiagonalSearch(-s[:, None] * a, HalfPlaneLeft(), budget).run()
+        if not v.proved:
+            return v
+        cert = v.witness
+        return Verdict(Status.PROVED, "certificate:diagonal-hyperbolic",
+                       witness=ly.Certificate(
+                           "diagonal-hyperbolic",
+                           np.diag(s * np.diag(cert.factor)), cert.margin,
+                           Hyperbolic(), cert.iterations))
+
+    @given(seeded_sizes, st.sampled_from([d_hyperbolic,
+                                          lambda rng, n: rng.normal(size=(n, n))]))
+    @example((8, 18), d_hyperbolic)  # certified at step 64
+    @settings(max_examples=30, deadline=None)
+    def test_same_certificate_as_the_sign_mapping(self, size_seed, make):
+        n, seed = size_seed
+        a = make(np.random.default_rng(seed), n)
+        v = hyperbolic_search(a, BUDGET)
+        assert search_outcome(v) == search_outcome(self.sign_mapped(a, BUDGET))
+        if v.proved:
+            assert v.witness.region == Hyperbolic()
+            assert ly.verify_certificate(a, v.witness) > 0
+
+    @given(seeded_sizes, st.sampled_from([d_hyperbolic,
+                                          lambda rng, n: rng.normal(size=(n, n))]),
+           st.integers(0, 320))
+    @example((8, 18), d_hyperbolic, 32)  # certified at step 64
+    @settings(max_examples=30, deadline=None)
+    def test_prefix_then_continuation_is_one_search(self, size_seed, make,
+                                                    steps):
+        n, seed = size_seed
+        a = make(np.random.default_rng(seed), n)
+        search = ly.DiagonalSearch(a, Hyperbolic(), 300)
+        search.run(steps)
+        assert search.k <= steps
+        resumed = search.run()
+        assert search_outcome(resumed) == search_outcome(
+            hyperbolic_search(a, 300))
 
 
 class TestVerifyCertificate:
@@ -688,4 +739,4 @@ class TestCertificateChecks:
 
     def test_region_without_diagonal_form_rejected(self):
         with pytest.raises(ValueError, match="no diagonal certificate form"):
-            ly.DiagonalSearch(-np.eye(2), Hyperbolic(), BUDGET)
+            ly.DiagonalSearch(-np.eye(2), PunctureOrigin(), BUDGET)
