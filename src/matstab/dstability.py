@@ -625,9 +625,10 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
 
 
 def _is_triangular(a, tol):
-    upper = np.all(np.abs(a[np.tril_indices_from(a, -1)]) <= tol)
-    lower = np.all(np.abs(a[np.triu_indices_from(a, 1)]) <= tol)
-    return upper or lower
+    """Every entry below, or every entry above, the diagonal within
+    ``tol``."""
+    return bool((abs(np.tril(a, -1)) <= tol).all()
+                or (abs(np.triu(a, 1)) <= tol).all())
 
 
 def sufficient_suite(a, search):

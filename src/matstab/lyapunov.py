@@ -11,6 +11,9 @@ diagonal H on every region that has a form.
 Certificates are found by :class:`DiagonalSearch`, the one search: an
 entropic mirror descent of the largest eigenvalue of the region operator
 over the simplex of positive diagonals, in a step budget of its own.
+A step is one ``eigh`` of the operator plus O(n^2) vector work (the
+operator and the subgradient of a 1x1 form are elementwise), and
+``definiteness_tol`` is computed only at a step where a stop can fire.
 On the hyperbolic region, which has no form, the signs of a sign-free
 certificate are forced, and the same search runs on the half-plane form
 of the sign-corrected matrix.  The search is {Proved, Unknown}-sound
@@ -206,42 +209,70 @@ class _DiagOperator:
 
     (R11, R12, R22) is the ``emi`` form of the region.  Linear in the
     diagonal vector d, so lambda_max(W(d)) is convex and a subgradient at
-    d is read off the top eigenvector.
+    d is read off the top eigenvector.  A 1x1 form keeps its coefficients
+    as floats: W(d) and the subgradient are then O(n^2) elementwise work
+    around the one ``eigh``, a zero coefficient adds no term and a unit
+    one multiplies nothing.
     """
 
     def __init__(self, a, region):
         if region.emi is None:
             raise ValueError(f"no diagonal certificate form for region {region!r}")
         self.a = as_matrix(a)
-        self.r11, self.r12, self.r22 = region.emi
-        self.m = self.r11.shape[0]
+        r11, r12, r22 = region.emi
+        self.m = r11.shape[0]
+        self.has_r22 = bool(np.any(r22 != 0.0))
+        if self.m == 1:
+            r11, r12, r22 = (float(r[0, 0]) for r in (r11, r12, r22))
+        self.r11, self.r12, self.r22 = r11, r12, r22
 
     def apply(self, d):
         a = self.a
         da = d[:, None] * a
-        if self.m == 1:
-            w = self.r12[0, 0] * (da + da.T) + self.r11[0, 0] * np.diag(d)
-            if self.r22[0, 0] != 0.0:
-                w = w + self.r22[0, 0] * (a.T @ da)
+        if self.m > 1:
+            w = (np.kron(self.r11, np.diag(d)) + np.kron(self.r12, da)
+                 + np.kron(self.r12.T, da.T))
+            if self.has_r22:
+                w = w + np.kron(self.r22, a.T @ da)
             return w
-        w = (np.kron(self.r11, np.diag(d)) + np.kron(self.r12, da)
-             + np.kron(self.r12.T, da.T))
-        if np.any(self.r22 != 0.0):
-            w = w + np.kron(self.r22, a.T @ da)
+        # ((r12 (DA + A^T D)) + r11 D) + r22 A^T D A, in the order of the
+        # general form: another order changes the last bits of W(d)
+        w = _times(self.r12, da + da.T) if self.r12 else np.zeros_like(da)
+        if self.r11:
+            w.ravel()[::len(d) + 1] += _times(self.r11, d)
+        if self.has_r22:
+            w += _times(self.r22, a.T @ da)
         return w
 
     def value_and_subgrad(self, d):
+        """``(lambda_max(W(d)), g, W(d))`` with g the subgradient at d."""
         w = self.apply(d)
         lam, vec = np.linalg.eigh(w)
         value = float(lam[-1])
         v = vec[:, -1]
-        u = v.reshape(self.m, -1)
-        au = u @ self.a.T
-        g = (np.einsum("pq,pi,qi->i", self.r11, u, u)
-             + 2.0 * np.einsum("pq,pi,qi->i", self.r12, u, au))
-        if np.any(self.r22 != 0.0):
-            g += np.einsum("pq,pi,qi->i", self.r22, au, au)
-        return value, g, definiteness_tol(w)
+        if self.m > 1:
+            u = v.reshape(self.m, -1)
+            au = u @ self.a.T
+            g = (np.einsum("pq,pi,qi->i", self.r11, u, u)
+                 + 2.0 * np.einsum("pq,pi,qi->i", self.r12, u, au))
+            if self.has_r22:
+                g += np.einsum("pq,pi,qi->i", self.r22, au, au)
+            return value, g, w
+        # g_i = r11 v_i^2 + 2 (r12 v_i) (Av)_i + r22 (Av)_i^2, each product
+        # taken left to right as the einsum of the general form takes it
+        av = self.a @ v
+        g = (2.0 * (_times(self.r12, v) * av) if self.r12
+             else np.zeros_like(v))
+        if self.r11:
+            g = _times(self.r11, v) * v + g
+        if self.has_r22:
+            g += _times(self.r22, av) * av
+        return value, g, w
+
+
+def _times(r, x):
+    """r x, with no multiplication for a unit coefficient."""
+    return x if r == 1.0 else r * x
 
 
 class DiagonalSearch:
@@ -319,8 +350,11 @@ class DiagonalSearch:
         op, z = self._op, self._z
         d = np.exp(z - z.max())
         d /= d.sum()
-        val, g, tol = op.value_and_subgrad(d)
-        if val < -tol and d.min() > 0:  # no entry underflowed
+        val, g, w = op.value_and_subgrad(d)
+        # definiteness_tol(w) > 0, so each stop below needs a negative val
+        # or a positive g_sum.min(): the tolerance is computed only then.
+        # A certificate also needs d.min() > 0: no entry underflowed
+        if val < 0 and val < -definiteness_tol(w) and d.min() > 0:
             cert = Certificate(self._kind, np.diag(self._signs * d), -val,
                                self._region, k)
             return Verdict(Status.PROVED, f"certificate:{self._kind}",
@@ -335,7 +369,8 @@ class DiagonalSearch:
         step = 1.0 / math.sqrt(k)
         self._g_sum += step * g
         self._w_sum += step / scale
-        if self._g_sum.min() > self._w_sum * tol:
+        g_min = self._g_sum.min()
+        if g_min > 0 and g_min > self._w_sum * definiteness_tol(w):
             return Verdict(Status.UNKNOWN, "dual-bound-excludes-certificate")
         z -= (self._rate * step) * g
         return None

@@ -708,6 +708,38 @@ class TestSufficientSuite:
                 oracle = all(v > 0 for _, v in principal_minors(t))
                 assert mc.is_tridiagonal_p_matrix(t) is oracle
 
+    def test_triangular_flag_equals_the_index_form(self):
+        # the index-array form of the test: every entry strictly below, or
+        # every entry strictly above, the diagonal within tol
+        def by_indices(a, tol):
+            upper = np.all(np.abs(a[np.tril_indices_from(a, -1)]) <= tol)
+            lower = np.all(np.abs(a[np.triu_indices_from(a, 1)]) <= tol)
+            return bool(upper or lower)
+
+        rng = np.random.default_rng(7)
+        tol = 1e-9
+        flags = set()
+        for i in range(3000):
+            n = int(rng.integers(1, 9))
+            a = rng.normal(size=(n, n))
+            kind = i % 5
+            if kind == 1:
+                a = np.triu(a)
+            elif kind == 2:
+                a = np.tril(a)
+            elif kind == 3:
+                a = np.diag(np.diag(a))
+            elif kind == 4:  # one off-side entry near tol, on either side
+                a = np.triu(a) if rng.integers(2) else np.tril(a)
+                if n > 1:
+                    p, q = sorted(rng.choice(n, 2, replace=False))
+                    a[q, p] = rng.choice([0.5, 1.0, 2.0]) * tol
+                    a = a if rng.integers(2) else a.T.copy()
+            got = ds._is_triangular(a, tol)
+            assert got is by_indices(a, tol), a
+            flags.add(got)
+        assert flags == {True, False}
+
     def test_dense_spd_fires_search_with_verified_certificate(self, rng):
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         a = (q * rng.uniform(0.5, 3.0, 4)) @ q.T

@@ -584,6 +584,161 @@ class TestHyperbolicity:
             hyperbolic_search(a, 300))
 
 
+class GeneralFormOperator:
+    """The region operator through the general form on every form:
+    ``np.diag``, ``kron`` and ``einsum``, with the tolerance of every
+    step computed whether a stop can use it or not."""
+
+    def __init__(self, a, region):
+        self.a = np.asarray(a, dtype=float)
+        self.r11, self.r12, self.r22 = region.emi
+        self.m = self.r11.shape[0]
+
+    def apply(self, d):
+        a = self.a
+        da = d[:, None] * a
+        if self.m == 1:
+            w = self.r12[0, 0] * (da + da.T) + self.r11[0, 0] * np.diag(d)
+            if self.r22[0, 0] != 0.0:
+                w = w + self.r22[0, 0] * (a.T @ da)
+            return w
+        w = (np.kron(self.r11, np.diag(d)) + np.kron(self.r12, da)
+             + np.kron(self.r12.T, da.T))
+        if np.any(self.r22 != 0.0):
+            w = w + np.kron(self.r22, a.T @ da)
+        return w
+
+    def value_and_subgrad(self, d):
+        w = self.apply(d)
+        lam, vec = np.linalg.eigh(w)
+        u = vec[:, -1].reshape(self.m, -1)
+        au = u @ self.a.T
+        g = (np.einsum("pq,pi,qi->i", self.r11, u, u)
+             + 2.0 * np.einsum("pq,pi,qi->i", self.r12, u, au))
+        if np.any(self.r22 != 0.0):
+            g += np.einsum("pq,pi,qi->i", self.r22, au, au)
+        return float(lam[-1]), g, ly.definiteness_tol(w)
+
+
+def reference_search(a, region, budget):
+    """The mirror descent of :class:`ly.DiagonalSearch` written out on
+    :class:`GeneralFormOperator`: ``(k, verdict)`` at its stop."""
+    n = a.shape[0]
+    signs = np.ones(n)
+    form = region
+    if region == Hyperbolic():
+        signs = np.sign(np.diag(a))
+        if not signs.all():
+            return 0, Verdict(Status.UNKNOWN, DUAL_STOP)
+        a, form = -signs[:, None] * a, HalfPlaneLeft()
+    op = GeneralFormOperator(a, form)
+    kind = ly._DIAG_KINDS[region.name]
+    rate = np.sqrt(2.0 * np.log(n))
+    z, g_sum, w_sum = np.zeros(n), np.zeros(n), 0.0
+    for k in range(1, budget + 1):
+        d = np.exp(z - z.max())
+        d /= d.sum()
+        val, g, tol = op.value_and_subgrad(d)
+        if val < -tol and d.min() > 0:
+            cert = ly.Certificate(kind, np.diag(signs * d), -val, region, k)
+            return k, Verdict(Status.PROVED, f"certificate:{kind}",
+                              witness=cert)
+        scale = float(np.abs(g).max())
+        if scale == 0.0:
+            return k, Verdict(Status.UNKNOWN, DUAL_STOP)
+        g = g / scale
+        step = 1.0 / np.sqrt(k)
+        g_sum += step * g
+        w_sum += step / scale
+        if g_sum.min() > w_sum * tol:
+            return k, Verdict(Status.UNKNOWN, DUAL_STOP)
+        z -= (rate * step) * g
+    return budget, Verdict(Status.UNKNOWN, "search-budget-exhausted")
+
+
+def reference_margin(a, cert):
+    """``verify_certificate``'s margin on :class:`GeneralFormOperator`."""
+    w = GeneralFormOperator(a, cert.region).apply(np.diag(cert.factor))
+    return -float(np.linalg.eigvalsh(0.5 * (w + w.T))[-1])
+
+
+def _in_region(shift, scale):
+    """shift I + scale B for B Schur and diagonally Stein-stable."""
+    return lambda rng, n: (shift * np.eye(n)
+                           + scale * random_schur_diag_stable(rng, n)[0])
+
+
+def _spd_like(rng, n):
+    b = rng.normal(size=(n, n))
+    k = rng.normal(size=(n, n))
+    d0 = np.exp(rng.uniform(-1.0, 1.0, n))
+    return (b @ b.T / n + 0.5 * np.eye(n) + 0.05 * (k - k.T)) / d0[:, None]
+
+
+def _normal(rng, n):
+    return rng.normal(size=(n, n))
+
+
+# each region with inputs it certifies and inputs it mostly does not; the
+# EMI region is the disk |z + 0.1|^2 < 0.26, in R11 = -0.5, R12 = 0.2,
+# R22 = 2, and the LMI region is Re z < -0.2 as 0.12 + 0.3 (z + conj z)
+TRAJECTORY_CASES = {
+    "half-plane-left": (HalfPlaneLeft(), [
+        lambda rng, n: random_diagonally_stable(rng, n)[0], random_hurwitz,
+        _normal]),
+    "half-plane-right": (HalfPlaneRight(), [
+        lambda rng, n: -random_diagonally_stable(rng, n)[0], _normal]),
+    "unit-disk": (Disk(), [_in_region(0.0, 1.0), random_schur, _normal]),
+    "disk-0.3-0.9": (Disk(0.3, 0.9), [_in_region(0.3, 0.9), _normal]),
+    "lmi": (LMIRegion([[0.12]], [[0.3]]), [
+        lambda rng, n: random_diagonally_stable(rng, n)[0] - 0.2 * np.eye(n),
+        random_hurwitz, _normal]),
+    "emi": (EMIRegion([[-0.5]], [[0.2]], [[2.0]]), [
+        _in_region(-0.1, 0.26 ** 0.5), _normal]),
+    "hyperbolic": (Hyperbolic(), [d_hyperbolic, _normal]),
+    "sector": (SectorRight(0.6), [_spd_like, _normal]),
+}
+
+
+class TestReferenceTrajectories:
+    """The 1x1 forms' elementwise step and the tolerance computed only
+    where a stop can fire leave every search as the general form's, bit
+    for bit: the same stop, step count, factor, margin and re-verified
+    margin.  The sector's 2x2 form keeps the general path."""
+
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_CASES))
+    def test_same_search_as_the_general_form(self, name):
+        region, makes = TRAJECTORY_CASES[name]
+        reasons = set()
+        for make in makes:
+            for seed in range(6):
+                rng = np.random.default_rng(seed)
+                a = make(rng, int(rng.integers(2, 11)))
+                k, reason = self.assert_same(a, region, 300)
+                reasons.add(reason)
+                if k > 1:  # the same search, one step short of its stop
+                    reasons.add(self.assert_same(a, region, k - 1)[1])
+        assert {"search-budget-exhausted", DUAL_STOP} <= reasons
+        assert any(r.startswith("certificate:") for r in reasons)
+
+    @staticmethod
+    def assert_same(a, region, budget):
+        """One run() and a run(k // 2) resumed by run() against the
+        reference; ``(k, reason)`` of the reference."""
+        k, ref = reference_search(a, region, budget)
+        whole = ly.DiagonalSearch(a, region, budget)
+        split = ly.DiagonalSearch(a, region, budget)
+        split.run(k // 2)
+        for search in (whole, split):
+            v = search.run()
+            assert search.k == k
+            assert search_outcome(v) == search_outcome(ref)
+        if ref.proved and region != Hyperbolic():
+            assert (float(ly.verify_certificate(a, v.witness)).hex()
+                    == reference_margin(a, ref.witness).hex())
+        return k, ref.reason
+
+
 class TestVerifyCertificate:
     def test_margin_example(self):
         cert = ly.Certificate("diagonal-lyapunov", np.eye(2), 2.0,
