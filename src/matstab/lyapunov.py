@@ -211,14 +211,14 @@ class _DiagOperator:
     diagonal vector d, so lambda_max(W(d)) is convex and a subgradient at
     d is read off the top eigenvector.  A 1x1 form keeps its coefficients
     as floats: W(d) and the subgradient are then O(n^2) elementwise work
-    around the one ``eigh``, a zero coefficient adds no term and a unit
-    one multiplies nothing.
+    around the one ``eigh``.  ``a`` is kept C-contiguous, so W(d) is too
+    and its diagonal is a strided view of ``W(d).ravel()``.
     """
 
     def __init__(self, a, region):
         if region.emi is None:
             raise ValueError(f"no diagonal certificate form for region {region!r}")
-        self.a = as_matrix(a)
+        self.a = np.ascontiguousarray(as_matrix(a))
         r11, r12, r22 = region.emi
         self.m = r11.shape[0]
         self.has_r22 = bool(np.any(r22 != 0.0))
@@ -237,11 +237,10 @@ class _DiagOperator:
             return w
         # ((r12 (DA + A^T D)) + r11 D) + r22 A^T D A, in the order of the
         # general form: another order changes the last bits of W(d)
-        w = _times(self.r12, da + da.T) if self.r12 else np.zeros_like(da)
-        if self.r11:
-            w.ravel()[::len(d) + 1] += _times(self.r11, d)
+        w = self.r12 * (da + da.T)
+        w.ravel()[::len(d) + 1] += self.r11 * d
         if self.has_r22:
-            w += _times(self.r22, a.T @ da)
+            w += self.r22 * (a.T @ da)
         return w
 
     def value_and_subgrad(self, d):
@@ -261,18 +260,10 @@ class _DiagOperator:
         # g_i = r11 v_i^2 + 2 (r12 v_i) (Av)_i + r22 (Av)_i^2, each product
         # taken left to right as the einsum of the general form takes it
         av = self.a @ v
-        g = (2.0 * (_times(self.r12, v) * av) if self.r12
-             else np.zeros_like(v))
-        if self.r11:
-            g = _times(self.r11, v) * v + g
+        g = self.r11 * v * v + 2.0 * ((self.r12 * v) * av)
         if self.has_r22:
-            g += _times(self.r22, av) * av
+            g += (self.r22 * av) * av
         return value, g, w
-
-
-def _times(r, x):
-    """r x, with no multiplication for a unit coefficient."""
-    return x if r == 1.0 else r * x
 
 
 class DiagonalSearch:

@@ -721,6 +721,26 @@ class TestReferenceTrajectories:
         assert {"search-budget-exhausted", DUAL_STOP} <= reasons
         assert any(r.startswith("certificate:") for r in reasons)
 
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_CASES))
+    def test_column_major_input_searches_as_row_major(self, name):
+        """A column-major matrix (``np.asfortranarray(a)``, or the ``a.T``
+        of a row-major one) gets the search and the re-verified margin of
+        its row-major copy, bit for bit."""
+        region, makes = TRAJECTORY_CASES[name]
+        for make in makes:
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                a = make(rng, int(rng.integers(2, 11)))
+                f = np.asfortranarray(a)
+                k, ref = reference_search(a, region, 300)
+                search = ly.DiagonalSearch(f, region, 300)
+                v = search.run()
+                assert search.k == k
+                assert search_outcome(v) == search_outcome(ref)
+                if ref.proved and region != Hyperbolic():
+                    assert (float(ly.verify_certificate(f, v.witness)).hex()
+                            == reference_margin(a, ref.witness).hex())
+
     @staticmethod
     def assert_same(a, region, budget):
         """One run() and a run(k // 2) resumed by run() against the
