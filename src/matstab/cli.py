@@ -1,9 +1,11 @@
 """Command-line front end: ingestion, orchestration and reports.
 
-The canonical analysis convention is Hurwitz: the region parameter names
-the stability type in that vocabulary.  Requests in the positive-stability
-convention are normalized once on ingestion (matrix negated, additive
-diagonal classes sign-flipped) and the report names the convention used.
+A request is its matrix, region, class, operation, budgets and seed.
+The region names the stability type, so a positive-stability question is
+asked as its Hurwitz twin: the matrix negated and, for ``add``, the class
+mirrored (positive and negative diagonals swap, a sign pattern flips; the
+norm-bounded and vertex classes are their own mirror).  Every check,
+witness and certificate of a report is of the matrix the report names.
 All randomness derives from the single request seed; identical requests
 with the same seed produce byte-identical JSON reports, so the JSON
 format carries no timings (the text format does).
@@ -16,8 +18,8 @@ keeps the summary.  A check that raises is recorded under its own id as
 ``check-error``, and the rest still run.  Work that several checks read
 is done once per request and cached on the request's :class:`_Context`.
 The principal minors and the class flags are computed once, of ``-A``,
-the positive-convention matrix that every check reading them tests, and
-the ``classify`` row reports those flags.
+the matrix that every check reading them tests, and the ``classify`` row
+reports those flags.
 
 The rows run cheapest sound check first.  ``sufficient-suite`` comes
 before the minor-sign necessity: its exact items cost O(n^3) and read no
@@ -71,7 +73,7 @@ from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
                       RealLine, Region, SectorRight, Status, Verdict,
                       eigenvalues, gershgorin, membership, region_stable)
 
-SCHEMA = "matstab-report/15"
+SCHEMA = "matstab-report/16"
 
 CHECK_ERROR = "check-error: "
 
@@ -270,19 +272,6 @@ def parse_op(spec):
     raise UsageError(f"unknown op {spec!r}")
 
 
-def mirror_gclass_for_add(gclass):
-    if isinstance(gclass, ds.PositiveDiagonal):
-        return ds.NegativeDiagonal()
-    if isinstance(gclass, ds.NegativeDiagonal):
-        return ds.PositiveDiagonal()
-    if isinstance(gclass, (ds.DiagonalNormLt1, ds.VertexDiagonal)):
-        return gclass
-    if isinstance(gclass, ds.SignPatternDiagonal):
-        return ds.SignPatternDiagonal(tuple(-s for s in gclass.signs))
-    raise UsageError(
-        "the positive-stability convention cannot mirror this additive class")
-
-
 # ---------------------------------------------------------------------------
 # Request / report
 # ---------------------------------------------------------------------------
@@ -300,7 +289,6 @@ class AnalysisRequest:
     samples: int = 10000
     budget: int = 5000
     seed: int = 0
-    convention: str = "hurwitz"
     region_spec: str = "half-plane-left"
     class_spec: str = "positive-diagonal"
     op_spec: str = "multiply"
@@ -322,10 +310,6 @@ class AnalysisRequest:
         except ValueError as exc:
             raise UsageError(f"the class or operation does not fit a "
                              f"{n}x{n} matrix: {exc}") from exc
-        if self.convention not in ("hurwitz", "positive"):
-            raise UsageError("convention must be hurwitz or positive")
-        if self.convention == "positive" and isinstance(self.op, ds.Add):
-            mirror_gclass_for_add(self.gclass)  # raises before run does
 
 
 @dataclasses.dataclass
@@ -344,7 +328,6 @@ class Report:
     checks: list
     summary_status: Status
     summary_reason: str
-    convention_note: str
     skipped: list = dataclasses.field(default_factory=list)
 
     @property
@@ -507,7 +490,7 @@ class _Context:
 
     @cached_property
     def classification(self):
-        """``classify(-A)``, the convention of every check that reads it."""
+        """``classify(-A)``, the matrix of every check that reads it."""
         return matrix_core.classify(-self.request.matrix, minors=self.minors)
 
     @cached_property
@@ -566,8 +549,8 @@ def _single_circuit(ctx):
 
 
 def _interval_box(ctx):
-    # the diagonal box reduces to a four-polynomial test when the
-    # positive-convention matrix is P0 (sufficient only)
+    # the diagonal box reduces to a four-polynomial test when -A is P0
+    # (sufficient only)
     g = ctx.request.gclass
     try:
         verdict = polynomials.kosov_interval_dstability(
@@ -701,22 +684,9 @@ def run(request):
     of A, one principal-minor sweep of -A, one ``classify`` of -A and
     one diagonal search on the request's region, which
     ``sufficient-suite`` runs for SEARCH_PREFIX steps and
-    ``diagonal-certificate`` resumes.  The checks see the request in
-    the canonical convention, on the context; the report carries it as
-    it was asked, so that re-running the report's request replays it.
+    ``diagonal-certificate`` resumes.
     """
-    convention_note = "analysis in the hurwitz convention"
-    canonical = request
-    if request.convention == "positive":
-        # the region names the stability type in the canonical (hurwitz)
-        # vocabulary; the flag says the matrix is sign-flipped relative
-        # to it, so negate once and adjust additive classes
-        canonical = dataclasses.replace(request, matrix=-request.matrix)
-        if isinstance(request.op, ds.Add):
-            canonical.gclass = mirror_gclass_for_add(request.gclass)
-        convention_note = ("positive-stability request mirrored: matrix "
-                           "negated, additive class sign-flipped")
-    ctx = _Context(canonical)
+    ctx = _Context(request)
     status, decided_by = Status.UNKNOWN, "no-deciding-check"
     skipped = []
     for check in CHECKS:
@@ -742,8 +712,7 @@ def run(request):
         if decides and status is Status.UNKNOWN \
                 and verdict.status is not Status.UNKNOWN:
             status, decided_by = verdict.status, check.id
-    return Report(request, ctx.checks, status, decided_by, convention_note,
-                  skipped)
+    return Report(request, ctx.checks, status, decided_by, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +737,7 @@ def emit(report, fmt="json"):
                 "samples": report.request.samples,
                 "budget": report.request.budget,
                 "seed": report.request.seed,
-                "convention": report.request.convention,
             },
-            "convention_note": report.convention_note,
             "checks": [
                 {
                     "check": c.check,
@@ -797,9 +764,7 @@ def emit(report, fmt="json"):
         return (json.dumps(payload, separators=(",", ":"), allow_nan=False)
                 + "\n").encode()
     if fmt == "text":
-        lines = [f"matstab report  (convention: {report.request.convention}; "
-                 f"seed {report.request.seed})",
-                 f"  note: {report.convention_note}"]
+        lines = [f"matstab report  (seed {report.request.seed})"]
         for c in report.checks:
             mark = {"proved": "+", "refuted": "-", "unknown": "?"}[
                 c.verdict.status.value]
@@ -843,27 +808,26 @@ def build_parser():
                "1 usage or I/O error")
     p.add_argument("matrix", help="matrix file (JSON/CSV), '-' for stdin, "
                                   "or inline JSON / ';'-separated CSV")
-    p.add_argument("--region", default="half-plane-left",
+    p.add_argument("--region", default=AnalysisRequest.region_spec,
                    help="stability region, e.g. half-plane-left, disk:0,1, "
                         "sector:0.5, lmi:{...}, emi:@file.json")
-    p.add_argument("--class", dest="gclass", default="positive-diagonal",
+    p.add_argument("--class", dest="gclass",
+                   default=AnalysisRequest.class_spec,
                    help="perturbation class, e.g. positive-diagonal, spd, "
                         "vertex-diagonal, interval-diagonal:0.5/2,1/3")
-    p.add_argument("--op", default="multiply",
+    p.add_argument("--op", default=AnalysisRequest.op_spec,
                    help="binary operation: multiply, add, hadamard, "
                         "block-hadamard:K")
     p.add_argument("--exhaustive", action="store_true",
                    help="run every check, also after the request is "
                         "decided, and report deciding checks that "
                         "disagree with the summary as conflicts")
-    p.add_argument("--samples", type=int, default=10000,
+    p.add_argument("--samples", type=int, default=AnalysisRequest.samples,
                    help="falsification sample budget")
-    p.add_argument("--budget", type=int, default=5000,
+    p.add_argument("--budget", type=int, default=AnalysisRequest.budget,
                    help="certificate search iteration budget")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (env MATSTAB_SEED is the fallback)")
-    p.add_argument("--convention", choices=("hurwitz", "positive"),
-                   default="hurwitz")
+    p.add_argument("--seed", type=int, default=AnalysisRequest.seed,
+                   help="RNG seed")
     p.add_argument("--format", dest="fmt", choices=("json", "text"),
                    default="text")
     return p
@@ -872,13 +836,6 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if args.seed is None:
-            env = os.environ.get("MATSTAB_SEED", "0")
-            try:
-                args.seed = int(env)
-            except ValueError:
-                raise UsageError(f"MATSTAB_SEED is not an integer: "
-                                 f"{env!r}") from None
         matrix = load_matrix(args.matrix)
         request = AnalysisRequest(
             matrix=matrix,
@@ -886,7 +843,6 @@ def main(argv=None):
             samples=args.samples,
             budget=args.budget,
             seed=args.seed,
-            convention=args.convention,
             region_spec=args.region,
             class_spec=args.gclass,
             op_spec=args.op,

@@ -1,10 +1,9 @@
 """Matrix-class samplers, falsification and D-stability criteria.
 
-Convention note: the canonical stability region of the library is the
-open left half-plane.  Criteria whose natural statement lives in the
-positive-stability convention (all eigenvalues in the right half-plane)
-say so in their docstring; the CLI flips the input once so that callers
-never mix conventions.
+The canonical stability region of the library is the open left
+half-plane.  A criterion whose natural statement is about positive
+stability (all eigenvalues in the right half-plane) says so in its
+docstring: the Hurwitz question of -a is the positive one of a.
 
 Every refutation embeds a replayable witness: the sampled class member,
 the realized product, the offending eigenvalue and the stream seed.
@@ -585,7 +584,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
 # ---------------------------------------------------------------------------
 
 def necessary_p0plus(a, mode="multiplicative", minors=None):
-    """Necessary condition for D-stability of a Hurwitz-convention matrix.
+    """Necessary condition for (Hurwitz) D-stability of ``a``.
 
     Both multiplicative and additive D-stability force -A to be a P0+
     matrix; a failing minor refutes D-stability outright.  Passing proves
@@ -632,7 +631,7 @@ def _is_triangular(a, tol):
 
 
 def sufficient_suite(a, search):
-    """Sufficient D-stability tests, positive-stability convention.
+    """Sufficient positive D-stability tests of ``a``.
 
     Any Proved item implies D-stability of ``a`` (D a positive stable for
     every positive diagonal D).  Items: diagonal stability by certificate
@@ -713,8 +712,7 @@ DESCENT_EPS = tuple(10.0 ** -k for k in range(1, 13))
 
 
 def submatrix_descent(a, mode="multiplicative"):
-    """Refute D-stability by an unstable principal submatrix, Hurwitz
-    convention.
+    """Refute (Hurwitz) D-stability by an unstable principal submatrix.
 
     Every principal submatrix of a D-stable matrix is D-semistable
     (Hershkowitz, LAA 171, 1992).  From the full index set, each step
@@ -780,12 +778,12 @@ def vertex_schur_check(a, gclass):
     of ``product((1.0, -1.0), repeat=n)``.  A class that holds its
     vertices (it holds I) is refuted by the first flagged vertex, named
     by that point, and every verdict decides.  The Schur class holds
-    none: a vertex past the band escapes as t S for some t < 1 and
-    decides, but one on the unit circle refutes nothing, so the sweep
-    reads on, each vertex solved once, to a later one that escapes,
-    which names its eigenvalue of largest modulus.  Without one the
-    first flagged vertex's Refuted stands and, like Proved, decides
-    nothing.
+    none: a vertex with a point past the band escapes as t S for some
+    t < 1 and decides, named by the first such point of its sorted
+    spectrum, but one on the unit circle refutes nothing, so the sweep
+    reads on, each vertex solved once, to a later one that escapes.
+    Without one the first flagged vertex's Refuted stands, named by its
+    point on the circle, and, like Proved, decides nothing.
 
     rho(S A) <= ||S A||_2 = ||A||_2, so a norm strictly inside the disk
     proves with no eigen-solve.  Otherwise the 2^(n-1) vertices with
@@ -813,13 +811,13 @@ def vertex_schur_check(a, gclass):
         point = first_outside(spec, _UNIT_DISK)
         if point is None:
             continue
-        top = spec[np.argmax(abs(spec))]
-        escapes = members or membership(top, _UNIT_DISK) > 0
+        past = spec[membership(spec, _UNIT_DISK) > 0]
+        if not members and past.size:
+            point = past[0]
         verdict = Verdict(Status.REFUTED, "vertex-spectral-radius", witness={
-            "signs": signs,
-            "eigenvalue": complex(top if escapes and first else point),
+            "signs": signs, "eigenvalue": complex(point),
             "spectral_radius": float(abs(spec).max())})
-        if escapes:
+        if members or past.size:
             return verdict, True
         first = first or verdict
     return first or Verdict(Status.PROVED, "vertex-stable"), members

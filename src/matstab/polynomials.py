@@ -108,9 +108,9 @@ def kharitonov_stable(box):
 def kosov_interval_dstability(a, d_min, d_max, classification=None):
     """Interval D-stability of a P0 matrix over a diagonal box (sufficient).
 
-    ``a`` is taken in the positive-stability convention: the claim
-    certified is that D a has its whole spectrum in the open right
-    half-plane for every diagonal D with d_min <= diag(D) <= d_max.
+    ``a`` is tested for positive stability: the claim certified is that
+    D a has its whole spectrum in the open right half-plane for every
+    diagonal D with d_min <= diag(D) <= d_max.
     The Hurwitz polynomial of the negated product has coefficients
     monotone in each d_ii because ``a`` is P0, so the two box corners
     bound the whole coefficient family and the four-polynomial test

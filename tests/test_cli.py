@@ -152,38 +152,6 @@ class TestIngestionHelpers:
     def test_partition(self, arg, partition):
         assert cli._parse_partition(arg) == partition
 
-    @pytest.mark.parametrize("spec, mirrored", [
-        ("positive-diagonal", ds.NegativeDiagonal()),
-        ("negative-diagonal", ds.PositiveDiagonal()),
-        ("diagonal-norm-lt1", ds.DiagonalNormLt1()),
-        ("vertex-diagonal", ds.VertexDiagonal()),
-        ("sign-pattern:+-+", ds.SignPatternDiagonal((-1, 1, -1))),
-    ])
-    def test_additive_class_mirror(self, spec, mirrored):
-        assert cli.mirror_gclass_for_add(cli.parse_gclass(spec)) == mirrored
-
-    @pytest.mark.parametrize("spec", ["spd", "alpha-scalar:0|1",
-                                      "interval-diagonal:1/2,1/2"])
-    def test_unmirrorable_additive_class_is_a_usage_error(self, spec):
-        with pytest.raises(cli.UsageError, match="cannot mirror"):
-            cli.mirror_gclass_for_add(cli.parse_gclass(spec))
-
-    @pytest.mark.parametrize("spec", ["spd", "alpha-scalar:0|1",
-                                      "interval-diagonal:1/2,1/2"])
-    def test_unmirrorable_additive_request_is_rejected_when_built(
-            self, spec, capsys):
-        # a library caller meets the error building the request, not in run
-        with pytest.raises(cli.UsageError, match="cannot mirror"):
-            request_for(-np.eye(2), convention="positive", op_spec="add",
-                        class_spec=spec)
-        # the hurwitz convention mirrors nothing, so the request builds
-        request_for(-np.eye(2), op_spec="add", class_spec=spec)
-        assert cli.main(["--convention", "positive", "--op", "add",
-                         "--class", spec, "--", "-1,0;0,-1"]) == 1
-        assert capsys.readouterr().err == (
-            "matstab: error: the positive-stability convention cannot "
-            "mirror this additive class\n")
-
     def test_load_matrix_from_file_and_inline(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("-1,0\n0,-2\n")
@@ -365,31 +333,45 @@ class TestRun:
         assert (r.region, r.gclass, r.op) == (Disk(), ds.NegativeDiagonal(),
                                               ds.Add())
 
-    def test_positive_convention_mirrors(self):
-        # I is positive-stability D-stable; the mirrored run proves it
-        report = cli.run(request_for(np.eye(2), convention="positive"))
-        assert report.summary_status is Status.PROVED
-        assert "mirrored" in report.convention_note
-
-    @pytest.mark.parametrize("triple", [
-        [], ["--op", "add", "--class", "positive-diagonal"]],
-        ids=["multiply", "add"])
-    def test_positive_convention_report_replays_its_request(self, triple,
-                                                            capsys):
-        # the report echoes the request as it was asked, not its mirror,
-        # so running the echoed request again gives the same checks
-        cli.main(["--convention", "positive", "--format", "json",
-                  "--samples", "300", "--budget", "200", *triple, "--",
-                  "1,-4;1,-2"])
-        report = json.loads(capsys.readouterr().out)
-        r = report["request"]
-        assert r["matrix"] == [[1.0, -4.0], [1.0, -2.0]]
-        again = cli.run(cli.AnalysisRequest(
-            matrix=np.asarray(r["matrix"], dtype=float),
-            region_spec=r["region"], class_spec=r["class"], op_spec=r["op"],
-            exhaustive=r["exhaustive"], samples=r["samples"],
-            budget=r["budget"], seed=r["seed"], convention=r["convention"]))
-        assert json.loads(cli.emit(again))["checks"] == report["checks"]
+    @pytest.mark.parametrize("matrix, region, gclass, op", [
+        ("1,-4;1,-2", "half-plane-left", "positive-diagonal", "multiply"),
+        ("-2,1,0;0,-2,1;1,0,-2", "half-plane-left", "positive-diagonal",
+         "multiply"),
+        ("1,-4;1,-2", "half-plane-left", "negative-diagonal", "add"),
+        ("-2,1,0;0,-2,1;1,0,-2", "half-plane-left", "negative-diagonal",
+         "add"),
+        ("1,-4;4,-2", "half-plane-left", "spd", "hadamard"),
+        ("1,-4,0,0;1,-2,0,0;0,0,-1,0;0,0,0,-1", "half-plane-left",
+         "positive-diagonal", "block-hadamard:2"),
+        ("0.5,0.2;0.1,0.4", "disk:0,1", "diagonal-norm-lt1", "multiply"),
+        ("0.5,0.2;0.1,0.4", "disk:0,1", "positive-diagonal", "multiply"),
+        ("2,1,0;-1,-1,1;0,1,3", "hyperbolic", "positive-diagonal",
+         "multiply"),
+        ("1,2;-1,1", "hyperbolic", "negative-diagonal", "multiply"),
+        ("2,0.3;0.3,1", "sector:0.6", "positive-diagonal", "multiply"),
+        ("1,-4;1,-2", "sector:0.6", "positive-diagonal", "multiply"),
+        ("-1,3;0,-1", "half-plane-left", "spd", "multiply"),
+    ])
+    def test_every_report_replays_on_its_own_matrix(self, matrix, region,
+                                                     gclass, op):
+        # a witness's product and a certificate's operator are of the
+        # matrix the report names, bit for bit
+        report = cli.run(cli.AnalysisRequest(
+            matrix=cli.load_matrix(matrix), region_spec=region,
+            class_spec=gclass, op_spec=op, exhaustive=True, samples=500,
+            budget=500, seed=1))
+        a = report.request.matrix
+        replayed = 0
+        for c in report.checks:
+            w = c.verdict.witness
+            if isinstance(w, ds.FalsificationWitness):
+                realized = report.request.op.apply(w.g, a)
+                assert realized.tobytes() == w.realized.tobytes(), c.check
+                replayed += 1
+            elif isinstance(w, lyapunov.Certificate):
+                assert lyapunov.verify_certificate(a, w) > 0, c.check
+                replayed += 1
+        assert replayed
 
     def test_bounded_region_guard_in_pipeline(self):
         report = cli.run(request_for(
@@ -653,18 +635,14 @@ class TestSharedWork:
                                 op_spec="add")),
         (HURWITZ_8_UNDECIDED, dict(class_spec="interval-diagonal:"
                                    + ",".join(["0.5/2"] * 8))),
-        (-np.asarray(HURWITZ_8_NOT_P0), dict(convention="positive")),
         (np.diag([0.0, -0.0, -1.0, 2.0]), {})])
     def test_the_one_sweep_is_of_the_negation(self, calls, matrix, kw):
         # every reader of the table tests -A, so the pipeline sweeps -A,
-        # under either convention and bit for bit, signed zeros too
+        # bit for bit, signed zeros too
         report = cli.run(request_for(matrix, samples=100, budget=100,
                                      exhaustive=True, **kw))
         swept, = calls["minors"]
-        # the checks see the canonical request, whose matrix is the asked
-        # one negated under the positive convention
-        a = report.request.matrix
-        want = -(-a if report.request.convention == "positive" else a)
+        want = -report.request.matrix
         assert swept.dtype == want.dtype and swept.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("budget", [40, 300])
@@ -1011,7 +989,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/15"
+        assert payload["schema"] == "matstab-report/16"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -1103,11 +1081,13 @@ class TestMain:
                          "--", "-1,0;0,-2"]) == 0
         capsys.readouterr()
 
-    def test_seed_env_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv("MATSTAB_SEED", "77")
+    @pytest.mark.parametrize("env", ["77", "abc"])
+    def test_seed_is_the_flag_alone(self, monkeypatch, capsys, env):
+        # the environment sets no part of a request
+        monkeypatch.setenv("MATSTAB_SEED", env)
         assert cli.main(["--format", "json", "--samples", "100", "--budget",
                          "100", "--", "-1,0;0,-2"]) == 0
-        assert json.loads(capsys.readouterr().out)["request"]["seed"] == 77
+        assert json.loads(capsys.readouterr().out)["request"]["seed"] == 0
         assert cli.main(["--seed", "5", "--format", "json", "--samples",
                          "100", "--budget", "100", "--", "-1,0;0,-2"]) == 0
         assert json.loads(capsys.readouterr().out)["request"]["seed"] == 5
@@ -1121,17 +1101,6 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "matstab: error: the seed must be non-negative\n"
-
-    def test_malformed_seed_env_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("MATSTAB_SEED", "abc")
-        assert cli.main(["--", "-1,0;0,-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("matstab: error: MATSTAB_SEED is not an "
-                                "integer: 'abc'\n")
-        # an explicit --seed does not read the variable
-        assert cli.main(["--seed", "3", "--samples", "100", "--budget", "100",
-                         "--", "-1,0;0,-1"]) == 0
 
     def test_spd_json_report_parses(self, capsys):
         # the symmetric-part check must record a plain bool, or emit fails
@@ -1156,7 +1125,8 @@ class TestMain:
     @pytest.mark.parametrize("flag", ["--seed=abc", "--samples=x",
                                       "--format=xml", "--no-such-flag",
                                       "--mode=total-scan",
-                                      "--simulate-horizon=-1"])
+                                      "--simulate-horizon=-1",
+                                      "--convention=positive"])
     def test_malformed_flag_is_a_usage_error(self, capsys, flag):
         # argparse's own exit code, 2, is that of a Refuted summary
         assert cli.main([flag, "--", "-1,0;0,-1"]) == 1
@@ -1177,7 +1147,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/15"
+        assert json.loads(out)["schema"] == "matstab-report/16"
 
     def test_unbounded_class_with_no_escaping_member_is_not_refuted(
             self, capsys):

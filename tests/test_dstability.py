@@ -943,10 +943,10 @@ def _vertex_loop(a, gclass):
     """The plain 2^n loop, with no norm bound and no halving.
 
     The first vertex with a point not strictly inside the unit disk
-    refutes.  When the class does not hold I, a vertex refutes and
-    decides only when its spectral radius is past the band, and a later
-    one names its eigenvalue of largest modulus; the first vertex on the
-    circle then stands, deciding nothing.
+    refutes, named by that point.  When the class does not hold I, a
+    vertex refutes and decides only when a point of its spectrum is past
+    the band, and it names the first such point in sorted order; the
+    first vertex on the circle then stands, deciding nothing.
     """
     disk = Disk(0.0, 1.0)
     members = gclass.contains(np.eye(a.shape[0]))
@@ -957,9 +957,9 @@ def _vertex_loop(a, gclass):
         if z is None:
             continue
         rho = float(abs(spec).max())
-        top = complex(spec[np.argmax(abs(spec))])
-        escapes = members or sp.membership(top, disk) > 0
-        named = top if escapes and first is not None else z
+        past = [complex(w) for w in spec if sp.membership(w, disk) > 0]
+        escapes = members or bool(past)
+        named = z if members or not past else past[0]
         verdict = sp.Verdict(Status.REFUTED, "vertex-spectral-radius",
                              witness={"signs": signs, "eigenvalue": named,
                                       "spectral_radius": rho})
@@ -1028,6 +1028,20 @@ class TestVertexKernel:
         a = _vertex_input(kind, np.random.default_rng(seed), n)
         _assert_same_vertex_verdict(ds.vertex_schur_check(a, gclass),
                                     _vertex_loop(a, gclass))
+
+    @pytest.mark.parametrize("a, gclass, named", [
+        ([[-1.0, 0.0], [0.0, 2.0]], SCHUR, 2.0),
+        ([[-1.0, 0.0], [0.0, 2.0]], VERTICES, -1.0),
+        ([[1.0, 0.0], [0.0, 0.5]], SCHUR, 1.0),
+    ])
+    def test_witness_names_a_refuting_eigenvalue(self, a, gclass, named):
+        # -1 is on the unit circle: it refutes the vertex class, which
+        # holds diag(1, 1), but no member of the Schur class, whose
+        # escaping vertex is named by 2; on diag(1, 0.5) no vertex escapes
+        # and the first vertex's point on the circle stands
+        got = ds.vertex_schur_check(np.asarray(a), gclass)
+        _assert_same_vertex_verdict(got, _vertex_loop(np.asarray(a), gclass))
+        assert got[0].refuted and got[0].witness["eigenvalue"] == named
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_norm_bound_edge(self, n, monkeypatch):
