@@ -11,12 +11,14 @@ with the same seed produce byte-identical JSON reports, so the JSON
 format carries no timings (the text format does).
 
 The pipeline is one table, :data:`CHECKS`.  Each row names a check and
-its reference, whether it applies to the request (through its canonical
-region/class/operation triple) and how to run it.  :func:`run` walks the
-table in order; it alone times the checks, builds their records and
-keeps the summary.  A check that raises is recorded under its own id as
-``check-error``, and the rest still run.  Work that several checks read
-is done once per request and cached on the request's :class:`_Context`.
+its reference, whether it applies to the request (through the canonical
+region/class/operation triple of a row with a theory of its own, or the
+transfer lemmas of ``_Context.transfers``) and how to run it.
+:func:`run` walks the table in order; it alone times the checks, builds
+their records and keeps the summary.  A check that raises is recorded
+under its own id as ``check-error``, and the rest still run.  Work that
+several checks read is done once per request and cached on the
+request's :class:`_Context`.
 The principal minors and the class flags are computed once, of ``-A``,
 the matrix that every check reading them tests, and the ``classify`` row
 reports those flags.
@@ -26,11 +28,12 @@ before the minor-sign necessity: its exact items cost O(n^3) and read no
 principal minor, and its diagonal-stability item is the first
 SEARCH_PREFIX steps of the request's diagonal search, the one
 ``lyapunov.DiagonalSearch`` of A on the request's region in the
-``--budget`` (the suite runs on half-plane triples only).  If those end
+``--budget`` (the suite runs on the half-plane only).  If those end
 Unknown with budget left, ``diagonal-certificate`` resumes the same
-search to its budget; on any other region with an EMI form, and on the
-d-hyperbolicity triple, whose search is sign-free, it runs that one
-search from the start.  A request thus runs one search, no step twice.
+search to its budget; on any other region it runs that one search from
+the start (sign-free on the hyperbolic region).  Both run only where a
+transfer lemma carries a certificate of A to the whole class.  A
+request thus runs one search, no step twice.
 The 2^n minor table is built only when ``necessary-p0plus``,
 ``interval-box`` or ``classify`` reaches it; ``classify`` and
 ``gershgorin`` decide nothing and come last, so a decided request
@@ -391,40 +394,21 @@ def to_jsonable(obj):
 # ---------------------------------------------------------------------------
 
 # (triple, region, class names, op names); the first row that matches a
-# request names its triple.  The positive-diagonal-subclass triple marks
-# classes contained in the positive diagonals (alpha-scalar, ordered,
-# interval): a full D-stability proof transfers downward to them, but the
-# minor-sign necessity does not.
+# request names its triple.  Only a row with a theory of its own reads it;
+# a diagonal certificate decides through _Context.transfers.
 _TRIPLES = (
     ("multiplicative-d-stability", HalfPlaneLeft(), ("positive-diagonal",),
      ("multiply",)),
     ("additive-d-stability", HalfPlaneLeft(), ("negative-diagonal",),
      ("add",)),
-    ("positive-diagonal-subclass", HalfPlaneLeft(),
-     ("alpha-scalar", "ordered-diagonal", "interval-diagonal"), ("multiply",)),
     ("schur-d-stability", Disk(), ("diagonal-norm-lt1",), ("multiply",)),
     ("vertex-stability", Disk(), ("vertex-diagonal",), ("multiply",)),
-    ("d-hyperbolicity", Hyperbolic(),
-     ("positive-diagonal", "negative-diagonal", "vertex-diagonal",
-      "sign-pattern-diagonal"), ("multiply",)),
     ("h-stability", HalfPlaneLeft(), ("spd",), ("multiply",)),
     ("hadamard-h-stability", HalfPlaneLeft(), ("spd",), ("hadamard",)),
 )
 
 # The two triples of D-stability proper.
 _D_STABILITY = ("multiplicative-d-stability", "additive-d-stability")
-
-# The triples that diagonal stability decides: a diagonal certificate or
-# an exact diagonal-stability criterion proves them.
-_DIAG_DECIDED = _D_STABILITY + ("positive-diagonal-subclass",)
-
-# The classes within the positive diagonals.  On a conic region (L = 0)
-# a positive diagonal P that certifies A gives the same operator for D A
-# through P D^-1, for every positive diagonal D, so a diagonal
-# certificate decides multiplicative robustness over any of them.  A
-# predicate, not a _TRIPLES row: the sector carries its angle.
-_POSITIVE_DIAGONAL_CLASSES = ("positive-diagonal", "alpha-scalar",
-                              "ordered-diagonal", "interval-diagonal")
 
 
 def _canonical_triple(request):
@@ -463,6 +447,31 @@ class _Context:
                 self.request.op.identity(self.n)))
         except Exception:
             return False
+
+    @cached_property
+    def transfers(self):
+        """Whether a diagonal certificate P of A on the request's region
+        certifies G o A for every member G of the class.  Each lemma
+        reads the class facts first, since ``conic`` builds the form:
+
+        - L1, a conic region, ``multiply``, sign +1: P G^-1 certifies
+          G A (Cross, LAA 20, 1978).
+        - The half-plane, ``add``, sign -1: P (A + G) + (A + G)^T P
+          = W + 2 P G is negative definite with W.
+        - L2, a disk centred at 0, ``multiply``, bound <= 1: G P G <= P,
+          so (G A)^T P (G A) <= A^T P A.
+        - L3, the hyperbolic region, ``multiply``, nonsingular members:
+          the sign-free H G^-1 certifies G A.
+        """
+        r = self.request
+        g, region, op = r.gclass, r.region, r.op.name
+        if op == "add":
+            return g.sign < 0 and self.half_plane
+        return op == "multiply" and (
+            (g.sign > 0 and region.conic)
+            or (g.bound <= 1 and isinstance(region, Disk)
+                and region.center == 0)
+            or (g.nonsingular and isinstance(region, Hyperbolic)))
 
     @cached_property
     def spectrum(self):
@@ -543,9 +552,9 @@ def _single_circuit(ctx):
         verdict = special_forms.single_circuit_criterion(ctx.request.matrix)
     except ValueError:
         return None
-    # Proved decides the triple via diagonal stability; Refuted only
-    # denies diagonal stability, not D-stability.
-    return verdict, verdict.proved and ctx.triple in _DIAG_DECIDED, None
+    # Proved is diagonal stability, which decides where it transfers;
+    # Refuted only denies diagonal stability, not D-stability.
+    return verdict, verdict.proved and ctx.half_plane and ctx.transfers, None
 
 
 def _interval_box(ctx):
@@ -605,13 +614,7 @@ def _diagonal_certificate(ctx):
     if verdict.proved:
         data = {"re-verified-margin":
                 lyapunov.verify_certificate(r.matrix, verdict.witness)}
-    decided = _DIAG_DECIDED + ("schur-d-stability", "vertex-stability",
-                               "d-hyperbolicity")
-    conic_transfer = (r.region.conic and r.op.name == "multiply"
-                      and r.gclass.name in _POSITIVE_DIAGONAL_CLASSES)
-    return (verdict,
-            verdict.proved and (ctx.triple in decided or conic_transfer),
-            data)
+    return verdict, verdict.proved, data
 
 
 def _falsify(ctx):
@@ -636,7 +639,7 @@ CHECKS = (
           _self_stability),
     Check("single-circuit", "circuit gain bound", None, _single_circuit),
     Check("sufficient-suite", "classical sufficient stability classes",
-          lambda c: c.triple in _DIAG_DECIDED and not c.escapes,
+          lambda c: c.half_plane and c.transfers and not c.escapes,
           _sufficient_suite),
     Check("necessary-p0plus", "minor-sign necessity",
           lambda c: c.triple in _D_STABILITY and c.n <= MINOR_ENUM_CAP,
@@ -644,7 +647,7 @@ CHECKS = (
     Check("interval-box", "interval-to-polynomial-box reduction",
           lambda c: (c.half_plane and c.request.op.name == "multiply"
                      and c.request.gclass.name == "interval-diagonal"
-                     and c.request.gclass.bounded),
+                     and c.request.gclass.bound < math.inf),
           _interval_box),
     Check("vertex-enumeration", "sign-vertex spectral radii",
           lambda c: (c.triple in ("vertex-stability", "schur-d-stability")
@@ -653,15 +656,10 @@ CHECKS = (
     Check("symmetric-part", "definiteness of the symmetric part",
           lambda c: c.triple in ("h-stability", "hadamard-h-stability"),
           _symmetric_part),
-    # a diagonal certificate proves nothing about H-stability; the
-    # hyperbolic region has no form, and its search is sign-free
+    # it runs only where a lemma carries its certificate to the class
     Check("diagonal-certificate", "diagonal Lyapunov-type search",
-          lambda c: ((c.request.region.emi is not None
-                      or c.triple == "d-hyperbolicity")
-                     and c.triple not in ("h-stability",
-                                          "hadamard-h-stability")
-                     and not (c.half_plane and c.proved("sufficient-suite"))
-                     and not c.escapes),
+          lambda c: (c.transfers and not c.escapes
+                     and not (c.half_plane and c.proved("sufficient-suite"))),
           _diagonal_certificate),
     # no cap in n: at most n (n + 1) / 2 - 1 submatrix eigen-solves
     Check("submatrix-descent", "unstable principal submatrix descent",

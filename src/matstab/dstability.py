@@ -9,6 +9,7 @@ Every refutation embeds a replayable witness: the sampled class member,
 the realized product, the offending eigenvalue and the stream seed.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -54,10 +55,21 @@ class GClass:
     ``_draw``, which gives the (k, n) diagonals of a diagonal class and
     the (k, n, n) stack of any other, and checks every draw with the
     membership test that ``contains`` runs.
+
+    The transfer lemmas of ``cli._Context.transfers`` read three facts:
+    ``sign`` is +1 or -1 when every member is a diagonal of entries of
+    that strict sign, else 0; ``nonsingular``, that every member is a
+    nonsingular diagonal; ``bound``, the supremum of |g_ij| over the
+    members, finite only for a bounded diagonal class.
     """
 
-    bounded = False
     name = "gclass"
+    sign = 0
+    bound = math.inf
+
+    @property
+    def nonsingular(self):
+        return self.sign != 0
 
     def check_size(self, n):
         """Raise ValueError unless the class has n x n members."""
@@ -113,6 +125,7 @@ class PositiveDiagonal(GClass):
     """Positive diagonal matrices; samples are log-uniform over six decades."""
 
     name = "positive-diagonal"
+    sign = 1
 
     def _diag_contains(self, d):
         return (d > 0).all(axis=-1)
@@ -124,6 +137,7 @@ class PositiveDiagonal(GClass):
 @dataclass(frozen=True)
 class NegativeDiagonal(GClass):
     name = "negative-diagonal"
+    sign = -1
 
     def _diag_contains(self, d):
         return (d < 0).all(axis=-1)
@@ -137,7 +151,7 @@ class DiagonalNormLt1(GClass):
     """Diagonal matrices with every |d_ii| < 1 (the Schur D-stability class)."""
 
     name = "diagonal-norm-lt1"
-    bounded = True
+    bound = 1.0
 
     def _diag_contains(self, d):
         return (np.abs(d) < 1.0).all(axis=-1)
@@ -151,7 +165,8 @@ class VertexDiagonal(GClass):
     """Diagonal matrices with entries +-1; a finite class."""
 
     name = "vertex-diagonal"
-    bounded = True
+    nonsingular = True
+    bound = 1.0
 
     def _diag_contains(self, d):
         return (np.abs(np.abs(d) - 1.0) <= _MEMBER_TOL).all(axis=-1)
@@ -166,6 +181,7 @@ class AlphaScalar(GClass):
 
     partition: tuple
     name = "alpha-scalar"
+    sign = 1
 
     def _diag_contains(self, d):
         slack = _MEMBER_TOL * (1.0 + np.abs(d).max(axis=-1))
@@ -257,6 +273,7 @@ class OrderedDiagonal(GClass):
 
     tau: tuple
     name = "ordered-diagonal"
+    sign = 1
 
     def _diag_contains(self, d):
         dt = d[..., list(self.tau)]
@@ -286,6 +303,7 @@ class IntervalDiagonal(GClass):
     d_min: tuple
     d_max: tuple
     name = "interval-diagonal"
+    sign = 1
 
     def __post_init__(self):
         lo = np.asarray(self.d_min, dtype=float)
@@ -298,8 +316,8 @@ class IntervalDiagonal(GClass):
         object.__setattr__(self, "d_max", tuple(hi))
 
     @property
-    def bounded(self):
-        return bool(np.isfinite(self.d_max).all())
+    def bound(self):
+        return float(max(self.d_max))
 
     def _diag_contains(self, d):
         return ((d >= np.asarray(self.d_min))
@@ -322,6 +340,12 @@ class SignPatternDiagonal(GClass):
 
     signs: tuple
     name = "sign-pattern-diagonal"
+    nonsingular = True
+
+    @property
+    def sign(self):
+        signs = set(self.signs)
+        return signs.pop() if len(signs) == 1 else 0
 
     def _diag_contains(self, d):
         return (np.sign(d) == np.asarray(self.signs)).all(axis=-1)
@@ -553,7 +577,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
     n = a.shape[0]
     rng = np.random.default_rng(seed)
 
-    if region.bounded and not gclass.bounded:
+    if region.bounded and gclass.bound == math.inf:
         wit = _unbounded_witness(a, gclass, op, region, rng, seed)
         if wit is not None:
             return Verdict(Status.REFUTED, "unbounded-class-bounded-region",
@@ -586,11 +610,14 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
 def necessary_p0plus(a, mode="multiplicative", minors=None):
     """Necessary condition for (Hurwitz) D-stability of ``a``.
 
-    Both multiplicative and additive D-stability force -A to be a P0+
-    matrix; a failing minor refutes D-stability outright.  Passing proves
-    nothing, so the best non-refuted status is Unknown with the flag
-    ``necessary-p0plus-passed``.  ``minors``, when given, is
-    ``principal_minors(-a)``.
+    Both multiplicative and additive D-stability force -A to be a P0
+    matrix, so a negative minor refutes either.  Multiplicative
+    D-stability also forces -A to be P0+, every order-k sum of its minors
+    positive, so a vanishing sum refutes it; additive D-stability does
+    not, as its strict class leaves out D = 0 (A = 0 is additively
+    D-stable).  Passing proves nothing, so the best non-refuted status
+    is Unknown with the flag ``necessary-p0plus-passed``.  ``minors``,
+    when given, is ``principal_minors(-a)``.
 
     Floats only screen: a minor refutes only if its exact sign
     (:func:`exact_det_sign`) is negative, and an order-k sum only if
@@ -614,7 +641,8 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
                                witness={"indices": alpha,
                                         "minor": float(values[i]),
                                         "matrix": "-A"})
-    for k, (sets, values) in enumerate(minors.orders, start=1):
+    sums = minors.orders if mode == "multiplicative" else ()
+    for k, (sets, values) in enumerate(sums, start=1):
         s = _running_sum(values)  # the witness sum is a running total
         if s <= minor_tol(norm, k) and not any(
                 exact_det_sign(b[np.ix_(alpha, alpha)]) for alpha in sets):

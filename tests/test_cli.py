@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from matstab import cli, lyapunov, matrix_core, special_forms
 from matstab import dstability as ds
 from matstab.spectra import (Disk, HalfPlaneLeft, Hyperbolic, SectorRight,
-                             Status, Verdict, eigenvalues, first_outside)
+                             Status, Verdict, eigenvalues, first_outside,
+                             membership)
 
 from conftest import (benchmark_corpus, random_diagonally_stable,
                       random_schur_diag_stable)
@@ -391,25 +392,27 @@ class TestRun:
         ("spd", False), ("negative-diagonal", False)])
     def test_conic_certificate_decides_positive_diagonal_classes(
             self, region_spec, matrix, class_spec, decides):
+        # L1 carries a certificate to every class of positive diagonals;
+        # for any other class no lemma holds, and the search does not run
         report = cli.run(request_for(matrix, region_spec=region_spec,
                                      class_spec=class_spec, samples=300,
                                      exhaustive=True))
-        cert = next(c for c in report.checks
-                    if c.check == "diagonal-certificate")
-        assert cert.verdict.proved and cert.decides is decides
-        assert cert.verdict.witness.kind == "diagonal-lmi"
+        cert = [c for c in report.checks
+                if c.check == "diagonal-certificate"]
         assert report.conflicts == []
-        if decides:
-            assert (report.summary_status, report.summary_reason) == (
-                Status.PROVED, "diagonal-certificate")
+        if not decides:
+            assert cert == []
+            return
+        assert cert[0].verdict.proved and cert[0].decides
+        assert cert[0].verdict.witness.kind == "diagonal-lmi"
+        assert (report.summary_status, report.summary_reason) == (
+            Status.PROVED, "diagonal-certificate")
 
     def test_conic_certificate_does_not_decide_addition(self):
         report = cli.run(request_for([[2.0, 0.3], [0.3, 1.0]],
                                      region_spec="sector:0.6", op_spec="add",
                                      samples=300))
-        cert = next(c for c in report.checks
-                    if c.check == "diagonal-certificate")
-        assert cert.verdict.proved and not cert.decides
+        assert "diagonal-certificate" not in [c.check for c in report.checks]
 
     def test_sector_escape_is_not_certified(self):
         # a complex pair at angle 0.9 lies outside the sector of angle 0.6
@@ -668,21 +671,23 @@ class TestSharedWork:
             assert (got.margin, got.iterations) == (want.margin,
                                                     want.iterations)
 
-    @pytest.mark.parametrize("region_spec, region, matrix", [
-        ("disk:0,1", Disk(),
+    @pytest.mark.parametrize("region_spec, class_spec, region, matrix", [
+        ("disk:0,1", "diagonal-norm-lt1", Disk(),
          random_schur_diag_stable(np.random.default_rng(3), 6)[0]),
-        ("disk:0,1", Disk(), [[0.307, 0.778, -0.096], [1.019, -0.496, 0.262],
-                              [0.674, 0.07, -0.555]]),
-        ("sector:0.6", SectorRight(0.6), [[2.0, 0.3], [0.3, 1.0]]),
-        ("sector:0.6", SectorRight(0.6), [[2.03, -0.4, -0.88],
-                                          [1.47, -0.05, -0.37],
-                                          [0.22, 0.84, 0.99]])])
-    def test_any_region_runs_the_one_search(self, calls, region_spec, region,
-                                            matrix):
+        ("disk:0,1", "diagonal-norm-lt1", Disk(),
+         [[0.307, 0.778, -0.096], [1.019, -0.496, 0.262],
+          [0.674, 0.07, -0.555]]),
+        ("sector:0.6", "positive-diagonal", SectorRight(0.6),
+         [[2.0, 0.3], [0.3, 1.0]]),
+        ("sector:0.6", "positive-diagonal", SectorRight(0.6),
+         [[2.03, -0.4, -0.88], [1.47, -0.05, -0.37], [0.22, 0.84, 0.99]])])
+    def test_any_region_runs_the_one_search(self, calls, region_spec,
+                                            class_spec, region, matrix):
         # off the half-plane, too, the certificate check runs the
         # request's one search, with the steps of a fresh search
         a = np.asarray(matrix, dtype=float)
-        report = cli.run(request_for(a, region_spec=region_spec, budget=200,
+        report = cli.run(request_for(a, region_spec=region_spec,
+                                     class_spec=class_spec, budget=200,
                                      samples=100, exhaustive=True))
         assert calls["search"] == 1 and len(calls["runs"]) == 1
         fresh = lyapunov.DiagonalSearch(a, region, 200).run()
@@ -1211,20 +1216,12 @@ def _isinstance_triple(request):
         return "multiplicative-d-stability"
     if half and isinstance(g, ds.NegativeDiagonal) and isinstance(op, ds.Add):
         return "additive-d-stability"
-    if half and isinstance(op, ds.Multiply) \
-            and isinstance(g, (ds.AlphaScalar, ds.OrderedDiagonal,
-                               ds.IntervalDiagonal)):
-        return "positive-diagonal-subclass"
     if r == Disk() and isinstance(g, ds.DiagonalNormLt1) \
             and isinstance(op, ds.Multiply):
         return "schur-d-stability"
     if r == Disk() and isinstance(g, ds.VertexDiagonal) \
             and isinstance(op, ds.Multiply):
         return "vertex-stability"
-    if isinstance(r, Hyperbolic) and isinstance(op, ds.Multiply) \
-            and isinstance(g, (ds.PositiveDiagonal, ds.NegativeDiagonal,
-                               ds.VertexDiagonal, ds.SignPatternDiagonal)):
-        return "d-hyperbolicity"
     if half and isinstance(g, ds.SPD) and isinstance(op, ds.Multiply):
         return "h-stability"
     if half and isinstance(g, ds.SPD) and isinstance(op, ds.HadamardProduct):
@@ -1345,6 +1342,129 @@ class TestCheckTable:
         assert report.summary_status is Status.PROVED
 
 
+# The classes of CLASS_SPECS within the positive diagonals.
+_POSITIVE = {"positive-diagonal", "alpha-scalar:0,1|2",
+             "ordered-diagonal:0,1,2", "interval-diagonal:0.5/2,0.5/2,0.5/2",
+             "interval-diagonal:0.5/inf,1/2,1/2"}
+
+# (region, op) -> the classes of CLASS_SPECS to which a diagonal
+# certificate transfers, written out by hand
+TRANSFER_TABLE = {
+    # L1: the conic regions, positive diagonals
+    **{(r, "multiply"): _POSITIVE
+       for r in ("half-plane-left", "half-plane-right", "sector:0.6",
+                 'lmi:{"l": [[0]], "m": [[1]]}')},
+    # L2: the disks centred at 0, diagonals within |g| <= 1
+    **{(r, "multiply"): {"diagonal-norm-lt1", "vertex-diagonal"}
+       for r in ("disk", "disk:0,1", "disk:0,2")},
+    # L3: nonsingular diagonals
+    ("hyperbolic", "multiply"): _POSITIVE | {
+        "negative-diagonal", "vertex-diagonal", "sign-pattern:+-+"},
+    # the additive rule: negative diagonals on the half-plane
+    ("half-plane-left", "add"): {"negative-diagonal"},
+}
+
+
+def _context(region_spec, class_spec, op_spec):
+    """The context of a 3 x 3 request; ``transfers`` reads no matrix."""
+    return cli._Context(SimpleNamespace(
+        matrix=np.zeros((3, 3)), region=cli.parse_region(region_spec),
+        gclass=cli.parse_gclass(class_spec), op=cli.parse_op(op_spec)))
+
+
+def _diag_scaled(rng, n, signs):
+    """D^-1 (P + K) with P SPD, K skew and D = diag(signs e^u): D A + A^T
+    D = 2 P, a diagonal certificate on the half-plane when every sign is
+    -1 and a sign-free one on the hyperbolic region."""
+    b = rng.normal(size=(n, n))
+    k = rng.normal(size=(n, n))
+    d = signs * np.exp(rng.uniform(-1.0, 1.0, n))
+    return (b @ b.T / n + 0.5 * np.eye(n) + k - k.T) / d[:, None]
+
+
+def _schur(rng, n, centre, radius):
+    """centre I + radius D^-1/2 B D^1/2 with ||B||_2 < 1."""
+    return (centre * np.eye(n)
+            + radius * random_schur_diag_stable(rng, n)[0])
+
+
+# region spec -> a construction of n x n matrices certified on it.  The
+# shifted disk has no lemma; a predicate that admitted one there would
+# fail the sampling test.
+LEMMA_REGIONS = {
+    "half-plane-left": lambda rng, n: _diag_scaled(rng, n, -np.ones(n)),
+    "half-plane-right": lambda rng, n: _diag_scaled(rng, n, np.ones(n)),
+    "sector:0.6": lambda rng, n: _diag_scaled(rng, n, np.ones(n)),
+    "disk:0,1": lambda rng, n: _schur(rng, n, 0.0, 1.0),
+    "disk:0,0.5": lambda rng, n: _schur(rng, n, 0.0, 0.5),
+    "disk:0.3,0.5": lambda rng, n: _schur(rng, n, 0.3, 0.5),
+    "hyperbolic": lambda rng, n: _diag_scaled(
+        rng, n, rng.choice((-1.0, 1.0), n)),
+}
+
+
+class TestTransferLemmas:
+    def test_transfers_matches_the_table(self):
+        for r in REGION_SPECS:
+            for g in CLASS_SPECS:
+                for op in OP_SPECS:
+                    want = g in TRANSFER_TABLE.get((r, op), ())
+                    assert _context(r, g, op).transfers is want, (r, g, op)
+
+    @pytest.mark.parametrize("region_spec", sorted(LEMMA_REGIONS))
+    def test_every_admitted_member_is_certified(self, region_spec):
+        # ten matrices with a certificate on the region; for each class
+        # that transfers admits, 1,000 members G each keep G o A strictly
+        # inside
+        rng = np.random.default_rng(7)
+        region = cli.parse_region(region_spec)
+        certified = []
+        while len(certified) < 10:
+            a = LEMMA_REGIONS[region_spec](rng, 3)
+            if lyapunov.DiagonalSearch(a, region, 2000).run().proved:
+                certified.append(a)
+        for g in CLASS_SPECS:
+            for op in ("multiply", "add"):
+                ctx = _context(region_spec, g, op)
+                if not ctx.transfers:
+                    continue
+                gclass, binop = ctx.request.gclass, ctx.request.op
+                for a in certified:
+                    ms = binop.apply(gclass.sample_batch(rng, 3, 1000), a)
+                    inside = membership(np.linalg.eigvals(ms), region) < 0
+                    assert inside.all(), (region_spec, g, op)
+
+    @pytest.mark.parametrize("argv, decided_by, kind", [
+        # L1 on the half-plane: the suite proves a sign pattern of +
+        (["--class", "sign-pattern:++", "--", "-2,1;0,-1"],
+         "sufficient-suite", "diagonal-lyapunov"),
+        # L2 on a disk of radius 0.9
+        (["--region", "disk:0,0.9", "--class",
+          "interval-diagonal:0.1/0.9,0.1/0.9", "--", "0.5,0.2;0.1,0.4"],
+         "diagonal-certificate", "diagonal-stein"),
+        # L3 for a class of positive diagonals
+        (["--region", "hyperbolic", "--class", "alpha-scalar:0|1", "--",
+          "2,1;-1,-1"], "diagonal-certificate", "diagonal-hyperbolic"),
+    ])
+    def test_lemma_requests_are_proved(self, capsys, argv, decided_by, kind):
+        assert cli.main(["--format", "json"] + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["status"] == "proved"
+        assert report["summary"]["decided_by"] == decided_by
+        record, = (c for c in report["checks"] if c["check"] == decided_by)
+        assert record["witness"]["kind"] == kind
+
+    @pytest.mark.parametrize("region_spec", ["disk:0.3,0.9", "disk:0,1"])
+    def test_no_search_where_no_lemma_holds(self, capsys, region_spec):
+        # the positive diagonals are unbounded, and the shifted disk has
+        # no lemma at all: the search would run to no decision
+        cli.main(["--format", "json", "--samples", "200", "--region",
+                  region_spec, "--", "0.5,0.2;0.1,0.4"])
+        report = json.loads(capsys.readouterr().out)
+        assert "diagonal-certificate" not in [c["check"]
+                                              for c in report["checks"]]
+
+
 class TestEscapingMatrix:
     """No certificate row on an A with an eigenvalue strictly outside the
     region: every suite item and any diagonal certificate puts A's own
@@ -1426,3 +1546,17 @@ class TestExactMinorChecks:
                 budget=300, exhaustive=True))
             assert [c.check for c in report.checks if c.verdict.refuted] == []
             assert report.summary_status is not Status.REFUTED
+
+    @pytest.mark.parametrize("matrix", [
+        "0,0;0,0", "0,1;-1,0", "-1,0;0,0", "0,1,0;-1,-1,1;0,-1,0"])
+    def test_additive_repros_are_never_refuted(self, capsys, matrix):
+        # A + D is Hurwitz for every negative diagonal D (P = I), though
+        # an order sum of minors of -A vanishes
+        argv = ["--op", "add", "--class", "negative-diagonal",
+                "--exhaustive", "--samples", "500", "--format", "json", "--",
+                matrix]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["status"] != "refuted"
+        assert all(c["status"] != "refuted" or not c["decides_request"]
+                   for c in report["checks"])

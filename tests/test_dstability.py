@@ -248,8 +248,8 @@ class TestSamplers:
 
     def test_unbounded_interval(self):
         cls = ds.IntervalDiagonal((1.0,), (np.inf,))
-        assert not cls.bounded
-        assert ds.IntervalDiagonal((1.0,), (2.0,)).bounded
+        assert cls.bound == np.inf
+        assert ds.IntervalDiagonal((1.0, 0.5), (2.0, 3.0)).bound == 3.0
 
 
 class TestClassClosure:
@@ -651,6 +651,34 @@ class TestExactMinorRefutation:
         a *= norm / np.linalg.norm(a, np.inf)
         for mode in ("multiplicative", "additive"):
             assert not ds.necessary_p0plus(a, mode=mode).refuted
+
+    @pytest.mark.parametrize("a", [
+        [[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]],
+        [[-1.0, 0.0], [0.0, 0.0]],
+        [[0.0, 1.0, 0.0], [-1.0, -1.0, 1.0], [0.0, -1.0, 0.0]]])
+    def test_vanishing_sum_does_not_refute_addition(self, a):
+        # P = I gives W = A + A^T, here diag(A), negative semidefinite, so
+        # A + D is Hurwitz for every negative diagonal D; the strict
+        # class leaves out D = 0, where the order-n sum would be necessary
+        a = np.array(a)
+        assert ly.is_negative_definite(a + a.T + 2.0 * np.diag(
+            np.full(len(a), -1e-3)))[0]
+        assert ds.necessary_p0plus(a, mode="additive").reason == \
+            "necessary-p0plus-passed"
+        assert ds.necessary_p0plus(a).refuted
+
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.integers(-2, 2), min_size=n * n,
+                           max_size=n * n).map(
+            lambda xs: np.reshape(np.array(xs, float), (n, n)))))
+    @settings(max_examples=200, deadline=None)
+    def test_only_a_negative_minor_refutes_addition(self, a):
+        # small integer matrices: many exactly singular minors and sums
+        v = ds.necessary_p0plus(a, mode="additive")
+        if v.refuted:
+            alpha = v.witness["indices"]
+            assert v.reason == "not-p0-additive"
+            assert mc.exact_det_sign(-a[np.ix_(alpha, alpha)]) < 0
 
     def test_exactly_vanishing_sum_still_refutes(self):
         # -A = diag(0, 1): its only order-2 minor is exactly 0
