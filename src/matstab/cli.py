@@ -458,8 +458,9 @@ class _Context:
           G A (Cross, LAA 20, 1978).
         - The half-plane, ``add``, sign -1: P (A + G) + (A + G)^T P
           = W + 2 P G is negative definite with W.
-        - L2, a disk centred at 0, ``multiply``, bound <= 1: G P G <= P,
-          so (G A)^T P (G A) <= A^T P A.
+        - L2, a radial region (R12 = 0, R22 >= 0), ``multiply``, bound
+          <= 1: G P G <= P, so W(P; G A) = R11 (x) P + R22 (x) A^T G P G A
+          <= W(P; A).
         - L3, the hyperbolic region, ``multiply``, nonsingular members:
           the sign-free H G^-1 certifies G A.
         """
@@ -469,8 +470,7 @@ class _Context:
             return g.sign < 0 and self.half_plane
         return op == "multiply" and (
             (g.sign > 0 and region.conic)
-            or (g.bound <= 1 and isinstance(region, Disk)
-                and region.center == 0)
+            or (g.bound <= 1 and region.radial)
             or (g.nonsingular and isinstance(region, Hyperbolic)))
 
     @cached_property

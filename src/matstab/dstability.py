@@ -5,8 +5,14 @@ half-plane.  A criterion whose natural statement is about positive
 stability (all eigenvalues in the right half-plane) says so in its
 docstring: the Hurwitz question of -a is the positive one of a.
 
+The matrix classes G and the binary operations are values
+(``spectra.Value``): equal by class and parameters, as the regions are.
+Each class states the facts that the transfer lemmas read (``sign``,
+``nonsingular``, ``bound``) next to ``contains``.
+
 Every refutation embeds a replayable witness: the sampled class member,
-the realized product, the offending eigenvalue and the stream seed.
+the realized product, the offending eigenvalue and the stream seed.  A
+product G o A past the float range is skipped, never an error.
 """
 
 import math
@@ -20,8 +26,9 @@ from .matrix_core import (MINOR_ENUM_CAP, _running_sum, additive_compound_2,
                           as_matrix, block_hadamard, exact_det_sign,
                           is_m_matrix, is_tridiagonal_p_matrix, minor_tol,
                           principal_minors, strict_diagonal_dominance, w_map)
-from .spectra import (Disk, EigenSolverError, HalfPlaneLeft, Status, Verdict,
-                      eigenvalues, first_outside, membership, region_stable)
+from .spectra import (Disk, EigenSolverError, HalfPlaneLeft, Status, Value,
+                      Verdict, eigenvalues, first_outside, membership,
+                      region_stable)
 
 __all__ = [
     "GClass", "PositiveDiagonal", "DiagonalNormLt1", "VertexDiagonal",
@@ -48,7 +55,7 @@ def _check_partition(partition, n):
 # Matrix classes G
 # ---------------------------------------------------------------------------
 
-class GClass:
+class GClass(Value):
     """Base for the parameterized matrix classes.
 
     ``sample_batch`` is the one sampler of every class.  It draws with
@@ -120,7 +127,6 @@ def _is_diagonal(g):
     return bool(np.all(np.abs(g - np.diag(np.diag(g))) <= _MEMBER_TOL))
 
 
-@dataclass(frozen=True)
 class PositiveDiagonal(GClass):
     """Positive diagonal matrices; samples are log-uniform over six decades."""
 
@@ -134,7 +140,6 @@ class PositiveDiagonal(GClass):
         return _log_uniform(rng, 1e-3, 1e3, (k, n))
 
 
-@dataclass(frozen=True)
 class NegativeDiagonal(GClass):
     name = "negative-diagonal"
     sign = -1
@@ -146,7 +151,6 @@ class NegativeDiagonal(GClass):
         return -_log_uniform(rng, 1e-3, 1e3, (k, n))
 
 
-@dataclass(frozen=True)
 class DiagonalNormLt1(GClass):
     """Diagonal matrices with every |d_ii| < 1 (the Schur D-stability class)."""
 
@@ -160,7 +164,6 @@ class DiagonalNormLt1(GClass):
         return rng.uniform(-1.0, 1.0, (k, n))
 
 
-@dataclass(frozen=True)
 class VertexDiagonal(GClass):
     """Diagonal matrices with entries +-1; a finite class."""
 
@@ -175,13 +178,14 @@ class VertexDiagonal(GClass):
         return rng.integers(0, 2, (k, n)) * 2.0 - 1.0
 
 
-@dataclass(frozen=True)
 class AlphaScalar(GClass):
     """Positive diagonal matrices constant on each partition block."""
 
-    partition: tuple
     name = "alpha-scalar"
     sign = 1
+
+    def __init__(self, partition):
+        self.partition = partition
 
     def _diag_contains(self, d):
         slack = _MEMBER_TOL * (1.0 + np.abs(d).max(axis=-1))
@@ -200,12 +204,13 @@ class AlphaScalar(GClass):
         return _log_uniform(rng, 1e-3, 1e3, (k, len(self.partition)))[:, block_of]
 
 
-@dataclass(frozen=True)
 class AlphaBlockSPD(GClass):
     """Symmetric positive definite matrices that are block diagonal."""
 
-    partition: tuple
     name = "alpha-block-spd"
+
+    def __init__(self, partition):
+        self.partition = partition
 
     def check_size(self, n):
         _check_partition(self.partition, n)
@@ -251,7 +256,6 @@ def _spd_contains(g):
     return symmetric & (np.linalg.eigvalsh(0.5 * (g + gt))[..., 0] > 0)
 
 
-@dataclass(frozen=True)
 class SPD(GClass):
     """Symmetric positive definite matrices."""
 
@@ -267,13 +271,14 @@ class SPD(GClass):
         return _spd_contains(gs)
 
 
-@dataclass(frozen=True)
 class OrderedDiagonal(GClass):
     """Positive diagonals ordered along a permutation: d_t(i) >= d_t(i+1)."""
 
-    tau: tuple
     name = "ordered-diagonal"
     sign = 1
+
+    def __init__(self, tau):
+        self.tau = tau
 
     def _diag_contains(self, d):
         dt = d[..., list(self.tau)]
@@ -292,7 +297,6 @@ class OrderedDiagonal(GClass):
         return d
 
 
-@dataclass(frozen=True)
 class IntervalDiagonal(GClass):
     """Diagonal box 0 < d_min <= d <= d_max; infinite upper bounds allowed.
 
@@ -300,20 +304,18 @@ class IntervalDiagonal(GClass):
     caps that entry at 1e3 times its lower bound.
     """
 
-    d_min: tuple
-    d_max: tuple
     name = "interval-diagonal"
     sign = 1
 
-    def __post_init__(self):
-        lo = np.asarray(self.d_min, dtype=float)
-        hi = np.asarray(self.d_max, dtype=float)
+    def __init__(self, d_min, d_max):
+        lo = np.asarray(d_min, dtype=float)
+        hi = np.asarray(d_max, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("interval bounds must be equal-length vectors")
         if not ((lo > 0).all() and (lo < hi).all()):
             raise ValueError("need componentwise 0 < d_min < d_max")
-        object.__setattr__(self, "d_min", tuple(lo))
-        object.__setattr__(self, "d_max", tuple(hi))
+        self.d_min = tuple(lo)
+        self.d_max = tuple(hi)
 
     @property
     def bound(self):
@@ -334,13 +336,14 @@ class IntervalDiagonal(GClass):
         return _log_uniform(rng, lo, cap, (k, n))
 
 
-@dataclass(frozen=True)
 class SignPatternDiagonal(GClass):
     """Nonsingular diagonal matrices with a fixed sign pattern."""
 
-    signs: tuple
     name = "sign-pattern-diagonal"
     nonsingular = True
+
+    def __init__(self, signs):
+        self.signs = signs
 
     @property
     def sign(self):
@@ -360,12 +363,13 @@ class SignPatternDiagonal(GClass):
                 * _log_uniform(rng, 1e-3, 1e3, (k, n)))
 
 
-@dataclass(frozen=True)
 class EntrywisePositiveRank(GClass):
     """Entry-wise positive matrices of rank at most k (sums of outer products)."""
 
-    k: int = 1
     name = "entrywise-positive-rank"
+
+    def __init__(self, k):
+        self.k = k
 
     def check_size(self, n):
         if not 1 <= self.k <= n:
@@ -391,7 +395,7 @@ class EntrywisePositiveRank(GClass):
 # Binary operations
 # ---------------------------------------------------------------------------
 
-class BinOp:
+class BinOp(Value):
     name = "binop"
 
     def apply(self, g, a):
@@ -403,7 +407,6 @@ class BinOp:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Multiply(BinOp):
     name = "multiply"
 
@@ -414,7 +417,6 @@ class Multiply(BinOp):
         return np.eye(n)
 
 
-@dataclass(frozen=True)
 class Add(BinOp):
     name = "add"
 
@@ -425,7 +427,6 @@ class Add(BinOp):
         return np.zeros((n, n))
 
 
-@dataclass(frozen=True)
 class HadamardProduct(BinOp):
     name = "hadamard"
 
@@ -436,10 +437,11 @@ class HadamardProduct(BinOp):
         return np.ones((n, n))
 
 
-@dataclass(frozen=True)
 class BlockHadamardProduct(BinOp):
-    block: int
     name = "block-hadamard"
+
+    def __init__(self, block):
+        self.block = block
 
     def apply(self, g, a):
         if np.ndim(g) == 3:
@@ -477,12 +479,19 @@ def _radius(region):
     return (abs(q) + np.sqrt(max(q * q - p * r, 0.0))) / r
 
 
+def _product(op, g, a):
+    """G o A, with an entry past the float range left inf or NaN and not
+    warned about: every caller skips a product that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return op.apply(g, a)
+
+
 def _member_witness(g, a, op, region, index, seed, note):
     """The witness of the member ``g``: G o A, formed alone so that it
     replays, and its first point not strictly inside ``region``.  None
     when the product is not finite, the solver rejects it (neither has a
     spectrum to witness) or its spectrum is strictly inside."""
-    m = op.apply(g, a)
+    m = _product(op, g, a)
     if not np.isfinite(m).all():
         return None
     try:
@@ -496,10 +505,12 @@ def _member_witness(g, a, op, region, index, seed, note):
 def _unbounded_witness(a, gclass, op, region, rng, seed):
     """Concrete witness for the bounded-region / unbounded-class refutation:
     one drawn G scaled by 1, 10, ..., 1e12, then by 2 R / rho(G o A), which
-    escapes unless G o A is nilpotent (every product but ``add`` is linear)."""
+    escapes unless G o A is nilpotent (every product but ``add`` is linear).
+    A G o A past the float range gives no spectral scale."""
     n = a.shape[0]
     base = gclass.sample_batch(rng, n, 1)[0]
-    rho = np.abs(eigenvalues(op.apply(base, a))).max()
+    m = _product(op, base, a)
+    rho = np.abs(eigenvalues(m)).max() if np.isfinite(m).all() else 0.0
     last = [2.0 * _radius(region) / rho] if rho > 0 else []
     for scale in [10.0 ** k for k in range(0, 13)] + last:
         g = base * scale
@@ -587,7 +598,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
     while done < samples:
         b = min(batch, samples - done)
         gs = gclass.sample_batch(rng, n, b)
-        ms = op.apply(gs, a)
+        ms = _product(op, gs, a)
         specs = _stacked_spectra(ms)
         # vectorized screen with the re-check's own bands; the witness is
         # re-solved alone, so that its eigenvalue is the first in sorted

@@ -7,12 +7,10 @@ boxes with a negative leading interval are normalized to a positive
 leading sign before any stability test (the roots are unchanged).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matrix_core import MINOR_ENUM_CAP, as_matrix, classify
-from .spectra import HalfPlaneLeft, Status, Verdict, first_outside
+from .spectra import HalfPlaneLeft, Status, Value, Verdict, first_outside
 
 __all__ = [
     "IntervalPoly", "char_poly",
@@ -20,16 +18,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntervalPoly:
+class IntervalPoly(Value):
     """Coefficient box [lower_i, upper_i], degree-descending."""
 
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+    def __init__(self, lower, upper):
+        lo = np.atleast_1d(np.asarray(lower, dtype=float))
+        hi = np.atleast_1d(np.asarray(upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1 or lo.size < 2:
             raise ValueError("bounds must be equal-length vectors, degree >= 1")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -38,8 +32,8 @@ class IntervalPoly:
             raise ValueError("lower bound exceeds upper bound")
         if lo[0] <= 0.0 <= hi[0]:
             raise ValueError("leading coefficient interval must exclude zero")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        self.lower = lo
+        self.upper = hi
 
     @property
     def degree(self):

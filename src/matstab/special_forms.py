@@ -6,13 +6,12 @@ fixed circuit; and the block companion matrices of second-order systems.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .matrix_core import (as_matrix, comparison_matrix, is_m_matrix,
                           minor_tol)
-from .spectra import Status, Verdict
+from .spectra import Status, Value, Verdict
 
 __all__ = [
     "CyclicForm", "CompanionPair", "secant_criterion",
@@ -21,18 +20,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CyclicForm:
+class CyclicForm(Value):
     """Negative-diagonal cyclic feedback data: diagonal magnitudes and gains."""
 
-    alpha: tuple
-    beta: tuple
-
-    def __post_init__(self):
-        if len(self.alpha) != len(self.beta) or len(self.alpha) < 2:
+    def __init__(self, alpha, beta):
+        if len(alpha) != len(beta) or len(alpha) < 2:
             raise ValueError("need equally many alphas and betas, n >= 2")
-        if not all(x > 0 for x in self.alpha + self.beta):
+        if not all(x > 0 for x in alpha + beta):
             raise ValueError("cyclic form requires positive alphas and betas")
+        self.alpha = alpha
+        self.beta = beta
 
     @property
     def n(self):
@@ -111,13 +108,13 @@ def single_circuit_criterion(a):
 # Second-order companion systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompanionPair:
+class CompanionPair(Value):
     """Second-order system data and its 2n x 2n block companion matrix."""
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    def __init__(self, a, b, c):
+        self.a = a
+        self.b = b
+        self.c = c
 
 
 def build_companion(a, b):

@@ -27,6 +27,10 @@ library goes through it:
 - ``conic`` is True when the ``emi`` form has R11 = 0 and R22 = 0: the
   region is a cone with its apex at the origin (the half-planes, the
   sector, an LMI region with L = 0).
+- ``radial`` is True when the ``emi`` form has R12 = 0 and R22
+  positive semidefinite: the form reads z only through R22 |z|^2, and
+  the region is a disk centred at the origin (a ``Disk`` with center 0,
+  or that disk written as an EMI region).
 - ``bounded`` is True when the region is known to be bounded (a disk,
   an EMI region with R22 positive definite); False is conservative.
 
@@ -36,6 +40,12 @@ band) or +1 (strictly outside) per point, and 0 for a non-finite point.
 :func:`first_outside`, :func:`region_stable`, :func:`gershgorin` and
 every other band test of the library go through it, so one point gets
 one verdict whichever of them asks.
+
+Regions, like the classes and operations of ``dstability``, are values
+on one base, :class:`Value`: equal by class and parameters, hashed and
+printed by their parameters.  They are plain classes with an explicit
+``__init__``, not dataclasses, so that importing the library generates
+no code for them.
 """
 
 import math
@@ -47,7 +57,7 @@ import numpy as np
 from .matrix_core import as_matrix
 
 __all__ = [
-    "Status", "Verdict",
+    "Status", "Verdict", "Value",
     "Region", "HalfPlaneLeft", "HalfPlaneRight", "Disk", "SectorRight",
     "ComplementSector", "RealLine", "PositiveRealAxis", "NegativeRealAxis",
     "Hyperbolic", "PunctureOrigin", "LMIRegion", "EMIRegion",
@@ -98,14 +108,43 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+# ---------------------------------------------------------------------------
+
+class Value:
+    """Base of the library's value classes: regions, perturbation classes,
+    operations and a few small records.
+
+    A value's parameters are the attributes its ``__init__`` sets, in
+    that order.  Two values are equal when they are of the same class and
+    their parameters are equal, and a value of another class gives
+    ``NotImplemented``; the hash is that of the parameter tuple, so an
+    array parameter makes the value unhashable.  The repr is
+    ``Name(param=value, ...)``.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        params = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{self.__class__.__qualname__}({params})"
+
+
+# ---------------------------------------------------------------------------
 # Regions
 # ---------------------------------------------------------------------------
 
-class Region:
+class Region(Value):
     """Base of the closed enumeration of stability regions.
 
-    See the module docstring for the ``distance``, ``emi``, ``conic``
-    and ``bounded`` contract.
+    See the module docstring for the ``distance``, ``emi``, ``conic``,
+    ``radial`` and ``bounded`` contract.
     """
 
     name = "region"
@@ -119,11 +158,17 @@ class Region:
         r11, _, r22 = self.emi
         return not (np.any(r11) or np.any(r22))
 
+    @property
+    def radial(self):
+        if self.emi is None:
+            return False
+        _, r12, r22 = self.emi
+        return not np.any(r12) and bool(np.linalg.eigvalsh(r22)[0] >= 0)
+
     def distance(self, zs, tol):
         raise TypeError(f"unknown region {self!r}")
 
 
-@dataclass(frozen=True)
 class HalfPlaneLeft(Region):
     name = "half-plane-left"
 
@@ -135,7 +180,6 @@ class HalfPlaneLeft(Region):
         return zs.real.copy()
 
 
-@dataclass(frozen=True)
 class HalfPlaneRight(Region):
     name = "half-plane-right"
 
@@ -147,40 +191,44 @@ class HalfPlaneRight(Region):
         return -zs.real
 
 
-@dataclass(frozen=True)
 class Disk(Region):
     """Open disk |z - center| < radius with a real center."""
 
-    center: float = 0.0
-    radius: float = 1.0
     name = "disk"
     bounded = True
 
-    def __post_init__(self):
-        if not (math.isfinite(self.center) and math.isfinite(self.radius)):
+    def __init__(self, center=0.0, radius=1.0):
+        if not (math.isfinite(center) and math.isfinite(radius)):
             raise ValueError("disk center and radius must be finite")
-        if not (self.radius > 0):
+        if not (radius > 0):
             raise ValueError("disk radius must be positive")
+        self.center = center
+        self.radius = radius
 
     @property
     def emi(self):
         c, r = self.center, self.radius
         return np.array([[c * c - r * r]]), np.array([[-c]]), np.array([[1.0]])
 
+    @property
+    def radial(self):
+        # R12 = -center and R22 = 1: ``Region.radial`` without building
+        # the form
+        return self.center == 0
+
     def distance(self, zs, tol):
         return np.abs(zs - self.center) - self.radius
 
 
-@dataclass(frozen=True)
 class SectorRight(Region):
     """Open sector |arg z| < theta around the positive real axis."""
 
-    theta: float
     name = "sector-right"
 
-    def __post_init__(self):
-        if not (0 < self.theta < math.pi / 2):
+    def __init__(self, theta):
+        if not (0 < theta < math.pi / 2):
             raise ValueError("sector angle must lie in (0, pi/2)")
+        self.theta = theta
 
     @property
     def emi(self):
@@ -199,22 +247,20 @@ class SectorRight(Region):
         return np.where(zs.real * c + np.abs(zs.imag) * s < 0, np.abs(zs), d)
 
 
-@dataclass(frozen=True)
 class ComplementSector(Region):
     """Complement of the closed sector |arg z| <= theta, origin excluded."""
 
-    theta: float
     name = "complement-sector"
 
-    def __post_init__(self):
-        if not (0 < self.theta < math.pi / 2):
+    def __init__(self, theta):
+        if not (0 < theta < math.pi / 2):
             raise ValueError("sector angle must lie in (0, pi/2)")
+        self.theta = theta
 
     def distance(self, zs, tol):
         return -SectorRight(self.theta).distance(zs, tol)
 
 
-@dataclass(frozen=True)
 class RealLine(Region):
     name = "real-line"
 
@@ -222,7 +268,6 @@ class RealLine(Region):
         return np.where(np.abs(zs.imag) <= tol, -np.inf, np.inf)
 
 
-@dataclass(frozen=True)
 class PositiveRealAxis(Region):
     name = "positive-real-axis"
 
@@ -230,7 +275,6 @@ class PositiveRealAxis(Region):
         return np.where(np.abs(zs.imag) <= tol, -zs.real, np.inf)
 
 
-@dataclass(frozen=True)
 class NegativeRealAxis(Region):
     name = "negative-real-axis"
 
@@ -238,7 +282,6 @@ class NegativeRealAxis(Region):
         return np.where(np.abs(zs.imag) <= tol, zs.real, np.inf)
 
 
-@dataclass(frozen=True)
 class Hyperbolic(Region):
     """Complex plane minus the imaginary axis.
 
@@ -251,7 +294,6 @@ class Hyperbolic(Region):
         return -np.abs(zs.real)
 
 
-@dataclass(frozen=True)
 class PunctureOrigin(Region):
     """Complex plane minus the origin."""
 
@@ -277,22 +319,19 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
-@dataclass(frozen=True)
 class EMIRegion(Region):
     """Region {z : R11 + R12 z + R12^T conj(z) + R22 z conj(z) neg. def.}."""
 
-    r11: np.ndarray
-    r12: np.ndarray
-    r22: np.ndarray
     name = "emi"
 
-    def __post_init__(self):
-        object.__setattr__(self, "r11", _sym(self.r11))
-        object.__setattr__(self, "r22", _sym(self.r22))
-        r12 = _finite(self.r12)
-        if r12.shape != self.r11.shape or self.r22.shape != self.r11.shape:
+    def __init__(self, r11, r12, r22):
+        r11, r22 = _sym(r11), _sym(r22)
+        r12 = _finite(r12)
+        if r12.shape != r11.shape or r22.shape != r11.shape:
             raise ValueError("R blocks must have equal shape")
-        object.__setattr__(self, "r12", r12)
+        self.r11 = r11
+        self.r12 = r12
+        self.r22 = r22
 
     @property
     def emi(self):

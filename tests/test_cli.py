@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matstab import cli, lyapunov, matrix_core, special_forms
+from matstab import cli, lyapunov, matrix_core, polynomials, special_forms
 from matstab import dstability as ds
-from matstab.spectra import (Disk, HalfPlaneLeft, Hyperbolic, SectorRight,
+from matstab.spectra import (ComplementSector, Disk, HalfPlaneLeft,
+                             Hyperbolic, Region, SectorRight,
                              Status, Verdict, eigenvalues, first_outside,
                              membership)
 
@@ -786,6 +788,20 @@ class TestFalsifyRows:
         assert cli.to_jsonable(records[0].verdict) == cli.to_jsonable(verdict)
         assert (records[0].decides, records[0].data) == (decides, data)
 
+    @pytest.mark.parametrize("region_spec", ["disk:0,1", "half-plane-left"])
+    def test_products_past_the_float_range_are_no_error(self, region_spec):
+        # G o A overflows: the unbounded-class scaling takes no spectral
+        # scale from it, and no product is formed with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cli.run(request_for([[1e308, 0.0], [0.0, -1e308]],
+                                         region_spec=region_spec,
+                                         exhaustive=True))
+        assert report.errors == 0
+        assert report.summary_status is Status.REFUTED
+        falsify, = (c for c in report.checks if c.check == "falsify")
+        assert not falsify.verdict.reason.startswith(cli.CHECK_ERROR)
+
 
 def emitted(report):
     return json.loads(cli.emit(report, "json"))
@@ -1234,7 +1250,8 @@ REGION_SPECS = [
     "disk:0,2", "sector:0.6", "complement-sector:0.5", "real-line",
     "positive-real-axis", "negative-real-axis", "hyperbolic",
     "puncture-origin", 'lmi:{"l": [[0]], "m": [[1]]}',
-    'emi:{"r11": [[-1]], "r12": [[0]], "r22": [[1]]}']
+    'emi:{"r11": [[-1]], "r12": [[0]], "r22": [[1]]}',
+    'emi:{"r11": [[1]], "r12": [[0]], "r22": [[-1]]}']
 CLASS_SPECS = [
     "positive-diagonal", "negative-diagonal", "diagonal-norm-lt1",
     "vertex-diagonal", "spd", "alpha-scalar:0,1|2", "alpha-block-spd:0,1|2",
@@ -1342,6 +1359,110 @@ class TestCheckTable:
         assert report.summary_status is Status.PROVED
 
 
+def _parsers():
+    """(parser, spec) for every spec of the three lists."""
+    return ([(cli.parse_region, r) for r in REGION_SPECS]
+            + [(cli.parse_gclass, g) for g in CLASS_SPECS]
+            + [(cli.parse_op, op) for op in OP_SPECS])
+
+
+def _subclasses(cls):
+    out = set(cls.__subclasses__())
+    for sub in list(out):
+        out |= _subclasses(sub)
+    return out
+
+
+class TestValueClasses:
+    """Regions, classes and operations are values: equal by class and
+    parameters, hashed alike, with the repr of their parameters."""
+
+    @pytest.mark.parametrize("parse, spec", _parsers())
+    def test_parsing_twice_gives_equal_values(self, parse, spec):
+        first, second = parse(spec), parse(spec)
+        assert first is not second and first == second
+        assert not first != second
+        if spec.startswith(("lmi:", "emi:")):
+            # array parameters, as today: equal, but not hashable
+            with pytest.raises(TypeError):
+                hash(first)
+        else:
+            assert hash(first) == hash(second)
+
+    def test_distinct_specs_are_unequal(self):
+        values = [(spec, parse(spec)) for parse, spec in _parsers()]
+        # "disk" is disk:0,1 by default
+        aliases = {frozenset({"disk", "disk:0,1"})}
+        for i, (spec, value) in enumerate(values):
+            for other_spec, other in values[i + 1:]:
+                if frozenset({spec, other_spec}) not in aliases:
+                    assert value != other, (spec, other_spec)
+
+    def test_equality_is_by_class_and_parameters(self):
+        assert Disk() == Disk(0.0, 1.0) and Disk(0, 1) == Disk()
+        assert Disk(0.0, 0.5) != Disk()
+        assert SectorRight(0.6) != ComplementSector(0.6)
+        assert Disk().__eq__(HalfPlaneLeft()) is NotImplemented
+        assert ds.Multiply() != ds.Add() and ds.Multiply() != "multiply"
+        assert {ds.Multiply(), ds.Multiply(), ds.Add()} == {ds.Add(),
+                                                           ds.Multiply()}
+
+    @pytest.mark.parametrize("value, text", [
+        (Disk(), "Disk(center=0.0, radius=1.0)"),
+        (cli.parse_region("disk:0,0.5"), "Disk(center=0.0, radius=0.5)"),
+        *((cli.parse_region(spec), f"{cls.__name__}()")
+          for spec, cls in cli._PLAIN_REGIONS.items()),
+        (cli.parse_region("sector:0.6"), "SectorRight(theta=0.6)"),
+        (cli.parse_region("complement-sector:0.5"),
+         "ComplementSector(theta=0.5)"),
+        (cli.parse_region('lmi:{"l": [[0]], "m": [[1]]}'),
+         "LMIRegion(r11=array([[0.]]), r12=array([[1.]]), "
+         "r22=array([[0.]]))"),
+        (cli.parse_region('emi:{"r11": [[-1]], "r12": [[0]], "r22": [[1]]}'),
+         "EMIRegion(r11=array([[-1.]]), r12=array([[0.]]), "
+         "r22=array([[1.]]))"),
+        *((cli.parse_gclass(spec), text) for spec, text in [
+            ("positive-diagonal", "PositiveDiagonal()"),
+            ("negative-diagonal", "NegativeDiagonal()"),
+            ("diagonal-norm-lt1", "DiagonalNormLt1()"),
+            ("vertex-diagonal", "VertexDiagonal()"), ("spd", "SPD()")]),
+        (cli.parse_gclass("alpha-scalar:0,1|2"),
+         "AlphaScalar(partition=((0, 1), (2,)))"),
+        (cli.parse_gclass("alpha-block-spd:0,1|2"),
+         "AlphaBlockSPD(partition=((0, 1), (2,)))"),
+        (cli.parse_gclass("ordered-diagonal:0,1,2"),
+         "OrderedDiagonal(tau=(0, 1, 2))"),
+        (ds.IntervalDiagonal((0.5, 1.0), (2.0, 3.0)),
+         "IntervalDiagonal(d_min=(np.float64(0.5), np.float64(1.0)), "
+         "d_max=(np.float64(2.0), np.float64(3.0)))"),
+        (cli.parse_gclass("sign-pattern:+-+"),
+         "SignPatternDiagonal(signs=(1, -1, 1))"),
+        (cli.parse_gclass("rank-positive:1"), "EntrywisePositiveRank(k=1)"),
+        (ds.Multiply(), "Multiply()"), (ds.Add(), "Add()"),
+        (ds.HadamardProduct(), "HadamardProduct()"),
+        (cli.parse_op("block-hadamard:2"), "BlockHadamardProduct(block=2)"),
+        (polynomials.IntervalPoly([1, 2], [2, 3]),
+         "IntervalPoly(lower=array([1., 2.]), upper=array([2., 3.]))"),
+        (special_forms.CyclicForm((1.0, 2.0), (3.0, 4.0)),
+         "CyclicForm(alpha=(1.0, 2.0), beta=(3.0, 4.0))"),
+        (special_forms.build_companion([[1.0]], [[2.0]]),
+         "CompanionPair(a=array([[1.]]), b=array([[2.]]), "
+         "c=array([[1., 2.],\n       [1., 0.]]))"),
+    ])
+    def test_repr_names_the_parameters(self, value, text):
+        assert repr(value) == text
+
+    def test_no_value_class_is_a_dataclass(self):
+        # each dataclass decoration execs generated methods at import
+        classes = (_subclasses(Region) | _subclasses(ds.GClass)
+                   | _subclasses(ds.BinOp)
+                   | {polynomials.IntervalPoly, special_forms.CyclicForm,
+                      special_forms.CompanionPair})
+        assert len(classes) >= 29
+        assert sorted(c.__name__ for c in classes
+                      if dataclasses.is_dataclass(c)) == []
+
+
 # The classes of CLASS_SPECS within the positive diagonals.
 _POSITIVE = {"positive-diagonal", "alpha-scalar:0,1|2",
              "ordered-diagonal:0,1,2", "interval-diagonal:0.5/2,0.5/2,0.5/2",
@@ -1354,9 +1475,11 @@ TRANSFER_TABLE = {
     **{(r, "multiply"): _POSITIVE
        for r in ("half-plane-left", "half-plane-right", "sector:0.6",
                  'lmi:{"l": [[0]], "m": [[1]]}')},
-    # L2: the disks centred at 0, diagonals within |g| <= 1
+    # L2: the disks centred at 0, diagonals within |g| <= 1; the unit
+    # disk as a form too, not its exterior (r11 = 1, r22 = -1)
     **{(r, "multiply"): {"diagonal-norm-lt1", "vertex-diagonal"}
-       for r in ("disk", "disk:0,1", "disk:0,2")},
+       for r in ("disk", "disk:0,1", "disk:0,2",
+                 'emi:{"r11": [[-1]], "r12": [[0]], "r22": [[1]]}')},
     # L3: nonsingular diagonals
     ("hyperbolic", "multiply"): _POSITIVE | {
         "negative-diagonal", "vertex-diagonal", "sign-pattern:+-+"},
@@ -1398,6 +1521,8 @@ LEMMA_REGIONS = {
     "disk:0,1": lambda rng, n: _schur(rng, n, 0.0, 1.0),
     "disk:0,0.5": lambda rng, n: _schur(rng, n, 0.0, 0.5),
     "disk:0.3,0.5": lambda rng, n: _schur(rng, n, 0.3, 0.5),
+    'emi:{"r11": [[-0.25]], "r12": [[0]], "r22": [[1]]}':
+        lambda rng, n: _schur(rng, n, 0.0, 0.5),
     "hyperbolic": lambda rng, n: _diag_scaled(
         rng, n, rng.choice((-1.0, 1.0), n)),
 }
@@ -1434,6 +1559,12 @@ class TestTransferLemmas:
                     inside = membership(np.linalg.eigvals(ms), region) < 0
                     assert inside.all(), (region_spec, g, op)
 
+    @pytest.mark.parametrize("region_spec", REGION_SPECS + ["disk:-0,1"])
+    def test_radial_agrees_with_the_form(self, region_spec):
+        # a region that states radial itself agrees with the form's test
+        region = cli.parse_region(region_spec)
+        assert region.radial is Region.radial.fget(region)
+
     @pytest.mark.parametrize("argv, decided_by, kind", [
         # L1 on the half-plane: the suite proves a sign pattern of +
         (["--class", "sign-pattern:++", "--", "-2,1;0,-1"],
@@ -1442,6 +1573,10 @@ class TestTransferLemmas:
         (["--region", "disk:0,0.9", "--class",
           "interval-diagonal:0.1/0.9,0.1/0.9", "--", "0.5,0.2;0.1,0.4"],
          "diagonal-certificate", "diagonal-stein"),
+        # L2 on the unit disk written as a form
+        (["--region", 'emi:{"r11": [[-1]], "r12": [[0]], "r22": [[1]]}',
+          "--class", "diagonal-norm-lt1", "--", "0.5,0.2;0.1,0.4"],
+         "diagonal-certificate", "diagonal-emi"),
         # L3 for a class of positive diagonals
         (["--region", "hyperbolic", "--class", "alpha-scalar:0|1", "--",
           "2,1;-1,-1"], "diagonal-certificate", "diagonal-hyperbolic"),
