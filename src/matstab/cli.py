@@ -24,16 +24,16 @@ the matrix that every check reading them tests, and the ``classify`` row
 reports those flags.
 
 The rows run cheapest sound check first.  ``sufficient-suite`` comes
-before the minor-sign necessity: its exact items cost O(n^3) and read no
-principal minor, and its diagonal-stability item is the first
-SEARCH_PREFIX steps of the request's diagonal search, the one
-``lyapunov.DiagonalSearch`` of A on the request's region in the
-``--budget`` (the suite runs on the half-plane only).  If those end
-Unknown with budget left, ``diagonal-certificate`` resumes the same
-search to its budget; on any other region it runs that one search from
-the start (sign-free on the hyperbolic region).  Both run only where a
-transfer lemma carries a certificate of A to the whole class.  A
-request thus runs one search, no step twice.
+before the minor-sign necessity: its exact items (the single-circuit gain
+test among them) cost O(n^3) and read no principal minor, and its
+diagonal-stability item is the first SEARCH_PREFIX steps of the request's
+diagonal search, the one ``lyapunov.DiagonalSearch`` of A on the
+request's region in the ``--budget`` (the suite runs on the half-plane
+only).  If those end Unknown with budget left, ``diagonal-certificate``
+resumes the same search to its budget; on any other region it runs that
+one search from the start (sign-free on the hyperbolic region).  Both run
+only where a transfer lemma carries a certificate of A to the whole
+class.  A request thus runs one search, no step twice.
 The 2^n minor table is built only when ``necessary-p0plus``,
 ``interval-box`` or ``classify`` reaches it; ``classify`` and
 ``gershgorin`` decide nothing and come last, so a decided request
@@ -68,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dstability as ds
-from . import lyapunov, matrix_core, polynomials, special_forms
+from . import lyapunov, matrix_core, polynomials
 from .matrix_core import MINOR_ENUM_CAP, as_matrix
 from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
                       HalfPlaneLeft, HalfPlaneRight, Hyperbolic, LMIRegion,
@@ -76,7 +76,7 @@ from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
                       RealLine, Region, SectorRight, Status, Verdict,
                       eigenvalues, gershgorin, membership, region_stable)
 
-SCHEMA = "matstab-report/16"
+SCHEMA = "matstab-report/17"
 
 CHECK_ERROR = "check-error: "
 
@@ -516,7 +516,8 @@ class _Context:
 # Each check below takes the request context and returns
 # ``(verdict, decides, data)``, or None to leave no record.  Library
 # functions are looked up when a check runs, never stored in the table,
-# so that rebinding a module attribute (a tracer, a test) reaches them.
+# so that rebinding a module attribute (a tracer, a test) reaches them,
+# as ``special_forms.single_circuit_criterion`` in the sufficient suite.
 
 def _class_flags(ctx):
     return (Verdict(Status.UNKNOWN, "informational"), False,
@@ -545,16 +546,6 @@ def _necessary(ctx):
     verdict = ds.necessary_p0plus(ctx.request.matrix, _perturbation(ctx),
                                   minors=ctx.minors)
     return verdict, verdict.refuted, None
-
-
-def _single_circuit(ctx):
-    try:
-        verdict = special_forms.single_circuit_criterion(ctx.request.matrix)
-    except ValueError:
-        return None
-    # Proved is diagonal stability, which decides where it transfers;
-    # Refuted only denies diagonal stability, not D-stability.
-    return verdict, verdict.proved and ctx.half_plane and ctx.transfers, None
 
 
 def _interval_box(ctx):
@@ -637,7 +628,6 @@ Check = collections.namedtuple("Check", "id reference applies run")
 CHECKS = (
     Check("self-stability", "direct spectral membership", None,
           _self_stability),
-    Check("single-circuit", "circuit gain bound", None, _single_circuit),
     Check("sufficient-suite", "classical sufficient stability classes",
           lambda c: c.half_plane and c.transfers and not c.escapes,
           _sufficient_suite),
@@ -671,6 +661,8 @@ CHECKS = (
 )
 
 
+# a float-range input reaches inf and NaN: values, not errors (-W error too)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run(request):
     """Execute the analysis pipeline and assemble the report.
 

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from . import lyapunov
+from . import lyapunov, special_forms
 from .matrix_core import (MINOR_ENUM_CAP, _running_sum, additive_compound_2,
                           as_matrix, block_hadamard, exact_det_sign,
                           is_m_matrix, is_tridiagonal_p_matrix, minor_tol,
@@ -675,12 +675,14 @@ def sufficient_suite(a, search):
     Any Proved item implies D-stability of ``a`` (D a positive stable for
     every positive diagonal D).  Items: diagonal stability by certificate
     search, M-matrix, strict diagonal dominance with positive diagonal,
-    triangular with positive diagonal, tridiagonal P-matrix, and the
-    W-map route (the off-diagonal absolute-value image of -A, or of its
-    inverse, Hurwitz stable implies diagonal stability).  No item needs
-    the 2^n principal minors: a Z-matrix is an M-matrix when its leading
-    minors are positive, and a tridiagonal matrix is P when its
-    contiguous principal minors are, so every item runs at any n.
+    triangular with positive diagonal, tridiagonal P-matrix, the W-map
+    route (the off-diagonal absolute-value image of -A, or of its
+    inverse, Hurwitz stable implies diagonal stability), and the exact
+    single-circuit gain test of -A, which decides every cyclic feedback
+    form.  No item needs the 2^n principal minors: a Z-matrix is an
+    M-matrix when its leading minors are positive, and a tridiagonal
+    matrix is P when its contiguous principal minors are, so every item
+    runs at any n.
     ``search`` is the verdict of the half-plane diagonal search of -a:
     ``DiagonalSearch(-a, HalfPlaneLeft(), budget).run(steps)``, the
     whole search or a prefix of it.
@@ -714,6 +716,11 @@ def sufficient_suite(a, search):
     if not w_ok and abs(np.linalg.det(b)) > minor_tol(norm, a.shape[0]):
         w_ok = region_stable(w_map(np.linalg.inv(b)), HalfPlaneLeft()).proved
     exact("w-map-stable", w_ok)
+    try:
+        circuit = special_forms.single_circuit_criterion(b).proved
+    except ValueError:  # not one circuit, or a diagonal entry not negative
+        circuit = False
+    exact("single-circuit", circuit)
     return out
 
 

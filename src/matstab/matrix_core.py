@@ -112,44 +112,45 @@ def w_map(a):
     return out
 
 
-def _index_sets(n):
-    """Yield the order-k principal index sets of an n x n matrix, k = 1..n.
+def _next_sets(sets, n):
+    """The order-(k+1) principal index sets of an n x n matrix from the
+    order-k ones, each a ``(C(n, k), k)`` intp array.
 
-    Each is a ``(C(n, k), k)`` intp array.  Every order-(k-1) set is
-    extended by every index after its last, in turn, which lists the
-    order-k sets in ``itertools.combinations`` order.
+    Every order-k set is extended by every index after its last, in turn,
+    which lists the order-(k+1) sets in ``itertools.combinations`` order.
     """
-    sets = np.arange(n, dtype=np.intp)[:, None]
-    yield sets
-    for _ in range(1, n):
-        last = sets[:, -1]
-        counts = n - 1 - last  # the indices after each set's last
-        rows = np.repeat(np.arange(len(sets)), counts)
-        starts = np.cumsum(counts) - counts  # each set's first new row
-        new = np.arange(rows.size) - np.repeat(starts - last - 1, counts)
-        sets = np.concatenate((sets[rows], new[:, None]), axis=1)
-        yield sets
+    last = sets[:, -1]
+    counts = n - 1 - last  # the indices after each set's last
+    rows = np.repeat(np.arange(len(sets)), counts)
+    starts = np.cumsum(counts) - counts  # each set's first new row
+    new = np.arange(rows.size) - np.repeat(starts - last - 1, counts)
+    return np.concatenate((sets[rows], new[:, None]), axis=1)
 
 
 class MinorTable:
     """Principal minors of one matrix, order by order, each on first use.
 
     ``orders`` yields ``(sets, values)`` for k = 1..n, computing order k
-    when a reader first reaches it and keeping it.  ``len()`` is 2^n - 1
-    and evaluates nothing.  Iterating yields ``(index tuple, value)``
-    pairs, orders ascending, and forces the remaining orders.
+    from the kept order k - 1 when a reader first reaches it and keeping
+    it; an order whose computation raises is not kept, so it raises again
+    for the next reader.  ``len()`` is 2^n - 1 and evaluates nothing.
+    Iterating yields ``(index tuple, value)`` pairs, orders ascending,
+    and forces the remaining orders.
     """
 
-    def __init__(self, n, orders):
-        self.n = n
-        self._pending = iter(orders)
+    def __init__(self, a):
+        self._a = a
+        self.n = a.shape[0]
         self._done = []
 
     @property
     def orders(self):
         for k in range(self.n):
             if k == len(self._done):
-                self._done.append(next(self._pending))
+                sets = (_next_sets(self._done[-1][0], self.n) if k else
+                        np.arange(self.n, dtype=np.intp)[:, None])
+                self._done.append((sets, np.linalg.det(
+                    self._a[sets[:, :, None], sets[:, None, :]])))
             yield self._done[k]
 
     def __len__(self):
@@ -171,9 +172,7 @@ def principal_minors(a):
     n = a.shape[0]
     if n > MINOR_ENUM_CAP:
         raise ValueError(f"principal minor enumeration capped at n = {MINOR_ENUM_CAP}")
-    return MinorTable(n, (
-        (idx, np.linalg.det(a[idx[:, :, None], idx[:, None, :]]))
-        for idx in _index_sets(n)))
+    return MinorTable(a)
 
 
 def _running_sum(values):

@@ -79,22 +79,18 @@ def single_circuit_criterion(a):
         raise ValueError("diagonal entry not negative; cannot normalize to -1")
     m = a / -d[:, None]
 
-    succ = []
-    for i in range(n):
-        row = [j for j in range(n) if j != i and abs(a[i, j]) > tol]
-        if len(row) != 1:
-            raise ValueError("graph is not a single circuit")
-        succ.append(row[0])
-    seen = [0]
-    while len(seen) <= n:
-        nxt = succ[seen[-1]]
-        if nxt == 0:
+    off = abs(a) > tol
+    np.fill_diagonal(off, False)
+    succ, i = off.argmax(axis=1), 0
+    # one successor per row, and the walk from 0 first returns at step n
+    for step in range(1, n + 1):
+        i = succ[i]
+        if i == 0:
             break
-        seen.append(nxt)
-    if len(seen) != n or sorted(seen) != list(range(n)):
+    if (off.sum(axis=1) != 1).any() or step != n or i != 0:
         raise ValueError("graph is not a single circuit")
 
-    gamma = float(np.prod([m[i, succ[i]] for i in range(n)]))
+    gamma = float(np.prod(m[np.arange(n), succ]))
     phi = math.cos(math.pi / n) ** n if gamma < 0 else 1.0
     value = abs(gamma) * phi
     if value < 1.0:

@@ -115,18 +115,21 @@ class Value:
     """Base of the library's value classes: regions, perturbation classes,
     operations and a few small records.
 
-    A value's parameters are the attributes its ``__init__`` sets, in
-    that order.  Two values are equal when they are of the same class and
-    their parameters are equal, and a value of another class gives
-    ``NotImplemented``; the hash is that of the parameter tuple, so an
-    array parameter makes the value unhashable.  The repr is
-    ``Name(param=value, ...)``.
+    A value's parameters are the attributes its ``__init__`` sets, in that
+    order.  Two values are equal when they are of the same class and their
+    parameters are equal (an array by ``np.array_equal``), and a value of
+    another class gives ``NotImplemented``; the hash is that of the
+    parameter tuple, so an array parameter makes the value unhashable.  The
+    repr is ``Name(param=value, ...)``.
     """
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        mine, theirs = vars(self), vars(other)
+        return mine.keys() == theirs.keys() and all(
+            np.array_equal(v, theirs[k]) if isinstance(v, np.ndarray)
+            else v == theirs[k] for k, v in mine.items())
 
     def __hash__(self):
         return hash(tuple(vars(self).values()))

@@ -192,8 +192,9 @@ class TestRun:
         from matstab import lyapunov as ly
         m = [[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
         report = cli.run(request_for(m, exhaustive=True))
-        circuit = [c for c in report.checks if c.check == "single-circuit"]
-        assert circuit and circuit[0].verdict.proved and circuit[0].decides
+        suite = [c for c in report.checks if c.check == "sufficient-suite"]
+        assert suite and suite[0].decides
+        assert suite[0].data["items"]["single-circuit"].proved
         assert report.summary_status is Status.PROVED
         # a diagonal certificate is attached and re-verifies
         certs = [c.verdict.witness for c in report.checks
@@ -802,6 +803,17 @@ class TestFalsifyRows:
         falsify, = (c for c in report.checks if c.check == "falsify")
         assert not falsify.verdict.reason.startswith(cli.CHECK_ERROR)
 
+    def test_float_range_input_is_no_error_under_warnings_as_errors(self):
+        # minors, the search's subgradient and the minor band overflow to
+        # inf on the way to the answer; none of that is a check error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = cli.run(request_for([[-1e308, 0.0], [0.0, -1e308]],
+                                         exhaustive=True))
+        assert report.errors == 0
+        assert (report.summary_status, report.summary_reason) == (
+            Status.PROVED, "sufficient-suite")
+
 
 def emitted(report):
     return json.loads(cli.emit(report, "json"))
@@ -1010,7 +1022,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/16"
+        assert payload["schema"] == "matstab-report/17"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -1168,7 +1180,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/16"
+        assert json.loads(out)["schema"] == "matstab-report/17"
 
     def test_unbounded_class_with_no_escaping_member_is_not_refuted(
             self, capsys):
@@ -1296,23 +1308,23 @@ class TestCheckTable:
         assert positions == sorted(set(positions))
 
     def test_errors_are_recorded_per_check(self, monkeypatch):
-        # -I + skew is H-stable: a failing circuit test no longer hides
-        # the symmetric-part proof that follows it in the table
+        # -I + skew is diagonally stable: a failing circuit test errs the
+        # suite, and the certificate row that follows it still proves
         def broken(a):
             raise RuntimeError("single-circuit broke")
 
         monkeypatch.setattr(special_forms, "single_circuit_criterion", broken)
         a = -np.eye(3) + np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5],
                                    [2.0, -0.5, 0.0]])
-        report = cli.run(request_for(a, class_spec="spd", samples=200,
-                                     budget=200, exhaustive=True))
+        report = cli.run(request_for(a, samples=200, budget=200,
+                                     exhaustive=True))
         by_id = {c.check: c for c in report.checks}
-        assert by_id["single-circuit"].verdict.reason == (
+        assert by_id["sufficient-suite"].verdict.reason == (
             "check-error: single-circuit broke")
-        assert not by_id["single-circuit"].decides
-        assert by_id["symmetric-part"].verdict.proved
+        assert not by_id["sufficient-suite"].decides
+        assert by_id["diagonal-certificate"].verdict.proved
         assert (report.summary_status, report.summary_reason) == (
-            Status.PROVED, "symmetric-part")
+            Status.PROVED, "diagonal-certificate")
 
     def test_classify_error_is_a_record(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -1344,7 +1356,10 @@ class TestCheckTable:
         assert not {"structural", "certificates"} & set(errors)
 
     def test_failing_circuit_criterion_errs_once(self, monkeypatch):
+        calls = []
+
         def failing(a):
+            calls.append(a)
             raise RuntimeError("circuit test failed")
 
         monkeypatch.setattr(special_forms, "single_circuit_criterion",
@@ -1354,9 +1369,51 @@ class TestCheckTable:
                                      exhaustive=True))
         errors = [c.check for c in report.checks
                   if c.verdict.reason.startswith("check-error")]
-        assert errors == ["single-circuit"]
-        assert "sufficient-suite" in [c.check for c in report.checks]
+        # the criterion is an item of the suite, so the suite errs
+        assert errors == ["sufficient-suite"] and len(calls) == 1
         assert report.summary_status is Status.PROVED
+
+    def test_circuit_item_proves_past_the_search_prefix(self):
+        # a cyclic form at 0.94 of its secant bound sec(pi/3)^3 = 8: the
+        # search prefix does not find its certificate, the circuit does
+        form = special_forms.CyclicForm((5.54, 1.23, 0.28),
+                                        (5.106, 1.933, 1.45))
+        m = form.matrix()
+        prefix = lyapunov.DiagonalSearch(m, HalfPlaneLeft(), 5000).run(
+            cli.SEARCH_PREFIX)
+        assert prefix.reason == "search-prefix-exhausted"
+        report = cli.run(request_for(m))
+        assert (report.summary_status, report.summary_reason) == (
+            Status.PROVED, "sufficient-suite")
+        suite = next(c for c in report.checks
+                     if c.check == "sufficient-suite")
+        assert suite.verdict.reason == "sufficient:single-circuit"
+        items = suite.data["items"]
+        assert items["single-circuit"].proved
+        assert items["diagonal-stability"].reason == "search-prefix-exhausted"
+        assert list(items)[-2:] == ["w-map-stable", "single-circuit"]
+
+    @pytest.mark.parametrize("kw", [
+        dict(region_spec="disk:0,1"), dict(region_spec="hyperbolic"),
+        dict(class_spec="spd")], ids=["disk", "hyperbolic", "spd"])
+    def test_circuit_criterion_runs_only_in_the_suite(self, monkeypatch, kw):
+        # a 2x2 circuit, eigenvalues -0.2 and -0.7: inside every region
+        # here, so self-stability decides nothing, and no suite applies
+        calls = []
+        criterion = special_forms.single_circuit_criterion
+
+        def counting(a):
+            calls.append(a)
+            return criterion(a)
+
+        monkeypatch.setattr(special_forms, "single_circuit_criterion",
+                            counting)
+        report = cli.run(request_for([[-0.5, 0.2], [0.3, -0.4]], samples=200,
+                                     budget=200, exhaustive=True, **kw))
+        ids = [c.check for c in report.checks]
+        assert ids[0] == "self-stability" and report.checks[0].verdict.proved
+        assert "sufficient-suite" not in ids and "single-circuit" not in ids
+        assert calls == []
 
 
 def _parsers():
@@ -1406,6 +1463,22 @@ class TestValueClasses:
         assert ds.Multiply() != ds.Add() and ds.Multiply() != "multiply"
         assert {ds.Multiply(), ds.Multiply(), ds.Add()} == {ds.Add(),
                                                            ds.Multiply()}
+
+    def test_array_parameters_compare_whole(self):
+        # a 2x2 form's arrays hold more than one element, so comparing
+        # them entry by entry has no truth value
+        spec = 'lmi:{"l": [[0,0],[0,0]], "m": [[-0.5,0.8],[-0.8,-0.5]]}'
+        other = 'lmi:{"l": [[0,0],[0,0]], "m": [[-0.5,0.8],[-0.8,-0.4]]}'
+        assert cli.parse_region(spec) == cli.parse_region(spec)
+        assert cli.parse_region(spec) != cli.parse_region(other)
+        assert (polynomials.IntervalPoly([1, 2], [2, 3])
+                == polynomials.IntervalPoly([1, 2], [2, 3]))
+        assert (polynomials.IntervalPoly([1, 2], [2, 3])
+                != polynomials.IntervalPoly([1, 2], [2, 4]))
+        pair = special_forms.build_companion(-np.eye(2), -np.eye(2))
+        assert pair == special_forms.build_companion(-np.eye(2), -np.eye(2))
+        with pytest.raises(TypeError):
+            hash(cli.parse_region(spec))
 
     @pytest.mark.parametrize("value, text", [
         (Disk(), "Disk(center=0.0, radius=1.0)"),
