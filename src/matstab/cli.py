@@ -19,9 +19,8 @@ their records and keeps the summary.  A check that raises is recorded
 under its own id as ``check-error``, and the rest still run.  Work that
 several checks read is done once per request and cached on the
 request's :class:`_Context`.
-The principal minors and the class flags are computed once, of ``-A``,
-the matrix that every check reading them tests, and the ``classify`` row
-reports those flags.
+The principal minors are computed once, of ``-A``, the matrix that
+every check reading them tests.
 
 The rows run cheapest sound check first.  ``sufficient-suite`` comes
 before the minor-sign necessity: its exact items (the single-circuit gain
@@ -34,10 +33,9 @@ resumes the same search to its budget; on any other region it runs that
 one search from the start (sign-free on the hyperbolic region).  Both run
 only where a transfer lemma carries a certificate of A to the whole
 class.  A request thus runs one search, no step twice.
-The 2^n minor table is built only when ``necessary-p0plus``,
-``interval-box`` or ``classify`` reaches it; ``classify`` and
-``gershgorin`` decide nothing and come last, so a decided request
-skips them.
+The 2^n minor table is built only when ``necessary-p0plus`` or
+``interval-box`` reaches it, and both read its P0 test,
+``matrix_core.first_negative_minor``.  Every row can decide the request.
 
 On the two D-stability triples, ``submatrix-descent`` lifts an unstable
 principal submatrix A[S] to a diagonal D with D o A outside the
@@ -74,9 +72,9 @@ from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
                       HalfPlaneLeft, HalfPlaneRight, Hyperbolic, LMIRegion,
                       NegativeRealAxis, PositiveRealAxis, PunctureOrigin,
                       RealLine, Region, SectorRight, Status, Verdict,
-                      eigenvalues, gershgorin, membership, region_stable)
+                      eigenvalues, membership, region_stable)
 
-SCHEMA = "matstab-report/17"
+SCHEMA = "matstab-report/18"
 
 CHECK_ERROR = "check-error: "
 
@@ -498,11 +496,6 @@ class _Context:
         return matrix_core.principal_minors(-self.request.matrix)
 
     @cached_property
-    def classification(self):
-        """``classify(-A)``, the matrix of every check that reads it."""
-        return matrix_core.classify(-self.request.matrix, minors=self.minors)
-
-    @cached_property
     def search(self):
         """The diagonal search of A on the request's region, in the
         request's budget: positive diagonals on a region with an EMI form,
@@ -518,16 +511,6 @@ class _Context:
 # functions are looked up when a check runs, never stored in the table,
 # so that rebinding a module attribute (a tracer, a test) reaches them,
 # as ``special_forms.single_circuit_criterion`` in the sufficient suite.
-
-def _class_flags(ctx):
-    return (Verdict(Status.UNKNOWN, "informational"), False,
-            {"flags": ctx.classification.flags()})
-
-
-def _gershgorin(ctx):
-    disks, verdict = gershgorin(ctx.request.matrix)
-    return verdict, False, {"disks": disks}
-
 
 def _self_stability(ctx):
     spectrum = ctx.spectrum
@@ -555,7 +538,7 @@ def _interval_box(ctx):
     try:
         verdict = polynomials.kosov_interval_dstability(
             -ctx.request.matrix, np.asarray(g.d_min), np.asarray(g.d_max),
-            classification=ctx.classification)
+            minors=ctx.minors)
     except ValueError as exc:
         return Verdict(Status.UNKNOWN, f"premise-fails: {exc}"), False, None
     return verdict, verdict.proved, None
@@ -655,9 +638,6 @@ CHECKS = (
     Check("submatrix-descent", "unstable principal submatrix descent",
           lambda c: c.triple in _D_STABILITY, _submatrix_descent),
     Check("falsify", "randomized class sampling", None, _falsify),
-    # informational: they decide nothing, so a decided request skips them
-    Check("classify", "determinantal class flags of -A", None, _class_flags),
-    Check("gershgorin", "row disc localization", None, _gershgorin),
 )
 
 
@@ -671,8 +651,8 @@ def run(request):
     decided, the later rows are skipped, and each that applies is listed
     in ``Report.skipped``; an exhaustive request runs them all.  Checks
     share work through the per-request :class:`_Context`: the spectrum
-    of A, one principal-minor sweep of -A, one ``classify`` of -A and
-    one diagonal search on the request's region, which
+    of A, one principal-minor sweep of -A and one diagonal search on
+    the request's region, which
     ``sufficient-suite`` runs for SEARCH_PREFIX steps and
     ``diagonal-certificate`` resumes.
     """

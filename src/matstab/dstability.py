@@ -24,7 +24,8 @@ import numpy as np
 from . import lyapunov, special_forms
 from .matrix_core import (MINOR_ENUM_CAP, _running_sum, additive_compound_2,
                           as_matrix, block_hadamard, exact_det_sign,
-                          is_m_matrix, is_tridiagonal_p_matrix, minor_tol,
+                          first_negative_minor, is_m_matrix,
+                          is_tridiagonal_p_matrix, minor_tol,
                           principal_minors, strict_diagonal_dominance, w_map)
 from .spectra import (Disk, EigenSolverError, HalfPlaneLeft, Status, Value,
                       Verdict, eigenvalues, first_outside, membership,
@@ -580,7 +581,10 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
     class is refuted up front when one drawn member, scaled up, takes
     the spectrum out of the region; otherwise the class is sampled as
     for any other pair: a strictly triangular A keeps the spectrum of
-    every D A at {0}, inside the unit disk however large D is.
+    every D A at {0}, inside the unit disk however large D is.  A class
+    that holds G = 0 is refuted when 0 o A leaves the region, an exact
+    witness before any draw: under ``multiply`` and the Hadamard
+    products its spectrum is {0}.
     """
     if batch < 1:
         raise ValueError("batch must be at least 1")
@@ -593,6 +597,12 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
         if wit is not None:
             return Verdict(Status.REFUTED, "unbounded-class-bounded-region",
                            witness=wit, seed=seed)
+    zero = np.zeros((n, n))
+    if gclass.contains(zero):
+        wit = _member_witness(zero, a, op, region, -1, seed, "zero-member")
+        if wit is not None:
+            return Verdict(Status.REFUTED, "zero-member", witness=wit,
+                           seed=seed)
 
     done = 0
     while done < samples:
@@ -630,9 +640,9 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
     is Unknown with the flag ``necessary-p0plus-passed``.  ``minors``,
     when given, is ``principal_minors(-a)``.
 
-    Floats only screen: a minor refutes only if its exact sign
-    (:func:`exact_det_sign`) is negative, and an order-k sum only if
-    every order-k minor is exactly zero.
+    Floats only screen: a minor refutes only if its exact sign is
+    negative (:func:`first_negative_minor`), and an order-k sum only if
+    every order-k minor is exactly zero (:func:`exact_det_sign`).
     """
     a = as_matrix(a)
     if mode not in ("multiplicative", "additive"):
@@ -643,15 +653,12 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
     b = -a
     if minors is None:
         minors = principal_minors(b)
+    negative = first_negative_minor(b, minors)
+    if negative is not None:
+        indices, minor = negative
+        return Verdict(Status.REFUTED, f"not-p0-{mode}", witness={
+            "indices": indices, "minor": minor, "matrix": "-A"})
     norm = np.linalg.norm(b, np.inf)
-    for k, (sets, values) in enumerate(minors.orders, start=1):
-        for i in np.flatnonzero(values < -minor_tol(norm, k)):
-            alpha = tuple(sets[i].tolist())
-            if exact_det_sign(b[np.ix_(alpha, alpha)]) < 0:
-                return Verdict(Status.REFUTED, f"not-p0-{mode}",
-                               witness={"indices": alpha,
-                                        "minor": float(values[i]),
-                                        "matrix": "-A"})
     sums = minors.orders if mode == "multiplicative" else ()
     for k, (sets, values) in enumerate(sums, start=1):
         s = _running_sum(values)  # the witness sum is a running total

@@ -10,24 +10,23 @@ per order.
 the ``(C(n, k), k)`` intp array of index sets in
 ``itertools.combinations`` order (built in numpy) and the ``(C(n, k),)``
 float array of their determinants, is computed when a reader first
-reaches it, so the P / P0 screens and the minor-sign necessity, which
-stop at their first failing order, never sweep the orders above.
+reaches it, so the P0 test, which stops at its first failing order,
+never sweeps the orders above.
 Each order takes the determinants of its stacked k x k principal
 submatrices in one ``np.linalg.det`` call, bit for bit the values of a
 per-submatrix loop.  The screens read each order's arrays, never the
 pairs; an order's sum is a left-to-right running total
 (:func:`_running_sum`).
-:func:`classify` reports the class flags of the pipeline's ``classify``
-row; the pipeline classifies ``-A``, once per request.  The M-matrix
-and tridiagonal P-matrix tests that the sufficient suite reads
-(:func:`is_m_matrix`, :func:`is_tridiagonal_p_matrix`) cost O(n^3) and
-need no enumeration.
+:func:`first_negative_minor` is the one P0 test: the minor-sign
+necessity and the interval-box premise read it, on the one table of
+``-A`` per request.  The M-matrix and tridiagonal P-matrix tests that
+the sufficient suite reads (:func:`is_m_matrix`,
+:func:`is_tridiagonal_p_matrix`) cost O(n^3) and need no enumeration.
 :func:`exact_det_sign` gives a determinant's sign in exact integer
 arithmetic; refutations by a minor sign use it to confirm what the
 floating-point screen found.
 """
 
-from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
@@ -35,13 +34,13 @@ import numpy as np
 __all__ = [
     "MINOR_ENUM_CAP", "as_matrix", "minor_tol", "block_hadamard",
     "additive_compound_2", "comparison_matrix", "w_map", "MinorTable",
-    "principal_minors", "exact_det_sign", "leading_minors", "is_z_matrix",
-    "is_m_matrix", "strict_diagonal_dominance", "is_tridiagonal",
-    "is_tridiagonal_p_matrix", "ClassReport", "classify",
+    "principal_minors", "exact_det_sign", "first_negative_minor",
+    "leading_minors", "is_z_matrix", "is_m_matrix",
+    "strict_diagonal_dominance", "is_tridiagonal", "is_tridiagonal_p_matrix",
 ]
 
-# Full principal-minor enumeration grows as 2^n; beyond this cap classify
-# degrades to the flags computable without enumeration.
+# Full principal-minor enumeration grows as 2^n; beyond this cap the P0
+# and P0+ sweeps do not run.
 MINOR_ENUM_CAP = 14
 
 
@@ -184,15 +183,6 @@ def _running_sum(values):
     return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
-def _first_minor(sets, values, hit):
-    """The P-style witness of the first minor where ``hit``, or None."""
-    first = np.flatnonzero(hit)
-    if first.size:
-        i = first[0]
-        return {"indices": tuple(sets[i].tolist()), "value": float(values[i])}
-    return None
-
-
 def exact_det_sign(m):
     """The sign of ``det(m)``, -1, 0 or 1, in exact arithmetic.
 
@@ -222,6 +212,25 @@ def exact_det_sign(m):
         prev = rows[j][j]
     det = rows[-1][-1]
     return sign * ((det > 0) - (det < 0))
+
+
+def first_negative_minor(a, minors):
+    """The first principal minor of ``a`` that is negative, as
+    ``(indices, value)``, or None when ``a`` is P0.
+
+    ``minors`` is ``principal_minors(a)``.  Orders ascend, and the sweep
+    stops at the order of the first minor found.  Floats only screen: a
+    minor below ``-minor_tol`` counts only if its exact sign
+    (:func:`exact_det_sign`) is negative; ``value`` is its float
+    determinant.
+    """
+    norm = np.linalg.norm(a, np.inf)
+    for k, (sets, values) in enumerate(minors.orders, start=1):
+        for i in np.flatnonzero(values < -minor_tol(norm, k)):
+            alpha = tuple(sets[i].tolist())
+            if exact_det_sign(a[np.ix_(alpha, alpha)]) < 0:
+                return alpha, float(values[i])
+    return None
 
 
 def leading_minors(a):
@@ -287,66 +296,3 @@ def is_tridiagonal_p_matrix(a):
         if (values <= minor_tol(norm, k)).any():
             return False
     return True
-
-
-@dataclass
-class ClassReport:
-    """The class flags that the pipeline reports and reads.
-
-    The ``classify`` row reports them all; ``interval-box`` reads
-    ``p0``.  Flags left ``None`` were not decidable (minor enumeration capped).
-    A false ``p`` or ``p0`` has its first failing minor as a witness.
-    The flag lattice ``m_matrix => p => p0`` holds by construction.
-    """
-
-    p: bool = field(default=None, init=False)
-    p0: bool = field(default=None, init=False)
-    m_matrix: bool = field(default=None, init=False)
-    strict_row_dd: bool = field(default=None, init=False)
-    strict_col_dd: bool = field(default=None, init=False)
-    tridiagonal: bool = field(default=None, init=False)
-    witnesses: dict = field(default_factory=dict)
-
-    def flags(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "witnesses"}
-
-
-def _p_flags(norm, minors, witnesses):
-    """P / P0 flags of a matrix from its full principal-minor table and
-    its infinity norm."""
-    p_wit = p0_wit = None
-    for k, (sets, values) in enumerate(minors.orders, start=1):
-        tol = minor_tol(norm, k)
-        if p_wit is None:
-            p_wit = _first_minor(sets, values, values <= tol)
-        p0_wit = _first_minor(sets, values, values < -tol)
-        if p0_wit is not None:
-            break  # a P0 failure is a P failure
-    for flag, wit in (("p", p_wit), ("p0", p0_wit)):
-        if wit is not None:
-            witnesses[flag] = wit
-    return p_wit is None, p0_wit is None
-
-
-def classify(a, minors=None):
-    """The class flags of a dense square matrix that the pipeline reports.
-
-    Strict row and column diagonal dominance and the tridiagonal pattern
-    read the entries; P, P0 and the M-matrix flag (a Z-matrix that is P)
-    need 2^n principal minors and are reported as ``None`` beyond
-    n = 14.  ``minors``, when given, is ``principal_minors(a)``.
-    """
-    a = as_matrix(a)
-    w = {}
-    rep = ClassReport(witnesses=w)
-    norm = np.linalg.norm(a, np.inf)
-    tol1 = minor_tol(norm, 1)
-    rep.strict_row_dd, rep.strict_col_dd = strict_diagonal_dominance(a, tol1)
-    rep.tridiagonal = is_tridiagonal(a, tol1)
-    if a.shape[0] <= MINOR_ENUM_CAP:
-        if minors is None:
-            minors = principal_minors(a)
-        rep.p, rep.p0 = _p_flags(norm, minors, w)
-        rep.m_matrix = rep.p and is_z_matrix(a)
-    return rep

@@ -9,7 +9,8 @@ leading sign before any stability test (the roots are unchanged).
 
 import numpy as np
 
-from .matrix_core import MINOR_ENUM_CAP, as_matrix, classify
+from .matrix_core import (MINOR_ENUM_CAP, as_matrix, first_negative_minor,
+                          principal_minors)
 from .spectra import HalfPlaneLeft, Status, Value, Verdict, first_outside
 
 __all__ = [
@@ -99,7 +100,7 @@ def kharitonov_stable(box):
     return Verdict(Status.PROVED, "kharitonov-four-polynomials-stable")
 
 
-def kosov_interval_dstability(a, d_min, d_max, classification=None):
+def kosov_interval_dstability(a, d_min, d_max, minors=None):
     """Interval D-stability of a P0 matrix over a diagonal box (sufficient).
 
     ``a`` is tested for positive stability: the claim certified is that
@@ -110,7 +111,7 @@ def kosov_interval_dstability(a, d_min, d_max, classification=None):
     bound the whole coefficient family and the four-polynomial test
     applies.  Proved means D-stable with respect to the box; anything
     else is Unknown (the test is sufficient only).
-    ``classification``, when given, is ``classify(a)``.
+    ``minors``, when given, is ``principal_minors(a)``.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -118,13 +119,15 @@ def kosov_interval_dstability(a, d_min, d_max, classification=None):
     d_max = np.broadcast_to(np.asarray(d_max, dtype=float), (n,)).copy()
     if not ((d_min > 0).all() and (d_min <= d_max).all() and np.isfinite(d_max).all()):
         raise ValueError("need componentwise 0 < d_min <= d_max < inf")
-    rep = classify(a) if classification is None else classification
-    if rep.p0 is None:
+    if n > MINOR_ENUM_CAP:
         raise ValueError("P0 is undecided past the minor enumeration cap"
                          f" n = {MINOR_ENUM_CAP}")
-    if not rep.p0:
+    negative = first_negative_minor(
+        a, principal_minors(a) if minors is None else minors)
+    if negative is not None:
+        indices, value = negative
         raise ValueError("matrix must be P0 for the interval reduction;"
-                         f" witness minor {rep.witnesses.get('p0')}")
+                         f" witness minor {dict(indices=indices, value=value)}")
 
     f_lo = char_poly(-(np.diag(d_min) @ a))
     f_hi = char_poly(-(np.diag(d_max) @ a))

@@ -65,7 +65,9 @@ def secant_criterion(form):
 def single_circuit_criterion(a):
     """Exact diagonal-stability decision when the graph is one circuit.
 
-    The graph joins i to j where |a_ij| exceeds 1e-12 * (1 + max|A|).
+    The graph joins i to j where a_ij is nonzero: an exact criterion
+    reads every entry, as a small entry may close a second circuit of
+    large gain.  The diagonal must be negative past 1e-12 * (1 + max|A|).
     Rows are normalized by |a_ii| so the diagonal becomes -1; the
     criterion compares the circuit gain |gamma| against cos^n(pi/n) for a
     negative circuit and 1 for a positive one.  A cyclic form has
@@ -79,7 +81,7 @@ def single_circuit_criterion(a):
         raise ValueError("diagonal entry not negative; cannot normalize to -1")
     m = a / -d[:, None]
 
-    off = abs(a) > tol
+    off = a != 0
     np.fill_diagonal(off, False)
     succ, i = off.argmax(axis=1), 0
     # one successor per row, and the walk from 0 first returns at step n

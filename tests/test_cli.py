@@ -443,8 +443,7 @@ class TestSubmatrixDescentRow:
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert report["summary"]["decided_by"] == "submatrix-descent"
-        assert report["summary"]["skipped"] == ["falsify", "classify",
-                                                "gershgorin"]
+        assert report["summary"]["skipped"] == ["falsify"]
         a = np.asarray(report["request"]["matrix"])
         w = next(c for c in report["checks"]
                  if c["check"] == "submatrix-descent")["witness"]
@@ -586,8 +585,7 @@ class TestSharedWork:
           ("necessary-p0plus", "unknown", False),
           ("diagonal-certificate", "unknown", False),
           ("submatrix-descent", "unknown", False),
-          ("falsify", "unknown", True),
-          ("classify", "unknown", False), ("gershgorin", "unknown", False)]),
+          ("falsify", "unknown", True)]),
         (HURWITZ_8_NOT_P0, "negative-diagonal", "add",
          ("refuted", "necessary-p0plus"),
          [("self-stability", "proved", False),
@@ -595,16 +593,14 @@ class TestSharedWork:
           ("necessary-p0plus", "refuted", True),
           ("diagonal-certificate", "unknown", False),
           ("submatrix-descent", "refuted", True),
-          ("falsify", "refuted", True),
-          ("classify", "unknown", False), ("gershgorin", "unknown", False)]),
+          ("falsify", "refuted", True)]),
         (HURWITZ_8_UNDECIDED, "interval-diagonal:" + ",".join(["0.5/2"] * 8),
          "multiply", ("unknown", "no-deciding-check"),
          [("self-stability", "proved", False),
           ("sufficient-suite", "unknown", False),
           ("interval-box", "unknown", False),
           ("diagonal-certificate", "unknown", False),
-          ("falsify", "unknown", True),
-          ("classify", "unknown", False), ("gershgorin", "unknown", False)]),
+          ("falsify", "unknown", True)]),
     ])
     def test_one_sweep_and_one_search_per_request(
             self, calls, matrix, class_spec, op_spec, summary, checks):
@@ -722,31 +718,36 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("class_spec", [
         "positive-diagonal", "interval-diagonal:" + ",".join(["0.5/2"] * 8)])
-    @pytest.mark.parametrize("matrix", [
-        -8.0 * np.eye(8) + 0.3 * np.ones((8, 8)),
-        HURWITZ_8_UNDECIDED, HURWITZ_8_NOT_P0])
-    def test_one_classification_of_the_negation_per_request(
-            self, monkeypatch, matrix, class_spec):
-        seen = []
-        classify = matrix_core.classify
+    def test_one_p0_test_of_the_negation_per_request(
+            self, calls, monkeypatch, class_spec):
+        # the necessity and the interval-box premise read one P0 test of
+        # -A, on the request's one minor table, and no order is swept twice
+        tests, orders = [], []
+        first, det = matrix_core.first_negative_minor, np.linalg.det
 
-        def counting(a, *args, **kwargs):
-            seen.append(np.array(a))
-            return classify(a, *args, **kwargs)
+        def counting(a, minors):
+            tests.append(np.array(a))
+            return first(a, minors)
 
-        monkeypatch.setattr(matrix_core, "classify", counting)
-        a = np.asarray(matrix, dtype=float)
+        def counting_det(m):
+            if np.ndim(m) == 3:
+                orders.append(np.shape(m)[-1])
+            return det(m)
+
+        monkeypatch.setattr(ds, "first_negative_minor", counting)
+        monkeypatch.setattr(polynomials, "first_negative_minor", counting)
+        monkeypatch.setattr(np.linalg, "det", counting_det)
+        a = np.asarray(HURWITZ_8_UNDECIDED, dtype=float)
         report = cli.run(request_for(a, class_spec=class_spec, samples=100,
                                      budget=100, exhaustive=True))
-        assert len(seen) == 1 and np.array_equal(seen[0], -a)
-        monkeypatch.undo()
-        alone = matrix_core.classify(-a)
-        record = next(c for c in report.checks if c.check == "classify")
-        assert record.data == {"flags": alone.flags()}
-        # the checks that read the flags ran; the suite reads none
+        assert len(tests) == 1 and np.array_equal(tests[0], -a)
+        assert len(calls["minors"]) == 1
+        assert np.array_equal(calls["minors"][0], -a)
+        assert orders == list(range(1, 9))
         ran = {c.check for c in report.checks}
-        assert {"sufficient-suite", "classify"} <= ran
-        assert ("interval-box" in ran) == class_spec.startswith("interval")
+        interval = class_spec.startswith("interval")
+        assert ("interval-box" in ran, "necessary-p0plus" in ran) == (
+            interval, not interval)
 
 
 class TestFalsifyRows:
@@ -858,13 +859,12 @@ class TestDecideThenStop:
         assert full["summary"]["skipped"] == []
 
     @pytest.mark.parametrize("matrix, kw, skipped", [
-        (-np.eye(2), {}, ["necessary-p0plus", "submatrix-descent", "falsify",
-                          "classify", "gershgorin"]),
+        (-np.eye(2), {}, ["necessary-p0plus", "submatrix-descent",
+                          "falsify"]),
         (0.3 * np.eye(3), dict(region_spec="disk:0,1",
                                class_spec="vertex-diagonal"),
-         ["diagonal-certificate", "falsify", "classify", "gershgorin"]),
-        ([[-1.0, 3.0], [0.0, -1.0]], dict(class_spec="spd"),
-         ["falsify", "classify", "gershgorin"]),
+         ["diagonal-certificate", "falsify"]),
+        ([[-1.0, 3.0], [0.0, -1.0]], dict(class_spec="spd"), ["falsify"]),
     ], ids=["half-plane", "vertex", "h-stability"])
     def test_skipped_lists_only_rows_that_apply(self, matrix, kw, skipped):
         report = cli.run(request_for(matrix, samples=100, budget=100, **kw))
@@ -1022,7 +1022,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/17"
+        assert payload["schema"] == "matstab-report/18"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -1070,14 +1070,14 @@ class TestEmit:
         assert cli.emit(r1, "json") == cli.emit(r2, "json")
 
     def test_text_contains_reference_names(self):
-        # the default run skips the informational rows once decided; the
-        # exhaustive run records them too
+        # the default run skips falsify once decided; the exhaustive run
+        # records it too
         for exhaustive in (False, True):
             report = cli.run(request_for(-np.eye(2), samples=200, budget=200,
                                          exhaustive=exhaustive))
             text = cli.emit(report, "text").decode()
             assert all(c.reference in text for c in report.checks)
-            assert ("row disc localization" in text) is exhaustive
+            assert ("randomized class sampling" in text) is exhaustive
             assert ("skipped once decided: " in text) is not exhaustive
             assert "summary: proved" in text
 
@@ -1180,7 +1180,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/17"
+        assert json.loads(out)["schema"] == "matstab-report/18"
 
     def test_unbounded_class_with_no_escaping_member_is_not_refuted(
             self, capsys):
@@ -1274,6 +1274,38 @@ OP_SPECS = ["multiply", "add", "hadamard", "block-hadamard:2"]
 
 
 class TestCheckTable:
+    def test_nine_rows_in_order(self):
+        assert [c.id for c in cli.CHECKS] == [
+            "self-stability", "sufficient-suite", "necessary-p0plus",
+            "interval-box", "vertex-enumeration", "symmetric-part",
+            "diagonal-certificate", "submatrix-descent", "falsify"]
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_no_flag_or_disc_row(self, exhaustive):
+        # the suite decides: the default run lists the later rows as
+        # skipped, and the exhaustive run records them
+        report = emitted(cli.run(request_for(
+            -np.eye(2), samples=100, budget=100, exhaustive=exhaustive)))
+        ids = [c["check"] for c in report["checks"]] + \
+            report["summary"]["skipped"]
+        assert "necessary-p0plus" in ids
+        assert not {"classify", "gershgorin"} & set(ids)
+        assert report["schema"] == "matstab-report/18"
+
+    @pytest.mark.parametrize("matrix, reason", [
+        (np.diag([1.0, -1.0]), "premise-fails: matrix must be P0 for the "
+         "interval reduction; witness minor {'indices': (0,), 'value': -1.0}"),
+        (-3.0 * np.eye(15) + 0.5 * np.eye(15, k=1),
+         "premise-fails: P0 is undecided past the minor enumeration cap "
+         "n = 14")], ids=["negative-minor", "cap"])
+    def test_interval_box_premise_reasons(self, matrix, reason):
+        n = len(matrix)
+        report = cli.run(request_for(
+            matrix, class_spec="interval-diagonal:" + ",".join(["0.5/2"] * n),
+            samples=100, budget=100, exhaustive=True))
+        box, = (c for c in report.checks if c.check == "interval-box")
+        assert box.verdict.reason == reason
+
     def test_triple_lookup_matches_isinstance_chain(self):
         seen = set()
         for r in REGION_SPECS:
@@ -1325,24 +1357,6 @@ class TestCheckTable:
         assert by_id["diagonal-certificate"].verdict.proved
         assert (report.summary_status, report.summary_reason) == (
             Status.PROVED, "diagonal-certificate")
-
-    def test_classify_error_is_a_record(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise RuntimeError("classify broke")
-
-        monkeypatch.setattr(matrix_core, "classify", broken)
-        # a decided request skips classify, so nothing calls it
-        report = cli.run(request_for(-np.eye(2), samples=100, budget=100))
-        assert "classify" in report.skipped and report.errors == 0
-        report = cli.run(request_for(-np.eye(2), samples=100, budget=100,
-                                     exhaustive=True))
-        ids = [c.check for c in report.checks]
-        record = report.checks[ids.index("classify")]
-        assert record.verdict.reason == "check-error: classify broke"
-        assert not record.decides and report.errors == 1
-        # the row after it still runs
-        assert ids[ids.index("classify") + 1:] == ["gershgorin"]
-        assert report.summary_status is Status.PROVED
 
     def test_overflowing_spd_request_errs_per_check(self):
         with np.errstate(all="ignore"):

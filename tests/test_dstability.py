@@ -389,6 +389,21 @@ class TestFalsify:
         assert v.status is Status.UNKNOWN
         assert v.reason == "falsification-budget-exhausted"
 
+    def test_zero_member_refutes_exactly(self):
+        # |d| < 1 holds 0, and 0 A has the spectrum {0}, off the
+        # hyperbolic region: an exact witness before any draw
+        a = np.array([[1.0, 2.0], [-2.0, 1.0]])
+        v = ds.falsify(a, ds.DiagonalNormLt1(), ds.Multiply(),
+                       sp.Hyperbolic(), samples=10, seed=0)
+        assert v.refuted and v.reason == "zero-member"
+        w = v.witness
+        assert np.array_equal(w.g, np.zeros((2, 2)))
+        assert (w.eigenvalue, w.sample_index, w.note) == (0, -1, "zero-member")
+        # inside the unit disk, 0 witnesses nothing and the class is sampled
+        v = ds.falsify(0.5 * np.eye(2), ds.DiagonalNormLt1(), ds.Multiply(),
+                       Disk(0.0, 1.0), samples=10, seed=0)
+        assert v.reason == "falsification-budget-exhausted"
+
     def test_unbounded_interval_class_triggers_guard(self):
         cls = ds.IntervalDiagonal((0.5, 0.5), (np.inf, np.inf))
         v = ds.falsify(0.9 * np.eye(2), cls, ds.Multiply(), Disk(0.0, 1.0),
@@ -497,6 +512,9 @@ class _FlipOne(ds.GClass):
 
     def __init__(self, at):
         self.at, self.drawn = at, 0
+
+    def _diag_contains(self, d):
+        return (d > 0).all(axis=-1)
 
     def sample_batch(self, rng, n, k):
         gs = ds.PositiveDiagonal().sample_batch(rng, n, k)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -141,156 +141,54 @@ class TestMinors:
             assert bits(got) == bits(loop)
 
 
-def _reference_classify(a, minors=None):
-    """The six read flags and the P / P0 witnesses, computed as
-    ``classify`` did when it also reported ten unread flags: the P0+
-    running sum in the minor loop, M = Z and P."""
+def _reference_first_negative_minor(a):
+    """The P0 test pair by pair: the first minor below the band whose
+    exact sign is negative."""
     n = a.shape[0]
     norm = np.linalg.norm(a, np.inf)
-    tol1 = mc.minor_tol(norm, 1)
-    off = a - np.diag(np.diag(a))
-    diag = np.diag(a)
-    flags = {"p": None, "p0": None, "m_matrix": None,
-             "strict_row_dd": bool((abs(diag) > abs(off).sum(axis=1)
-                                    + tol1).all()),
-             "strict_col_dd": bool((abs(diag) > abs(off).sum(axis=0)
-                                    + tol1).all()),
-             "tridiagonal": bool((abs(np.triu(a, 2)) <= tol1).all()
-                                 and (abs(np.tril(a, -2)) <= tol1).all())}
-    witnesses = {}
-    if n > mc.MINOR_ENUM_CAP:
-        return flags, witnesses
-
-    def first(sets, values, hit):
-        i = np.flatnonzero(hit)
-        return ({"indices": tuple(sets[i[0]].tolist()),
-                 "value": float(values[i[0]])} if i.size else None)
-
-    p_wit = p0_wit = q_wit = None
-    minors = mc.principal_minors(a) if minors is None else minors
-    for k, (sets, values) in enumerate(minors.orders, start=1):
-        tol = mc.minor_tol(norm, k)
-        if p_wit is None:
-            p_wit = first(sets, values, values <= tol)
-        p0_wit = first(sets, values, values < -tol)
-        if p0_wit is not None:
-            break
-        if q_wit is None:
-            s = 0.0
-            for x in values.tolist():
-                s += x
-            if s <= tol:
-                q_wit = {"order": k, "sum": s}
-    for flag, wit in (("p", p_wit), ("p0", p0_wit)):
-        if wit is not None:
-            witnesses[flag] = wit
-    flags["p"], flags["p0"] = p_wit is None, p0_wit is None
-    flags["m_matrix"] = bool((off <= tol1).all()) and flags["p"]
-    return flags, witnesses
+    for k in range(1, n + 1):
+        for alpha in combinations(range(n), k):
+            value = float(np.linalg.det(a[np.ix_(alpha, alpha)]))
+            if (value < -mc.minor_tol(norm, k)
+                    and mc.exact_det_sign(a[np.ix_(alpha, alpha)]) < 0):
+                return alpha, value
+    return None
 
 
-@st.composite
-def classified_inputs(draw):
-    """A for classify(-A): random, negated M-matrices, negated SPD (P but
-    not Z), tridiagonal, order-1 minors on the band, and rows within a
-    few ulps of strict dominance."""
-    n = draw(st.integers(1, 15))
-    kind = draw(st.sampled_from(["random", "m-matrix", "spd", "tridiagonal",
-                                 "band", "near-dominance"]))
-    if kind == "m-matrix":
-        from conftest import random_m_matrix
-        seed = draw(st.integers(0, 2 ** 32 - 1))
-        return -random_m_matrix(np.random.default_rng(seed), n)
-    if kind == "band":
-        # -A = diag(big, d...) with each d on the band of -A's own norm
-        big = draw(st.floats(1.0, 10.0))
-        tol1 = mc.minor_tol(big, 1)
-        return -np.diag([big] + draw(st.lists(st.sampled_from(
-            [tol1, -tol1, np.nextafter(tol1, 0.0), np.nextafter(tol1, 1.0)]),
-            min_size=n - 1, max_size=n - 1)))
-    a = draw(square(n))
-    if kind == "spd":
-        return -(a @ a.T + np.eye(n))
-    if kind == "tridiagonal":
-        return np.triu(np.tril(a, 1), -1)
-    if kind == "near-dominance":
-        # row 0 fixes the norm; each other row's diagonal is its radius
-        # plus the band, give or take a few ulps
-        np.fill_diagonal(a, 0.0)
-        radii = abs(a).sum(axis=1)
-        a[0, 0] = 10.0 * (radii.max() + 1.0)
-        tol1 = mc.minor_tol(np.linalg.norm(a, np.inf), 1)
-        for i in range(1, n):
-            sign = draw(st.sampled_from([-1.0, 1.0]))
-            a[i, i] = sign * (radii[i] + tol1)
-            for _ in range(draw(st.integers(0, 3))):
-                a[i, i] = np.nextafter(a[i, i], draw(st.sampled_from(
-                    [-np.inf, np.inf])))
-    return a
+class TestFirstNegativeMinor:
+    @pytest.mark.parametrize("a, expect", [
+        (np.eye(3), None),
+        # P0, not P: every minor is 0 or 1
+        ([[0.0, 1.0], [0.0, 0.0]], None),
+        ([[1.0, 5.0], [1.0, -1.0]], ((1,), -1.0)),
+        ([[2.0, 4.0], [1.0, 1.0]], ((0, 1), -2.0))])
+    def test_first_negative_minor(self, a, expect):
+        a = np.asarray(a)
+        assert mc.first_negative_minor(a, mc.principal_minors(a)) == expect
 
-
-class TestClassify:
-    def test_identity(self):
-        rep = mc.classify(np.eye(3))
-        assert rep.p and rep.p0 and rep.m_matrix
-        assert rep.strict_row_dd and rep.strict_col_dd and rep.tridiagonal
+    @given(st.integers(1, 6).flatmap(square))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_pairwise_loop(self, a):
+        # -A too: it is the matrix the pipeline tests
+        for m in (a, -a):
+            got = mc.first_negative_minor(m, mc.principal_minors(m))
+            assert got == _reference_first_negative_minor(m)
 
     def test_nilpotent_p0_not_p0plus(self):
         # -A = [[0, 1], [0, 0]] is P0, not P, and its order sums vanish:
         # the minor-sign necessity, the one P0+ test, refutes A exactly
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-        rep = mc.classify(nilpotent)
-        assert rep.p0 and not rep.p
         v = ds.necessary_p0plus(-nilpotent)
         assert v.refuted
         assert v.reason == "p0-minor-sums-vanish-multiplicative"
 
-    def test_m_matrix_via_minor_oracle(self):
-        a = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        rep = mc.classify(a)
-        minors = {idx: v for idx, v in mc.principal_minors(a)}
-        assert np.isclose(minors[(0, 1)], 3.0)
-        assert rep.m_matrix and rep.p and rep.p0
 
-    def test_witnesses_for_false_flags(self):
-        # only P and P0 carry a witness: their first failing minor
-        rep = mc.classify(np.array([[1.0, 5.0], [1.0, -1.0]]))
-        assert not rep.p and not rep.p0 and not rep.m_matrix
-        assert not rep.strict_row_dd
-        assert rep.witnesses == {"p": {"indices": (1,), "value": -1.0},
-                                 "p0": {"indices": (1,), "value": -1.0}}
-        rep = mc.classify(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert rep.p0 and rep.witnesses == {"p": {"indices": (0,),
-                                                  "value": 0.0}}
-
-    @given(classified_inputs())
-    @example(np.diag(np.full(15, -3.0)) + np.diag(np.full(14, 0.5), 1))
-    @settings(max_examples=120, deadline=None)
-    def test_negation_matches_the_reference(self, a):
-        flags, witnesses = _reference_classify(-a)
-        capped = a.shape[0] > mc.MINOR_ENUM_CAP
-        # the pipeline's table of -A
-        table = None if capped else mc.principal_minors(-a)
-        for rep in (mc.classify(-a), mc.classify(-a, minors=table)):
-            assert rep.flags() == flags
-            assert rep.witnesses == witnesses
-        if capped:
-            assert flags["p"] is flags["p0"] is flags["m_matrix"] is None
-
+class TestMMatrices:
     def test_m_matrix_closed_under_principal_submatrices(self, rng):
         m = random_m_matrix(rng, 3)
         for k in (1, 2, 3):
             for idx in combinations(range(3), k):
-                assert mc.classify(m[np.ix_(idx, idx)]).m_matrix
-
-    @given(square(3))
-    @settings(max_examples=80, deadline=None)
-    def test_flag_lattice(self, a):
-        rep = mc.classify(a)
-        if rep.m_matrix:
-            assert rep.p
-        if rep.p:
-            assert rep.p0
+                assert mc.is_m_matrix(m[np.ix_(idx, idx)])
 
     def test_ndd_pdd(self, rng):
         # generalized diagonal dominance reads |A| only, so A and -A share
@@ -306,48 +204,7 @@ class TestClassify:
     def test_h_matrix_via_comparison(self):
         a = np.array([[3.0, 1.0], [-1.0, 3.0]])  # not Z, but comparison is M
         assert mc.is_m_matrix(mc.comparison_matrix(a))
-        assert not mc.is_z_matrix(a) and not mc.classify(a).m_matrix
-
-    def test_degrades_beyond_enumeration_cap(self):
-        rep = mc.classify(-np.eye(15))
-        assert rep.tridiagonal and rep.strict_row_dd and rep.strict_col_dd
-        assert rep.p is None and rep.p0 is None and rep.m_matrix is None
-        assert rep.witnesses == {}
-
-    def test_decides_at_the_enumeration_cap(self):
-        # -A for A = -3 I + 0.5 (superdiagonal) is a triangular Z-matrix
-        # with positive diagonal: an M-matrix, decided at n = 14
-        n = mc.MINOR_ENUM_CAP
-        a = np.diag(np.full(n, -3.0)) + np.diag(np.full(n - 1, 0.5), 1)
-        rep = mc.classify(-a)
-        assert rep.p is rep.p0 is rep.m_matrix is True
-        assert rep.witnesses == {}
-
-    def test_given_minor_table_is_not_recomputed(self, rng, monkeypatch):
-        a = -8.0 * np.eye(5) + 0.3 * rng.random((5, 5))
-        table = mc.principal_minors(-a)
-        calls = []
-        sweep = mc.principal_minors
-        monkeypatch.setattr(mc, "principal_minors",
-                            lambda x: calls.append(x) or sweep(x))
-        assert mc.classify(-a, minors=table).flags() == \
-            mc.classify(-a).flags()
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("n", [3, 8])
-    def test_one_norm_per_matrix(self, n, rng, monkeypatch):
-        # the norm of A, none per minor order
-        norms = []
-        norm = np.linalg.norm
-
-        def counting(x, ord=None, *args, **kwargs):
-            if ord == np.inf:
-                norms.append(x)
-            return norm(x, ord, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "norm", counting)
-        mc.classify(-8.0 * np.eye(n) + 0.3 * rng.random((n, n)))
-        assert len(norms) == 1
+        assert not mc.is_z_matrix(a) and not mc.is_m_matrix(a)
 
 
 class TestCompoundLink:
@@ -547,6 +404,7 @@ class TestZAndMMatrices:
         assert mc.is_m_matrix([[1.0, -1.0], [-1.0, 1.0 + 1e-6]])
 
     def test_positive_definite_non_z_is_not_m(self):
+        # P (minors 2, 2, 3) but not Z
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert mc.classify(a).p
+        assert all(v > 0 for _, v in mc.principal_minors(a))
         assert not mc.is_m_matrix(a)

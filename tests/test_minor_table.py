@@ -1,9 +1,9 @@
 """The array minor table against the per-pair loops it replaced, bit for bit.
 
 The reference functions below are the pair-by-pair sweep and the
-P / P0 / P0+ / minor-sign loops that ``matrix_core`` and ``dstability``
-ran before the table held its minors as per-order arrays.  Every flag,
-witness, verdict and running sum must match them exactly: floats are
+P0 / P0+ minor-sign loops that ``matrix_core`` and ``dstability`` ran
+before the table held its minors as per-order arrays.  Every witness,
+verdict and running sum must match them exactly: floats are
 compared by their bytes, so a ``-0.0`` for ``+0.0`` or an ``np.float64``
 for a ``float`` fails.
 """
@@ -35,43 +35,6 @@ def ref_principal_minors(a):
         dets = np.linalg.det(a[idx[:, :, None], idx[:, None, :]])
         out.extend(zip(sets, dets.tolist()))
     return out
-
-
-def ref_p_flags(m, minors, witnesses):
-    p = p0 = True
-    p_wit = p0_wit = None
-    for k, group in groupby(minors, key=lambda item: len(item[0])):
-        tol = mc.minor_tol(np.linalg.norm(m, np.inf), k)
-        for alpha, value in group:
-            if value <= tol and p:
-                p = False
-                p_wit = {"indices": alpha, "value": value}
-            if value < -tol and p0:
-                p0 = False
-                p0_wit = {"indices": alpha, "value": value}
-    if p_wit is not None:
-        witnesses["p"] = p_wit
-    if p0_wit is not None:
-        witnesses["p0"] = p0_wit
-    return p, p0
-
-
-def ref_classify_minor_part(a, rep, minors):
-    """The flags and witness dict that ``classify`` built from ``minors``.
-
-    The dominance flags, which read no minor, are taken from ``rep``.
-    """
-    n = a.shape[0]
-    tol1 = mc.minor_tol(np.linalg.norm(a, np.inf), 1)
-    w = {}
-    flags = dict(rep.flags())
-    flags["tridiagonal"] = bool(all(abs(a[i, j]) <= tol1
-                                    for i in range(n) for j in range(n)
-                                    if abs(i - j) > 1))
-    flags["p"], flags["p0"] = ref_p_flags(a, minors, w)
-    z = all(a[i, j] <= tol1 for i in range(n) for j in range(n) if i != j)
-    flags["m_matrix"] = z and flags["p"]
-    return flags, w
 
 
 def ref_necessary(a, mode, minors):
@@ -186,18 +149,12 @@ def fixed_cases():
 # -- the checks --------------------------------------------------------------
 
 def check_against_loops(a):
-    # -A, last, is the matrix the pipeline sweeps, classifies and tests
-    # for P0+
+    # -A, last, is the matrix the pipeline sweeps and tests for P0+
     for m in (a, -a):
         table = mc.principal_minors(m)
         pairs = ref_principal_minors(m)
         assert exact(list(table)) == exact(pairs)
         assert len(table) == len(pairs)
-        rep = mc.classify(m, minors=table)
-        flags, witnesses = ref_classify_minor_part(m, rep, pairs)
-        assert exact(rep.flags()) == exact(flags)
-        assert exact(rep.witnesses) == exact(witnesses)
-        assert exact(mc.classify(m).flags()) == exact(rep.flags())
 
     for mode in ("multiplicative", "additive"):
         expect = exact(ref_necessary(a, mode, pairs))
@@ -313,7 +270,6 @@ class TestLazyOrders:
             "self-stability", "sufficient-suite", "necessary-p0plus"]
         assert report.summary_reason == "necessary-p0plus"
         assert swept == list(range(1, len(necessary.witness["indices"]) + 1))
-        assert {"classify", "gershgorin"} <= set(report.skipped)
 
     def test_proved_request_sweeps_no_order(self, swept):
         # the suite proves it before any row reads a minor
@@ -324,13 +280,12 @@ class TestLazyOrders:
         assert swept == []
 
     def test_exhaustive_request_evaluates_every_order_once(self, swept):
-        # the necessity and classify share one table of the orders
+        # the P0 test and the order sums read one table of the orders
         report, necessary = self.run_request(
             random_hurwitz(np.random.default_rng(2), 14), exhaustive=True,
             samples=200, budget=200)
         assert report.summary_status.value == "proved"
         assert necessary.reason == "necessary-p0plus-passed"
-        assert "classify" in [c.check for c in report.checks]
         assert swept == list(range(1, 15))
 
     def test_len_evaluates_nothing(self, swept):

@@ -52,8 +52,9 @@ def _spread(logs, delta):
 
 @st.composite
 def cyclic_cases(draw):
-    """A cyclic form, alpha and beta log-uniform in [e^-7, e^7], and its
-    matrix, possibly with off-pattern entries under the circuit band."""
+    """A cyclic form, alpha and beta log-uniform in [e^-7, e^7], its
+    matrix, possibly with small off-pattern entries, and whether it has
+    any."""
     n = draw(st.integers(2, 8))
     logs = st.lists(st.floats(-7.0, 7.0), min_size=n, max_size=n)
     u, v = draw(logs), draw(logs)
@@ -70,14 +71,27 @@ def cyclic_cases(draw):
         noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
                               max_size=n * n))
         m = m + band * np.where(m == 0.0, np.reshape(noise, (n, n)), 0.0)
-    return form, m
+    return form, m, not np.array_equal(m, form.matrix())
+
+
+# 0.969 of the secant bound, with arc gains near 1.1e3
+NEAR_BOUND = sf.CyclicForm(
+    (1.0,) * 5 + tuple(np.exp([4.0, 7.0, 7.0])),
+    tuple(np.exp([7.0, 7.0, 7.0])) + (4.961162245450763, 1.0, 1.0, 1.0,
+                                      np.exp(-4.0)))
 
 
 class TestCircuitDecidesCyclicForms:
     @given(cyclic_cases())
     @settings(max_examples=200, deadline=None)
     def test_single_circuit_is_the_secant_decision(self, case):
-        form, m = case
+        form, m, noisy = case
+        if noisy:
+            # an exact criterion reads every nonzero entry: a small one
+            # may close a second circuit of large gain
+            with pytest.raises(ValueError, match="not a single circuit"):
+                sf.single_circuit_criterion(m)
+            return
         status = sf.secant_criterion(form).status
         assert sf.single_circuit_criterion(m).status is status
         # self-stability may refute first; the exhaustive run is read below
@@ -95,6 +109,23 @@ class TestCircuitDecidesCyclicForms:
         if suite:
             item = suite[0].data["items"]["single-circuit"]
             assert item.proved == (status is Status.PROVED)
+
+    @pytest.mark.parametrize("entry", [9.87869843e-10,
+                                       1.9124093624535927e-10])
+    def test_small_entry_off_the_circuit_is_read(self, entry):
+        # far under the band 1e-12 (1 + max|A|), the entry (0, 4) closes a
+        # second circuit: the first A is not Hurwitz, the second is, but a
+        # positive diagonal multiple of it is not
+        m = NEAR_BOUND.matrix()
+        m[0, 4] = entry
+        assert sf.secant_criterion(NEAR_BOUND).proved
+        with pytest.raises(ValueError, match="not a single circuit"):
+            sf.single_circuit_criterion(m)
+        for exhaustive in (False, True):
+            report = cli.run(cli.AnalysisRequest(
+                matrix=m, samples=1000, budget=1000, exhaustive=exhaustive))
+            assert report.summary_status is Status.REFUTED
+            assert report.conflicts == []
 
 
 class TestSecant:
