@@ -182,6 +182,55 @@ class TestFirstNegativeMinor:
         assert v.refuted
         assert v.reason == "p0-minor-sums-vanish-multiplicative"
 
+    def test_decides_at_the_enumeration_cap(self):
+        # -A for A = -3 I + 0.5 (superdiagonal) is triangular with positive
+        # diagonal, so P0 at n = 14; flipping one diagonal entry of A gives
+        # -A a negative order-1 minor
+        n = mc.MINOR_ENUM_CAP
+        a = np.diag(np.full(n, -3.0)) + np.diag(np.full(n - 1, 0.5), 1)
+        assert mc.first_negative_minor(-a, mc.principal_minors(-a)) is None
+        assert ds.necessary_p0plus(a).reason == "necessary-p0plus-passed"
+        a[5, 5] = 3.0
+        indices, value = mc.first_negative_minor(-a, mc.principal_minors(-a))
+        # the value is the float determinant, as ``np.linalg.det`` gives it
+        assert indices == (5,) and value == float(np.linalg.det([[-3.0]]))
+        assert ds.necessary_p0plus(a).witness == {
+            "indices": indices, "minor": value, "matrix": "-A"}
+
+    def test_degrades_beyond_enumeration_cap(self):
+        with pytest.raises(ValueError, match="capped at n = 14"):
+            ds.necessary_p0plus(-np.eye(mc.MINOR_ENUM_CAP + 1))
+
+    def test_given_minor_table_is_not_recomputed(self, rng, monkeypatch):
+        a = -8.0 * np.eye(5) + 0.3 * rng.random((5, 5))
+        table = mc.principal_minors(-a)
+        expect = ds.necessary_p0plus(a)
+        calls = []
+        sweep = mc.principal_minors
+        monkeypatch.setattr(ds, "principal_minors",
+                            lambda x: calls.append(x) or sweep(x))
+        got = ds.necessary_p0plus(a, minors=table)
+        assert (got.status, got.reason) == (expect.status, expect.reason)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_norm_per_matrix(self, n, rng, monkeypatch):
+        # the norm of the matrix, none per minor order: -A is P here, so
+        # every order is read
+        a = -8.0 * np.eye(n) + 0.3 * rng.random((n, n))
+        table = mc.principal_minors(-a)
+        norms = []
+        norm = np.linalg.norm
+
+        def counting(x, ord=None, *args, **kwargs):
+            if ord == np.inf:
+                norms.append(x)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        assert mc.first_negative_minor(-a, table) is None
+        assert len(norms) == 1
+
 
 class TestMMatrices:
     def test_m_matrix_closed_under_principal_submatrices(self, rng):
