@@ -11,9 +11,10 @@ with the same seed produce byte-identical JSON reports, so the JSON
 format carries no timings (the text format does).
 
 The pipeline is one table, :data:`CHECKS`.  Each row names a check and
-its reference, whether it applies to the request (through the canonical
-region/class/operation triple of a row with a theory of its own, or the
-transfer lemmas of ``_Context.transfers``) and how to run it.
+its reference, whether it applies to the request (a premise on the
+region, the operation and the class's facts or value, such as the
+transfer lemmas of ``_Context.transfers`` or the D-stability mode of
+``_Context.perturbation``) and how to run it.
 :func:`run` walks the table in order; it alone times the checks, builds
 their records and keeps the summary.  A check that raises is recorded
 under its own id as ``check-error``, and the rest still run.  Work that
@@ -37,7 +38,7 @@ The 2^n minor table is built only when ``necessary-p0plus`` or
 ``interval-box`` reaches it, and both read its P0 test,
 ``matrix_core.first_negative_minor``.  Every row can decide the request.
 
-On the two D-stability triples, ``submatrix-descent`` lifts an unstable
+On D-stability proper, ``submatrix-descent`` lifts an unstable
 principal submatrix A[S] to a diagonal D with D o A outside the
 half-plane, so that its witness, like those of ``falsify``, replays on A
 itself.  It runs at any n, before ``falsify`` samples the class.
@@ -391,32 +392,6 @@ def to_jsonable(obj):
 # Orchestration
 # ---------------------------------------------------------------------------
 
-# (triple, region, class names, op names); the first row that matches a
-# request names its triple.  Only a row with a theory of its own reads it;
-# a diagonal certificate decides through _Context.transfers.
-_TRIPLES = (
-    ("multiplicative-d-stability", HalfPlaneLeft(), ("positive-diagonal",),
-     ("multiply",)),
-    ("additive-d-stability", HalfPlaneLeft(), ("negative-diagonal",),
-     ("add",)),
-    ("schur-d-stability", Disk(), ("diagonal-norm-lt1",), ("multiply",)),
-    ("vertex-stability", Disk(), ("vertex-diagonal",), ("multiply",)),
-    ("h-stability", HalfPlaneLeft(), ("spd",), ("multiply",)),
-    ("hadamard-h-stability", HalfPlaneLeft(), ("spd",), ("hadamard",)),
-)
-
-# The two triples of D-stability proper.
-_D_STABILITY = ("multiplicative-d-stability", "additive-d-stability")
-
-
-def _canonical_triple(request):
-    """The name of the request's triple in ``_TRIPLES``, or None."""
-    gclass, op = request.gclass.name, request.op.name
-    return next((name for name, region, classes, ops in _TRIPLES
-                 if request.region == region and gclass in classes
-                 and op in ops), None)
-
-
 class _Context:
     """One request as the checks see it, the records made so far, and the
     work that several checks share, each done at most once.
@@ -430,7 +405,6 @@ class _Context:
         self.request = request
         self.n = request.matrix.shape[0]
         self.half_plane = request.region == HalfPlaneLeft()
-        self.triple = _canonical_triple(request)
         self.checks = []
 
     def proved(self, check):
@@ -470,6 +444,17 @@ class _Context:
             (g.sign > 0 and region.conic)
             or (g.bound <= 1 and region.radial)
             or (g.nonsingular and isinstance(region, Hyperbolic)))
+
+    @cached_property
+    def perturbation(self):
+        """The mode of D-stability proper, or None: on the half-plane, a
+        class of every positive diagonal (``orthant`` +1) under
+        ``multiply``, or of every negative one (-1) under ``add``."""
+        if not self.half_plane:
+            return None
+        r = self.request
+        return {(1, "multiply"): "multiplicative",
+                (-1, "add"): "additive"}.get((r.gclass.orthant, r.op.name))
 
     @cached_property
     def spectrum(self):
@@ -520,13 +505,8 @@ def _self_stability(ctx):
             {"eigenvalues": spectrum})
 
 
-def _perturbation(ctx):
-    return ("multiplicative" if ctx.triple == "multiplicative-d-stability"
-            else "additive")
-
-
 def _necessary(ctx):
-    verdict = ds.necessary_p0plus(ctx.request.matrix, _perturbation(ctx),
+    verdict = ds.necessary_p0plus(ctx.request.matrix, ctx.perturbation,
                                   minors=ctx.minors)
     return verdict, verdict.refuted, None
 
@@ -559,7 +539,7 @@ def _symmetric_part(ctx):
     # the rank-one witness answers H-stability only: (v v^T) o A is
     # D_v A D_v, another question
     witness = (ds.rank_one_witness(a, r.gclass, r.op, r.region)
-               if ctx.triple == "h-stability" else None)
+               if r.op.name == "multiply" else None)
     if witness is not None:
         return (Verdict(Status.REFUTED, "rank-one-counterexample",
                         witness=witness), True, None)
@@ -599,7 +579,7 @@ def _falsify(ctx):
 
 
 def _submatrix_descent(ctx):
-    verdict = ds.submatrix_descent(ctx.request.matrix, _perturbation(ctx))
+    verdict = ds.submatrix_descent(ctx.request.matrix, ctx.perturbation)
     return verdict, verdict.refuted, None
 
 
@@ -615,7 +595,7 @@ CHECKS = (
           lambda c: c.half_plane and c.transfers and not c.escapes,
           _sufficient_suite),
     Check("necessary-p0plus", "minor-sign necessity",
-          lambda c: c.triple in _D_STABILITY and c.n <= MINOR_ENUM_CAP,
+          lambda c: c.perturbation and c.n <= MINOR_ENUM_CAP,
           _necessary),
     Check("interval-box", "interval-to-polynomial-box reduction",
           lambda c: (c.half_plane and c.request.op.name == "multiply"
@@ -623,11 +603,15 @@ CHECKS = (
                      and c.request.gclass.bound < math.inf),
           _interval_box),
     Check("vertex-enumeration", "sign-vertex spectral radii",
-          lambda c: (c.triple in ("vertex-stability", "schur-d-stability")
+          lambda c: (c.request.region == Disk()
+                     and c.request.op.name == "multiply"
+                     and c.request.gclass in (ds.VertexDiagonal(),
+                                              ds.DiagonalNormLt1())
                      and c.n <= ds.VERTEX_ENUM_CAP),
           _vertex_enumeration),
     Check("symmetric-part", "definiteness of the symmetric part",
-          lambda c: c.triple in ("h-stability", "hadamard-h-stability"),
+          lambda c: (c.half_plane and c.request.gclass == ds.SPD()
+                     and c.request.op.name in ("multiply", "hadamard")),
           _symmetric_part),
     # it runs only where a lemma carries its certificate to the class
     Check("diagonal-certificate", "diagonal Lyapunov-type search",
@@ -636,7 +620,7 @@ CHECKS = (
           _diagonal_certificate),
     # no cap in n: at most n (n + 1) / 2 - 1 submatrix eigen-solves
     Check("submatrix-descent", "unstable principal submatrix descent",
-          lambda c: c.triple in _D_STABILITY, _submatrix_descent),
+          lambda c: c.perturbation, _submatrix_descent),
     Check("falsify", "randomized class sampling", None, _falsify),
 )
 

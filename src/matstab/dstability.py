@@ -7,8 +7,8 @@ docstring: the Hurwitz question of -a is the positive one of a.
 
 The matrix classes G and the binary operations are values
 (``spectra.Value``): equal by class and parameters, as the regions are.
-Each class states the facts that the transfer lemmas read (``sign``,
-``nonsingular``, ``bound``) next to ``contains``.
+Each class states the facts that the pipeline reads (``sign``,
+``nonsingular``, ``bound``, ``orthant``) next to ``contains``.
 
 Every refutation embeds a replayable witness: the sampled class member,
 the realized product, the offending eigenvalue and the stream seed.  A
@@ -68,11 +68,15 @@ class GClass(Value):
     ``sign`` is +1 or -1 when every member is a diagonal of entries of
     that strict sign, else 0; ``nonsingular``, that every member is a
     nonsingular diagonal; ``bound``, the supremum of |g_ij| over the
-    members, finite only for a bounded diagonal class.
+    members, finite only for a bounded diagonal class.  The D-stability
+    rows of ``cli._Context.perturbation`` read a fourth: ``orthant`` is
+    +1 or -1 when the class is every diagonal of that strict sign, the
+    whole open orthant, else 0 (not claimed).
     """
 
     name = "gclass"
     sign = 0
+    orthant = 0
     bound = math.inf
 
     @property
@@ -133,6 +137,7 @@ class PositiveDiagonal(GClass):
 
     name = "positive-diagonal"
     sign = 1
+    orthant = 1
 
     def _diag_contains(self, d):
         return (d > 0).all(axis=-1)
@@ -144,6 +149,7 @@ class PositiveDiagonal(GClass):
 class NegativeDiagonal(GClass):
     name = "negative-diagonal"
     sign = -1
+    orthant = -1
 
     def _diag_contains(self, d):
         return (d < 0).all(axis=-1)
@@ -350,6 +356,11 @@ class SignPatternDiagonal(GClass):
     def sign(self):
         signs = set(self.signs)
         return signs.pop() if len(signs) == 1 else 0
+
+    @property
+    def orthant(self):
+        # a pattern of one sign admits every diagonal of that sign
+        return self.sign
 
     def _diag_contains(self, d):
         return (np.sign(d) == np.asarray(self.signs)).all(axis=-1)

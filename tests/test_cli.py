@@ -944,6 +944,42 @@ class TestDecideThenStop:
         assert fal["status"] == "refuted"
 
 
+def _desk_request(seed, request_seed):
+    """The desk-dstab request of ``request_seed``, three rounds at ``seed``."""
+    return next(spec for spec in benchmark_corpus("desk-dstab", seed, 3)
+                if spec.seed == request_seed)
+
+
+# (matrix, op, the named class, the same set as a sign pattern, seed)
+TWO_SPELLINGS = [
+    (HURWITZ_8_NOT_P0, "add", "negative-diagonal", "-" * 8, 0),
+    ([[1.0, -4.0], [1.0, -2.0]], "multiply", "positive-diagonal", "++", 0),
+    *((spec.matrix, spec.op, spec.gclass, "-" * len(spec.matrix), spec.seed)
+      for spec in (_desk_request(1, 271851896), _desk_request(3, 1999492377))),
+]
+
+
+class TestTwoSpellings:
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("matrix, op, named, signs, seed", TWO_SPELLINGS,
+                             ids=["hurwitz-8-not-p0", "classic-2x2",
+                                  "desk-1-add-n14", "desk-3-add-n12"])
+    def test_one_set_one_report(self, matrix, op, named, signs, seed,
+                                exhaustive):
+        # the checks read the class's facts, not its spec: the sign
+        # pattern of one sign is the named class, and both samplers draw
+        # the same stream, so the reports differ in request.class only
+        reports = []
+        for class_spec in (named, "sign-pattern:" + signs):
+            report = emitted(cli.run(request_for(
+                np.array(matrix), class_spec=class_spec, op_spec=op,
+                seed=seed, exhaustive=exhaustive)))
+            assert report["request"].pop("class") == class_spec
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["summary"]["status"] == "refuted"
+
+
 def _to_jsonable_reference(obj):
     """Reference: the branch-per-type serializer that to_jsonable replaced."""
     tj = _to_jsonable_reference
@@ -1236,13 +1272,20 @@ class TestMain:
         assert report["summary"]["status"] == status
 
 
+def _one_sign(g, sign):
+    return isinstance(g, ds.SignPatternDiagonal) and set(g.signs) == {sign}
+
+
 def _isinstance_triple(request):
-    """The triple chain of the isinstance-based pipeline, as a reference."""
+    """The triple chain of the isinstance-based pipeline, as a reference;
+    a sign pattern of one sign is the diagonals of that sign."""
     r, g, op = request.region, request.gclass, request.op
     half = isinstance(r, HalfPlaneLeft)
-    if half and isinstance(g, ds.PositiveDiagonal) and isinstance(op, ds.Multiply):
+    if half and (isinstance(g, ds.PositiveDiagonal) or _one_sign(g, 1)) \
+            and isinstance(op, ds.Multiply):
         return "multiplicative-d-stability"
-    if half and isinstance(g, ds.NegativeDiagonal) and isinstance(op, ds.Add):
+    if half and (isinstance(g, ds.NegativeDiagonal) or _one_sign(g, -1)) \
+            and isinstance(op, ds.Add):
         return "additive-d-stability"
     if r == Disk() and isinstance(g, ds.DiagonalNormLt1) \
             and isinstance(op, ds.Multiply):
@@ -1269,7 +1312,7 @@ CLASS_SPECS = [
     "vertex-diagonal", "spd", "alpha-scalar:0,1|2", "alpha-block-spd:0,1|2",
     "ordered-diagonal:0,1,2", "interval-diagonal:0.5/2,0.5/2,0.5/2",
     "interval-diagonal:0.5/inf,1/2,1/2", "sign-pattern:+-+",
-    "rank-positive:1"]
+    "sign-pattern:+++", "sign-pattern:---", "rank-positive:1"]
 OP_SPECS = ["multiply", "add", "hadamard", "block-hadamard:2"]
 
 
@@ -1306,18 +1349,30 @@ class TestCheckTable:
         box, = (c for c in report.checks if c.check == "interval-box")
         assert box.verdict.reason == reason
 
-    def test_triple_lookup_matches_isinstance_chain(self):
+    def test_theory_rows_apply_on_the_isinstance_chain(self):
+        # each row with a theory of its own states its premise from the
+        # class's facts or value; on every triple of the grid it applies
+        # exactly where the reference names one of its triples
+        modes = {"multiplicative-d-stability": "multiplicative",
+                 "additive-d-stability": "additive"}
+        rows = {"necessary-p0plus": set(modes),
+                "submatrix-descent": set(modes),
+                "vertex-enumeration": {"schur-d-stability",
+                                       "vertex-stability"},
+                "symmetric-part": {"h-stability", "hadamard-h-stability"}}
+        applies = {c.id: c.applies for c in cli.CHECKS}
         seen = set()
         for r in REGION_SPECS:
             for g in CLASS_SPECS:
                 for op in OP_SPECS:
-                    request = SimpleNamespace(region=cli.parse_region(r),
-                                              gclass=cli.parse_gclass(g),
-                                              op=cli.parse_op(op))
-                    triple = cli._canonical_triple(request)
-                    assert triple == _isinstance_triple(request), (r, g, op)
+                    ctx = _context(r, g, op)
+                    triple = _isinstance_triple(ctx.request)
+                    for row, triples in rows.items():
+                        assert bool(applies[row](ctx)) is (
+                            triple in triples), (row, r, g, op)
+                    assert ctx.perturbation == modes.get(triple), (r, g, op)
                     seen.add(triple)
-        assert seen == {name for name, *_ in cli._TRIPLES} | {None}
+        assert seen == set().union(*rows.values()) | {None}
 
     @pytest.mark.parametrize("matrix, kw", [
         ([[1.0, -4.0], [1.0, -2.0]], dict(exhaustive=True)),
@@ -1553,7 +1608,7 @@ class TestValueClasses:
 # The classes of CLASS_SPECS within the positive diagonals.
 _POSITIVE = {"positive-diagonal", "alpha-scalar:0,1|2",
              "ordered-diagonal:0,1,2", "interval-diagonal:0.5/2,0.5/2,0.5/2",
-             "interval-diagonal:0.5/inf,1/2,1/2"}
+             "interval-diagonal:0.5/inf,1/2,1/2", "sign-pattern:+++"}
 
 # (region, op) -> the classes of CLASS_SPECS to which a diagonal
 # certificate transfers, written out by hand
@@ -1569,9 +1624,10 @@ TRANSFER_TABLE = {
                  'emi:{"r11": [[-1]], "r12": [[0]], "r22": [[1]]}')},
     # L3: nonsingular diagonals
     ("hyperbolic", "multiply"): _POSITIVE | {
-        "negative-diagonal", "vertex-diagonal", "sign-pattern:+-+"},
+        "negative-diagonal", "vertex-diagonal", "sign-pattern:+-+",
+        "sign-pattern:---"},
     # the additive rule: negative diagonals on the half-plane
-    ("half-plane-left", "add"): {"negative-diagonal"},
+    ("half-plane-left", "add"): {"negative-diagonal", "sign-pattern:---"},
 }
 
 

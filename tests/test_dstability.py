@@ -252,6 +252,48 @@ class TestSamplers:
         assert ds.IntervalDiagonal((1.0, 0.5), (2.0, 3.0)).bound == 3.0
 
 
+def _orthant_fault(cls, rng):
+    """What is wrong with ``cls.orthant`` on 1,000 3 x 3 diagonals d
+    log-uniform over 1e-6..1e6, or None.  A claimed orthant s needs sign
+    s and every diag(s d) a member; a class of one strict sign that
+    claims none must leave out some diag(sign d)."""
+    d = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), (1000, 3)))
+    s = cls.orthant
+    if s:
+        if cls.sign != s:
+            return f"orthant {s} with sign {cls.sign}"
+        out = next((x for x in d if not cls.contains(np.diag(s * x))), None)
+        return None if out is None else f"diag({s * out}) is not a member"
+    if cls.sign and all(cls.contains(np.diag(cls.sign * x)) for x in d):
+        return "holds the whole orthant and claims none"
+    return None
+
+
+class TestOrthantFact:
+    # necessary-p0plus refutes on the orthant fact, which is sound only
+    # when the class holds every diagonal of that sign; the samplers'
+    # classes hold the mixed pattern +-+ already
+    CLASSES = TestSamplers.CLASSES + [ds.SignPatternDiagonal((1, 1, 1)),
+                                      ds.SignPatternDiagonal((-1, -1, -1))]
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=repr)
+    def test_orthant_is_the_whole_orthant(self, cls, rng):
+        assert _orthant_fault(cls, rng) is None
+
+    def test_the_claims(self):
+        assert [c.orthant for c in self.CLASSES] == [
+            1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1]
+
+    @pytest.mark.parametrize("cls, orthant, fault", [
+        (ds.IntervalDiagonal((0.5,) * 3, (2.0,) * 3), 1, "is not a member"),
+        (ds.PositiveDiagonal(), 0, "claims none"),
+        (ds.SignPatternDiagonal((1, 1, 1)), -1, "with sign 1")],
+        ids=["interval-claims", "positive-drops", "wrong-sign"])
+    def test_a_wrong_fact_fails(self, monkeypatch, rng, cls, orthant, fault):
+        monkeypatch.setattr(type(cls), "orthant", orthant)
+        assert fault in _orthant_fault(cls, rng)
+
+
 class TestClassClosure:
     # the classes used as certificates are closed under the operations
     # that the transfer arguments lean on
