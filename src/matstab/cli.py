@@ -20,8 +20,10 @@ their records and keeps the summary.  A check that raises is recorded
 under its own id as ``check-error``, and the rest still run.  Work that
 several checks read is done once per request and cached on the
 request's :class:`_Context`.
-The principal minors are computed once, of ``-A``, the matrix that
-every check reading them tests.
+Every row hands the library the request's matrix A itself, and each
+criterion states its claim about the matrix it is given.  The
+principal minors are computed once, of ``-A``: every ``minors``
+argument of the library is that table.
 
 The rows run cheapest sound check first.  ``sufficient-suite`` comes
 before the minor-sign necessity: its exact items (the single-circuit gain
@@ -115,7 +117,7 @@ def parse_matrix(text):
             if len(row) != n:
                 raise UsageError(f"row {i} has length {len(row)}, expected {n}")
             for j, v in enumerate(row):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                if not _is_number(v):
                     raise UsageError(f"entry ({i},{j}) is not a number")
         try:
             m = np.asarray(rows, dtype=float)
@@ -151,6 +153,11 @@ def parse_matrix(text):
         raise UsageError(str(exc)) from exc
 
 
+def _is_number(v):
+    """A JSON entry of a matrix: an int or a float, never a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_float(s):
     try:
         float(s)
@@ -183,9 +190,16 @@ def _json_matrices(name, arg, keys):
         raise UsageError(f"{name} region needs a JSON object with keys "
                          + ", ".join(keys))
     try:
-        return [np.asarray(obj[k], float) for k in keys]
+        blocks = [np.asarray(obj[k], float) for k in keys]
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{name} region: {exc}") from exc
+    for k in keys:
+        # the block is rectangular now: each object entry is a JSON scalar
+        for v in np.asarray(obj[k], object).flat:
+            if not _is_number(v):
+                raise UsageError(f"{name} region: an entry of {k},"
+                                 f" {json.dumps(v)}, is not a number")
+    return blocks
 
 
 # regions whose spec takes no argument
@@ -517,7 +531,7 @@ def _interval_box(ctx):
     g = ctx.request.gclass
     try:
         verdict = polynomials.kosov_interval_dstability(
-            -ctx.request.matrix, np.asarray(g.d_min), np.asarray(g.d_max),
+            ctx.request.matrix, np.asarray(g.d_min), np.asarray(g.d_max),
             minors=ctx.minors)
     except ValueError as exc:
         return Verdict(Status.UNKNOWN, f"premise-fails: {exc}"), False, None
@@ -548,17 +562,9 @@ def _symmetric_part(ctx):
 
 
 def _sufficient_suite(ctx):
-    suite = ds.sufficient_suite(-ctx.request.matrix,
-                                ctx.search.run(SEARCH_PREFIX))
-    fired = [name for name, v in suite if v.proved]
-    wit = next((v.witness for _, v in suite if v.proved
-                and v.witness is not None), None)
-    verdict = (Verdict(Status.PROVED, "sufficient:" + ",".join(fired),
-                       witness=wit) if fired
-               else Verdict(Status.UNKNOWN, "no-sufficient-class-fired"))
-    # the row's verdict carries the certificate; an item keeps its outcome
-    return verdict, bool(fired), {
-        "items": {name: Verdict(v.status, v.reason) for name, v in suite}}
+    verdict, items = ds.sufficient_suite(ctx.request.matrix,
+                                         ctx.search.run(SEARCH_PREFIX))
+    return verdict, verdict.proved, {"items": items}
 
 
 def _diagonal_certificate(ctx):

@@ -1,9 +1,8 @@
 """Matrix-class samplers, falsification and D-stability criteria.
 
-The canonical stability region of the library is the open left
-half-plane.  A criterion whose natural statement is about positive
-stability (all eigenvalues in the right half-plane) says so in its
-docstring: the Hurwitz question of -a is the positive one of a.
+Every criterion answers its question (the Hurwitz one where it takes
+no region) about the matrix it is given, and a ``minors`` argument is
+always ``principal_minors(-a)``.
 
 The matrix classes G and the binary operations are values
 (``spectra.Value``): equal by class and parameters, as the regions are.
@@ -22,10 +21,9 @@ from itertools import product
 import numpy as np
 
 from . import lyapunov, special_forms
-from .matrix_core import (MINOR_ENUM_CAP, _running_sum, additive_compound_2,
-                          as_matrix, block_hadamard, exact_det_sign,
-                          first_negative_minor, is_m_matrix,
-                          is_tridiagonal_p_matrix, minor_tol,
+from .matrix_core import (_running_sum, additive_compound_2, as_matrix,
+                          block_hadamard, exact_det_sign, first_negative_minor,
+                          is_m_matrix, is_tridiagonal_p_matrix, minor_tol,
                           principal_minors, strict_diagonal_dominance, w_map)
 from .spectra import (Disk, EigenSolverError, HalfPlaneLeft, Status, Value,
                       Verdict, eigenvalues, first_outside, membership,
@@ -603,7 +601,7 @@ def falsify(a, gclass, op, region, samples=10000, seed=0, batch=256):
     n = a.shape[0]
     rng = np.random.default_rng(seed)
 
-    if region.bounded and gclass.bound == math.inf:
+    if gclass.bound == math.inf and region.bounded:
         wit = _unbounded_witness(a, gclass, op, region, rng, seed)
         if wit is not None:
             return Verdict(Status.REFUTED, "unbounded-class-bounded-region",
@@ -658,9 +656,6 @@ def necessary_p0plus(a, mode="multiplicative", minors=None):
     a = as_matrix(a)
     if mode not in ("multiplicative", "additive"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = a.shape[0]
-    if n > MINOR_ENUM_CAP:
-        raise ValueError(f"minor enumeration capped at n = {MINOR_ENUM_CAP}")
     b = -a
     if minors is None:
         minors = principal_minors(b)
@@ -688,58 +683,61 @@ def _is_triangular(a, tol):
 
 
 def sufficient_suite(a, search):
-    """Sufficient positive D-stability tests of ``a``.
+    """Sufficient (Hurwitz) D-stability tests of ``a``: one row verdict.
 
-    Any Proved item implies D-stability of ``a`` (D a positive stable for
-    every positive diagonal D).  Items: diagonal stability by certificate
-    search, M-matrix, strict diagonal dominance with positive diagonal,
-    triangular with positive diagonal, tridiagonal P-matrix, the W-map
-    route (the off-diagonal absolute-value image of -A, or of its
-    inverse, Hurwitz stable implies diagonal stability), and the exact
-    single-circuit gain test of -A, which decides every cyclic feedback
-    form.  No item needs the 2^n principal minors: a Z-matrix is an
-    M-matrix when its leading minors are positive, and a tridiagonal
-    matrix is P when its contiguous principal minors are, so every item
-    runs at any n.
-    ``search`` is the verdict of the half-plane diagonal search of -a:
-    ``DiagonalSearch(-a, HalfPlaneLeft(), budget).run(steps)``, the
-    whole search or a prefix of it.
+    Any Proved item implies that D a is Hurwitz for every positive
+    diagonal D.  Items, in order: diagonal stability by certificate
+    search, and, of -A, M-matrix, strict diagonal dominance with
+    positive diagonal, triangular with positive diagonal and tridiagonal
+    P-matrix; then the W-map route (the off-diagonal absolute-value image
+    of A, or of its inverse, Hurwitz stable implies diagonal stability)
+    and the exact single-circuit gain test of A, which decides every
+    cyclic feedback form.  No item needs the 2^n principal minors: a
+    Z-matrix is an M-matrix when its leading minors are positive, and a
+    tridiagonal matrix is P when its contiguous principal minors are, so
+    every item runs at any n.
+    ``search`` is the verdict of the half-plane diagonal search of ``a``:
+    ``DiagonalSearch(a, HalfPlaneLeft(), budget).run(steps)``, the whole
+    search or a prefix of it.
+
+    Returns ``(verdict, items)``.  ``verdict`` is Proved,
+    ``sufficient:<the proved items in order>``, when any item is, with
+    the search's certificate as its witness when the search proved;
+    else Unknown, ``no-sufficient-class-fired``.  ``items`` maps each
+    item name to its verdict, without a witness.
     """
     a = as_matrix(a)
+    b = -a
     norm = np.linalg.norm(a, np.inf)  # that of -A too
     tol = minor_tol(norm, 1)
-    diag_pos = bool((np.diag(a) > tol).all())
-    out = []
-
-    if search.proved:
-        out.append(("diagonal-stability", Verdict(
-            Status.PROVED, "diagonally-stable", witness=search.witness)))
-    else:
-        out.append(("diagonal-stability", search))
-
-    def exact(name, flag):
-        if flag:
-            out.append((name, Verdict(Status.PROVED, name)))
-        else:
-            out.append((name, Verdict(Status.UNKNOWN, f"{name}-premise-fails")))
-
-    exact("m-matrix", is_m_matrix(a))
-    exact("strict-diagonal-dominance",
-          diag_pos and any(strict_diagonal_dominance(a, tol)))
-    exact("triangular-positive-diagonal", diag_pos and _is_triangular(a, tol))
-    exact("tridiagonal-p-matrix", is_tridiagonal_p_matrix(a))
-
-    b = -a
-    w_ok = region_stable(w_map(b), HalfPlaneLeft()).proved
-    if not w_ok and abs(np.linalg.det(b)) > minor_tol(norm, a.shape[0]):
-        w_ok = region_stable(w_map(np.linalg.inv(b)), HalfPlaneLeft()).proved
-    exact("w-map-stable", w_ok)
+    diag_pos = bool((np.diag(b) > tol).all())
+    w_ok = region_stable(w_map(a), HalfPlaneLeft()).proved
+    if not w_ok and abs(np.linalg.det(a)) > minor_tol(norm, a.shape[0]):
+        w_ok = region_stable(w_map(np.linalg.inv(a)), HalfPlaneLeft()).proved
     try:
-        circuit = special_forms.single_circuit_criterion(b).proved
+        circuit = special_forms.single_circuit_criterion(a).proved
     except ValueError:  # not one circuit, or a diagonal entry not negative
         circuit = False
-    exact("single-circuit", circuit)
-    return out
+    flags = {"m-matrix": is_m_matrix(b),
+             "strict-diagonal-dominance":
+                 diag_pos and any(strict_diagonal_dominance(b, tol)),
+             "triangular-positive-diagonal":
+                 diag_pos and _is_triangular(b, tol),
+             "tridiagonal-p-matrix": is_tridiagonal_p_matrix(b),
+             "w-map-stable": w_ok,
+             "single-circuit": circuit}
+
+    items = {"diagonal-stability": Verdict(
+        search.status,
+        "diagonally-stable" if search.proved else search.reason)}
+    for name, flag in flags.items():
+        items[name] = (Verdict(Status.PROVED, name) if flag
+                       else Verdict(Status.UNKNOWN, f"{name}-premise-fails"))
+    fired = [name for name, v in items.items() if v.proved]
+    if not fired:
+        return Verdict(Status.UNKNOWN, "no-sufficient-class-fired"), items
+    return Verdict(Status.PROVED, "sufficient:" + ",".join(fired),
+                   witness=search.witness if search.proved else None), items
 
 
 def li_wang_stable(a):

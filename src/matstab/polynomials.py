@@ -101,17 +101,15 @@ def kharitonov_stable(box):
 
 
 def kosov_interval_dstability(a, d_min, d_max, minors=None):
-    """Interval D-stability of a P0 matrix over a diagonal box (sufficient).
+    """Interval D-stability of ``a`` over a diagonal box (sufficient).
 
-    ``a`` is tested for positive stability: the claim certified is that
-    D a has its whole spectrum in the open right half-plane for every
-    diagonal D with d_min <= diag(D) <= d_max.
-    The Hurwitz polynomial of the negated product has coefficients
-    monotone in each d_ii because ``a`` is P0, so the two box corners
-    bound the whole coefficient family and the four-polynomial test
-    applies.  Proved means D-stable with respect to the box; anything
-    else is Unknown (the test is sufficient only).
-    ``minors``, when given, is ``principal_minors(a)``.
+    The claim certified is that D a is Hurwitz for every diagonal D with
+    d_min <= diag(D) <= d_max.  The characteristic polynomial of D a has
+    coefficients monotone in each d_ii when -a is P0, so the two box
+    corners bound the whole coefficient family and the four-polynomial
+    test applies.  Proved means D-stable with respect to the box;
+    anything else is Unknown (the test is sufficient only).
+    ``minors``, when given, is ``principal_minors(-a)``.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -123,14 +121,14 @@ def kosov_interval_dstability(a, d_min, d_max, minors=None):
         raise ValueError("P0 is undecided past the minor enumeration cap"
                          f" n = {MINOR_ENUM_CAP}")
     negative = first_negative_minor(
-        a, principal_minors(a) if minors is None else minors)
+        -a, principal_minors(-a) if minors is None else minors)
     if negative is not None:
         indices, value = negative
         raise ValueError("matrix must be P0 for the interval reduction;"
                          f" witness minor {dict(indices=indices, value=value)}")
 
-    f_lo = char_poly(-(np.diag(d_min) @ a))
-    f_hi = char_poly(-(np.diag(d_max) @ a))
+    f_lo = char_poly(np.diag(d_min) @ a)
+    f_hi = char_poly(np.diag(d_max) @ a)
     box = IntervalPoly(np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi))
     inner = kharitonov_stable(box)
     if inner.proved:

@@ -31,8 +31,8 @@ library goes through it:
   positive semidefinite: the form reads z only through R22 |z|^2, and
   the region is a disk centred at the origin (a ``Disk`` with center 0,
   or that disk written as an EMI region).
-- ``bounded`` is True when the region is known to be bounded (a disk,
-  an EMI region with R22 positive definite); False is conservative.
+- ``bounded`` is True when the ``emi`` form has R22 positive definite,
+  so the region is bounded (a disk); False is conservative.
 
 :func:`membership` is the one band test: through ``distance`` with each
 point's ``default_tol`` band it gives -1 (strictly inside), 0 (in the
@@ -152,7 +152,6 @@ class Region(Value):
 
     name = "region"
     emi = None
-    bounded = False
 
     @property
     def conic(self):
@@ -167,6 +166,11 @@ class Region(Value):
             return False
         _, r12, r22 = self.emi
         return not np.any(r12) and bool(np.linalg.eigvalsh(r22)[0] >= 0)
+
+    @property
+    def bounded(self):
+        return self.emi is not None and bool(
+            np.linalg.eigvalsh(self.emi[2])[0] > 0)
 
     def distance(self, zs, tol):
         raise TypeError(f"unknown region {self!r}")
@@ -198,7 +202,6 @@ class Disk(Region):
     """Open disk |z - center| < radius with a real center."""
 
     name = "disk"
-    bounded = True
 
     def __init__(self, center=0.0, radius=1.0):
         if not (math.isfinite(center) and math.isfinite(radius)):
@@ -212,12 +215,6 @@ class Disk(Region):
     def emi(self):
         c, r = self.center, self.radius
         return np.array([[c * c - r * r]]), np.array([[-c]]), np.array([[1.0]])
-
-    @property
-    def radial(self):
-        # R12 = -center and R22 = 1: ``Region.radial`` without building
-        # the form
-        return self.center == 0
 
     def distance(self, zs, tol):
         return np.abs(zs - self.center) - self.radius
@@ -339,10 +336,6 @@ class EMIRegion(Region):
     @property
     def emi(self):
         return self.r11, self.r12, self.r22
-
-    @property
-    def bounded(self):
-        return bool(np.linalg.eigvalsh(self.r22)[0] > 0)
 
     def characteristic(self, z):
         # an infinite z gives inf or NaN entries, and membership puts that

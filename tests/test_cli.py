@@ -93,6 +93,13 @@ class TestParsers:
          "lmi region: region data must be finite"),
         ('emi:{"r11":[[-1]],"r12":[[Infinity]],"r22":[[1]]}',
          "emi region: region data must be finite"),
+        # the matrix reader's entry rule: a bool or a string is no number
+        ('lmi:{"l":[[false]],"m":[[true]]}',
+         "lmi region: an entry of l, false, is not a number"),
+        ('emi:{"r11":[["-1"]],"r12":[[0]],"r22":[[1]]}',
+         'emi region: an entry of r11, "-1", is not a number'),
+        ('lmi:{"l":[[0, 0], [0, 0]],"m":[[true, 1], [0, 1]]}',
+         "lmi region: an entry of m, true, is not a number"),
     ])
     def test_malformed_region_json_rejected(self, spec, message, capsys):
         with pytest.raises(cli.UsageError, match=message):
@@ -646,6 +653,43 @@ class TestSharedWork:
         swept, = calls["minors"]
         want = -report.request.matrix
         assert swept.dtype == want.dtype and swept.tobytes() == want.tobytes()
+
+    def test_rows_read_the_request_matrix(self, monkeypatch):
+        # the suite and the box reduction test A itself; the minor table
+        # they read is the request's one table of -A
+        seen = {"suite": [], "kosov": [], "tables": []}
+        suite, kosov = ds.sufficient_suite, polynomials.kosov_interval_dstability
+        sweep = matrix_core.principal_minors
+
+        def recording_suite(a, search):
+            seen["suite"].append(np.array(a))
+            return suite(a, search)
+
+        def recording_kosov(a, d_min, d_max, minors=None):
+            seen["kosov"].append((np.array(a), minors))
+            return kosov(a, d_min, d_max, minors=minors)
+
+        def recording_sweep(a):
+            seen["tables"].append(sweep(a))
+            return seen["tables"][-1]
+
+        monkeypatch.setattr(ds, "sufficient_suite", recording_suite)
+        monkeypatch.setattr(polynomials, "kosov_interval_dstability",
+                            recording_kosov)
+        monkeypatch.setattr(matrix_core, "principal_minors", recording_sweep)
+        a = np.asarray(HURWITZ_8_UNDECIDED, dtype=float)
+        for class_spec in ("positive-diagonal",
+                           "interval-diagonal:" + ",".join(["0.5/2"] * 8)):
+            seen["tables"].clear()
+            cli.run(request_for(a, class_spec=class_spec, samples=100,
+                                budget=100, exhaustive=True))
+            assert seen["suite"].pop().tobytes() == a.tobytes()
+            if class_spec != "positive-diagonal":
+                got, minors = seen["kosov"].pop()
+                assert got.tobytes() == a.tobytes()
+                table, = seen["tables"]
+                assert minors is table
+        assert seen["suite"] == seen["kosov"] == []
 
     @pytest.mark.parametrize("budget", [40, 300])
     @pytest.mark.parametrize("matrix", [

@@ -27,9 +27,10 @@ BUDGET = 5000
 
 
 def suite(a, budget):
-    """The sufficient suite of ``a`` on the whole half-plane search of -a."""
+    """The items of the sufficient suite of -a, on its whole half-plane
+    search: ``a`` is the positive-stable twin of the matrix tested."""
     return ds.sufficient_suite(
-        a, ly.DiagonalSearch(-a, HalfPlaneLeft(), budget).run())
+        -a, ly.DiagonalSearch(-a, HalfPlaneLeft(), budget).run())[1]
 
 
 def _old_log_uniform(rng, lo, hi, size=None):
@@ -751,14 +752,14 @@ class TestExactMinorRefutation:
 
 class TestSufficientSuite:
     def test_identity_fires_exact_items(self):
-        fired = {k for k, v in suite(np.eye(3), BUDGET) if v.proved}
+        fired = {k for k, v in suite(np.eye(3), BUDGET).items() if v.proved}
         assert {"m-matrix", "strict-diagonal-dominance",
                 "triangular-positive-diagonal"} <= fired
 
     def test_tridiagonal_p_matrix(self):
         a = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         assert all(v > 0 for idx, v in principal_minors(a))  # minor oracle
-        fired = {k for k, v in suite(a, BUDGET) if v.proved}
+        fired = {k for k, v in suite(a, BUDGET).items() if v.proved}
         assert "tridiagonal-p-matrix" in fired
 
     @pytest.mark.parametrize("n", [15, 20])
@@ -771,19 +772,19 @@ class TestSufficientSuite:
         monkeypatch.setattr(ds, "principal_minors", no_sweep)
         monkeypatch.setattr(mc, "principal_minors", no_sweep)
         m_matrix = (n + 1.0) * np.eye(n) - np.ones((n, n))
-        items = dict(suite(m_matrix, 50))
+        items = suite(m_matrix, 50)
         assert items["m-matrix"].proved
         band = np.diag(np.full(n - 1, -0.5))
         tridiagonal = 3.0 * np.eye(n) + np.pad(band, ((1, 0), (0, 1))) \
             + np.pad(band, ((0, 1), (1, 0)))
-        items = dict(suite(tridiagonal, 50))
+        items = suite(tridiagonal, 50)
         assert items["tridiagonal-p-matrix"].proved
 
     def test_tridiagonal_p_item_reads_every_contiguous_minor(self):
         # -A = [[1, 2, 0], [2, 1, 0.1], [0, 0.1, 1]] has positive diagonal
         # but det(-A[0:2, 0:2]) = -3: the contiguous block refutes P
         a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.1], [0.0, 0.1, 1.0]])
-        items = dict(suite(a, 50))
+        items = suite(a, 50)
         assert not items["tridiagonal-p-matrix"].proved
         assert items["tridiagonal-p-matrix"].reason == \
             "tridiagonal-p-matrix-premise-fails"
@@ -831,16 +832,52 @@ class TestSufficientSuite:
     def test_dense_spd_fires_search_with_verified_certificate(self, rng):
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         a = (q * rng.uniform(0.5, 3.0, 4)) @ q.T
-        items = dict(suite(a, BUDGET))
-        v = items["diagonal-stability"]
-        assert v.proved
-        assert ly.verify_certificate(-a, v.witness) > 0
+        search = ly.DiagonalSearch(-a, HalfPlaneLeft(), BUDGET).run()
+        verdict, items = ds.sufficient_suite(-a, search)
+        assert items["diagonal-stability"].proved
+        assert verdict.witness is search.witness
+        assert ly.verify_certificate(-a, verdict.witness) > 0
+
+    ITEMS = ["diagonal-stability", "m-matrix", "strict-diagonal-dominance",
+             "triangular-positive-diagonal", "tridiagonal-p-matrix",
+             "w-map-stable", "single-circuit"]
+
+    @pytest.mark.parametrize("a, fired", [
+        (-np.eye(3), ITEMS[:-1]),
+        # a cyclic form of gain ratio 1, proved by the circuit item
+        ([[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]],
+         ["diagonal-stability", "single-circuit"]),
+        ([[1.0, -4.0], [1.0, -2.0]], []),
+    ], ids=["negative-identity", "cyclic", "none-fires"])
+    def test_one_verdict_on_a(self, a, fired):
+        # the suite tests A itself, on the search of A, and returns its
+        # row's verdict: the search's certificate rides on it, no item's
+        a = np.asarray(a)
+        search = ly.DiagonalSearch(a, HalfPlaneLeft(), 64).run()
+        unproved = sp.Verdict(Status.UNKNOWN, "budget-exhausted")
+        for s in (search, unproved):
+            verdict, items = ds.sufficient_suite(a, s)
+            assert list(items) == self.ITEMS
+            assert all(v.witness is None for v in items.values())
+            got = [k for k, v in items.items() if v.proved]
+            assert got == [k for k in fired
+                           if s.proved or k != "diagonal-stability"]
+            if got:
+                assert verdict.proved
+                assert verdict.reason == "sufficient:" + ",".join(got)
+            else:
+                assert verdict.status is Status.UNKNOWN
+                assert verdict.reason == "no-sufficient-class-fired"
+            if s.proved:
+                assert verdict.witness is s.witness
+                assert isinstance(s.witness, ly.Certificate)
+            else:
+                assert verdict.witness is None
 
     def test_w_map_route(self, rng):
         # Hurwitz W-map image certifies diagonal stability of -A
         a = np.array([[2.0, -0.1], [0.1, 2.0]])
-        items = dict(suite(a, BUDGET))
-        assert items["w-map-stable"].proved
+        assert suite(a, BUDGET)["w-map-stable"].proved
 
     def test_soundness_against_falsifier(self, rng):
         # any fired class is D-stable: the falsifier stays silent
@@ -849,7 +886,8 @@ class TestSufficientSuite:
         for gen in gens:
             for _ in range(5):
                 member = gen(rng, 3)
-                fired = [k for k, v in suite(member, BUDGET) if v.proved]
+                fired = [k for k, v in suite(member, BUDGET).items()
+                         if v.proved]
                 assert fired
                 v = ds.falsify(-member, ds.PositiveDiagonal(), ds.Multiply(),
                                HalfPlaneLeft(), samples=2000, seed=3)
@@ -1218,12 +1256,12 @@ class TestInvariantChains:
         for gen in (random_m_matrix, random_sdd_positive_diag,
                     random_tridiagonal_p):
             a = gen(rng, 3)
-            assert any(v.proved for _, v in suite(a, BUDGET))
+            assert any(v.proved for v in suite(a, BUDGET).values())
             perm = np.eye(3)[list((1, 2, 0))]
             d = np.diag(rng.uniform(0.1, 10.0, 3))
             for sim in (perm.T @ a @ perm,
                         d @ a @ np.linalg.inv(d)):
-                assert any(v.proved for _, v in suite(sim, BUDGET))
+                assert any(v.proved for v in suite(sim, BUDGET).values())
 
     def test_scalar_scaling_preserves_verdicts(self, rng):
         a, _ = random_diagonally_stable(rng, 3)

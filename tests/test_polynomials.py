@@ -172,35 +172,35 @@ class TestKharitonov:
 
 class TestKosov:
     def test_identity_box(self, rng):
-        # positive-stability convention: D I positive stable on the box
-        v = pl.kosov_interval_dstability(np.eye(3), [1, 1, 1], [2, 2, 2])
+        # -D I is Hurwitz on the box
+        v = pl.kosov_interval_dstability(-np.eye(3), [1, 1, 1], [2, 2, 2])
         assert v.proved
         for _ in range(500):
             d = rng.uniform(1.0, 2.0, 3)
-            assert (np.linalg.eigvals(-(np.diag(d) @ np.eye(3))).real
+            assert (np.linalg.eigvals(np.diag(d) @ -np.eye(3)).real
                     < 0).all()
 
     def test_degenerate_box_is_single_root_test(self):
-        a = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        a = np.array([[-2.0, 1.0], [1.0, -2.0]])
         v = pl.kosov_interval_dstability(a, [1.0, 1.0], [1.0, 1.0])
-        direct = first_outside(np.roots(pl.char_poly(-(np.eye(2) @ a))),
+        direct = first_outside(np.roots(pl.char_poly(np.eye(2) @ a)),
                                HalfPlaneLeft())
         assert v.proved == (direct is None)
 
     def test_inconclusive_names_the_polynomial_test(self):
-        # a = [[0, 1], [-1, 0]] is P0, and every -(D a) has the spectrum
+        # -a = [[0, 1], [-1, 0]] is P0, and every D a has the spectrum
         # +-i sqrt(d1 d2), on the axis: Unknown, with the refuting reason
-        v = pl.kosov_interval_dstability([[0.0, 1.0], [-1.0, 0.0]],
+        v = pl.kosov_interval_dstability([[0.0, -1.0], [1.0, 0.0]],
                                          [1.0, 1.0], [2.0, 2.0])
         assert v.status is Status.UNKNOWN
         assert v.reason == "kosov-inconclusive:kharitonov-k1-unstable"
 
     def test_non_p0_rejected(self):
         with pytest.raises(ValueError):
-            pl.kosov_interval_dstability(-np.eye(2), [1, 1], [2, 2])
+            pl.kosov_interval_dstability(np.eye(2), [1, 1], [2, 2])
 
     def test_undecided_p0_names_the_cap(self):
-        a = np.diag(np.full(15, 3.0)) + np.diag(np.full(14, -0.5), 1)
+        a = np.diag(np.full(15, -3.0)) + np.diag(np.full(14, 0.5), 1)
         with pytest.raises(ValueError, match="minor enumeration cap n = 14"):
             pl.kosov_interval_dstability(a, np.full(15, 0.5), np.full(15, 2.0))
 
@@ -223,13 +223,13 @@ class TestKosov:
     def test_sampled_members_stable_when_proved(self, rng):
         for _ in range(10):
             a = rng.normal(size=(3, 3))
-            a = a @ a.T + 0.5 * np.eye(3)
+            a = -(a @ a.T + 0.5 * np.eye(3))
             v = pl.kosov_interval_dstability(a, [0.5] * 3, [3.0] * 3)
             if not v.proved:
                 continue
             for _ in range(100):
                 d = np.exp(rng.uniform(np.log(0.5), np.log(3.0), 3))
-                assert (np.linalg.eigvals(np.diag(d) @ a).real > 0).all()
+                assert (np.linalg.eigvals(np.diag(d) @ a).real < 0).all()
 
 
 class TestIntervalPolyBox:
@@ -281,10 +281,10 @@ class TestKosovArguments:
     ], ids=["zero-lower", "crossed", "infinite-upper"])
     def test_rejected(self, d_min, d_max, message):
         with pytest.raises(ValueError, match=message):
-            pl.kosov_interval_dstability(np.eye(2), d_min, d_max)
+            pl.kosov_interval_dstability(-np.eye(2), d_min, d_max)
 
     def test_scalar_bounds_broadcast(self):
-        a = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        a = np.array([[-2.0, 1.0], [1.0, -2.0]])
         v = pl.kosov_interval_dstability(a, 0.5, 2.0)
         assert v.proved
         assert v.witness == pl.kosov_interval_dstability(
