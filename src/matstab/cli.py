@@ -48,9 +48,11 @@ itself.  It runs at any n, before ``falsify`` samples the class.
 The summary is the first deciding check that is not Unknown.  Once it is
 Proved or Refuted, :func:`run` skips the rest of the table: no later
 check can change it, so each that applies to the request goes into
-``summary.skipped`` without a record.  ``--exhaustive`` runs every
-check; a deciding check that disagrees with the summary is listed in
-``summary.conflicts``.
+``summary.skipped`` without a record.  The suite row stops the same
+way inside itself: at its first Proved item, with the items not run
+under its record's ``data["skipped"]``.  ``--exhaustive`` runs every
+check and every suite item; a deciding check that disagrees with the
+summary is listed in ``summary.conflicts``.
 
 Exit codes: 0 proved-or-unknown, 2 refuted, 3 a deciding check conflicts
 with the summary, 1 usage or I/O error.
@@ -77,7 +79,7 @@ from .spectra import (ComplementSector, Disk, EigenSolverError, EMIRegion,
                       RealLine, Region, SectorRight, Status, Verdict,
                       eigenvalues, membership, region_stable)
 
-SCHEMA = "matstab-report/18"
+SCHEMA = "matstab-report/19"
 
 CHECK_ERROR = "check-error: "
 
@@ -562,9 +564,10 @@ def _symmetric_part(ctx):
 
 
 def _sufficient_suite(ctx):
-    verdict, items = ds.sufficient_suite(ctx.request.matrix,
-                                         ctx.search.run(SEARCH_PREFIX))
-    return verdict, verdict.proved, {"items": items}
+    r = ctx.request
+    verdict, items, skipped = ds.sufficient_suite(
+        r.matrix, ctx.search.run(SEARCH_PREFIX), r.exhaustive)
+    return verdict, verdict.proved, {"items": items, "skipped": skipped}
 
 
 def _diagonal_certificate(ctx):
@@ -639,7 +642,8 @@ def run(request):
     Runs each row of :data:`CHECKS` that applies.  The summary is the
     verdict of the first deciding check that is not Unknown.  Once it is
     decided, the later rows are skipped, and each that applies is listed
-    in ``Report.skipped``; an exhaustive request runs them all.  Checks
+    in ``Report.skipped``; the suite row likewise stops at its first
+    Proved item.  An exhaustive request runs them all.  Checks
     share work through the per-request :class:`_Context`: the spectrum
     of A, one principal-minor sweep of -A and one diagonal search on
     the request's region, which

@@ -682,62 +682,84 @@ def _is_triangular(a, tol):
                 or (abs(np.triu(a, 1)) <= tol).all())
 
 
-def sufficient_suite(a, search):
+# the items of :func:`sufficient_suite`, in the order it evaluates them
+SUFFICIENT_ITEMS = ("diagonal-stability", "m-matrix",
+                    "strict-diagonal-dominance",
+                    "triangular-positive-diagonal", "tridiagonal-p-matrix",
+                    "w-map-stable", "single-circuit")
+
+
+def _exact_flags(a):
+    """Whether each exact item, SUFFICIENT_ITEMS after the search, proves,
+    in that order, each computed only when its flag is asked for."""
+    b = -a
+    yield is_m_matrix(b)
+    # read by the next two items and the W-map route
+    norm = np.linalg.norm(a, np.inf)  # that of -A too
+    tol = minor_tol(norm, 1)
+    diag_pos = bool((np.diag(b) > tol).all())
+    yield diag_pos and any(strict_diagonal_dominance(b, tol))
+    yield diag_pos and _is_triangular(b, tol)
+    yield is_tridiagonal_p_matrix(b)
+    w_ok = region_stable(w_map(a), HalfPlaneLeft()).proved
+    if not w_ok and abs(np.linalg.det(a)) > minor_tol(norm, a.shape[0]):
+        w_ok = region_stable(w_map(np.linalg.inv(a)), HalfPlaneLeft()).proved
+    yield w_ok
+    try:
+        yield special_forms.single_circuit_criterion(a).proved
+    except ValueError:  # not one circuit, or a diagonal entry not negative
+        yield False
+
+
+def sufficient_suite(a, search, exhaustive):
     """Sufficient (Hurwitz) D-stability tests of ``a``: one row verdict.
 
     Any Proved item implies that D a is Hurwitz for every positive
-    diagonal D.  Items, in order: diagonal stability by certificate
-    search, and, of -A, M-matrix, strict diagonal dominance with
-    positive diagonal, triangular with positive diagonal and tridiagonal
-    P-matrix; then the W-map route (the off-diagonal absolute-value image
-    of A, or of its inverse, Hurwitz stable implies diagonal stability)
-    and the exact single-circuit gain test of A, which decides every
-    cyclic feedback form.  No item needs the 2^n principal minors: a
-    Z-matrix is an M-matrix when its leading minors are positive, and a
-    tridiagonal matrix is P when its contiguous principal minors are, so
-    every item runs at any n.
+    diagonal D.  Items, in the order of SUFFICIENT_ITEMS: diagonal
+    stability by certificate search, and, of -A, M-matrix, strict
+    diagonal dominance with positive diagonal, triangular with positive
+    diagonal and tridiagonal P-matrix; then the W-map route (the
+    off-diagonal absolute-value image of A, or of its inverse, Hurwitz
+    stable implies diagonal stability) and the exact single-circuit gain
+    test of A, which decides every cyclic feedback form.  No item needs
+    the 2^n principal minors: a Z-matrix is an M-matrix when its leading
+    minors are positive, and a tridiagonal matrix is P when its
+    contiguous principal minors are, so every item runs at any n.
     ``search`` is the verdict of the half-plane diagonal search of ``a``:
     ``DiagonalSearch(a, HalfPlaneLeft(), budget).run(steps)``, the whole
     search or a prefix of it.
 
-    Returns ``(verdict, items)``.  ``verdict`` is Proved,
+    Unless ``exhaustive``, the suite stops at its first Proved item: one
+    proof decides the row, so the later items are not computed.  Since
+    the search comes first, its certificate is the row's whenever it
+    proves.
+
+    Returns ``(verdict, items, skipped)``.  ``verdict`` is Proved,
     ``sufficient:<the proved items in order>``, when any item is, with
     the search's certificate as its witness when the search proved;
     else Unknown, ``no-sufficient-class-fired``.  ``items`` maps each
-    item name to its verdict, without a witness.
+    item that ran to its verdict, without a witness; ``skipped`` lists
+    the items that did not run, in suite order.
     """
     a = as_matrix(a)
-    b = -a
-    norm = np.linalg.norm(a, np.inf)  # that of -A too
-    tol = minor_tol(norm, 1)
-    diag_pos = bool((np.diag(b) > tol).all())
-    w_ok = region_stable(w_map(a), HalfPlaneLeft()).proved
-    if not w_ok and abs(np.linalg.det(a)) > minor_tol(norm, a.shape[0]):
-        w_ok = region_stable(w_map(np.linalg.inv(a)), HalfPlaneLeft()).proved
-    try:
-        circuit = special_forms.single_circuit_criterion(a).proved
-    except ValueError:  # not one circuit, or a diagonal entry not negative
-        circuit = False
-    flags = {"m-matrix": is_m_matrix(b),
-             "strict-diagonal-dominance":
-                 diag_pos and any(strict_diagonal_dominance(b, tol)),
-             "triangular-positive-diagonal":
-                 diag_pos and _is_triangular(b, tol),
-             "tridiagonal-p-matrix": is_tridiagonal_p_matrix(b),
-             "w-map-stable": w_ok,
-             "single-circuit": circuit}
-
     items = {"diagonal-stability": Verdict(
         search.status,
         "diagonally-stable" if search.proved else search.reason)}
-    for name, flag in flags.items():
-        items[name] = (Verdict(Status.PROVED, name) if flag
-                       else Verdict(Status.UNKNOWN, f"{name}-premise-fails"))
+    if exhaustive or not search.proved:
+        for name, flag in zip(SUFFICIENT_ITEMS[1:], _exact_flags(a)):
+            items[name] = (Verdict(Status.PROVED, name) if flag
+                           else Verdict(Status.UNKNOWN,
+                                        f"{name}-premise-fails"))
+            if flag and not exhaustive:
+                break
+    skipped = list(SUFFICIENT_ITEMS[len(items):])
     fired = [name for name, v in items.items() if v.proved]
     if not fired:
-        return Verdict(Status.UNKNOWN, "no-sufficient-class-fired"), items
-    return Verdict(Status.PROVED, "sufficient:" + ",".join(fired),
-                   witness=search.witness if search.proved else None), items
+        verdict = Verdict(Status.UNKNOWN, "no-sufficient-class-fired")
+    else:
+        verdict = Verdict(Status.PROVED, "sufficient:" + ",".join(fired),
+                          witness=search.witness if search.proved else None)
+    return verdict, items, skipped
 
 
 def li_wang_stable(a):

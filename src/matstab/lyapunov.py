@@ -226,6 +226,15 @@ class _DiagOperator:
             r11, r12, r22 = (float(r[0, 0]) for r in (r11, r12, r22))
         self.r11, self.r12, self.r22 = r11, r12, r22
 
+    def diagonal_excludes(self):
+        """Whether a 1x1 form has an i with r11 >= 0, r12 a_ii >= 0 and
+        r22 >= 0.  Then W(d)_ii = r11 d_i + 2 r12 a_ii d_i
+        + r22 sum_j a_ji^2 d_j >= 0 for every positive d, so e_i e_i^T is
+        a dual witness: no positive diagonal certifies."""
+        if self.m > 1 or self.r11 < 0 or self.r22 < 0:
+            return False
+        return bool((self.r12 * np.diag(self.a) >= 0).any())
+
     def apply(self, d):
         a = self.a
         da = d[:, None] * a
@@ -284,13 +293,20 @@ class DiagonalSearch:
 
     On ``Hyperbolic()`` the certificate is a sign-free diagonal D with
     D A + A^T D positive definite.  Its diagonal is 2 d_i a_ii, so every
-    certificate has the signs S = diag(sign a_ii), and a zero a_ii
-    excludes them all: the search stops at once (``k`` = 0, no
-    eigen-solve).  With D = S E, D A + A^T D = -(E (-S A) + (-S A)^T E),
-    so the search is that of -S A on the left half-plane, its factor E
-    reported as S E (kind ``diagonal-hyperbolic``) with the same margin
-    and ``iterations``.  A certificate implies that A has no
-    imaginary-axis eigenvalue and is multiplicative D-hyperbolic.
+    certificate has the signs S = diag(sign a_ii).  With D = S E,
+    D A + A^T D = -(E (-S A) + (-S A)^T E), so the search is that of
+    -S A on the left half-plane, its factor E reported as S E (kind
+    ``diagonal-hyperbolic``) with the same margin and ``iterations``.  A
+    certificate implies that A has no imaginary-axis eigenvalue and is
+    multiplicative D-hyperbolic.
+
+    On a 1x1 form the search also stops at once (``k`` = 0, no
+    eigen-solve, ``dual-bound-excludes-certificate``) when some diagonal
+    entry of W(d) is nonnegative for every positive d: some i with
+    r11 >= 0, r12 a_ii >= 0 and r22 >= 0, such as a_ii >= 0 on the left
+    half-plane, or a zero a_ii on the hyperbolic region.  The subgradient
+    stop need not see it: the top eigenvector of a reducible A may never
+    touch index i.
 
     The state is the iterate (``z``, log d up to a constant), the
     step-weighted sums of the subgradients and of the weights, and the
@@ -310,10 +326,10 @@ class DiagonalSearch:
         if region == Hyperbolic():
             self._signs = np.sign(np.diag(a))
             a, region = -self._signs[:, None] * a, HalfPlaneLeft()
-            if not self._signs.all():
-                self.verdict = Verdict(Status.UNKNOWN,
-                                       "dual-bound-excludes-certificate")
         self._op = _DiagOperator(a, region)
+        if self._op.diagonal_excludes():
+            self.verdict = Verdict(Status.UNKNOWN,
+                                   "dual-bound-excludes-certificate")
         self._rate = math.sqrt(2.0 * math.log(n))
         self._z = np.zeros(n)  # log d, up to a constant
         self._g_sum, self._w_sum = np.zeros(n), 0.0

@@ -626,17 +626,36 @@ class TestSharedWork:
 
     def test_suite_proof_runs_the_prefix_only(self, calls):
         # -A = 15 I - ones is an M-matrix: the suite proves it with no
-        # minor table, and its search stops inside the prefix
+        # minor table, and its search stops inside the prefix; the default
+        # run stops there, the exhaustive run also proves the M-matrix item
         a = np.ones((14, 14)) - 15.0 * np.eye(14)
         report = cli.run(request_for(a, samples=200, seed=1))
         assert (report.summary_status.value, report.summary_reason) == (
             "proved", "sufficient-suite")
         assert [c.check for c in report.checks] == ["self-stability",
                                                     "sufficient-suite"]
-        assert report.checks[-1].data["items"]["m-matrix"].proved
+        assert report.checks[-1].data["items"]["diagonal-stability"].proved
+        assert "m-matrix" in report.checks[-1].data["skipped"]
         assert (calls["minors"], calls["search"]) == ([], 1)
         (start, stop), = calls["runs"]
         assert start == 0 and stop <= cli.SEARCH_PREFIX
+        full = cli.run(request_for(a, samples=200, seed=1, exhaustive=True))
+        suite_record = next(c for c in full.checks
+                            if c.check == "sufficient-suite")
+        assert suite_record.data["items"]["m-matrix"].proved
+        assert suite_record.data["skipped"] == []
+
+    def test_nonnegative_diagonal_entry_takes_no_search_step(self, calls):
+        # blkdiag([[1, -4], [1, -2]], -I2) is Hurwitz; a_00 = 1 excludes
+        # every certificate, which the subgradient bound alone never shows
+        a = np.array([[1.0, -4.0, 0.0, 0.0], [1.0, -2.0, 0.0, 0.0],
+                      [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0]])
+        report = cli.run(request_for(a, samples=100, exhaustive=True))
+        record = next(c for c in report.checks
+                      if c.check == "diagonal-certificate")
+        assert record.verdict.reason == "dual-bound-excludes-certificate"
+        assert calls["search"] == 1
+        assert {stop for _, stop in calls["runs"]} == {0}
 
     @pytest.mark.parametrize("matrix, kw", [
         (HURWITZ_8_UNDECIDED, {}),
@@ -661,9 +680,9 @@ class TestSharedWork:
         suite, kosov = ds.sufficient_suite, polynomials.kosov_interval_dstability
         sweep = matrix_core.principal_minors
 
-        def recording_suite(a, search):
+        def recording_suite(a, search, exhaustive):
             seen["suite"].append(np.array(a))
-            return suite(a, search)
+            return suite(a, search, exhaustive)
 
         def recording_kosov(a, d_min, d_max, minors=None):
             seen["kosov"].append((np.array(a), minors))
@@ -864,6 +883,21 @@ def emitted(report):
     return json.loads(cli.emit(report, "json"))
 
 
+def cut_at_first_proof(record):
+    """An exhaustive ``sufficient-suite`` record as a default run makes it:
+    its items up to the first Proved one, the rest under ``skipped``, and
+    the reason naming that item; status and witness unchanged."""
+    items = record["data"]["items"]
+    names = list(items)
+    proved = [k for k in names if items[k]["status"] == "proved"]
+    if not proved:
+        return record
+    ran = names[:names.index(proved[0]) + 1]
+    return {**record, "reason": "sufficient:" + proved[0],
+            "data": {"items": {k: items[k] for k in ran},
+                     "skipped": names[len(ran):]}}
+
+
 # two rounds of each gated benchmark workload, at a seed of its own
 EQUIVALENCE_CORPUS = [spec for workload in ("desk-dstab", "regions-mix")
                       for spec in benchmark_corpus(workload, 3, 2)]
@@ -891,7 +925,10 @@ class TestDecideThenStop:
         else:
             cut = ids.index(summary["decided_by"]) + 1
             after = cli.CHECKS[table.index(summary["decided_by"]) + 1:]
-        assert default["checks"] == checks[:cut]
+        # the suite row, like the table, stops at its first proof
+        assert default["checks"] == [
+            cut_at_first_proof(c) if c["check"] == "sufficient-suite" else c
+            for c in checks[:cut]]
         # the skipped rows are those after the decider that apply to the
         # request as decided, in table order; they include every row that
         # the exhaustive run records after the decider
@@ -901,6 +938,53 @@ class TestDecideThenStop:
                                       or c.applies(ctx)]
         assert set(ids[cut:]) <= set(summary["skipped"])
         assert full["summary"]["skipped"] == []
+
+    @pytest.mark.parametrize("matrix", [
+        -np.eye(3),
+        # a cyclic form of gain ratio 1, and one at 0.94 of its secant
+        # bound that the search prefix does not certify
+        [[-1.0, 0.0, -1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]],
+        special_forms.CyclicForm((5.54, 1.23, 0.28),
+                                 (5.106, 1.933, 1.45)).matrix(),
+        # -A a tridiagonal P-matrix, neither Z nor dominant, that the
+        # search prefix does not certify
+        -np.array([[1.0, 1000.0, 0.0], [-0.001, 1.0, 1000.0],
+                   [0.0, -0.001, 1.0]]),
+    ], ids=["negative-identity", "cyclic", "cyclic-0.94-secant",
+            "tridiagonal-p"])
+    def test_default_suite_record_is_the_exhaustive_one_cut(self, matrix):
+        default, full = (
+            next(c for c in emitted(cli.run(request_for(
+                matrix, samples=100, exhaustive=exhaustive)))["checks"]
+                 if c["check"] == "sufficient-suite")
+            for exhaustive in (False, True))
+        assert full["data"]["skipped"] == []
+        assert len(full["data"]["items"]) == len(ds.SUFFICIENT_ITEMS)
+        assert default == cut_at_first_proof(full)
+        assert default["status"] == "proved"
+
+    def test_a_search_proof_computes_no_exact_item(self, monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("an exact item was computed")
+
+        exact = ["is_m_matrix", "strict_diagonal_dominance", "_is_triangular",
+                 "is_tridiagonal_p_matrix", "w_map", "minor_tol"]
+        for name in exact:
+            monkeypatch.setattr(ds, name, computed)
+        monkeypatch.setattr(special_forms, "single_circuit_criterion",
+                            computed)
+        for exhaustive in (False, True):
+            report = cli.run(request_for(-np.eye(3), samples=100,
+                                         exhaustive=exhaustive))
+            suite = next(c for c in report.checks
+                         if c.check == "sufficient-suite")
+            if exhaustive:  # the exhaustive run computes them
+                assert suite.verdict.reason.startswith(cli.CHECK_ERROR)
+                continue
+            assert report.errors == 0
+            assert suite.verdict.reason == "sufficient:diagonal-stability"
+            assert list(suite.data["items"]) == ["diagonal-stability"]
+            assert suite.data["skipped"] == list(ds.SUFFICIENT_ITEMS[1:])
 
     @pytest.mark.parametrize("matrix, kw, skipped", [
         (-np.eye(2), {}, ["necessary-p0plus", "submatrix-descent",
@@ -1102,7 +1186,7 @@ class TestEmit:
     def test_json_round_trip(self):
         report = cli.run(request_for(-np.eye(2), samples=300, budget=300))
         payload = json.loads(cli.emit(report, "json"))
-        assert payload["schema"] == "matstab-report/18"
+        assert payload["schema"] == "matstab-report/19"
         assert payload["summary"]["status"] == "proved"
         assert payload["request"]["matrix"] == [[-1.0, 0.0], [0.0, -1.0]]
 
@@ -1260,7 +1344,7 @@ class TestMain:
         assert cli.main([str(f), "--format", "json", "--samples", "100",
                          "--budget", "100"]) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["schema"] == "matstab-report/18"
+        assert json.loads(out)["schema"] == "matstab-report/19"
 
     def test_unbounded_class_with_no_escaping_member_is_not_refuted(
             self, capsys):
@@ -1377,7 +1461,7 @@ class TestCheckTable:
             report["summary"]["skipped"]
         assert "necessary-p0plus" in ids
         assert not {"classify", "gershgorin"} & set(ids)
-        assert report["schema"] == "matstab-report/18"
+        assert report["schema"] == "matstab-report/19"
 
     @pytest.mark.parametrize("matrix, reason", [
         (np.diag([1.0, -1.0]), "premise-fails: matrix must be P0 for the "

@@ -27,10 +27,12 @@ BUDGET = 5000
 
 
 def suite(a, budget):
-    """The items of the sufficient suite of -a, on its whole half-plane
-    search: ``a`` is the positive-stable twin of the matrix tested."""
+    """The items of the exhaustive sufficient suite of -a, on its whole
+    half-plane search: ``a`` is the positive-stable twin of the matrix
+    tested."""
     return ds.sufficient_suite(
-        -a, ly.DiagonalSearch(-a, HalfPlaneLeft(), budget).run())[1]
+        -a, ly.DiagonalSearch(-a, HalfPlaneLeft(), budget).run(),
+        exhaustive=True)[1]
 
 
 def _old_log_uniform(rng, lo, hi, size=None):
@@ -833,7 +835,7 @@ class TestSufficientSuite:
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         a = (q * rng.uniform(0.5, 3.0, 4)) @ q.T
         search = ly.DiagonalSearch(-a, HalfPlaneLeft(), BUDGET).run()
-        verdict, items = ds.sufficient_suite(-a, search)
+        verdict, items, _ = ds.sufficient_suite(-a, search, exhaustive=True)
         assert items["diagonal-stability"].proved
         assert verdict.witness is search.witness
         assert ly.verify_certificate(-a, verdict.witness) > 0
@@ -853,15 +855,20 @@ class TestSufficientSuite:
         # the suite tests A itself, on the search of A, and returns its
         # row's verdict: the search's certificate rides on it, no item's
         a = np.asarray(a)
+        assert ds.SUFFICIENT_ITEMS == tuple(self.ITEMS)
         search = ly.DiagonalSearch(a, HalfPlaneLeft(), 64).run()
         unproved = sp.Verdict(Status.UNKNOWN, "budget-exhausted")
-        for s in (search, unproved):
-            verdict, items = ds.sufficient_suite(a, s)
-            assert list(items) == self.ITEMS
+        for s, exhaustive in product((search, unproved), (True, False)):
+            verdict, items, skipped = ds.sufficient_suite(a, s, exhaustive)
+            proved = [k for k in fired
+                      if s.proved or k != "diagonal-stability"]
+            # a default run stops at its first proved item
+            ran = (self.ITEMS if exhaustive or not proved
+                   else self.ITEMS[:self.ITEMS.index(proved[0]) + 1])
+            assert (list(items), skipped) == (ran, self.ITEMS[len(ran):])
             assert all(v.witness is None for v in items.values())
             got = [k for k, v in items.items() if v.proved]
-            assert got == [k for k in fired
-                           if s.proved or k != "diagonal-stability"]
+            assert got == (proved if exhaustive else proved[:1])
             if got:
                 assert verdict.proved
                 assert verdict.reason == "sufficient:" + ",".join(got)

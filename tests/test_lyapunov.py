@@ -333,16 +333,74 @@ class TestDualBoundStop:
         assert calls[0] <= 50
 
     def test_zero_subgradient_stops_at_once(self, monkeypatch):
+        # at d = (1/2, 1/2) the top eigenvector (1, 1) of D A + A^T D is in
+        # the kernel of A, so g = 0
         calls = count_eigen_solves(monkeypatch)
-        v = ly.DiagonalSearch(np.zeros((3, 3)), HalfPlaneLeft(),
-                              BUDGET).run()
+        v = ly.DiagonalSearch(np.array([[-1.0, 1.0], [1.0, -1.0]]),
+                              HalfPlaneLeft(), BUDGET).run()
         assert (v.reason, calls[0]) == (DUAL_STOP, 1)
 
     def test_nonfinite_subgradient_rejected(self):
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match="not finite"):
-            ly.DiagonalSearch(np.array([[1e308, 0.0], [0.0, -1e308]]),
+            ly.DiagonalSearch(np.array([[-1e308, 1e308], [1e308, -1e308]]),
                               HalfPlaneLeft(), BUDGET).run()
+
+    # the top eigenvector never touches the index of the nonnegative
+    # a_ii, so the subgradient bound alone would never stop these
+    @pytest.mark.parametrize("a", [
+        np.diag([1.0, -1.0]),
+        np.array([[0.0, 1.0], [0.0, -1.0]]),
+        np.array([[1.0, -4.0, 0.0, 0.0], [1.0, -2.0, 0.0, 0.0],
+                  [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]),
+        np.zeros((3, 3)),
+    ], ids=["diag-1-minus-1", "upper-triangular", "blkdiag-classic",
+            "zero"])
+    def test_nonnegative_diagonal_entry_stops_at_once(self, a, monkeypatch):
+        calls = count_eigen_solves(monkeypatch)
+        search = ly.DiagonalSearch(a, HalfPlaneLeft(), BUDGET)
+        v = search.run()
+        assert (v.reason, calls[0], search.k) == (DUAL_STOP, 0, 0)
+
+    def test_diagonal_entry_stop_reads_the_form(self):
+        a = np.diag([0.5, -0.5])
+        # r11 = -1 on the unit disk: W(d)_ii = d_i (a_ii^2 - 1) can be < 0
+        assert not ly.DiagonalSearch(a, Disk(), BUDGET)._op.diagonal_excludes()
+        assert ly.DiagonalSearch(a, Disk(), BUDGET).run().proved
+        # r12 = -1 on the right half-plane: a_ii <= 0 fires
+        assert ly.DiagonalSearch(a, HalfPlaneRight(),
+                                 BUDGET)._op.diagonal_excludes()
+        # a 2 x 2 form is never read
+        sector = ly.DiagonalSearch(a, SectorRight(0.6), BUDGET)
+        assert sector._op.m == 2 and not sector._op.diagonal_excludes()
+
+    @given(st.integers(1, 5).flatmap(
+               lambda n: st.tuples(
+                   arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0)),
+                   st.integers(0, n - 1),
+                   st.sampled_from([None, 0.0, -0.0, 5e-324, 1e-300, 1e-12,
+                                    -1e-12, -0.05, 0.5]))),
+           st.sampled_from([HalfPlaneLeft(), HalfPlaneRight(),
+                            LMIRegion([[0.12]], [[0.3]]), Disk(),
+                            Disk(2.0, 1.0), EMIRegion([[-0.5]], [[0.2]],
+                                                      [[2.0]]),
+                            Hyperbolic()]))
+    @example((np.array([[0.0, 1.0], [-1.0, -1.0]]), 0, None), HalfPlaneLeft())
+    @example((np.array([[-1e-300, 0.0], [0.0, -1.0]]), 0, None),
+             HalfPlaneLeft())
+    @example((np.diag([-0.05, -1.0]), 0, None), HalfPlaneLeft())
+    @settings(max_examples=80, deadline=None)
+    def test_diagonal_entry_stop_never_meets_a_proof(self, case, region):
+        a, i, entry = case
+        if entry is not None:
+            a[i, i] = entry
+        fires = ly.DiagonalSearch(a, region, 300).verdict is not None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ly._DiagOperator, "diagonal_excludes",
+                       lambda self: False)
+            with np.errstate(all="ignore"):
+                v = ly.DiagonalSearch(a, region, 300).run()
+        assert not (fires and v.proved)
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_every_constructed_input_proved(self, n):
@@ -628,9 +686,12 @@ def reference_search(a, region, budget):
     form = region
     if region == Hyperbolic():
         signs = np.sign(np.diag(a))
-        if not signs.all():
-            return 0, Verdict(Status.UNKNOWN, DUAL_STOP)
         a, form = -signs[:, None] * a, HalfPlaneLeft()
+    if form.emi[0].shape == (1, 1):
+        # some W(d)_ii >= 0 for every positive d: stop before any step
+        r11, r12, r22 = (float(r[0, 0]) for r in form.emi)
+        if r11 >= 0 and r22 >= 0 and (r12 * np.diag(a) >= 0).any():
+            return 0, Verdict(Status.UNKNOWN, DUAL_STOP)
     op = GeneralFormOperator(a, form)
     kind = ly._DIAG_KINDS[region.name]
     rate = np.sqrt(2.0 * np.log(n))
