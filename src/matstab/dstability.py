@@ -766,18 +766,22 @@ def li_wang_stable(a):
     """Exact Hurwitz test through the second additive compound.
 
     A is Hurwitz iff its second additive compound is Hurwitz and
-    (-1)^n det A is positive.
+    (-1)^n det A is positive; Unknown when either of the two overflows.
     """
     a = as_matrix(a)
     n = a.shape[0]
-    det = float(np.linalg.det(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(a))
+        compound = additive_compound_2(a) if n > 1 else a
+    if not (math.isfinite(det) and np.isfinite(compound).all()):
+        return Verdict(Status.UNKNOWN, "li-wang-overflow")
     sign_ok = ((-1.0) ** n) * det > 0
     if n == 1:
         if sign_ok:
             return Verdict(Status.PROVED, "li-wang-scalar")
         return Verdict(Status.REFUTED, "li-wang-determinant-sign",
                        witness={"det": det})
-    inner = region_stable(additive_compound_2(a), HalfPlaneLeft())
+    inner = region_stable(compound, HalfPlaneLeft())
     if inner.proved and sign_ok:
         return Verdict(Status.PROVED, "li-wang-compound-stable")
     if not sign_ok:

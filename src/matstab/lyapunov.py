@@ -14,14 +14,14 @@ over the simplex of positive diagonals, in a step budget of its own.
 A step is one ``eigh`` of the operator plus O(n^2) vector work (the
 operator and the subgradient of a 1x1 form are elementwise), and
 ``definiteness_tol`` is computed only at a step where a stop can fire.
-On the hyperbolic region, which has no form, the signs of a sign-free
-certificate are forced, and the same search runs on the half-plane form
-of the sign-corrected matrix.  The search is {Proved, Unknown}-sound
-only: it never refutes.  It stops at the first iterate whose factor
-passes the definiteness check with a margin above ``definiteness_tol``:
-a Proved verdict needs one certificate, not the widest one, so no step
-is spent widening its margin, and the certificate's ``iterations`` is
-the step at which the search stopped.
+On the hyperbolic region, which has no form, the search and
+:func:`verify_certificate` read the half-plane form of the sign-corrected
+matrix (``_DiagOperator`` is their one map).  The search is {Proved,
+Unknown}-sound only: it never refutes.  It stops at the first iterate
+whose factor passes the definiteness check with a margin above
+``definiteness_tol``: a Proved verdict needs one certificate, not the
+widest one, so no step is spent widening its margin, and the
+certificate's ``iterations`` is the step at which the search stopped.
 
 The search stops early, with Unknown, once its own subgradients prove
 that no certificate exists.  The operator W(d) = sum_i d_i W_i is
@@ -207,18 +207,34 @@ _DIAG_KINDS = {"half-plane-left": "diagonal-lyapunov", "disk": "diagonal-stein",
 class _DiagOperator:
     """W(d) = R11 (x) D + R12 (x) (DA) + R12^T (x) (A^T D) + R22 (x) (A^T D A).
 
-    (R11, R12, R22) is the ``emi`` form of the region.  Linear in the
-    diagonal vector d, so lambda_max(W(d)) is convex and a subgradient at
-    d is read off the top eigenvector.  A 1x1 form keeps its coefficients
-    as floats: W(d) and the subgradient are then O(n^2) elementwise work
-    around the one ``eigh``.  ``a`` is kept C-contiguous, so W(d) is too
-    and its diagonal is a strided view of ``W(d).ravel()``.
+    The one map from ``(a, region)`` to the form on which the search and
+    :func:`verify_certificate` check a diagonal certificate: the region's
+    ``emi`` form (R11, R12, R22), of certificate ``kind``.  On
+    ``Hyperbolic()`` a certificate is a sign-free diagonal D with
+    D A + A^T D positive definite; its diagonal 2 d_i a_ii forces the
+    signs S = diag(sign a_ii), and D = S E gives D A + A^T D =
+    -(E (-S A) + (-S A)^T E).  So the form is the half-plane form of
+    -S A, ``signs`` is S (ones elsewhere), and an iterate or certificate
+    E has the factor S E.  Such a certificate implies that A has no
+    imaginary-axis eigenvalue and is multiplicative D-hyperbolic.
+
+    Linear in d, so lambda_max(W(d)) is convex and a subgradient at d is
+    read off the top eigenvector.  A 1x1 form keeps its coefficients as
+    floats: W(d) and the subgradient are then O(n^2) elementwise work
+    around the one ``eigh``.  The mapped ``a`` is kept C-contiguous, so
+    W(d) is too and its diagonal is a strided view of ``W(d).ravel()``.
     """
 
     def __init__(self, a, region):
+        a = as_matrix(a)
+        self.kind = _DIAG_KINDS.get(region.name)
+        self.signs = np.ones(a.shape[0])
+        if region == Hyperbolic():
+            self.signs = np.sign(np.diag(a))
+            a, region = -self.signs[:, None] * a, HalfPlaneLeft()
         if region.emi is None:
             raise ValueError(f"no diagonal certificate form for region {region!r}")
-        self.a = np.ascontiguousarray(as_matrix(a))
+        self.a = np.ascontiguousarray(a)
         r11, r12, r22 = region.emi
         self.m = r11.shape[0]
         self.has_r22 = bool(np.any(r22 != 0.0))
@@ -227,13 +243,19 @@ class _DiagOperator:
         self.r11, self.r12, self.r22 = r11, r12, r22
 
     def diagonal_excludes(self):
-        """Whether a 1x1 form has an i with r11 >= 0, r12 a_ii >= 0 and
-        r22 >= 0.  Then W(d)_ii = r11 d_i + 2 r12 a_ii d_i
-        + r22 sum_j a_ji^2 d_j >= 0 for every positive d, so e_i e_i^T is
-        a dual witness: no positive diagonal certifies."""
-        if self.m > 1 or self.r11 < 0 or self.r22 < 0:
+        """Whether a 1x1 form with r22 >= 0 has a diagonal entry x = a_ii
+        not strictly inside it: r11 + 2 r12 x + r22 x^2 >= 0.  Then
+        W(d)_ii = r11 d_i + 2 r12 a_ii d_i + r22 sum_j a_ji^2 d_j >= 0 for
+        every positive d, so e_i e_i^T is a dual witness: no positive
+        diagonal certifies.  Summed as :func:`_emi_sum` sums, so an
+        overflowed term never meets a zero coefficient."""
+        if self.m > 1 or self.r22 < 0:
             return False
-        return bool((self.r12 * np.diag(self.a) >= 0).any())
+        x = np.diag(self.a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = _emi_sum((self.r11, self.r12, self.r22),
+                            (1.0, 2.0 * x, x * x))
+        return bool(np.any(form >= 0))
 
     def apply(self, d):
         a = self.a
@@ -291,22 +313,13 @@ class DiagonalSearch:
     of the subgradients proves that no positive diagonal certifies (see
     the module docstring).
 
-    On ``Hyperbolic()`` the certificate is a sign-free diagonal D with
-    D A + A^T D positive definite.  Its diagonal is 2 d_i a_ii, so every
-    certificate has the signs S = diag(sign a_ii).  With D = S E,
-    D A + A^T D = -(E (-S A) + (-S A)^T E), so the search is that of
-    -S A on the left half-plane, its factor E reported as S E (kind
-    ``diagonal-hyperbolic``) with the same margin and ``iterations``.  A
-    certificate implies that A has no imaginary-axis eigenvalue and is
-    multiplicative D-hyperbolic.
-
-    On a 1x1 form the search also stops at once (``k`` = 0, no
-    eigen-solve, ``dual-bound-excludes-certificate``) when some diagonal
-    entry of W(d) is nonnegative for every positive d: some i with
-    r11 >= 0, r12 a_ii >= 0 and r22 >= 0, such as a_ii >= 0 on the left
-    half-plane, or a zero a_ii on the hyperbolic region.  The subgradient
-    stop need not see it: the top eigenvector of a reducible A may never
-    touch index i.
+    The form, signs and kind are those of :class:`_DiagOperator`.  The
+    search stops at once (``k`` = 0, no eigen-solve, the same reason)
+    when a diagonal entry is not strictly inside the 1x1 form
+    (``_DiagOperator.diagonal_excludes``): a_ii >= 0 on the left
+    half-plane, |a_ii| >= 1 on the unit disk, a zero a_ii on the
+    hyperbolic region.  The subgradient stop need not see it: the top
+    eigenvector of a reducible A may never touch index i.
 
     The state is the iterate (``z``, log d up to a constant), the
     step-weighted sums of the subgradients and of the weights, and the
@@ -317,16 +330,9 @@ class DiagonalSearch:
     """
 
     def __init__(self, a, region, budget):
-        a = as_matrix(a)
-        n = a.shape[0]
-        # the factor is S E for the iterate E; S = I but on Hyperbolic()
-        self._kind = _DIAG_KINDS.get(region.name)
-        self._region, self._signs = region, np.ones(n)
+        self._op, self._region = _DiagOperator(a, region), region
+        n = self._op.a.shape[0]
         self.verdict = None  # set when the search stops
-        if region == Hyperbolic():
-            self._signs = np.sign(np.diag(a))
-            a, region = -self._signs[:, None] * a, HalfPlaneLeft()
-        self._op = _DiagOperator(a, region)
         if self._op.diagonal_excludes():
             self.verdict = Verdict(Status.UNKNOWN,
                                    "dual-bound-excludes-certificate")
@@ -362,9 +368,9 @@ class DiagonalSearch:
         # or a positive g_sum.min(): the tolerance is computed only then.
         # A certificate also needs d.min() > 0: no entry underflowed
         if val < 0 and val < -definiteness_tol(w) and d.min() > 0:
-            cert = Certificate(self._kind, np.diag(self._signs * d), -val,
+            cert = Certificate(op.kind, np.diag(op.signs * d), -val,
                                self._region, k)
-            return Verdict(Status.PROVED, f"certificate:{self._kind}",
+            return Verdict(Status.PROVED, f"certificate:{op.kind}",
                            witness=cert)
         scale = float(np.abs(g).max())
         if not math.isfinite(scale):
@@ -395,27 +401,16 @@ def _require(cond, msg):
 def verify_certificate(a, cert):
     """Recompute a certificate's operator and margin; raise on any failure.
 
-    ``a`` is the certified matrix.  Returns the recomputed margin.
+    ``a`` is the certified matrix, read through :class:`_DiagOperator`
+    as the search reads it.  Returns the recomputed margin.
     """
     factor = np.asarray(cert.factor, dtype=float)
     off = factor - np.diag(np.diag(factor))
-    a = as_matrix(a)
     _require(np.all(off == 0.0), "factor must be diagonal")
-    d = np.diag(factor)
-
-    if cert.kind == "diagonal-hyperbolic":
-        _require((d != 0).all(), "factor must be a nonsingular diagonal")
-        w = d[:, None] * a
-        w = w + w.T
-        margin = float(np.linalg.eigvalsh(w)[0])
-        _require(margin > 0, "certified form is not positive definite")
-        return margin
-
-    _require((d > 0).all(), "factor must be positive diagonal")
     op = _DiagOperator(a, cert.region)
-    _require(_DIAG_KINDS[cert.region.name] == cert.kind,
-             f"kind {cert.kind!r} does not match region")
-    w = op.apply(d)
-    _, margin = is_negative_definite(w, tol=0.0)
+    d = op.signs * np.diag(factor)
+    _require((d > 0).all(), "factor must be positive diagonal up to signs")
+    _require(op.kind == cert.kind, f"kind {cert.kind!r} does not match region")
+    _, margin = is_negative_definite(op.apply(d), tol=0.0)
     _require(margin > 0, "certified form is not negative definite")
     return margin

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -907,6 +908,18 @@ class TestLiWang:
 
     def test_indefinite_diag(self):
         assert ds.li_wang_stable(np.diag([1.0, -1.0])).refuted
+
+    @pytest.mark.parametrize("a", [
+        [[-1e308, 1e308], [-1e308, -1e308]],  # det and compound overflow
+        [[-1.0, 1e308], [-1e308, -1.0]],  # det overflows
+        [[0.0, 0.0, 0.0], [0.0, -1e308, 0.0], [0.0, 0.0, -1e308]],  # compound
+    ], ids=["both", "det", "compound"])
+    def test_overflow_is_unknown(self, a):
+        # a finite matrix, so no ValueError; no overflow warning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = ds.li_wang_stable(a)
+        assert (v.status, v.reason) == (Status.UNKNOWN, "li-wang-overflow")
 
     def test_equivalence_on_random_matrices(self, rng):
         for _ in range(200):

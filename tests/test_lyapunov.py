@@ -13,8 +13,8 @@ from matstab.spectra import (Disk, EMIRegion, HalfPlaneLeft, HalfPlaneRight,
                              SectorRight, Status, Verdict, eigenvalues,
                              first_outside)
 
-from conftest import (random_diagonally_stable, random_hurwitz,
-                      random_schur, random_schur_diag_stable)
+from conftest import (benchmark_corpus, random_diagonally_stable,
+                      random_hurwitz, random_schur, random_schur_diag_stable)
 
 
 # the command line's default --budget
@@ -362,9 +362,22 @@ class TestDualBoundStop:
         v = search.run()
         assert (v.reason, calls[0], search.k) == (DUAL_STOP, 0, 0)
 
+    # the unit disk's form is x^2 - 1: each entry is outside or on it
+    @pytest.mark.parametrize("a", [
+        np.diag([1.5, 0.5]),
+        np.array([[0.5, 0.0, 0.0], [0.0, 1.2, -1.0], [0.0, 1.0, -0.5]]),
+        np.diag([0.5, -1.0]),
+    ], ids=["diag-1.5", "blkdiag-schur-stable", "on-the-circle"])
+    def test_diagonal_entry_outside_the_disk_stops_at_once(self, a,
+                                                           monkeypatch):
+        calls = count_eigen_solves(monkeypatch)
+        search = ly.DiagonalSearch(a, Disk(), BUDGET)
+        v = search.run()
+        assert (v.reason, calls[0], search.k) == (DUAL_STOP, 0, 0)
+
     def test_diagonal_entry_stop_reads_the_form(self):
         a = np.diag([0.5, -0.5])
-        # r11 = -1 on the unit disk: W(d)_ii = d_i (a_ii^2 - 1) can be < 0
+        # both entries inside the unit disk: W(d)_ii = d_i (a_ii^2 - 1) < 0
         assert not ly.DiagonalSearch(a, Disk(), BUDGET)._op.diagonal_excludes()
         assert ly.DiagonalSearch(a, Disk(), BUDGET).run().proved
         # r12 = -1 on the right half-plane: a_ii <= 0 fires
@@ -379,16 +392,27 @@ class TestDualBoundStop:
                    arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0)),
                    st.integers(0, n - 1),
                    st.sampled_from([None, 0.0, -0.0, 5e-324, 1e-300, 1e-12,
-                                    -1e-12, -0.05, 0.5]))),
+                                    -1e-12, -0.05, 0.5, 1.5, -1.2, 1.0,
+                                    -1.0]))),
+           # the last EMI region, r22 < 0, is the outside of the unit disk
            st.sampled_from([HalfPlaneLeft(), HalfPlaneRight(),
                             LMIRegion([[0.12]], [[0.3]]), Disk(),
                             Disk(2.0, 1.0), EMIRegion([[-0.5]], [[0.2]],
                                                       [[2.0]]),
-                            Hyperbolic()]))
+                            Hyperbolic(),
+                            EMIRegion([[1.0]], [[0.0]], [[-1.0]])]))
     @example((np.array([[0.0, 1.0], [-1.0, -1.0]]), 0, None), HalfPlaneLeft())
     @example((np.array([[-1e-300, 0.0], [0.0, -1.0]]), 0, None),
              HalfPlaneLeft())
     @example((np.diag([-0.05, -1.0]), 0, None), HalfPlaneLeft())
+    # proved at once, with a_ii inside the region by 2e-4 and 1e-3: a stop
+    # with any slack below zero would fire on them
+    @example((np.diag([-1e-4, -1.0]), 0, None), HalfPlaneLeft())
+    @example((np.diag([0.9995, 0.5]), 0, None), Disk())
+    # D = I proves it outside the unit disk (A^2 - I > 0) though a_ii = 0.5
+    # is not: the rule holds for r22 >= 0 only
+    @example((np.array([[0.5, 3.0], [3.0, 0.5]]), 0, None),
+             EMIRegion([[1.0]], [[0.0]], [[-1.0]]))
     @settings(max_examples=80, deadline=None)
     def test_diagonal_entry_stop_never_meets_a_proof(self, case, region):
         a, i, entry = case
@@ -688,9 +712,11 @@ def reference_search(a, region, budget):
         signs = np.sign(np.diag(a))
         a, form = -signs[:, None] * a, HalfPlaneLeft()
     if form.emi[0].shape == (1, 1):
-        # some W(d)_ii >= 0 for every positive d: stop before any step
+        # a diagonal entry x not strictly inside the form with r22 >= 0:
+        # W(d)_ii >= 0 for every positive d, so stop before any step
         r11, r12, r22 = (float(r[0, 0]) for r in form.emi)
-        if r11 >= 0 and r22 >= 0 and (r12 * np.diag(a) >= 0).any():
+        x = np.diag(a)
+        if r22 >= 0 and (r11 + r12 * (2.0 * x) + r22 * (x * x) >= 0).any():
             return 0, Verdict(Status.UNKNOWN, DUAL_STOP)
     op = GeneralFormOperator(a, form)
     kind = ly._DIAG_KINDS[region.name]
@@ -841,6 +867,103 @@ class TestVerifyCertificate:
             assert abs(again - v.witness.margin) <= 1e-9 * (1 + again)
 
 
+def hyperbolic_form(a, d):
+    """D A + A^T D, as ``verify_certificate`` built it for a hyperbolic
+    certificate in a branch of its own."""
+    w = d[:, None] * a
+    return w + w.T
+
+
+def hyperbolic_margin(a, d):
+    """That branch's margin, lambda_min(D A + A^T D)."""
+    return float(np.linalg.eigvalsh(hyperbolic_form(a, d))[0])
+
+
+def hyperbolic_certificate(d):
+    return ly.Certificate("diagonal-hyperbolic", np.diag(d), 1.0, Hyperbolic())
+
+
+class TestHyperbolicMargin:
+    """A hyperbolic certificate is checked on the half-plane form of -S A,
+    the form the search ran on.  That form is exactly -(D A + A^T D), so
+    its margin -lambda_max(-(D A + A^T D)) is lambda_min(D A + A^T D) up
+    to ``eigvalsh`` on a negated matrix: bit for bit on generic inputs,
+    within n eps ||W||_2 where W has clustered eigenvalues."""
+
+    @given(st.integers(1, 8).flatmap(
+               lambda n: st.tuples(
+                   arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0)),
+                   arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))),
+           st.floats(-3.0, 3.0), st.booleans())
+    # b b^T / n + 0.1 I has the eigenvalue 0.1 seven times: the two
+    # margins differ by two ulps
+    @example((np.full((8, 8), 2.5), np.zeros(8)), 0.0, True)
+    @settings(max_examples=150, deadline=None)
+    def test_margin_is_lambda_min_of_the_signed_form(self, case, log_scale,
+                                                     certified):
+        b, log_d = case
+        n = len(log_d)
+        d = 10.0 ** log_d * np.where(np.arange(n) % 2, -1.0, 1.0)
+        if certified:  # D A = P + K, so D A + A^T D = 2 P > 0
+            b = (b @ b.T / n + 0.1 * np.eye(n) + (b - b.T)) / d[:, None]
+        a = b * 10.0 ** log_scale
+        if not certified:  # the signs of the diagonal, whatever the margin
+            d = np.sign(np.diag(a)) * np.abs(d)
+        try:
+            got = ly.verify_certificate(a, hyperbolic_certificate(d))
+        except ly.CertificateError as exc:
+            got = str(exc)
+        if not (d != 0).all():
+            assert "positive diagonal" in got
+            return
+        w = hyperbolic_form(a, d)
+        margin = float(np.linalg.eigvalsh(w)[0])
+        tol = n * np.finfo(float).eps * np.linalg.norm(w, 2)
+        if isinstance(got, str):
+            assert "not negative definite" in got and margin <= tol
+        else:
+            assert abs(got - margin) <= tol
+        assert not certified or margin > 0
+
+    def test_generic_margins_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            d = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3, 3, n)
+            b = rng.normal(size=(n, n))
+            a = ((b @ b.T / n + 0.1 * np.eye(n) + (b - b.T)) / d[:, None]
+                 * 10.0 ** rng.uniform(-3, 3))
+            assert (float(ly.verify_certificate(a, hyperbolic_certificate(d)))
+                    .hex() == hyperbolic_margin(a, d).hex())
+
+    def test_benchmark_certificates(self):
+        # the hyperbolic requests of regions-mix, seeds 1-10, at the
+        # rounds of a 35 s run
+        count = 0
+        for seed in range(1, 11):
+            for spec in benchmark_corpus("regions-mix", seed, 7):
+                if spec.region != "hyperbolic":
+                    continue
+                v = hyperbolic_search(spec.matrix, BUDGET)
+                if v.proved:
+                    count += 1
+                    margin = hyperbolic_margin(spec.matrix,
+                                               np.diag(v.witness.factor))
+                    assert (float(ly.verify_certificate(
+                        spec.matrix, v.witness)).hex() == margin.hex())
+        assert count == 70
+
+    @pytest.mark.parametrize("d", [[0.5, 0.0], [-0.5, -0.5], [0.5, 0.5]],
+                             ids=["zero-entry", "opposite-sign",
+                                  "opposite-sign-second"])
+    def test_zero_or_opposite_sign_rejected(self, d):
+        a = np.diag([1.0, -1.0])
+        assert ly.verify_certificate(a, hyperbolic_certificate(
+            np.array([0.5, -0.5]))) == 1.0
+        with pytest.raises(ly.CertificateError, match="positive diagonal"):
+            ly.verify_certificate(a, hyperbolic_certificate(np.array(d)))
+
+
 class TestCertificateLaws:
     def test_transposition_law(self, rng):
         # D certifies A  =>  D^-1 certifies A^T
@@ -964,8 +1087,8 @@ class TestCertificateChecks:
          "positive diagonal"),
         ("diagonal-stein", [[1.0, 0.0], [0.0, 1.0]], HalfPlaneLeft(),
          "does not match"),
-        ("diagonal-hyperbolic", [[1.0, 0.0], [0.0, 0.0]], HalfPlaneLeft(),
-         "nonsingular"),
+        ("diagonal-hyperbolic", [[1.0, 0.0], [0.0, 0.0]], Hyperbolic(),
+         "positive diagonal"),
     ], ids=["asymmetric", "indefinite", "off-diagonal", "zero-entry",
             "kind-region", "singular-hyperbolic"])
     def test_malformed_factor_rejected(self, kind, factor, region, message):
